@@ -19,7 +19,7 @@ import (
 	"fpgapart/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden flat-path fixtures")
+var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures")
 
 // goldenClock advances one millisecond per reading, so trace durations
 // are deterministic without touching the wall clock.
@@ -92,10 +92,10 @@ func goldenCompare(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden fixture (run go test -run TestFlatPathGolden -update): %v", err)
+		t.Fatalf("missing golden fixture (run go test -run 'Golden|IsInert' -update): %v", err)
 	}
 	if string(want) != got {
-		t.Fatalf("%s drifted from the committed golden fixture.\nThe flat path (Options.Multilevel=false) must stay byte-identical to the seed engine;\nif the change is intentional, regenerate with -update.\n--- got (first 2000 bytes) ---\n%.2000s", name, got)
+		t.Fatalf("%s drifted from the committed golden fixture.\nFixed-seed results must stay byte-identical to the committed engine;\nif the change is intentional, regenerate with -update.\n--- got (first 2000 bytes) ---\n%.2000s", name, got)
 	}
 }
 
@@ -128,6 +128,25 @@ func TestFlatPathGolden(t *testing.T) {
 	res, rec := goldenRun(t, kway.Options{})
 	goldenCompare(t, "flat_golden_result.txt", goldenRender(t, res))
 	goldenCompare(t, "flat_golden_trace.jsonl", goldenTrace(t, rec))
+}
+
+// TestMultilevelPathGolden pins the V-cycle byte-for-byte the way
+// TestFlatPathGolden pins the flat engine: with MultilevelMinCells
+// lowered so that real carves coarsen, partition the coarsest level and
+// refine every level, both the serial (RefineWorkers 0) and the
+// parallel (RefineWorkers 2) refiners must reproduce their committed
+// partition rendering AND JSONL trace stream exactly.
+func TestMultilevelPathGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 0}, {"parfm", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, rec := goldenRun(t, kway.Options{Multilevel: true, MultilevelMinCells: 128, RefineWorkers: tc.workers})
+			goldenCompare(t, "multilevel_"+tc.name+"_golden_result.txt", goldenRender(t, res))
+			goldenCompare(t, "multilevel_"+tc.name+"_golden_trace.jsonl", goldenTrace(t, rec))
+		})
+	}
 }
 
 // TestMultilevelGateIsInert proves the gate itself cannot perturb the
