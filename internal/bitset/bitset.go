@@ -29,6 +29,26 @@ func New(n int) Vector {
 	return Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// FullRows returns rows vectors of n bits with every bit set, all
+// carved from one backing array. Each row is an independent vector:
+// writes to one never reach another.
+func FullRows(rows, n int) []Vector {
+	if n < 0 {
+		panic(fmt.Sprintf("bitset: negative length %d", n))
+	}
+	per := (n + wordBits - 1) / wordBits
+	words := make([]uint64, rows*per)
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	out := make([]Vector, rows)
+	for r := range out {
+		out[r] = Vector{n: n, words: words[r*per : (r+1)*per : (r+1)*per]}
+		out[r].trim()
+	}
+	return out
+}
+
 // FromBools builds a vector from a slice of booleans; bit i is set when
 // b[i] is true.
 func FromBools(b []bool) Vector {
@@ -152,6 +172,30 @@ func (v Vector) Norm() int {
 	c := 0
 	for _, w := range v.words {
 		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// ExclusiveNorm returns the number of bit positions set in exactly one
+// of the vectors, which must share one length. It allocates nothing:
+// per word, once collects the bits seen in some vector and twice the
+// bits seen in two or more.
+func ExclusiveNorm(vs []Vector) int {
+	if len(vs) == 0 {
+		return 0
+	}
+	for _, v := range vs[1:] {
+		vs[0].sameLen(v)
+	}
+	c := 0
+	for i := range vs[0].words {
+		var once, twice uint64
+		for _, v := range vs {
+			w := v.words[i]
+			twice |= once & w
+			once |= w
+		}
+		c += bits.OnesCount64(once &^ twice)
 	}
 	return c
 }

@@ -213,3 +213,21 @@ func TestPropertyAndNot(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestFullRowsIndependent(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		rows := FullRows(3, n)
+		for r, v := range rows {
+			if v.Len() != n || v.Norm() != n {
+				t.Fatalf("n=%d row %d: len %d norm %d, want %d set bits", n, r, v.Len(), v.Norm(), n)
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		rows[1].Clear(n - 1)
+		if rows[0].Norm() != n || rows[2].Norm() != n || rows[1].Norm() != n-1 {
+			t.Fatalf("n=%d: clearing a bit of row 1 reached another row", n)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
@@ -79,9 +80,11 @@ func (c *Clustering) Project(coarse []replication.Block, numCells int) ([]replic
 func Build(g *hypergraph.Graph, opts Options) (*Clustering, error) {
 	opts = opts.withDefaults()
 	cur := g
+	ids := make([]hypergraph.CellID, g.NumCells())
 	members := make([][]hypergraph.CellID, g.NumCells())
 	for i := range members {
-		members[i] = []hypergraph.CellID{hypergraph.CellID(i)}
+		ids[i] = hypergraph.CellID(i)
+		members[i] = ids[i : i+1 : i+1]
 	}
 	r := rand.New(rand.NewSource(opts.Seed))
 	for round := 0; round < opts.Rounds; round++ {
@@ -93,12 +96,16 @@ func Build(g *hypergraph.Graph, opts Options) (*Clustering, error) {
 		if coarse.NumCells() >= cur.NumCells() {
 			break // no progress
 		}
-		// Compose membership through this round.
+		// Compose membership through this round, every list carved from
+		// one buffer over the original cells.
+		buf := make([]hypergraph.CellID, 0, g.NumCells())
 		next := make([][]hypergraph.CellID, len(coarseMembers))
 		for ci, ms := range coarseMembers {
+			start := len(buf)
 			for _, m := range ms {
-				next[ci] = append(next[ci], members[m]...)
+				buf = append(buf, members[m]...)
 			}
+			next[ci] = buf[start:len(buf):len(buf)]
 		}
 		members = next
 		cur = coarse
@@ -108,6 +115,12 @@ func Build(g *hypergraph.Graph, opts Options) (*Clustering, error) {
 
 // matchRound pairs each cell with its highest-affinity unmatched
 // neighbor, subject to the area cap. match[i] = partner index or i.
+//
+// Affinities accumulate in a dense per-cell array; touched lists the
+// cells with a non-zero entry so only those are scanned and cleared.
+// The partner is the feasible neighbor of highest weight, ties going to
+// the lowest id: a total order, so the choice does not depend on the
+// order touched is scanned in.
 func matchRound(g *hypergraph.Graph, opts Options, r *rand.Rand) []int {
 	n := g.NumCells()
 	match := make([]int, n)
@@ -116,41 +129,58 @@ func matchRound(g *hypergraph.Graph, opts Options, r *rand.Rand) []int {
 	}
 	order := r.Perm(n)
 	taken := make([]bool, n)
-	weights := make(map[hypergraph.CellID]float64, 16)
+	weight := make([]float64, n)
+	var touched []hypergraph.CellID
+	// visited[net] = ui+1 once cell ui scored the net: a cell with
+	// several pins on one net counts the net once.
+	visited := make([]int32, g.NumNets())
+	score := func(ui int, net hypergraph.NetID) {
+		if net == hypergraph.NilNet || visited[net] == int32(ui+1) {
+			return
+		}
+		visited[net] = int32(ui + 1)
+		conns := g.Nets[net].Conns
+		if len(conns) > opts.MaxFanout || len(conns) < 2 {
+			return
+		}
+		w := 1.0 / float64(len(conns)-1)
+		for _, cn := range conns {
+			if int(cn.Cell) != ui && !taken[cn.Cell] {
+				if weight[cn.Cell] == 0 {
+					touched = append(touched, cn.Cell)
+				}
+				weight[cn.Cell] += w
+			}
+		}
+	}
 	for _, ui := range order {
 		if taken[ui] {
 			continue
 		}
-		u := hypergraph.CellID(ui)
-		for k := range weights {
-			delete(weights, k)
+		u := &g.Cells[ui]
+		for _, net := range u.Outputs {
+			score(ui, net)
 		}
-		for _, net := range g.CellNets(u) {
-			conns := g.Nets[net].Conns
-			if len(conns) > opts.MaxFanout || len(conns) < 2 {
-				continue
-			}
-			w := 1.0 / float64(len(conns)-1)
-			for _, cn := range conns {
-				if cn.Cell != u && !taken[cn.Cell] {
-					weights[cn.Cell] += w
-				}
-			}
+		for _, net := range u.Inputs {
+			score(ui, net)
 		}
 		best := hypergraph.CellID(-1)
 		bestW := 0.0
-		for v, w := range weights {
-			if g.Cells[u].Area+g.Cells[v].Area > opts.MaxClusterArea {
+		for _, v := range touched {
+			w := weight[v]
+			weight[v] = 0
+			if u.Area+g.Cells[v].Area > opts.MaxClusterArea {
 				continue
 			}
 			if opts.MaxClusterOutputs > 0 &&
-				len(g.Cells[u].Outputs)+len(g.Cells[v].Outputs) > opts.MaxClusterOutputs {
+				len(u.Outputs)+len(g.Cells[v].Outputs) > opts.MaxClusterOutputs {
 				continue
 			}
-			if w > bestW || (w == bestW && best >= 0 && v < best) {
+			if w > bestW || (w == bestW && v < best) {
 				best, bestW = v, w
 			}
 		}
+		touched = touched[:0]
 		if best >= 0 {
 			taken[ui], taken[best] = true, true
 			match[ui] = int(best)
@@ -166,56 +196,68 @@ func matchRound(g *hypergraph.Graph, opts Options, r *rand.Rand) []int {
 // level only).
 func contract(g *hypergraph.Graph, match []int) (*hypergraph.Graph, [][]hypergraph.CellID, error) {
 	n := g.NumCells()
-	clusterOf := make([]int, n)
+	clusterOf := make([]int32, n)
+	memberBuf := make([]hypergraph.CellID, 0, n)
 	var membersList [][]hypergraph.CellID
 	for i := 0; i < n; i++ {
 		if match[i] >= i { // representative: the smaller index of a pair
-			id := len(membersList)
+			id := int32(len(membersList))
+			start := len(memberBuf)
 			clusterOf[i] = id
-			ms := []hypergraph.CellID{hypergraph.CellID(i)}
+			memberBuf = append(memberBuf, hypergraph.CellID(i))
 			if match[i] != i {
 				clusterOf[match[i]] = id
-				ms = append(ms, hypergraph.CellID(match[i]))
+				memberBuf = append(memberBuf, hypergraph.CellID(match[i]))
 			}
-			membersList = append(membersList, ms)
+			membersList = append(membersList, memberBuf[start:len(memberBuf):len(memberBuf)])
 		}
 	}
 
-	b := hypergraph.NewBuilder(g.Name + "~")
-	// Survey nets: which clusters touch each net, and who drives it.
-	type netInfo struct {
-		clusters map[int]bool
-		driver   int // cluster driving the net, -1 external
+	// Survey nets: the first cluster touching each net, whether a second
+	// one does, and the cluster driving it (-1 = external).
+	m := g.NumNets()
+	first := make([]int32, m)
+	shared := make([]bool, m)
+	driver := make([]int32, m)
+	for ni := range first {
+		first[ni], driver[ni] = -1, -1
 	}
-	infos := make([]netInfo, g.NumNets())
-	for ni := range g.Nets {
-		infos[ni] = netInfo{clusters: map[int]bool{}, driver: -1}
+	touch := func(net hypergraph.NetID, cl int32) {
+		switch first[net] {
+		case -1:
+			first[net] = cl
+		case cl:
+		default:
+			shared[net] = true
+		}
 	}
 	for ci := range g.Cells {
 		cl := clusterOf[ci]
 		c := &g.Cells[ci]
 		for _, net := range c.Outputs {
-			infos[net].clusters[cl] = true
-			infos[net].driver = cl
+			touch(net, cl)
+			driver[net] = cl
 		}
 		for _, net := range c.Inputs {
 			if net != hypergraph.NilNet {
-				infos[net].clusters[cl] = true
+				touch(net, cl)
 			}
 		}
 	}
-	netID := make([]hypergraph.NetID, g.NumNets())
-	for ni := range netID {
-		netID[ni] = hypergraph.NilNet
-	}
-	// Sorted net order keeps the builder deterministic.
+	surviving := 0
 	for ni := range g.Nets {
-		info := &infos[ni]
-		ext := g.Nets[ni].Ext
-		if len(info.clusters) < 2 && ext == hypergraph.Internal {
+		if shared[ni] || g.Nets[ni].Ext != hypergraph.Internal {
+			surviving++
+		}
+	}
+	b := hypergraph.NewBuilderSized(g.Name+"~", len(membersList), surviving)
+	netID := make([]hypergraph.NetID, m)
+	for ni := range g.Nets {
+		netID[ni] = hypergraph.NilNet
+		if !shared[ni] && g.Nets[ni].Ext == hypergraph.Internal {
 			continue // fully internal to one cluster
 		}
-		switch ext {
+		switch g.Nets[ni].Ext {
 		case hypergraph.ExtIn:
 			netID[ni] = b.InputNet(g.Nets[ni].Name)
 		case hypergraph.ExtOut:
@@ -224,18 +266,21 @@ func contract(g *hypergraph.Graph, match []int) (*hypergraph.Graph, [][]hypergra
 			netID[ni] = b.Net(g.Nets[ni].Name)
 		}
 	}
+	// seenIn/seenOut[id] = cl+1 once cluster cl listed coarse net id.
+	seenIn := make([]int32, surviving)
+	seenOut := make([]int32, surviving)
+	var inputs, outputs []hypergraph.NetID
 	for cl, ms := range membersList {
-		var inputs, outputs []hypergraph.NetID
-		seenIn := map[hypergraph.NetID]bool{}
-		seenOut := map[hypergraph.NetID]bool{}
+		stamp := int32(cl + 1)
+		inputs, outputs = inputs[:0], outputs[:0]
 		area, dffs := 0, 0
-		for _, m := range ms {
-			c := &g.Cells[m]
+		for _, mi := range ms {
+			c := &g.Cells[mi]
 			area += c.Area
 			dffs += c.DFFs
 			for _, net := range c.Outputs {
-				if id := netID[net]; id != hypergraph.NilNet && !seenOut[id] {
-					seenOut[id] = true
+				if id := netID[net]; id != hypergraph.NilNet && seenOut[id] != stamp {
+					seenOut[id] = stamp
 					outputs = append(outputs, id)
 				}
 			}
@@ -244,24 +289,20 @@ func contract(g *hypergraph.Graph, match []int) (*hypergraph.Graph, [][]hypergra
 					continue
 				}
 				id := netID[net]
-				if id == hypergraph.NilNet || seenIn[id] || infos[net].driver == cl {
+				if id == hypergraph.NilNet || seenIn[id] == stamp || driver[net] == int32(cl) {
 					continue // internal, duplicate, or driven by this cluster
 				}
-				seenIn[id] = true
+				seenIn[id] = stamp
 				inputs = append(inputs, id)
 			}
 		}
 		if len(outputs) == 0 {
-			// A pure-sink cluster (e.g. all its outputs are internal):
-			// keep the builder happy with a synthetic throwaway output?
-			// This cannot happen: every cell output either survives or
-			// is internal to the cluster, and internal means another
-			// member consumes it — but a cluster with no surviving
-			// outputs and no external nets would be unreachable logic.
+			// Every output net is consumed only inside the cluster (an
+			// isolated pair feeding each other); a cell needs an output.
 			return nil, nil, fmt.Errorf("cluster: cluster %d of %q has no surviving outputs", cl, g.Name)
 		}
 		b.AddCell(hypergraph.CellSpec{
-			Name:    fmt.Sprintf("k%d", cl),
+			Name:    "k" + strconv.Itoa(cl),
 			Inputs:  inputs,
 			Outputs: outputs,
 			Area:    area,

@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fpgapart/internal/bench"
@@ -137,5 +141,251 @@ func TestCutPreservation(t *testing.T) {
 	}
 	if stCoarse.CutSize() != stFine.CutSize() {
 		t.Fatalf("coarse cut %d != projected fine cut %d", stCoarse.CutSize(), stFine.CutSize())
+	}
+}
+
+// refMatchRound is the map-based heavy-edge matching that matchRound
+// replaced, kept as the differential reference: affinities live in a
+// map keyed by neighbor, and the partner is the highest weight with
+// ties going to the lowest cell id.
+func refMatchRound(g *hypergraph.Graph, opts Options, r *rand.Rand) []int {
+	n := g.NumCells()
+	match := make([]int, n)
+	for i := range match {
+		match[i] = i
+	}
+	order := r.Perm(n)
+	taken := make([]bool, n)
+	weights := make(map[hypergraph.CellID]float64, 16)
+	for _, ui := range order {
+		if taken[ui] {
+			continue
+		}
+		u := hypergraph.CellID(ui)
+		for k := range weights {
+			delete(weights, k)
+		}
+		for _, net := range g.CellNets(u) {
+			conns := g.Nets[net].Conns
+			if len(conns) > opts.MaxFanout || len(conns) < 2 {
+				continue
+			}
+			w := 1.0 / float64(len(conns)-1)
+			for _, cn := range conns {
+				if cn.Cell != u && !taken[cn.Cell] {
+					weights[cn.Cell] += w
+				}
+			}
+		}
+		best := hypergraph.CellID(-1)
+		bestW := 0.0
+		for v, w := range weights {
+			if g.Cells[u].Area+g.Cells[v].Area > opts.MaxClusterArea {
+				continue
+			}
+			if opts.MaxClusterOutputs > 0 &&
+				len(g.Cells[u].Outputs)+len(g.Cells[v].Outputs) > opts.MaxClusterOutputs {
+				continue
+			}
+			if w > bestW || (w == bestW && best >= 0 && v < best) {
+				best, bestW = v, w
+			}
+		}
+		if best >= 0 {
+			taken[ui], taken[best] = true, true
+			match[ui] = int(best)
+			match[best] = ui
+		}
+	}
+	return match
+}
+
+// refContract is the map-based contraction that contract replaced, kept
+// as the differential reference: a set of clusters per net, two
+// dedup sets per cluster and one formatted name per coarse cell.
+func refContract(g *hypergraph.Graph, match []int) (*hypergraph.Graph, [][]hypergraph.CellID, error) {
+	n := g.NumCells()
+	clusterOf := make([]int, n)
+	var membersList [][]hypergraph.CellID
+	for i := 0; i < n; i++ {
+		if match[i] >= i {
+			id := len(membersList)
+			clusterOf[i] = id
+			ms := []hypergraph.CellID{hypergraph.CellID(i)}
+			if match[i] != i {
+				clusterOf[match[i]] = id
+				ms = append(ms, hypergraph.CellID(match[i]))
+			}
+			membersList = append(membersList, ms)
+		}
+	}
+
+	b := hypergraph.NewBuilder(g.Name + "~")
+	type netInfo struct {
+		clusters map[int]bool
+		driver   int
+	}
+	infos := make([]netInfo, g.NumNets())
+	for ni := range g.Nets {
+		infos[ni] = netInfo{clusters: map[int]bool{}, driver: -1}
+	}
+	for ci := range g.Cells {
+		cl := clusterOf[ci]
+		c := &g.Cells[ci]
+		for _, net := range c.Outputs {
+			infos[net].clusters[cl] = true
+			infos[net].driver = cl
+		}
+		for _, net := range c.Inputs {
+			if net != hypergraph.NilNet {
+				infos[net].clusters[cl] = true
+			}
+		}
+	}
+	netID := make([]hypergraph.NetID, g.NumNets())
+	for ni := range netID {
+		netID[ni] = hypergraph.NilNet
+	}
+	for ni := range g.Nets {
+		info := &infos[ni]
+		ext := g.Nets[ni].Ext
+		if len(info.clusters) < 2 && ext == hypergraph.Internal {
+			continue
+		}
+		switch ext {
+		case hypergraph.ExtIn:
+			netID[ni] = b.InputNet(g.Nets[ni].Name)
+		case hypergraph.ExtOut:
+			netID[ni] = b.OutputNet(g.Nets[ni].Name)
+		default:
+			netID[ni] = b.Net(g.Nets[ni].Name)
+		}
+	}
+	for cl, ms := range membersList {
+		var inputs, outputs []hypergraph.NetID
+		seenIn := map[hypergraph.NetID]bool{}
+		seenOut := map[hypergraph.NetID]bool{}
+		area, dffs := 0, 0
+		for _, m := range ms {
+			c := &g.Cells[m]
+			area += c.Area
+			dffs += c.DFFs
+			for _, net := range c.Outputs {
+				if id := netID[net]; id != hypergraph.NilNet && !seenOut[id] {
+					seenOut[id] = true
+					outputs = append(outputs, id)
+				}
+			}
+			for _, net := range c.Inputs {
+				if net == hypergraph.NilNet {
+					continue
+				}
+				id := netID[net]
+				if id == hypergraph.NilNet || seenIn[id] || infos[net].driver == cl {
+					continue
+				}
+				seenIn[id] = true
+				inputs = append(inputs, id)
+			}
+		}
+		if len(outputs) == 0 {
+			return nil, nil, fmt.Errorf("cluster: cluster %d of %q has no surviving outputs", cl, g.Name)
+		}
+		b.AddCell(hypergraph.CellSpec{
+			Name:    fmt.Sprintf("k%d", cl),
+			Inputs:  inputs,
+			Outputs: outputs,
+			Area:    area,
+			DFFs:    dffs,
+		})
+	}
+	coarse, err := b.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return coarse, membersList, nil
+}
+
+func render(t *testing.T, g *hypergraph.Graph) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := hypergraph.Write(&sb, g); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestCoarseningMatchesReference pins the dense-array matchRound and
+// contract to the map-based reference: identical match vectors, an
+// identical rendering of the coarse graph and identical member lists,
+// level after level, across seeds, area caps and output caps.
+func TestCoarseningMatchesReference(t *testing.T) {
+	for _, gs := range []int64{1, 2} {
+		base, err := bench.Generate(bench.Params{
+			Name: "diff", Cells: 600, PrimaryIn: 24, PrimaryOut: 16,
+			DFFs: 200, Clustering: 0.6, Seed: gs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			area, outs int
+			seed       int64
+		}{{2, 0, 1}, {4, 24, 7}, {8, 6, 11}, {64, 24, 13}, {64, 3, 17}} {
+			opts := Options{MaxClusterArea: tc.area, MaxClusterOutputs: tc.outs}.withDefaults()
+			g := base
+			for level := 0; level < 4; level++ {
+				seed := tc.seed + int64(level)
+				match := matchRound(g, opts, rand.New(rand.NewSource(seed)))
+				want := refMatchRound(g, opts, rand.New(rand.NewSource(seed)))
+				if !reflect.DeepEqual(match, want) {
+					t.Fatalf("circuit %d %+v level %d: match vector differs from the reference", gs, tc, level)
+				}
+				coarse, members, err := contract(g, match)
+				refCoarse, refMembers, refErr := refContract(g, want)
+				if (err != nil) != (refErr != nil) {
+					t.Fatalf("circuit %d %+v level %d: error %v, reference %v", gs, tc, level, err, refErr)
+				}
+				if err != nil {
+					break
+				}
+				if got, want := render(t, coarse), render(t, refCoarse); got != want {
+					t.Fatalf("circuit %d %+v level %d: coarse graph differs from the reference\n--- got ---\n%.1500s\n--- want ---\n%.1500s", gs, tc, level, got, want)
+				}
+				if !reflect.DeepEqual(members, refMembers) {
+					t.Fatalf("circuit %d %+v level %d: member lists differ from the reference", gs, tc, level)
+				}
+				if coarse.NumCells() == g.NumCells() {
+					break
+				}
+				g = coarse
+			}
+		}
+	}
+}
+
+// TestBuildAllocs bounds the allocations of one coarsening round on the
+// benchmark's 8000-cell V-cycle circuit. A per-net or per-cluster map,
+// or a per-cell member slice, puts it far above the bound.
+func TestBuildAllocs(t *testing.T) {
+	g, err := bench.Generate(bench.Params{Name: "large8000", Cells: 8000, PrimaryIn: 120, PrimaryOut: 200,
+		DFFs: 4000, Clustering: 0.7, DistantPackFrac: 0.07, Seed: 38584})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Rounds: 1, MaxClusterArea: 2, MaxClusterOutputs: 24, Seed: 1}
+	cl, err := Build(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Build(g, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perCell := allocs / float64(cl.Graph.NumCells())
+	t.Logf("%d -> %d cells: %.0f allocations, %.2f per coarse cell", g.NumCells(), cl.Graph.NumCells(), allocs, perCell)
+	if perCell > 12 {
+		t.Fatalf("cluster.Build made %.1f allocations per coarse cell, want at most 12", perCell)
 	}
 }

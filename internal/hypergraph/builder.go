@@ -29,8 +29,15 @@ type Builder struct {
 }
 
 // NewBuilder creates an empty builder for a circuit with the given name.
-func NewBuilder(name string) *Builder {
-	return &Builder{g: &Graph{Name: name}, byID: make(map[string]NetID)}
+func NewBuilder(name string) *Builder { return NewBuilderSized(name, 0, 0) }
+
+// NewBuilderSized is NewBuilder with room reserved for the given cell
+// and net counts, for callers that know the final size up front.
+func NewBuilderSized(name string, cells, nets int) *Builder {
+	return &Builder{
+		g:    &Graph{Name: name, Cells: make([]Cell, 0, cells), Nets: make([]Net, 0, nets)},
+		byID: make(map[string]NetID, nets),
+	}
 }
 
 func (b *Builder) fail(format string, args ...interface{}) {
@@ -107,19 +114,16 @@ func (b *Builder) AddCell(spec CellSpec) CellID {
 			dep[i] = bitset.FromBits(row...)
 		}
 	case dep == nil:
-		dep = make([]bitset.Vector, len(spec.Outputs))
-		for i := range dep {
-			full := bitset.New(len(spec.Inputs))
-			for j := range spec.Inputs {
-				full.Set(j)
-			}
-			dep[i] = full
-		}
+		dep = bitset.FullRows(len(spec.Outputs), len(spec.Inputs))
 	}
+	// One allocation holds both pin lists.
+	pins := make([]NetID, len(spec.Inputs)+len(spec.Outputs))
+	nIn := copy(pins, spec.Inputs)
+	copy(pins[nIn:], spec.Outputs)
 	b.g.Cells = append(b.g.Cells, Cell{
 		Name:    spec.Name,
-		Inputs:  append([]NetID(nil), spec.Inputs...),
-		Outputs: append([]NetID(nil), spec.Outputs...),
+		Inputs:  pins[:nIn:nIn],
+		Outputs: pins[nIn:],
 		Dep:     dep,
 		Area:    area,
 		DFFs:    spec.DFFs,

@@ -9,6 +9,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 
 	"fpgapart/internal/bitset"
 )
@@ -79,22 +80,10 @@ func (c *Cell) NumPins() int { return len(c.Inputs) + len(c.Outputs) }
 // that are adjacent to exactly one output. Single-output cells have
 // ψ = 0 by definition.
 func (c *Cell) ReplicationPotential() int {
-	m := len(c.Outputs)
-	if m <= 1 {
+	if len(c.Outputs) <= 1 {
 		return 0
 	}
-	psi := 0
-	for i := 0; i < m; i++ {
-		// Inputs adjacent to output i and to no other output.
-		only := c.Dep[i].Clone()
-		for j := 0; j < m; j++ {
-			if j != i {
-				only = only.AndNot(c.Dep[j])
-			}
-		}
-		psi += only.Norm()
-	}
-	return psi
+	return bitset.ExclusiveNorm(c.Dep)
 }
 
 // InputsFor returns the union of adjacency vectors over the given
@@ -200,11 +189,9 @@ func (g *Graph) Net(id NetID) *Net { return &g.Nets[id] }
 // order (outputs first), without duplicates.
 func (g *Graph) CellNets(id CellID) []NetID {
 	c := &g.Cells[id]
-	seen := make(map[NetID]bool, c.NumPins())
 	out := make([]NetID, 0, c.NumPins())
 	add := func(n NetID) {
-		if n != NilNet && !seen[n] {
-			seen[n] = true
+		if n != NilNet && !slices.Contains(out, n) {
 			out = append(out, n)
 		}
 	}
@@ -316,7 +303,7 @@ func (g *Graph) Validate() error {
 		}
 	}
 	// Reverse direction: every pin appears in its net's conn list.
-	counts := make(map[NetID]int, len(g.Nets))
+	counts := make([]int, len(g.Nets))
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
 		for _, n := range c.Outputs {
@@ -329,9 +316,9 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for ni := range g.Nets {
-		if len(g.Nets[ni].Conns) != counts[NetID(ni)] {
+		if len(g.Nets[ni].Conns) != counts[ni] {
 			return fmt.Errorf("hypergraph %q: net %q has %d conns but %d referencing pins",
-				g.Name, g.Nets[ni].Name, len(g.Nets[ni].Conns), counts[NetID(ni)])
+				g.Name, g.Nets[ni].Name, len(g.Nets[ni].Conns), counts[ni])
 		}
 	}
 	return nil
@@ -339,10 +326,30 @@ func (g *Graph) Validate() error {
 
 // RebuildConns recomputes every net's Conns slice from the cell pin
 // fields. Builders that assemble Cells/Nets directly call this before
-// Validate.
+// Validate. Every net's slice is carved, capacity-capped, from one
+// backing array.
 func (g *Graph) RebuildConns() {
+	counts := make([]int, len(g.Nets))
+	total := 0
+	for ci := range g.Cells {
+		c := &g.Cells[ci]
+		for _, n := range c.Outputs {
+			counts[n]++
+		}
+		for _, n := range c.Inputs {
+			if n != NilNet {
+				counts[n]++
+			}
+		}
+	}
+	for _, k := range counts {
+		total += k
+	}
+	conns := make([]Conn, total)
+	off := 0
 	for ni := range g.Nets {
-		g.Nets[ni].Conns = g.Nets[ni].Conns[:0]
+		g.Nets[ni].Conns = conns[off : off : off+counts[ni]]
+		off += counts[ni]
 	}
 	for ci := range g.Cells {
 		c := &g.Cells[ci]

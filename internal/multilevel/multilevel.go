@@ -445,18 +445,37 @@ func initialPartition(lv level, cfg Config, w bounds, target int) ([]replication
 		NewAttempt: func() search.AttemptFunc[sol] {
 			var cs fm.ClusterScratch
 			var runner fm.Runner
+			// One state per worker, rebound to each start's assignment
+			// (the weight table survives ResetPinned).
+			var st *replication.State
 			return func(_ context.Context, attempt int, seed int64) (sol, error) {
+				// A panic can leave the state mid-update; drop it so the
+				// next start builds a fresh one, and let the search
+				// layer contain the panic.
+				defer func() {
+					if v := recover(); v != nil {
+						st = nil
+						panic(v)
+					}
+				}()
 				assign := cs.AssignInto(nil, cg, seed, -1, tgt)
 				rep, rerr := repair(cg, assign, w, seed)
 				if rerr != nil {
 					return sol{}, rerr
 				}
-				st, err := replication.NewStatePinned(cg, assign, cfg.PinExternal)
-				if err != nil {
-					return sol{}, err
-				}
-				if err := installWeights(st, cg, cfg.NetWeights); err != nil {
-					return sol{}, err
+				if st != nil {
+					if err := st.ResetPinned(assign, cfg.PinExternal); err != nil {
+						return sol{}, err
+					}
+				} else {
+					fresh, err := replication.NewStatePinned(cg, assign, cfg.PinExternal)
+					if err != nil {
+						return sol{}, err
+					}
+					if err := installWeights(fresh, cg, cfg.NetWeights); err != nil {
+						return sol{}, err
+					}
+					st = fresh
 				}
 				cutInit := st.Objective()
 				res, err := runner.Run(st, fm.Config{

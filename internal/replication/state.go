@@ -323,9 +323,13 @@ func (s *State) buildStatic() error {
 
 	// Candidate split tables.
 	s.splitOff = make([]int32, n+1)
+	totalSplits := 0
 	for ci := range g.Cells {
-		masks := computeSplits(len(g.Cells[ci].Outputs), s.all[ci])
-		s.splitMask = append(s.splitMask, masks...)
+		totalSplits += numSplits(len(g.Cells[ci].Outputs))
+	}
+	s.splitMask = make([]uint32, 0, totalSplits)
+	for ci := range g.Cells {
+		s.splitMask = appendSplits(s.splitMask, len(g.Cells[ci].Outputs), s.all[ci])
 		s.splitOff[ci+1] = int32(len(s.splitMask))
 	}
 
@@ -338,31 +342,37 @@ func (s *State) buildStatic() error {
 	return nil
 }
 
-// computeSplits returns the candidate carry masks for a cell with mo
+// numSplits is the number of candidate carry masks appendSplits
+// produces for a cell with mo outputs.
+func numSplits(mo int) int {
+	switch {
+	case mo <= 1:
+		return 0
+	case mo <= 4:
+		return 1<<uint(mo) - 2
+	}
+	return 2 * mo
+}
+
+// appendSplits appends the candidate carry masks for a cell with mo
 // outputs: every proper non-empty output subset for cells with up to
-// four outputs, singletons and their complements otherwise.
-func computeSplits(mo int, all uint32) []uint32 {
+// four outputs, singletons and their complements otherwise. Above four
+// outputs the 2·mo masks are distinct (a singleton has one bit, a
+// complement mo-1 ≥ 4), so no deduplication is needed.
+func appendSplits(dst []uint32, mo int, all uint32) []uint32 {
 	if mo <= 1 {
-		return nil
+		return dst
 	}
 	if mo <= 4 {
-		out := make([]uint32, 0, 1<<uint(mo)-2)
 		for mask := uint32(1); mask < all; mask++ {
-			out = append(out, mask)
+			dst = append(dst, mask)
 		}
-		return out
+		return dst
 	}
-	seen := make(map[uint32]bool, 2*mo)
-	var out []uint32
 	for i := 0; i < mo; i++ {
-		for _, mask := range [2]uint32{1 << uint(i), all &^ (1 << uint(i))} {
-			if mask != 0 && mask != all && !seen[mask] {
-				seen[mask] = true
-				out = append(out, mask)
-			}
-		}
+		dst = append(dst, 1<<uint(i), all&^(1<<uint(i)))
 	}
-	return out
+	return dst
 }
 
 // Reset reinitializes the partition to a fresh replication-free
