@@ -11,9 +11,9 @@
 // retrying an attempt on a different worker, hedging it against a
 // straggler, or re-sharding a dead worker's attempts over the
 // survivors cannot change the result, only its arrival time. The
-// outcomes fold through the same index-ordered reducer
-// (internal/search) the local engine uses, giving a coordinator run
-// the byte-identical fixed-seed result of a local run.
+// outcomes fold through the same index-ordered reducer (kway.Reduce)
+// the local engine uses, giving a coordinator run the byte-identical
+// fixed-seed result, checkpoints and reducer trace of a local run.
 //
 // Failure handling distinguishes three classes:
 //
@@ -48,11 +48,11 @@ import (
 
 	"fpgapart/internal/core"
 	"fpgapart/internal/kway"
+	"fpgapart/internal/metrics"
 	"fpgapart/internal/search"
 	"fpgapart/internal/server"
 	"fpgapart/internal/span"
 	"fpgapart/internal/telemetry"
-	"fpgapart/internal/trace"
 )
 
 // Metric names exported by the coordinator.
@@ -225,44 +225,40 @@ type attemptError struct{ msg string }
 func (e *attemptError) Error() string { return e.msg }
 
 // Distribute runs one job's search by fanning its attempts over the
-// worker pool and folding the outcomes through the deterministic
-// index-ordered reducer. It matches server.Config.Distribute: req is
-// the original submission (circuit text intact, for forwarding), opts
-// the parsed options carrying the durability plumbing
-// (Checkpoint/CheckpointEvery/Resume) and the search shape
-// (Solutions/Seed/MaxStale).
+// worker pool and folding the outcomes through kway.Reduce, the
+// reducer the local engine folds through — so checkpoints, trace
+// events and the result are interchangeable with a local run's. It
+// matches server.Config.Distribute: req is the original submission
+// (circuit text intact, for forwarding), opts the parsed options
+// carrying the durability plumbing (Checkpoint/CheckpointEvery/Resume),
+// the search shape (Solutions/Seed/MaxStale) and the observability
+// hooks (Trace/Now/Spans).
 func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core.Options) (*server.JobResult, error) {
 	if req == nil {
 		return nil, errors.New("coord: nil request")
 	}
-	if opts.Solutions < 0 {
-		return nil, fmt.Errorf("coord: Solutions must be non-negative, got %d", opts.Solutions)
-	}
-	solutions := opts.Solutions
-	if solutions == 0 {
-		// Mirror the local engine's default so the coordinator runs the
-		// same defaulted search shape (and checkpoint identity) it would.
-		solutions = kway.DefaultSolutions
-	}
 	rid := server.RequestIDFromContext(ctx)
-	p.log.Info("distributing search", "request_id", rid, "attempts", solutions, "seed", opts.Seed, "pool", len(p.cfg.Workers))
+	p.log.Info("distributing search", "request_id", rid, "solutions", opts.Solutions, "seed", opts.Seed, "pool", len(p.cfg.Workers))
 
-	// Fold-side aggregates, maintained by Observe inside the
-	// single-threaded reducer — the same bookkeeping the local engine
-	// keeps, so checkpoints written here resume interchangeably.
-	var (
-		feasible, failed          int
-		costMin, costMax, costSum float64
-		firstErr                  error
-		panickedSeeds             []int64
-	)
-	drv := search.Driver[*server.JobResult]{
+	// Every remote attempt hangs its rpc spans (and the worker's ingested
+	// spans) off its own attempt span under the reducer's search span.
+	best, fs, err := kway.Reduce(ctx, kway.Options{
+		Solutions:       opts.Solutions,
+		Seed:            opts.Seed,
+		Workers:         p.cfg.Concurrency,
+		MaxStale:        opts.MaxStale,
+		Checkpoint:      opts.Checkpoint,
+		CheckpointEvery: opts.CheckpointEvery,
+		Resume:          opts.Resume,
+		Trace:           opts.Trace,
+		Now:             opts.Now,
+		Spans:           opts.Spans,
+	}, kway.Reducer[*server.JobResult]{
 		NewAttempt: func() search.AttemptFunc[*server.JobResult] {
 			return func(ctx context.Context, attempt int, seed int64) (*server.JobResult, error) {
 				return p.runAttempt(ctx, req, attempt, seed)
 			}
 		},
-		Better: betterResult,
 		// Only a deterministic infeasible attempt (or a contained local
 		// panic) may fold as a failure; anything else — malformed
 		// request, pool exhaustion — would silently change the reduction
@@ -272,178 +268,38 @@ func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core
 			var pe *search.PanicError
 			return !errors.As(err, &ae) && !errors.As(err, &pe)
 		},
-		Observe: func(attempt int, sol *server.JobResult, err error, improved bool) {
-			if err != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-				var perr *search.PanicError
-				panicked := errors.As(err, &perr)
-				if panicked {
-					panickedSeeds = append(panickedSeeds, perr.Seed)
-				}
-				if opts.Trace != nil {
-					opts.Trace.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
-				}
-				return
-			}
-			feasible++
-			cost := sol.DeviceCost
-			if feasible == 1 || cost < costMin {
-				costMin = cost
-			}
-			if cost > costMax {
-				costMax = cost
-			}
-			costSum += cost
-			if opts.Trace != nil {
-				ev := trace.Event{
-					Kind: trace.KindSolution, Attempt: attempt,
-					Feasible: true, Cost: cost, Parts: len(sol.Parts), Improved: improved,
-				}
-				if sol.TopoCost != nil {
-					ev.Topo, ev.HasTopo = *sol.TopoCost, true
-				}
-				opts.Trace.Event(ev)
-			}
-		},
-	}
-
-	if cp := opts.Resume; cp != nil {
-		if cp.Seed != opts.Seed || cp.Solutions != solutions {
-			return nil, fmt.Errorf("coord: checkpoint is for seed %d / %d solutions, options say seed %d / %d solutions",
-				cp.Seed, cp.Solutions, opts.Seed, solutions)
-		}
-		if cp.Folded < 0 || cp.Folded > solutions || cp.BestAttempt >= cp.Folded {
-			return nil, fmt.Errorf("coord: corrupt checkpoint: folded %d, best attempt %d, %d solutions",
-				cp.Folded, cp.BestAttempt, solutions)
-		}
-		feasible, failed = cp.Accepted, cp.Failed
-		costMin, costMax, costSum = cp.CostMin, cp.CostMax, cp.CostSum
-		if cp.FirstError != "" {
-			firstErr = errors.New(cp.FirstError)
-		}
-		panickedSeeds = append(panickedSeeds, cp.PanickedSeeds...)
-		rs := &search.ResumeState[*server.JobResult]{
-			Folded: cp.Folded, BestAttempt: cp.BestAttempt, Stale: cp.Stale,
-			Stats: search.Stats{
-				Folded: cp.Folded, Accepted: cp.Accepted, Failed: cp.Failed,
-				Panicked: cp.Panicked, Improved: cp.Improved,
-			},
-		}
-		if cp.BestAttempt >= 0 {
-			// The incumbent is reconstructed by replaying its attempt on
-			// the pool: the solution is a pure function of the attempt
-			// seed, so the re-fetch is byte-identical to the solution the
-			// interrupted run held. The replay's spans land under a
-			// "resume" span in the original run's trace (the job span's
-			// trace is derived from the checkpoint identity).
-			resumeRun := opts.Spans.Start("resume", cp.BestAttempt)
-			rctx := ctx
-			if opts.Spans.Enabled() {
-				resumeRun.Detail(fmt.Sprintf("folded=%d best_attempt=%d", cp.Folded, cp.BestAttempt))
-				rctx = span.NewContext(ctx, resumeRun.Scope())
-			}
-			sol, rerr := p.runAttempt(rctx, req, cp.BestAttempt, opts.Seed+int64(cp.BestAttempt)*kway.SeedStride)
-			resumeRun.End()
-			if rerr != nil {
-				return nil, fmt.Errorf("coord: checkpoint replay of attempt %d failed: %w", cp.BestAttempt, rerr)
-			}
-			rs.Best, rs.Found = sol, true
-		}
-		drv.Resume = rs
-		if opts.Trace != nil {
-			opts.Trace.Event(trace.Event{Kind: trace.KindResume, Attempt: cp.Folded, Folded: cp.Folded, BestAttempt: cp.BestAttempt})
-		}
-	}
-
-	var sCheckpoint func(search.Progress)
-	if opts.Checkpoint != nil {
-		every := opts.CheckpointEvery
-		if every <= 0 {
-			every = 1
-		}
-		sCheckpoint = func(pr search.Progress) {
-			if pr.Folded%every != 0 && pr.Folded != solutions {
-				return
-			}
-			cp := kway.SearchCheckpoint{
-				Seed: opts.Seed, Solutions: solutions,
-				Folded: pr.Folded, BestAttempt: pr.BestAttempt, Stale: pr.Stale,
-				Accepted: pr.Stats.Accepted, Failed: pr.Stats.Failed,
-				Panicked: pr.Stats.Panicked, Improved: pr.Stats.Improved,
-				CostMin: costMin, CostMax: costMax, CostSum: costSum,
-			}
-			if firstErr != nil {
-				cp.FirstError = firstErr.Error()
-			}
-			if len(panickedSeeds) > 0 {
-				cp.PanickedSeeds = append([]int64(nil), panickedSeeds...)
-			}
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: pr.Folded - 1, Folded: pr.Folded, BestAttempt: pr.BestAttempt})
-			}
-			opts.Checkpoint(cp)
-		}
-	}
-
-	// The search span mirrors the local engine's: attempts nest under
-	// it, and every remote attempt hangs its rpc spans (and the worker's
-	// ingested spans) off its own attempt span.
-	searchSpan := opts.Spans.Start("search", -1)
-	out, serr := search.Run(ctx, search.Options{
-		Attempts:   solutions,
-		Workers:    p.cfg.Concurrency,
-		Seed:       opts.Seed,
-		SeedStride: kway.SeedStride,
-		MaxStale:   opts.MaxStale,
-		Checkpoint: sCheckpoint,
-		Spans:      searchSpan.Scope(),
-	}, drv)
-	searchSpan.End()
-
-	var budget *search.ErrBudget
-	if serr != nil {
-		var ae *search.AttemptError
-		switch {
-		case errors.As(serr, &ae):
-			return nil, ae.Err
-		case errors.As(serr, &budget):
-			// The folded prefix may still hold a feasible incumbent.
-		default:
-			return nil, serr
-		}
-	}
-	if !out.Found {
-		inf := &kway.InfeasibleError{Attempts: out.Stats.Folded, First: firstErr}
-		if budget != nil {
-			return nil, fmt.Errorf("%v: %w", inf, budget)
-		}
-		return nil, inf
+		Score: resultScore,
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The incumbent carries the per-solution fields (circuit, parts,
-	// costs); overlay the coordinator's fold aggregates so the summary
-	// matches what the local engine reports for the same search.
-	res := *out.Best
-	res.Feasible = feasible
-	res.Failed = failed
-	res.Panicked = out.Stats.Panicked
-	res.PanickedSeeds = panickedSeeds
-	res.Degraded = out.Stats.Panicked > 0
-	switch {
-	case budget != nil:
-		res.Stopped = kway.StoppedBudget
-	case out.Stats.StaleStop:
-		res.Stopped = kway.StoppedStale
-	default:
-		res.Stopped = ""
-	}
-	if opts.Resume != nil {
-		from := opts.Resume.Folded
+	// costs); overlay the fold aggregates so the summary matches what
+	// the local engine reports for the same search.
+	res := *best
+	res.Feasible = fs.Feasible
+	res.Failed = fs.Failed
+	res.Panicked = fs.Panicked
+	res.PanickedSeeds = fs.PanickedSeeds
+	res.Degraded = fs.Degraded
+	res.Stopped = fs.Stopped
+	if fs.Resumed {
+		from := fs.ResumedFrom
 		res.ResumedFromAttempt = &from
 	}
 	return &res, nil
+}
+
+// resultScore reads the objective values off a worker's result, the
+// API-schema twin of metrics.Solution.Score: float64 fields round-trip
+// JSON exactly, so the coordinator's fold compares the same numbers the
+// local engine does.
+func resultScore(r *server.JobResult) metrics.Score {
+	s := metrics.Score{Cost: r.DeviceCost, K: len(r.Parts), IOBUtil: r.AvgIOBUtil}
+	if r.TopoCost != nil {
+		s.Topo, s.HasTopo = *r.TopoCost, true
+	}
+	return s
 }
 
 // rpc outcome classes, in decreasing finality.
@@ -707,22 +563,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// betterResult replicates metrics.Solution.Better on the API result
-// schema: device cost (with the same epsilon), then hop-weighted
-// interconnect when both solutions carry one, then IOB utilization.
-// Keeping the comparator identical is what makes the coordinator's
-// reduction fold to the local engine's exact incumbent.
-func betterResult(a, b *server.JobResult) bool {
-	const eps = 1e-9
-	if d := a.DeviceCost - b.DeviceCost; d < -eps {
-		return true
-	} else if d > eps {
-		return false
-	}
-	if a.TopoCost != nil && b.TopoCost != nil && *a.TopoCost != *b.TopoCost {
-		return *a.TopoCost < *b.TopoCost
-	}
-	return a.AvgIOBUtil < b.AvgIOBUtil
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"fpgapart/internal/kway"
 	"fpgapart/internal/server"
 	"fpgapart/internal/telemetry"
+	"fpgapart/internal/trace"
 )
 
 func circuitText(t *testing.T, cells int, seed int64) string {
@@ -348,6 +351,121 @@ func TestResumeByteIdentical(t *testing.T) {
 	if g, w := mustJSON(t, resumed), mustJSON(t, full); g != w {
 		t.Fatalf("resumed result diverged:\n got %s\nwant %s", g, w)
 	}
+}
+
+// TestCoordinatorRecordsSearchPhase: a coordinator-mode job folds
+// through the shared reducer, which emits the search phase event, so
+// the coordinator's registry times the search like a local server's.
+func TestCoordinatorRecordsSearchPhase(t *testing.T) {
+	worker := newWorkerTS(t, newEngine(t, server.Config{}))
+	pool := newPool(t, Config{Workers: []string{worker.URL}})
+	reg := telemetry.NewRegistry()
+	coordinator := newWorkerTS(t, newEngine(t, server.Config{Metrics: reg, Distribute: pool.Distribute}))
+
+	body := mustJSON(t, server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 3, Seed: 7})
+	resp, err := http.Post(coordinator.URL+"/v1/partition", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("coordinator job: HTTP %d", resp.StatusCode)
+	}
+
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^fpgapart_phase_seconds_count\{phase="search"\} (\d+)$`).FindStringSubmatch(sb.String())
+	if m == nil {
+		t.Fatalf("no search phase count in the coordinator's exposition:\n%s", sb.String())
+	}
+	if n, _ := strconv.Atoi(m[1]); n < 1 {
+		t.Fatalf("coordinator search phase count = %d, want >= 1", n)
+	}
+}
+
+// reducerEvents keeps the events the reducer itself emits — solutions,
+// checkpoints, resumes and the search phase — with durations zeroed:
+// the sequence a coordinator and a local engine must agree on.
+func reducerEvents(rec *trace.Recorder) []trace.Event {
+	var out []trace.Event
+	for _, e := range rec.Events() {
+		switch {
+		case e.Kind == trace.KindSolution, e.Kind == trace.KindCheckpoint, e.Kind == trace.KindResume,
+			e.Kind == trace.KindPhase && e.Phase == trace.PhaseSearch:
+			e.Dur = 0
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestReducerMatchesLocal is the differential check behind the claim
+// that coordinator and local checkpoints are interchangeable: the same
+// search folded locally and through Distribute emits JSON-equal
+// checkpoints and an equal reducer event sequence, uninterrupted and
+// resumed, and a local checkpoint resumes through the pool to the
+// local result.
+func TestReducerMatchesLocal(t *testing.T) {
+	req := &server.JobRequest{Circuit: circuitText(t, 400, 1), Solutions: 4, Seed: 7}
+	want := localResult(t, req)
+	if want.Feasible != req.Solutions {
+		t.Fatalf("fixture: %d of %d attempts feasible, want all", want.Feasible, req.Solutions)
+	}
+	g, err := hypergraph.Read(strings.NewReader(req.Circuit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 := newWorkerTS(t, newEngine(t, server.Config{}))
+	w2 := newWorkerTS(t, newEngine(t, server.Config{}))
+	pool := newPool(t, Config{Workers: []string{w1.URL, w2.URL}})
+
+	type run struct {
+		res *server.JobResult
+		cps []kway.SearchCheckpoint
+		evs []trace.Event
+	}
+	fold := func(distributed bool, resume *kway.SearchCheckpoint) run {
+		t.Helper()
+		var r run
+		rec := &trace.Recorder{}
+		opts := core.Options{
+			Solutions: req.Solutions, Seed: req.Seed, Resume: resume, Trace: rec,
+			Checkpoint: func(cp kway.SearchCheckpoint) { r.cps = append(r.cps, cp) },
+		}
+		var err error
+		if distributed {
+			r.res, err = pool.Distribute(context.Background(), req, opts)
+		} else {
+			_, err = core.PartitionContext(context.Background(), g, opts)
+		}
+		if err != nil {
+			t.Fatalf("distributed=%v: %v", distributed, err)
+		}
+		r.evs = reducerEvents(rec)
+		return r
+	}
+	same := func(what string, coordinator, local any) {
+		t.Helper()
+		if c, l := mustJSON(t, coordinator), mustJSON(t, local); c != l {
+			t.Fatalf("%s diverged:\ncoordinator %s\nlocal       %s", what, c, l)
+		}
+	}
+
+	local, coord := fold(false, nil), fold(true, nil)
+	same("checkpoints", coord.cps, local.cps)
+	same("reducer events", coord.evs, local.evs)
+
+	cp := local.cps[1]
+	localResumed, coordResumed := fold(false, &cp), fold(true, &cp)
+	same("resumed checkpoints", coordResumed.cps, localResumed.cps)
+	same("resumed reducer events", coordResumed.evs, localResumed.evs)
+	if from := coordResumed.res.ResumedFromAttempt; from == nil || *from != cp.Folded {
+		t.Fatalf("resumed_from_attempt = %v, want %d", from, cp.Folded)
+	}
+	coordResumed.res.ResumedFromAttempt = nil
+	same("result of a local checkpoint resumed through the pool", coordResumed.res, want)
 }
 
 func TestNewValidatesWorkers(t *testing.T) {

@@ -242,11 +242,8 @@ func (e *InfeasibleError) Unwrap() error { return e.First }
 // search would fold at index i.
 const SeedStride = 104729
 
-// DefaultSolutions is the attempt budget when Options.Solutions is 0.
-// Exported so a coordinator distributing attempts remotely runs the
-// same defaulted search shape (and checkpoint identity) the local
-// engine would.
-const DefaultSolutions = 50
+// defaultSolutions is the attempt budget when Options.Solutions is 0.
+const defaultSolutions = 50
 
 func (o Options) withDefaults() (Options, error) {
 	if o.Solutions < 0 {
@@ -271,7 +268,7 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("kway: CheckpointEvery must be non-negative, got %d", o.CheckpointEvery)
 	}
 	if o.Solutions == 0 {
-		o.Solutions = DefaultSolutions
+		o.Solutions = defaultSolutions
 	}
 	if o.Retries == 0 {
 		o.Retries = 20
@@ -279,7 +276,21 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MultilevelMinCells == 0 {
 		o.MultilevelMinCells = 512
 	}
+	if o.CheckpointEvery == 0 {
+		o.CheckpointEvery = 1
+	}
+	if o.Now == nil {
+		o.Now = time.Now
+	}
 	return o, nil
+}
+
+// emitPhase reports a phase that began at start to the trace sink.
+// Callers read the clock only when a sink is armed; phase durations
+// feed the sink and nothing else, preserving the byte-identical
+// fixed-seed contract (see TestTelemetryDoesNotPerturbSearch).
+func (o *Options) emitPhase(attempt int, phase string, start time.Time) {
+	o.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: attempt, Phase: phase, Dur: o.Now().Sub(start)})
 }
 
 // Part is one partition of the final solution.
@@ -296,34 +307,11 @@ type Result struct {
 	Parts       []Part
 	Summary     metrics.Solution
 	SourceCells int
-	// Feasible counts complete feasible solutions generated; Failed
-	// counts abandoned attempts.
-	Feasible, Failed int
-	// CostMin/CostMax/CostMean summarize the device cost across the
-	// feasible solutions the randomized search generated — the spread
-	// the best-of-N selection exploits.
-	CostMin, CostMax, CostMean float64
-	// Stopped records why the search ended before folding all Solutions
-	// attempts: "" (ran to completion), StoppedStale (MaxStale
-	// consecutive non-improving solutions) or StoppedBudget (context
-	// cancellation/deadline with a feasible incumbent in hand).
-	Stopped string
-	// Degraded reports that at least one solution attempt died to a
-	// contained panic: the result is still the deterministic best of
-	// the surviving attempts, but the panicked indices contributed
-	// nothing. Panicked counts them and PanickedSeeds records the seeds
-	// that died, for offline reproduction of the crash.
-	Degraded      bool
-	Panicked      int
-	PanickedSeeds []int64
-	// Resumed reports that the search restarted from a checkpoint
-	// (Options.Resume); ResumedFrom is the attempt index it continued
-	// from (meaningful only when Resumed).
-	Resumed     bool
-	ResumedFrom int
+	// FoldStats carries the search's fold-side aggregates.
+	FoldStats
 }
 
-// Result.Stopped values.
+// FoldStats.Stopped values.
 const (
 	StoppedStale  = "stale"
 	StoppedBudget = "budget"
@@ -364,27 +352,10 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 	if g.NumCells() == 0 {
 		return Result{}, errors.New("kway: empty circuit")
 	}
-	// Solution attempts are independent; the orchestrator runs them on
-	// a bounded worker pool and folds them in index order, which keeps
-	// the search deterministic regardless of scheduling. The fold-side
-	// statistics below are maintained inside Observe — single-threaded,
-	// index-ordered — so the float accumulation order is fixed too.
-	var (
-		feasible, failed          int
-		costMin, costMax, costSum float64
-		firstErr                  error
-		panickedSeeds             []int64
-	)
-	// now is read only when a trace sink is armed; phase durations
-	// feed the sink and nothing else, preserving the byte-identical
-	// fixed-seed contract (see TestTelemetryDoesNotPerturbSearch).
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	emitPhase := func(sink trace.Sink, attempt int, phase string, start time.Time) {
-		sink.Event(trace.Event{Kind: trace.KindPhase, Attempt: attempt, Phase: phase, Dur: now().Sub(start)})
-	}
+	// Solution attempts are independent; Reduce runs them on a bounded
+	// worker pool and folds them in index order, which keeps the search
+	// deterministic regardless of scheduling.
+	//
 	// newAttempt builds one worker's attempt function against an options
 	// value. The search workers run it with opts verbatim; the resume
 	// path replays the checkpoint's incumbent attempt with trace and
@@ -420,7 +391,7 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 			}
 			var foldStart time.Time
 			if o.Trace != nil {
-				foldStart = now()
+				foldStart = o.Now()
 			}
 			foldSpan := o.Spans.Start("fold", attempt)
 			remapDevices(parts, o.Library)
@@ -442,12 +413,12 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 			}
 			foldSpan.End()
 			if o.Trace != nil {
-				emitPhase(o.Trace, attempt, trace.PhaseFold, foldStart)
+				o.emitPhase(attempt, trace.PhaseFold, foldStart)
 			}
 			if o.Verify {
 				var verifyStart time.Time
 				if o.Trace != nil {
-					verifyStart = now()
+					verifyStart = o.Now()
 				}
 				verifySpan := o.Spans.Start("verify", attempt)
 				if verr := res.Verify(g); verr != nil {
@@ -456,203 +427,34 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 				}
 				verifySpan.End()
 				if o.Trace != nil {
-					emitPhase(o.Trace, attempt, trace.PhaseVerify, verifyStart)
+					o.emitPhase(attempt, trace.PhaseVerify, verifyStart)
 				}
 			}
 			return res, nil
 		}
 	}
-	drv := search.Driver[Result]{
+	r := Reducer[Result]{
 		NewAttempt: func() search.AttemptFunc[Result] { return newAttempt(opts) },
-		Better:     func(a, b Result) bool { return a.Summary.Better(b.Summary) },
 		// Verification failures are partitioner bugs, never ordinary
 		// infeasibility: abort the search instead of counting a failed
-		// attempt.
+		// attempt. Reduce surfaces the *VerificationError itself.
 		Fatal: func(err error) bool {
 			var verr *VerificationError
 			return errors.As(err, &verr)
 		},
-		Observe: func(attempt int, sol Result, err error, improved bool) {
-			if err != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-				var perr *search.PanicError
-				panicked := errors.As(err, &perr)
-				if panicked {
-					panickedSeeds = append(panickedSeeds, perr.Seed)
-				}
-				if opts.Trace != nil {
-					opts.Trace.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
-				}
-				return
-			}
-			feasible++
-			cost := sol.Summary.DeviceCost()
-			if feasible == 1 || cost < costMin {
-				costMin = cost
-			}
-			if cost > costMax {
-				costMax = cost
-			}
-			costSum += cost
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{
-					Kind: trace.KindSolution, Attempt: attempt,
-					Feasible: true, Cost: cost, Parts: len(sol.Parts), Improved: improved,
-					Topo: sol.Summary.TopoCost, HasTopo: sol.Summary.HasTopo,
-				})
-			}
-		},
+		Score: func(res Result) metrics.Score { return res.Summary.Score() },
 	}
-	if cp := opts.Resume; cp != nil {
-		if cp.Seed != opts.Seed || cp.Solutions != opts.Solutions {
-			return Result{}, fmt.Errorf("kway: checkpoint is for seed %d / %d solutions, options say seed %d / %d solutions", cp.Seed, cp.Solutions, opts.Seed, opts.Solutions)
-		}
-		if cp.Folded < 0 || cp.Folded > opts.Solutions || cp.BestAttempt >= cp.Folded {
-			return Result{}, fmt.Errorf("kway: corrupt checkpoint: folded %d, best attempt %d, %d solutions", cp.Folded, cp.BestAttempt, opts.Solutions)
-		}
-		feasible, failed = cp.Accepted, cp.Failed
-		costMin, costMax, costSum = cp.CostMin, cp.CostMax, cp.CostSum
-		if cp.FirstError != "" {
-			firstErr = errors.New(cp.FirstError)
-		}
-		panickedSeeds = append(panickedSeeds, cp.PanickedSeeds...)
-		rs := &search.ResumeState[Result]{
-			Folded:      cp.Folded,
-			BestAttempt: cp.BestAttempt,
-			Stale:       cp.Stale,
-			Stats: search.Stats{
-				Folded:   cp.Folded,
-				Accepted: cp.Accepted,
-				Failed:   cp.Failed,
-				Panicked: cp.Panicked,
-				Improved: cp.Improved,
-			},
-		}
-		if cp.BestAttempt >= 0 {
-			// Reconstruct the incumbent by replaying its attempt:
-			// attempt i derives all randomness from Seed + i*SeedStride,
-			// so the replay is byte-identical to the solution the
-			// interrupted run held.
-			replayOpts := opts
-			replayOpts.Trace = nil
-			replayOpts.Inject = nil
-			// The replay's spans land under a "resume" span in the same
-			// trace as the original run (the caller derives the TraceID
-			// from the checkpoint identity), so a crash-recovered job
-			// reads as one timeline.
-			rctx := ctx
-			resumeSpan := opts.Spans.Start("resume", cp.BestAttempt)
-			if opts.Spans.Enabled() {
-				resumeSpan.Detail(fmt.Sprintf("folded=%d best_attempt=%d", cp.Folded, cp.BestAttempt))
-				rctx = span.NewContext(ctx, resumeSpan.Scope())
-			}
-			sol, rerr := newAttempt(replayOpts)(rctx, cp.BestAttempt, opts.Seed+int64(cp.BestAttempt)*SeedStride)
-			resumeSpan.End()
-			if rerr != nil {
-				return Result{}, fmt.Errorf("kway: checkpoint replay of attempt %d failed: %w", cp.BestAttempt, rerr)
-			}
-			rs.Best, rs.Found = sol, true
-		}
-		drv.Resume = rs
-		if opts.Trace != nil {
-			opts.Trace.Event(trace.Event{Kind: trace.KindResume, Attempt: cp.Folded, Folded: cp.Folded, BestAttempt: cp.BestAttempt})
-		}
-	}
-	// The checkpoint wrapper runs inside the single-threaded reducer,
-	// immediately after Observe for the same attempt, so the fold-side
-	// aggregates it captures (costMin/costMax/costSum, firstErr,
-	// panickedSeeds) are exactly current at each snapshot.
-	var sCheckpoint func(search.Progress)
-	if opts.Checkpoint != nil {
-		every := opts.CheckpointEvery
-		if every == 0 {
-			every = 1
-		}
-		sCheckpoint = func(p search.Progress) {
-			if p.Folded%every != 0 && p.Folded != opts.Solutions {
-				return
-			}
-			cp := SearchCheckpoint{
-				Seed: opts.Seed, Solutions: opts.Solutions,
-				Folded: p.Folded, BestAttempt: p.BestAttempt, Stale: p.Stale,
-				Accepted: p.Stats.Accepted, Failed: p.Stats.Failed,
-				Panicked: p.Stats.Panicked, Improved: p.Stats.Improved,
-				CostMin: costMin, CostMax: costMax, CostSum: costSum,
-			}
-			if firstErr != nil {
-				cp.FirstError = firstErr.Error()
-			}
-			if len(panickedSeeds) > 0 {
-				cp.PanickedSeeds = append([]int64(nil), panickedSeeds...)
-			}
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: p.Folded - 1, Folded: p.Folded, BestAttempt: p.BestAttempt})
-			}
-			opts.Checkpoint(cp)
-		}
-	}
-	var searchStart time.Time
-	if opts.Trace != nil {
-		searchStart = now()
-	}
-	searchSpan := opts.Spans.Start("search", -1)
-	out, serr := search.Run(ctx, search.Options{
-		Attempts:   opts.Solutions,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		SeedStride: SeedStride,
-		MaxStale:   opts.MaxStale,
-		Inject:     opts.Inject,
-		Checkpoint: sCheckpoint,
-		Spans:      searchSpan.Scope(),
-	}, drv)
-	searchSpan.End()
-	if opts.Trace != nil {
-		emitPhase(opts.Trace, -1, trace.PhaseSearch, searchStart)
-	}
-	var budget *search.ErrBudget
-	if serr != nil {
-		var ae *search.AttemptError
-		switch {
-		case errors.As(serr, &ae):
-			// Fatal attempt (verification failure): surface the
-			// underlying error itself, preserving the pre-orchestrator
-			// contract that Partition returns the *VerificationError.
-			return Result{}, ae.Err
-		case errors.As(serr, &budget):
-			// The folded prefix may still hold a feasible incumbent.
-		default:
-			return Result{}, serr
-		}
-	}
-	if !out.Found {
-		inf := &InfeasibleError{Attempts: out.Stats.Folded, First: firstErr}
-		if budget != nil {
-			return Result{}, fmt.Errorf("%v: %w", inf, budget)
-		}
-		return Result{}, inf
-	}
-	best := out.Best
-	best.Feasible = feasible
-	best.Failed = failed
-	best.SourceCells = g.NumCells()
-	best.CostMin, best.CostMax, best.CostMean = costMin, costMax, costSum/float64(feasible)
-	best.Panicked = out.Stats.Panicked
-	best.PanickedSeeds = panickedSeeds
-	best.Degraded = out.Stats.Panicked > 0
 	if opts.Resume != nil {
-		best.Resumed = true
-		best.ResumedFrom = opts.Resume.Folded
+		replay := opts
+		replay.Trace = nil
+		replay.Inject = nil
+		r.Replay = newAttempt(replay)
 	}
-	switch {
-	case budget != nil:
-		best.Stopped = StoppedBudget
-	case out.Stats.StaleStop:
-		best.Stopped = StoppedStale
+	best, fs, err := Reduce(ctx, opts, r)
+	if err != nil {
+		return Result{}, err
 	}
+	best.FoldStats = fs
 	return best, nil
 }
 

@@ -129,26 +129,45 @@ func (s Solution) DeviceCounts() map[string]int {
 	return m
 }
 
+// Score is what a best-of-N search reads off one solution: the values
+// the lexicographic objective compares, plus the part count it reports.
+// Any solution representation (an in-memory Solution, a service's JSON
+// result) that yields a Score folds under the same order.
+type Score struct {
+	Cost    float64 // Eq. 1 total device cost
+	K       int     // number of parts (reported, never compared)
+	Topo    int     // hop-weighted interconnect, meaningful when HasTopo
+	HasTopo bool
+	IOBUtil float64 // Eq. 2 average IOB utilization
+}
+
 // Better reports whether s is preferable to t under the paper's
 // lexicographic objective: lower device cost first (Eq. 1), then —
 // when both solutions carry a board-topology score — lower
 // hop-weighted interconnect, then lower average IOB utilization
 // (Eq. 2). Flat solutions never set HasTopo, so the classic two-level
 // order is unchanged for them.
-func (s Solution) Better(t Solution) bool {
-	cs, ct := s.DeviceCost(), t.DeviceCost()
+func (s Score) Better(t Score) bool {
 	const eps = 1e-9
-	if cs < ct-eps {
+	if s.Cost < t.Cost-eps {
 		return true
 	}
-	if cs > ct+eps {
+	if s.Cost > t.Cost+eps {
 		return false
 	}
-	if s.HasTopo && t.HasTopo && s.TopoCost != t.TopoCost {
-		return s.TopoCost < t.TopoCost
+	if s.HasTopo && t.HasTopo && s.Topo != t.Topo {
+		return s.Topo < t.Topo
 	}
-	return s.AvgIOBUtil() < t.AvgIOBUtil()
+	return s.IOBUtil < t.IOBUtil
 }
+
+// Score evaluates the solution's objective values.
+func (s Solution) Score() Score {
+	return Score{Cost: s.DeviceCost(), K: s.K(), Topo: s.TopoCost, HasTopo: s.HasTopo, IOBUtil: s.AvgIOBUtil()}
+}
+
+// Better reports whether s is preferable to t (see Score.Better).
+func (s Solution) Better(t Solution) bool { return s.Score().Better(t.Score()) }
 
 // String renders a compact one-line summary.
 func (s Solution) String() string {
