@@ -49,6 +49,21 @@ func FullRows(rows, n int) []Vector {
 	return out
 }
 
+// Words returns the number of 64-bit words backing an n-bit vector.
+func Words(n int) int { return (n + wordBits - 1) / wordBits }
+
+// Carve returns an n-bit vector backed by the leading Words(n) words
+// of buf, capacity-capped so it never reaches the rest, and the rest of
+// buf. The carved words must be zero; callers carve many rows from one
+// zeroed allocation.
+func Carve(buf []uint64, n int) (Vector, []uint64) {
+	if n < 0 {
+		panic(fmt.Sprintf("bitset: negative length %d", n))
+	}
+	w := Words(n)
+	return Vector{n: n, words: buf[:w:w]}, buf[w:]
+}
+
 // FromBools builds a vector from a slice of booleans; bit i is set when
 // b[i] is true.
 func FromBools(b []bool) Vector {

@@ -214,6 +214,35 @@ func TestPropertyAndNot(t *testing.T) {
 	}
 }
 
+func TestCarveIndependent(t *testing.T) {
+	widths := []int{0, 1, 63, 64, 65, 130}
+	total := 0
+	for _, n := range widths {
+		total += Words(n)
+	}
+	buf := make([]uint64, total)
+	rows := make([]Vector, len(widths))
+	for i, n := range widths {
+		rows[i], buf = Carve(buf, n)
+	}
+	if len(buf) != 0 {
+		t.Fatalf("%d words left over", len(buf))
+	}
+	for i, n := range widths {
+		if !rows[i].Equal(New(n)) {
+			t.Fatalf("row %d: carved %v, want an empty %d-bit vector", i, rows[i], n)
+		}
+		for j := 0; j < n; j++ {
+			rows[i].Set(j)
+		}
+	}
+	for i, n := range widths {
+		if rows[i].Norm() != n {
+			t.Fatalf("row %d: norm %d after setting %d bits: rows overlap", i, rows[i].Norm(), n)
+		}
+	}
+}
+
 func TestFullRowsIndependent(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		rows := FullRows(3, n)

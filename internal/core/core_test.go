@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"fpgapart/internal/bench"
@@ -91,5 +92,28 @@ func TestPartitionWithRefine(t *testing.T) {
 	}
 	if !refined.Summary.Feasible() {
 		t.Fatal("refined solution infeasible")
+	}
+}
+
+// Refine rebuilds the summary of a solution it improves, but the
+// search's fold statistics (cost spread, stop reason, degradation,
+// resume) still describe that search and must survive.
+func TestRefineKeepsFoldStats(t *testing.T) {
+	c, _ := bench.ByName("c5315")
+	g := c.MustBuild()
+	plain, err := Partition(g, Options{Solutions: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := Partition(g, Options{Solutions: 3, Seed: 3, Refine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refined.Summary.AvgIOBUtil() >= plain.Summary.AvgIOBUtil() {
+		t.Fatalf("precondition: refine accepted no pair (IOB util %.4f vs %.4f)",
+			refined.Summary.AvgIOBUtil(), plain.Summary.AvgIOBUtil())
+	}
+	if !reflect.DeepEqual(refined.FoldStats, plain.FoldStats) {
+		t.Fatalf("refine changed the fold statistics:\n got  %+v\n want %+v", refined.FoldStats, plain.FoldStats)
 	}
 }

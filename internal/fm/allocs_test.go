@@ -65,6 +65,42 @@ func TestFMPassAllocs(t *testing.T) {
 	}
 }
 
+// A warm runner moving on to a new graph no larger than one it already
+// laid out allocates nothing — the k-way carve loop's steady state: the
+// state rebinds into its own arrays, the engine lays the new graph out
+// into the old layout's capacity and the shuffle generator is reseeded.
+// The cluster-grown initial assignment is just as allocation-free.
+func TestRunNewGraphAllocs(t *testing.T) {
+	gs := []*hypergraph.Graph{testGraph(t, 300, 5, 0.5), testGraph(t, 240, 6, 0.5)}
+	var (
+		st     replication.State
+		r      Runner
+		cs     ClusterScratch
+		assign []replication.Block
+	)
+	carve := func(seed int64) error {
+		for _, g := range gs {
+			total := g.TotalArea()
+			assign = cs.AssignInto(assign, g, seed, -1, total/2)
+			if err := st.Rebind(g, assign, true); err != nil {
+				return err
+			}
+			cfg := Config{MinArea: [2]int{1, 0}, MaxArea: [2]int{total, total}, Threshold: 0, Seed: seed}
+			if _, err := r.Run(&st, cfg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := carve(1); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if avg := testing.AllocsPerRun(3, func() { err = carve(7) }); avg != 0 || err != nil {
+		t.Fatalf("warm assignment, rebind and run allocate %v times (err %v)", avg, err)
+	}
+}
+
 // BenchmarkGainUpdate compares the cost of keeping single-move gains
 // current across one applied move: the incremental criticality-delta
 // maintenance (folded into Apply/Undo) against the semantic

@@ -26,9 +26,10 @@ func ClusterAssignFrom(g *hypergraph.Graph, seed int64, start hypergraph.CellID,
 }
 
 // ClusterScratch holds the reusable buffers of the cluster-growing
-// assignment. A zero value is ready to use; reusing one across calls on
-// graphs of similar size eliminates all steady-state allocations.
+// assignment. A zero value is ready to use; once it has served a graph
+// at least as large, a call allocates nothing.
 type ClusterScratch struct {
+	rnd      *rand.Rand // reseeded per call
 	visited  []bool
 	queue    []hypergraph.CellID
 	netSeen  []uint32 // per net: epoch stamp for duplicate suppression
@@ -68,7 +69,8 @@ func (cs *ClusterScratch) grow(numCells, numNets int) {
 // small) and reusing the scratch buffers; it returns the assignment
 // slice.
 func (cs *ClusterScratch) AssignInto(assign []replication.Block, g *hypergraph.Graph, seed int64, start hypergraph.CellID, targetArea int) []replication.Block {
-	r := rand.New(rand.NewSource(seed))
+	cs.rnd = reseed(cs.rnd, seed)
+	r := cs.rnd
 	n := g.NumCells()
 	if cap(assign) < n {
 		assign = make([]replication.Block, n)
@@ -167,4 +169,14 @@ func (cs *ClusterScratch) peripheralCell(g *hypergraph.Graph, r *rand.Rand) hype
 		return hypergraph.CellID(r.Intn(g.NumCells()))
 	}
 	return cs.periph[r.Intn(len(cs.periph))]
+}
+
+// reseed returns r reset to the stream rand.New(rand.NewSource(seed))
+// yields, allocating a generator only when r is nil.
+func reseed(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	r.Seed(seed)
+	return r
 }

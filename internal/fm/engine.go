@@ -17,6 +17,7 @@ package fm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/hypergraph"
@@ -104,11 +105,13 @@ type node struct {
 }
 
 // engine holds the per-run mutable state. The pool/base slot layout and
-// bucket head array are graph-derived and reused across runs on the
-// same graph (see bind), which is what makes carve retries in the k-way
-// partitioner allocation-free after warm-up.
+// bucket head array are graph-derived: laid out again only when the
+// graph changes, into the capacity of earlier layouts (see bind), which
+// is what keeps the k-way partitioner's carve loop allocation-free
+// after warm-up.
 type engine struct {
 	st       *replication.State
+	g        *hypergraph.Graph // graph of the current slot layout
 	cfg      Config
 	gainOf   int // bucket offset = max |gain| (st.MaxMoveGain)
 	pool     []node
@@ -140,6 +143,7 @@ const (
 type Runner struct {
 	e   engine
 	par parfm.Runner
+	rnd *rand.Rand // reseeded per run
 }
 
 // Run improves the bipartition state in place and returns the result.
@@ -152,19 +156,23 @@ func Run(st *replication.State, cfg Config) (Result, error) {
 
 // bind points the engine at a state, rebuilding the graph-derived slot
 // layout only when the graph (or its objective's gain bound) changed
-// since the previous run. For the classic objective MaxMoveGain equals
-// MaxCellDegree, so flat-path rebinding is unchanged.
+// since the previous run. The layout is keyed on the graph it was built
+// for, not on the previous state's current graph: a rebound state
+// (replication.State.Rebind) changes that under the engine. For the
+// classic objective MaxMoveGain equals MaxCellDegree, so flat-path
+// rebinding is unchanged.
 func (e *engine) bind(st *replication.State) {
 	g := st.Graph()
-	if e.st != nil && e.st.Graph() == g && e.gainOf == st.MaxMoveGain() {
-		e.st = st
+	e.st = st
+	if e.g == g && e.gainOf == st.MaxMoveGain() {
 		return
 	}
-	e.st = st
+	e.g = g
 	n := g.NumCells()
 	e.gainOf = st.MaxMoveGain()
-	e.head = make([]int32, 2*e.gainOf+1)
-	e.base = make([]int32, n+1)
+	buckets := 2*e.gainOf + 1
+	e.head = slices.Grow(e.head[:0], buckets)[:buckets]
+	e.base = slices.Grow(e.base[:0], n+1)[:n+1]
 	slots := 0
 	for ci := 0; ci < n; ci++ {
 		e.base[ci] = int32(slots)
@@ -175,7 +183,7 @@ func (e *engine) bind(st *replication.State) {
 		}
 	}
 	e.base[n] = int32(slots)
-	e.pool = make([]node, slots)
+	e.pool = slices.Grow(e.pool[:0], slots)[:slots]
 	for ci := 0; ci < n; ci++ {
 		c := hypergraph.CellID(ci)
 		b := e.base[ci]
@@ -188,12 +196,12 @@ func (e *engine) bind(st *replication.State) {
 			}
 		}
 	}
-	e.locked = make([]bool, n)
-	e.order = make([]hypergraph.CellID, n)
+	e.locked = slices.Grow(e.locked[:0], n)[:n]
+	e.order = slices.Grow(e.order[:0], n)[:n]
 }
 
 // Run is the Runner form of the package-level Run, reusing buffers
-// from previous runs on the same graph.
+// from previous runs (see bind).
 func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.RefineWorkers >= 2 {
@@ -240,8 +248,8 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	for i := range e.order {
 		e.order[i] = hypergraph.CellID(i)
 	}
-	rnd := rand.New(rand.NewSource(cfg.Seed))
-	rnd.Shuffle(len(e.order), func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
+	r.rnd = reseed(r.rnd, cfg.Seed)
+	r.rnd.Shuffle(len(e.order), func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
 
 	// Phase 1: plain FM passes to convergence. Phase 2 (when
 	// replication is enabled): passes that also offer replication and

@@ -1,0 +1,50 @@
+package hypergraph_test
+
+import (
+	"testing"
+
+	"fpgapart/internal/bench"
+	"fpgapart/internal/hypergraph"
+)
+
+// Subcircuit's allocation count must not grow with the instance count:
+// its per-net bookkeeping is dense and every cell's pin lists and
+// adjacency rows are carved from shared buffers. The bound covers the
+// closing RebuildConns and Validate.
+func TestSubcircuitAllocs(t *testing.T) {
+	const maxAllocs = 32
+	for _, name := range []string{"c3540", "s38584"} {
+		c, _ := bench.ByName(name)
+		g := c.MustBuild()
+		// One side of a split at the middle cell id: cut nets become
+		// terminals, as in a carve's materialization.
+		half := hypergraph.CellID(g.NumCells() / 2)
+		specs := make([]hypergraph.InstanceSpec, 0, half)
+		for ci := hypergraph.CellID(0); ci < half; ci++ {
+			specs = append(specs, hypergraph.InstanceSpec{Cell: ci})
+		}
+		cut := func(n hypergraph.NetID) bool {
+			var in, out bool
+			for _, cn := range g.Nets[n].Conns {
+				if cn.Cell < half {
+					in = true
+				} else {
+					out = true
+				}
+			}
+			return in && out
+		}
+		if _, err := g.Subcircuit("side", specs, cut); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(5, func() {
+			if _, err := g.Subcircuit("side", specs, cut); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d instances, %v allocations", name, len(specs), avg)
+		if avg > maxAllocs {
+			t.Errorf("%s: Subcircuit of %d instances allocates %v times, want <= %d", name, len(specs), avg, maxAllocs)
+		}
+	}
+}

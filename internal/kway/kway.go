@@ -487,13 +487,15 @@ func assemble(g *hypergraph.Graph, parts []Part) Result {
 
 // carveScratch bundles the per-worker reusable buffers: the FM engine
 // (gain-bucket pool, order, locks), the cluster-assignment scratch, the
-// assignment buffer and the most recent replication state (rebound via
-// Reset when consecutive carve attempts target the same subcircuit).
+// assignment buffer and one replication state. Carve retries on the
+// same subcircuit reset the state; a carve of a new subcircuit rebinds
+// it, so the arrays of every layer keep their capacity across carves
+// and attempts.
 type carveScratch struct {
 	runner  fm.Runner
 	cluster fm.ClusterScratch
 	assign  []replication.Block
-	st      *replication.State
+	st      replication.State
 }
 
 // slotTracker maintains the board-slot placement of one solution
@@ -597,10 +599,11 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 }
 
 // scratchStats snapshots the replication-state counters when the
-// scratch state is bound to sub (zero otherwise); deltas between two
-// snapshots attribute the state's cumulative work to one carve try.
+// scratch state is bound to sub (zero otherwise, as a rebind to sub
+// starts from zero); deltas between two snapshots attribute the state's
+// cumulative work to one carve try.
 func scratchStats(sc *carveScratch, sub *hypergraph.Graph) replication.Stats {
-	if sc.st != nil && sc.st.Graph() == sub {
+	if sc.st.Graph() == sub {
 		return sc.st.Stats()
 	}
 	return replication.Stats{}
@@ -857,21 +860,18 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 	if flatSeed {
 		sc.assign = sc.cluster.AssignInto(sc.assign, sub, seed, -1, target)
 	}
-	var st *replication.State
-	if sc.st != nil && sc.st.Graph() == sub {
-		// Retry on the same subcircuit: rebind the existing state's
-		// arrays to the fresh assignment instead of reallocating.
-		if err := sc.st.ResetPinned(sc.assign, pinTerminals); err != nil {
-			return nil, fm.Result{}, err
-		}
-		st = sc.st
+	// A retry on the same subcircuit resets the state to the fresh
+	// assignment; a new subcircuit rebinds it. Both reuse its arrays.
+	st := &sc.st
+	var err error
+	if st.Graph() == sub {
+		err = st.ResetPinned(sc.assign, pinTerminals)
 	} else {
-		var err error
-		st, err = replication.NewStatePinned(sub, sc.assign, pinTerminals)
-		if err != nil {
-			return nil, fm.Result{}, err
-		}
-		sc.st = st
+		err = st.Rebind(sub, sc.assign, pinTerminals)
+	}
+	if err != nil {
+		sc.st = replication.State{}
+		return nil, fm.Result{}, err
 	}
 	// Install (or clear) the carve's weighted objective. The flat path
 	// never enters this branch — weights are always nil and the scratch

@@ -52,8 +52,11 @@ func Refine(g *hypergraph.Graph, res *Result, opts Options) (int, error) {
 		}
 	}
 	if accepted > 0 {
-		// Rebuild the summary rows.
-		*res = assembleFrom(g, res.Parts, res.SourceCells, res.Feasible, res.Failed)
+		// Rebuild the summary rows; the search's fold statistics still
+		// describe this result.
+		rebuilt := assemble(g, res.Parts)
+		rebuilt.SourceCells, rebuilt.FoldStats = res.SourceCells, res.FoldStats
+		*res = rebuilt
 		if opts.Verify {
 			if err := res.Verify(g); err != nil {
 				return accepted, &VerificationError{Stage: "refine", Err: err}
@@ -61,14 +64,6 @@ func Refine(g *hypergraph.Graph, res *Result, opts Options) (int, error) {
 		}
 	}
 	return accepted, nil
-}
-
-func assembleFrom(g *hypergraph.Graph, parts []Part, sourceCells, feasible, failed int) Result {
-	r := assemble(g, parts)
-	r.SourceCells = sourceCells
-	r.Feasible = feasible
-	r.Failed = failed
-	return r
 }
 
 // refinePair attempts one pair; returns true when an improvement was

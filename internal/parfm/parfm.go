@@ -135,6 +135,7 @@ type proposal struct {
 // concurrent use (its workers are internal to each call).
 type Runner struct {
 	st    *replication.State
+	g     *hypergraph.Graph // graph the per-cell buffers were sized for
 	cfg   Config
 	evals []*replication.Evaluator
 
@@ -174,10 +175,13 @@ func Run(st *replication.State, cfg Config) (Result, error) {
 }
 
 // bind points the runner at a state, reallocating per-cell buffers
-// only when the graph (or worker count) changed.
+// only when the graph (or worker count) changed. The buffers are keyed
+// on the graph they were sized for: a rebound state
+// (replication.State.Rebind) changes the previous state's graph.
 func (r *Runner) bind(st *replication.State, workers int) {
 	n := st.Graph().NumCells()
-	if r.st == nil || r.st.Graph() != st.Graph() || len(r.locked) != n || r.gainOf != st.MaxMoveGain() {
+	if r.g != st.Graph() || len(r.locked) != n || r.gainOf != st.MaxMoveGain() {
+		r.g = st.Graph()
 		r.gainOf = st.MaxMoveGain()
 		r.locked = make([]bool, n)
 		r.prop = make([]proposal, n)

@@ -1,0 +1,105 @@
+package replication
+
+import (
+	"math/rand"
+	"testing"
+
+	"fpgapart/internal/hypergraph"
+)
+
+// A rebound state must be indistinguishable from a fresh one on the new
+// graph, whatever the old one held: here a larger graph under a weight
+// table, pinned, with replication moves and rollbacks on its counters.
+func TestRebindMatchesFresh(t *testing.T) {
+	for _, pin := range []bool{false, true} {
+		old := randomState(t, 1, 120)
+		st, err := NewStatePinned(old.Graph(), make([]Block, old.Graph().NumCells()), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(1))
+		if err := st.SetNetWeights(randomWeights(r, len(st.Graph().Nets))); err != nil {
+			t.Fatal(err)
+		}
+		tok := st.Mark()
+		for i := 0; i < 40; i++ {
+			if _, err := st.Apply(randomMove(r, st)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Undo(tok + 20); err != nil {
+			t.Fatal(err)
+		}
+
+		g := randomState(t, 2, 50).Graph()
+		assign := make([]Block, g.NumCells())
+		for i := range assign {
+			assign[i] = Block(r.Intn(2))
+		}
+		if err := st.Rebind(g, assign, pin); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewStatePinned(g, assign, pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Stats() != (Stats{}) || st.Weighted() {
+			t.Fatalf("pin=%v: rebound state keeps stats %+v, weighted %v", pin, st.Stats(), st.Weighted())
+		}
+		// Drive both through the same moves: every static table the
+		// rebind rebuilt is exercised against the fresh one.
+		moves := rand.New(rand.NewSource(2))
+		for step := 0; step <= 60; step++ {
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatalf("pin=%v step %d: %v", pin, step, err)
+			}
+			if st.CutSize() != fresh.CutSize() || st.Objective() != fresh.Objective() ||
+				st.Terminals(0) != fresh.Terminals(0) || st.Terminals(1) != fresh.Terminals(1) ||
+				st.MaxMoveGain() != fresh.MaxMoveGain() {
+				t.Fatalf("pin=%v step %d: rebound cut %d obj %d terms %d/%d, fresh %d %d %d/%d", pin, step,
+					st.CutSize(), st.Objective(), st.Terminals(0), st.Terminals(1),
+					fresh.CutSize(), fresh.Objective(), fresh.Terminals(0), fresh.Terminals(1))
+			}
+			for ci := range g.Cells {
+				c := hypergraph.CellID(ci)
+				if !st.IsReplicated(c) && st.SingleGain(c) != fresh.SingleGain(c) {
+					t.Fatalf("pin=%v step %d: cell %d gain %d, fresh %d", pin, step, ci, st.SingleGain(c), fresh.SingleGain(c))
+				}
+			}
+			m := randomMove(moves, fresh)
+			if _, err := st.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.Stats() != fresh.Stats() {
+			t.Fatalf("pin=%v: stats %+v, fresh %+v", pin, st.Stats(), fresh.Stats())
+		}
+	}
+}
+
+// A warm rebind to a graph no larger than one the state already held
+// reuses every array.
+func TestRebindAllocs(t *testing.T) {
+	st := randomState(t, 3, 200)
+	big := st.Graph()
+	small := randomState(t, 4, 120).Graph()
+	bigAssign := make([]Block, big.NumCells())
+	smallAssign := make([]Block, small.NumCells())
+	for i := range smallAssign {
+		smallAssign[i] = Block(i % 2)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		if err := st.Rebind(small, smallAssign, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Rebind(big, bigAssign, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("warm Rebind allocates %v times", avg)
+	}
+}

@@ -28,12 +28,15 @@
 //
 // Reset rebinds the dynamic state to a fresh assignment of the same
 // graph without reallocating, so carve retries reuse every per-net and
-// per-cell array.
+// per-cell array. Rebind moves a state to another graph, reusing the
+// capacity of every array, so a worker's next carve on a new remainder
+// reuses them too.
 package replication
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"fpgapart/internal/hypergraph"
 )
@@ -174,9 +177,10 @@ type State struct {
 	stats Stats
 }
 
-// Stats counts the work performed on a state since construction.
-// Counters are cumulative across Reset/ResetPinned — observers that
-// need per-phase figures snapshot before and after and subtract.
+// Stats counts the work performed on a state since construction or the
+// last Rebind. Counters are cumulative across Reset/ResetPinned —
+// observers that need per-phase figures snapshot before and after and
+// subtract.
 type Stats struct {
 	// Moves counts successfully applied moves of any kind.
 	Moves int64
@@ -213,14 +217,30 @@ func NewState(g *hypergraph.Graph, assign []Block) (*State, error) {
 // FM run minimizes the carved block's terminal count directly — the
 // objective the k-way partitioner's device feasibility check needs.
 func NewStatePinned(g *hypergraph.Graph, assign []Block, pinExternal bool) (*State, error) {
-	s := &State{g: g, maintainGains: true}
-	if err := s.buildStatic(); err != nil {
-		return nil, err
-	}
-	if err := s.ResetPinned(assign, pinExternal); err != nil {
+	s := &State{}
+	if err := s.Rebind(g, assign, pinExternal); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Rebind points the state at graph g with a fresh replication-free
+// assignment, leaving it exactly as NewStatePinned(g, assign,
+// pinExternal) builds it: Stats restart from zero, any net weight
+// table is dropped and gain maintenance is on. Every per-cell and
+// per-net array keeps its capacity, so rebinding to a graph no larger
+// than one the state held before allocates nothing. After an error
+// the state must be rebound again before use.
+func (s *State) Rebind(g *hypergraph.Graph, assign []Block, pinExternal bool) error {
+	s.g = g
+	s.netW = nil
+	s.maintainGains = true
+	s.stats = Stats{}
+	s.lastTouched = s.lastTouched[:0]
+	if err := s.buildStatic(); err != nil {
+		return err
+	}
+	return s.ResetPinned(assign, pinExternal)
 }
 
 // buildStatic derives every graph-only structure: output masks,
@@ -230,15 +250,16 @@ func (s *State) buildStatic() error {
 	g := s.g
 	n := len(g.Cells)
 	m := len(g.Nets)
-	s.all = make([]uint32, n)
-	s.col = make([][]uint32, n)
-	s.psi = make([]int, n)
+	s.all = slices.Grow(s.all[:0], n)[:n]
+	s.col = slices.Grow(s.col[:0], n)[:n]
+	s.psi = slices.Grow(s.psi[:0], n)[:n]
 	totalIn, totalPins := 0, 0
 	for ci := range g.Cells {
 		totalIn += len(g.Cells[ci].Inputs)
 		totalPins += g.Cells[ci].NumPins()
 	}
-	s.colDat = make([]uint32, totalIn)
+	s.colDat = slices.Grow(s.colDat[:0], totalIn)[:totalIn]
+	clear(s.colDat)
 	colNext := 0
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
@@ -263,23 +284,26 @@ func (s *State) buildStatic() error {
 		s.col[ci] = cols
 	}
 
-	// Cell -> net adjacency with static active-connection counts.
-	s.adjOff = make([]int32, n+1)
-	s.adjNet = make([]hypergraph.NetID, 0, totalPins)
-	s.adjK = make([]int32, 0, totalPins)
-	mark := make([]int32, m) // net -> cell stamp (index+1)
-	pos := make([]int32, m)  // net -> position in adjNet for that cell
-	for i := range mark {
-		mark[i] = -1
+	// Cell -> net adjacency with static active-connection counts. The
+	// per-net scratch array (zero at rest) serves first as pos, each
+	// net's latest entry in adjNet: an entry at or after the scanned
+	// cell's start is that cell's own.
+	s.adjOff = slices.Grow(s.adjOff[:0], n+1)[:n+1]
+	s.adjOff[0] = 0
+	s.adjNet = slices.Grow(s.adjNet[:0], totalPins)
+	s.adjK = slices.Grow(s.adjK[:0], totalPins)
+	pos := slices.Grow(s.scratchMark[:0], m)[:m]
+	for i := range pos {
+		pos[i] = -1
 	}
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
+		start := int32(len(s.adjNet))
 		visit := func(nid hypergraph.NetID) {
-			if mark[nid] == int32(ci) {
-				s.adjK[pos[nid]]++
+			if p := pos[nid]; p >= start {
+				s.adjK[p]++
 				return
 			}
-			mark[nid] = int32(ci)
 			pos[nid] = int32(len(s.adjNet))
 			s.adjNet = append(s.adjNet, nid)
 			s.adjK = append(s.adjK, 1)
@@ -302,16 +326,18 @@ func (s *State) buildStatic() error {
 	}
 	s.maxMoveGain = s.maxDeg
 
-	// Inverse: net -> cells with k > 0.
-	s.netOff = make([]int32, m+1)
+	// Inverse: net -> cells with k > 0. The scratch array now holds each
+	// net's fill position.
+	s.netOff = slices.Grow(s.netOff[:0], m+1)[:m+1]
+	clear(s.netOff)
 	for _, nid := range s.adjNet {
 		s.netOff[nid+1]++
 	}
 	for i := 0; i < m; i++ {
 		s.netOff[i+1] += s.netOff[i]
 	}
-	s.netAdj = make([]netConn, len(s.adjNet))
-	fill := make([]int32, m)
+	s.netAdj = slices.Grow(s.netAdj[:0], len(s.adjNet))[:len(s.adjNet)]
+	fill := pos
 	copy(fill, s.netOff[:m])
 	for ci := 0; ci < n; ci++ {
 		for i := s.adjOff[ci]; i < s.adjOff[ci+1]; i++ {
@@ -320,25 +346,30 @@ func (s *State) buildStatic() error {
 			fill[nid]++
 		}
 	}
+	// Hand the scratch array back to the delta accumulation, zeroed.
+	clear(fill)
+	s.scratchMark = fill
 
 	// Candidate split tables.
-	s.splitOff = make([]int32, n+1)
+	s.splitOff = slices.Grow(s.splitOff[:0], n+1)[:n+1]
+	s.splitOff[0] = 0
 	totalSplits := 0
 	for ci := range g.Cells {
 		totalSplits += numSplits(len(g.Cells[ci].Outputs))
 	}
-	s.splitMask = make([]uint32, 0, totalSplits)
+	s.splitMask = slices.Grow(s.splitMask[:0], totalSplits)
 	for ci := range g.Cells {
 		s.splitMask = appendSplits(s.splitMask, len(g.Cells[ci].Outputs), s.all[ci])
 		s.splitOff[ci+1] = int32(len(s.splitMask))
 	}
 
-	s.isExt = make([]bool, m)
+	s.isExt = slices.Grow(s.isExt[:0], m)[:m]
 	for ni := range g.Nets {
 		s.isExt[ni] = g.Nets[ni].Ext != hypergraph.Internal
 	}
-	s.scratchMark = make([]int32, m)
-	s.touchStamp = make([]uint32, n)
+	s.touchStamp = slices.Grow(s.touchStamp[:0], n)[:n]
+	clear(s.touchStamp)
+	s.touchEpoch = 0
 	return nil
 }
 
@@ -397,17 +428,12 @@ func (s *State) ResetPinned(assign []Block, pinExternal bool) error {
 		}
 	}
 	s.extPin = pinExternal
-	if s.own == nil {
-		s.own = make([][2]uint32, n)
-		s.home = make([]Block, n)
-		s.repl = make([]bool, n)
-		s.cnt = make([][2]int32, len(g.Nets))
-		s.gainS = make([]int32, n)
-	} else {
-		for i := range s.cnt {
-			s.cnt[i] = [2]int32{}
-		}
-	}
+	s.own = slices.Grow(s.own[:0], n)[:n]
+	s.home = slices.Grow(s.home[:0], n)[:n]
+	s.repl = slices.Grow(s.repl[:0], n)[:n]
+	s.gainS = slices.Grow(s.gainS[:0], n)[:n]
+	s.cnt = slices.Grow(s.cnt[:0], len(g.Nets))[:len(g.Nets)]
+	clear(s.cnt)
 	s.trail = s.trail[:0]
 	s.cut = 0
 	s.area = [2]int{}
@@ -1114,7 +1140,17 @@ func (s *State) LastTouched() []hypergraph.CellID { return s.lastTouched }
 // copy outside its home block) carry the Replica flag and get a "$r"
 // name suffix to keep names unique.
 func (s *State) InstanceSpecs(b Block) []hypergraph.InstanceSpec {
-	var specs []hypergraph.InstanceSpec
+	n, nOut := 0, 0
+	for ci := range s.own {
+		if mask := s.own[ci][b]; mask != 0 {
+			n++
+			if mask != s.all[ci] {
+				nOut += bits.OnesCount32(mask)
+			}
+		}
+	}
+	specs := make([]hypergraph.InstanceSpec, 0, n)
+	outs := make([]int, 0, nOut)
 	for ci := range s.own {
 		mask := s.own[ci][b]
 		if mask == 0 {
@@ -1122,13 +1158,11 @@ func (s *State) InstanceSpecs(b Block) []hypergraph.InstanceSpec {
 		}
 		spec := hypergraph.InstanceSpec{Cell: hypergraph.CellID(ci)}
 		if mask != s.all[ci] {
-			outs := make([]int, 0, bits.OnesCount32(mask))
-			for i := 0; i < MaxOutputs; i++ {
-				if mask&(1<<uint(i)) != 0 {
-					outs = append(outs, i)
-				}
+			lo := len(outs)
+			for m := mask; m != 0; m &= m - 1 {
+				outs = append(outs, bits.TrailingZeros32(m))
 			}
-			spec.Outputs = outs
+			spec.Outputs = outs[lo:len(outs):len(outs)]
 		}
 		if s.repl[ci] && b != s.home[ci] {
 			spec.Rename = s.g.Cells[ci].Name + "$r"
