@@ -16,6 +16,7 @@ import (
 	"fpgapart/internal/fm"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/library"
+	"fpgapart/internal/multilevel"
 	"fpgapart/internal/replication"
 )
 
@@ -190,9 +191,9 @@ func BenchmarkReplicationGain(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationInitialPartition compares cluster-grown against
-// random initial assignments: the design choice behind the k-way
-// carve (DESIGN.md §5).
+// BenchmarkAblationInitialPartition compares random, cluster-grown and
+// multilevel V-cycle initial assignments: the design choice behind the
+// k-way carve (DESIGN.md §5).
 func BenchmarkAblationInitialPartition(b *testing.B) {
 	g := benchGraph(b, "s15850", 4)
 	minA, maxA := fm.Balance(g.TotalArea(), 0.05)
@@ -219,11 +220,13 @@ func BenchmarkAblationInitialPartition(b *testing.B) {
 	})
 	b.Run("multilevel", func(b *testing.B) {
 		run(b, func(i int) []replication.Block {
-			a, err := fm.MultilevelAssign(g, int64(i))
+			res, err := multilevel.Run(g, multilevel.Config{
+				TargetArea: g.TotalArea() / 2, MinArea: minA, MaxArea: maxA, Seed: int64(i),
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			return a
+			return res.Assign
 		})
 	})
 }

@@ -33,7 +33,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "experiment seed")
 	only := flag.String("only", "", "comma-separated subset: 1,2,f3,3,4,5,6,7,h (h = homogeneous appendix)")
 	csvDir := flag.String("csv", "", "also write raw experiment data as CSV files into this directory")
-	benchJSON := flag.String("benchjson", "", "write BENCH_fm.json and BENCH_kway.json trajectory points into this directory and exit")
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -56,11 +55,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(1)
 	}
-	if *benchJSON != "" {
-		err = writeBenchJSON(*benchJSON)
-	} else {
-		err = run(cfg, want, *csvDir)
-	}
+	err = run(cfg, want, *csvDir)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}

@@ -15,6 +15,8 @@
 // append-only store after every -checkpoint-every folded attempts;
 // -resume continues an interrupted run from the newest checkpoint
 // (the trace stream reports the resume point as resumed_from_attempt).
+// The store records the circuit path and every flag that shapes the
+// search; opening it with a different one fails with exit 1.
 //
 // Exit codes: 0 = success; 1 = error (I/O, configuration,
 // verification); 2 = infeasible instance (the full attempt budget ran
@@ -32,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"time"
 
@@ -180,41 +183,89 @@ type runConfig struct {
 // one store directory holds one resumable run.
 const cliJobID = "cli"
 
-// openRunStore opens (or creates) the durable checkpoint store and,
-// for -resume, loads the newest persisted checkpoint of the prior run.
+// runIdentity is the store's submit record: the circuit and every flag
+// that shapes the search result, keyed by flag name. A store holding a
+// different identity is refused, because replaying its incumbent
+// attempt against another circuit or setup would silently fold the
+// wrong search.
+type runIdentity struct {
+	Circuit       string `json:"circuit"`
+	Gate          bool   `json:"gate"`
+	Threshold     int    `json:"t"`
+	Solutions     int    `json:"solutions"`
+	Seed          int64  `json:"seed"`
+	MaxStale      int    `json:"max-stale"`
+	Multilevel    bool   `json:"multilevel"`
+	RefineWorkers int    `json:"refine-workers"`
+	Board         string `json:"board"`
+}
+
+func (cfg runConfig) identity() runIdentity {
+	circuit, err := filepath.Abs(cfg.path)
+	if err != nil {
+		circuit = cfg.path
+	}
+	return runIdentity{
+		Circuit: circuit, Gate: cfg.gate, Threshold: cfg.threshold,
+		Solutions: cfg.solutions, Seed: cfg.seed, MaxStale: cfg.maxStale,
+		Multilevel: cfg.multilevel, RefineWorkers: cfg.refineWorkers, Board: cfg.board,
+	}
+}
+
+// checkIdentity names the first field of the recorded identity that
+// differs from this run's, or returns nil when they match.
+func checkIdentity(recorded json.RawMessage, want runIdentity) error {
+	var got runIdentity
+	if err := json.Unmarshal(recorded, &got); err != nil {
+		return fmt.Errorf("corrupt submit record: %w", err)
+	}
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		if g.Field(i).Interface() != w.Field(i).Interface() {
+			return fmt.Errorf("store holds a different run: %s was %v, now %v",
+				g.Type().Field(i).Tag.Get("json"), g.Field(i), w.Field(i))
+		}
+	}
+	return nil
+}
+
+// openRunStore opens (or creates) the durable checkpoint store, refuses
+// a store recorded by a different run and, for -resume, loads the
+// newest persisted checkpoint of the prior run.
 func openRunStore(cfg runConfig) (*jobstore.Store, *kway.SearchCheckpoint, error) {
-	dir := cfg.storeDir
+	dir, mode := cfg.storeDir, "store"
 	if dir == "" {
 		dir = cfg.resumeDir
 	}
-	store, jobs, err := jobstore.Open(jobstore.Options{Dir: dir})
+	if cfg.resumeDir != "" {
+		mode = "resume"
+	}
+	store, _, err := jobstore.Open(jobstore.Options{Dir: dir})
 	if err != nil {
 		return nil, nil, err
 	}
-	var resume *kway.SearchCheckpoint
-	if cfg.resumeDir != "" {
-		for _, j := range jobs {
-			if j.ID != cliJobID || len(j.Checkpoint) == 0 {
-				continue
-			}
-			cp := new(kway.SearchCheckpoint)
-			if err := json.Unmarshal(j.Checkpoint, cp); err != nil {
-				store.Close()
-				return nil, nil, fmt.Errorf("resume %s: corrupt checkpoint: %w", cfg.resumeDir, err)
-			}
-			resume = cp
-		}
-		if resume == nil {
-			fmt.Fprintf(os.Stderr, "kpart: no checkpoint in %s; starting fresh\n", cfg.resumeDir)
-		}
+	fail := func(err error) (*jobstore.Store, *kway.SearchCheckpoint, error) {
+		store.Close()
+		return nil, nil, fmt.Errorf("%s %s: %w", mode, dir, err)
 	}
-	if store.Job(cliJobID) == nil {
-		if err := store.AppendSubmit(cliJobID, map[string]any{
-			"circuit": cfg.path, "solutions": cfg.solutions, "seed": cfg.seed,
-		}); err != nil {
-			store.Close()
-			return nil, nil, err
+	job := store.Job(cliJobID)
+	if job == nil {
+		if err := store.AppendSubmit(cliJobID, cfg.identity()); err != nil {
+			return fail(err)
 		}
+	} else if err := checkIdentity(job.Request, cfg.identity()); err != nil {
+		return fail(err)
+	}
+	if cfg.resumeDir == "" {
+		return store, nil, nil
+	}
+	if job == nil || len(job.Checkpoint) == 0 {
+		fmt.Fprintf(os.Stderr, "kpart: no checkpoint in %s; starting fresh\n", cfg.resumeDir)
+		return store, nil, nil
+	}
+	resume := new(kway.SearchCheckpoint)
+	if err := json.Unmarshal(job.Checkpoint, resume); err != nil {
+		return fail(fmt.Errorf("corrupt checkpoint: %w", err))
 	}
 	return store, resume, nil
 }

@@ -292,7 +292,7 @@ func TestRunStoreAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendSubmit(cliJobID, map[string]any{"circuit": path}); err != nil {
+	if err := st.AppendSubmit(cliJobID, runConfig{path: path, threshold: 1, solutions: 6, seed: 9}.identity()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendCheckpoint(cliJobID, cps[2]); err != nil {
@@ -349,6 +349,63 @@ func TestRunStoreAndResume(t *testing.T) {
 	}
 	if !contains(out2, wantCost) {
 		t.Fatalf("replayed run lost the result:\n%s", out2)
+	}
+}
+
+// TestResumeRejectsDifferentRun: -resume on a store recorded by another
+// run must fail with exit 1 and name the first differing field, rather
+// than replay that run's incumbent attempt against a new setup.
+func TestResumeRejectsDifferentRun(t *testing.T) {
+	path := writeCLB(t)
+	dir := filepath.Join(t.TempDir(), "store")
+	base := runConfig{path: path, threshold: 1, solutions: 2, seed: 9, ckptEvery: 1}
+	orig := base
+	orig.storeDir = dir
+	if _, err := capture(t, func() error { return run(orig) }); err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(t.TempDir(), "other.clb")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(other, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field  string
+		change func(*runConfig)
+	}{
+		{"circuit", func(c *runConfig) { c.path = other }},
+		{"t", func(c *runConfig) { c.threshold = 0 }},
+		{"solutions", func(c *runConfig) { c.solutions = 3 }},
+		{"seed", func(c *runConfig) { c.seed = 10 }},
+		{"max-stale", func(c *runConfig) { c.maxStale = 1 }},
+		{"multilevel", func(c *runConfig) { c.multilevel = true }},
+		{"refine-workers", func(c *runConfig) { c.refineWorkers = 2 }},
+		{"board", func(c *runConfig) { c.board = "crossbar:4" }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := base
+			cfg.resumeDir = dir
+			tc.change(&cfg)
+			_, err := capture(t, func() error { return run(cfg) })
+			if err == nil {
+				t.Fatal("resume accepted a store from a different run")
+			}
+			if got := exitCode(err); got != 1 {
+				t.Fatalf("exit code %d, want 1 (err: %v)", got, err)
+			}
+			if want := "store holds a different run: " + tc.field + " was"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q should contain %q", err, want)
+			}
+		})
+	}
+	// The matching run still resumes.
+	same := base
+	same.resumeDir = dir
+	if _, err := capture(t, func() error { return run(same) }); err != nil {
+		t.Fatalf("matching resume must exit 0, got: %v", err)
 	}
 }
 

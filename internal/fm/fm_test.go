@@ -296,41 +296,6 @@ func TestFlowRefineImprovesOrMatches(t *testing.T) {
 	t.Logf("FM+FR cut sum %d, with flow refine %d", frSum, flowSum)
 }
 
-// Multilevel (cluster-project) initial partitions must be valid and,
-// in aggregate, at least as good a starting point as random ones.
-func TestMultilevelAssign(t *testing.T) {
-	g := testGraph(t, 300, 60, 0.5)
-	assign, err := MultilevelAssign(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(assign) != g.NumCells() {
-		t.Fatalf("assignment over %d cells", len(assign))
-	}
-	stML, err := replication.NewState(g, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stRnd, err := replication.NewState(g, RandomAssign(g, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stML.CutSize() >= stRnd.CutSize() {
-		t.Fatalf("multilevel initial cut %d not better than random %d", stML.CutSize(), stRnd.CutSize())
-	}
-	// And the fine FM can run from it (loosened bounds: projection can
-	// be slightly unbalanced).
-	minA, maxA := Balance(g.TotalArea(), 0.15)
-	if stML.Area(0) >= minA[0] && stML.Area(0) <= maxA[0] {
-		if _, err := Run(stML, Config{MinArea: minA, MaxArea: maxA, Threshold: 0, Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := stML.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestClusterAssignHitsTargetArea(t *testing.T) {
 	g := testGraph(t, 200, 70, 0.6)
 	target := g.TotalArea() / 3

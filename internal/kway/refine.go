@@ -24,7 +24,7 @@ func Refine(g *hypergraph.Graph, res *Result, opts Options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if opts.Objective != nil && opts.Objective.Board() != nil {
+	if opts.Board != nil {
 		// The pairwise sweep optimizes the flat terminal objective and
 		// re-materializes parts without re-checking board routing or
 		// re-scoring the hop-weighted interconnect, so board-backed

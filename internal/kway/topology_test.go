@@ -7,26 +7,10 @@ import (
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
-	"fpgapart/internal/objective"
 	"fpgapart/internal/topology"
 	"fpgapart/internal/trace"
 	"fpgapart/internal/verify"
 )
-
-// TestTopologyGateIsInert proves the objective plumbing cannot perturb
-// the flat path: an explicit TerminalCut model (equivalent to a nil
-// model, which TestFlatPathGolden already pins) must reproduce the
-// committed flat golden fixtures byte-for-byte — partition rendering
-// AND JSONL trace stream. Only a board-backed model may change
-// anything.
-func TestTopologyGateIsInert(t *testing.T) {
-	res, rec := goldenRun(t, kway.Options{Objective: objective.TerminalCut{}})
-	goldenCompare(t, "flat_golden_result.txt", goldenRender(t, res))
-	goldenCompare(t, "flat_golden_trace.jsonl", goldenTrace(t, rec))
-	if res.Summary.HasTopo || res.Summary.TopoCost != 0 {
-		t.Fatalf("terminal-cut run reported a topology score: %+v", res.Summary)
-	}
-}
 
 // topoScore recomputes a solution's hop-weighted interconnect from
 // scratch: part i occupies board slot i, each net's cost is the
@@ -81,7 +65,7 @@ func TestMeshTopologyBeatsTerminalCut(t *testing.T) {
 	}
 
 	topoOpts := base
-	topoOpts.Objective = objective.NewTopology(board)
+	topoOpts.Board = board
 	topoRes, err := kway.Partition(g, topoOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +101,7 @@ func TestMeshTopologyBeatsTerminalCut(t *testing.T) {
 // board-backed run emits feasible KindSolution events with HasTopo set
 // and the fold reports the incumbent's topology score in the summary.
 func TestTopologySolutionEventsCarryTopo(t *testing.T) {
-	res, rec := goldenRun(t, kway.Options{Objective: objective.NewTopology(meshBoard(t))})
+	res, rec := goldenRun(t, kway.Options{Board: meshBoard(t)})
 	if !res.Summary.HasTopo {
 		t.Fatal("no topology score on a board-backed run")
 	}
@@ -152,7 +136,7 @@ func TestTopologyRejectsOverCapacityBoard(t *testing.T) {
 	// more than one net, so every attempt fails routing.
 	_, err = kway.Partition(g, kway.Options{
 		Library: library.XC3000(), Solutions: 3, Seed: 11, Workers: 1,
-		Objective: objective.NewTopology(board),
+		Board: board,
 	})
 	if err == nil {
 		t.Fatal("unroutable board accepted")

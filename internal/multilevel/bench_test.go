@@ -6,9 +6,9 @@ import (
 	"fpgapart/internal/fm"
 )
 
-// BenchmarkRun samples the full V-cycle at a reduced scale (the 10⁵
-// trajectory point lives in benchtables -benchjson; this keeps the CI
-// bench-smoke sweep fast).
+// BenchmarkRun samples the full V-cycle at a reduced scale, which keeps
+// the CI bench-smoke sweep fast; kbench's large-vcycle workload
+// (cmd/kbench) measures it end to end.
 func BenchmarkRun(b *testing.B) {
 	g := circuit(b, 3000, 7)
 	minA, maxA := fm.Balance(g.TotalArea(), 0.1)

@@ -14,7 +14,8 @@ import (
 // instance across engines and worker counts, from the same fixed
 // initial assignment each iteration. The parallel engine's result is
 // identical for every worker count; the serial engine is the classic
-// gain-bucket path.
+// gain-bucket path. The 4→8 step shows whether proposal workers still
+// scale past four.
 func BenchmarkRefine(b *testing.B) {
 	g, err := bench.GenerateRent(bench.RentParams{
 		Name: "rent65", Cells: 20000, PrimaryIn: 100, PrimaryOut: 50,
@@ -40,7 +41,7 @@ func BenchmarkRefine(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 2, 4} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel-%dw", workers), func(b *testing.B) {
 			var r parfm.Runner
 			for i := 0; i < b.N; i++ {

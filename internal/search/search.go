@@ -1,10 +1,11 @@
 // Package search is the deterministic multi-start orchestrator shared
-// by the partitioning drivers (kway's solution search, expt's
-// per-circuit experiment fan-out, anneal's restart loop). It runs
-// independent randomized attempts on a bounded worker pool — each
-// attempt owns a seed derived only from its index — and reduces the
-// outcomes in strict index order, so the result is byte-identical for
-// a fixed seed regardless of worker count or completion order.
+// by the partitioning drivers (kway's solution search, the multilevel
+// V-cycle's coarsest multi-start, expt's per-circuit experiment
+// fan-out). It runs independent randomized attempts on a bounded
+// worker pool — each attempt owns a seed derived only from its index —
+// and reduces the outcomes in strict index order, so the result is
+// byte-identical for a fixed seed regardless of worker count or
+// completion order.
 //
 // Budgets cut a search short without sacrificing that contract: a
 // wall-clock deadline or cancellation arrives through the
