@@ -11,9 +11,9 @@ import (
 
 // A steady-state FM pass must not allocate: the gain buckets are a
 // fixed node pool, candidate gains come from the state's maintained
-// values or its reusable scratch, rollback restores a pre-sized
-// checkpoint, and every growable buffer has reached its high-water mark
-// after the warm-up run. The trace sink must not break this: the nil
+// values or its scratch-free evaluation, rollback restores a pre-sized
+// checkpoint, and every growable buffer (the frozen-cut counter's
+// included) has reached its high-water mark after the warm-up run. The trace sink must not break this: the nil
 // (zero-sink) path costs a predicted branch, and the aggregating sink's
 // per-pass event is a stack-built value consumed by atomic adds.
 func TestFMPassAllocs(t *testing.T) {
@@ -67,7 +67,7 @@ func TestFMPassAllocs(t *testing.T) {
 
 // A warm runner moving on to a new graph no larger than one it already
 // laid out allocates nothing — the k-way carve loop's steady state: the
-// state rebinds into its own arrays, the engine lays the new graph out
+// state rebinds into its own arrays, both engines lay the new graph out
 // into the old layout's capacity and the shuffle generator is reseeded.
 // The cluster-grown initial assignment is just as allocation-free.
 func TestRunNewGraphAllocs(t *testing.T) {
@@ -82,12 +82,16 @@ func TestRunNewGraphAllocs(t *testing.T) {
 		for _, g := range gs {
 			total := g.TotalArea()
 			assign = cs.AssignInto(assign, g, seed, -1, total/2)
-			if err := st.Rebind(g, assign, true); err != nil {
-				return err
-			}
-			cfg := Config{MinArea: [2]int{1, 0}, MaxArea: [2]int{total, total}, Threshold: 0, Seed: seed}
-			if _, err := r.Run(&st, cfg); err != nil {
-				return err
+			// Serial, then the parallel sub-round engine (below its
+			// goroutine fan-out cutoff).
+			for _, workers := range []int{0, 2} {
+				if err := st.Rebind(g, assign, true); err != nil {
+					return err
+				}
+				cfg := Config{MinArea: [2]int{1, 0}, MaxArea: [2]int{total, total}, Threshold: 0, Seed: seed, RefineWorkers: workers}
+				if _, err := r.Run(&st, cfg); err != nil {
+					return err
+				}
 			}
 		}
 		return nil

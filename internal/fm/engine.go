@@ -4,7 +4,9 @@
 // the best feasible candidate move — single cell move, functional
 // replication with the best output split, or unreplication — locking
 // each cell after it participates once, and finally rolls back to the
-// best prefix. Passes repeat until a pass yields no improvement.
+// best prefix; under the unit-cut objective it stops as soon as no
+// later prefix can beat that best (replication.FrozenCut). Passes
+// repeat until a pass yields no improvement (parfm.RunPhases).
 //
 // The gain buckets are the classic intrusive doubly-linked structure:
 // every candidate move of every cell owns a fixed slot in a node pool
@@ -40,17 +42,19 @@ type Config struct {
 	// multi-output cells with ψ ≥ T may replicate. NoReplication (-1)
 	// disables replication entirely (plain FM).
 	Threshold int
-	// MaxPasses caps FM passes (default 24).
+	// MaxPasses caps the passes of one phase and, separately, the
+	// number of plain/replication-only rounds (default 24; see
+	// parfm.RunPhases), so a run makes at most 2·MaxPasses² passes.
 	MaxPasses int
 	// RefineWorkers selects the refinement engine. Values >= 2 run the
 	// deterministic parallel sub-round engine (package parfm) with
-	// that many proposal workers; 0 or 1 run the classic serial engine
-	// and are byte-identical to previous releases, traces included.
-	// The parallel engine is equally deterministic — the partition is
+	// that many proposal workers; 0 or 1 run the classic serial engine,
+	// whose partitions are byte-identical to previous releases. The
+	// parallel engine is equally deterministic — the partition is
 	// identical for every RefineWorkers value >= 2 and independent of
-	// GOMAXPROCS — but its pass schedule differs from the serial
-	// engine's, so the two classes reach different (equally valid)
-	// partitions from the same seed.
+	// GOMAXPROCS — but its passes differ from the serial engine's, so
+	// the two classes reach different (equally valid) partitions from
+	// the same seed.
 	RefineWorkers int
 	// FlowRefine runs the exact max-flow replication pull
 	// (replication.OptimalPull, the paper's suggested combination with
@@ -71,10 +75,10 @@ type Config struct {
 	// allocation-free (see TestFMPassAllocs). Span clock readings feed
 	// only the trace, never search decisions.
 	Spans span.Scope
-	// Inject, when non-nil, consults the fault plan at every pass
-	// boundary (faultinject.SitePass, ordinal = pass sequence within
-	// the run, labeled with TraceAttempt). Testing only; nil in
-	// production keeps the pass loop allocation-free.
+	// Inject, when non-nil, consults the fault plan before every pass
+	// the run executes (faultinject.SitePass, ordinal = passes run so
+	// far, labeled with TraceAttempt). Testing only; nil in production
+	// keeps the pass loop allocation-free.
 	Inject *faultinject.Plan
 }
 
@@ -87,9 +91,14 @@ func (c Config) withDefaults() Config {
 
 // Result summarizes a run.
 type Result struct {
-	Cut    int // final cut size
+	Cut int // final cut size
+	// Passes counts the passes run; passes the phase schedule skips as
+	// provably dry (see parfm.RunPhases) are not counted.
 	Passes int
-	Moves  int // applied moves across all passes (before rollbacks)
+	// Moves counts the moves applied across all passes, before
+	// rollbacks. A serial pass stopped at the frozen-cut bound counts
+	// only the moves it applied before stopping.
+	Moves int
 }
 
 const nilNode = int32(-1)
@@ -122,6 +131,7 @@ type engine struct {
 	order    []hypergraph.CellID
 	scratch  []hypergraph.CellID
 	best     replication.Checkpoint // per-pass best-prefix snapshot
+	frozen   replication.FrozenCut  // per-pass cut lower bound (unit-cut objective)
 	replOnly bool
 	passSeq  int // pass counter for trace events, reset per Run
 }
@@ -204,19 +214,19 @@ func (e *engine) bind(st *replication.State) {
 // from previous runs (see bind).
 func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	pcfg := parfm.Config{
+		MinArea: cfg.MinArea, MaxArea: cfg.MaxArea,
+		Threshold: cfg.Threshold, MaxPasses: cfg.MaxPasses,
+		Workers: cfg.RefineWorkers, Seed: cfg.Seed,
+		Trace: cfg.Trace, TraceAttempt: cfg.TraceAttempt,
+		Spans:  cfg.Spans,
+		Inject: cfg.Inject,
+	}
 	if cfg.RefineWorkers >= 2 {
-		// Parallel sub-round engine. It shares the FM phase structure
-		// and validation; only the pass scheduling differs. FlowRefine
-		// stays here so both engines compose with the max-flow pull
-		// identically.
-		pres, err := r.par.Run(st, parfm.Config{
-			MinArea: cfg.MinArea, MaxArea: cfg.MaxArea,
-			Threshold: cfg.Threshold, MaxPasses: cfg.MaxPasses,
-			Workers: cfg.RefineWorkers, Seed: cfg.Seed,
-			Trace: cfg.Trace, TraceAttempt: cfg.TraceAttempt,
-			Spans:  cfg.Spans,
-			Inject: cfg.Inject,
-		})
+		// Parallel sub-round engine. It shares the FM phase schedule
+		// and validation; only the pass differs. FlowRefine stays here
+		// so both engines compose with the max-flow pull identically.
+		pres, err := r.par.Run(st, pcfg)
 		res := Result{Cut: pres.Cut, Passes: pres.Passes, Moves: pres.Moves}
 		if err != nil {
 			return res, err
@@ -241,6 +251,38 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 				st.Area(replication.Block(b)), b, cfg.MinArea[b], cfg.MaxArea[b])
 		}
 	}
+	e := r.start(st, cfg)
+
+	// Plain FM passes to convergence, then (when replication is
+	// enabled) phases that also offer replication and unreplication
+	// moves, refining the converged min-cut solution — the paper
+	// extends the original min-cut algorithm [15] this way, and each
+	// pass's best-prefix rollback guarantees they never worsen the cut.
+	// A fault injected at a pass boundary aborts the run with its typed
+	// error (panic faults propagate to the search layer's containment).
+	var res Result
+	var err error
+	res.Passes, res.Moves, err = parfm.RunPhases(pcfg, "fm-pass", func(threshold int, replOnly bool) (bool, int) {
+		e.cfg.Threshold = threshold
+		e.replOnly = replOnly
+		return e.pass()
+	})
+	if err != nil {
+		res.Cut = st.CutSize()
+		return res, err
+	}
+	if cfg.FlowRefine {
+		if err := flowRefine(st, cfg); err != nil {
+			return res, err
+		}
+	}
+	res.Cut = st.CutSize()
+	return res, nil
+}
+
+// start readies the engine for passes on st under cfg: bound to the
+// state, with the candidate order shuffled by cfg.Seed.
+func (r *Runner) start(st *replication.State, cfg Config) *engine {
 	e := &r.e
 	e.bind(st)
 	e.cfg = cfg
@@ -250,68 +292,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	}
 	r.rnd = reseed(r.rnd, cfg.Seed)
 	r.rnd.Shuffle(len(e.order), func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
-
-	// Phase 1: plain FM passes to convergence. Phase 2 (when
-	// replication is enabled): passes that also offer replication and
-	// unreplication moves, refining the converged min-cut solution —
-	// the paper extends the original min-cut algorithm [15] this way,
-	// and each pass's best-prefix rollback guarantees phase 2 never
-	// worsens the phase-1 cut.
-	res := Result{Cut: st.CutSize()}
-	// A fault injected at a pass boundary aborts the run with its typed
-	// error (panic faults propagate to the search layer's containment);
-	// injectErr carries it out of the phase closure.
-	var injectErr error
-	phase := func(threshold int, replOnly bool) bool {
-		e.cfg.Threshold = threshold
-		e.replOnly = replOnly
-		any := false
-		for pass := 0; pass < cfg.MaxPasses; pass++ {
-			if cfg.Inject != nil {
-				if err := cfg.Inject.At(faultinject.SitePass, cfg.TraceAttempt, res.Passes, cfg.Seed); err != nil {
-					injectErr = err
-					return any
-				}
-			}
-			run := cfg.Spans.Start("fm-pass", cfg.TraceAttempt)
-			improved, moves := e.pass()
-			run.End()
-			res.Passes++
-			res.Moves += moves
-			if !improved {
-				break
-			}
-			any = true
-		}
-		return any
-	}
-	if cfg.Threshold == NoReplication {
-		phase(NoReplication, false)
-	} else {
-		// Alternate until a full plain+replication round is dry. The
-		// replication phase restricts the move universe to replicate/
-		// unreplicate so that cut-neutral single moves cannot crowd out
-		// replication opportunities; the following plain phase then
-		// re-optimizes positions.
-		for round := 0; round < cfg.MaxPasses; round++ {
-			p := phase(NoReplication, false)
-			rr := phase(cfg.Threshold, true)
-			if (!p && !rr) || injectErr != nil {
-				break
-			}
-		}
-	}
-	if injectErr != nil {
-		res.Cut = st.CutSize()
-		return res, injectErr
-	}
-	if cfg.FlowRefine {
-		if err := flowRefine(st, cfg); err != nil {
-			return res, err
-		}
-	}
-	res.Cut = st.CutSize()
-	return res, nil
+	return e
 }
 
 // flowRefine applies the exact replication pull in both directions
@@ -459,8 +440,17 @@ func (e *engine) pass() (bool, int) {
 	// O(cells + nets) flat copies, against per-move undo sweeps over
 	// every rolled-back move's neighborhood.
 	e.st.SaveCheckpoint(&e.best)
+	// Under the unit-cut objective the nets that locked cells keep cut
+	// bound every later prefix's cut from below. Once they number
+	// bestCut, no later prefix can be strictly better: the pass stops
+	// and rolls back to the same best prefix a full pass would.
+	// Weighted objectives have no such bound and run full passes.
+	frozenStop := !e.st.Weighted()
+	if frozenStop {
+		e.frozen.Reset(e.st)
+	}
 	moves := 0
-	for {
+	for !frozenStop || e.frozen.Count() < bestCut {
 		mv, ok := e.pop()
 		if !ok {
 			break
@@ -473,6 +463,9 @@ func (e *engine) pass() (bool, int) {
 		}
 		moves++
 		e.locked[mv.Cell] = true
+		if frozenStop {
+			e.frozen.Lock(mv.Cell)
+		}
 		e.removeAll(mv.Cell)
 		// For single moves the commit delta sweep already visited the
 		// exact touched neighborhood; reuse it instead of re-walking

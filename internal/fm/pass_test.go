@@ -1,0 +1,206 @@
+package fm
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"fpgapart/internal/faultinject"
+	"fpgapart/internal/hypergraph"
+	"fpgapart/internal/replication"
+)
+
+// referencePass is the serial pass without the frozen-cut stop: it
+// applies moves until no feasible candidate remains, then rolls back to
+// the best prefix.
+func (e *engine) referencePass() (bool, int) {
+	for i := range e.head {
+		e.head[i] = nilNode
+	}
+	for i := range e.pool {
+		e.pool[i].bucket = nilNode
+	}
+	e.maxPtr = 0
+	for i := range e.locked {
+		e.locked[i] = false
+	}
+	for _, c := range e.order {
+		e.push(c)
+	}
+	startCut := e.st.Objective()
+	bestCut := startCut
+	e.st.SaveCheckpoint(&e.best)
+	moves := 0
+	for {
+		mv, ok := e.pop()
+		if !ok {
+			break
+		}
+		if _, err := e.st.Apply(mv); err != nil {
+			panic(err)
+		}
+		moves++
+		e.locked[mv.Cell] = true
+		e.removeAll(mv.Cell)
+		var touched []hypergraph.CellID
+		if mv.Kind == replication.SingleMove {
+			touched = e.st.LastTouched()
+		} else {
+			e.scratch = e.st.TouchedCells(mv.Cell, e.scratch)
+			touched = e.scratch
+		}
+		for _, t := range touched {
+			if !e.locked[t] {
+				e.push(t)
+			}
+		}
+		if cut := e.st.Objective(); cut < bestCut {
+			bestCut = cut
+			e.st.SaveCheckpoint(&e.best)
+		}
+	}
+	if err := e.st.RestoreCheckpoint(&e.best); err != nil {
+		panic(err)
+	}
+	return bestCut < startCut, moves
+}
+
+// partitionSig flattens the partition: every cell's ownership masks,
+// the cut and the areas.
+func partitionSig(st *replication.State) string {
+	out := fmt.Sprintf("cut=%d area=%d/%d;", st.CutSize(), st.Area(0), st.Area(1))
+	for ci := 0; ci < st.Graph().NumCells(); ci++ {
+		c := hypergraph.CellID(ci)
+		out += fmt.Sprintf("%x/%x,", st.OutputsIn(c, 0), st.OutputsIn(c, 1))
+	}
+	return out
+}
+
+// A pass stopped at the frozen-cut bound must end exactly where the full
+// pass ends — same restored partition, same improved flag — in every
+// mode, pinned or not, pass after pass.
+func TestFrozenStopMatchesFullPass(t *testing.T) {
+	modes := []struct {
+		name      string
+		threshold int
+		replOnly  bool
+	}{
+		{"plain", NoReplication, false},
+		{"replication", 0, false},
+		{"replication-only", 0, true},
+	}
+	stopped := 0
+	for seed := int64(0); seed < 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := testGraph(t, 40+r.Intn(200), 300+seed, r.Float64()*0.8)
+		for _, mode := range modes {
+			for _, pinned := range []bool{false, true} {
+				assign := RandomAssign(g, seed)
+				stStop, err := replication.NewStatePinned(g, assign, pinned)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stFull, err := replication.NewStatePinned(g, assign, pinned)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := equalCfg(g, mode.threshold, seed)
+				var rStop, rFull Runner
+				eStop, eFull := rStop.start(stStop, cfg.withDefaults()), rFull.start(stFull, cfg.withDefaults())
+				eStop.replOnly, eFull.replOnly = mode.replOnly, mode.replOnly
+				for pass := 0; pass < 8; pass++ {
+					impStop, movesStop := eStop.pass()
+					impFull, movesFull := eFull.referencePass()
+					if impStop != impFull || partitionSig(stStop) != partitionSig(stFull) {
+						t.Fatalf("seed %d %s pinned=%v pass %d: stopped pass improved=%v cut %d, full pass improved=%v cut %d",
+							seed, mode.name, pinned, pass, impStop, stStop.CutSize(), impFull, stFull.CutSize())
+					}
+					if err := stStop.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					if movesStop < movesFull {
+						stopped++
+					}
+					if !impStop {
+						break
+					}
+				}
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no pass stopped at the frozen-cut bound")
+	}
+}
+
+// Run ends only when both phase kinds are dry at the final state, so one
+// more plain pass and one more replication-only pass must both be dry
+// and leave the partition untouched — whether the schedule ran or
+// skipped the last pass of each kind.
+func TestSkippedPassesAreDry(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		g := testGraph(t, 80+int(seed)*30, 400+seed, 0.6)
+		for _, threshold := range []int{0, 1} {
+			for _, pinned := range []bool{false, true} {
+				st, err := replication.NewStatePinned(g, RandomAssign(g, seed), pinned)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var r Runner
+				cfg := equalCfg(g, threshold, seed)
+				if _, err := r.Run(st, cfg); err != nil {
+					t.Fatal(err)
+				}
+				want := partitionSig(st)
+				e := &r.e
+				for _, replOnly := range []bool{false, true} {
+					e.cfg.Threshold, e.replOnly = NoReplication, false
+					if replOnly {
+						e.cfg.Threshold, e.replOnly = threshold, true
+					}
+					if improved, _ := e.pass(); improved || partitionSig(st) != want {
+						t.Fatalf("seed %d T=%d pinned=%v replOnly=%v: pass after Run improved=%v", seed, threshold, pinned, replOnly, improved)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The SitePass ordinal counts the passes a run executes: a fault at the
+// last executed pass fires, and one at the next ordinal never does,
+// because skipped passes consult no fault plan.
+func TestInjectOrdinalCountsRunPasses(t *testing.T) {
+	g := testGraph(t, 200, 21, 0.6)
+	assign := RandomAssign(g, 4)
+	run := func(plan *faultinject.Plan) (Result, string, error) {
+		st, err := replication.NewState(g, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := equalCfg(g, 0, 4)
+		cfg.Inject = plan
+		res, err := Run(st, cfg)
+		return res, partitionSig(st), err
+	}
+	want, wantSig, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(i int) *faultinject.Plan {
+		return faultinject.NewPlan(faultinject.Rule{
+			Site: faultinject.SitePass, Kind: faultinject.KindCancel,
+			Attempt: faultinject.Any, Index: i,
+		})
+	}
+	res, _, err := run(at(want.Passes - 1))
+	var cancel *faultinject.CancelError
+	if !errors.As(err, &cancel) || res.Passes != want.Passes-1 {
+		t.Fatalf("fault at pass %d: err %v after %d passes", want.Passes-1, err, res.Passes)
+	}
+	res, sig, err := run(at(want.Passes))
+	if err != nil || res != want || sig != wantSig {
+		t.Fatalf("fault past the last pass changed the run: err %v, result %+v, want %+v", err, res, want)
+	}
+}

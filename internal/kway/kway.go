@@ -50,7 +50,9 @@ type Options struct {
 	// Retries is the number of carve attempts (seed/device/fill
 	// variations) before a solution attempt is abandoned. Default 20.
 	Retries int
-	// MaxPasses caps FM passes per carve (default: engine default).
+	// MaxPasses is fm.Config.MaxPasses for every FM run of a carve: it
+	// caps the passes of one phase and, separately, the plain/
+	// replication-only rounds (0 = engine default, 24).
 	MaxPasses int
 	// RefineWorkers selects the refinement engine for every FM run the
 	// search performs (carves, V-cycle levels, pair refinement):

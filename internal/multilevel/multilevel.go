@@ -97,7 +97,9 @@ type Config struct {
 	// the V-cycle usually runs inside kway's own worker pool, where
 	// nested parallelism oversubscribes).
 	Workers int
-	// MaxPasses caps FM passes per refinement (0 = engine default).
+	// MaxPasses is fm.Config.MaxPasses for every FM run of the V-cycle:
+	// it caps the passes of one phase and, separately, the plain/
+	// replication-only rounds (0 = engine default, 24).
 	MaxPasses int
 	// RefineWorkers selects the FM engine for every refinement run in
 	// the cycle (coarsest partition and per-level refinement): >= 2

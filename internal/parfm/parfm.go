@@ -6,8 +6,8 @@
 //     and, for each, evaluate its best move (single move, functional
 //     replication, unreplication — the same move universe as the
 //     serial engine) against the state frozen at the start of the
-//     sub-round, using per-worker replication.Evaluator instances so
-//     gain evaluation never touches shared scratch. The first
+//     sub-round. Gain evaluation only reads the state, so the workers
+//     share it without scratch of their own. The first
 //     sub-round of a pass proposes every cell; later sub-rounds only
 //     re-propose the cells invalidated by the previous sub-round's
 //     commits.
@@ -42,10 +42,13 @@
 // than the serial engine's full-state checkpoint per improving move —
 // the combination is what makes the engine several times faster than
 // the serial path per attempt even with a single worker.
+//
+// Both engines run their passes under one phase schedule, RunPhases.
 package parfm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"fpgapart/internal/faultinject"
@@ -68,7 +71,9 @@ type Config struct {
 	// Threshold is the replication potential threshold T (Eq. 6);
 	// NoReplication (-1) disables replication entirely.
 	Threshold int
-	// MaxPasses caps FM passes per phase (default 24).
+	// MaxPasses caps the passes of one phase and, separately, the
+	// number of plain/replication-only rounds (default 24; see
+	// RunPhases), so a run makes at most 2·MaxPasses² passes.
 	MaxPasses int
 	// Workers is the number of proposal workers (default 1). The final
 	// partition is identical for every value; only wall-clock time
@@ -106,7 +111,9 @@ func (c Config) withDefaults() Config {
 
 // Result summarizes a run.
 type Result struct {
-	Cut    int // final cut size
+	Cut int // final cut size
+	// Passes counts the passes run; passes RunPhases skips as provably
+	// dry are not counted.
 	Passes int
 	Moves  int // committed moves across all passes (before rollbacks)
 	// Rounds/Proposals/Commits/Stale total the sub-round protocol
@@ -134,10 +141,9 @@ type proposal struct {
 // runs. A zero Runner is ready to use; a Runner is not safe for
 // concurrent use (its workers are internal to each call).
 type Runner struct {
-	st    *replication.State
-	g     *hypergraph.Graph // graph the per-cell buffers were sized for
-	cfg   Config
-	evals []*replication.Evaluator
+	st  *replication.State
+	g   *hypergraph.Graph // graph the per-cell buffers were sized for
+	cfg Config
 
 	locked []bool
 	prop   []proposal
@@ -174,43 +180,38 @@ func Run(st *replication.State, cfg Config) (Result, error) {
 	return r.Run(st, cfg)
 }
 
-// bind points the runner at a state, reallocating per-cell buffers
-// only when the graph (or worker count) changed. The buffers are keyed
-// on the graph they were sized for: a rebound state
-// (replication.State.Rebind) changes the previous state's graph.
-func (r *Runner) bind(st *replication.State, workers int) {
+// bind points the runner at a state, laying the per-cell buffers out
+// again only when the graph (or its gain bound) changed, into the
+// capacity of earlier layouts. The buffers are keyed on the graph they
+// were sized for: a rebound state (replication.State.Rebind) changes
+// the previous state's graph. Every buffer but dirty is rewritten
+// before it is read; dirty's epoch stamps restart with the epoch, so
+// it is cleared.
+func (r *Runner) bind(st *replication.State) {
 	n := st.Graph().NumCells()
-	if r.g != st.Graph() || len(r.locked) != n || r.gainOf != st.MaxMoveGain() {
+	if r.g != st.Graph() || r.gainOf != st.MaxMoveGain() {
 		r.g = st.Graph()
 		r.gainOf = st.MaxMoveGain()
-		r.locked = make([]bool, n)
-		r.prop = make([]proposal, n)
-		r.dirty = make([]int32, n)
-		r.bhead = make([]int32, 2*r.gainOf+2)
-		r.bnext = make([]int32, n)
-		r.bprev = make([]int32, n)
-		r.inb = make([]bool, n)
+		r.locked = slices.Grow(r.locked[:0], n)[:n]
+		r.prop = slices.Grow(r.prop[:0], n)[:n]
+		r.dirty = slices.Grow(r.dirty[:0], n)[:n]
+		clear(r.dirty)
+		buckets := 2*r.gainOf + 2
+		r.bhead = slices.Grow(r.bhead[:0], buckets)[:buckets]
+		r.bnext = slices.Grow(r.bnext[:0], n)[:n]
+		r.bprev = slices.Grow(r.bprev[:0], n)[:n]
+		r.inb = slices.Grow(r.inb[:0], n)[:n]
 		r.dirtyList = r.dirtyList[:0]
 		r.redo = r.redo[:0]
 		r.epoch = 0
-	}
-	if len(r.evals) < workers {
-		r.evals = append(r.evals, make([]*replication.Evaluator, workers-len(r.evals))...)
-	}
-	for w := 0; w < workers; w++ {
-		if r.evals[w] == nil {
-			r.evals[w] = replication.NewEvaluator(st)
-		} else {
-			r.evals[w].Bind(st)
-		}
 	}
 	r.st = st
 }
 
 // Run improves the bipartition state in place and returns the result.
-// Mirrors fm.Runner.Run: plain passes to convergence, then — when
-// replication is enabled — alternating plain and replication-only
-// phases until a full round is dry.
+// Like fm.Runner.Run it follows the RunPhases schedule: plain passes to
+// convergence, then — when replication is enabled — alternating plain
+// and replication-only phases until a full round is dry.
 func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MaxArea[0] <= 0 || cfg.MaxArea[1] <= 0 {
@@ -225,7 +226,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 				st.Area(replication.Block(b)), b, cfg.MinArea[b], cfg.MaxArea[b])
 		}
 	}
-	r.bind(st, cfg.Workers)
+	r.bind(st)
 	r.cfg = cfg
 	r.passSeq = 0
 
@@ -237,44 +238,15 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	st.SetGainMaintenance(false)
 	defer st.SetGainMaintenance(true)
 
-	res := Result{Cut: st.CutSize()}
-	var injectErr error
-	phase := func(threshold int, replOnly bool) bool {
+	var res Result
+	var err error
+	res.Passes, res.Moves, err = RunPhases(cfg, "parfm-pass", func(threshold int, replOnly bool) (bool, int) {
 		r.cfg.Threshold = threshold
 		r.replOnly = replOnly
-		any := false
-		for pass := 0; pass < cfg.MaxPasses; pass++ {
-			if cfg.Inject != nil {
-				if err := cfg.Inject.At(faultinject.SitePass, cfg.TraceAttempt, res.Passes, cfg.Seed); err != nil {
-					injectErr = err
-					return any
-				}
-			}
-			run := cfg.Spans.Start("parfm-pass", cfg.TraceAttempt)
-			improved, moves := r.pass(&res)
-			run.End()
-			res.Passes++
-			res.Moves += moves
-			if !improved {
-				break
-			}
-			any = true
-		}
-		return any
-	}
-	if cfg.Threshold == NoReplication {
-		phase(NoReplication, false)
-	} else {
-		for round := 0; round < cfg.MaxPasses; round++ {
-			p := phase(NoReplication, false)
-			rr := phase(cfg.Threshold, true)
-			if (!p && !rr) || injectErr != nil {
-				break
-			}
-		}
-	}
+		return r.pass(&res)
+	})
 	res.Cut = st.CutSize()
-	return res, injectErr
+	return res, err
 }
 
 // pass runs one FM pass as a sequence of synchronous sub-rounds and
@@ -438,7 +410,7 @@ func (r *Runner) proposeAll() {
 	n := len(r.prop)
 	w := r.cfg.Workers
 	if w <= 1 || n < minParallel {
-		r.proposeRange(r.evals[0], 0, n)
+		r.proposeRange(0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -453,10 +425,10 @@ func (r *Runner) proposeAll() {
 			break
 		}
 		wg.Add(1)
-		go func(ev *replication.Evaluator, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			r.proposeRange(ev, lo, hi)
-		}(r.evals[i], lo, hi)
+			r.proposeRange(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 }
@@ -467,7 +439,7 @@ func (r *Runner) proposeList(list []int32) {
 	n := len(list)
 	w := r.cfg.Workers
 	if w <= 1 || n < minParallel {
-		r.proposeCells(r.evals[0], list)
+		r.proposeCells(list)
 		return
 	}
 	var wg sync.WaitGroup
@@ -482,31 +454,31 @@ func (r *Runner) proposeList(list []int32) {
 			break
 		}
 		wg.Add(1)
-		go func(ev *replication.Evaluator, part []int32) {
+		go func(part []int32) {
 			defer wg.Done()
-			r.proposeCells(ev, part)
-		}(r.evals[i], list[lo:hi])
+			r.proposeCells(part)
+		}(list[lo:hi])
 	}
 	wg.Wait()
 }
 
-func (r *Runner) proposeRange(ev *replication.Evaluator, lo, hi int) {
+func (r *Runner) proposeRange(lo, hi int) {
 	for ci := lo; ci < hi; ci++ {
 		if r.locked[ci] {
 			r.prop[ci].valid = false
 			continue
 		}
-		r.propose(ev, hypergraph.CellID(ci))
+		r.propose(hypergraph.CellID(ci))
 	}
 }
 
-func (r *Runner) proposeCells(ev *replication.Evaluator, list []int32) {
+func (r *Runner) proposeCells(list []int32) {
 	for _, ci := range list {
 		if r.locked[ci] {
 			r.prop[ci].valid = false
 			continue
 		}
-		r.propose(ev, hypergraph.CellID(ci))
+		r.propose(hypergraph.CellID(ci))
 	}
 }
 
@@ -514,13 +486,15 @@ func (r *Runner) proposeCells(ev *replication.Evaluator, list []int32) {
 // current (frozen) state. Candidate priority on gain ties is the fixed
 // scan order — unreplicate-to-0 before unreplicate-to-1, the single
 // move before replication splits in table order — which keeps the
-// choice a pure function of the frozen state.
-func (r *Runner) propose(ev *replication.Evaluator, c hypergraph.CellID) {
+// choice a pure function of the frozen state. With gain maintenance
+// off, SingleGain evaluates from scratch; like Gain it only reads the
+// state, so workers propose concurrently.
+func (r *Runner) propose(c hypergraph.CellID) {
 	st := r.st
 	p := &r.prop[c]
 	if st.IsReplicated(c) {
-		g0 := ev.MustGain(replication.Move{Cell: c, Kind: replication.Unreplicate, To: 0})
-		g1 := ev.MustGain(replication.Move{Cell: c, Kind: replication.Unreplicate, To: 1})
+		g0 := st.MustGain(replication.Move{Cell: c, Kind: replication.Unreplicate, To: 0})
+		g1 := st.MustGain(replication.Move{Cell: c, Kind: replication.Unreplicate, To: 1})
 		p.kind = replication.Unreplicate
 		p.carry = 0
 		if g1 > g0 {
@@ -535,12 +509,12 @@ func (r *Runner) propose(ev *replication.Evaluator, c hypergraph.CellID) {
 	if !r.replOnly {
 		p.kind = replication.SingleMove
 		p.carry, p.to = 0, 0
-		p.gain = int32(ev.SingleGain(c))
+		p.gain = int32(st.SingleGain(c))
 		p.valid = true
 	}
 	if r.cfg.Threshold != NoReplication && st.CanReplicate(c, r.cfg.Threshold) {
 		for _, carry := range st.Splits(c) {
-			g := int32(ev.MustGain(replication.Move{Cell: c, Kind: replication.Replicate, Carry: carry}))
+			g := int32(st.MustGain(replication.Move{Cell: c, Kind: replication.Replicate, Carry: carry}))
 			if !p.valid || g > p.gain {
 				p.kind = replication.Replicate
 				p.carry, p.to = carry, 0

@@ -250,8 +250,9 @@ func TestRunValidation(t *testing.T) {
 }
 
 // A fault injected at a pass boundary must abort the run with the
-// typed error and leave the state with gain maintenance restored —
-// parity with the serial engine's injection site.
+// typed error, before the pass its ordinal names (here the second),
+// and leave the state with gain maintenance restored — parity with the
+// serial engine's injection site.
 func TestFaultInjectionAtPass(t *testing.T) {
 	g := testGraph(t, 400, 3)
 	st, err := replication.NewState(g, fm.RandomAssign(g, 3))
@@ -264,10 +265,13 @@ func TestFaultInjectionAtPass(t *testing.T) {
 		Site: faultinject.SitePass, Kind: faultinject.KindCancel,
 		Attempt: faultinject.Any, Index: 1,
 	})
-	_, err = parfm.Run(st, cfg)
+	res, err := parfm.Run(st, cfg)
 	var cancel *faultinject.CancelError
 	if !errors.As(err, &cancel) {
 		t.Fatalf("want CancelError, got %v", err)
+	}
+	if res.Passes != 1 {
+		t.Fatalf("fault at pass ordinal 1 fired after %d passes", res.Passes)
 	}
 	if !st.GainMaintenance() {
 		t.Fatal("gain maintenance left disabled after injected fault")

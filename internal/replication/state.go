@@ -122,13 +122,19 @@ type State struct {
 	psi    []int      // per cell: replication potential ψ (Eq. 4)
 	// CSR adjacency between cells and their *active* nets: for each
 	// cell, the distinct incident nets with at least one potentially
-	// active pin, and k — the number of active connections the cell
-	// contributes to the net when unreplicated (outputs plus inputs
-	// with a non-empty dependency column). Dependency-free input pins
-	// are floating in every configuration and are excluded.
-	adjOff []int32
-	adjNet []hypergraph.NetID
-	adjK   []int32
+	// active pin, in first-pin order (outputs, then inputs). Entry e
+	// lists the cell's active pins on its net as
+	// pinMask[pinOff[e]:pinOff[e+1]]: a pin is active in block b iff
+	// its mask meets the cell's ownership mask there (its own output
+	// bit for an output, the dependency column for an input). So k, the
+	// number of active connections the cell contributes to the net when
+	// unreplicated, is pinOff[e+1]−pinOff[e] (see entryK). Dependency-
+	// free input pins are floating in every configuration and are
+	// excluded.
+	adjOff  []int32
+	adjNet  []hypergraph.NetID
+	pinOff  []int32  // per entry, plus a closing total
+	pinMask []uint32 // per active pin, grouped by entry
 	// Inverse CSR: for each net, the distinct cells with k > 0,
 	// interleaved with k so the commit sweep streams one array.
 	netOff []int32
@@ -157,7 +163,7 @@ type State struct {
 
 	trail []trailEntry
 
-	// scratch buffers for delta accumulation
+	// scratch buffers for the delta accumulation of replication commits
 	scratchNets  []hypergraph.NetID
 	scratchDelta [][2]int32
 	scratchMark  []int32 // per net: index+1 into scratchNets, 0 = absent
@@ -284,40 +290,66 @@ func (s *State) buildStatic() error {
 		s.col[ci] = cols
 	}
 
-	// Cell -> net adjacency with static active-connection counts. The
-	// per-net scratch array (zero at rest) serves first as pos, each
-	// net's latest entry in adjNet: an entry at or after the scanned
-	// cell's start is that cell's own.
+	// Cell -> net adjacency with per-pin activation masks. The per-net
+	// scratch array (zero at rest) serves first as pos, each net's
+	// latest entry in adjNet: an entry at or after the scanned cell's
+	// start is that cell's own.
 	s.adjOff = slices.Grow(s.adjOff[:0], n+1)[:n+1]
 	s.adjOff[0] = 0
 	s.adjNet = slices.Grow(s.adjNet[:0], totalPins)
-	s.adjK = slices.Grow(s.adjK[:0], totalPins)
+	s.pinOff = slices.Grow(s.pinOff[:0], totalPins+1)
+	s.pinMask = slices.Grow(s.pinMask[:0], totalPins)[:totalPins]
 	pos := slices.Grow(s.scratchMark[:0], m)[:m]
 	for i := range pos {
 		pos[i] = -1
 	}
+	pins := int32(0)
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
+		cols := s.col[ci]
 		start := int32(len(s.adjNet))
+		// First sweep: the cell's distinct active nets in first-pin
+		// order, pinOff[e] counting each entry's pins.
 		visit := func(nid hypergraph.NetID) {
 			if p := pos[nid]; p >= start {
-				s.adjK[p]++
+				s.pinOff[p]++
 				return
 			}
 			pos[nid] = int32(len(s.adjNet))
 			s.adjNet = append(s.adjNet, nid)
-			s.adjK = append(s.adjK, 1)
+			s.pinOff = append(s.pinOff, 1)
 		}
 		for _, nid := range c.Outputs {
 			visit(nid)
 		}
 		for j, nid := range c.Inputs {
-			if nid != hypergraph.NilNet && s.col[ci][j] != 0 {
+			if nid != hypergraph.NilNet && cols[j] != 0 {
 				visit(nid)
 			}
 		}
+		// Turn the counts into end offsets, then place the pins last to
+		// first, decrementing: each offset comes to rest at its entry's
+		// start with the entry's pins in pin order.
+		for e := start; e < int32(len(s.adjNet)); e++ {
+			pins += s.pinOff[e]
+			s.pinOff[e] = pins
+		}
+		for j := len(c.Inputs) - 1; j >= 0; j-- {
+			if nid := c.Inputs[j]; nid != hypergraph.NilNet && cols[j] != 0 {
+				e := pos[nid]
+				s.pinOff[e]--
+				s.pinMask[s.pinOff[e]] = cols[j]
+			}
+		}
+		for i := len(c.Outputs) - 1; i >= 0; i-- {
+			e := pos[c.Outputs[i]]
+			s.pinOff[e]--
+			s.pinMask[s.pinOff[e]] = 1 << uint(i)
+		}
 		s.adjOff[ci+1] = int32(len(s.adjNet))
 	}
+	s.pinOff = append(s.pinOff, pins)
+	s.pinMask = s.pinMask[:pins]
 	s.maxDeg = 1
 	for ci := 0; ci < n; ci++ {
 		if d := int(s.adjOff[ci+1] - s.adjOff[ci]); d > s.maxDeg {
@@ -340,9 +372,9 @@ func (s *State) buildStatic() error {
 	fill := pos
 	copy(fill, s.netOff[:m])
 	for ci := 0; ci < n; ci++ {
-		for i := s.adjOff[ci]; i < s.adjOff[ci+1]; i++ {
-			nid := s.adjNet[i]
-			s.netAdj[fill[nid]] = netConn{cell: hypergraph.CellID(ci), k: s.adjK[i]}
+		for e := s.adjOff[ci]; e < s.adjOff[ci+1]; e++ {
+			nid := s.adjNet[e]
+			s.netAdj[fill[nid]] = netConn{cell: hypergraph.CellID(ci), k: s.entryK(e)}
 			fill[nid]++
 		}
 	}
@@ -456,8 +488,8 @@ func (s *State) ResetPinned(assign []Block, pinExternal bool) error {
 		// Account active connections: all outputs, and inputs adjacent
 		// to at least one output (a dependency-free input pin is
 		// floating by the functional rule even before replication).
-		for i := s.adjOff[ci]; i < s.adjOff[ci+1]; i++ {
-			s.cnt[s.adjNet[i]][b] += s.adjK[i]
+		for e := s.adjOff[ci]; e < s.adjOff[ci+1]; e++ {
+			s.cnt[s.adjNet[e]][b] += s.entryK(e)
 		}
 	}
 	s.topo = 0
@@ -513,13 +545,19 @@ func (s *State) Psi(c hypergraph.CellID) int { return s.psi[c] }
 // active nets.
 func (s *State) MaxCellDegree() int { return s.maxDeg }
 
-// SingleGain returns the incrementally maintained gain of moving the
-// (unreplicated) cell to the other block — identical to
-// Gain(Move{Cell: c, Kind: SingleMove}) but O(1). The value is
-// meaningless while the cell is replicated; it is refreshed when the
-// cell unreplicates. While gain maintenance is disabled (see
-// SetGainMaintenance) the value is stale and must not be used.
-func (s *State) SingleGain(c hypergraph.CellID) int { return int(s.gainS[c]) }
+// SingleGain returns the gain of moving the (unreplicated) cell to the
+// other block — identical to Gain(Move{Cell: c, Kind: SingleMove}).
+// It reads the incrementally maintained value, O(1); while gain
+// maintenance is disabled (see SetGainMaintenance) it evaluates the
+// gain from scratch in O(distinct nets of the cell) instead. The value
+// is meaningless while the cell is replicated. Like Gain, it only reads
+// the state.
+func (s *State) SingleGain(c hypergraph.CellID) int {
+	if !s.maintainGains {
+		return int(s.computeSingleGain(c))
+	}
+	return int(s.gainS[c])
+}
 
 // SetGainMaintenance toggles the incremental single-move gain
 // maintenance performed by commit. It is on by default — the classic
@@ -629,8 +667,9 @@ func (s *State) newOwn(m Move) ([2]uint32, error) {
 
 // accumulateDeltas records, for each distinct net incident to cell c,
 // the change in active connection counts when ownership goes from old
-// to nw. Results land in the scratch buffers; callers must call
-// resetScratch when done.
+// to nw, listing the nets in the order of their first flipped pin.
+// Results land in the scratch buffers; callers must call resetScratch
+// when done.
 func (s *State) accumulateDeltas(c hypergraph.CellID, old, nw [2]uint32) {
 	cell := &s.g.Cells[c]
 	add := func(n hypergraph.NetID, b Block, d int32) {
@@ -687,20 +726,48 @@ func (s *State) resetScratch() {
 	s.scratchDelta = s.scratchDelta[:0]
 }
 
+// entryK returns the static active-connection count of adjacency entry
+// e: the connections its cell contributes to its net when unreplicated.
+func (s *State) entryK(e int32) int32 { return s.pinOff[e+1] - s.pinOff[e] }
+
+// entryDelta returns the change in adjacency entry e's active
+// connections per block when its cell's ownership goes from old to nw.
+func (s *State) entryDelta(e int32, old, nw [2]uint32) (d [2]int32) {
+	for _, mask := range s.pinMask[s.pinOff[e]:s.pinOff[e+1]] {
+		for b := 0; b < 2; b++ {
+			if was, is := old[b]&mask != 0, nw[b]&mask != 0; was != is {
+				if is {
+					d[b]++
+				} else {
+					d[b]--
+				}
+			}
+		}
+	}
+	return d
+}
+
 // Gain returns the exact objective reduction of applying m: positive
 // gains shrink the cut (or, with a weight table installed, the
-// weighted topology cost). The state is not modified.
+// weighted topology cost). Gain only reads the state, so any number of
+// goroutines may call it while nobody mutates the state.
 func (s *State) Gain(m Move) (int, error) {
 	nw, err := s.newOwn(m)
 	if err != nil {
 		return 0, err
 	}
 	old := s.own[m.Cell]
-	s.accumulateDeltas(m.Cell, old, nw)
 	gain := 0
-	for i, n := range s.scratchNets {
+	// The adjacency lists each net once per cell, so each entry's delta
+	// is the net's whole delta.
+	for e := s.adjOff[m.Cell]; e < s.adjOff[m.Cell+1]; e++ {
+		d := s.entryDelta(e, old, nw)
+		if d == ([2]int32{}) {
+			continue
+		}
+		n := s.adjNet[e]
 		c0, c1 := s.cnt[n][0], s.cnt[n][1]
-		n0, n1 := c0+s.scratchDelta[i][0], c1+s.scratchDelta[i][1]
+		n0, n1 := c0+d[0], c1+d[1]
 		if s.netW != nil {
 			w := &s.netW[n]
 			gain += int(costAt(w, c0, c1) - costAt(w, n0, n1))
@@ -714,7 +781,6 @@ func (s *State) Gain(m Move) (int, error) {
 			gain--
 		}
 	}
-	s.resetScratch()
 	return gain, nil
 }
 
@@ -826,15 +892,15 @@ func (s *State) computeSingleGain(c hypergraph.CellID) int32 {
 	h := s.home[c]
 	g := int32(0)
 	if s.netW != nil {
-		for i := s.adjOff[c]; i < s.adjOff[c+1]; i++ {
-			n := s.adjNet[i]
-			g += phiW(&s.netW[n], s.cnt[n][0], s.cnt[n][1], s.adjK[i], h)
+		for e := s.adjOff[c]; e < s.adjOff[c+1]; e++ {
+			n := s.adjNet[e]
+			g += phiW(&s.netW[n], s.cnt[n][0], s.cnt[n][1], s.entryK(e), h)
 		}
 		return g
 	}
-	for i := s.adjOff[c]; i < s.adjOff[c+1]; i++ {
-		n := s.adjNet[i]
-		g += phi(s.cnt[n][h], s.cnt[n][h.Other()], s.adjK[i])
+	for e := s.adjOff[c]; e < s.adjOff[c+1]; e++ {
+		n := s.adjNet[e]
+		g += phi(s.cnt[n][h], s.cnt[n][h.Other()], s.entryK(e))
 	}
 	return g
 }
@@ -863,87 +929,29 @@ func (s *State) termStatus(n hypergraph.NetID, b Block, c0, c1 int32) bool {
 // single-move gains of every affected neighbor. The mover's own gain is
 // reseeded by the caller (Apply/Undo) once its home/replication flags
 // are final.
+//
+// The nets are committed in the order of their first flipped pin, which
+// fixes the order of LastTouched. A whole-cell move (a single move or
+// its undo) flips every active pin, so that order is the adjacency order
+// and each entry's delta is (−k, +k) from the old block to the new one:
+// it streams the adjacency. Replication moves leave some pins in place,
+// so a net's first flipped pin can come after the pins of nets listed
+// later in the adjacency; they accumulate their deltas in first-flip
+// order.
 func (s *State) commit(c hypergraph.CellID, nw [2]uint32) {
 	old := s.own[c]
-	weighted := s.netW != nil
-	s.accumulateDeltas(c, old, nw)
-	for i, n := range s.scratchNets {
-		c0, c1 := s.cnt[n][0], s.cnt[n][1]
-		n0, n1 := c0+s.scratchDelta[i][0], c1+s.scratchDelta[i][1]
-		wasCut := c0 > 0 && c1 > 0
-		isCut := n0 > 0 && n1 > 0
-		if wasCut && !isCut {
-			s.cut--
-		} else if !wasCut && isCut {
-			s.cut++
+	switch {
+	case old[1] == 0 && nw[0] == 0:
+		s.commitWhole(c, 0)
+	case old[0] == 0 && nw[1] == 0:
+		s.commitWhole(c, 1)
+	default:
+		s.accumulateDeltas(c, old, nw)
+		for i, n := range s.scratchNets {
+			s.commitNet(c, n, s.scratchDelta[i])
 		}
-		if weighted {
-			w := &s.netW[n]
-			s.topo += int(costAt(w, n0, n1) - costAt(w, c0, c1))
-		}
-		// Terminal-status transitions, inlined from termStatus with the
-		// block-1 count pre-adjusted for the virtual pin connection.
-		ext := s.isExt[n]
-		var pin int32
-		if s.extPin && ext {
-			pin = 1
-		}
-		e1, m1 := c1-pin, n1-pin
-		wasT0 := c0 > 0 && (ext || e1 > 0)
-		isT0 := n0 > 0 && (ext || m1 > 0)
-		wasT1 := e1 > 0 && (ext || c0 > 0)
-		isT1 := m1 > 0 && (ext || n0 > 0)
-		if wasT0 != isT0 {
-			if isT0 {
-				s.term[0]++
-			} else {
-				s.term[0]--
-			}
-		}
-		if wasT1 != isT1 {
-			if isT1 {
-				s.term[1]++
-			} else {
-				s.term[1]--
-			}
-		}
-		// Neighbor gain deltas. phi depends on t only through the cut
-		// flag, so a block's cells can only see a delta when their own
-		// side's count or the cut status changed — and the same holds
-		// for phiW: its cross-side dependence is the (count > 0) flag,
-		// which cannot flip without flipping the cut flag while an
-		// unreplicated neighbor holds k > 0 connections on its own
-		// side. With maintenance off both flags stay false, so the
-		// sweep below only records the touched neighborhood.
-		changed0 := (c0 != n0 || wasCut != isCut) && s.maintainGains
-		changed1 := (c1 != n1 || wasCut != isCut) && s.maintainGains
-		if changed0 || changed1 || s.recordTouched {
-			for _, nc := range s.netAdj[s.netOff[n]:s.netOff[n+1]] {
-				cc := nc.cell
-				if s.recordTouched && s.touchStamp[cc] != s.touchEpoch {
-					s.touchStamp[cc] = s.touchEpoch
-					s.lastTouched = append(s.lastTouched, cc)
-				}
-				if cc == c || s.repl[cc] {
-					continue
-				}
-				h := s.home[cc]
-				if h == 0 && !changed0 || h == 1 && !changed1 {
-					continue
-				}
-				if weighted {
-					w := &s.netW[n]
-					s.gainS[cc] += phiW(w, n0, n1, nc.k, h) - phiW(w, c0, c1, nc.k, h)
-				} else if h == 0 {
-					s.gainS[cc] += phi(n0, n1, nc.k) - phi(c0, c1, nc.k)
-				} else {
-					s.gainS[cc] += phi(n1, n0, nc.k) - phi(c1, c0, nc.k)
-				}
-			}
-		}
-		s.cnt[n] = [2]int32{n0, n1}
+		s.resetScratch()
 	}
-	s.resetScratch()
 	a := s.g.Cells[c].Area
 	for b := Block(0); b < 2; b++ {
 		was := old[b] != 0
@@ -956,6 +964,98 @@ func (s *State) commit(c hypergraph.CellID, nw [2]uint32) {
 		}
 	}
 	s.own[c] = nw
+}
+
+// commitWhole commits the move of every active pin of cell c out of
+// block from, net by net in adjacency order.
+func (s *State) commitWhole(c hypergraph.CellID, from Block) {
+	for e := s.adjOff[c]; e < s.adjOff[c+1]; e++ {
+		var d [2]int32
+		k := s.entryK(e)
+		d[from], d[from.Other()] = -k, k
+		s.commitNet(c, s.adjNet[e], d)
+	}
+}
+
+// commitNet applies mover c's connection delta d to net n: counts, cut,
+// weighted cost, terminal counters, neighbor gains and the touched
+// neighborhood.
+func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
+	weighted := s.netW != nil
+	c0, c1 := s.cnt[n][0], s.cnt[n][1]
+	n0, n1 := c0+d[0], c1+d[1]
+	wasCut := c0 > 0 && c1 > 0
+	isCut := n0 > 0 && n1 > 0
+	if wasCut && !isCut {
+		s.cut--
+	} else if !wasCut && isCut {
+		s.cut++
+	}
+	if weighted {
+		w := &s.netW[n]
+		s.topo += int(costAt(w, n0, n1) - costAt(w, c0, c1))
+	}
+	// Terminal-status transitions, inlined from termStatus with the
+	// block-1 count pre-adjusted for the virtual pin connection.
+	ext := s.isExt[n]
+	var pin int32
+	if s.extPin && ext {
+		pin = 1
+	}
+	e1, m1 := c1-pin, n1-pin
+	wasT0 := c0 > 0 && (ext || e1 > 0)
+	isT0 := n0 > 0 && (ext || m1 > 0)
+	wasT1 := e1 > 0 && (ext || c0 > 0)
+	isT1 := m1 > 0 && (ext || n0 > 0)
+	if wasT0 != isT0 {
+		if isT0 {
+			s.term[0]++
+		} else {
+			s.term[0]--
+		}
+	}
+	if wasT1 != isT1 {
+		if isT1 {
+			s.term[1]++
+		} else {
+			s.term[1]--
+		}
+	}
+	// Neighbor gain deltas. phi depends on t only through the cut
+	// flag, so a block's cells can only see a delta when their own
+	// side's count or the cut status changed — and the same holds
+	// for phiW: its cross-side dependence is the (count > 0) flag,
+	// which cannot flip without flipping the cut flag while an
+	// unreplicated neighbor holds k > 0 connections on its own
+	// side. With maintenance off both flags stay false, so the
+	// sweep below only records the touched neighborhood.
+	changed0 := (c0 != n0 || wasCut != isCut) && s.maintainGains
+	changed1 := (c1 != n1 || wasCut != isCut) && s.maintainGains
+	if changed0 || changed1 || s.recordTouched {
+		for _, nc := range s.netAdj[s.netOff[n]:s.netOff[n+1]] {
+			cc := nc.cell
+			if s.recordTouched && s.touchStamp[cc] != s.touchEpoch {
+				s.touchStamp[cc] = s.touchEpoch
+				s.lastTouched = append(s.lastTouched, cc)
+			}
+			if cc == c || s.repl[cc] {
+				continue
+			}
+			h := s.home[cc]
+			if h == 0 && !changed0 || h == 1 && !changed1 {
+				continue
+			}
+			if weighted {
+				w := &s.netW[n]
+				s.gainS[cc] += phiW(w, n0, n1, nc.k, h) - phiW(w, c0, c1, nc.k, h)
+			} else if h == 0 {
+				s.gainS[cc] += phi(n0, n1, nc.k) - phi(c0, c1, nc.k)
+			} else {
+				s.gainS[cc] += phi(n1, n0, nc.k) - phi(c1, c0, nc.k)
+			}
+		}
+	}
+	s.cnt[n] = [2]int32{n0, n1}
 }
 
 // Undo rolls the state back to the given token.

@@ -76,7 +76,8 @@ func TestUnitWeightsMatchCut(t *testing.T) {
 
 // Property: under an arbitrary weight table, Gain equals the observed
 // TopologyCost delta, stays within MaxMoveGain, agrees with the
-// Evaluator, and every invariant (including the topo recount) holds.
+// reference gain, and every invariant (including the topo recount)
+// holds.
 func TestPropertyWeightedGainMatchesDelta(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		st := randomState(t, seed, 60)
@@ -84,22 +85,21 @@ func TestPropertyWeightedGainMatchesDelta(t *testing.T) {
 		if err := st.SetNetWeights(randomWeights(r, len(st.Graph().Nets))); err != nil {
 			t.Fatal(err)
 		}
-		ev := NewEvaluator(st)
 		for step := 0; step < 120; step++ {
 			m := randomMove(r, st)
 			want, err := st.Gain(m)
 			if err != nil {
 				t.Fatalf("seed %d step %d: gain(%v): %v", seed, step, m, err)
 			}
-			if got := ev.MustGain(m); got != want {
-				t.Fatalf("seed %d step %d: evaluator gain %d, state gain %d", seed, step, got, want)
+			if got, err := referenceGain(st, m); err != nil || got != want {
+				t.Fatalf("seed %d step %d: reference gain %d (err %v), state gain %d", seed, step, got, err, want)
 			}
 			if want > st.MaxMoveGain() || want < -st.MaxMoveGain() {
 				t.Fatalf("seed %d step %d: gain %d outside ±MaxMoveGain %d", seed, step, want, st.MaxMoveGain())
 			}
 			if m.Kind == SingleMove {
-				if got := ev.SingleGain(m.Cell); got != want {
-					t.Fatalf("seed %d step %d: evaluator single gain %d, want %d", seed, step, got, want)
+				if got := int(st.computeSingleGain(m.Cell)); got != want {
+					t.Fatalf("seed %d step %d: recomputed single gain %d, want %d", seed, step, got, want)
 				}
 				if got := st.SingleGain(m.Cell); got != want {
 					t.Fatalf("seed %d step %d: maintained single gain %d, want %d", seed, step, got, want)
