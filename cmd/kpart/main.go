@@ -294,17 +294,17 @@ func run(cfg runConfig) error {
 	// Span tracing: one "job" root span for the run, trace ID derived
 	// from the CLI store identity (cliJobID, seed, solutions) so a
 	// -resume run records into the same logical trace as the run it
-	// continues. Disarmed (the zero Running), every Start below is a
-	// predicted no-op branch.
+	// continues. The spans also time the phase events, so any event
+	// sink arms them; only -trace-out writes the timeline. Disarmed
+	// (the zero Running), every Start below is a predicted no-op branch.
 	var tracer *span.Tracer
 	var jobRun span.Running
-	if cfg.traceOut != "" {
+	if cfg.traceOut != "" || cfg.progress || cfg.statsJSON != "" || cfg.metricsOut != "" {
 		tracer = span.NewTracer(span.Options{Process: "kpart"})
 		tid := span.DeriveTraceID(cliJobID, cfg.seed, cfg.solutions)
 		jobRun = tracer.Root(tid, 0).Start("job", -1)
 	}
 
-	parseStart := time.Now()
 	parseSpan := jobRun.Scope().Start("parse", -1)
 	f, err := os.Open(cfg.path)
 	if err != nil {
@@ -333,14 +333,12 @@ func run(cfg runConfig) error {
 		}
 	}
 	parseSpan.Detail(fmt.Sprintf("circuit=%s cells=%d", g.Name, g.NumCells()))
-	parseSpan.End()
+	parseDur := parseSpan.End()
 	jobRun.Detail(fmt.Sprintf("circuit=%s seed=%d solutions=%d", g.Name, cfg.seed, cfg.solutions))
 
 	var sinks []trace.Sink
-	var agg *trace.Agg
 	if cfg.progress {
-		agg = &trace.Agg{}
-		sinks = append(sinks, progressSink{total: cfg.solutions}, agg)
+		sinks = append(sinks, progressSink{total: cfg.solutions})
 	}
 	var jsonl *trace.JSONL
 	var jsonlFile *os.File
@@ -359,12 +357,16 @@ func run(cfg runConfig) error {
 			return err
 		}
 	}
+	// One bridge counts the events for both the -progress stats line
+	// and the -metrics-out snapshot.
 	var reg *telemetry.Registry
+	var bridge *telemetry.Bridge
 	var boardGauges *telemetry.BoardGauges
-	if cfg.metricsOut != "" {
+	if cfg.progress || cfg.metricsOut != "" {
 		reg = telemetry.NewRegistry()
-		sinks = append(sinks, telemetry.NewBridge(reg))
-		if board != nil {
+		bridge = telemetry.NewBridge(reg)
+		sinks = append(sinks, bridge)
+		if board != nil && cfg.metricsOut != "" {
 			boardGauges = telemetry.NewBoardGauges(reg, board)
 		}
 	}
@@ -385,7 +387,7 @@ func run(cfg runConfig) error {
 
 	sink := trace.Multi(sinks...)
 	if sink != nil {
-		sink.Event(trace.Event{Kind: trace.KindPhase, Attempt: -1, Phase: trace.PhaseParse, Dur: time.Since(parseStart)})
+		sink.Event(trace.Event{Kind: trace.KindPhase, Attempt: -1, Phase: trace.PhaseParse, Dur: parseDur})
 	}
 	opts := core.Options{
 		Threshold:     cfg.threshold,
@@ -417,10 +419,10 @@ func run(cfg runConfig) error {
 		}
 		boardGauges.SetLoads(verify.LinkLoads(board, graphs))
 	}
-	if agg != nil {
-		c := agg.Snapshot()
+	if cfg.progress {
+		w := bridge.Work()
 		fmt.Fprintf(os.Stderr, "kpart: stats: %d FM passes, %d moves; %d carves (%d rejected), %d replicas, %d rollbacks\n",
-			c.Passes, c.Moves, c.Carves, c.RejectedCarves, c.Replicas, c.Rollbacks)
+			w.Passes, w.Moves, w.Carves, w.RejectedCarves, w.Replicas, w.Rollbacks)
 	}
 	if jsonl != nil {
 		// The stats stream is a deliverable: a sink write error — from
@@ -434,14 +436,14 @@ func run(cfg runConfig) error {
 			err = fmt.Errorf("stats stream %s: %w", cfg.statsJSON, jerr)
 		}
 	}
-	if reg != nil {
+	if cfg.metricsOut != "" {
 		// The snapshot is written even when the search failed: the
 		// counters up to the failure are exactly what an operator wants.
 		if merr := writeMetrics(cfg.metricsOut, reg); merr != nil && err == nil {
 			err = merr
 		}
 	}
-	if tracer != nil {
+	if cfg.traceOut != "" {
 		// End the job span first so the root frame is in the timeline;
 		// the export runs even on search failure — the spans up to the
 		// failure are the diagnosis. An unwritable timeline is its own

@@ -24,15 +24,21 @@ import (
 // capture redirects stdout around fn.
 func capture(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	return captureFile(t, &os.Stdout, fn)
+}
+
+// captureFile redirects *f (os.Stdout or os.Stderr) around fn.
+func captureFile(t *testing.T, f **os.File, fn func() error) (string, error) {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	ferr := fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	buf := make([]byte, 1<<20)
 	n, _ := r.Read(buf)
 	return string(buf[:n]), ferr
@@ -40,7 +46,13 @@ func capture(t *testing.T, fn func() error) (string, error) {
 
 func writeCLB(t *testing.T) string {
 	t.Helper()
-	g, err := bench.Generate(bench.Params{Cells: 120, PrimaryIn: 10, PrimaryOut: 6, Seed: 1, Clustering: 0.5})
+	return writeCircuit(t, bench.Params{Cells: 120, PrimaryIn: 10, PrimaryOut: 6, Seed: 1, Clustering: 0.5})
+}
+
+// writeCircuit writes a generated circuit as .clb.
+func writeCircuit(t *testing.T, p bench.Params) string {
+	t.Helper()
+	g, err := bench.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +183,31 @@ func TestRunMetricsOut(t *testing.T) {
 		if !contains(snap, want) {
 			t.Fatalf("snapshot missing %q:\n%s", want, snap)
 		}
+	}
+}
+
+// -progress ends with one stats line totalling the FM and carve work
+// of the whole search. Under maximum replication, s9234 carves with
+// one carve rejected along the way.
+func TestRunProgressStatsLine(t *testing.T) {
+	var path string
+	for _, c := range bench.Suite() {
+		if c.Name == "s9234" {
+			path = writeCircuit(t, c.Params)
+		}
+	}
+	stderr, err := captureFile(t, &os.Stderr, func() error {
+		_, err := capture(t, func() error {
+			return run(runConfig{path: path, threshold: 0, solutions: 2, seed: 1, progress: true})
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "kpart: stats: 36 FM passes, 7189 moves; 2 carves (1 rejected), 670 replicas, 6309 rollbacks\n"
+	if !strings.HasSuffix(stderr, want) {
+		t.Fatalf("stderr does not end with %q:\n%s", want, stderr)
 	}
 }
 

@@ -232,7 +232,7 @@ func (e *attemptError) Error() string { return e.msg }
 // (circuit text intact, for forwarding), opts the parsed options
 // carrying the durability plumbing (Checkpoint/CheckpointEvery/Resume),
 // the search shape (Solutions/Seed/MaxStale) and the observability
-// hooks (Trace/Now/Spans).
+// hooks (Trace/Spans).
 func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core.Options) (*server.JobResult, error) {
 	if req == nil {
 		return nil, errors.New("coord: nil request")
@@ -251,7 +251,6 @@ func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core
 		CheckpointEvery: opts.CheckpointEvery,
 		Resume:          opts.Resume,
 		Trace:           opts.Trace,
-		Now:             opts.Now,
 		Spans:           opts.Spans,
 	}, kway.Reducer[*server.JobResult]{
 		NewAttempt: func() search.AttemptFunc[*server.JobResult] {

@@ -20,6 +20,7 @@ import (
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/kway"
 	"fpgapart/internal/server"
+	"fpgapart/internal/span"
 	"fpgapart/internal/telemetry"
 	"fpgapart/internal/trace"
 )
@@ -430,9 +431,13 @@ func TestReducerMatchesLocal(t *testing.T) {
 		t.Helper()
 		var r run
 		rec := &trace.Recorder{}
+		// Armed spans time the search phase; without them neither side
+		// would emit it and the comparison would skip that event.
+		tracer := span.NewTracer(span.Options{Process: "coord-test"})
 		opts := core.Options{
 			Solutions: req.Solutions, Seed: req.Seed, Resume: resume, Trace: rec,
 			Checkpoint: func(cp kway.SearchCheckpoint) { r.cps = append(r.cps, cp) },
+			Spans:      tracer.Root(span.DeriveTraceID("reducer", req.Seed, req.Solutions), 0),
 		}
 		var err error
 		if distributed {
@@ -444,6 +449,15 @@ func TestReducerMatchesLocal(t *testing.T) {
 			t.Fatalf("distributed=%v: %v", distributed, err)
 		}
 		r.evs = reducerEvents(rec)
+		searches := 0
+		for _, e := range r.evs {
+			if e.Kind == trace.KindPhase {
+				searches++
+			}
+		}
+		if searches != 1 {
+			t.Fatalf("distributed=%v: %d search phase events, want 1", distributed, searches)
+		}
 		return r
 	}
 	same := func(what string, coordinator, local any) {

@@ -81,19 +81,15 @@ type Options struct {
 	// non-improving feasible solutions (0 = run all Solutions).
 	MaxStale int
 	// Trace, when non-nil, receives structured engine events (see
-	// internal/trace): FM passes, carve attempts and folded solutions.
-	// Must be safe for concurrent use; nil costs nothing.
+	// internal/trace): FM passes, carve attempts and folded solutions,
+	// plus phase events timed by the spans when Spans is armed. Must be
+	// safe for concurrent use; nil costs nothing.
 	Trace trace.Sink
 	// Inject, when non-nil, arms deterministic fault injection at the
 	// engine checkpoints (see internal/faultinject). Panics injected
 	// into workers are contained per attempt and surface as
 	// Result.Degraded. Testing only; leave nil in production.
 	Inject *faultinject.Plan
-	// Now supplies the wall clock for phase-timing trace events (nil
-	// selects time.Now). Clock readings feed only Trace, never search
-	// decisions, so fixed-seed results are byte-identical with or
-	// without telemetry.
-	Now func() time.Time
 	// Board, when non-nil, switches the search to the hop-weighted
 	// interconnect objective over the board's device-slot topology
 	// (internal/topology): part i occupies board slot i, each cut net
@@ -167,7 +163,6 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 		MaxStale:        opts.MaxStale,
 		Trace:           opts.Trace,
 		Inject:          opts.Inject,
-		Now:             opts.Now,
 		Board:           opts.Board,
 		Checkpoint:      opts.Checkpoint,
 		CheckpointEvery: opts.CheckpointEvery,

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -99,7 +100,20 @@ func goldenCompare(t *testing.T, name, got string) {
 	}
 }
 
+// goldenRun runs the fixture search with spans armed on a goldenClock
+// tracer (unless the caller armed its own scope), so the trace stream
+// carries phase events with deterministic span durations.
 func goldenRun(t *testing.T, opts kway.Options) (kway.Result, *trace.Recorder) {
+	t.Helper()
+	if !opts.Spans.Enabled() {
+		tracer := span.NewTracer(span.Options{Process: "kway-test", Now: goldenClock(), Origin: 1})
+		opts.Spans = tracer.Root(span.DeriveTraceID("golden", 11, 6), 0)
+	}
+	return goldenSearch(t, opts)
+}
+
+// goldenSearch runs the fixture search with opts' spans as given.
+func goldenSearch(t *testing.T, opts kway.Options) (kway.Result, *trace.Recorder) {
 	t.Helper()
 	g, err := bench.Generate(bench.Params{Cells: 400, PrimaryIn: 12, PrimaryOut: 8, Seed: 3, Clustering: 0.5})
 	if err != nil {
@@ -111,7 +125,6 @@ func goldenRun(t *testing.T, opts kway.Options) (kway.Result, *trace.Recorder) {
 	opts.Seed = 11
 	opts.Workers = 1 // single worker: the trace stream is sequential
 	opts.Trace = rec
-	opts.Now = goldenClock()
 	res, err := kway.Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -183,27 +196,69 @@ func TestRefineWorkersGateIsInert(t *testing.T) {
 }
 
 // TestSpansArmedIsInert proves the span instrumentation is a pure
-// observer: a fixed-seed run with an armed span.Scope must reproduce
-// the flat golden fixtures byte-for-byte — the same partition AND
-// the same JSONL trace stream — while actually recording spans.
+// observer. The golden fixtures are recorded with spans armed; a
+// fixed-seed run with spans disarmed must reproduce the flat partition
+// byte-for-byte, and the flat JSONL trace stream minus its phase lines
+// (spans are what time the phases, so a disarmed run emits none).
 func TestSpansArmedIsInert(t *testing.T) {
-	tracer := span.NewTracer(span.Options{Process: "kway-test", Now: goldenClock()})
-	root := tracer.Root(span.DeriveTraceID("golden", 11, 6), 0).Start("job", -1)
-	res, rec := goldenRun(t, kway.Options{Spans: root.Scope()})
-	root.End()
+	res, rec := goldenSearch(t, kway.Options{})
 	goldenCompare(t, "flat_golden_result.txt", goldenRender(t, res))
-	goldenCompare(t, "flat_golden_trace.jsonl", goldenTrace(t, rec))
-	spans, dropped := tracer.Collector().Trace(root.Scope().TraceID())
+	fixture, err := os.ReadFile(filepath.Join("testdata", "flat_golden_trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(fixture), "\n") {
+		if !strings.HasPrefix(line, `{"event":"phase",`) {
+			want.WriteString(line)
+		}
+	}
+	if got := goldenTrace(t, rec); got != want.String() {
+		t.Fatalf("disarmed trace differs from the flat golden trace without its phase lines:\n--- got (first 2000 bytes) ---\n%.2000s", got)
+	}
+}
+
+// TestPhaseDurationsAreSpanDurations proves the spans are the only
+// phase clock: on a run that exercises every engine phase (search,
+// fold, verify, coarsen, uncoarsen), each KindPhase event carries the
+// duration of the recorded span of the same name and attempt, and each
+// phase has exactly as many events as spans.
+func TestPhaseDurationsAreSpanDurations(t *testing.T) {
+	tracer := span.NewTracer(span.Options{Process: "kway-test", Now: goldenClock(), Origin: 1})
+	scope := tracer.Root(span.DeriveTraceID("phases", 11, 6), 0)
+	_, rec := goldenRun(t, kway.Options{Spans: scope, Verify: true, Multilevel: true, MultilevelMinCells: 128})
+	spans, dropped := tracer.Collector().Trace(scope.TraceID())
 	if dropped != 0 {
 		t.Fatalf("collector dropped %d spans", dropped)
 	}
-	names := make(map[string]int)
-	for _, s := range spans {
-		names[s.Name]++
+	type key struct {
+		name    string
+		attempt int
 	}
-	for _, want := range []string{"job", "search", "attempt", "fm-pass", "fold"} {
-		if names[want] == 0 {
-			t.Fatalf("armed run recorded no %q span (have %v)", want, names)
+	spanDurs := make(map[key][]time.Duration)
+	spanCount := make(map[string]int)
+	for _, s := range spans {
+		k := key{s.Name, s.Attempt}
+		spanDurs[k] = append(spanDurs[k], s.Dur)
+		spanCount[s.Name]++
+	}
+	phaseDurs := make(map[key][]time.Duration)
+	phaseCount := make(map[string]int)
+	for _, e := range rec.Filter(trace.KindPhase) {
+		k := key{e.Phase, e.Attempt}
+		phaseDurs[k] = append(phaseDurs[k], e.Dur)
+		phaseCount[e.Phase]++
+	}
+	// Each phase event is emitted right after its span ends, so within
+	// one attempt the two sequences arrive in the same order.
+	for k, durs := range phaseDurs {
+		if !reflect.DeepEqual(durs, spanDurs[k]) {
+			t.Fatalf("%s phase durations of attempt %d = %v, span durations %v", k.name, k.attempt, durs, spanDurs[k])
+		}
+	}
+	for _, phase := range []string{trace.PhaseSearch, trace.PhaseFold, trace.PhaseVerify, trace.PhaseCoarsen, trace.PhaseUncoarsen} {
+		if phaseCount[phase] == 0 || phaseCount[phase] != spanCount[phase] {
+			t.Fatalf("%s: %d phase events, %d spans", phase, phaseCount[phase], spanCount[phase])
 		}
 	}
 }

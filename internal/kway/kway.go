@@ -98,7 +98,10 @@ type Options struct {
 	// carve attempt (emitted concurrently by the search workers,
 	// labeled with their attempt index), plus one KindSolution per
 	// folded solution attempt (emitted in deterministic index order).
-	// The sink must be safe for concurrent use.
+	// When Spans is armed too, every search, fold and verify span (and
+	// the V-cycle's coarsen/uncoarsen spans) also ends in a KindPhase
+	// event carrying the span's duration. The sink must be safe for
+	// concurrent use.
 	Trace trace.Sink
 	// Inject, when non-nil, arms deterministic fault injection at the
 	// engine's checkpoints: attempt starts (via internal/search), carve
@@ -107,13 +110,6 @@ type Options struct {
 	// Testing only; nil in production costs one predicted branch per
 	// checkpoint.
 	Inject *faultinject.Plan
-	// Now supplies the wall clock for phase-timing trace events
-	// (trace.KindPhase: search, fold, verify). Nil selects time.Now.
-	// The clock is explicit so tests can fake it; clock readings feed
-	// only the trace stream, never search decisions, so fixed-seed
-	// results are byte-identical with or without phase tracing — and
-	// no clock is read at all when Trace is nil.
-	Now func() time.Time
 	// Board, when non-nil, switches the search to the hop-weighted
 	// interconnect objective over the board's device-slot topology
 	// (internal/topology): part i occupies board slot i, every carve's
@@ -150,10 +146,11 @@ type Options struct {
 	// (minted by internal/search), "fold"/"verify" spans inside each
 	// attempt, engine spans (fm-pass / parfm-pass / coarsen / level /
 	// uncoarsen) beneath, and a "resume" span over a checkpoint
-	// replay. Spans only read the injectable clock — fixed-seed
-	// results are byte-identical armed or disarmed (the golden-diff
-	// suite runs both), and the disarmed zero value costs one
-	// predicted branch per site.
+	// replay. The span clock is the search's only clock: phase events
+	// on Trace carry span durations. Spans only read the tracer's
+	// clock — fixed-seed results are byte-identical armed or disarmed
+	// (the golden-diff suite runs both), and the disarmed zero value
+	// costs one predicted branch per site and emits no phase events.
 	Spans span.Scope
 	Seed  int64
 }
@@ -279,18 +276,17 @@ func (o Options) withDefaults() (Options, error) {
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 1
 	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 	return o, nil
 }
 
-// emitPhase reports a phase that began at start to the trace sink.
-// Callers read the clock only when a sink is armed; phase durations
-// feed the sink and nothing else, preserving the byte-identical
-// fixed-seed contract (see TestTelemetryDoesNotPerturbSearch).
-func (o *Options) emitPhase(attempt int, phase string, start time.Time) {
-	o.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: attempt, Phase: phase, Dur: o.Now().Sub(start)})
+// emitPhase reports a phase whose span lasted d to the trace sink. It
+// emits only when a sink is set and spans are armed: d is the span's
+// duration, which feeds the sink and nothing else, preserving the
+// byte-identical fixed-seed contract (see TestSpansArmedIsInert).
+func (o *Options) emitPhase(attempt int, phase string, d time.Duration) {
+	if o.Trace != nil && o.Spans.Enabled() {
+		o.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: attempt, Phase: phase, Dur: d})
+	}
 }
 
 // Part is one partition of the final solution.
@@ -389,10 +385,6 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 			if err != nil {
 				return Result{}, err
 			}
-			var foldStart time.Time
-			if o.Trace != nil {
-				foldStart = o.Now()
-			}
 			foldSpan := o.Spans.Start("fold", attempt)
 			remapDevices(parts, o.Library)
 			res := assemble(g, parts)
@@ -411,24 +403,14 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 					return Result{}, fmt.Errorf("kway: board %s: %w", tr.board.Name, rerr)
 				}
 			}
-			foldSpan.End()
-			if o.Trace != nil {
-				o.emitPhase(attempt, trace.PhaseFold, foldStart)
-			}
+			o.emitPhase(attempt, trace.PhaseFold, foldSpan.End())
 			if o.Verify {
-				var verifyStart time.Time
-				if o.Trace != nil {
-					verifyStart = o.Now()
-				}
 				verifySpan := o.Spans.Start("verify", attempt)
 				if verr := res.Verify(g); verr != nil {
 					verifySpan.End()
 					return Result{}, &VerificationError{Stage: "solution", Err: verr}
 				}
-				verifySpan.End()
-				if o.Trace != nil {
-					o.emitPhase(attempt, trace.PhaseVerify, verifyStart)
-				}
+				o.emitPhase(attempt, trace.PhaseVerify, verifySpan.End())
 			}
 			return res, nil
 		}
@@ -860,7 +842,6 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 			Trace:         opts.Trace,
 			TraceAttempt:  attempt,
 			Spans:         opts.Spans,
-			Now:           opts.Now,
 		}
 		if weights != nil {
 			// Contraction preserves net names, so the V-cycle threads

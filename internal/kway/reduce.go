@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"fpgapart/internal/metrics"
 	"fpgapart/internal/search"
@@ -71,7 +70,7 @@ type Reducer[S any] struct {
 // *search.ErrBudget and FoldStats.Stopped. Of opts it reads only the
 // search shape (Solutions, Seed, Workers, MaxStale), the durability
 // plumbing (Checkpoint, CheckpointEvery, Resume) and the observability
-// hooks (Trace, Now, Spans, Inject).
+// hooks (Trace, Spans, Inject).
 func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs FoldStats, err error) {
 	if opts, err = opts.withDefaults(); err != nil {
 		return best, fs, err
@@ -205,10 +204,6 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 			opts.Checkpoint(cp)
 		}
 	}
-	var searchStart time.Time
-	if opts.Trace != nil {
-		searchStart = opts.Now()
-	}
 	searchSpan := opts.Spans.Start("search", -1)
 	out, serr := search.Run(ctx, search.Options{
 		Attempts:   opts.Solutions,
@@ -220,10 +215,7 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 		Checkpoint: sCheckpoint,
 		Spans:      searchSpan.Scope(),
 	}, drv)
-	searchSpan.End()
-	if opts.Trace != nil {
-		opts.emitPhase(-1, trace.PhaseSearch, searchStart)
-	}
+	opts.emitPhase(-1, trace.PhaseSearch, searchSpan.End())
 	var budget *search.ErrBudget
 	if serr != nil {
 		var ae *search.AttemptError

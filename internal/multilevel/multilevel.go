@@ -117,10 +117,10 @@ type Config struct {
 	// Seed derives every random stream of the run.
 	Seed int64
 	// Trace, when non-nil, receives one trace.KindLevel event per
-	// refined level plus coarsen/uncoarsen phase timings. TraceAttempt
+	// refined level, plus a coarsen and an uncoarsen KindPhase event
+	// carrying the span durations when Spans is armed. TraceAttempt
 	// labels the events with the enclosing solution attempt (-1 for
-	// standalone runs). Clock readings feed only the sink, never
-	// search decisions.
+	// standalone runs).
 	Trace        trace.Sink
 	TraceAttempt int
 	// Spans, when armed, times the V-cycle as a span subtree of the
@@ -130,9 +130,6 @@ type Config struct {
 	// value is inert. Span clock readings feed only the trace, never
 	// search decisions.
 	Spans span.Scope
-	// Now supplies the wall clock for phase events (nil = time.Now;
-	// never read when Trace is nil).
-	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -234,20 +231,9 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 		target = hi
 	}
 
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	var coarsenStart time.Time
-	if cfg.Trace != nil {
-		coarsenStart = now()
-	}
 	coarsenSpan := cfg.Spans.Start("coarsen", cfg.TraceAttempt)
 	levels := coarsen(g, cfg, target)
-	coarsenSpan.End()
-	if cfg.Trace != nil {
-		cfg.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: cfg.TraceAttempt, Phase: trace.PhaseCoarsen, Dur: now().Sub(coarsenStart)})
-	}
+	cfg.emitPhase(cfg.TraceAttempt, trace.PhaseCoarsen, coarsenSpan.End())
 	top := len(levels) - 1
 
 	var res Result
@@ -267,10 +253,6 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 	res.Levels = append(res.Levels, stats)
 	emitLevel(cfg, stats)
 
-	var uncoarsenStart time.Time
-	if cfg.Trace != nil {
-		uncoarsenStart = now()
-	}
 	uncoarsenSpan := cfg.Spans.Start("uncoarsen", cfg.TraceAttempt)
 	var runner fm.Runner
 	cut := stats.CutRefined
@@ -304,10 +286,7 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 		cut = lvl.CutRefined
 		area0 = st.Area(0)
 	}
-	uncoarsenSpan.End()
-	if cfg.Trace != nil {
-		cfg.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: cfg.TraceAttempt, Phase: trace.PhaseUncoarsen, Dur: now().Sub(uncoarsenStart)})
-	}
+	cfg.emitPhase(cfg.TraceAttempt, trace.PhaseUncoarsen, uncoarsenSpan.End())
 
 	res.Assign = assign
 	res.Cut = cut
@@ -323,6 +302,14 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 // levelDetail renders one level's span annotation (armed paths only).
 func levelDetail(s LevelStats) string {
 	return fmt.Sprintf("level=%d cells=%d cut=%d", s.Level, s.Cells, s.CutRefined)
+}
+
+// emitPhase reports a phase whose span lasted d to the trace sink,
+// only when a sink is set and spans are armed.
+func (c Config) emitPhase(attempt int, phase string, d time.Duration) {
+	if c.Trace != nil && c.Spans.Enabled() {
+		c.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: attempt, Phase: phase, Dur: d})
+	}
 }
 
 // emitLevel reports one refined level to the trace sink.

@@ -13,9 +13,8 @@ import (
 // has hit its high-water mark: proposals live in a fixed per-cell
 // array, the commit order is counting-sorted into a reused slice,
 // dirty tracking is epoch-stamped (never cleared), and rollback walks
-// the undo trail. The trace path must preserve this — both the
-// aggregating sink and the telemetry bridge consume stack-built
-// events. The graph stays below the engine's parallel cutoff so the
+// the undo trail. The trace path must preserve this — the telemetry
+// bridge consumes stack-built events. The graph stays below the engine's parallel cutoff so the
 // measured loop is the allocation-relevant serial protocol (goroutine
 // fan-out on big shards allocates per spawn, by design).
 func TestParFMPassAllocs(t *testing.T) {
@@ -28,7 +27,7 @@ func TestParFMPassAllocs(t *testing.T) {
 		{"plain", NoReplication, false, nil},
 		{"replication", 0, false, nil},
 		{"replication-only", 0, true, nil},
-		{"plain-traced", NoReplication, false, &trace.Agg{}},
+		{"plain-traced", NoReplication, false, telemetry.NewBridge(telemetry.NewRegistry())},
 		{"bridge-traced", NoReplication, false, telemetry.NewBridge(telemetry.NewRegistry())},
 		{"bridge-replication", 0, false, telemetry.NewBridge(telemetry.NewRegistry())},
 	} {

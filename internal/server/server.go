@@ -78,8 +78,9 @@ type Config struct {
 	// serves on GET /metrics (nil creates a private registry). Every
 	// job's engine trace also feeds it through a telemetry.Bridge.
 	Metrics *telemetry.Registry
-	// Clock supplies wall-clock readings for request latency, phase
-	// timing and job durations (nil selects the system clock). The
+	// Clock supplies wall-clock readings for request latency, request
+	// parsing and job durations, and feeds the default Tracer, whose
+	// spans time the engine phases (nil selects the system clock). The
 	// clock feeds only observability — never search decisions — so
 	// fixed-seed job results are byte-identical under a fake clock.
 	Clock telemetry.Clock
@@ -508,12 +509,9 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 
 	// Every job's engine trace feeds the server's metrics registry; the
-	// injected clock times its phases. Neither perturbs the search.
+	// job's spans time its phases. Neither perturbs the search.
 	if j.opts.Trace == nil {
 		j.opts.Trace = s.met.bridge
-	}
-	if j.opts.Now == nil {
-		j.opts.Now = s.clock.Now
 	}
 	if s.cfg.Store != nil {
 		id := j.id

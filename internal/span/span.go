@@ -323,13 +323,15 @@ func (r *Running) Detail(d string) {
 	}
 }
 
-// End completes the span and records it.
-func (r Running) End() {
+// End completes the span, records it and returns its duration. The
+// disarmed zero value returns 0 without reading the clock.
+func (r Running) End() time.Duration {
 	if r.t == nil {
-		return
+		return 0
 	}
 	r.sp.Dur = r.t.now().Sub(r.sp.Start)
 	r.t.record(r.sp)
+	return r.sp.Dur
 }
 
 // FlightRecorder is a bounded ring of the last N completed spans of

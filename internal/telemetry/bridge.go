@@ -153,6 +153,26 @@ func NewBridge(r *Registry) *Bridge {
 	return b
 }
 
+// Work totals the FM and carve work the bridge has counted so far.
+type Work struct {
+	Passes, Moves          int64
+	Carves, RejectedCarves int64
+	Replicas, Rollbacks    int64
+}
+
+// Work returns the current FM and carve totals.
+func (b *Bridge) Work() Work {
+	w := Work{
+		Passes: b.fmPasses.Value(), Moves: b.fmMoves.Value(),
+		Carves: b.carveAccepted.Value(), RejectedCarves: b.rejectedOther.Value(),
+		Replicas: b.replicas.Value(), Rollbacks: b.rollbacks.Value(),
+	}
+	for _, c := range b.carveRejected {
+		w.RejectedCarves += c.Value()
+	}
+	return w
+}
+
 // Event implements trace.Sink.
 func (b *Bridge) Event(e trace.Event) {
 	switch e.Kind {

@@ -10,6 +10,7 @@ import (
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
+	"fpgapart/internal/span"
 	"fpgapart/internal/telemetry"
 	"fpgapart/internal/trace"
 )
@@ -30,25 +31,27 @@ func renderResult(t *testing.T, res kway.Result) string {
 	return sb.String()
 }
 
-// steppingClock returns a clock that advances one millisecond per
-// reading, so phase durations are non-zero and strictly ordered
-// without touching the real wall clock.
-func steppingClock() func() time.Time {
+// steppingScope returns an armed span scope on a clock that advances
+// one millisecond per reading, so phase durations are non-zero and
+// strictly ordered without touching the real wall clock.
+func steppingScope() span.Scope {
 	var mu sync.Mutex
 	t0 := time.Unix(1_700_000_000, 0)
 	step := 0
-	return func() time.Time {
+	tracer := span.NewTracer(span.Options{Process: "telemetry-test", Now: func() time.Time {
 		mu.Lock()
 		defer mu.Unlock()
 		step++
 		return t0.Add(time.Duration(step) * time.Millisecond)
-	}
+	}})
+	return tracer.Root(span.DeriveTraceID("telemetry", 11, 6), 0)
 }
 
 // The golden diff of the telemetry PR: a fixed-seed k-way search must
 // produce byte-identical partitions whether telemetry is disabled
-// (nil sink, no clock reads) or fully armed (bridge metrics, recorder,
-// fake clock). Clock readings and metric observations feed sinks only.
+// (nil sink, no spans, no clock reads) or fully armed (bridge metrics,
+// recorder, spans on a fake clock). Clock readings and metric
+// observations feed sinks only.
 func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	// 400 cells overflow the largest library device: the search must
 	// carve recursively and run FM, so the byte-identical comparison
@@ -69,7 +72,7 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	var rec trace.Recorder
 	traced := opts
 	traced.Trace = trace.Multi(telemetry.NewBridge(reg), &rec)
-	traced.Now = steppingClock()
+	traced.Spans = steppingScope()
 	got, err := kway.Partition(g, traced)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +89,7 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 }
 
 // Phase events must cover the search itself plus per-attempt fold and
-// verify stages, with durations read from the injected clock.
+// verify stages, with durations read from the spans' clock.
 func TestPhaseEventsEmitted(t *testing.T) {
 	g, err := bench.Generate(bench.Params{Cells: 400, PrimaryIn: 12, PrimaryOut: 8, Seed: 3, Clustering: 0.5})
 	if err != nil {
@@ -98,7 +101,7 @@ func TestPhaseEventsEmitted(t *testing.T) {
 	res, err := kway.Partition(g, kway.Options{
 		Library: library.XC3000(), Solutions: 4, Seed: 11, Verify: true,
 		Trace: trace.Multi(bridge, &rec),
-		Now:   steppingClock(),
+		Spans: steppingScope(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,9 @@
 // emit one flat Event per unit of work behind a nil-check, so the
 // zero-sink configuration costs a predicted branch and the enabled
 // path allocates nothing either — events are stack-built value
-// structs, the aggregating sink uses atomic counters and the JSONL
-// sink reuses one encode buffer under its mutex.
+// structs and the JSONL sink reuses one encode buffer under its mutex.
+// Counting and histograms live in telemetry.Bridge, the one
+// aggregating sink.
 //
 // Sinks must be safe for concurrent use: carve and FM-pass events are
 // emitted by the search workers in completion order (each labeled with
@@ -16,15 +17,16 @@
 // This package answers "how many / how much" (counters, histograms,
 // JSONL streams); its sibling internal/span answers "when and under
 // what" — durations on a causal tree that crosses process boundaries.
-// The two layers share the engine hooks but are armed independently:
-// trace.Sink on Options.Trace, span.Scope on Options.Spans.
+// The span clock is the engines' only phase clock: an engine's
+// KindPhase event carries the duration of the span that timed the
+// phase, so phase events need both a trace.Sink on Options.Trace and
+// an armed span.Scope on Options.Spans.
 package trace
 
 import (
 	"io"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -48,11 +50,13 @@ const (
 	// search, in deterministic index order: Feasible/Cost/Parts
 	// describe it, Improved whether it became the incumbent best.
 	KindSolution
-	// KindPhase marks the completion of one timed engine phase (Phase
-	// names it, Dur is its wall-clock duration). Phase timings are
-	// read from an explicitly injected clock and feed only
-	// observability sinks — never search decisions — so fixed-seed
-	// results are byte-identical with or without phase tracing.
+	// KindPhase marks the completion of one timed phase (Phase names
+	// it, Dur is its duration). Engine phases and kpart's parse are
+	// timed by their spans and emitted only while spans are armed; the
+	// daemon's request parse, which no span covers, is timed by the
+	// server clock. Durations feed only observability sinks — never
+	// search decisions — so fixed-seed results are byte-identical with
+	// or without phase tracing.
 	KindPhase
 	// KindLevel marks the completion of one uncoarsening level of the
 	// multilevel V-cycle: Level is the hierarchy depth (0 = finest),
@@ -151,8 +155,7 @@ type Event struct {
 	// worker panic (Reason carries the panic message); the run is
 	// degraded but alive.
 	Panic bool
-	// Phase fields (KindPhase): the phase name and its wall-clock
-	// duration.
+	// Phase fields (KindPhase): the phase name and its duration.
 	Phase string
 	Dur   time.Duration
 	// Level fields (KindLevel): the hierarchy depth (0 = finest) and
@@ -186,99 +189,6 @@ type Noop struct{}
 
 // Event implements Sink.
 func (Noop) Event(Event) {}
-
-// Counters aggregates the event stream into totals.
-type Counters struct {
-	// Moves and Passes total the FM work (from KindFMPass events).
-	Moves, Passes int64
-	// Carves and RejectedCarves count carve attempts by outcome.
-	Carves, RejectedCarves int64
-	// Replicas and Rollbacks total the replication-state work reported
-	// by accepted and rejected carves.
-	Replicas, Rollbacks int64
-	// Solutions and Feasible count folded solution attempts; Panics
-	// counts the folded attempts that died to a contained panic.
-	Solutions, Feasible, Panics int64
-	// Levels counts completed uncoarsening levels of multilevel runs.
-	Levels int64
-	// ParRounds counts parallel refinement sub-rounds; ParProposals,
-	// ParCommits and ParStale total their proposal outcomes (from
-	// KindParRound events).
-	ParRounds, ParProposals, ParCommits, ParStale int64
-	// Checkpoints counts persisted search checkpoints and Resumes
-	// counts searches restarted from one (from KindCheckpoint and
-	// KindResume events).
-	Checkpoints, Resumes int64
-}
-
-// Agg is a Sink that aggregates events into Counters with atomic
-// adds — allocation-free and safe under concurrent emission.
-type Agg struct {
-	moves, passes, carves, rejected               int64
-	replicas, rollbacks                           int64
-	solutions, feasible, panics                   int64
-	levels                                        int64
-	parRounds, parProposals, parCommits, parStale int64
-	checkpoints, resumes                          int64
-}
-
-// Event implements Sink.
-func (a *Agg) Event(e Event) {
-	switch e.Kind {
-	case KindFMPass:
-		atomic.AddInt64(&a.passes, 1)
-		atomic.AddInt64(&a.moves, int64(e.Moves))
-	case KindCarveAccepted:
-		atomic.AddInt64(&a.carves, 1)
-		atomic.AddInt64(&a.replicas, int64(e.Replicas))
-		atomic.AddInt64(&a.rollbacks, int64(e.Rollbacks))
-	case KindCarveRejected:
-		atomic.AddInt64(&a.rejected, 1)
-		atomic.AddInt64(&a.replicas, int64(e.Replicas))
-		atomic.AddInt64(&a.rollbacks, int64(e.Rollbacks))
-	case KindSolution:
-		atomic.AddInt64(&a.solutions, 1)
-		if e.Feasible {
-			atomic.AddInt64(&a.feasible, 1)
-		}
-		if e.Panic {
-			atomic.AddInt64(&a.panics, 1)
-		}
-	case KindLevel:
-		atomic.AddInt64(&a.levels, 1)
-	case KindParRound:
-		atomic.AddInt64(&a.parRounds, 1)
-		atomic.AddInt64(&a.parProposals, int64(e.Proposals))
-		atomic.AddInt64(&a.parCommits, int64(e.Commits))
-		atomic.AddInt64(&a.parStale, int64(e.Stale))
-	case KindCheckpoint:
-		atomic.AddInt64(&a.checkpoints, 1)
-	case KindResume:
-		atomic.AddInt64(&a.resumes, 1)
-	}
-}
-
-// Snapshot returns the current totals.
-func (a *Agg) Snapshot() Counters {
-	return Counters{
-		Moves:          atomic.LoadInt64(&a.moves),
-		Passes:         atomic.LoadInt64(&a.passes),
-		Carves:         atomic.LoadInt64(&a.carves),
-		RejectedCarves: atomic.LoadInt64(&a.rejected),
-		Replicas:       atomic.LoadInt64(&a.replicas),
-		Rollbacks:      atomic.LoadInt64(&a.rollbacks),
-		Solutions:      atomic.LoadInt64(&a.solutions),
-		Feasible:       atomic.LoadInt64(&a.feasible),
-		Panics:         atomic.LoadInt64(&a.panics),
-		Levels:         atomic.LoadInt64(&a.levels),
-		ParRounds:      atomic.LoadInt64(&a.parRounds),
-		ParProposals:   atomic.LoadInt64(&a.parProposals),
-		ParCommits:     atomic.LoadInt64(&a.parCommits),
-		ParStale:       atomic.LoadInt64(&a.parStale),
-		Checkpoints:    atomic.LoadInt64(&a.checkpoints),
-		Resumes:        atomic.LoadInt64(&a.resumes),
-	}
-}
 
 // JSONL is a Sink that writes one JSON object per event. The encoder
 // is hand-rolled over a reused buffer: one mutex-guarded Write per

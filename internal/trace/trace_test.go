@@ -4,47 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
-
-func TestAggCounters(t *testing.T) {
-	var a Agg
-	a.Event(Event{Kind: KindFMPass, Moves: 10})
-	a.Event(Event{Kind: KindFMPass, Moves: 5})
-	a.Event(Event{Kind: KindCarveAccepted, Replicas: 2, Rollbacks: 1})
-	a.Event(Event{Kind: KindCarveRejected, Rollbacks: 3, Reason: "terminals"})
-	a.Event(Event{Kind: KindSolution, Feasible: true, Cost: 100})
-	a.Event(Event{Kind: KindSolution, Feasible: false})
-	got := a.Snapshot()
-	want := Counters{
-		Moves: 15, Passes: 2,
-		Carves: 1, RejectedCarves: 1,
-		Replicas: 2, Rollbacks: 4,
-		Solutions: 2, Feasible: 1,
-	}
-	if got != want {
-		t.Fatalf("counters %+v, want %+v", got, want)
-	}
-}
-
-func TestAggConcurrent(t *testing.T) {
-	var a Agg
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				a.Event(Event{Kind: KindFMPass, Moves: 1})
-			}
-		}()
-	}
-	wg.Wait()
-	if c := a.Snapshot(); c.Passes != 8000 || c.Moves != 8000 {
-		t.Fatalf("lost events: %+v", c)
-	}
-}
 
 func TestJSONLWellFormed(t *testing.T) {
 	var buf bytes.Buffer
@@ -140,9 +101,7 @@ type orderSink struct {
 func (s orderSink) Event(Event) { *s.log = append(*s.log, s.tag) }
 
 func TestMultiFanOutOrder(t *testing.T) {
-	// Every event must reach the sinks in registration order — sinks
-	// like the progress printer rely on seeing events before the
-	// aggregator snapshots them.
+	// Every event must reach the sinks in registration order.
 	var log []string
 	s := Multi(orderSink{"a", &log}, nil, orderSink{"b", &log}, orderSink{"c", &log})
 	s.Event(Event{Kind: KindFMPass})
@@ -207,16 +166,6 @@ func TestRecorderFilter(t *testing.T) {
 	// Filter returns copies in arrival order without consuming them.
 	if again := r.Filter(KindSolution); len(again) != 2 {
 		t.Fatalf("second filter returned %+v", again)
-	}
-}
-
-func TestAggEventAllocFree(t *testing.T) {
-	var a Agg
-	if avg := testing.AllocsPerRun(100, func() {
-		a.Event(Event{Kind: KindFMPass, Moves: 3})
-		a.Event(Event{Kind: KindCarveAccepted, Replicas: 1})
-	}); avg != 0 {
-		t.Fatalf("Agg.Event allocates %v times", avg)
 	}
 }
 
