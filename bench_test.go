@@ -15,6 +15,7 @@ import (
 	"fpgapart/internal/expt"
 	"fpgapart/internal/fm"
 	"fpgapart/internal/hypergraph"
+	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
 	"fpgapart/internal/multilevel"
 	"fpgapart/internal/replication"
@@ -318,7 +319,11 @@ func BenchmarkAblationPairRefine(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			util := 0.0
 			for i := 0; i < b.N; i++ {
-				res, err := core.Partition(g, core.Options{Solutions: 3, Seed: int64(i), Refine: refine})
+				opts := core.Options{Solutions: 3, Seed: int64(i)}
+				res, err := core.Partition(g, opts)
+				if err == nil && refine {
+					_, err = kway.Refine(g, &res, opts)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

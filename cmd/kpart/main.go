@@ -27,11 +27,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -46,6 +46,7 @@ import (
 	"fpgapart/internal/prof"
 	"fpgapart/internal/report"
 	"fpgapart/internal/search"
+	"fpgapart/internal/server"
 	"fpgapart/internal/span"
 	"fpgapart/internal/techmap"
 	"fpgapart/internal/telemetry"
@@ -55,26 +56,8 @@ import (
 )
 
 func main() {
-	threshold := flag.Int("t", 1, "replication potential threshold T (-1 disables replication)")
-	solutions := flag.Int("solutions", 50, "feasible k-way solutions to generate")
-	seed := flag.Int64("seed", 1, "random seed")
-	gate := flag.Bool("gate", false, "input is a gate-level netlist (.gnl); map it first")
-	verbose := flag.Bool("v", false, "print per-part details")
-	check := flag.Bool("verify", false, "verify every accepted carve and solution in-loop, plus the final result")
-	outDir := flag.String("o", "", "write each part as <dir>/<circuit>.pN.clb")
-	jsonOut := flag.Bool("json", false, "print the solution summary as JSON")
-	timeout := flag.Duration("timeout", 0, "wall-clock search budget (0 = unlimited); on expiry the best solution so far is kept")
-	maxStale := flag.Int("max-stale", 0, "stop after this many consecutive non-improving solutions (0 = run all)")
-	refineWorkers := flag.Int("refine-workers", 0, "FM refinement workers: >=2 runs the deterministic parallel sub-round engine, 0 or 1 the classic serial engine")
-	multilevel := flag.Bool("multilevel", false, "seed large carve subproblems with the multilevel V-cycle (coarsen, partition, uncoarsen+refine)")
-	progress := flag.Bool("progress", false, "print per-solution progress and search statistics to stderr")
-	statsJSON := flag.String("stats-json", "", "stream structured engine events (FM passes, carves, solutions) as JSONL to this file")
-	board := flag.String("board", "", "multi-FPGA board topology: a spec (crossbar:N[:CAP], linear:N[:CAP], mesh:RxC[:CAP]) or a board-description file; switches the search to the hop-weighted interconnect objective")
-	metricsOut := flag.String("metrics-out", "", "write a final metrics snapshot (Prometheus text format 0.0.4) to this file")
-	traceOut := flag.String("trace-out", "", "record the run as a span tree and write it as Chrome trace_event JSON (load in Perfetto or chrome://tracing) to this file")
-	storeDir := flag.String("store", "", "durable checkpoint store directory: the search reduction is persisted every -checkpoint-every folded attempts so an interrupted run can continue with -resume")
-	resumeDir := flag.String("resume", "", "resume an interrupted run from the newest checkpoint in this store directory (implies -store DIR; flags and circuit must match the original run)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "durable checkpoint cadence in folded attempts (with -store)")
+	var cfg runConfig
+	cfg.bindFlags(flag.CommandLine)
 	profFlags := prof.Register(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: kpart [flags] <circuit.clb|circuit.gnl>")
@@ -94,34 +77,14 @@ exit codes:
 		flag.Usage()
 		os.Exit(1)
 	}
+	cfg.path = flag.Arg(0)
+	cfg.gate = cfg.gate || strings.HasSuffix(cfg.path, ".gnl")
 	stopProf, err := profFlags.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kpart:", err)
 		os.Exit(1)
 	}
-	err = run(runConfig{
-		path:          flag.Arg(0),
-		threshold:     *threshold,
-		solutions:     *solutions,
-		seed:          *seed,
-		gate:          *gate || strings.HasSuffix(flag.Arg(0), ".gnl"),
-		verbose:       *verbose,
-		check:         *check,
-		outDir:        *outDir,
-		jsonOut:       *jsonOut,
-		timeout:       *timeout,
-		maxStale:      *maxStale,
-		multilevel:    *multilevel,
-		refineWorkers: *refineWorkers,
-		progress:      *progress,
-		statsJSON:     *statsJSON,
-		metricsOut:    *metricsOut,
-		traceOut:      *traceOut,
-		board:         *board,
-		storeDir:      *storeDir,
-		resumeDir:     *resumeDir,
-		ckptEvery:     *ckptEvery,
-	})
+	err = run(cfg)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -129,6 +92,31 @@ exit codes:
 		fmt.Fprintln(os.Stderr, "kpart:", err)
 		os.Exit(exitCode(err))
 	}
+}
+
+// bindFlags binds kpart's flags on fs to the fields of cfg; fs.Parse
+// fills them in.
+func (cfg *runConfig) bindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&cfg.threshold, "t", 1, "replication potential threshold T (0 = maximum replication, -1 disables replication)")
+	fs.IntVar(&cfg.solutions, "solutions", 50, "feasible k-way solutions to generate")
+	fs.Int64Var(&cfg.seed, "seed", 1, "random seed")
+	fs.BoolVar(&cfg.gate, "gate", false, "input is a gate-level netlist (.gnl); map it first")
+	fs.BoolVar(&cfg.verbose, "v", false, "print per-part details")
+	fs.BoolVar(&cfg.check, "verify", false, "verify every accepted carve and solution in-loop, plus the final result")
+	fs.StringVar(&cfg.outDir, "o", "", "write each part as <dir>/<circuit>.pN.clb")
+	fs.BoolVar(&cfg.jsonOut, "json", false, "print the solution summary as JSON")
+	fs.DurationVar(&cfg.timeout, "timeout", 0, "wall-clock search budget (0 = unlimited); on expiry the best solution so far is kept")
+	fs.IntVar(&cfg.maxStale, "max-stale", 0, "stop after this many consecutive non-improving solutions (0 = run all)")
+	fs.IntVar(&cfg.refineWorkers, "refine-workers", 0, "FM refinement workers: >=2 runs the deterministic parallel sub-round engine, 0 or 1 the classic serial engine")
+	fs.BoolVar(&cfg.multilevel, "multilevel", false, "seed large carve subproblems with the multilevel V-cycle (coarsen, partition, uncoarsen+refine)")
+	fs.BoolVar(&cfg.progress, "progress", false, "print per-solution progress and search statistics to stderr")
+	fs.StringVar(&cfg.statsJSON, "stats-json", "", "stream structured engine events (FM passes, carves, solutions) as JSONL to this file")
+	fs.StringVar(&cfg.board, "board", "", "multi-FPGA board topology: a spec (crossbar:N[:CAP], linear:N[:CAP], mesh:RxC[:CAP]) or a board-description file; switches the search to the hop-weighted interconnect objective")
+	fs.StringVar(&cfg.metricsOut, "metrics-out", "", "write a final metrics snapshot (Prometheus text format 0.0.4) to this file")
+	fs.StringVar(&cfg.traceOut, "trace-out", "", "record the run as a span tree and write it as Chrome trace_event JSON (load in Perfetto or chrome://tracing) to this file")
+	fs.StringVar(&cfg.storeDir, "store", "", "durable checkpoint store directory: the search reduction is persisted every -checkpoint-every folded attempts so an interrupted run can continue with -resume")
+	fs.StringVar(&cfg.resumeDir, "resume", "", "resume an interrupted run from the newest checkpoint in this store directory (implies -store DIR; flags and circuit must match the original run)")
+	fs.IntVar(&cfg.ckptEvery, "checkpoint-every", 1, "durable checkpoint cadence in folded attempts (with -store)")
 }
 
 // exitCode maps failure modes to the documented exit codes. The budget
@@ -390,11 +378,10 @@ func run(cfg runConfig) error {
 		sink.Event(trace.Event{Kind: trace.KindPhase, Attempt: -1, Phase: trace.PhaseParse, Dur: parseDur})
 	}
 	opts := core.Options{
-		Threshold:     cfg.threshold,
+		Threshold:     &cfg.threshold,
 		Solutions:     cfg.solutions,
 		Seed:          cfg.seed,
 		Verify:        cfg.check,
-		Timeout:       cfg.timeout,
 		MaxStale:      cfg.maxStale,
 		Multilevel:    cfg.multilevel,
 		RefineWorkers: cfg.refineWorkers,
@@ -411,7 +398,15 @@ func run(cfg runConfig) error {
 			}
 		}
 	}
-	res, err := core.Partition(g, opts)
+	// The -timeout budget is a context deadline, observed only at the
+	// search's deterministic checkpoints (see core.PartitionContext).
+	ctx := context.Background()
+	if cfg.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
+		defer cancel()
+	}
+	res, err := core.PartitionContext(ctx, g, opts)
 	if boardGauges != nil && err == nil {
 		graphs := make([]*hypergraph.Graph, len(res.Parts))
 		for i, p := range res.Parts {
@@ -503,7 +498,9 @@ func run(cfg runConfig) error {
 		t.Render(os.Stdout)
 	}
 	if cfg.jsonOut {
-		if err := writeJSON(os.Stdout, g, res, board); err != nil {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(server.ResultJSON(g, res, board)); err != nil {
 			return err
 		}
 	}
@@ -575,52 +572,4 @@ func writeParts(dir, name string, res core.Result) error {
 		}
 	}
 	return nil
-}
-
-// jsonSolution is the machine-readable summary schema.
-type jsonSolution struct {
-	Circuit     string     `json:"circuit"`
-	K           int        `json:"k"`
-	DeviceCost  float64    `json:"device_cost"`
-	CLBUtil     float64    `json:"avg_clb_util"`
-	IOBUtil     float64    `json:"avg_iob_util"`
-	Replicated  int        `json:"replicated_cells"`
-	SourceCells int        `json:"source_cells"`
-	Board       string     `json:"board,omitempty"`
-	TopoCost    *int       `json:"topo_cost,omitempty"`
-	Parts       []jsonPart `json:"parts"`
-}
-
-type jsonPart struct {
-	Device    string `json:"device"`
-	CLBs      int    `json:"clbs"`
-	Terminals int    `json:"terminals"`
-	Cells     int    `json:"cells"`
-	Replicas  int    `json:"replicas"`
-}
-
-func writeJSON(w io.Writer, g *hypergraph.Graph, res core.Result, board *topology.Board) error {
-	out := jsonSolution{
-		Circuit:     g.Name,
-		K:           res.Summary.K(),
-		DeviceCost:  res.Summary.DeviceCost(),
-		CLBUtil:     res.Summary.AvgCLBUtil(),
-		IOBUtil:     res.Summary.AvgIOBUtil(),
-		Replicated:  res.Summary.ReplicatedCells(),
-		SourceCells: res.SourceCells,
-	}
-	if res.Summary.HasTopo && board != nil {
-		out.Board = board.Name
-		topo := res.Summary.TopoCost
-		out.TopoCost = &topo
-	}
-	for _, p := range res.Parts {
-		out.Parts = append(out.Parts, jsonPart{
-			Device: p.Device.Name, CLBs: p.Graph.TotalArea(),
-			Terminals: p.Graph.NumTerminals(), Cells: p.Graph.NumCells(), Replicas: p.Replicas,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

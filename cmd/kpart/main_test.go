@@ -187,7 +187,8 @@ func TestRunMetricsOut(t *testing.T) {
 }
 
 // -progress ends with one stats line totalling the FM and carve work
-// of the whole search. Under maximum replication, s9234 carves with
+// of the whole search. Under maximum replication (-t 0, which must
+// reach the engine as T = 0, not the T = 1 default), s9234 carves with
 // one carve rejected along the way.
 func TestRunProgressStatsLine(t *testing.T) {
 	var path string
@@ -205,7 +206,7 @@ func TestRunProgressStatsLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "kpart: stats: 36 FM passes, 7189 moves; 2 carves (1 rejected), 670 replicas, 6309 rollbacks\n"
+	const want = "kpart: stats: 25 FM passes, 5551 moves; 2 carves (1 rejected), 441 replicas, 4718 rollbacks\n"
 	if !strings.HasSuffix(stderr, want) {
 		t.Fatalf("stderr does not end with %q:\n%s", want, stderr)
 	}
@@ -316,7 +317,7 @@ func TestRunStoreAndResume(t *testing.T) {
 	}
 	var cps []kway.SearchCheckpoint
 	full, err := core.Partition(g, core.Options{
-		Threshold: 1, Solutions: 6, Seed: 9,
+		Solutions: 6, Seed: 9,
 		Checkpoint: func(cp kway.SearchCheckpoint) { cps = append(cps, cp) },
 	})
 	if err != nil {

@@ -74,7 +74,7 @@ func main() {
 		log.Fatal("flow broke the multiplier")
 	}
 
-	res, err := core.Partition(m.Graph, core.Options{Threshold: 1, Solutions: 10, Seed: 2})
+	res, err := core.Partition(m.Graph, core.Options{Solutions: 10, Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 		{"functional replication, T=1", 1},
 	} {
 		res, err := core.Partition(m.Graph, core.Options{
-			Threshold: cfg.threshold, Solutions: 20, Seed: 5,
+			Threshold: &cfg.threshold, Solutions: 20, Seed: 5,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -73,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	res, err := core.Partition(m.Graph, core.Options{
-		Threshold: 1, Solutions: 20, Seed: 5, Board: board,
+		Solutions: 20, Seed: 5, Board: board,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,8 @@ func main() {
 		g.Name, g.TotalArea(), g.NumTerminals(), g.NumDFF())
 
 	res, err := core.Partition(g, core.Options{
-		Threshold: 1,  // functional replication for cells with ψ ≥ 1
+		// Threshold is left nil: T = 1, functional replication for cells
+		// with ψ ≥ 1.
 		Solutions: 20, // randomized feasible solutions to explore
 		Seed:      1,
 	})

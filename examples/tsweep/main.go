@@ -12,6 +12,7 @@ import (
 
 	"fpgapart/internal/bench"
 	"fpgapart/internal/core"
+	"fpgapart/internal/kway"
 	"fpgapart/internal/report"
 )
 
@@ -40,7 +41,11 @@ func main() {
 		if T == core.NoReplication {
 			label = "off"
 		}
-		res, err := core.Partition(g, core.Options{Threshold: T, Solutions: *solutions, Seed: 3, Refine: true})
+		opts := core.Options{Threshold: &T, Solutions: *solutions, Seed: 3}
+		res, err := core.Partition(g, opts)
+		if err == nil {
+			_, err = kway.Refine(g, &res, opts)
+		}
 		if err != nil {
 			t.Row(label, "fail", err.Error())
 			continue

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fpgapart/internal/bench"
+	"fpgapart/internal/kway"
 	"fpgapart/internal/netlist"
 )
 
@@ -26,7 +27,8 @@ func TestPartitionDefaults(t *testing.T) {
 func TestPartitionNoReplication(t *testing.T) {
 	c, _ := bench.ByName("s5378")
 	g := c.Small(2).MustBuild()
-	res, err := Partition(g, Options{Threshold: NoReplication, Solutions: 3, Seed: 2})
+	off := NoReplication
+	res, err := Partition(g, Options{Threshold: &off, Solutions: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +80,18 @@ func TestMinCutBipartition(t *testing.T) {
 func TestPartitionWithRefine(t *testing.T) {
 	c, _ := bench.ByName("s13207")
 	g := c.Small(2).MustBuild()
-	plain, err := Partition(g, Options{Solutions: 4, Seed: 5})
+	opts := Options{Solutions: 4, Seed: 5}
+	plain, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Partition(g, Options{Solutions: 4, Seed: 5, Refine: true})
+	// A second, identical search: Refine edits its result's parts in
+	// place, and plain must keep the unrefined ones.
+	refined, err := Partition(g, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kway.Refine(g, &refined, opts); err != nil {
 		t.Fatal(err)
 	}
 	if refined.Summary.AvgIOBUtil() > plain.Summary.AvgIOBUtil()+1e-9 {
@@ -101,12 +109,16 @@ func TestPartitionWithRefine(t *testing.T) {
 func TestRefineKeepsFoldStats(t *testing.T) {
 	c, _ := bench.ByName("c5315")
 	g := c.MustBuild()
-	plain, err := Partition(g, Options{Solutions: 3, Seed: 3})
+	opts := Options{Solutions: 3, Seed: 3}
+	plain, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Partition(g, Options{Solutions: 3, Seed: 3, Refine: true})
+	refined, err := Partition(g, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kway.Refine(g, &refined, opts); err != nil {
 		t.Fatal(err)
 	}
 	if refined.Summary.AvgIOBUtil() >= plain.Summary.AvgIOBUtil() {

@@ -14,7 +14,7 @@ import (
 func ExamplePartition() {
 	c, _ := bench.ByName("c3540")
 	g := c.MustBuild()
-	res, err := core.Partition(g, core.Options{Threshold: 1, Solutions: 5, Seed: 1})
+	res, err := core.Partition(g, core.Options{Solutions: 5, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -58,12 +58,14 @@ func ExamplePartition_customLibrary() {
 }
 
 // ExampleOptions_threshold shows the DAC'93 baseline versus functional
-// replication on the same circuit.
+// replication on the same circuit. An unset Threshold means T = 1; an
+// explicit one is taken literally.
 func ExampleOptions_threshold() {
 	c, _ := bench.ByName("s9234")
 	g := c.MustBuild()
-	base, _ := core.Partition(g, core.Options{Threshold: core.NoReplication, Solutions: 4, Seed: 2})
-	repl, _ := core.Partition(g, core.Options{Threshold: 1, Solutions: 4, Seed: 2})
+	off := core.NoReplication
+	base, _ := core.Partition(g, core.Options{Threshold: &off, Solutions: 4, Seed: 2})
+	repl, _ := core.Partition(g, core.Options{Solutions: 4, Seed: 2})
 	fmt.Printf("baseline replicates nothing: %v\n", base.Summary.ReplicatedCells() == 0)
 	fmt.Printf("both feasible: %v\n", base.Summary.Feasible() && repl.Summary.Feasible())
 	// Output:

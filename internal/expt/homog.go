@@ -32,6 +32,7 @@ func TableHomogeneous(cfg Config) ([]HomogRow, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	noRepl := fm.NoReplication
 	rows, err := forEachCircuit(cfg, func(ct bench.Circuit) (HomogRow, error) {
 		g, err := ct.Build()
 		if err != nil {
@@ -39,7 +40,7 @@ func TableHomogeneous(cfg Config) ([]HomogRow, *report.Table, error) {
 		}
 		res, err := kway.Partition(g, kway.Options{
 			Library:   lib,
-			Threshold: fm.NoReplication,
+			Threshold: &noRepl,
 			Solutions: cfg.Solutions,
 			Seed:      cfg.Seed + int64(ct.Params.Seed),
 		})

@@ -46,7 +46,7 @@ func RunKway(cfg Config) ([]KwayRow, error) {
 			start := time.Now()
 			res, err := kway.Partition(g, kway.Options{
 				Library:   cfg.Library,
-				Threshold: threshold,
+				Threshold: &threshold,
 				Solutions: cfg.Solutions,
 				Seed:      cfg.Seed + int64(ct.Params.Seed),
 			})

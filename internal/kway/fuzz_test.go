@@ -38,7 +38,7 @@ func FuzzKway(f *testing.F) {
 			t.Fatal(err)
 		}
 		res, err := kway.Partition(g, kway.Options{
-			Library: lib, Threshold: th, Solutions: 2, Seed: seed, Verify: true,
+			Library: lib, Threshold: &th, Solutions: 2, Seed: seed, Verify: true,
 		})
 		if err != nil {
 			var verr *kway.VerificationError

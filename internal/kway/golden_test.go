@@ -120,6 +120,9 @@ func goldenSearch(t *testing.T, opts kway.Options) (kway.Result, *trace.Recorder
 		t.Fatal(err)
 	}
 	rec := &trace.Recorder{}
+	// The fixtures were recorded at T = 0, maximum replication.
+	zero := 0
+	opts.Threshold = &zero
 	opts.Library = library.XC3000()
 	opts.Solutions = 6
 	opts.Seed = 11

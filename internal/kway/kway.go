@@ -38,12 +38,21 @@ import (
 	"fpgapart/internal/verify"
 )
 
-// Options configures the k-way search.
+// Options configures the k-way search. It is the one declaration of
+// the engine options (core.Options is an alias of it), and
+// withDefaults is the one place their defaults live: every zero value
+// below selects the documented default.
 type Options struct {
+	// Library is the heterogeneous FPGA device library (Table I).
+	// Empty selects library.XC3000(); a non-empty library must pass
+	// library.Validate.
 	Library library.Library
-	// Threshold is the replication potential threshold T;
-	// fm.NoReplication reproduces the DAC'93 baseline ([3]).
-	Threshold int
+	// Threshold is the replication potential threshold T (Eq. 6): a
+	// multi-output cell may replicate when ψ ≥ T. nil selects T = 1;
+	// an explicit value is taken literally, so 0 allows maximum
+	// replication and fm.NoReplication reproduces the DAC'93 baseline
+	// ([3]).
+	Threshold *int
 	// Solutions is the number of feasible k-way solutions to generate
 	// (the paper reports runs generating 50). Default 50.
 	Solutions int
@@ -153,6 +162,10 @@ type Options struct {
 	// costs one predicted branch per site and emits no phase events.
 	Spans span.Scope
 	Seed  int64
+
+	// threshold is Threshold resolved by withDefaults; the FM runs of
+	// the search read it.
+	threshold int
 }
 
 // SearchCheckpoint is a serializable snapshot of the k-way search's
@@ -275,6 +288,13 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 1
+	}
+	if len(o.Library.Devices) == 0 {
+		o.Library = library.XC3000()
+	}
+	o.threshold = 1
+	if o.Threshold != nil {
+		o.threshold = *o.Threshold
 	}
 	return o, nil
 }
@@ -813,7 +833,7 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 	cfg := fm.Config{
 		MinArea:       [2]int{minCarve, 0},
 		MaxArea:       [2]int{d.MaxCLBs(), total - minCarve},
-		Threshold:     opts.Threshold,
+		Threshold:     opts.threshold,
 		MaxPasses:     opts.MaxPasses,
 		RefineWorkers: opts.RefineWorkers,
 		Seed:          seed,

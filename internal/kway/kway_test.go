@@ -1,6 +1,7 @@
 package kway
 
 import (
+	"reflect"
 	"testing"
 
 	"fpgapart/internal/bench"
@@ -24,7 +25,7 @@ func testCircuit(t testing.TB, cells int, seed int64) *hypergraph.Graph {
 func opts(threshold int, solutions int) Options {
 	return Options{
 		Library:   library.XC3000(),
-		Threshold: threshold,
+		Threshold: &threshold,
 		Solutions: solutions,
 		Seed:      1,
 		// The whole suite runs with in-loop verification: any carve or
@@ -146,7 +147,8 @@ func TestReplicationReducesInterconnectAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Threshold = 0
+		zero := 0
+		o.Threshold = &zero
 		repl, err := Partition(g, o)
 		if err != nil {
 			t.Fatal(err)
@@ -167,9 +169,28 @@ func TestReplicationReducesInterconnectAggregate(t *testing.T) {
 }
 
 func TestPartitionValidation(t *testing.T) {
-	g := testCircuit(t, 30, 5)
-	if _, err := Partition(g, Options{}); err == nil {
-		t.Fatal("empty library should fail")
+	g := testCircuit(t, 300, 5)
+	// An empty library selects XC3000: the same search, the same result.
+	def, err := Partition(g, Options{Solutions: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xc, err := Partition(g, Options{Library: library.XC3000(), Solutions: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def.Summary, xc.Summary) {
+		t.Fatalf("empty library partitioned as %v, XC3000 as %v", def.Summary, xc.Summary)
+	}
+	// A non-empty library is validated, never replaced.
+	zeroCLBs := library.XC3000()
+	zeroCLBs.Devices[0].CLBs = 0
+	unsorted := library.XC3000()
+	unsorted.Devices[0], unsorted.Devices[1] = unsorted.Devices[1], unsorted.Devices[0]
+	for name, lib := range map[string]library.Library{"zero-CLB device": zeroCLBs, "unsorted devices": unsorted} {
+		if _, err := Partition(g, Options{Library: lib, Solutions: 1, Seed: 1}); err == nil {
+			t.Fatalf("library with a %s should fail", name)
+		}
 	}
 	empty := &hypergraph.Graph{Name: "empty"}
 	if _, err := Partition(empty, opts(fm.NoReplication, 1)); err == nil {
@@ -267,7 +288,8 @@ func TestHomogeneousLibraryMinimizesDeviceCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Partition(g, Options{Library: lib, Threshold: fm.NoReplication, Solutions: 6, Seed: 3})
+	off := fm.NoReplication
+	res, err := Partition(g, Options{Library: lib, Threshold: &off, Solutions: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +308,7 @@ func TestHomogeneousLibraryMinimizesDeviceCount(t *testing.T) {
 
 func TestPartitionXC4000Library(t *testing.T) {
 	g := testCircuit(t, 600, 13)
-	res, err := Partition(g, Options{Library: library.XC4000(), Threshold: 1, Solutions: 4, Seed: 2})
+	res, err := Partition(g, Options{Library: library.XC4000(), Solutions: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

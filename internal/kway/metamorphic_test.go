@@ -68,7 +68,7 @@ func TestRelabelInvariance(t *testing.T) {
 	g := metaCircuit(t, 12)
 	h := relabel(t, g)
 	for _, threshold := range []int{fm.NoReplication, 1} {
-		opts := kway.Options{Library: library.XC3000(), Threshold: threshold, Solutions: 4, Seed: 3, Verify: true}
+		opts := kway.Options{Library: library.XC3000(), Threshold: &threshold, Solutions: 4, Seed: 3, Verify: true}
 		a, err := kway.Partition(g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestRefineWorkersInvariance(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{2, 4, 8} {
 			res, err := kway.Partition(g, kway.Options{
-				Library: library.XC3000(), Threshold: 1, Solutions: 4, Seed: 5,
+				Library: library.XC3000(), Solutions: 4, Seed: 5,
 				RefineWorkers: workers, Verify: true,
 			})
 			if err != nil {
@@ -123,7 +123,7 @@ func TestSummaryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		res, err := kway.Partition(g, kway.Options{
-			Library: library.XC3000(), Threshold: 1, Solutions: 4, Seed: 5, Verify: true,
+			Library: library.XC3000(), Solutions: 4, Seed: 5, Verify: true,
 		})
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)

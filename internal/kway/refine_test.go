@@ -19,7 +19,7 @@ func refined(t *testing.T, threshold int, seed int64) (int, metrics.Solution, me
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := kway.Options{Library: library.XC3000(), Threshold: threshold, Solutions: 4, Seed: seed}
+	opts := kway.Options{Library: library.XC3000(), Threshold: &threshold, Solutions: 4, Seed: seed}
 	res, err := kway.Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -241,7 +241,7 @@ func TestKwayNeverBeatsOracle(t *testing.T) {
 		lib, dev := forcedSplitLibrary(t, g)
 		for _, threshold := range []int{fm.NoReplication, 0} {
 			res, err := kway.Partition(g, kway.Options{
-				Library: lib, Threshold: threshold, Solutions: 6, Seed: int64(gi), Verify: true,
+				Library: lib, Threshold: &threshold, Solutions: 6, Seed: int64(gi), Verify: true,
 			})
 			if err != nil {
 				var verr *kway.VerificationError

@@ -32,7 +32,8 @@ type JobRequest struct {
 	// technology-mapped before partitioning).
 	Circuit string `json:"circuit"`
 	Format  string `json:"format,omitempty"`
-	// Threshold is the replication threshold T (null = library default;
+	// Threshold is the replication threshold T (see
+	// core.Options.Threshold: null means T = 1, 0 maximum replication,
 	// -1 disables replication). Solutions, Seed and MaxStale mirror the
 	// kpart flags.
 	Threshold *int  `json:"threshold,omitempty"`
@@ -110,7 +111,10 @@ type PartSummary struct {
 	Replicas  int    `json:"replicas"`
 }
 
-func resultJSON(g *hypergraph.Graph, res core.Result, board *topology.Board) *JobResult {
+// ResultJSON renders a partition result in the JobResult schema, the
+// one result schema of both kpartd responses and kpart -json. board is
+// the board the search ran on (nil for the flat objective).
+func ResultJSON(g *hypergraph.Graph, res core.Result, board *topology.Board) *JobResult {
 	out := &JobResult{
 		Circuit:         g.Name,
 		K:               res.Summary.K(),
@@ -287,15 +291,13 @@ func (s *Server) parseRequest(req *JobRequest) (*hypergraph.Graph, core.Options,
 	}
 	opts := core.Options{
 		Library:       s.cfg.Library,
+		Threshold:     req.Threshold,
 		Solutions:     req.Solutions,
 		Seed:          req.Seed,
 		MaxStale:      req.MaxStale,
 		Multilevel:    req.Multilevel,
 		RefineWorkers: req.RefineWorkers,
 		Inject:        s.cfg.Inject,
-	}
-	if req.Threshold != nil {
-		opts.Threshold = *req.Threshold
 	}
 	if req.Board != "" {
 		// ParseSpec only — never FromArg: a request must not be able to

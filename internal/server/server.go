@@ -60,8 +60,8 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// Library is the device library jobs partition into (default
-	// library.XC3000()).
+	// Library is the device library jobs partition into (empty selects
+	// the engine default, library.XC3000()).
 	Library library.Library
 	// GraphLimits / NetLimits cap parser resource usage for request
 	// bodies (zero values select the parsers' defaults).
@@ -135,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
-	}
-	if len(c.Library.Devices) == 0 {
-		c.Library = library.XC3000()
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -533,7 +530,7 @@ func (s *Server) runJob(j *job) {
 		var res core.Result
 		res, err = core.PartitionContext(ctx, j.graph, j.opts)
 		if err == nil {
-			result = resultJSON(j.graph, res, j.opts.Board)
+			result = ResultJSON(j.graph, res, j.opts.Board)
 		}
 	}
 	elapsed := s.clock.Now().Sub(start)
@@ -596,7 +593,7 @@ func (s *Server) LocalAttempt() func(ctx context.Context, req *JobRequest) (*Job
 		if err != nil {
 			return nil, err
 		}
-		return resultJSON(g, res, opts.Board), nil
+		return ResultJSON(g, res, opts.Board), nil
 	}
 }
 

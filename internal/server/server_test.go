@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -138,6 +139,45 @@ func TestSyncPartitionJSONAndRaw(t *testing.T) {
 	// Same inputs, same seed: the two runs must agree exactly.
 	if st2.Result == nil || st2.Result.DeviceCost != st.Result.DeviceCost || st2.Result.K != st.Result.K {
 		t.Fatalf("raw result diverged: %+v vs %+v", st2.Result, st.Result)
+	}
+}
+
+// TestExplicitThresholdZero: "threshold": 0 means T = 0 (maximum
+// replication), not the T = 1 an absent threshold selects — on c5315
+// the two searches replicate different cell counts — and the query
+// form ?threshold=0 runs the same search as the JSON 0.
+func TestExplicitThresholdZero(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	c, _ := bench.ByName("c5315")
+	var sb strings.Builder
+	if err := hypergraph.Write(&sb, c.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	circuit := sb.String()
+	zero := 0
+	results := map[string]*JobResult{}
+	for name, req := range map[string]JobRequest{
+		"default": {Circuit: circuit, Solutions: 4, Seed: 1},
+		"zero":    {Circuit: circuit, Solutions: 4, Seed: 1, Threshold: &zero},
+	} {
+		resp, st := postJSON(t, ts.URL+"/v1/partition", req)
+		if resp.StatusCode != http.StatusOK || st.Result == nil {
+			t.Fatalf("%s: %d (%+v)", name, resp.StatusCode, st)
+		}
+		results[name] = st.Result
+	}
+	if d, z := results["default"].ReplicatedCells, results["zero"].ReplicatedCells; d == z {
+		t.Fatalf("threshold 0 replicated %d cells, the same as the T = 1 default", z)
+	}
+	resp, err := http.Post(ts.URL+"/v1/partition?solutions=4&seed=1&threshold=0", "text/plain", strings.NewReader(circuit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	json.NewDecoder(resp.Body).Decode(&st)
+	if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(st.Result, results["zero"]) {
+		t.Fatalf("?threshold=0: %d %+v, want %+v", resp.StatusCode, st.Result, results["zero"])
 	}
 }
 

@@ -28,7 +28,7 @@ func partitioned(t *testing.T, threshold int, seed int64) (*hypergraph.Graph, kw
 		t.Fatal(err)
 	}
 	res, err := kway.Partition(g, kway.Options{
-		Library: library.XC3000(), Threshold: threshold, Solutions: 4, Seed: seed,
+		Library: library.XC3000(), Threshold: &threshold, Solutions: 4, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
