@@ -228,8 +228,8 @@ func (e *attemptError) Error() string { return e.msg }
 // worker pool and folding the outcomes through kway.Reduce, the
 // reducer the local engine folds through — so checkpoints, trace
 // events and the result are interchangeable with a local run's. It
-// matches server.Config.Distribute: req is the original submission
-// (circuit text intact, for forwarding), opts the parsed options
+// matches server.Config.Distribute: req is the submission to forward
+// (a gnl circuit already mapped to .clb text), opts the parsed options
 // carrying the durability plumbing (Checkpoint/CheckpointEvery/Resume),
 // the search shape (Solutions/Seed/MaxStale) and the observability
 // hooks (Trace/Spans).

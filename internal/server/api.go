@@ -261,33 +261,9 @@ func (w *muxErrorWriter) Write(b []byte) (int, error) {
 // Parse failures return a *netlist.ParseError / *hypergraph.ParseError
 // for the 400 path, with line/column context intact.
 func (s *Server) parseRequest(req *JobRequest) (*hypergraph.Graph, core.Options, time.Duration, error) {
-	parseStart := s.clock.Now()
-	defer func() {
-		s.met.bridge.Event(trace.Event{
-			Kind: trace.KindPhase, Attempt: -1,
-			Phase: trace.PhaseParse, Dur: s.clock.Now().Sub(parseStart),
-		})
-	}()
-	var g *hypergraph.Graph
-	switch req.Format {
-	case "", "clb":
-		gg, err := hypergraph.ReadLimits(strings.NewReader(req.Circuit), s.cfg.GraphLimits)
-		if err != nil {
-			return nil, core.Options{}, 0, err
-		}
-		g = gg
-	case "gnl":
-		n, err := netlist.ReadLimits(strings.NewReader(req.Circuit), s.cfg.NetLimits)
-		if err != nil {
-			return nil, core.Options{}, 0, err
-		}
-		m, err := techmap.Map(n, techmap.Options{Seed: req.Seed})
-		if err != nil {
-			return nil, core.Options{}, 0, err
-		}
-		g = m.Graph
-	default:
-		return nil, core.Options{}, 0, fmt.Errorf("unknown format %q (want \"clb\" or \"gnl\")", req.Format)
+	g, err := s.parseCircuit(req)
+	if err != nil {
+		return nil, core.Options{}, 0, err
 	}
 	opts := core.Options{
 		Library:       s.cfg.Library,
@@ -316,6 +292,48 @@ func (s *Server) parseRequest(req *JobRequest) (*hypergraph.Graph, core.Options,
 		timeout = s.cfg.MaxTimeout
 	}
 	return g, opts, timeout, nil
+}
+
+// parseCircuit returns the request's circuit graph from the server's
+// circuit cache, parsing it under the configured limits on a miss. Only
+// a parse that ran is observed in the parse phase histogram; a hit
+// counts in fpgapart_circuit_cache_hits_total instead.
+func (s *Server) parseCircuit(req *JobRequest) (*hypergraph.Graph, error) {
+	key := circuitKey{format: req.Format, circuit: req.Circuit}
+	switch req.Format {
+	case "", "clb":
+		key.format = "clb"
+	case "gnl":
+		// Packing is seeded, so the seed selects the mapped graph.
+		key.seed = req.Seed
+	default:
+		return nil, fmt.Errorf("unknown format %q (want \"clb\" or \"gnl\")", req.Format)
+	}
+	g, hit, err := s.circuits.graph(key, func() (*hypergraph.Graph, error) {
+		start := s.clock.Now()
+		defer func() {
+			s.met.bridge.Event(trace.Event{
+				Kind: trace.KindPhase, Attempt: -1,
+				Phase: trace.PhaseParse, Dur: s.clock.Now().Sub(start),
+			})
+		}()
+		if key.format == "clb" {
+			return hypergraph.ReadLimits(strings.NewReader(req.Circuit), s.cfg.GraphLimits)
+		}
+		n, err := netlist.ReadLimits(strings.NewReader(req.Circuit), s.cfg.NetLimits)
+		if err != nil {
+			return nil, err
+		}
+		m, err := techmap.Map(n, techmap.Options{Seed: req.Seed})
+		if err != nil {
+			return nil, err
+		}
+		return m.Graph, nil
+	})
+	if hit {
+		s.met.circuitCacheHits.Inc()
+	}
+	return g, err
 }
 
 // decodeRequest reads the request body into a JobRequest. A JSON body

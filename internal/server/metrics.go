@@ -22,6 +22,7 @@ const (
 	metricJobsTotal       = "fpgapart_jobs_total"
 	metricJobFailures     = "fpgapart_job_failures_total"
 	metricJobsDegraded    = "fpgapart_jobs_degraded_total"
+	metricCircuitHits     = "fpgapart_circuit_cache_hits_total"
 )
 
 // metricsBundle holds every pre-resolved series the request and job
@@ -44,6 +45,8 @@ type metricsBundle struct {
 	jobFailures     map[string]*telemetry.Counter // by error kind
 	jobFailureOther *telemetry.Counter
 	degraded        *telemetry.Counter
+
+	circuitCacheHits *telemetry.Counter
 }
 
 func newMetricsBundle(reg *telemetry.Registry, workers int, queueDepth func() float64) *metricsBundle {
@@ -59,6 +62,8 @@ func newMetricsBundle(reg *telemetry.Registry, workers int, queueDepth func() fl
 		jobsFailed:   reg.CounterVec(metricJobsTotal, "Completed jobs by outcome.", "outcome").With("failed"),
 		jobFailures:  make(map[string]*telemetry.Counter),
 		degraded:     reg.Counter(metricJobsDegraded, "Jobs that completed degraded (contained worker panic)."),
+		circuitCacheHits: reg.Counter(metricCircuitHits,
+			"Requests whose circuit came parsed from the circuit cache; misses are the parse phase count."),
 	}
 	shed := reg.CounterVec(metricAdmissionReject, "Submissions rejected at admission, by reason.", "reason")
 	m.shedQueueFull = shed.With("queue-full")

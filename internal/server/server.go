@@ -29,6 +29,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,9 +112,10 @@ type Config struct {
 	// Distribute, when non-nil, switches the server into coordinator
 	// mode: instead of running the search locally, every job is handed
 	// to this hook, which fans the attempts out to remote workers (see
-	// internal/coord). The hook receives the original request — circuit
-	// text and board spec intact, for forwarding — and the parsed
-	// options, whose Checkpoint/Resume fields carry the durability
+	// internal/coord). The hook receives the request to forward — the
+	// submission as posted, except that a gnl circuit arrives as the .clb
+	// text of the graph this server mapped with the job seed — and the
+	// parsed options, whose Checkpoint/Resume fields carry the durability
 	// plumbing; it must observe ctx and derive attempt seeds exactly as
 	// the local engine does (Seed + i*kway.SeedStride) so fixed-seed
 	// results stay byte-identical to local execution.
@@ -248,6 +250,10 @@ type Server struct {
 	clock telemetry.Clock
 	met   *metricsBundle
 
+	// circuits holds recently parsed circuits, shared by every request
+	// path that parses one (see parseCircuit).
+	circuits *circuitCache
+
 	reqSeq atomic.Int64
 
 	baseCtx    context.Context
@@ -281,6 +287,7 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		log:        cfg.Logger,
 		clock:      cfg.Clock,
+		circuits:   &circuitCache{byKey: make(map[circuitKey]*circuitEntry)},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*job),
@@ -525,7 +532,7 @@ func (s *Server) runJob(j *job) {
 	if s.cfg.Distribute != nil && j.req != nil {
 		// The hook's ctx carries the submitting request's ID so the
 		// coordinator can forward it (X-Request-Id) and tag its logs.
-		result, err = s.cfg.Distribute(ContextWithRequestID(ctx, j.reqID), j.req, j.opts)
+		result, err = s.cfg.Distribute(ContextWithRequestID(ctx, j.reqID), forwarded(j), j.opts)
 	} else {
 		var res core.Result
 		res, err = core.PartitionContext(ctx, j.graph, j.opts)
@@ -570,6 +577,21 @@ func (s *Server) runJob(j *job) {
 	}
 	s.log.Info("job done", "job", j.id, "request_id", j.reqID, "elapsed", elapsed,
 		"parts", len(result.Parts), "cost", result.DeviceCost)
+}
+
+// forwarded returns the request a Distribute hook fans out for j. A gnl
+// circuit goes out as the .clb text of the graph this server mapped with
+// the job seed, the circuit a local run partitions; forwarded as gnl,
+// every worker would map it again with its own attempt seed.
+func forwarded(j *job) *JobRequest {
+	if j.req.Format != "gnl" {
+		return j.req
+	}
+	var sb strings.Builder
+	hypergraph.Write(&sb, j.graph) // a strings.Builder never fails a write
+	r := *j.req
+	r.Circuit, r.Format = sb.String(), ""
+	return &r
 }
 
 // LocalAttempt returns a closure that runs one request on this
