@@ -282,9 +282,9 @@ func run(cfg runConfig) error {
 	// Span tracing: one "job" root span for the run, trace ID derived
 	// from the CLI store identity (cliJobID, seed, solutions) so a
 	// -resume run records into the same logical trace as the run it
-	// continues. The spans also time the phase events, so any event
-	// sink arms them; only -trace-out writes the timeline. Disarmed
-	// (the zero Running), every Start below is a predicted no-op branch.
+	// continues. Events ride on the spans, so any event sink arms them;
+	// only -trace-out writes the timeline. Disarmed (the zero Running),
+	// every Start below is a predicted no-op branch.
 	var tracer *span.Tracer
 	var jobRun span.Running
 	if cfg.traceOut != "" || cfg.progress || cfg.statsJSON != "" || cfg.metricsOut != "" {
@@ -293,43 +293,13 @@ func run(cfg runConfig) error {
 		jobRun = tracer.Root(tid, 0).Start("job", -1)
 	}
 
-	parseSpan := jobRun.Scope().Start("parse", -1)
-	f, err := os.Open(cfg.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	var g *hypergraph.Graph
-	if cfg.gate {
-		n, err := netlist.Read(f)
-		if err != nil {
-			return err
-		}
-		m, err := techmap.Map(n, techmap.Options{Seed: cfg.seed})
-		if err != nil {
-			return err
-		}
-		s := n.Stats()
-		fmt.Printf("mapped %s: %d gates (%d FF) -> %d CLBs, %d IOBs\n",
-			n.Name, s.Gates, s.DFFs, m.Graph.NumCells(), m.Graph.NumTerminals())
-		g = m.Graph
-	} else {
-		g, err = hypergraph.Read(f)
-		if err != nil {
-			return err
-		}
-	}
-	parseSpan.Detail(fmt.Sprintf("circuit=%s cells=%d", g.Name, g.NumCells()))
-	parseDur := parseSpan.End()
-	jobRun.Detail(fmt.Sprintf("circuit=%s seed=%d solutions=%d", g.Name, cfg.seed, cfg.solutions))
-
 	var sinks []trace.Sink
 	if cfg.progress {
 		sinks = append(sinks, progressSink{total: cfg.solutions})
 	}
 	var jsonl *trace.JSONL
 	var jsonlFile *os.File
+	var err error
 	if cfg.statsJSON != "" {
 		jsonlFile, err = os.Create(cfg.statsJSON)
 		if err != nil {
@@ -358,6 +328,38 @@ func run(cfg runConfig) error {
 			boardGauges = telemetry.NewBoardGauges(reg, board)
 		}
 	}
+	scope := jobRun.Scope().WithSink(trace.Multi(sinks...))
+
+	parseSpan := scope.Start("parse", -1)
+	f, err := os.Open(cfg.path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+
+	var g *hypergraph.Graph
+	if cfg.gate {
+		n, err := netlist.Read(f)
+		if err != nil {
+			return err
+		}
+		m, err := techmap.Map(n, techmap.Options{Seed: cfg.seed})
+		if err != nil {
+			return err
+		}
+		s := n.Stats()
+		fmt.Printf("mapped %s: %d gates (%d FF) -> %d CLBs, %d IOBs\n",
+			n.Name, s.Gates, s.DFFs, m.Graph.NumCells(), m.Graph.NumTerminals())
+		g = m.Graph
+	} else {
+		g, err = hypergraph.Read(f)
+		if err != nil {
+			return err
+		}
+	}
+	parseSpan.Detail(fmt.Sprintf("circuit=%s cells=%d", g.Name, g.NumCells()))
+	parseSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseParse})
+	jobRun.Detail(fmt.Sprintf("circuit=%s seed=%d solutions=%d", g.Name, cfg.seed, cfg.solutions))
 
 	// Durable checkpoint store: every persisted snapshot is fsync'd
 	// before the append returns, so a crash at any point loses at most
@@ -373,10 +375,6 @@ func run(cfg runConfig) error {
 		defer store.Close()
 	}
 
-	sink := trace.Multi(sinks...)
-	if sink != nil {
-		sink.Event(trace.Event{Kind: trace.KindPhase, Attempt: -1, Phase: trace.PhaseParse, Dur: parseDur})
-	}
 	opts := core.Options{
 		Threshold:     &cfg.threshold,
 		Solutions:     cfg.solutions,
@@ -385,10 +383,9 @@ func run(cfg runConfig) error {
 		MaxStale:      cfg.maxStale,
 		Multilevel:    cfg.multilevel,
 		RefineWorkers: cfg.refineWorkers,
-		Trace:         sink,
 		Board:         board,
 		Resume:        resumeCP,
-		Spans:         jobRun.Scope(),
+		Spans:         scope,
 	}
 	if store != nil {
 		opts.CheckpointEvery = cfg.ckptEvery

@@ -212,6 +212,52 @@ func TestRunProgressStatsLine(t *testing.T) {
 	}
 }
 
+// The -progress stats line and the -stats-json stream read one event
+// stream: the stream holds one fm-pass line per pass the stats line
+// counts, and the parse phase line, emitted when the parse span ends,
+// comes first and only once.
+func TestProgressAndStatsCountSamePasses(t *testing.T) {
+	var path string
+	for _, c := range bench.Suite() {
+		if c.Name == "s9234" {
+			path = writeCircuit(t, c.Params)
+		}
+	}
+	statsPath := filepath.Join(t.TempDir(), "stats.jsonl")
+	stderr, err := captureFile(t, &os.Stderr, func() error {
+		_, err := capture(t, func() error {
+			return run(runConfig{path: path, threshold: 0, solutions: 2, seed: 1, progress: true, statsJSON: statsPath})
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr, "kpart: stats: 25 FM passes,") {
+		t.Fatalf("stats line does not count 25 FM passes:\n%s", stderr)
+	}
+	data, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	passes, parses := 0, 0
+	for _, line := range lines {
+		if strings.HasPrefix(line, `{"event":"fm-pass",`) {
+			passes++
+		}
+		if strings.Contains(line, `"phase":"parse"`) {
+			parses++
+		}
+	}
+	if passes != 25 {
+		t.Fatalf("stats stream holds %d fm-pass lines, the stats line counts 25", passes)
+	}
+	if parses != 1 || !strings.HasPrefix(lines[0], `{"event":"phase","attempt":-1,"phase":"parse",`) {
+		t.Fatalf("want exactly one parse phase line, first; got %d, first line %s", parses, lines[0])
+	}
+}
+
 // A stats-stream write failure must fail the run with a clear message
 // (and thus a non-zero exit), never leave a silently truncated file.
 // /dev/full accepts the open and fails every write with ENOSPC.

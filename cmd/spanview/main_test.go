@@ -34,7 +34,7 @@ func buildTrace(t *testing.T) []byte {
 	wjob := worker.Root(tid, job.SpanID()).Start("job", -1)
 	wjob.End()
 	wspans, _ := worker.Collector().Trace(tid)
-	tr.Ingest(wspans)
+	tr.Ingest(tid, wspans)
 
 	spans, _ := tr.Collector().Trace(tid)
 	var sb strings.Builder

@@ -232,7 +232,7 @@ func (e *attemptError) Error() string { return e.msg }
 // (a gnl circuit already mapped to .clb text), opts the parsed options
 // carrying the durability plumbing (Checkpoint/CheckpointEvery/Resume),
 // the search shape (Solutions/Seed/MaxStale) and the observability
-// hooks (Trace/Spans).
+// hook (Spans and its sink).
 func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core.Options) (*server.JobResult, error) {
 	if req == nil {
 		return nil, errors.New("coord: nil request")
@@ -250,7 +250,6 @@ func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core
 		Checkpoint:      opts.Checkpoint,
 		CheckpointEvery: opts.CheckpointEvery,
 		Resume:          opts.Resume,
-		Trace:           opts.Trace,
 		Spans:           opts.Spans,
 	}, kway.Reducer[*server.JobResult]{
 		NewAttempt: func() search.AttemptFunc[*server.JobResult] {
@@ -432,8 +431,8 @@ const maxResponse = 8 << 20
 // post issues one request to one worker and classifies the response.
 // With spans armed (the attempt's scope rides in ctx) the wire call is
 // wrapped in an "rpc" span whose traceparent is forwarded to the
-// worker, and the spans the worker returns are ingested into the
-// coordinator's collector — one stitched cross-process trace.
+// worker, and the spans the worker returns for that trace are ingested
+// into the coordinator's collector — one stitched cross-process trace.
 func (p *Pool) post(ctx context.Context, worker string, attempt, try int, body []byte) rpcOutcome {
 	sc := span.FromContext(ctx)
 	rpc := sc.Start("rpc", attempt)
@@ -485,7 +484,7 @@ func (p *Pool) postOnce(ctx context.Context, worker string, rpcScope span.Scope,
 			return rpcOutcome{class: classTransient, err: fmt.Errorf("worker %s: malformed 200 response", worker)}
 		}
 		if t := rpcScope.Tracer(); t != nil && len(st.Spans) > 0 {
-			t.Ingest(st.Spans)
+			t.Ingest(rpcScope.TraceID(), st.Spans)
 		}
 		p.met.latency(time.Since(start).Seconds())
 		return rpcOutcome{class: classOK, sol: st.Result}

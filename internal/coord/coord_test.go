@@ -431,13 +431,12 @@ func TestReducerMatchesLocal(t *testing.T) {
 		t.Helper()
 		var r run
 		rec := &trace.Recorder{}
-		// Armed spans time the search phase; without them neither side
-		// would emit it and the comparison would skip that event.
+		// Events ride on armed spans, which also time the search phase.
 		tracer := span.NewTracer(span.Options{Process: "coord-test"})
 		opts := core.Options{
-			Solutions: req.Solutions, Seed: req.Seed, Resume: resume, Trace: rec,
+			Solutions: req.Solutions, Seed: req.Seed, Resume: resume,
 			Checkpoint: func(cp kway.SearchCheckpoint) { r.cps = append(r.cps, cp) },
-			Spans:      tracer.Root(span.DeriveTraceID("reducer", req.Seed, req.Solutions), 0),
+			Spans:      tracer.Root(span.DeriveTraceID("reducer", req.Seed, req.Solutions), 0).WithSink(rec),
 		}
 		var err error
 		if distributed {
@@ -480,6 +479,46 @@ func TestReducerMatchesLocal(t *testing.T) {
 	}
 	coordResumed.res.ResumedFromAttempt = nil
 	same("result of a local checkpoint resumed through the pool", coordResumed.res, want)
+}
+
+// A worker response may name any trace in its spans (a stale or buggy
+// worker). The coordinator files only the spans of the request's own
+// trace: a foreign one would plant spans in another job's trace and,
+// with the collector's bounded trace count, could evict live jobs.
+func TestIngestOnlyOwnTrace(t *testing.T) {
+	eng := newEngine(t, server.Config{})
+	foreign := span.DeriveTraceID("other-job", 1, 1)
+	worker := newWorkerTS(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		eng.ServeHTTP(rec, r)
+		var st server.JobStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+			t.Errorf("worker answered %d: %v", rec.Code, err)
+		}
+		st.Spans = append(st.Spans, span.Span{Trace: foreign, ID: 1, Name: "job", Process: "stale"})
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(&st)
+	}))
+	pool := newPool(t, Config{Workers: []string{worker.URL}})
+	tracer := span.NewTracer(span.Options{Process: "coord"})
+	own := span.DeriveTraceID("job", 7, 2)
+	req := &server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 2, Seed: 7}
+	if _, err := pool.Distribute(context.Background(), req, core.Options{Solutions: 2, Seed: 7, Spans: tracer.Root(own, 0)}); err != nil {
+		t.Fatalf("distribute: %v", err)
+	}
+	if spans, _ := tracer.Collector().Trace(foreign); spans != nil {
+		t.Fatalf("coordinator ingested %d spans of a foreign trace", len(spans))
+	}
+	spans, _ := tracer.Collector().Trace(own)
+	stitched := 0
+	for _, s := range spans {
+		if s.Process != "coord" {
+			stitched++
+		}
+	}
+	if stitched == 0 {
+		t.Fatal("no worker span was stitched into the job's own trace")
+	}
 }
 
 func TestNewValidatesWorkers(t *testing.T) {

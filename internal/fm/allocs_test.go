@@ -5,6 +5,7 @@ import (
 
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
+	"fpgapart/internal/span"
 	"fpgapart/internal/telemetry"
 	"fpgapart/internal/trace"
 )
@@ -14,8 +15,9 @@ import (
 // values or its scratch-free evaluation, rollback restores a pre-sized
 // checkpoint, and every growable buffer (the frozen-cut counter's
 // included) has reached its high-water mark after the warm-up run. The
-// trace sink must not break this: the nil (zero-sink) path costs a
-// predicted branch, and the per-pass event is a stack-built value.
+// pass's span and event must not break this: disarmed they cost a
+// predicted branch, and armed with a sink the per-pass event is a
+// stack-built value.
 func TestFMPassAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -39,7 +41,12 @@ func TestFMPassAllocs(t *testing.T) {
 			}
 			var r Runner
 			cfg := equalCfg(g, tc.threshold, 5)
-			cfg.Trace = tc.sink
+			if tc.sink != nil {
+				// Events need armed spans. The collector keeps one span
+				// per trace, so steady-state spans are counted, not stored.
+				tracer := span.NewTracer(span.Options{MaxSpansPerTrace: 1})
+				cfg.Spans = tracer.Root(span.DeriveTraceID("allocs", 0, 0), 0).WithSink(tc.sink)
+			}
 			if _, err := r.Run(st, cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -49,13 +56,13 @@ func TestFMPassAllocs(t *testing.T) {
 			e := &r.e
 			e.cfg = cfg.withDefaults()
 			e.replOnly = tc.replOnly
-			// Bracket each pass with the disarmed span scope exactly as
-			// the phase loop does: a zero Scope must cost a predicted
-			// branch, never an allocation.
+			// Bracket each pass with its span and event exactly as the
+			// phase loop does: a zero Scope must cost a predicted branch,
+			// an armed one no allocation either.
 			if avg := testing.AllocsPerRun(5, func() {
 				run := e.cfg.Spans.Start("fm-pass", e.cfg.TraceAttempt)
-				e.pass()
-				run.End()
+				_, moves, cut := e.pass()
+				run.EndEvent(trace.Event{Kind: trace.KindFMPass, Pass: 1, Moves: moves, Cut: cut})
 			}); avg != 0 {
 				t.Fatalf("steady-state pass allocates %v times", avg)
 			}

@@ -26,7 +26,6 @@ import (
 	"fpgapart/internal/parfm"
 	"fpgapart/internal/replication"
 	"fpgapart/internal/span"
-	"fpgapart/internal/trace"
 )
 
 // NoReplication disables replication moves when used as the Threshold.
@@ -62,16 +61,13 @@ type Config struct {
 	FlowRefine bool
 	// Seed orders candidate insertion for tie-breaking.
 	Seed int64
-	// Trace, when non-nil, receives one KindFMPass event per completed
-	// pass. The nil path costs a single predicted branch, keeping the
-	// steady-state pass allocation-free (see TestFMPassAllocs).
-	Trace trace.Sink
-	// TraceAttempt labels emitted events with the enclosing solution
+	// TraceAttempt labels spans and events with the enclosing solution
 	// attempt index; use -1 for standalone runs.
 	TraceAttempt int
 	// Spans, when armed, times every pass as an "fm-pass" span in the
-	// enclosing attempt's trace. The disarmed zero value costs a
-	// single predicted branch per pass, keeping the steady-state pass
+	// enclosing attempt's trace; with a sink on the scope, each pass
+	// span ends with a KindFMPass event. The disarmed zero value costs
+	// a single predicted branch per pass, keeping the steady-state pass
 	// allocation-free (see TestFMPassAllocs). Span clock readings feed
 	// only the trace, never search decisions.
 	Spans span.Scope
@@ -133,7 +129,6 @@ type engine struct {
 	best     replication.Checkpoint // per-pass best-prefix snapshot
 	frozen   replication.FrozenCut  // per-pass cut lower bound (unit-cut objective)
 	replOnly bool
-	passSeq  int // pass counter for trace events, reset per Run
 }
 
 // Per-cell slot layout (see bind): single-output cells get one slot
@@ -218,9 +213,9 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 		MinArea: cfg.MinArea, MaxArea: cfg.MaxArea,
 		Threshold: cfg.Threshold, MaxPasses: cfg.MaxPasses,
 		Workers: cfg.RefineWorkers, Seed: cfg.Seed,
-		Trace: cfg.Trace, TraceAttempt: cfg.TraceAttempt,
-		Spans:  cfg.Spans,
-		Inject: cfg.Inject,
+		TraceAttempt: cfg.TraceAttempt,
+		Spans:        cfg.Spans,
+		Inject:       cfg.Inject,
 	}
 	if cfg.RefineWorkers >= 2 {
 		// Parallel sub-round engine. It shares the FM phase schedule
@@ -262,7 +257,7 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	// error (panic faults propagate to the search layer's containment).
 	var res Result
 	var err error
-	res.Passes, res.Moves, err = parfm.RunPhases(pcfg, "fm-pass", func(threshold int, replOnly bool) (bool, int) {
+	res.Passes, res.Moves, err = parfm.RunPhases(pcfg, "fm-pass", func(_, threshold int, replOnly bool) (bool, int, int) {
 		e.cfg.Threshold = threshold
 		e.replOnly = replOnly
 		return e.pass()
@@ -286,7 +281,6 @@ func (r *Runner) start(st *replication.State, cfg Config) *engine {
 	e := &r.e
 	e.bind(st)
 	e.cfg = cfg
-	e.passSeq = 0
 	for i := range e.order {
 		e.order[i] = hypergraph.CellID(i)
 	}
@@ -414,9 +408,9 @@ func (e *engine) feasible(m replication.Move) bool {
 		a1 >= e.cfg.MinArea[1] && a1 <= e.cfg.MaxArea[1]
 }
 
-// pass runs one FM pass and reports whether the cut improved, plus the
-// number of applied moves.
-func (e *engine) pass() (bool, int) {
+// pass runs one FM pass and reports whether the cut improved, the
+// number of applied moves and the objective after the rollback.
+func (e *engine) pass() (bool, int, int) {
 	for i := range e.head {
 		e.head[i] = nilNode
 	}
@@ -491,17 +485,7 @@ func (e *engine) pass() (bool, int) {
 	if err := e.st.RestoreCheckpoint(&e.best); err != nil {
 		panic(fmt.Sprintf("fm: rollback: %v", err))
 	}
-	e.passSeq++
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.Event(trace.Event{
-			Kind:    trace.KindFMPass,
-			Attempt: e.cfg.TraceAttempt,
-			Pass:    e.passSeq,
-			Moves:   moves,
-			Cut:     bestCut,
-		})
-	}
-	return bestCut < startCut, moves
+	return bestCut < startCut, moves, bestCut
 }
 
 // pop returns the highest-gain feasible candidate, unlinking it.

@@ -110,7 +110,7 @@ func TestFrozenStopMatchesFullPass(t *testing.T) {
 				eStop, eFull := rStop.start(stStop, cfg.withDefaults()), rFull.start(stFull, cfg.withDefaults())
 				eStop.replOnly, eFull.replOnly = mode.replOnly, mode.replOnly
 				for pass := 0; pass < 8; pass++ {
-					impStop, movesStop := eStop.pass()
+					impStop, movesStop, _ := eStop.pass()
 					impFull, movesFull := eFull.referencePass()
 					if impStop != impFull || partitionSig(stStop) != partitionSig(stFull) {
 						t.Fatalf("seed %d %s pinned=%v pass %d: stopped pass improved=%v cut %d, full pass improved=%v cut %d",
@@ -159,7 +159,7 @@ func TestSkippedPassesAreDry(t *testing.T) {
 					if replOnly {
 						e.cfg.Threshold, e.replOnly = threshold, true
 					}
-					if improved, _ := e.pass(); improved || partitionSig(st) != want {
+					if improved, _, _ := e.pass(); improved || partitionSig(st) != want {
 						t.Fatalf("seed %d T=%d pinned=%v replOnly=%v: pass after Run improved=%v", seed, threshold, pinned, replOnly, improved)
 					}
 				}

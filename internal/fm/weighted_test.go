@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fpgapart/internal/replication"
+	"fpgapart/internal/span"
 	"fpgapart/internal/topology"
 	"fpgapart/internal/trace"
 )
@@ -96,7 +97,8 @@ func TestWeightedRunMatchesRecount(t *testing.T) {
 			before := st.Objective()
 			sink := &invariantSink{t: t, st: st}
 			cfg := equalCfg(g, tc.threshold, 17)
-			cfg.Trace = sink
+			tracer := span.NewTracer(span.Options{Process: "fm-test"})
+			cfg.Spans = tracer.Root(span.DeriveTraceID("weighted", 17, 0), 0).WithSink(sink)
 			cfg.TraceAttempt = -1
 			cfg.RefineWorkers = tc.refineWorkers
 			if _, err := Run(st, cfg); err != nil {

@@ -51,7 +51,7 @@ func TestCancellationDeterminism(t *testing.T) {
 
 	var fullRec trace.Recorder
 	o := opts(0, solutions)
-	o.Trace = &fullRec
+	o.Spans = sinkScope(&fullRec)
 	full, err := Partition(g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCancellationDeterminism(t *testing.T) {
 	defer cancel()
 	sink := &cancelAfterSink{n: cancelAfter, cancel: cancel}
 	oc := opts(0, solutions)
-	oc.Trace = sink
+	oc.Spans = sinkScope(sink)
 	part, err := PartitionContext(ctx, g, oc)
 	if err != nil {
 		// Cancellation before any feasible solution must surface the
@@ -160,7 +160,7 @@ func TestMaxStaleStopsEarly(t *testing.T) {
 	o := opts(fm.NoReplication, 12)
 	o.MaxStale = 2
 	var rec trace.Recorder
-	o.Trace = &rec
+	o.Spans = sinkScope(&rec)
 	res, err := Partition(g, o)
 	if err != nil {
 		t.Fatal(err)

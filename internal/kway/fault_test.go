@@ -23,14 +23,14 @@ func TestInjectedPanicDegraded(t *testing.T) {
 
 	var healthyRec trace.Recorder
 	o := opts(fm.NoReplication, solutions)
-	o.Trace = &healthyRec
+	o.Spans = sinkScope(&healthyRec)
 	if _, err := Partition(g, o); err != nil {
 		t.Fatal(err)
 	}
 
 	var injRec trace.Recorder
 	oi := opts(fm.NoReplication, solutions)
-	oi.Trace = &injRec
+	oi.Spans = sinkScope(&injRec)
 	oi.Inject = faultinject.NewPlan(faultinject.PanicAtAttempt(victim))
 	res, err := Partition(g, oi)
 	if err != nil {
@@ -89,7 +89,7 @@ func TestDegradedDeterminism(t *testing.T) {
 	run := func() (Result, []trace.Event) {
 		var rec trace.Recorder
 		o := opts(fm.NoReplication, 5)
-		o.Trace = &rec
+		o.Spans = sinkScope(&rec)
 		o.Inject = faultinject.NewPlan(faultinject.PanicAtAttempt(1))
 		res, err := Partition(g, o)
 		if err != nil {
@@ -170,7 +170,7 @@ func TestSpuriousCancelIsAttemptFailure(t *testing.T) {
 	const solutions = 5
 	o := opts(fm.NoReplication, solutions)
 	var rec trace.Recorder
-	o.Trace = &rec
+	o.Spans = sinkScope(&rec)
 	o.Inject = faultinject.NewPlan(faultinject.CancelAtAttempt(1))
 	res, err := Partition(g, o)
 	if err != nil {

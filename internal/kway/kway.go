@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/fm"
@@ -102,16 +101,6 @@ type Options struct {
 	// all Solutions attempts). The stop is evaluated in deterministic
 	// attempt-index order, so results stay schedule-independent.
 	MaxStale int
-	// Trace, when non-nil, receives structured engine events: one
-	// KindFMPass per FM pass and one KindCarveAccepted/Rejected per
-	// carve attempt (emitted concurrently by the search workers,
-	// labeled with their attempt index), plus one KindSolution per
-	// folded solution attempt (emitted in deterministic index order).
-	// When Spans is armed too, every search, fold and verify span (and
-	// the V-cycle's coarsen/uncoarsen spans) also ends in a KindPhase
-	// event carrying the span's duration. The sink must be safe for
-	// concurrent use.
-	Trace trace.Sink
 	// Inject, when non-nil, arms deterministic fault injection at the
 	// engine's checkpoints: attempt starts (via internal/search), carve
 	// tries and FM pass boundaries. Injected panics are contained per
@@ -144,7 +133,7 @@ type Options struct {
 	CheckpointEvery int
 	// Resume, when non-nil, restarts the search from a persisted
 	// checkpoint instead of attempt 0: the incumbent best attempt is
-	// replayed deterministically (trace and fault injection suppressed
+	// replayed deterministically (events and fault injection suppressed
 	// for the replay) and the remaining attempts fold byte-identically
 	// to the uninterrupted run. The checkpoint's Seed and Solutions
 	// must match the options.
@@ -155,11 +144,18 @@ type Options struct {
 	// (minted by internal/search), "fold"/"verify" spans inside each
 	// attempt, engine spans (fm-pass / parfm-pass / coarsen / level /
 	// uncoarsen) beneath, and a "resume" span over a checkpoint
-	// replay. The span clock is the search's only clock: phase events
-	// on Trace carry span durations. Spans only read the tracer's
-	// clock — fixed-seed results are byte-identical armed or disarmed
-	// (the golden-diff suite runs both), and the disarmed zero value
-	// costs one predicted branch per site and emits no phase events.
+	// replay. A sink on the scope (span.Scope.WithSink) receives the
+	// engine events. Every FM pass, level and resume span ends with its
+	// event, and every search, fold, verify, coarsen and uncoarsen span
+	// with a KindPhase event carrying its duration. Carve tries and
+	// parfm sub-rounds are sent by the search workers in completion
+	// order, labeled with their attempt index; KindSolution and
+	// KindCheckpoint events by the reduction in deterministic index
+	// order. The sink must be safe for concurrent use. Spans only read
+	// the tracer's clock — fixed-seed results are byte-identical armed
+	// or disarmed (the golden-diff suite runs both), and the disarmed
+	// zero value costs one predicted branch per site and emits no
+	// events.
 	Spans span.Scope
 	Seed  int64
 
@@ -299,16 +295,6 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// emitPhase reports a phase whose span lasted d to the trace sink. It
-// emits only when a sink is set and spans are armed: d is the span's
-// duration, which feeds the sink and nothing else, preserving the
-// byte-identical fixed-seed contract (see TestSpansArmedIsInert).
-func (o *Options) emitPhase(attempt int, phase string, d time.Duration) {
-	if o.Trace != nil && o.Spans.Enabled() {
-		o.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: attempt, Phase: phase, Dur: d})
-	}
-}
-
 // Part is one partition of the final solution.
 type Part struct {
 	Graph  *hypergraph.Graph
@@ -374,9 +360,9 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 	//
 	// newAttempt builds one worker's attempt function against an options
 	// value. The search workers run it with opts verbatim; the resume
-	// path replays the checkpoint's incumbent attempt with trace and
-	// fault injection suppressed (the replay reconstructs known state —
-	// it is not new search work).
+	// path replays the checkpoint's incumbent attempt with fault
+	// injection suppressed, under a sink-less scope (Reduce), since the
+	// replay reconstructs known state — it is not new search work.
 	newAttempt := func(o Options) search.AttemptFunc[Result] {
 		// Per-worker scratch: the FM runner's gain buckets, the
 		// cluster-growing buffers and the replication state are all
@@ -396,8 +382,8 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 				}
 			}()
 			// The orchestrator hands each attempt its own span scope
-			// through the context; engine spans (fm-pass, level, …)
-			// nest under it via the options copy.
+			// (and its sink) through the context; engine spans
+			// (fm-pass, level, …) nest under it via the options copy.
 			if scope := span.FromContext(ctx); scope.Enabled() {
 				o.Spans = scope
 			}
@@ -423,14 +409,14 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 					return Result{}, fmt.Errorf("kway: board %s: %w", tr.board.Name, rerr)
 				}
 			}
-			o.emitPhase(attempt, trace.PhaseFold, foldSpan.End())
+			foldSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseFold})
 			if o.Verify {
 				verifySpan := o.Spans.Start("verify", attempt)
 				if verr := res.Verify(g); verr != nil {
 					verifySpan.End()
 					return Result{}, &VerificationError{Stage: "solution", Err: verr}
 				}
-				o.emitPhase(attempt, trace.PhaseVerify, verifySpan.End())
+				verifySpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseVerify})
 			}
 			return res, nil
 		}
@@ -448,7 +434,6 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 	}
 	if opts.Resume != nil {
 		replay := opts
-		replay.Trace = nil
 		replay.Inject = nil
 		r.Replay = newAttempt(replay)
 	}
@@ -627,14 +612,11 @@ func scratchStats(sc *carveScratch, sub *hypergraph.Graph) replication.Stats {
 	return replication.Stats{}
 }
 
-// emitCarve reports one carve try to the trace sink. reason is a
+// emitCarve reports one carve try to the scope's sink. reason is a
 // static code for rejections ("" for acceptance); res carries the FM
 // work and delta the replication-state work of this try.
 func emitCarve(opts *Options, attempt int, kind trace.Kind, reason string, dev string, area, terms int, res fm.Result, delta replication.Stats) {
-	if opts.Trace == nil {
-		return
-	}
-	opts.Trace.Event(trace.Event{
+	opts.Spans.Event(trace.Event{
 		Kind: kind, Attempt: attempt, Reason: reason, Device: dev,
 		Area: area, Terminals: terms,
 		Moves: res.Moves, Pass: res.Passes,
@@ -837,7 +819,6 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 		MaxPasses:     opts.MaxPasses,
 		RefineWorkers: opts.RefineWorkers,
 		Seed:          seed,
-		Trace:         opts.Trace,
 		TraceAttempt:  attempt,
 		Spans:         opts.Spans,
 		Inject:        opts.Inject,
@@ -859,7 +840,6 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 			MaxPasses:     opts.MaxPasses,
 			RefineWorkers: opts.RefineWorkers,
 			Seed:          seed,
-			Trace:         opts.Trace,
 			TraceAttempt:  attempt,
 			Spans:         opts.Spans,
 		}

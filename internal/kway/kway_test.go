@@ -8,6 +8,8 @@ import (
 	"fpgapart/internal/fm"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/library"
+	"fpgapart/internal/span"
+	"fpgapart/internal/trace"
 )
 
 func testCircuit(t testing.TB, cells int, seed int64) *hypergraph.Graph {
@@ -20,6 +22,13 @@ func testCircuit(t testing.TB, cells int, seed int64) *hypergraph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// sinkScope returns an armed span scope sending its events to sink:
+// events need armed spans.
+func sinkScope(sink trace.Sink) span.Scope {
+	tracer := span.NewTracer(span.Options{Process: "kway-test"})
+	return tracer.Root(span.DeriveTraceID("kway-test", 0, 0), 0).WithSink(sink)
 }
 
 func opts(threshold int, solutions int) Options {

@@ -70,7 +70,7 @@ type Reducer[S any] struct {
 // *search.ErrBudget and FoldStats.Stopped. Of opts it reads only the
 // search shape (Solutions, Seed, Workers, MaxStale), the durability
 // plumbing (Checkpoint, CheckpointEvery, Resume) and the observability
-// hooks (Trace, Spans, Inject).
+// hooks (Spans and its sink, Inject).
 func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs FoldStats, err error) {
 	if opts, err = opts.withDefaults(); err != nil {
 		return best, fs, err
@@ -96,9 +96,7 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 				if panicked {
 					fs.PanickedSeeds = append(fs.PanickedSeeds, perr.Seed)
 				}
-				if opts.Trace != nil {
-					opts.Trace.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
-				}
+				opts.Spans.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
 				return
 			}
 			fs.Feasible++
@@ -110,13 +108,11 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 				fs.CostMax = sc.Cost
 			}
 			costSum += sc.Cost
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{
-					Kind: trace.KindSolution, Attempt: attempt,
-					Feasible: true, Cost: sc.Cost, Parts: sc.K, Improved: improved,
-					Topo: sc.Topo, HasTopo: sc.HasTopo,
-				})
-			}
+			opts.Spans.Event(trace.Event{
+				Kind: trace.KindSolution, Attempt: attempt,
+				Feasible: true, Cost: sc.Cost, Parts: sc.K, Improved: improved,
+				Topo: sc.Topo, HasTopo: sc.HasTopo,
+			})
 		},
 	}
 	if cp := opts.Resume; cp != nil {
@@ -133,6 +129,15 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 		}
 		fs.PanickedSeeds = append(fs.PanickedSeeds, cp.PanickedSeeds...)
 		fs.Resumed, fs.ResumedFrom = true, cp.Folded
+		// The "resume" span is labeled with the attempt the run continues
+		// from and ends with the KindResume event. The replay's spans land
+		// under it in the same trace as the original run (the caller
+		// derives the TraceID from the checkpoint identity), so a
+		// crash-recovered job reads as one timeline.
+		resumeSpan := opts.Spans.Start("resume", cp.Folded)
+		if opts.Spans.Enabled() {
+			resumeSpan.Detail(fmt.Sprintf("folded=%d best_attempt=%d", cp.Folded, cp.BestAttempt))
+		}
 		rs := &search.ResumeState[S]{
 			Folded:      cp.Folded,
 			BestAttempt: cp.BestAttempt,
@@ -154,27 +159,21 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 			if replay == nil {
 				replay = r.NewAttempt()
 			}
-			// The replay's spans land under a "resume" span in the same
-			// trace as the original run (the caller derives the TraceID
-			// from the checkpoint identity), so a crash-recovered job
-			// reads as one timeline.
+			// The replay reconstructs known state, not new search work:
+			// its scope drops the sink, so it emits no events.
 			rctx := ctx
-			resumeSpan := opts.Spans.Start("resume", cp.BestAttempt)
 			if opts.Spans.Enabled() {
-				resumeSpan.Detail(fmt.Sprintf("folded=%d best_attempt=%d", cp.Folded, cp.BestAttempt))
-				rctx = span.NewContext(ctx, resumeSpan.Scope())
+				rctx = span.NewContext(ctx, resumeSpan.Scope().WithSink(nil))
 			}
 			sol, rerr := replay(rctx, cp.BestAttempt, opts.Seed+int64(cp.BestAttempt)*SeedStride)
-			resumeSpan.End()
 			if rerr != nil {
+				resumeSpan.End()
 				return best, fs, fmt.Errorf("kway: checkpoint replay of attempt %d failed: %w", cp.BestAttempt, rerr)
 			}
 			rs.Best, rs.Found = sol, true
 		}
 		drv.Resume = rs
-		if opts.Trace != nil {
-			opts.Trace.Event(trace.Event{Kind: trace.KindResume, Attempt: cp.Folded, Folded: cp.Folded, BestAttempt: cp.BestAttempt})
-		}
+		resumeSpan.EndEvent(trace.Event{Kind: trace.KindResume, Folded: cp.Folded, BestAttempt: cp.BestAttempt})
 	}
 	// The checkpoint wrapper runs inside the single-threaded reducer,
 	// immediately after Observe for the same attempt, so the fold-side
@@ -198,9 +197,7 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 			if len(fs.PanickedSeeds) > 0 {
 				cp.PanickedSeeds = append([]int64(nil), fs.PanickedSeeds...)
 			}
-			if opts.Trace != nil {
-				opts.Trace.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: p.Folded - 1, Folded: p.Folded, BestAttempt: p.BestAttempt})
-			}
+			opts.Spans.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: p.Folded - 1, Folded: p.Folded, BestAttempt: p.BestAttempt})
 			opts.Checkpoint(cp)
 		}
 	}
@@ -215,7 +212,7 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 		Checkpoint: sCheckpoint,
 		Spans:      searchSpan.Scope(),
 	}, drv)
-	opts.emitPhase(-1, trace.PhaseSearch, searchSpan.End())
+	searchSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseSearch})
 	var budget *search.ErrBudget
 	if serr != nil {
 		var ae *search.AttemptError

@@ -9,6 +9,7 @@ import (
 	"fpgapart/internal/bench"
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
+	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
 
@@ -50,7 +51,9 @@ func reducerTrace(t *testing.T, rec *trace.Recorder, from int) string {
 }
 
 // runCheckpointed runs the search with an every-fold checkpoint hook,
-// returning the result, every emitted checkpoint and the trace.
+// returning the result, every emitted checkpoint and the events. Spans
+// are armed on a fresh tracer unless the caller armed its own scope:
+// events need armed spans.
 func runCheckpointed(t *testing.T, opts kway.Options, p *bench.Params) (kway.Result, []kway.SearchCheckpoint, *trace.Recorder) {
 	t.Helper()
 	g, err := bench.Generate(*p)
@@ -59,7 +62,11 @@ func runCheckpointed(t *testing.T, opts kway.Options, p *bench.Params) (kway.Res
 	}
 	rec := &trace.Recorder{}
 	var cps []kway.SearchCheckpoint
-	opts.Trace = rec
+	if !opts.Spans.Enabled() {
+		tracer := span.NewTracer(span.Options{Process: "kway-test"})
+		opts.Spans = tracer.Root(span.DeriveTraceID("resume", opts.Seed, opts.Solutions), 0)
+	}
+	opts.Spans = opts.Spans.WithSink(rec)
 	opts.CheckpointEvery = 1
 	opts.Checkpoint = func(cp kway.SearchCheckpoint) { cps = append(cps, cp) }
 	res, err := kway.Partition(g, opts)
@@ -135,6 +142,68 @@ func TestResumeGolden(t *testing.T) {
 				if got, want := reducerTrace(t, resumedRec, cp.Folded), reducerTrace(t, fullRec, cp.Folded); got != want {
 					t.Errorf("%s: trace tail diverged:\nresumed:\n%s\nfull:\n%s", label, got, want)
 				}
+			}
+		})
+	}
+}
+
+// TestResumeReplayEmitsNothing: replaying the checkpoint's incumbent
+// reconstructs known state, so a resumed search sends no event for any
+// folded attempt — only the resume event, which ends the "resume" span.
+// The replay's spans still land under that span.
+func TestResumeReplayEmitsNothing(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		set  func(*kway.Options)
+	}{
+		{"flat", func(*kway.Options) {}},
+		{"multilevel", func(o *kway.Options) { o.Multilevel = true; o.MultilevelMinCells = 64 }},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			base, p := resumeBase(t)
+			cfg.set(&base)
+			_, cps, _ := runCheckpointed(t, base, p)
+			cp := cps[len(cps)/2]
+			if cp.BestAttempt < 0 {
+				t.Fatalf("checkpoint %+v has no incumbent to replay", cp)
+			}
+			tracer := span.NewTracer(span.Options{Process: "kway-test"})
+			tid := span.DeriveTraceID("resume-replay", base.Seed, base.Solutions)
+			opts := base
+			opts.Resume = &cp
+			opts.Spans = tracer.Root(tid, 0)
+			_, _, rec := runCheckpointed(t, opts, p)
+			resumes := 0
+			for _, e := range rec.Events() {
+				if e.Kind == trace.KindResume {
+					resumes++
+					if e.Attempt != cp.Folded || e.Folded != cp.Folded || e.BestAttempt != cp.BestAttempt {
+						t.Fatalf("resume event %+v, want attempt/folded %d and best attempt %d", e, cp.Folded, cp.BestAttempt)
+					}
+					continue
+				}
+				if e.Attempt >= 0 && e.Attempt < cp.Folded {
+					t.Fatalf("event for folded attempt %d: %+v", e.Attempt, e)
+				}
+			}
+			if resumes != 1 {
+				t.Fatalf("%d resume events, want 1", resumes)
+			}
+			spans, _ := tracer.Collector().Trace(tid)
+			var resumeID span.ID
+			for _, s := range spans {
+				if s.Name == "resume" {
+					resumeID = s.ID
+				}
+			}
+			passes := 0
+			for _, s := range tracer.Collector().Subtree(tid, resumeID) {
+				if s.Name == "fm-pass" {
+					passes++
+				}
+			}
+			if resumeID == 0 || passes == 0 {
+				t.Fatalf("resume span %v has %d fm-pass descendants, want some", resumeID, passes)
 			}
 		})
 	}

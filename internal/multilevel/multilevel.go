@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"fpgapart/internal/cluster"
 	"fpgapart/internal/fm"
@@ -116,19 +115,17 @@ type Config struct {
 	NetWeights map[string]replication.NetWeights
 	// Seed derives every random stream of the run.
 	Seed int64
-	// Trace, when non-nil, receives one trace.KindLevel event per
-	// refined level, plus a coarsen and an uncoarsen KindPhase event
-	// carrying the span durations when Spans is armed. TraceAttempt
-	// labels the events with the enclosing solution attempt (-1 for
-	// standalone runs).
-	Trace        trace.Sink
+	// TraceAttempt labels spans and events with the enclosing solution
+	// attempt (-1 for standalone runs).
 	TraceAttempt int
 	// Spans, when armed, times the V-cycle as a span subtree of the
 	// enclosing attempt: one "coarsen" span, one "level" span per
 	// refined level (FM/parfm pass spans nest under it), and one
-	// "uncoarsen" span over the projection sweep. The disarmed zero
-	// value is inert. Span clock readings feed only the trace, never
-	// search decisions.
+	// "uncoarsen" span over the projection sweep. With a sink on the
+	// scope, each level span ends with a trace.KindLevel event and the
+	// coarsen and uncoarsen spans with a KindPhase event carrying their
+	// durations. The disarmed zero value is inert. Span clock readings
+	// feed only the trace, never search decisions.
 	Spans span.Scope
 }
 
@@ -233,7 +230,7 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 
 	coarsenSpan := cfg.Spans.Start("coarsen", cfg.TraceAttempt)
 	levels := coarsen(g, cfg, target)
-	cfg.emitPhase(cfg.TraceAttempt, trace.PhaseCoarsen, coarsenSpan.End())
+	coarsenSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseCoarsen})
 	top := len(levels) - 1
 
 	var res Result
@@ -246,12 +243,8 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	stats.Level = top
-	if topSpan.Scope().Enabled() {
-		topSpan.Detail(levelDetail(stats))
-	}
-	topSpan.End()
+	endLevel(topSpan, stats)
 	res.Levels = append(res.Levels, stats)
-	emitLevel(cfg, stats)
 
 	uncoarsenSpan := cfg.Spans.Start("uncoarsen", cfg.TraceAttempt)
 	var runner fm.Runner
@@ -274,19 +267,15 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 			return Result{}, lerr
 		}
 		lvl.CutProjected = cutProj
-		if lvlSpan.Scope().Enabled() {
-			lvlSpan.Detail(levelDetail(lvl))
-		}
-		lvlSpan.End()
+		endLevel(lvlSpan, lvl)
 		res.Levels = append(res.Levels, lvl)
-		emitLevel(cfg, lvl)
 		for c := range assign {
 			assign[c] = st.Home(hypergraph.CellID(c))
 		}
 		cut = lvl.CutRefined
 		area0 = st.Area(0)
 	}
-	cfg.emitPhase(cfg.TraceAttempt, trace.PhaseUncoarsen, uncoarsenSpan.End())
+	uncoarsenSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseUncoarsen})
 
 	res.Assign = assign
 	res.Cut = cut
@@ -299,29 +288,15 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// levelDetail renders one level's span annotation (armed paths only).
-func levelDetail(s LevelStats) string {
-	return fmt.Sprintf("level=%d cells=%d cut=%d", s.Level, s.Cells, s.CutRefined)
-}
-
-// emitPhase reports a phase whose span lasted d to the trace sink,
-// only when a sink is set and spans are armed.
-func (c Config) emitPhase(attempt int, phase string, d time.Duration) {
-	if c.Trace != nil && c.Spans.Enabled() {
-		c.Trace.Event(trace.Event{Kind: trace.KindPhase, Attempt: attempt, Phase: phase, Dur: d})
+// endLevel ends one refined level's span, annotated with and
+// reporting the level's stats.
+func endLevel(run span.Running, s LevelStats) {
+	if run.Scope().Enabled() {
+		run.Detail(fmt.Sprintf("level=%d cells=%d cut=%d", s.Level, s.Cells, s.CutRefined))
 	}
-}
-
-// emitLevel reports one refined level to the trace sink.
-func emitLevel(cfg Config, s LevelStats) {
-	if cfg.Trace == nil {
-		return
-	}
-	cfg.Trace.Event(trace.Event{
-		Kind: trace.KindLevel, Attempt: cfg.TraceAttempt,
-		Level: s.Level, Cells: s.Cells,
-		Area: s.Area0, Cut: s.CutRefined,
-		Moves: s.Moves, Pass: s.Passes,
+	run.EndEvent(trace.Event{
+		Kind: trace.KindLevel, Level: s.Level, Cells: s.Cells,
+		Area: s.Area0, Cut: s.CutRefined, Moves: s.Moves, Pass: s.Passes,
 	})
 }
 
@@ -473,8 +448,8 @@ func initialPartition(lv level, cfg Config, w bounds, target int) ([]replication
 					MaxPasses:     cfg.MaxPasses,
 					RefineWorkers: cfg.RefineWorkers,
 					Seed:          seed,
-					Trace:         cfg.Trace, TraceAttempt: cfg.TraceAttempt,
-					Spans: cfg.Spans,
+					TraceAttempt:  cfg.TraceAttempt,
+					Spans:         cfg.Spans,
 				})
 				if err != nil {
 					return sol{}, err
@@ -541,8 +516,8 @@ func refineLevel(runner *fm.Runner, lv level, assign []replication.Block, cfg Co
 		MaxPasses:     cfg.MaxPasses,
 		RefineWorkers: cfg.RefineWorkers,
 		Seed:          cfg.Seed + int64(l+1)*refineStride,
-		Trace:         cfg.Trace, TraceAttempt: cfg.TraceAttempt,
-		Spans: cfg.Spans,
+		TraceAttempt:  cfg.TraceAttempt,
+		Spans:         cfg.Spans,
 	})
 	if err != nil {
 		return nil, 0, LevelStats{}, fmt.Errorf("multilevel: level %d refinement: %w", l, err)

@@ -5,6 +5,7 @@ import (
 
 	"fpgapart/internal/bench"
 	"fpgapart/internal/replication"
+	"fpgapart/internal/span"
 	"fpgapart/internal/telemetry"
 	"fpgapart/internal/trace"
 )
@@ -13,10 +14,11 @@ import (
 // has hit its high-water mark: proposals live in a fixed per-cell
 // array, the commit order is counting-sorted into a reused slice,
 // dirty tracking is epoch-stamped (never cleared), and rollback walks
-// the undo trail. The trace path must preserve this — the telemetry
-// bridge consumes stack-built events. The graph stays below the engine's parallel cutoff so the
-// measured loop is the allocation-relevant serial protocol (goroutine
-// fan-out on big shards allocates per spawn, by design).
+// the undo trail. The span and event path must preserve this — the
+// telemetry bridge consumes stack-built events. The graph stays below
+// the engine's parallel cutoff so the measured loop is the
+// allocation-relevant serial protocol (goroutine fan-out on big shards
+// allocates per spawn, by design).
 func TestParFMPassAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -57,7 +59,13 @@ func TestParFMPassAllocs(t *testing.T) {
 			var r Runner
 			cfg := Config{
 				MinArea: [2]int{lo, lo}, MaxArea: [2]int{hi, hi},
-				Threshold: tc.threshold, Workers: 2, Trace: tc.sink,
+				Threshold: tc.threshold, Workers: 2,
+			}
+			if tc.sink != nil {
+				// Events need armed spans. The collector keeps one span
+				// per trace, so steady-state spans are counted, not stored.
+				tracer := span.NewTracer(span.Options{MaxSpansPerTrace: 1})
+				cfg.Spans = tracer.Root(span.DeriveTraceID("allocs", 0, 0), 0).WithSink(tc.sink)
 			}
 			if _, err := r.Run(st, cfg); err != nil {
 				t.Fatal(err)
@@ -69,13 +77,13 @@ func TestParFMPassAllocs(t *testing.T) {
 			r.cfg = cfg.withDefaults()
 			r.replOnly = tc.replOnly
 			var res Result
-			// Bracket each pass with the disarmed span scope exactly as
-			// the round loop does: a zero Scope must cost a predicted
-			// branch, never an allocation.
+			// Bracket each pass with its span and event exactly as
+			// RunPhases does: a zero Scope must cost a predicted branch,
+			// an armed one no allocation either.
 			if avg := testing.AllocsPerRun(5, func() {
 				run := r.cfg.Spans.Start("parfm-pass", r.cfg.TraceAttempt)
-				r.pass(&res)
-				run.End()
+				_, moves, cut := r.pass(&res, 1)
+				run.EndEvent(trace.Event{Kind: trace.KindFMPass, Pass: 1, Moves: moves, Cut: cut})
 			}); avg != 0 {
 				t.Fatalf("steady-state pass allocates %v times", avg)
 			}

@@ -7,6 +7,7 @@ import (
 	"fpgapart/internal/fm"
 	"fpgapart/internal/parfm"
 	"fpgapart/internal/replication"
+	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
 
@@ -88,7 +89,7 @@ func FuzzProposeCommit(f *testing.F) {
 			t.Skip() // initial assignment outside the fuzzed bounds
 		}
 		rc := &roundChecker{t: t, st: st, cfg: cfg}
-		cfg.Trace = rc
+		cfg.Spans = sinkScope(rc)
 		res, err := parfm.Run(st, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +106,7 @@ func FuzzProposeCommit(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg1 := cfg
-		cfg1.Trace = nil
+		cfg1.Spans = span.Scope{}
 		cfg1.Workers = 1
 		res1, err := parfm.Run(st1, cfg1)
 		if err != nil {

@@ -85,14 +85,14 @@ type Config struct {
 	// does not influence the result; diversity across attempts comes
 	// from the seeded initial assignment.
 	Seed int64
-	// Trace, when non-nil, receives one KindParRound event per
-	// sub-round and one KindFMPass event per completed pass.
-	Trace trace.Sink
-	// TraceAttempt labels emitted events; use -1 for standalone runs.
+	// TraceAttempt labels spans and events with the enclosing solution
+	// attempt; use -1 for standalone runs.
 	TraceAttempt int
 	// Spans, when armed, times every pass as a "parfm-pass" span in
-	// the enclosing attempt's trace. The disarmed zero value costs a
-	// single predicted branch per pass (see TestParFMPassAllocs).
+	// the enclosing attempt's trace. With a sink on the scope, each
+	// pass span ends with a KindFMPass event and every sub-round sends
+	// a KindParRound event. The disarmed zero value costs a single
+	// predicted branch per pass (see TestParFMPassAllocs).
 	Spans span.Scope
 	// Inject, when non-nil, consults the fault plan at every pass
 	// boundary, mirroring the serial engine's injection site.
@@ -171,7 +171,6 @@ type Runner struct {
 
 	gainOf   int // gain offset = max |gain| (st.MaxMoveGain)
 	replOnly bool
-	passSeq  int
 }
 
 // Run is a one-shot convenience around Runner.Run.
@@ -228,7 +227,6 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	}
 	r.bind(st)
 	r.cfg = cfg
-	r.passSeq = 0
 
 	// Gains are evaluated from scratch against frozen sub-round states,
 	// so the per-commit incremental neighbor maintenance is pure
@@ -240,19 +238,20 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 
 	var res Result
 	var err error
-	res.Passes, res.Moves, err = RunPhases(cfg, "parfm-pass", func(threshold int, replOnly bool) (bool, int) {
+	res.Passes, res.Moves, err = RunPhases(cfg, "parfm-pass", func(n, threshold int, replOnly bool) (bool, int, int) {
 		r.cfg.Threshold = threshold
 		r.replOnly = replOnly
-		return r.pass(&res)
+		return r.pass(&res, n)
 	})
 	res.Cut = st.CutSize()
 	return res, err
 }
 
-// pass runs one FM pass as a sequence of synchronous sub-rounds and
-// reports whether the cut improved, plus the number of committed
-// moves. Best-prefix rollback is per pass, via the undo trail.
-func (r *Runner) pass(res *Result) (bool, int) {
+// pass runs FM pass n as a sequence of synchronous sub-rounds and
+// reports whether the cut improved, the number of committed moves and
+// the cut after the rollback. Best-prefix rollback is per pass, via
+// the undo trail.
+func (r *Runner) pass(res *Result, n int) (bool, int, int) {
 	st := r.st
 	for i := range r.locked {
 		r.locked[i] = false
@@ -345,17 +344,15 @@ func (r *Runner) pass(res *Result) (bool, int) {
 		res.Proposals += proposed
 		res.Commits += commits
 		res.Stale += stale
-		if r.cfg.Trace != nil {
-			r.cfg.Trace.Event(trace.Event{
-				Kind:      trace.KindParRound,
-				Attempt:   r.cfg.TraceAttempt,
-				Pass:      r.passSeq + 1,
-				Round:     round,
-				Proposals: proposed,
-				Commits:   commits,
-				Stale:     stale,
-			})
-		}
+		r.cfg.Spans.Event(trace.Event{
+			Kind:      trace.KindParRound,
+			Attempt:   r.cfg.TraceAttempt,
+			Pass:      n,
+			Round:     round,
+			Proposals: proposed,
+			Commits:   commits,
+			Stale:     stale,
+		})
 		if commits == 0 {
 			// Nothing feasible remains: no cell was committed, so no
 			// proposal went stale and the buckets hold only
@@ -369,17 +366,7 @@ func (r *Runner) pass(res *Result) (bool, int) {
 	if err := st.Undo(bestTok); err != nil {
 		panic(fmt.Sprintf("parfm: rollback: %v", err))
 	}
-	r.passSeq++
-	if r.cfg.Trace != nil {
-		r.cfg.Trace.Event(trace.Event{
-			Kind:    trace.KindFMPass,
-			Attempt: r.cfg.TraceAttempt,
-			Pass:    r.passSeq,
-			Moves:   moves,
-			Cut:     bestCut,
-		})
-	}
-	return bestCut < startCut, moves
+	return bestCut < startCut, moves, bestCut
 }
 
 // move materializes cell c's stored proposal.

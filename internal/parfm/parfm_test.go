@@ -12,6 +12,7 @@ import (
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/parfm"
 	"fpgapart/internal/replication"
+	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
 
@@ -30,6 +31,13 @@ func testGraph(t testing.TB, cells int, seed int64) *hypergraph.Graph {
 func testCfg(g *hypergraph.Graph, threshold int, workers int) parfm.Config {
 	minA, maxA := fm.Balance(g.TotalArea(), 0.10)
 	return parfm.Config{MinArea: minA, MaxArea: maxA, Threshold: threshold, Workers: workers}
+}
+
+// sinkScope returns an armed span scope sending its events to sink:
+// events need armed spans.
+func sinkScope(sink trace.Sink) span.Scope {
+	tracer := span.NewTracer(span.Options{Process: "parfm-test"})
+	return tracer.Root(span.DeriveTraceID("parfm-test", 0, 0), 0).WithSink(sink)
 }
 
 // signature flattens the partition to a comparable string: per-cell
@@ -115,7 +123,7 @@ func TestRepeatableTrace(t *testing.T) {
 		}
 		rec := &trace.Recorder{}
 		cfg := testCfg(g, 0, 4)
-		cfg.Trace = rec
+		cfg.Spans = sinkScope(rec)
 		cfg.TraceAttempt = -1
 		if _, err := parfm.Run(st, cfg); err != nil {
 			t.Fatal(err)
@@ -191,7 +199,7 @@ func TestSubRoundTraceAccounting(t *testing.T) {
 	}
 	rec := &trace.Recorder{}
 	cfg := testCfg(g, 0, 3)
-	cfg.Trace = rec
+	cfg.Spans = sinkScope(rec)
 	cfg.TraceAttempt = 42
 	res, err := parfm.Run(st, cfg)
 	if err != nil {

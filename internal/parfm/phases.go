@@ -1,6 +1,9 @@
 package parfm
 
-import "fpgapart/internal/faultinject"
+import (
+	"fpgapart/internal/faultinject"
+	"fpgapart/internal/trace"
+)
 
 // RunPhases drives the phase schedule that both FM engines share, this
 // package's sub-round engine and the serial engine in package fm: plain
@@ -14,9 +17,11 @@ import "fpgapart/internal/faultinject"
 // most cfg.MaxPasses rounds. Of cfg, only Threshold, MaxPasses, Seed,
 // TraceAttempt, Spans and Inject are read.
 //
-// pass runs one pass with the given replication threshold and move
-// universe and reports whether it improved the objective and how many
-// moves it applied. The driver times each pass as a spanName span and
+// pass runs pass number n (counted from 1 in this call) with the given
+// replication threshold and move universe, and reports whether it
+// improved the objective, how many moves it applied and the objective
+// after its best-prefix rollback. The driver times each pass as a
+// spanName span that ends with the pass's KindFMPass event, and
 // consults cfg.Inject before it (faultinject.SitePass, ordinal = passes
 // run so far in this call); an injected fault ends the schedule with
 // its error.
@@ -30,7 +35,7 @@ import "fpgapart/internal/faultinject"
 // the driver does not run it: the phase ends as if it had, but no event
 // is emitted, no span opened, no fault plan consulted and no pass
 // counted.
-func RunPhases(cfg Config, spanName string, pass func(threshold int, replOnly bool) (improved bool, moves int)) (passes, moves int, err error) {
+func RunPhases(cfg Config, spanName string, pass func(n, threshold int, replOnly bool) (improved bool, moves, cut int)) (passes, moves int, err error) {
 	cfg = cfg.withDefaults()
 	version := 0
 	dryAt := [2]int{-1, -1} // by kind: plain, replication-only
@@ -49,10 +54,10 @@ func RunPhases(cfg Config, spanName string, pass func(threshold int, replOnly bo
 				}
 			}
 			run := cfg.Spans.Start(spanName, cfg.TraceAttempt)
-			improved, m := pass(threshold, replOnly)
-			run.End()
+			improved, m, cut := pass(passes+1, threshold, replOnly)
 			passes++
 			moves += m
+			run.EndEvent(trace.Event{Kind: trace.KindFMPass, Pass: passes, Moves: m, Cut: cut})
 			if !improved {
 				dryAt[kind] = version
 				break

@@ -8,12 +8,15 @@ import (
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
+	"fpgapart/internal/span"
+	"fpgapart/internal/trace"
 )
 
 // The schedule on scripted pass outcomes: which passes run, in which
 // phase kind, and which the driver skips as provably dry. A skipped pass
-// consults no fault plan: a rule at the ordinal after the last run pass
-// never fires.
+// consults no fault plan (a rule at the ordinal after the last run pass
+// never fires) and emits no event: each run pass, numbered from 1, ends
+// its span with one KindFMPass event carrying its moves and cut.
 func TestRunPhasesSkipsProvablyDryPasses(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -37,10 +40,10 @@ func TestRunPhasesSkipsProvablyDryPasses(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var kinds []byte
-			pass := func(threshold int, replOnly bool) (bool, int) {
+			pass := func(n, threshold int, replOnly bool) (bool, int, int) {
 				k := len(kinds)
-				if k >= len(tc.outcomes) {
-					t.Fatalf("pass %d beyond the script", k)
+				if k >= len(tc.outcomes) || n != k+1 {
+					t.Fatalf("pass %d (numbered %d) beyond the script", k, n)
 				}
 				if replOnly {
 					kinds = append(kinds, 'R')
@@ -53,9 +56,12 @@ func TestRunPhasesSkipsProvablyDryPasses(t *testing.T) {
 						t.Fatalf("plain pass with threshold %d", threshold)
 					}
 				}
-				return tc.outcomes[k] == '+', 10
+				return tc.outcomes[k] == '+', 10, 100 - k
 			}
-			cfg := Config{Threshold: tc.threshold, MaxPasses: tc.maxPasses, TraceAttempt: 0}
+			var rec trace.Recorder
+			tracer := span.NewTracer(span.Options{Process: "parfm-test"})
+			cfg := Config{Threshold: tc.threshold, MaxPasses: tc.maxPasses, TraceAttempt: 3,
+				Spans: tracer.Root(span.DeriveTraceID("phases", 0, 0), 0).WithSink(&rec)}
 			cfg.Inject = faultinject.NewPlan(faultinject.Rule{
 				Site: faultinject.SitePass, Kind: faultinject.KindCancel,
 				Attempt: faultinject.Any, Index: len(tc.want),
@@ -66,6 +72,15 @@ func TestRunPhasesSkipsProvablyDryPasses(t *testing.T) {
 			}
 			if string(kinds) != tc.want || passes != len(tc.want) || moves != 10*len(tc.want) {
 				t.Fatalf("ran %q (%d passes, %d moves), want %q", kinds, passes, moves, tc.want)
+			}
+			events := rec.Events()
+			if len(events) != passes {
+				t.Fatalf("%d events for %d passes", len(events), passes)
+			}
+			for k, e := range events {
+				if e.Kind != trace.KindFMPass || e.Attempt != 3 || e.Pass != k+1 || e.Moves != 10 || e.Cut != 100-k {
+					t.Fatalf("event %d = %+v", k, e)
+				}
 			}
 		})
 	}
@@ -106,7 +121,7 @@ func TestSkippedPassesAreDry(t *testing.T) {
 			if replOnly {
 				r.cfg.Threshold, r.replOnly = cfg.Threshold, true
 			}
-			if improved, _ := r.pass(&res); improved || signature(st) != want {
+			if improved, _, _ := r.pass(&res, 1); improved || signature(st) != want {
 				t.Fatalf("seed %d replOnly=%v: pass after Run improved=%v", seed, replOnly, improved)
 			}
 		}

@@ -507,16 +507,12 @@ func (s *Server) runJob(j *job) {
 		jobRun.Detail(fmt.Sprintf("job=%s cells=%d seed=%d", j.id, j.graph.NumCells(), j.opts.Seed))
 	}
 	defer jobRun.End()
-	j.opts.Spans = jobRun.Scope()
+	// Every job's engine events ride on its spans into the server's
+	// metrics registry. Neither perturbs the search.
+	j.opts.Spans = jobRun.Scope().WithSink(s.met.bridge)
 	j.mu.Lock()
 	j.rootSpan = jobRun.SpanID()
 	j.mu.Unlock()
-
-	// Every job's engine trace feeds the server's metrics registry; the
-	// job's spans time its phases. Neither perturbs the search.
-	if j.opts.Trace == nil {
-		j.opts.Trace = s.met.bridge
-	}
 	if s.cfg.Store != nil {
 		id := j.id
 		j.opts.CheckpointEvery = s.cfg.CheckpointEvery
@@ -607,9 +603,10 @@ func (s *Server) LocalAttempt() func(ctx context.Context, req *JobRequest) (*Job
 		}
 		// A coordinator falling back to its own engine passes the rpc
 		// span's scope through ctx, keeping the local attempt in the
-		// same trace as the remote ones.
+		// same trace as the remote ones. The coordinator's reduction
+		// reports the attempt, so the fallback sends no events.
 		if sc := span.FromContext(ctx); sc.Enabled() {
-			opts.Spans = sc
+			opts.Spans = sc.WithSink(nil)
 		}
 		res, err := core.PartitionContext(ctx, g, opts)
 		if err != nil {

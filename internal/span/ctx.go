@@ -4,10 +4,10 @@ import "context"
 
 type ctxKey struct{}
 
-// NewContext returns ctx carrying s, so per-attempt scopes flow
-// through fixed callback signatures (search.AttemptFunc) without
-// widening them. Only call on armed scopes — the disarmed path must
-// not allocate a context.
+// NewContext returns ctx carrying s and its sink, so per-attempt
+// scopes flow through fixed callback signatures (search.AttemptFunc)
+// without widening them. Only call on armed scopes — the disarmed path
+// must not allocate a context.
 func NewContext(ctx context.Context, s Scope) context.Context {
 	return context.WithValue(ctx, ctxKey{}, s)
 }

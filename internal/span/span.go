@@ -1,8 +1,8 @@
-// Package span is a zero-dependency distributed tracing layer: it
-// upgrades the flat engine events of internal/trace into a causal
+// Package span is the engines' one observability handle: a causal
 // tree of timed spans — job → search attempt → V-cycle level →
 // FM/parfm pass → coordinator RPC — stitched across processes by W3C
-// traceparent propagation.
+// traceparent propagation, which also carries the engine's event
+// stream (internal/trace).
 //
 // The design mirrors the repo's observability contract (DESIGN.md
 // §17): tracing never feeds search decisions (fixed-seed results are
@@ -11,6 +11,15 @@
 // allocations (pinned by TestFMPassAllocs variants). A Scope is a
 // small value; its zero value is disarmed, so engine configs embed
 // one without any pointer plumbing.
+//
+// Events ride on the scope. Scope.WithSink attaches a trace.Sink, and
+// every scope derived from it (child spans, NewContext/FromContext)
+// inherits the sink. Point events (carve, solution, checkpoint,
+// parfm-round) are sent with Scope.Event; timed work (an FM pass, a
+// V-cycle level, a phase, a resume) sends its event from
+// Running.EndEvent, which ends the span that timed it. The one rule:
+// events need armed spans — a disarmed scope carries no sink, so it
+// emits nothing.
 //
 // Each process owns one Tracer. Completed spans land in two bounded
 // sinks: a FlightRecorder ring holding the last N spans of this
@@ -29,6 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fpgapart/internal/trace"
 )
 
 // TraceID identifies one logical job across every process that works
@@ -182,11 +193,13 @@ func (t *Tracer) Collector() *Collector { return t.col }
 func (t *Tracer) Flight() *FlightRecorder { return t.flight }
 
 // Ingest merges spans recorded by another process (a worker daemon's
-// response) into the collector. The flight recorder is untouched: it
-// holds only this process's spans.
-func (t *Tracer) Ingest(spans []Span) {
+// response to a request of trace id) into the collector. Spans of any
+// other trace are dropped, so a stale or buggy response cannot plant
+// spans in other traces or evict them from the bounded collector. The
+// flight recorder is untouched: it holds only this process's spans.
+func (t *Tracer) Ingest(id TraceID, spans []Span) {
 	for _, sp := range spans {
-		if sp.Trace.IsZero() || sp.ID == 0 {
+		if id.IsZero() || sp.Trace != id || sp.ID == 0 {
 			continue
 		}
 		t.col.Record(sp)
@@ -209,17 +222,36 @@ func (t *Tracer) record(sp Span) {
 }
 
 // Scope is a position in a trace: spans started from it become
-// children of the scope's parent span. The zero value is disarmed —
-// Start is a single branch returning a no-op Running — so engine
-// configs embed a Scope without nil checks or pointer plumbing.
+// children of the scope's parent span, and events sent on it go to its
+// sink. The zero value is disarmed — Start is a single branch
+// returning a no-op Running and there is no sink — so engine configs
+// embed a Scope without nil checks or pointer plumbing.
 type Scope struct {
 	t      *Tracer
 	trace  TraceID
 	parent ID
+	sink   trace.Sink
 }
 
 // Enabled reports whether spans started from this scope are recorded.
 func (s Scope) Enabled() bool { return s.t != nil }
+
+// WithSink returns the scope with its events sent to k (nil drops
+// them). Scopes derived from the result inherit k. A disarmed scope
+// stays disarmed and sink-less: events need armed spans.
+func (s Scope) WithSink(k trace.Sink) Scope {
+	if s.t != nil {
+		s.sink = k
+	}
+	return s
+}
+
+// Event sends a point event to the scope's sink, if it has one.
+func (s Scope) Event(e trace.Event) {
+	if s.sink != nil {
+		s.sink.Event(e)
+	}
+}
 
 // Tracer returns the owning tracer (nil when disarmed).
 func (s Scope) Tracer() *Tracer { return s.t }
@@ -236,7 +268,7 @@ func (s Scope) Start(name string, attempt int) Running {
 	if s.t == nil {
 		return Running{}
 	}
-	return Running{t: s.t, sp: Span{
+	return Running{t: s.t, sink: s.sink, sp: Span{
 		Trace:   s.trace,
 		ID:      s.t.nextID(),
 		Parent:  s.parent,
@@ -300,17 +332,19 @@ func DeriveTraceID(job string, seed int64, solutions int) TraceID {
 // Running is an in-flight span, returned by value so the armed path
 // stays off the heap. End is a no-op on the zero value.
 type Running struct {
-	t  *Tracer
-	sp Span
+	t    *Tracer
+	sink trace.Sink
+	sp   Span
 }
 
 // Scope returns the child scope: spans started from it parent under
-// this span. Disarmed when the Running is the no-op zero value.
+// this span, and it carries the starting scope's sink. Disarmed when
+// the Running is the no-op zero value.
 func (r Running) Scope() Scope {
 	if r.t == nil {
 		return Scope{}
 	}
-	return Scope{t: r.t, trace: r.sp.Trace, parent: r.sp.ID}
+	return Scope{t: r.t, trace: r.sp.Trace, parent: r.sp.ID, sink: r.sink}
 }
 
 // SpanID returns the in-flight span's ID (0 when disarmed).
@@ -332,6 +366,22 @@ func (r Running) End() time.Duration {
 	r.sp.Dur = r.t.now().Sub(r.sp.Start)
 	r.t.record(r.sp)
 	return r.sp.Dur
+}
+
+// EndEvent ends the span like End and sends e, the event of the work
+// the span timed, to the starting scope's sink: Attempt is set to the
+// span's attempt and, for a KindPhase event, Dur to its duration. With
+// no sink (or disarmed) it is End.
+func (r Running) EndEvent(e trace.Event) {
+	d := r.End()
+	if r.sink == nil {
+		return
+	}
+	e.Attempt = r.sp.Attempt
+	if e.Kind == trace.KindPhase {
+		e.Dur = d
+	}
+	r.sink.Event(e)
 }
 
 // FlightRecorder is a bounded ring of the last N completed spans of

@@ -165,7 +165,7 @@ func TestCrossProcessStitching(t *testing.T) {
 		t.Fatalf("worker subtree has %d spans, want 2", len(payload))
 	}
 
-	coordTr.Ingest(payload)
+	coordTr.Ingest(trace, payload)
 	rpc.End()
 	job.End()
 

@@ -71,8 +71,7 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var rec trace.Recorder
 	traced := opts
-	traced.Trace = trace.Multi(telemetry.NewBridge(reg), &rec)
-	traced.Spans = steppingScope()
+	traced.Spans = steppingScope().WithSink(trace.Multi(telemetry.NewBridge(reg), &rec))
 	got, err := kway.Partition(g, traced)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +99,7 @@ func TestPhaseEventsEmitted(t *testing.T) {
 	var rec trace.Recorder
 	res, err := kway.Partition(g, kway.Options{
 		Library: library.XC3000(), Solutions: 4, Seed: 11, Verify: true,
-		Trace: trace.Multi(bridge, &rec),
-		Spans: steppingScope(),
+		Spans: steppingScope().WithSink(trace.Multi(bridge, &rec)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func TestBridgeJointMultilevelParallel(t *testing.T) {
 		Library: library.XC3000(), Solutions: 4, Seed: 9,
 		Multilevel: true, MultilevelMinCells: 200,
 		RefineWorkers: 2,
-		Trace:         bridge,
+		Spans:         steppingScope().WithSink(bridge),
 	})
 	if err != nil {
 		t.Fatal(err)

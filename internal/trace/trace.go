@@ -1,12 +1,11 @@
-// Package trace is the structured observability layer of the
-// partitioning engines: an allocation-conscious event stream with
-// pluggable sinks. The hot paths (kway's carve loop, fm's pass loop)
-// emit one flat Event per unit of work behind a nil-check, so the
-// zero-sink configuration costs a predicted branch and the enabled
-// path allocates nothing either — events are stack-built value
-// structs and the JSONL sink reuses one encode buffer under its mutex.
-// Counting and histograms live in telemetry.Bridge, the one
-// aggregating sink.
+// Package trace is the event vocabulary of the partitioning engines:
+// one flat Event per unit of work and the sinks that consume them. The
+// hot paths (kway's carve loop, the FM pass loop) emit behind a
+// nil-check, so the zero-sink configuration costs a predicted branch
+// and the enabled path allocates nothing either — events are
+// stack-built value structs and the JSONL sink reuses one encode
+// buffer under its mutex. Counting and histograms live in
+// telemetry.Bridge, the one aggregating sink.
 //
 // Sinks must be safe for concurrent use: carve and FM-pass events are
 // emitted by the search workers in completion order (each labeled with
@@ -14,13 +13,12 @@
 // the single-threaded index-ordered reduction, so their order is
 // deterministic for a fixed seed.
 //
-// This package answers "how many / how much" (counters, histograms,
-// JSONL streams); its sibling internal/span answers "when and under
-// what" — durations on a causal tree that crosses process boundaries.
-// The span clock is the engines' only phase clock: an engine's
-// KindPhase event carries the duration of the span that timed the
-// phase, so phase events need both a trace.Sink on Options.Trace and
-// an armed span.Scope on Options.Spans.
+// The engines do not hold a sink of their own: it rides on their
+// internal/span scope (span.Scope.WithSink), and events need armed
+// spans. Work a span times — an FM pass, a V-cycle level, a phase, a
+// resume — emits its event when that span ends, so a KindPhase event
+// carries the span's duration; the rest are point events on the
+// scope. This package imports nothing internal.
 package trace
 
 import (
@@ -52,9 +50,9 @@ const (
 	KindSolution
 	// KindPhase marks the completion of one timed phase (Phase names
 	// it, Dur is its duration). Engine phases and kpart's parse are
-	// timed by their spans and emitted only while spans are armed; the
-	// daemon's request parse, which no span covers, is timed by the
-	// server clock. Durations feed only observability sinks — never
+	// emitted by the end of the span that timed them; the daemon's
+	// request parse, which no span covers, is timed by the server
+	// clock. Durations feed only observability sinks — never
 	// search decisions — so fixed-seed results are byte-identical with
 	// or without phase tracing.
 	KindPhase
@@ -181,14 +179,6 @@ type Event struct {
 type Sink interface {
 	Event(e Event)
 }
-
-// Noop discards every event. Hot paths prefer a nil Sink (guarded by a
-// nil-check); Noop exists for call sites that want an always-valid
-// sink value.
-type Noop struct{}
-
-// Event implements Sink.
-func (Noop) Event(Event) {}
 
 // JSONL is a Sink that writes one JSON object per event. The encoder
 // is hand-rolled over a reused buffer: one mutex-guarded Write per
