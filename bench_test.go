@@ -222,7 +222,8 @@ func BenchmarkAblationInitialPartition(b *testing.B) {
 	b.Run("multilevel", func(b *testing.B) {
 		run(b, func(i int) []replication.Block {
 			res, err := multilevel.Run(g, multilevel.Config{
-				TargetArea: g.TotalArea() / 2, MinArea: minA, MaxArea: maxA, Seed: int64(i),
+				Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: int64(i)},
+				TargetArea: g.TotalArea() / 2,
 			})
 			if err != nil {
 				b.Fatal(err)

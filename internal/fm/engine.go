@@ -5,15 +5,21 @@
 // replication with the best output split, or unreplication — locking
 // each cell after it participates once, and finally rolls back to the
 // best prefix; under the unit-cut objective it stops as soon as no
-// later prefix can beat that best (replication.FrozenCut). Passes
-// repeat until a pass yields no improvement (parfm.RunPhases).
+// later prefix can beat that best (replication.FrozenCut).
 //
-// The gain buckets are the classic intrusive doubly-linked structure:
-// every candidate move of every cell owns a fixed slot in a node pool
-// sized once per graph, and bucket membership is a head pointer per
-// gain value plus prev/next links in the nodes. Removal and reinsertion
-// are O(1), the buckets never hold stale entries, and a steady-state
-// pass performs no heap allocations (see TestFMPassAllocs).
+// The package has two pass algorithms over the same move universe and
+// one phase schedule (runPhases) that repeats passes until they yield
+// no improvement. Config.RefineWorkers selects the pass: the serial
+// gain-bucket pass in this file, or the deterministic parallel
+// sub-round pass (parallel.go). Runner.Run validates the configuration
+// once, before it chooses.
+//
+// The serial gain buckets are the classic intrusive doubly-linked
+// structure: every candidate move of every cell owns a fixed slot in a
+// node pool sized once per graph, and bucket membership is a head
+// pointer per gain value plus prev/next links in the nodes. Removal and
+// reinsertion are O(1), the buckets never hold stale entries, and a
+// steady-state pass performs no heap allocations (see TestFMPassAllocs).
 package fm
 
 import (
@@ -23,7 +29,6 @@ import (
 
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/hypergraph"
-	"fpgapart/internal/parfm"
 	"fpgapart/internal/replication"
 	"fpgapart/internal/span"
 )
@@ -31,10 +36,14 @@ import (
 // NoReplication disables replication moves when used as the Threshold.
 const NoReplication = -1
 
-// Config controls one bipartitioning run.
+// Config controls one bipartitioning run. It is the one declaration of
+// the FM run settings: the k-way carve builds it, and the multilevel
+// V-cycle embeds it as the configuration of its finest level.
 type Config struct {
 	// MinArea/MaxArea bound the active cell area of each block; a move
 	// is feasible only if both blocks stay within bounds afterwards.
+	// Run rejects MaxArea <= 0, negative MinArea and an initial state
+	// outside the bounds, with the same error for both engines.
 	MinArea [2]int
 	MaxArea [2]int
 	// Threshold is the replication potential threshold T (Eq. 6):
@@ -43,33 +52,39 @@ type Config struct {
 	Threshold int
 	// MaxPasses caps the passes of one phase and, separately, the
 	// number of plain/replication-only rounds (default 24; see
-	// parfm.RunPhases), so a run makes at most 2·MaxPasses² passes.
+	// runPhases), so a run makes at most 2·MaxPasses² passes.
 	MaxPasses int
 	// RefineWorkers selects the refinement engine. Values >= 2 run the
-	// deterministic parallel sub-round engine (package parfm) with
-	// that many proposal workers; 0 or 1 run the classic serial engine,
-	// whose partitions are byte-identical to previous releases. The
-	// parallel engine is equally deterministic — the partition is
-	// identical for every RefineWorkers value >= 2 and independent of
-	// GOMAXPROCS — but its passes differ from the serial engine's, so
-	// the two classes reach different (equally valid) partitions from
-	// the same seed.
+	// deterministic parallel sub-round engine (parallel.go), which fans
+	// its proposal scans out over min(RefineWorkers, GOMAXPROCS)
+	// goroutines; 0 or 1 run the classic serial engine, whose
+	// partitions are byte-identical to previous releases. The parallel
+	// engine is equally deterministic — the partition is identical for
+	// every RefineWorkers value >= 2 and independent of GOMAXPROCS — but
+	// its passes differ from the serial engine's, so the two classes
+	// reach different (equally valid) partitions from the same seed.
 	RefineWorkers int
 	// FlowRefine runs the exact max-flow replication pull
 	// (replication.OptimalPull, the paper's suggested combination with
 	// [4]) in both directions after the FM phases converge.
 	FlowRefine bool
-	// Seed orders candidate insertion for tie-breaking.
+	// Seed orders the serial engine's candidate insertion for
+	// tie-breaking and labels fault-plan lookups. The parallel engine
+	// is seed-free — proposals are exhaustive per cell and the commit
+	// order is (gain, recency) — so there diversity across attempts
+	// comes from the seeded initial assignment alone.
 	Seed int64
 	// TraceAttempt labels spans and events with the enclosing solution
 	// attempt index; use -1 for standalone runs.
 	TraceAttempt int
-	// Spans, when armed, times every pass as an "fm-pass" span in the
-	// enclosing attempt's trace; with a sink on the scope, each pass
-	// span ends with a KindFMPass event. The disarmed zero value costs
-	// a single predicted branch per pass, keeping the steady-state pass
-	// allocation-free (see TestFMPassAllocs). Span clock readings feed
-	// only the trace, never search decisions.
+	// Spans, when armed, times every pass as a span in the enclosing
+	// attempt's trace: "fm-pass" for the serial engine, "parfm-pass"
+	// for the parallel one. With a sink on the scope, each pass span
+	// ends with a KindFMPass event and every parallel sub-round sends a
+	// KindParRound event. The disarmed zero value costs a single
+	// predicted branch per pass, keeping the steady-state pass
+	// allocation-free (see TestFMPassAllocs, TestParFMPassAllocs). Span
+	// clock readings feed only the trace, never search decisions.
 	Spans span.Scope
 	// Inject, when non-nil, consults the fault plan before every pass
 	// the run executes (faultinject.SitePass, ordinal = passes run so
@@ -85,11 +100,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// admits reports whether block areas a0 and a1 lie within the bounds.
+func (c *Config) admits(a0, a1 int) bool {
+	return a0 >= c.MinArea[0] && a0 <= c.MaxArea[0] &&
+		a1 >= c.MinArea[1] && a1 <= c.MaxArea[1]
+}
+
 // Result summarizes a run.
 type Result struct {
 	Cut int // final cut size
 	// Passes counts the passes run; passes the phase schedule skips as
-	// provably dry (see parfm.RunPhases) are not counted.
+	// provably dry (see runPhases) are not counted.
 	Passes int
 	// Moves counts the moves applied across all passes, before
 	// rollbacks. A serial pass stopped at the frozen-cut bound counts
@@ -109,16 +130,36 @@ type node struct {
 	bucket int32
 }
 
-// engine holds the per-run mutable state. The pool/base slot layout and
-// bucket head array are graph-derived: laid out again only when the
-// graph changes, into the capacity of earlier layouts (see bind), which
-// is what keeps the k-way partitioner's carve loop allocation-free
-// after warm-up.
+// layout identifies the graph a set of per-graph buffers was laid out
+// for, and its objective's gain bound. Both engines key their buffers
+// on it and lay them out again only when it changes, into the capacity
+// of earlier layouts — which is what keeps the k-way partitioner's
+// carve loop allocation-free after warm-up. The key is the graph the
+// buffers were built for, not the previous state's current graph: a
+// rebound state (replication.State.Rebind) changes that under the
+// engine. For the classic objective MaxMoveGain equals MaxCellDegree,
+// so flat-path rebinding is unchanged.
+type layout struct {
+	g      *hypergraph.Graph
+	gainOf int // bucket offset = max |gain| (st.MaxMoveGain)
+}
+
+// relayout reports whether buffers keyed on l must be laid out again
+// for st, and if so re-keys l to st's graph and gain bound.
+func (l *layout) relayout(st *replication.State) bool {
+	if l.g == st.Graph() && l.gainOf == st.MaxMoveGain() {
+		return false
+	}
+	l.g, l.gainOf = st.Graph(), st.MaxMoveGain()
+	return true
+}
+
+// engine holds the serial engine's per-run mutable state. The pool/base
+// slot layout and bucket head array are graph-derived (see bind).
 type engine struct {
+	layout
 	st       *replication.State
-	g        *hypergraph.Graph // graph of the current slot layout
 	cfg      Config
-	gainOf   int // bucket offset = max |gain| (st.MaxMoveGain)
 	pool     []node
 	base     []int32 // per cell: first pool slot; base[n] = len(pool)
 	head     []int32 // per bucket: first node, nilNode when empty
@@ -141,13 +182,13 @@ const (
 	slotSplit0 = 3
 )
 
-// Runner executes FM runs, reusing the engine's pool, bucket and
-// scratch buffers across runs. A zero Runner is ready to use; a Runner
-// is not safe for concurrent use. The package-level Run is a
+// Runner executes FM runs with either engine, reusing each engine's
+// per-graph buffers across runs. A zero Runner is ready to use; a
+// Runner is not safe for concurrent use. The package-level Run is a
 // convenience for one-shot use.
 type Runner struct {
 	e   engine
-	par parfm.Runner
+	par parEngine
 	rnd *rand.Rand // reseeded per run
 }
 
@@ -159,22 +200,15 @@ func Run(st *replication.State, cfg Config) (Result, error) {
 	return r.Run(st, cfg)
 }
 
-// bind points the engine at a state, rebuilding the graph-derived slot
-// layout only when the graph (or its objective's gain bound) changed
-// since the previous run. The layout is keyed on the graph it was built
-// for, not on the previous state's current graph: a rebound state
-// (replication.State.Rebind) changes that under the engine. For the
-// classic objective MaxMoveGain equals MaxCellDegree, so flat-path
-// rebinding is unchanged.
+// bind points the engine at a state, laying the slot layout out again
+// only when the layout key changed (see layout).
 func (e *engine) bind(st *replication.State) {
-	g := st.Graph()
 	e.st = st
-	if e.g == g && e.gainOf == st.MaxMoveGain() {
+	if !e.relayout(st) {
 		return
 	}
-	e.g = g
+	g := st.Graph()
 	n := g.NumCells()
-	e.gainOf = st.MaxMoveGain()
 	buckets := 2*e.gainOf + 1
 	e.head = slices.Grow(e.head[:0], buckets)[:buckets]
 	e.base = slices.Grow(e.base[:0], n+1)[:n+1]
@@ -206,34 +240,19 @@ func (e *engine) bind(st *replication.State) {
 }
 
 // Run is the Runner form of the package-level Run, reusing buffers
-// from previous runs (see bind).
+// from previous runs (see layout).
+//
+// Both engines run plain FM passes to convergence, then (when
+// replication is enabled) phases that also offer replication and
+// unreplication moves, refining the converged min-cut solution — the
+// paper extends the original min-cut algorithm [15] this way, and each
+// pass's best-prefix rollback guarantees they never worsen the cut. A
+// fault injected at a pass boundary aborts the run with its typed error
+// (panic faults propagate to the search layer's containment).
+// FlowRefine runs after either engine, so both compose with the
+// max-flow pull identically.
 func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	pcfg := parfm.Config{
-		MinArea: cfg.MinArea, MaxArea: cfg.MaxArea,
-		Threshold: cfg.Threshold, MaxPasses: cfg.MaxPasses,
-		Workers: cfg.RefineWorkers, Seed: cfg.Seed,
-		TraceAttempt: cfg.TraceAttempt,
-		Spans:        cfg.Spans,
-		Inject:       cfg.Inject,
-	}
-	if cfg.RefineWorkers >= 2 {
-		// Parallel sub-round engine. It shares the FM phase schedule
-		// and validation; only the pass differs. FlowRefine stays here
-		// so both engines compose with the max-flow pull identically.
-		pres, err := r.par.Run(st, pcfg)
-		res := Result{Cut: pres.Cut, Passes: pres.Passes, Moves: pres.Moves}
-		if err != nil {
-			return res, err
-		}
-		if cfg.FlowRefine {
-			if err := flowRefine(st, cfg); err != nil {
-				return res, err
-			}
-			res.Cut = st.CutSize()
-		}
-		return res, nil
-	}
 	if cfg.MaxArea[0] <= 0 || cfg.MaxArea[1] <= 0 {
 		return Result{}, fmt.Errorf("fm: MaxArea must be positive, got %v", cfg.MaxArea)
 	}
@@ -246,33 +265,23 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 				st.Area(replication.Block(b)), b, cfg.MinArea[b], cfg.MaxArea[b])
 		}
 	}
-	e := r.start(st, cfg)
-
-	// Plain FM passes to convergence, then (when replication is
-	// enabled) phases that also offer replication and unreplication
-	// moves, refining the converged min-cut solution — the paper
-	// extends the original min-cut algorithm [15] this way, and each
-	// pass's best-prefix rollback guarantees they never worsen the cut.
-	// A fault injected at a pass boundary aborts the run with its typed
-	// error (panic faults propagate to the search layer's containment).
 	var res Result
 	var err error
-	res.Passes, res.Moves, err = parfm.RunPhases(pcfg, "fm-pass", func(_, threshold int, replOnly bool) (bool, int, int) {
-		e.cfg.Threshold = threshold
-		e.replOnly = replOnly
-		return e.pass()
-	})
-	if err != nil {
-		res.Cut = st.CutSize()
-		return res, err
+	if cfg.RefineWorkers >= 2 {
+		res.Passes, res.Moves, err = r.par.run(st, cfg)
+	} else {
+		e := r.start(st, cfg)
+		res.Passes, res.Moves, err = runPhases(cfg, "fm-pass", func(_, threshold int, replOnly bool) (bool, int, int) {
+			e.cfg.Threshold = threshold
+			e.replOnly = replOnly
+			return e.pass()
+		})
 	}
-	if cfg.FlowRefine {
-		if err := flowRefine(st, cfg); err != nil {
-			return res, err
-		}
+	if err == nil && cfg.FlowRefine {
+		err = flowRefine(st, cfg)
 	}
 	res.Cut = st.CutSize()
-	return res, nil
+	return res, err
 }
 
 // start readies the engine for passes on st under cfg: bound to the
@@ -402,10 +411,7 @@ func (e *engine) feasible(m replication.Move) bool {
 	if err != nil {
 		return false
 	}
-	a0 := e.st.Area(0) + d0
-	a1 := e.st.Area(1) + d1
-	return a0 >= e.cfg.MinArea[0] && a0 <= e.cfg.MaxArea[0] &&
-		a1 >= e.cfg.MinArea[1] && a1 <= e.cfg.MaxArea[1]
+	return e.cfg.admits(e.st.Area(0)+d0, e.st.Area(1)+d1)
 }
 
 // pass runs one FM pass and reports whether the cut improved, the

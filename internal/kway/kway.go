@@ -64,9 +64,10 @@ type Options struct {
 	MaxPasses int
 	// RefineWorkers selects the refinement engine for every FM run the
 	// search performs (carves, V-cycle levels, pair refinement):
-	// values >= 2 use the deterministic parallel sub-round engine
-	// (package parfm) with that many proposal workers; 0 or 1 keep the
-	// classic serial engine, byte-identical to previous releases.
+	// values >= 2 use fm's deterministic parallel sub-round engine,
+	// fanning proposals out over min(RefineWorkers, GOMAXPROCS)
+	// goroutines; 0 or 1 keep the classic serial engine,
+	// byte-identical to previous releases.
 	// Either way fixed-seed results are independent of Workers and
 	// GOMAXPROCS.
 	RefineWorkers int
@@ -832,17 +833,7 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 	// flat seed rather than rejecting the carve.
 	flatSeed := true
 	if opts.Multilevel && sub.NumCells() >= opts.MultilevelMinCells {
-		mlCfg := multilevel.Config{
-			TargetArea:    target,
-			MinArea:       cfg.MinArea,
-			MaxArea:       cfg.MaxArea,
-			PinExternal:   pinTerminals,
-			MaxPasses:     opts.MaxPasses,
-			RefineWorkers: opts.RefineWorkers,
-			Seed:          seed,
-			TraceAttempt:  attempt,
-			Spans:         opts.Spans,
-		}
+		mlCfg := multilevel.Config{Config: cfg, TargetArea: target, PinExternal: pinTerminals}
 		if weights != nil {
 			// Contraction preserves net names, so the V-cycle threads
 			// the carve's weight table to every level by name.

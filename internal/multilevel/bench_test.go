@@ -13,9 +13,9 @@ func BenchmarkRun(b *testing.B) {
 	g := circuit(b, 3000, 7)
 	minA, maxA := fm.Balance(g.TotalArea(), 0.1)
 	cfg := Config{
+		Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: 3},
 		TargetArea: g.TotalArea() / 2,
-		MinArea:    minA, MaxArea: maxA,
-		Starts: 1, Seed: 3,
+		Starts:     1,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

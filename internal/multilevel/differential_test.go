@@ -44,11 +44,10 @@ func TestMultilevelNeverBeatsOracle(t *testing.T) {
 			t.Fatalf("case %d (%d cells): %v", gi, g.NumCells(), err)
 		}
 		res, err := Run(g, Config{
+			Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: int64(gi)},
 			TargetArea: g.TotalArea() / 2,
-			MinArea:    minA, MaxArea: maxA,
-			MinCells: 3, MaxClusterArea: 3, // force real coarsening even at oracle scale
+			MinCells:   3, MaxClusterArea: 3, // force real coarsening even at oracle scale
 			Starts: 8,
-			Seed:   int64(gi),
 		})
 		if err != nil {
 			t.Fatalf("case %d: multilevel: %v", gi, err)
@@ -101,9 +100,9 @@ func TestMultilevelTracksFlatFM(t *testing.T) {
 			t.Fatal(err)
 		}
 		ml, err := Run(g, Config{
+			Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: seed},
 			TargetArea: g.TotalArea() / 2,
-			MinArea:    minA, MaxArea: maxA,
-			Starts: 4, Seed: seed,
+			Starts:     4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -150,9 +149,9 @@ func TestLargeInstanceMultilevelBeatsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	ml, err := Run(g, Config{
+		Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: 1},
 		TargetArea: g.TotalArea() / 2,
-		MinArea:    minA, MaxArea: maxA,
-		Starts: 1, Seed: 1,
+		Starts:     1,
 	})
 	if err != nil {
 		t.Fatal(err)

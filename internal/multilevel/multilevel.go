@@ -51,17 +51,38 @@ const (
 	refineStride  = 15485863
 )
 
+// Coarsening stops at maxLevels levels, or when one round shrinks the
+// cell count by less than coarsenRatio — coarse/fine above the ratio
+// means matching has saturated.
+const (
+	maxLevels    = 24
+	coarsenRatio = 0.85
+)
+
 // Config controls one V-cycle run.
 type Config struct {
+	// Config is the FM run of the finest level: its MinArea/MaxArea
+	// bound the block areas there, and its MaxPasses, RefineWorkers,
+	// Seed, TraceAttempt and Spans apply to every FM run of the cycle
+	// (coarsest partition and per-level refinement). Seed also derives
+	// every random stream of the cycle. Each FM run copies this config
+	// and overrides MinArea/MaxArea with its level's widened window
+	// (see Slack), Seed with the start's or level's derived seed,
+	// Threshold with fm.NoReplication and FlowRefine with false (the
+	// cycle runs plain FM; replication belongs to the caller's finest
+	// pass), and Inject with nil (V-cycle FM runs are never injected).
+	//
+	// Spans, when armed, also times the V-cycle as a span subtree of
+	// the enclosing attempt: one "coarsen" span, one "level" span per
+	// refined level (fm-pass/parfm-pass spans nest under it), and one
+	// "uncoarsen" span over the projection sweep. With a sink on the
+	// scope, each level span ends with a trace.KindLevel event and the
+	// coarsen and uncoarsen spans with a KindPhase event carrying their
+	// durations.
+	fm.Config
 	// TargetArea is the block-0 area goal the coarsest-level seed
 	// clusters grow toward (0 = the midpoint of the feasible window).
 	TargetArea int
-	// MinArea/MaxArea bound the block areas at the finest level, in
-	// fm.Config form. Coarse levels widen the window by the level's
-	// cluster granularity (see Slack) so a coarse assignment can exist
-	// at all; the finest level always uses the exact bounds.
-	MinArea [2]int
-	MaxArea [2]int
 	// PinExternal switches the objective from the plain cut to t_P0
 	// (terminal pressure): external nets pin one terminal into block 0
 	// at every level, mirroring kway's carve objective.
@@ -69,25 +90,19 @@ type Config struct {
 	// MinCells stops coarsening once a level has at most this many
 	// cells (default 96).
 	MinCells int
-	// MaxLevels caps the hierarchy depth (default 24).
-	MaxLevels int
-	// CoarsenRatio stops coarsening when one round shrinks the cell
-	// count by less than this factor — coarse/fine above the ratio
-	// means matching has saturated (default 0.85).
-	CoarsenRatio float64
 	// MaxClusterArea caps a coarse cell's area across all levels
 	// (0 = max(2, TargetArea/8)): the coarsest granularity must stay
 	// well below the block size or no coarse assignment can satisfy
 	// the area window.
 	MaxClusterArea int
 	// Slack controls the per-level widening of the block-0 area window
-	// during uncoarsening: 0 (auto) widens level ℓ by its cluster area
-	// cap — the granularity actually achievable there; a positive
-	// value widens every coarse level by that fixed amount; a negative
-	// value disables widening entirely, which keeps the exact window at
-	// every level (then repair never runs and the refined cut is
-	// monotone non-increasing down the whole cycle, the property
-	// TestMonotoneCutAcrossLevels pins).
+	// during uncoarsening: by default level ℓ is widened by its cluster
+	// area cap — the granularity actually achievable there, so a
+	// coarse assignment can exist at all; the finest level always uses
+	// the exact bounds. A negative value disables widening entirely,
+	// which keeps the exact window at every level (then repair never
+	// runs and the refined cut is monotone non-increasing down the
+	// whole cycle, the property TestMonotoneCutAcrossLevels pins).
 	Slack int
 	// Starts is the number of independent coarsest-level attempts the
 	// deterministic multi-start search folds (default 4).
@@ -96,15 +111,6 @@ type Config struct {
 	// the V-cycle usually runs inside kway's own worker pool, where
 	// nested parallelism oversubscribes).
 	Workers int
-	// MaxPasses is fm.Config.MaxPasses for every FM run of the V-cycle:
-	// it caps the passes of one phase and, separately, the plain/
-	// replication-only rounds (0 = engine default, 24).
-	MaxPasses int
-	// RefineWorkers selects the FM engine for every refinement run in
-	// the cycle (coarsest partition and per-level refinement): >= 2
-	// uses the deterministic parallel sub-round engine with that many
-	// proposal workers, 0 or 1 the classic serial engine.
-	RefineWorkers int
 	// NetWeights, when non-nil, switches every refinement of the cycle
 	// (coarsest partition and per-level passes) to the weighted
 	// objective (replication.SetNetWeights): keys are finest-level net
@@ -113,31 +119,23 @@ type Config struct {
 	// weight table is derived by name lookup. Nets absent from the map
 	// get the zero table (they cost nothing in any configuration).
 	NetWeights map[string]replication.NetWeights
-	// Seed derives every random stream of the run.
-	Seed int64
-	// TraceAttempt labels spans and events with the enclosing solution
-	// attempt (-1 for standalone runs).
-	TraceAttempt int
-	// Spans, when armed, times the V-cycle as a span subtree of the
-	// enclosing attempt: one "coarsen" span, one "level" span per
-	// refined level (FM/parfm pass spans nest under it), and one
-	// "uncoarsen" span over the projection sweep. With a sink on the
-	// scope, each level span ends with a trace.KindLevel event and the
-	// coarsen and uncoarsen spans with a KindPhase event carrying their
-	// durations. The disarmed zero value is inert. Span clock readings
-	// feed only the trace, never search decisions.
-	Spans span.Scope
+}
+
+// levelFM is the FM run of one level: the embedded config with the
+// level's window w and seed, as plain FM without a fault plan.
+func (c Config) levelFM(w bounds, seed int64) fm.Config {
+	f := c.Config
+	f.MinArea, f.MaxArea = w.min, w.max
+	f.Threshold = fm.NoReplication
+	f.FlowRefine = false
+	f.Inject = nil
+	f.Seed = seed
+	return f
 }
 
 func (c Config) withDefaults() Config {
 	if c.MinCells == 0 {
 		c.MinCells = 96
-	}
-	if c.MaxLevels == 0 {
-		c.MaxLevels = 24
-	}
-	if c.CoarsenRatio == 0 {
-		c.CoarsenRatio = 0.85
 	}
 	if c.Starts == 0 {
 		c.Starts = 4
@@ -302,7 +300,7 @@ func endLevel(run span.Running, s LevelStats) {
 
 // coarsen builds the cluster hierarchy bottom-up: one pairwise
 // matching round per level with a doubling area cap, stopping at
-// MinCells, MaxLevels, saturation (CoarsenRatio) or a contraction
+// MinCells, maxLevels, saturation (coarsenRatio) or a contraction
 // error (the current level then serves as the coarsest).
 func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 	levels := []level{{g: g}}
@@ -319,7 +317,7 @@ func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 			base = a
 		}
 	}
-	for len(levels)-1 < cfg.MaxLevels {
+	for len(levels)-1 < maxLevels {
 		cur := levels[len(levels)-1].g
 		if cur.NumCells() <= cfg.MinCells {
 			break
@@ -340,7 +338,7 @@ func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 			break
 		}
 		levels = append(levels, level{g: cl.Graph, cl: cl, cap: areaCap})
-		if float64(cl.Graph.NumCells()) > cfg.CoarsenRatio*float64(cur.NumCells()) {
+		if float64(cl.Graph.NumCells()) > coarsenRatio*float64(cur.NumCells()) {
 			break
 		}
 	}
@@ -348,14 +346,11 @@ func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 }
 
 // slack is the widening applied to a level's area window: the level's
-// cluster granularity by default, a fixed value when Config.Slack is
-// positive, zero at the finest level or when widening is disabled.
+// cluster granularity, or zero at the finest level or when widening is
+// disabled.
 func slack(cfg Config, lv level) int {
 	if lv.cl == nil || cfg.Slack < 0 {
 		return 0
-	}
-	if cfg.Slack > 0 {
-		return cfg.Slack
 	}
 	return lv.cap
 }
@@ -442,15 +437,7 @@ func initialPartition(lv level, cfg Config, w bounds, target int) ([]replication
 					st = fresh
 				}
 				cutInit := st.Objective()
-				res, err := runner.Run(st, fm.Config{
-					MinArea: w.min, MaxArea: w.max,
-					Threshold:     fm.NoReplication,
-					MaxPasses:     cfg.MaxPasses,
-					RefineWorkers: cfg.RefineWorkers,
-					Seed:          seed,
-					TraceAttempt:  cfg.TraceAttempt,
-					Spans:         cfg.Spans,
-				})
+				res, err := runner.Run(st, cfg.levelFM(w, seed))
 				if err != nil {
 					return sol{}, err
 				}
@@ -510,15 +497,7 @@ func refineLevel(runner *fm.Runner, lv level, assign []replication.Block, cfg Co
 		return nil, 0, LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, err)
 	}
 	cutProj := st.Objective()
-	res, err := runner.Run(st, fm.Config{
-		MinArea: w.min, MaxArea: w.max,
-		Threshold:     fm.NoReplication,
-		MaxPasses:     cfg.MaxPasses,
-		RefineWorkers: cfg.RefineWorkers,
-		Seed:          cfg.Seed + int64(l+1)*refineStride,
-		TraceAttempt:  cfg.TraceAttempt,
-		Spans:         cfg.Spans,
-	})
+	res, err := runner.Run(st, cfg.levelFM(w, cfg.Seed+int64(l+1)*refineStride))
 	if err != nil {
 		return nil, 0, LevelStats{}, fmt.Errorf("multilevel: level %d refinement: %w", l, err)
 	}

@@ -26,9 +26,8 @@ func circuit(t testing.TB, cells int, seed int64) *hypergraph.Graph {
 func balancedConfig(g *hypergraph.Graph, eps float64, seed int64) Config {
 	minA, maxA := fm.Balance(g.TotalArea(), eps)
 	return Config{
+		Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: seed},
 		TargetArea: g.TotalArea() / 2,
-		MinArea:    minA, MaxArea: maxA,
-		Seed: seed,
 	}
 }
 
@@ -140,10 +139,10 @@ func TestSmallGraphSkipsCoarsening(t *testing.T) {
 func TestInfeasibleWindowRejected(t *testing.T) {
 	g := circuit(t, 100, 3)
 	total := g.TotalArea()
-	_, err := Run(g, Config{
+	_, err := Run(g, Config{Config: fm.Config{
 		MinArea: [2]int{total, total}, // both blocks demand the whole area
 		MaxArea: [2]int{total, total},
-	})
+	}})
 	if err == nil {
 		t.Fatal("expected an infeasible-window error")
 	}

@@ -563,7 +563,7 @@ func (s *State) SingleGain(c hypergraph.CellID) int {
 // maintenance performed by commit. It is on by default — the classic
 // serial FM engine reads SingleGain on every candidate refresh. An
 // engine that instead re-evaluates gains from scratch against frozen
-// snapshots (internal/parfm) turns it off so Apply/Undo skip the
+// snapshots (fm's parallel engine) turns it off so Apply/Undo skip the
 // per-changed-net neighbor sweep arithmetic, which is the dominant
 // serial cost of a commit. Turning maintenance back on recomputes
 // every unreplicated cell's gain so SingleGain and CheckInvariants are

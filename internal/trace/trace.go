@@ -63,7 +63,7 @@ const (
 	// work the refinement took.
 	KindLevel
 	// KindParRound marks one synchronous sub-round of the parallel
-	// refinement engine (internal/parfm): Pass is the enclosing FM
+	// refinement engine (internal/fm): Pass is the enclosing FM
 	// pass, Round the sub-round index within it, Proposals the moves
 	// proposed against the frozen state, Commits the proposals applied
 	// and Stale the proposals rejected because an earlier commit of the
