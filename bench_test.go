@@ -149,47 +149,64 @@ func benchGraph(b *testing.B, name string, scale int) *hypergraph.Graph {
 	return g
 }
 
-// BenchmarkFMPass measures raw plain-FM bipartitioning throughput.
+// BenchmarkFMPass measures raw FM bipartitioning throughput, plain and
+// with functional replication at T = 1.
 func BenchmarkFMPass(b *testing.B) {
 	g := benchGraph(b, "s13207", 2)
 	minA, maxA := fm.Balance(g.TotalArea(), 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := replication.NewState(g, fm.RandomAssign(g, int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := fm.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: fm.NoReplication, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Moves), "moves/op")
+	for _, tc := range []struct {
+		name      string
+		threshold int
+	}{{"plain", fm.NoReplication}, {"T=1", 1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				st, err := replication.NewState(g, fm.RandomAssign(g, int64(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := fm.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: tc.threshold, Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(res.Moves), "moves/op")
+			}
+		})
 	}
 }
 
-// BenchmarkReplicationGain measures the per-move gain evaluation the
-// engine's inner loop depends on.
+// BenchmarkReplicationGain measures the replicate-gain evaluation of
+// the FM pass set-up and neighbourhood refresh: all splits of one
+// multi-output cell per op, through one SplitGains walk or through one
+// Gain call per split.
 func BenchmarkReplicationGain(b *testing.B) {
 	g := benchGraph(b, "s9234", 2)
 	st, err := replication.NewState(g, fm.RandomAssign(g, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	moves := make([]replication.Move, 0, g.NumCells())
+	st.PrepareSplitGains()
+	var cells []hypergraph.CellID
 	for ci := 0; ci < g.NumCells(); ci++ {
-		c := hypergraph.CellID(ci)
-		if splits := st.Splits(c); len(splits) > 0 {
-			moves = append(moves, replication.Move{Cell: c, Kind: replication.Replicate, Carry: splits[0]})
-		} else {
-			moves = append(moves, replication.Move{Cell: c, Kind: replication.SingleMove})
+		if c := hypergraph.CellID(ci); len(st.Splits(c)) > 0 {
+			cells = append(cells, c)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Gain(moves[i%len(moves)]); err != nil {
-			b.Fatal(err)
+	b.Run("split-gains", func(b *testing.B) {
+		var gains [replication.MaxSplits]int
+		for i := 0; i < b.N; i++ {
+			st.SplitGains(cells[i%len(cells)], gains[:])
 		}
-	}
+	})
+	b.Run("gain-per-split", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c := cells[i%len(cells)]
+			for _, carry := range st.Splits(c) {
+				if _, err := st.Gain(replication.Move{Cell: c, Kind: replication.Replicate, Carry: carry}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkAblationInitialPartition compares random, cluster-grown and

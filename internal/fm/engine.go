@@ -106,6 +106,27 @@ func (c *Config) admits(a0, a1 int) bool {
 		a1 >= c.MinArea[1] && a1 <= c.MaxArea[1]
 }
 
+// admitsMove reports whether the block areas after move m lie within
+// the bounds. m must be valid on st, as every bucketed candidate of
+// both engines is, so the area change follows from the move kind, the
+// cell's home block and its area without re-validating m
+// (State.AreaDelta): a single move shifts the area across, a replica
+// adds it to the other block, an unreplication drops it from the side
+// it leaves.
+func (c *Config) admitsMove(st *replication.State, m replication.Move) bool {
+	a := st.Graph().Cells[m.Cell].Area
+	var d [2]int
+	switch h := st.Home(m.Cell); m.Kind {
+	case replication.SingleMove:
+		d[h], d[h.Other()] = -a, a
+	case replication.Replicate:
+		d[h.Other()] = a
+	case replication.Unreplicate:
+		d[m.To.Other()] = -a
+	}
+	return c.admits(st.Area(0)+d[0], st.Area(1)+d[1])
+}
+
 // Result summarizes a run.
 type Result struct {
 	Cut int // final cut size
@@ -169,6 +190,7 @@ type engine struct {
 	scratch  []hypergraph.CellID
 	best     replication.Checkpoint // per-pass best-prefix snapshot
 	frozen   replication.FrozenCut  // per-pass cut lower bound (unit-cut objective)
+	gains    [replication.MaxSplits]int
 	replOnly bool
 }
 
@@ -383,12 +405,18 @@ func (e *engine) removeAll(c hypergraph.CellID) {
 	}
 }
 
-// push (re)inserts the cell's currently valid candidate moves with
-// fresh gains, removing any previous insertions first. Single-move
-// gains come from the state's incrementally maintained values;
-// replication and unreplication gains are evaluated semantically.
+// push reinserts the cell's currently valid candidate moves with fresh
+// gains, removing its previous insertions first.
 func (e *engine) push(c hypergraph.CellID) {
 	e.removeAll(c)
+	e.fill(c)
+}
+
+// fill inserts the cell's currently valid candidate moves, none of
+// which may be in a bucket. Single-move gains come from the state's
+// incrementally maintained values, replication gains from one
+// SplitGains walk, and unreplication gains are evaluated semantically.
+func (e *engine) fill(c hypergraph.CellID) {
 	b := e.base[c]
 	if e.st.IsReplicated(c) {
 		e.insert(b+slotUnrep0, e.st.MustGain(e.pool[b+slotUnrep0].move))
@@ -399,24 +427,19 @@ func (e *engine) push(c hypergraph.CellID) {
 		e.insert(b+slotSingle, e.st.SingleGain(c))
 	}
 	if e.cfg.Threshold != NoReplication && e.st.CanReplicate(c, e.cfg.Threshold) {
-		for s := b + slotSplit0; s < e.base[c+1]; s++ {
-			e.insert(s, e.st.MustGain(e.pool[s].move))
+		for i, g := range e.st.SplitGains(c, e.gains[:]) {
+			e.insert(b+slotSplit0+int32(i), g)
 		}
 	}
 }
 
-// feasible checks the area bounds after a prospective move.
-func (e *engine) feasible(m replication.Move) bool {
-	d0, d1, err := e.st.AreaDelta(m)
-	if err != nil {
-		return false
+// startPass readies a pass: the state's split-gain table when the pass
+// offers replication moves, empty buckets, no locks, and every cell's
+// candidates inserted in the shuffled order.
+func (e *engine) startPass() {
+	if e.cfg.Threshold != NoReplication {
+		e.st.PrepareSplitGains()
 	}
-	return e.cfg.admits(e.st.Area(0)+d0, e.st.Area(1)+d1)
-}
-
-// pass runs one FM pass and reports whether the cut improved, the
-// number of applied moves and the objective after the rollback.
-func (e *engine) pass() (bool, int, int) {
 	for i := range e.head {
 		e.head[i] = nilNode
 	}
@@ -428,8 +451,14 @@ func (e *engine) pass() (bool, int, int) {
 		e.locked[i] = false
 	}
 	for _, c := range e.order {
-		e.push(c)
+		e.fill(c)
 	}
+}
+
+// pass runs one FM pass and reports whether the cut improved, the
+// number of applied moves and the objective after the rollback.
+func (e *engine) pass() (bool, int, int) {
+	e.startPass()
 	// The pass minimizes the state's objective: plain cut size, or the
 	// weighted topology cost when a net weight table is installed
 	// (identical values on unweighted states, so the flat path is
@@ -506,7 +535,7 @@ func (e *engine) pop() (replication.Move, bool) {
 			continue
 		}
 		e.unlink(n)
-		if !e.feasible(e.pool[n].move) {
+		if !e.cfg.admitsMove(e.st, e.pool[n].move) {
 			continue
 		}
 		return e.pool[n].move, true

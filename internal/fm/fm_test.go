@@ -114,6 +114,34 @@ func TestRunNoReplicationKeepsCellsSingle(t *testing.T) {
 	}
 }
 
+// Only runs that offer replication moves build the state's split-gain
+// table, and then once per graph: plain runs — every V-cycle level is
+// one — never pay for it.
+func TestSplitTableOnlyForReplicationRuns(t *testing.T) {
+	g := testGraph(t, 120, 5, 0.5)
+	for _, workers := range []int{0, 2} {
+		st, err := replication.NewState(g, RandomAssign(g, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Runner
+		for _, tc := range []struct {
+			threshold int
+			tables    int64
+		}{{NoReplication, 0}, {NoReplication, 0}, {0, 1}, {1, 1}, {NoReplication, 1}} {
+			cfg := equalCfg(g, tc.threshold, 3)
+			cfg.RefineWorkers = workers
+			if _, err := r.Run(st, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Stats().SplitTables; got != tc.tables {
+				t.Fatalf("workers=%d: after a T=%d run the state built %d split tables, want %d",
+					workers, tc.threshold, got, tc.tables)
+			}
+		}
+	}
+}
+
 // The paper's central result: functional replication reduces the cut
 // relative to plain FM. On a single instance the relation is
 // stochastic, so compare sums over several seeds and require the

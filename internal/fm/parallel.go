@@ -160,6 +160,10 @@ func (p *parEngine) run(st *replication.State, cfg Config) (passes, moves int, e
 // the undo trail.
 func (p *parEngine) pass(n int) (bool, int, int) {
 	st := p.st
+	if p.cfg.Threshold != NoReplication {
+		// Built here, before the proposal goroutines read it.
+		st.PrepareSplitGains()
+	}
 	for i := range p.locked {
 		p.locked[i] = false
 	}
@@ -325,23 +329,25 @@ func (p *parEngine) propose(list []int32) {
 }
 
 func (p *parEngine) proposeCells(list []int32) {
+	var gains [replication.MaxSplits]int
 	for _, ci := range list {
 		if p.locked[ci] {
 			p.prop[ci].valid = false
 			continue
 		}
-		p.proposeCell(hypergraph.CellID(ci))
+		p.proposeCell(hypergraph.CellID(ci), gains[:])
 	}
 }
 
 // proposeCell stores cell c's best candidate move evaluated against the
-// current (frozen) state. Candidate priority on gain ties is the fixed
-// scan order — unreplicate-to-0 before unreplicate-to-1, the single
-// move before replication splits in table order — which keeps the
-// choice a pure function of the frozen state. With gain maintenance
-// off, SingleGain evaluates from scratch; like Gain it only reads the
-// state, so goroutines propose concurrently.
-func (p *parEngine) proposeCell(c hypergraph.CellID) {
+// current (frozen) state, using gains as SplitGains scratch. Candidate
+// priority on gain ties is the fixed scan order — unreplicate-to-0
+// before unreplicate-to-1, the single move before replication splits in
+// table order — which keeps the choice a pure function of the frozen
+// state. With gain maintenance off, SingleGain evaluates from scratch;
+// like Gain and SplitGains it only reads the state, so goroutines
+// propose concurrently.
+func (p *parEngine) proposeCell(c hypergraph.CellID, gains []int) {
 	st := p.st
 	pr := &p.prop[c]
 	if st.IsReplicated(c) {
@@ -365,8 +371,9 @@ func (p *parEngine) proposeCell(c hypergraph.CellID) {
 		pr.valid = true
 	}
 	if p.cfg.Threshold != NoReplication && st.CanReplicate(c, p.cfg.Threshold) {
-		for _, carry := range st.Splits(c) {
-			g := int32(st.MustGain(replication.Move{Cell: c, Kind: replication.Replicate, Carry: carry}))
+		gains = st.SplitGains(c, gains)
+		for i, carry := range st.Splits(c) {
+			g := int32(gains[i])
 			if !pr.valid || g > pr.gain {
 				pr.kind = replication.Replicate
 				pr.carry, pr.to = carry, 0
@@ -427,18 +434,12 @@ func (p *parEngine) unlink(ci int32) {
 // gains stay exact until a commit touches them, so they simply wait
 // for a later sub-round to free area.
 func (p *parEngine) popBest() (int32, bool) {
-	st := p.st
 	for p.curMax > 0 && p.bhead[p.curMax] < 0 {
 		p.curMax--
 	}
 	for idx := p.curMax; idx >= 0; idx-- {
 		for ci := p.bhead[idx]; ci >= 0; ci = p.bnext[ci] {
-			m := p.move(hypergraph.CellID(ci))
-			d0, d1, err := st.AreaDelta(m)
-			if err != nil {
-				panic(fmt.Sprintf("fm: area delta of %v: %v", m, err))
-			}
-			if p.cfg.admits(st.Area(0)+d0, st.Area(1)+d1) {
+			if p.cfg.admitsMove(p.st, p.move(hypergraph.CellID(ci))) {
 				return ci, true
 			}
 		}

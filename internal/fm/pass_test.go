@@ -15,19 +15,7 @@ import (
 // applies moves until no feasible candidate remains, then rolls back to
 // the best prefix.
 func (e *engine) referencePass() (bool, int) {
-	for i := range e.head {
-		e.head[i] = nilNode
-	}
-	for i := range e.pool {
-		e.pool[i].bucket = nilNode
-	}
-	e.maxPtr = 0
-	for i := range e.locked {
-		e.locked[i] = false
-	}
-	for _, c := range e.order {
-		e.push(c)
-	}
+	e.startPass()
 	startCut := e.st.Objective()
 	bestCut := startCut
 	e.st.SaveCheckpoint(&e.best)

@@ -203,6 +203,7 @@ func TestNegativeOptionsRejected(t *testing.T) {
 		{"Retries", func(o *Options) { o.Retries = -3 }},
 		{"MaxPasses", func(o *Options) { o.MaxPasses = -2 }},
 		{"MaxStale", func(o *Options) { o.MaxStale = -1 }},
+		{"Threshold", func(o *Options) { th := fm.NoReplication - 1; o.Threshold = &th }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := opts(fm.NoReplication, 2)

@@ -50,7 +50,8 @@ type Options struct {
 	// multi-output cell may replicate when ψ ≥ T. nil selects T = 1;
 	// an explicit value is taken literally, so 0 allows maximum
 	// replication and fm.NoReplication reproduces the DAC'93 baseline
-	// ([3]).
+	// ([3]). Values below fm.NoReplication are rejected: ψ ≥ 0, so they
+	// would silently run at maximum replication.
 	Threshold *int
 	// Solutions is the number of feasible k-way solutions to generate
 	// (the paper reports runs generating 50). Default 50.
@@ -273,6 +274,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.CheckpointEvery < 0 {
 		return o, fmt.Errorf("kway: CheckpointEvery must be non-negative, got %d", o.CheckpointEvery)
+	}
+	if o.Threshold != nil && *o.Threshold < fm.NoReplication {
+		return o, fmt.Errorf("kway: Threshold must be at least %d (no replication), got %d", fm.NoReplication, *o.Threshold)
 	}
 	if o.Solutions == 0 {
 		o.Solutions = defaultSolutions

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -150,11 +151,36 @@ func candidateMoves(s *State) []Move {
 	return moves
 }
 
+// checkSplitGains diffs SplitGains against the reference for every
+// split of every unreplicated multi-output cell.
+func checkSplitGains(t *testing.T, s *State, at string) {
+	t.Helper()
+	var buf [MaxSplits]int
+	for ci := range s.g.Cells {
+		c := hypergraph.CellID(ci)
+		if s.repl[c] {
+			continue
+		}
+		gains := s.SplitGains(c, buf[:])
+		splits := s.Splits(c)
+		if len(gains) != len(splits) {
+			t.Fatalf("%s: cell %d: %d split gains for %d splits", at, c, len(gains), len(splits))
+		}
+		for i, carry := range splits {
+			m := Move{Cell: c, Kind: Replicate, Carry: carry}
+			if want, err := referenceGain(s, m); err != nil || gains[i] != want {
+				t.Fatalf("%s: SplitGains %v = %d, reference %d (err %v)", at, m, gains[i], want, err)
+			}
+		}
+	}
+}
+
 // checkGainWalk builds a random state on a random netlist and walks it
 // through random moves and undos. At every step each candidate move's
-// Gain must equal the reference, every applied move's LastTouched the
-// reference order, and CheckInvariants (which diffs the maintained
-// single-move gains against Gain) must hold.
+// Gain and every split's SplitGains entry must equal the reference,
+// every applied move's LastTouched the reference order, and
+// CheckInvariants (which diffs the maintained single-move gains against
+// Gain) must hold.
 func checkGainWalk(t *testing.T, seed int64, cells int, pinned, weighted bool) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -167,6 +193,7 @@ func checkGainWalk(t *testing.T, seed int64, cells int, pinned, weighted bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.PrepareSplitGains()
 	if weighted {
 		if err := s.SetNetWeights(randomWeights(r, len(g.Nets))); err != nil {
 			t.Fatal(err)
@@ -174,17 +201,19 @@ func checkGainWalk(t *testing.T, seed int64, cells int, pinned, weighted bool) {
 	}
 	var toks []Token
 	for step := 0; step < 40; step++ {
+		at := fmt.Sprintf("seed %d step %d", seed, step)
 		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d step %d: %v", seed, step, err)
+			t.Fatalf("%s: %v", at, err)
 		}
 		moves := candidateMoves(s)
 		for _, m := range moves {
 			got, err := s.Gain(m)
 			want, werr := referenceGain(s, m)
 			if err != nil || werr != nil || got != want {
-				t.Fatalf("seed %d step %d: Gain(%v) = %d (err %v), reference %d (err %v)", seed, step, m, got, err, want, werr)
+				t.Fatalf("%s: Gain(%v) = %d (err %v), reference %d (err %v)", at, m, got, err, want, werr)
 			}
 		}
+		checkSplitGains(t, s, at)
 		if len(toks) > 0 && r.Intn(5) == 0 {
 			k := r.Intn(len(toks))
 			if err := s.Undo(toks[k]); err != nil {
@@ -242,11 +271,12 @@ func FuzzGain(f *testing.F) {
 	})
 }
 
-// Gain and SingleGain only read the state, so concurrent readers over a
-// frozen state must agree with the serial answers — the contract the
-// parallel proposal phase relies on. Run with -race.
+// Gain, SingleGain and SplitGains only read the state, so concurrent
+// readers over a frozen state must agree with the serial answers — the
+// contract the parallel proposal phase relies on. Run with -race.
 func TestGainConcurrentReaders(t *testing.T) {
 	st := randomState(t, 9, 120)
+	st.PrepareSplitGains()
 	r := rand.New(rand.NewSource(9))
 	for step := 0; step < 40; step++ { // roughen the state first
 		if _, err := st.Apply(randomMove(r, st)); err != nil {
@@ -260,20 +290,42 @@ func TestGainConcurrentReaders(t *testing.T) {
 		for i, m := range moves {
 			want[i] = st.MustGain(m)
 		}
+		wantSplit := make([][]int, len(st.g.Cells))
+		splits := 0
+		for ci := range wantSplit {
+			c := hypergraph.CellID(ci)
+			if st.repl[c] {
+				continue
+			}
+			for _, carry := range st.Splits(c) {
+				wantSplit[c] = append(wantSplit[c], st.MustGain(Move{Cell: c, Kind: Replicate, Carry: carry}))
+				splits++
+			}
+		}
+		if splits == 0 {
+			t.Fatal("no unreplicated multi-output cell to read split gains of")
+		}
 		const workers = 8
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				var buf [MaxSplits]int
 				for i := w; i < len(moves); i += workers {
 					m := moves[i]
 					if g, err := st.Gain(m); err != nil || g != want[i] {
 						t.Errorf("maintain=%v %v: concurrent gain %d (err %v), serial %d", maintain, m, g, err, want[i])
 					}
-					if m.Kind == SingleMove {
-						if g := st.SingleGain(m.Cell); g != want[i] {
-							t.Errorf("maintain=%v %v: concurrent single gain %d, serial %d", maintain, m, g, want[i])
+					if m.Kind != SingleMove {
+						continue
+					}
+					if g := st.SingleGain(m.Cell); g != want[i] {
+						t.Errorf("maintain=%v %v: concurrent single gain %d, serial %d", maintain, m, g, want[i])
+					}
+					for j, g := range st.SplitGains(m.Cell, buf[:]) {
+						if g != wantSplit[m.Cell][j] {
+							t.Errorf("maintain=%v cell %d split %d: concurrent split gain %d, serial %d", maintain, m.Cell, j, g, wantSplit[m.Cell][j])
 						}
 					}
 				}

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fpgapart/internal/hypergraph"
@@ -21,6 +22,7 @@ func TestRebindMatchesFresh(t *testing.T) {
 		if err := st.SetNetWeights(randomWeights(r, len(st.Graph().Nets))); err != nil {
 			t.Fatal(err)
 		}
+		st.PrepareSplitGains()
 		tok := st.Mark()
 		for i := 0; i < 40; i++ {
 			if _, err := st.Apply(randomMove(r, st)); err != nil {
@@ -47,7 +49,11 @@ func TestRebindMatchesFresh(t *testing.T) {
 			t.Fatalf("pin=%v: rebound state keeps stats %+v, weighted %v", pin, st.Stats(), st.Weighted())
 		}
 		// Drive both through the same moves: every static table the
-		// rebind rebuilt is exercised against the fresh one.
+		// rebind rebuilt, the split-gain table included, is exercised
+		// against the fresh one.
+		st.PrepareSplitGains()
+		fresh.PrepareSplitGains()
+		var gains, freshGains [MaxSplits]int
 		moves := rand.New(rand.NewSource(2))
 		for step := 0; step <= 60; step++ {
 			if err := st.CheckInvariants(); err != nil {
@@ -62,8 +68,14 @@ func TestRebindMatchesFresh(t *testing.T) {
 			}
 			for ci := range g.Cells {
 				c := hypergraph.CellID(ci)
-				if !st.IsReplicated(c) && st.SingleGain(c) != fresh.SingleGain(c) {
+				if st.IsReplicated(c) {
+					continue
+				}
+				if st.SingleGain(c) != fresh.SingleGain(c) {
 					t.Fatalf("pin=%v step %d: cell %d gain %d, fresh %d", pin, step, ci, st.SingleGain(c), fresh.SingleGain(c))
+				}
+				if got, want := st.SplitGains(c, gains[:]), fresh.SplitGains(c, freshGains[:]); !slices.Equal(got, want) {
+					t.Fatalf("pin=%v step %d: cell %d split gains %v, fresh %v", pin, step, ci, got, want)
 				}
 			}
 			m := randomMove(moves, fresh)
@@ -81,7 +93,7 @@ func TestRebindMatchesFresh(t *testing.T) {
 }
 
 // A warm rebind to a graph no larger than one the state already held
-// reuses every array.
+// reuses every array, and so does the split-gain table rebuilt after it.
 func TestRebindAllocs(t *testing.T) {
 	st := randomState(t, 3, 200)
 	big := st.Graph()
@@ -95,9 +107,11 @@ func TestRebindAllocs(t *testing.T) {
 		if err := st.Rebind(small, smallAssign, true); err != nil {
 			t.Fatal(err)
 		}
+		st.PrepareSplitGains()
 		if err := st.Rebind(big, bigAssign, false); err != nil {
 			t.Fatal(err)
 		}
+		st.PrepareSplitGains()
 	})
 	if avg != 0 {
 		t.Fatalf("warm Rebind allocates %v times", avg)

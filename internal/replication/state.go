@@ -22,6 +22,10 @@
 //     is updated in commit from the criticality transitions of exactly
 //     the nets whose connection counts changed — no recomputation over
 //     untouched neighbors;
+//   - SplitGains(c) evaluates every replication split of an
+//     unreplicated cell in one walk over its nets, from each split's
+//     static effect on each net, tabled once per graph
+//     (PrepareSplitGains);
 //   - Terminals(b) is an O(1) counter updated per changed net;
 //   - TouchedCells and Splits are allocation-free, backed by CSR
 //     adjacency and precomputed split tables built once per graph.
@@ -142,8 +146,16 @@ type State struct {
 	// Precomputed candidate carry masks per cell (see Splits).
 	splitOff  []int32
 	splitMask []uint32
-	isExt     []bool // per net: external (dense copy of Net.Ext != Internal)
-	maxDeg    int    // max distinct active nets over any cell (gain bound)
+	// Per-split effects on each net, built lazily by PrepareSplitGains
+	// (splitReady) once per graph: a multi-output cell's rows span
+	// splitFlags[splitFlagOff[c]:splitFlagOff[c+1]], one row per
+	// adjacency entry, one splitLeaves|splitJoins byte per split of
+	// Splits(c).
+	splitFlagOff []int
+	splitFlags   []uint8
+	splitReady   bool
+	isExt        []bool // per net: external (dense copy of Net.Ext != Internal)
+	maxDeg       int    // max distinct active nets over any cell (gain bound)
 
 	// Dynamic partition state (reinitialized by Reset).
 	own   [][2]uint32 // per cell: output mask active in each block
@@ -196,6 +208,9 @@ type Stats struct {
 	// Rollbacks counts moves rolled back, whether one at a time (Undo)
 	// or wholesale (RestoreCheckpoint truncating the trail).
 	Rollbacks int64
+	// SplitTables counts the split-gain tables PrepareSplitGains built:
+	// at most one per graph the state is bound to.
+	SplitTables int64
 }
 
 // Stats returns the cumulative work counters.
@@ -205,9 +220,10 @@ func (s *State) Stats() Stats { return s.stats }
 // snapshots of the same state.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		Moves:     s.Moves - o.Moves,
-		Replicas:  s.Replicas - o.Replicas,
-		Rollbacks: s.Rollbacks - o.Rollbacks,
+		Moves:       s.Moves - o.Moves,
+		Replicas:    s.Replicas - o.Replicas,
+		Rollbacks:   s.Rollbacks - o.Rollbacks,
+		SplitTables: s.SplitTables - o.SplitTables,
 	}
 }
 
@@ -394,6 +410,7 @@ func (s *State) buildStatic() error {
 		s.splitMask = appendSplits(s.splitMask, len(g.Cells[ci].Outputs), s.all[ci])
 		s.splitOff[ci+1] = int32(len(s.splitMask))
 	}
+	s.splitReady = false
 
 	s.isExt = slices.Grow(s.isExt[:0], m)[:m]
 	for ni := range g.Nets {
@@ -404,6 +421,10 @@ func (s *State) buildStatic() error {
 	s.touchEpoch = 0
 	return nil
 }
+
+// MaxSplits bounds len(Splits(c)) for any cell: 2·MaxOutputs masks
+// above four outputs, at most 14 below.
+const MaxSplits = 2 * MaxOutputs
 
 // numSplits is the number of candidate carry masks appendSplits
 // produces for a cell with mo outputs.
@@ -782,6 +803,129 @@ func (s *State) Gain(m Move) (int, error) {
 		}
 	}
 	return gain, nil
+}
+
+// Split-table flags: what a split does to one of its cell's nets.
+const (
+	splitLeaves uint8 = 1 << iota // the home copy keeps no pin on the net
+	splitJoins                    // the replica has a pin on the net
+)
+
+// PrepareSplitGains builds the table SplitGains reads, once per graph:
+// until the next Rebind, later calls return at once. Building it
+// mutates the state, so an engine calls it before any concurrent reader
+// starts, and only for runs that offer replication moves: the table
+// grows with entries × splits, and the V-cycle's coarse levels, which
+// run plain FM, hold cells with up to 24 outputs.
+//
+// An unreplicated cell's connection delta under a split is static: its
+// home copy loses the pins no kept output needs, the replica gains the
+// pins a carried output needs. Both objectives depend on a net's counts
+// only through whether each side is active, and the home side, holding
+// at least the cell's k pins, stays active unless the cell held every
+// home-side connection and the split takes all k of them. So the table
+// reduces each (loss, gain) delta to two flags, one byte per adjacency
+// entry and split.
+func (s *State) PrepareSplitGains() {
+	if s.splitReady {
+		return
+	}
+	s.splitReady = true
+	s.stats.SplitTables++
+	n := len(s.all)
+	s.splitFlagOff = slices.Grow(s.splitFlagOff[:0], n+1)[:n+1]
+	total := 0
+	for ci := 0; ci < n; ci++ {
+		s.splitFlagOff[ci] = total
+		total += int(s.adjOff[ci+1]-s.adjOff[ci]) * int(s.splitOff[ci+1]-s.splitOff[ci])
+	}
+	s.splitFlagOff[n] = total
+	s.splitFlags = slices.Grow(s.splitFlags[:0], total)[:total]
+	for ci := 0; ci < n; ci++ {
+		splits := s.splitMask[s.splitOff[ci]:s.splitOff[ci+1]]
+		if len(splits) == 0 {
+			continue
+		}
+		row := s.splitFlags[s.splitFlagOff[ci]:s.splitFlagOff[ci+1]]
+		for e := s.adjOff[ci]; e < s.adjOff[ci+1]; e++ {
+			pins := s.pinMask[s.pinOff[e]:s.pinOff[e+1]]
+			for i, carry := range splits {
+				keep := s.all[ci] &^ carry
+				f := splitLeaves
+				for _, m := range pins {
+					if m&keep != 0 {
+						f &^= splitLeaves
+					}
+					if m&carry != 0 {
+						f |= splitJoins
+					}
+				}
+				row[i] = f
+			}
+			row = row[len(splits):]
+		}
+	}
+}
+
+// SplitGains returns, in dst[:len(Splits(c))], the gain of replicating
+// the unreplicated cell c with each carry mask of Splits(c), in that
+// order: dst[i] == Gain(Move{Cell: c, Kind: Replicate, Carry:
+// Splits(c)[i]}). It walks the cell's adjacency once, reading each
+// net's counts once, and takes each split's effect on the net from the
+// table PrepareSplitGains built; dst must hold MaxSplits values. Like
+// Gain it only reads the state.
+func (s *State) SplitGains(c hypergraph.CellID, dst []int) []int {
+	ns := int(s.splitOff[c+1] - s.splitOff[c])
+	dst = dst[:ns]
+	clear(dst)
+	if ns == 0 {
+		return dst
+	}
+	if !s.splitReady {
+		panic("replication: SplitGains before PrepareSplitGains")
+	}
+	h := s.home[c]
+	rows := s.splitFlags[s.splitFlagOff[c]:s.splitFlagOff[c+1]]
+	for e := s.adjOff[c]; e < s.adjOff[c+1]; e++ {
+		row := rows[:ns:ns]
+		rows = rows[ns:]
+		n := s.adjNet[e]
+		cnt := s.cnt[n]
+		// A leaving split idles the home side only when the cell holds
+		// every home-side connection.
+		alone := cnt[h] == s.entryK(e)
+		across := cnt[h.Other()] > 0
+		if s.netW != nil {
+			w := &s.netW[n]
+			before := costAt(w, cnt[0], cnt[1])
+			for i, f := range row {
+				var after [2]int32
+				if !alone || f&splitLeaves == 0 {
+					after[h] = 1
+				}
+				if across || f&splitJoins != 0 {
+					after[h.Other()] = 1
+				}
+				dst[i] += int(before - costAt(w, after[0], after[1]))
+			}
+			continue
+		}
+		switch {
+		case across && alone: // cut: a leaving split uncuts it
+			for i, f := range row {
+				if f&splitLeaves != 0 {
+					dst[i]++
+				}
+			}
+		case !across: // uncut: a joining split cuts it unless it also idles the home side
+			for i, f := range row {
+				if f&splitJoins != 0 && (!alone || f&splitLeaves == 0) {
+					dst[i]--
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // MustGain is Gain that panics on invalid moves, for engine internals
