@@ -95,6 +95,10 @@ func FromBits(bits ...int) Vector {
 // Len returns the number of bits in the vector.
 func (v Vector) Len() int { return v.n }
 
+// Word returns bits [64w, 64w+64) of the vector, bit i at 1<<(i%64);
+// bits at or past Len read zero. w ranges over [0, Words(Len)).
+func (v Vector) Word(w int) uint64 { return v.words[w] }
+
 // Get reports whether bit i is set.
 func (v Vector) Get(i int) bool {
 	v.check(i)

@@ -132,9 +132,7 @@ func TestParFMPassAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The run above converged and warmed every buffer; replay
-			// steady-state passes under the engine's in-run state mode.
-			st.SetGainMaintenance(false)
-			defer st.SetGainMaintenance(true)
+			// steady-state passes.
 			p := &r.par
 			p.cfg = cfg.withDefaults()
 			p.replOnly = tc.replOnly

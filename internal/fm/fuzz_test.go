@@ -11,10 +11,9 @@ import (
 
 // roundChecker verifies state conservation after every sub-round: the
 // committer emits KindParRound synchronously between sub-rounds, so
-// CheckInvariants here recomputes counts/cut/areas/terminals from
-// scratch against the live mid-pass state (the cached-gain cross-check
-// is inert while the engine has maintenance disabled) and the area
-// bounds must hold after every commit batch.
+// CheckInvariants here recomputes counts/cut/areas/terminals and the
+// maintained single-move gains from scratch against the live mid-pass
+// state, and the area bounds must hold after every commit batch.
 type roundChecker struct {
 	t   *testing.T
 	st  *replication.State

@@ -45,16 +45,14 @@ import (
 // nothing or when stallMoves consecutive commits fail to improve on
 // the best cut.
 //
-// The engine disables the state's incremental gain maintenance
-// (replication.State.SetGainMaintenance) for the duration of a run:
-// gains are recomputed from scratch during proposal scans — sharded
-// across goroutines — instead of being patched on every neighbor after
-// every commit, which is the dominant serial cost of a classic FM
-// commit. Best-prefix rollback uses the undo trail (cheap per-move
-// sweeps over the usually-short tail past the best prefix) rather
-// than the serial engine's full-state checkpoint per improving move —
-// the combination is what makes the engine several times faster than
-// the serial path per attempt even on one CPU.
+// Proposals read the state's maintained single-move gains in O(1),
+// like the serial engine; a commit patches them during the same
+// neighbor sweep that records the touched cells. What keeps the engine
+// fast is the work it skips: the stall cutoff ends a pass after
+// stallMoves fruitless commits instead of walking the whole
+// negative-gain tail, and best-prefix rollback undoes the short tail
+// past the best prefix on the trail rather than snapshotting the full
+// state at every improving move (DESIGN.md §14 has the measurements).
 type parEngine struct {
 	layout
 	st      *replication.State
@@ -138,15 +136,6 @@ func (p *parEngine) run(st *replication.State, cfg Config) (passes, moves int, e
 	// count never changes the result, so the fan-out is capped here
 	// rather than validated at every surface that sets it.
 	p.workers = min(cfg.RefineWorkers, runtime.GOMAXPROCS(0))
-
-	// Gains are evaluated from scratch against frozen sub-round states,
-	// so the per-commit incremental neighbor maintenance is pure
-	// overhead; turn it off for the run and restore it (which recomputes
-	// the cached gains) so any later consumer of the state — the serial
-	// engine, flow refinement, invariant checks — sees valid values.
-	st.SetGainMaintenance(false)
-	defer st.SetGainMaintenance(true)
-
 	return runPhases(cfg, "parfm-pass", func(n, threshold int, replOnly bool) (bool, int, int) {
 		p.cfg.Threshold = threshold
 		p.replOnly = replOnly
@@ -344,9 +333,8 @@ func (p *parEngine) proposeCells(list []int32) {
 // priority on gain ties is the fixed scan order — unreplicate-to-0
 // before unreplicate-to-1, the single move before replication splits in
 // table order — which keeps the choice a pure function of the frozen
-// state. With gain maintenance off, SingleGain evaluates from scratch;
-// like Gain and SplitGains it only reads the state, so goroutines
-// propose concurrently.
+// state. SingleGain, Gain and SplitGains only read the state, so
+// goroutines propose concurrently.
 func (p *parEngine) proposeCell(c hypergraph.CellID, gains []int) {
 	st := p.st
 	pr := &p.prop[c]

@@ -157,12 +157,8 @@ func checkSkippedPassesAreDry(t *testing.T, workers int) {
 					}
 					var improved bool
 					if workers >= 2 {
-						// The parallel pass runs with gain maintenance
-						// off, as it does inside Run.
-						st.SetGainMaintenance(false)
 						r.par.cfg.Threshold, r.par.replOnly = passThreshold, replOnly
 						improved, _, _ = r.par.pass(1)
-						st.SetGainMaintenance(true)
 					} else {
 						r.e.cfg.Threshold, r.e.replOnly = passThreshold, replOnly
 						improved, _, _ = r.e.pass()

@@ -479,15 +479,16 @@ func assemble(g *hypergraph.Graph, parts []Part) Result {
 
 // carveScratch bundles the per-worker reusable buffers: the FM engine
 // (gain-bucket pool, order, locks), the cluster-assignment scratch, the
-// assignment buffer and one replication state. Carve retries on the
-// same subcircuit reset the state; a carve of a new subcircuit rebinds
-// it, so the arrays of every layer keep their capacity across carves
-// and attempts.
+// assignment buffer, one replication state and the V-cycle's own
+// runner. Carve retries on the same subcircuit reset the state; a carve
+// of a new subcircuit rebinds it, so the arrays of every layer keep
+// their capacity across carves and attempts.
 type carveScratch struct {
 	runner  fm.Runner
 	cluster fm.ClusterScratch
 	assign  []replication.Block
 	st      replication.State
+	ml      multilevel.Runner
 }
 
 // slotTracker maintains the board-slot placement of one solution
@@ -843,7 +844,7 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 			// the carve's weight table to every level by name.
 			mlCfg.NetWeights = netWeightsByName(sub, weights)
 		}
-		ml, mlErr := multilevel.Run(sub, mlCfg)
+		ml, mlErr := sc.ml.Run(sub, mlCfg)
 		if mlErr == nil {
 			sc.assign = append(sc.assign[:0], ml.Assign...)
 			flatSeed = false

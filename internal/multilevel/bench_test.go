@@ -8,7 +8,9 @@ import (
 
 // BenchmarkRun samples the full V-cycle at a reduced scale, which keeps
 // the CI bench-smoke sweep fast; kbench's large-vcycle workload
-// (cmd/kbench) measures it end to end.
+// (cmd/kbench) measures it end to end. "one-shot" is the package-level
+// Run, which builds its storage per cycle; "warm" reuses one Runner,
+// as each kway carve worker does.
 func BenchmarkRun(b *testing.B) {
 	g := circuit(b, 3000, 7)
 	minA, maxA := fm.Balance(g.TotalArea(), 0.1)
@@ -17,11 +19,25 @@ func BenchmarkRun(b *testing.B) {
 		TargetArea: g.TotalArea() / 2,
 		Starts:     1,
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, cfg); err != nil {
+	b.Run("one-shot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(g, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		var r Runner
+		if _, err := r.Run(g, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Run(g, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fpgapart/internal/cluster"
 	"fpgapart/internal/fm"
@@ -193,8 +194,30 @@ type level struct {
 	cap int
 }
 
+// Runner executes V-cycles, reusing one replication state, one FM
+// runner and one cluster-growing scratch across the levels of a cycle,
+// the coarsest starts of a one-worker search and successive cycles:
+// each level rebinds the state to its graph instead of building one,
+// so a warm Runner lays out no state or FM storage for graphs no
+// larger than ones it has served. A zero Runner is ready to use; a
+// Runner is not safe for concurrent use. The package-level Run is the
+// one-shot form.
+type Runner struct {
+	st      replication.State
+	fm      fm.Runner
+	cluster fm.ClusterScratch
+	weights []replication.NetWeights // the bound level's weight table
+}
+
 // Run executes the V-cycle and returns the finest-level bipartition.
 func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
+	var r Runner
+	return r.Run(g, cfg)
+}
+
+// Run is the Runner form of the package-level Run; results are
+// identical.
+func (r *Runner) Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if g.NumCells() == 0 {
 		return Result{}, fmt.Errorf("multilevel: empty circuit")
@@ -235,7 +258,7 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 	topSpan := cfg.Spans.Start("level", cfg.TraceAttempt)
 	topCfg := cfg
 	topCfg.Spans = topSpan.Scope()
-	assign, stats, err := initialPartition(levels[top], topCfg, window(lo, hi, total, slack(cfg, levels[top])), target)
+	assign, stats, err := r.initialPartition(levels[top], topCfg, window(lo, hi, total, slack(cfg, levels[top])), target)
 	if err != nil {
 		topSpan.End()
 		return Result{}, err
@@ -245,7 +268,6 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 	res.Levels = append(res.Levels, stats)
 
 	uncoarsenSpan := cfg.Spans.Start("uncoarsen", cfg.TraceAttempt)
-	var runner fm.Runner
 	cut := stats.CutRefined
 	area0 := areaOf(levels[top].g, assign)
 	for l := top - 1; l >= 0; l-- {
@@ -258,20 +280,19 @@ func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 		lvlSpan := uncoarsenSpan.Scope().Start("level", cfg.TraceAttempt)
 		lvlCfg := cfg
 		lvlCfg.Spans = lvlSpan.Scope()
-		st, cutProj, lvl, lerr := refineLevel(&runner, levels[l], assign, lvlCfg, window(lo, hi, total, slack(cfg, levels[l])), l)
+		lvl, lerr := r.refineLevel(levels[l], assign, lvlCfg, window(lo, hi, total, slack(cfg, levels[l])), l)
 		if lerr != nil {
 			lvlSpan.End()
 			uncoarsenSpan.End()
 			return Result{}, lerr
 		}
-		lvl.CutProjected = cutProj
 		endLevel(lvlSpan, lvl)
 		res.Levels = append(res.Levels, lvl)
 		for c := range assign {
-			assign[c] = st.Home(hypergraph.CellID(c))
+			assign[c] = r.st.Home(hypergraph.CellID(c))
 		}
 		cut = lvl.CutRefined
-		area0 = st.Area(0)
+		area0 = r.st.Area(0)
 	}
 	uncoarsenSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseUncoarsen})
 
@@ -387,8 +408,10 @@ func window(lo, hi, total, s int) bounds {
 // connected cluster toward the target area, repairs it into the
 // window, and refines with plain FM; the index-ordered reduction keeps
 // the best (lowest cut, then area closest to target), so the result is
-// byte-identical for a fixed seed regardless of worker count.
-func initialPartition(lv level, cfg Config, w bounds, target int) ([]replication.Block, LevelStats, error) {
+// byte-identical for a fixed seed regardless of worker count. A
+// one-worker search runs every start on r's storage; with more workers
+// each worker brings its own.
+func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([]replication.Block, LevelStats, error) {
 	cg := lv.g
 	tgt := target
 	if tgt > w.hi {
@@ -402,42 +425,31 @@ func initialPartition(lv level, cfg Config, w bounds, target int) ([]replication
 	var firstErr error
 	drv := search.Driver[sol]{
 		NewAttempt: func() search.AttemptFunc[sol] {
-			var cs fm.ClusterScratch
-			var runner fm.Runner
-			// One state per worker, rebound to each start's assignment
-			// (the weight table survives ResetPinned).
-			var st *replication.State
+			wr := r
+			if cfg.Workers > 1 {
+				wr = new(Runner)
+			}
 			return func(_ context.Context, attempt int, seed int64) (sol, error) {
-				// A panic can leave the state mid-update; drop it so the
-				// next start builds a fresh one, and let the search
-				// layer contain the panic.
+				// A panic can leave the state mid-update; drop the
+				// worker's storage so the next start rebinds clean
+				// buffers, and let the search layer contain the panic.
 				defer func() {
 					if v := recover(); v != nil {
-						st = nil
+						*wr = Runner{}
 						panic(v)
 					}
 				}()
-				assign := cs.AssignInto(nil, cg, seed, -1, tgt)
+				assign := wr.cluster.AssignInto(nil, cg, seed, -1, tgt)
 				rep, rerr := repair(cg, assign, w, seed)
 				if rerr != nil {
 					return sol{}, rerr
 				}
-				if st != nil {
-					if err := st.ResetPinned(assign, cfg.PinExternal); err != nil {
-						return sol{}, err
-					}
-				} else {
-					fresh, err := replication.NewStatePinned(cg, assign, cfg.PinExternal)
-					if err != nil {
-						return sol{}, err
-					}
-					if err := installWeights(fresh, cg, cfg.NetWeights); err != nil {
-						return sol{}, err
-					}
-					st = fresh
+				if err := wr.bind(cg, assign, cfg); err != nil {
+					return sol{}, err
 				}
+				st := &wr.st
 				cutInit := st.Objective()
-				res, err := runner.Run(st, cfg.levelFM(w, seed))
+				res, err := wr.fm.Run(st, cfg.levelFM(w, seed))
 				if err != nil {
 					return sol{}, err
 				}
@@ -483,27 +495,24 @@ func initialPartition(lv level, cfg Config, w bounds, target int) ([]replication
 }
 
 // refineLevel repairs a projected assignment into the level's window
-// and runs one plain-FM refinement over it.
-func refineLevel(runner *fm.Runner, lv level, assign []replication.Block, cfg Config, w bounds, l int) (*replication.State, int, LevelStats, error) {
+// and runs one plain-FM refinement over it on r's state, which holds
+// the refined level on return.
+func (r *Runner) refineLevel(lv level, assign []replication.Block, cfg Config, w bounds, l int) (LevelStats, error) {
 	rep, rerr := repair(lv.g, assign, w, cfg.Seed+int64(l+1)*refineStride)
 	if rerr != nil {
-		return nil, 0, LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, rerr)
+		return LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, rerr)
 	}
-	st, err := replication.NewStatePinned(lv.g, assign, cfg.PinExternal)
+	if err := r.bind(lv.g, assign, cfg); err != nil {
+		return LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, err)
+	}
+	cutProj := r.st.Objective()
+	res, err := r.fm.Run(&r.st, cfg.levelFM(w, cfg.Seed+int64(l+1)*refineStride))
 	if err != nil {
-		return nil, 0, LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, err)
+		return LevelStats{}, fmt.Errorf("multilevel: level %d refinement: %w", l, err)
 	}
-	if err := installWeights(st, lv.g, cfg.NetWeights); err != nil {
-		return nil, 0, LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, err)
-	}
-	cutProj := st.Objective()
-	res, err := runner.Run(st, cfg.levelFM(w, cfg.Seed+int64(l+1)*refineStride))
-	if err != nil {
-		return nil, 0, LevelStats{}, fmt.Errorf("multilevel: level %d refinement: %w", l, err)
-	}
-	return st, cutProj, LevelStats{
+	return LevelStats{
 		Level: l, Cells: lv.g.NumCells(), Nets: lv.g.NumNets(), ClusterCap: lv.cap,
-		CutRefined: res.Cut, Area0: st.Area(0),
+		CutProjected: cutProj, CutRefined: res.Cut, Area0: r.st.Area(0),
 		RepairMoves: rep, Moves: res.Moves, Passes: res.Passes,
 	}, nil
 }
@@ -568,19 +577,24 @@ func repair(g *hypergraph.Graph, assign []replication.Block, w bounds, seed int6
 	return moves, nil
 }
 
-// installWeights maps the finest-level weight table onto one level's
-// graph by net name and installs it; a nil map is the flat path and
-// costs nothing (CutProjected/CutRefined then report the plain cut,
-// exactly as before — st.Objective() == st.CutSize() when unweighted).
-func installWeights(st *replication.State, g *hypergraph.Graph, byName map[string]replication.NetWeights) error {
-	if byName == nil {
+// bind rebinds r's state to level graph g with assignment assign and
+// installs the level's weight table, mapped from the finest-level
+// table by net name. A nil NetWeights map is the flat path and costs
+// nothing (CutProjected/CutRefined then report the plain cut —
+// st.Objective() == st.CutSize() when unweighted). The rebind drops
+// the previous table before its buffer is refilled.
+func (r *Runner) bind(g *hypergraph.Graph, assign []replication.Block, cfg Config) error {
+	if err := r.st.Rebind(g, assign, cfg.PinExternal); err != nil {
+		return err
+	}
+	if cfg.NetWeights == nil {
 		return nil
 	}
-	w := make([]replication.NetWeights, g.NumNets())
+	r.weights = slices.Grow(r.weights[:0], g.NumNets())[:g.NumNets()]
 	for ni := range g.Nets {
-		w[ni] = byName[g.Nets[ni].Name]
+		r.weights[ni] = cfg.NetWeights[g.Nets[ni].Name]
 	}
-	return st.SetNetWeights(w)
+	return r.st.SetNetWeights(r.weights)
 }
 
 func areaOf(g *hypergraph.Graph, assign []replication.Block) int {

@@ -284,53 +284,50 @@ func TestGainConcurrentReaders(t *testing.T) {
 		}
 	}
 	moves := candidateMoves(st)
-	for _, maintain := range []bool{true, false} {
-		st.SetGainMaintenance(maintain)
-		want := make([]int, len(moves))
-		for i, m := range moves {
-			want[i] = st.MustGain(m)
+	want := make([]int, len(moves))
+	for i, m := range moves {
+		want[i] = st.MustGain(m)
+	}
+	wantSplit := make([][]int, len(st.g.Cells))
+	splits := 0
+	for ci := range wantSplit {
+		c := hypergraph.CellID(ci)
+		if st.repl[c] {
+			continue
 		}
-		wantSplit := make([][]int, len(st.g.Cells))
-		splits := 0
-		for ci := range wantSplit {
-			c := hypergraph.CellID(ci)
-			if st.repl[c] {
-				continue
-			}
-			for _, carry := range st.Splits(c) {
-				wantSplit[c] = append(wantSplit[c], st.MustGain(Move{Cell: c, Kind: Replicate, Carry: carry}))
-				splits++
-			}
+		for _, carry := range st.Splits(c) {
+			wantSplit[c] = append(wantSplit[c], st.MustGain(Move{Cell: c, Kind: Replicate, Carry: carry}))
+			splits++
 		}
-		if splits == 0 {
-			t.Fatal("no unreplicated multi-output cell to read split gains of")
-		}
-		const workers = 8
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var buf [MaxSplits]int
-				for i := w; i < len(moves); i += workers {
-					m := moves[i]
-					if g, err := st.Gain(m); err != nil || g != want[i] {
-						t.Errorf("maintain=%v %v: concurrent gain %d (err %v), serial %d", maintain, m, g, err, want[i])
-					}
-					if m.Kind != SingleMove {
-						continue
-					}
-					if g := st.SingleGain(m.Cell); g != want[i] {
-						t.Errorf("maintain=%v %v: concurrent single gain %d, serial %d", maintain, m, g, want[i])
-					}
-					for j, g := range st.SplitGains(m.Cell, buf[:]) {
-						if g != wantSplit[m.Cell][j] {
-							t.Errorf("maintain=%v cell %d split %d: concurrent split gain %d, serial %d", maintain, m.Cell, j, g, wantSplit[m.Cell][j])
-						}
+	}
+	if splits == 0 {
+		t.Fatal("no unreplicated multi-output cell to read split gains of")
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf [MaxSplits]int
+			for i := w; i < len(moves); i += workers {
+				m := moves[i]
+				if g, err := st.Gain(m); err != nil || g != want[i] {
+					t.Errorf("%v: concurrent gain %d (err %v), serial %d", m, g, err, want[i])
+				}
+				if m.Kind != SingleMove {
+					continue
+				}
+				if g := st.SingleGain(m.Cell); g != want[i] {
+					t.Errorf("%v: concurrent single gain %d, serial %d", m, g, want[i])
+				}
+				for j, g := range st.SplitGains(m.Cell, buf[:]) {
+					if g != wantSplit[m.Cell][j] {
+						t.Errorf("cell %d split %d: concurrent split gain %d, serial %d", m.Cell, j, g, wantSplit[m.Cell][j])
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
+			}
+		}(w)
 	}
+	wg.Wait()
 }

@@ -42,6 +42,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"fpgapart/internal/bitset"
 	"fpgapart/internal/hypergraph"
 )
 
@@ -186,12 +187,6 @@ type State struct {
 	lastTouched   []hypergraph.CellID
 	recordTouched bool
 
-	// maintainGains gates the incremental single-move gain maintenance
-	// (see SetGainMaintenance). On by default; the parallel refinement
-	// engine turns it off because it re-evaluates gains from scratch
-	// against a frozen state instead of patching neighbors per commit.
-	maintainGains bool
-
 	stats Stats
 }
 
@@ -248,15 +243,14 @@ func NewStatePinned(g *hypergraph.Graph, assign []Block, pinExternal bool) (*Sta
 
 // Rebind points the state at graph g with a fresh replication-free
 // assignment, leaving it exactly as NewStatePinned(g, assign,
-// pinExternal) builds it: Stats restart from zero, any net weight
-// table is dropped and gain maintenance is on. Every per-cell and
-// per-net array keeps its capacity, so rebinding to a graph no larger
-// than one the state held before allocates nothing. After an error
-// the state must be rebound again before use.
+// pinExternal) builds it: Stats restart from zero and any net weight
+// table is dropped. Every per-cell and per-net array keeps its
+// capacity, so rebinding to a graph no larger than one the state held
+// before allocates nothing. After an error the state must be rebound
+// again before use.
 func (s *State) Rebind(g *hypergraph.Graph, assign []Block, pinExternal bool) error {
 	s.g = g
 	s.netW = nil
-	s.maintainGains = true
 	s.stats = Stats{}
 	s.lastTouched = s.lastTouched[:0]
 	if err := s.buildStatic(); err != nil {
@@ -296,10 +290,12 @@ func (s *State) buildStatic() error {
 		s.psi[ci] = c.ReplicationPotential()
 		cols := s.colDat[colNext : colNext+len(c.Inputs) : colNext+len(c.Inputs)]
 		colNext += len(c.Inputs)
+		// Transpose the dependency rows into per-input columns, visiting
+		// only each row's set bits, a word at a time.
 		for i := 0; i < mo; i++ {
-			for j := range c.Inputs {
-				if c.Dep[i].Get(j) {
-					cols[j] |= 1 << uint(i)
+			for w := range bitset.Words(len(c.Inputs)) {
+				for x := c.Dep[i].Word(w); x != 0; x &= x - 1 {
+					cols[w*64+bits.TrailingZeros64(x)] |= 1 << uint(i)
 				}
 			}
 		}
@@ -568,45 +564,12 @@ func (s *State) MaxCellDegree() int { return s.maxDeg }
 
 // SingleGain returns the gain of moving the (unreplicated) cell to the
 // other block — identical to Gain(Move{Cell: c, Kind: SingleMove}).
-// It reads the incrementally maintained value, O(1); while gain
-// maintenance is disabled (see SetGainMaintenance) it evaluates the
-// gain from scratch in O(distinct nets of the cell) instead. The value
-// is meaningless while the cell is replicated. Like Gain, it only reads
-// the state.
-func (s *State) SingleGain(c hypergraph.CellID) int {
-	if !s.maintainGains {
-		return int(s.computeSingleGain(c))
-	}
-	return int(s.gainS[c])
-}
-
-// SetGainMaintenance toggles the incremental single-move gain
-// maintenance performed by commit. It is on by default — the classic
-// serial FM engine reads SingleGain on every candidate refresh. An
-// engine that instead re-evaluates gains from scratch against frozen
-// snapshots (fm's parallel engine) turns it off so Apply/Undo skip the
-// per-changed-net neighbor sweep arithmetic, which is the dominant
-// serial cost of a commit. Turning maintenance back on recomputes
-// every unreplicated cell's gain so SingleGain and CheckInvariants are
-// immediately valid again.
-func (s *State) SetGainMaintenance(on bool) {
-	if on == s.maintainGains {
-		return
-	}
-	s.maintainGains = on
-	if !on {
-		return
-	}
-	for ci := range s.gainS {
-		if !s.repl[ci] {
-			s.gainS[ci] = s.computeSingleGain(hypergraph.CellID(ci))
-		}
-	}
-}
-
-// GainMaintenance reports whether incremental single-move gain
-// maintenance is currently enabled.
-func (s *State) GainMaintenance() bool { return s.maintainGains }
+// It reads the value Apply and Undo maintain, O(1): their commit sweep
+// already visits every neighbor of a changed net, and patches its gain
+// there. The value is meaningless while the cell is replicated. Like
+// Gain, it only reads the state, so both FM engines' candidate scans,
+// the parallel one's concurrent proposals included, read it directly.
+func (s *State) SingleGain(c hypergraph.CellID) int { return int(s.gainS[c]) }
 
 // CanReplicate reports eligibility for functional replication at
 // threshold T: multi-output and ψ ≥ T (Eq. 6; T = 0 admits ψ = 0
@@ -991,17 +954,13 @@ func (s *State) Apply(m Move) (Token, error) {
 		// The reverse move undoes exactly the cut delta just applied,
 		// so the mover's new single-move gain is the negation of its
 		// (maintained, pre-move) value — no recomputation needed.
-		if s.maintainGains {
-			s.gainS[m.Cell] = -s.gainS[m.Cell]
-		}
+		s.gainS[m.Cell] = -s.gainS[m.Cell]
 	case Replicate:
 		s.repl[m.Cell] = true
 	case Unreplicate:
 		s.repl[m.Cell] = false
 		s.home[m.Cell] = m.To
-		if s.maintainGains {
-			s.gainS[m.Cell] = s.computeSingleGain(m.Cell)
-		}
+		s.gainS[m.Cell] = s.computeSingleGain(m.Cell)
 	}
 	s.stats.Moves++
 	if m.Kind == Replicate {
@@ -1171,10 +1130,9 @@ func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
 	// for phiW: its cross-side dependence is the (count > 0) flag,
 	// which cannot flip without flipping the cut flag while an
 	// unreplicated neighbor holds k > 0 connections on its own
-	// side. With maintenance off both flags stay false, so the
-	// sweep below only records the touched neighborhood.
-	changed0 := (c0 != n0 || wasCut != isCut) && s.maintainGains
-	changed1 := (c1 != n1 || wasCut != isCut) && s.maintainGains
+	// side.
+	changed0 := c0 != n0 || wasCut != isCut
+	changed1 := c1 != n1 || wasCut != isCut
 	if changed0 || changed1 || s.recordTouched {
 		for _, nc := range s.netAdj[s.netOff[n]:s.netOff[n+1]] {
 			cc := nc.cell
@@ -1215,7 +1173,7 @@ func (s *State) Undo(tok Token) error {
 		s.commit(e.cell, e.own)
 		s.home[e.cell] = e.home
 		s.repl[e.cell] = e.repl
-		if !e.repl && s.maintainGains {
+		if !e.repl {
 			if !wasRepl {
 				// Reversing a single move: negate (see Apply).
 				s.gainS[e.cell] = -s.gainS[e.cell]
@@ -1494,10 +1452,7 @@ func (s *State) CheckInvariants() error {
 	}
 	for ci := range s.g.Cells {
 		c := hypergraph.CellID(ci)
-		if s.repl[c] || !s.maintainGains {
-			// With maintenance off the cached gains are intentionally
-			// stale; SingleGain is documented as unusable until
-			// SetGainMaintenance(true) recomputes them.
+		if s.repl[c] {
 			continue
 		}
 		want, err := s.Gain(Move{Cell: c, Kind: SingleMove})

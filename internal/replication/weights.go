@@ -92,8 +92,8 @@ func (s *State) SetNetWeights(w []NetWeights) error {
 }
 
 // recomputeWeighted reseeds the weighted objective total, the move-gain
-// bound and (when maintenance is on) every unreplicated cell's gain for
-// the current weight table.
+// bound and every unreplicated cell's gain for the current weight
+// table.
 func (s *State) recomputeWeighted() {
 	s.maxMoveGain = s.maxDeg
 	s.topo = 0
@@ -117,11 +117,9 @@ func (s *State) recomputeWeighted() {
 		}
 		s.maxMoveGain = s.maxDeg * int(spread)
 	}
-	if s.maintainGains {
-		for ci := range s.gainS {
-			if !s.repl[ci] {
-				s.gainS[ci] = s.computeSingleGain(hypergraph.CellID(ci))
-			}
+	for ci := range s.gainS {
+		if !s.repl[ci] {
+			s.gainS[ci] = s.computeSingleGain(hypergraph.CellID(ci))
 		}
 	}
 }

@@ -236,21 +236,29 @@ func TestSetNetWeightsValidation(t *testing.T) {
 	}
 }
 
-// Gain maintenance off/on must resync weighted gains, mirroring the
-// parfm usage pattern.
-func TestWeightedGainMaintenanceToggle(t *testing.T) {
+// Weighted gains stay maintained through a run of moves and through the
+// trail rollback of its tail, the parallel FM engine's usage pattern.
+func TestWeightedGainsSurviveTrailRollback(t *testing.T) {
 	st := randomState(t, 11, 50)
 	r := rand.New(rand.NewSource(31))
 	if err := st.SetNetWeights(randomWeights(r, len(st.Graph().Nets))); err != nil {
 		t.Fatal(err)
 	}
-	st.SetGainMaintenance(false)
+	var tok Token
 	for step := 0; step < 50; step++ {
+		if step == 20 {
+			tok = st.Mark()
+		}
 		if _, err := st.Apply(randomMove(r, st)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.SetGainMaintenance(true)
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Undo(tok); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -336,13 +336,24 @@ func (s *Server) parseCircuit(req *JobRequest) (*hypergraph.Graph, error) {
 	return g, err
 }
 
+// maxRequestBytes bounds a request body. It is a parser limit, like
+// hypergraph.Limits and netlist.Limits, set above any circuit their
+// defaults admit in practice: a 10⁵-cell .clb is about 7 MB of text, so
+// the default cap of 2²⁰ cells is reached near 75 MB.
+const maxRequestBytes = 256 << 20
+
 // decodeRequest reads the request body into a JobRequest. A JSON body
 // (Content-Type application/json or a body starting with '{') uses the
 // JobRequest schema; anything else is treated as raw circuit text with
 // parameters from the query string — so a CI smoke test can POST a
-// .clb file directly with curl --data-binary.
-func decodeRequest(r *http.Request) (*JobRequest, error) {
-	body, err := io.ReadAll(r.Body)
+// .clb file directly with curl --data-binary. A body over
+// maxRequestBytes fails with *http.MaxBytesError, before any of it is
+// read when its declared length is already over.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (*JobRequest, error) {
+	if r.ContentLength > maxRequestBytes {
+		return nil, &http.MaxBytesError{Limit: maxRequestBytes}
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -417,10 +428,17 @@ func (s *Server) admissionError(w http.ResponseWriter, status int) {
 	}
 }
 
-// parseFailure writes the 400 response for a malformed circuit,
-// keeping the parser's line/column context.
+// parseFailure writes the response for a request that failed to
+// decode or parse: 413 for a body over maxRequestBytes, otherwise 400
+// with the parser's line/column context. Both are typed malformed,
+// since the body cap is a parser limit.
 func parseFailure(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Kind: KindMalformed})
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, apiError{Error: err.Error(), Kind: KindMalformed})
 }
 
 func isParseError(err error) bool {
@@ -431,11 +449,12 @@ func isParseError(err error) bool {
 
 // handleSubmit admits an asynchronous job: 202 with the job status on
 // admission, 200 when the ID is already known (idempotent retry), 400
-// on malformed input, 429 when the queue is full, 503 when draining.
+// on malformed input, 413 on an oversized body, 429 when the queue is
+// full, 503 when draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Kind: KindMalformed})
+		parseFailure(w, err)
 		return
 	}
 	g, opts, timeout, err := s.parseRequest(req)
@@ -468,9 +487,9 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // arrived with a traceparent header gets the job's recorded spans in
 // the response, so the caller can stitch them into its own trace.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Kind: KindMalformed})
+		parseFailure(w, err)
 		return
 	}
 	g, opts, timeout, err := s.parseRequest(req)

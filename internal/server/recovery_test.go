@@ -31,6 +31,53 @@ func newBody(s string) io.Reader {
 	return strings.NewReader(s)
 }
 
+// filler reads an endless run of one byte.
+type filler byte
+
+func (f filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// oversizedRequest builds a POST whose body is one byte over
+// maxRequestBytes, streamed rather than held in memory.
+func oversizedRequest(url string) (*http.Request, error) {
+	req, err := http.NewRequest("POST", url, io.LimitReader(filler('x'), maxRequestBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	req.ContentLength = maxRequestBytes + 1
+	req.Header.Set("Content-Type", "text/plain")
+	return req, nil
+}
+
+// A body one byte over the bound is refused on both submission
+// endpoints with 413, typed malformed like any other parser limit.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/jobs", "/v1/partition"} {
+		req, err := oversizedRequest(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var e apiError
+		err = decodeJSONBody(resp, &e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || e.Kind != KindMalformed {
+			t.Fatalf("%s: %d %+v, want 413 %s", path, resp.StatusCode, e, KindMalformed)
+		}
+	}
+}
+
 func decodeJSONBody(resp *http.Response, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
@@ -233,6 +280,11 @@ func TestErrorKindsTable(t *testing.T) {
 			status: http.StatusBadRequest, kind: KindMalformed,
 		},
 		{
+			name: "too_large", method: "POST", path: "/v1/partition",
+			body:   "OVERSIZE",
+			status: http.StatusRequestEntityTooLarge, kind: KindMalformed,
+		},
+		{
 			name: "infeasible",
 			cfg: Config{Inject: faultinject.NewPlan(faultinject.Rule{
 				Site: faultinject.SiteAttempt, Kind: faultinject.KindPanic,
@@ -303,7 +355,13 @@ func TestErrorKindsTable(t *testing.T) {
 			if body == "CIRCUIT" {
 				body = circuitText(t, 120, 1)
 			}
-			httpReq, err := http.NewRequest(tc.method, ts.URL+tc.path, newBody(body))
+			var httpReq *http.Request
+			var err error
+			if body == "OVERSIZE" {
+				httpReq, err = oversizedRequest(ts.URL + tc.path)
+			} else {
+				httpReq, err = http.NewRequest(tc.method, ts.URL+tc.path, newBody(body))
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
