@@ -14,7 +14,7 @@ import (
 // A steady-state FM pass must not allocate: the gain buckets are a
 // fixed node pool, candidate gains come from the state's maintained
 // values or its scratch-free evaluation, rollback restores a pre-sized
-// checkpoint, and every growable buffer (the frozen-cut counter's
+// checkpoint, and every growable buffer (the objective floor's
 // included) has reached its high-water mark after the warm-up run. The
 // pass's span and event must not break this: disarmed they cost a
 // predicted branch, and armed with a sink the per-pass event is a

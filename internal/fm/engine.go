@@ -4,8 +4,8 @@
 // the best feasible candidate move — single cell move, functional
 // replication with the best output split, or unreplication — locking
 // each cell after it participates once, and finally rolls back to the
-// best prefix; under the unit-cut objective it stops as soon as no
-// later prefix can beat that best (replication.FrozenCut).
+// best prefix; it stops as soon as no later prefix can beat that best
+// (replication.ObjectiveFloor).
 //
 // The package has two pass algorithms over the same move universe and
 // one phase schedule (runPhases) that repeats passes until they yield
@@ -134,8 +134,8 @@ type Result struct {
 	// provably dry (see runPhases) are not counted.
 	Passes int
 	// Moves counts the moves applied across all passes, before
-	// rollbacks. A serial pass stopped at the frozen-cut bound counts
-	// only the moves it applied before stopping.
+	// rollbacks. A serial pass stops once its objective floor reaches
+	// its best prefix, so it counts only the moves applied before then.
 	Moves int
 }
 
@@ -188,8 +188,8 @@ type engine struct {
 	locked   []bool
 	order    []hypergraph.CellID
 	scratch  []hypergraph.CellID
-	best     replication.Checkpoint // per-pass best-prefix snapshot
-	frozen   replication.FrozenCut  // per-pass cut lower bound (unit-cut objective)
+	best     replication.Checkpoint     // per-pass best-prefix snapshot
+	floor    replication.ObjectiveFloor // per-pass objective lower bound
 	gains    [replication.MaxSplits]int
 	replOnly bool
 }
@@ -400,36 +400,55 @@ func (e *engine) unlink(slot int32) {
 
 // removeAll unlinks every candidate node of the cell.
 func (e *engine) removeAll(c hypergraph.CellID) {
-	for s := e.base[c]; s < e.base[c+1]; s++ {
-		e.unlink(s)
-	}
+	e.unlinkRange(e.base[c], e.base[c+1])
 }
 
-// push reinserts the cell's currently valid candidate moves with fresh
-// gains, removing its previous insertions first.
-func (e *engine) push(c hypergraph.CellID) {
-	e.removeAll(c)
-	e.fill(c)
-}
-
-// fill inserts the cell's currently valid candidate moves, none of
-// which may be in a bucket. Single-move gains come from the state's
-// incrementally maintained values, replication gains from one
-// SplitGains walk, and unreplication gains are evaluated semantically.
-func (e *engine) fill(c hypergraph.CellID) {
-	b := e.base[c]
+// relink refreshes the cell's candidate moves: each currently valid one
+// is unlinked just before it goes back in with a fresh gain, and every
+// other slot is unlinked. A node goes back in at the head of its
+// bucket, so where it was no longer matters, and unlinking it leaves
+// every other node in the same relative order: the buckets end exactly
+// as unlinking all the cell's slots first and then inserting would
+// leave them. Single-move gains come from the state's incrementally
+// maintained values, replication gains from one SplitGains walk, and
+// unreplication gains are evaluated semantically.
+func (e *engine) relink(c hypergraph.CellID) {
+	b, end := e.base[c], e.base[c+1]
 	if e.st.IsReplicated(c) {
-		e.insert(b+slotUnrep0, e.st.MustGain(e.pool[b+slotUnrep0].move))
-		e.insert(b+slotUnrep1, e.st.MustGain(e.pool[b+slotUnrep1].move))
+		e.unlink(b + slotSingle)
+		e.reinsert(b+slotUnrep0, e.st.MustGain(e.pool[b+slotUnrep0].move))
+		e.reinsert(b+slotUnrep1, e.st.MustGain(e.pool[b+slotUnrep1].move))
+		e.unlinkRange(b+slotSplit0, end)
 		return
 	}
-	if !e.replOnly {
-		e.insert(b+slotSingle, e.st.SingleGain(c))
+	if e.replOnly {
+		e.unlink(b + slotSingle)
+	} else {
+		e.reinsert(b+slotSingle, e.st.SingleGain(c))
 	}
-	if e.cfg.Threshold != NoReplication && e.st.CanReplicate(c, e.cfg.Threshold) {
-		for i, g := range e.st.SplitGains(c, e.gains[:]) {
-			e.insert(b+slotSplit0+int32(i), g)
-		}
+	if end == b+1 {
+		return // single-output cell
+	}
+	e.unlinkRange(b+slotUnrep0, b+slotSplit0)
+	if e.cfg.Threshold == NoReplication || !e.st.CanReplicate(c, e.cfg.Threshold) {
+		e.unlinkRange(b+slotSplit0, end)
+		return
+	}
+	for i, g := range e.st.SplitGains(c, e.gains[:]) {
+		e.reinsert(b+slotSplit0+int32(i), g)
+	}
+}
+
+// reinsert moves the node at slot to the head of the bucket for gain.
+func (e *engine) reinsert(slot int32, gain int) {
+	e.unlink(slot)
+	e.insert(slot, gain)
+}
+
+// unlinkRange unlinks the nodes at slots [lo, hi).
+func (e *engine) unlinkRange(lo, hi int32) {
+	for s := lo; s < hi; s++ {
+		e.unlink(s)
 	}
 }
 
@@ -451,7 +470,7 @@ func (e *engine) startPass() {
 		e.locked[i] = false
 	}
 	for _, c := range e.order {
-		e.fill(c)
+		e.relink(c)
 	}
 }
 
@@ -469,17 +488,13 @@ func (e *engine) pass() (bool, int, int) {
 	// O(cells + nets) flat copies, against per-move undo sweeps over
 	// every rolled-back move's neighborhood.
 	e.st.SaveCheckpoint(&e.best)
-	// Under the unit-cut objective the nets that locked cells keep cut
-	// bound every later prefix's cut from below. Once they number
-	// bestCut, no later prefix can be strictly better: the pass stops
-	// and rolls back to the same best prefix a full pass would.
-	// Weighted objectives have no such bound and run full passes.
-	frozenStop := !e.st.Weighted()
-	if frozenStop {
-		e.frozen.Reset(e.st)
-	}
+	// What locked cells pin down bounds every later prefix's objective
+	// from below. Once that floor reaches bestCut, no later prefix can
+	// be strictly better: the pass stops and rolls back to the same
+	// best prefix a full pass would.
+	e.floor.Reset(e.st)
 	moves := 0
-	for !frozenStop || e.frozen.Count() < bestCut {
+	for e.floor.Value() < bestCut {
 		mv, ok := e.pop()
 		if !ok {
 			break
@@ -492,9 +507,7 @@ func (e *engine) pass() (bool, int, int) {
 		}
 		moves++
 		e.locked[mv.Cell] = true
-		if frozenStop {
-			e.frozen.Lock(mv.Cell)
-		}
+		e.floor.Lock(mv.Cell)
 		e.removeAll(mv.Cell)
 		// For single moves the commit delta sweep already visited the
 		// exact touched neighborhood; reuse it instead of re-walking
@@ -509,7 +522,7 @@ func (e *engine) pass() (bool, int, int) {
 		}
 		for _, t := range touched {
 			if !e.locked[t] {
-				e.push(t)
+				e.relink(t)
 			}
 		}
 		if cut := e.st.Objective(); cut < bestCut {

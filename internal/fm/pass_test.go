@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fpgapart/internal/faultinject"
@@ -11,9 +12,30 @@ import (
 	"fpgapart/internal/replication"
 )
 
-// referencePass is the serial pass without the frozen-cut stop: it
-// applies moves until no feasible candidate remains, then rolls back to
-// the best prefix.
+// push is the bucket refresh relink replaced, kept as its reference: it
+// unlinks every slot of the cell, then inserts the currently valid
+// candidates.
+func (e *engine) push(c hypergraph.CellID) {
+	e.removeAll(c)
+	b := e.base[c]
+	if e.st.IsReplicated(c) {
+		e.insert(b+slotUnrep0, e.st.MustGain(e.pool[b+slotUnrep0].move))
+		e.insert(b+slotUnrep1, e.st.MustGain(e.pool[b+slotUnrep1].move))
+		return
+	}
+	if !e.replOnly {
+		e.insert(b+slotSingle, e.st.SingleGain(c))
+	}
+	if e.cfg.Threshold != NoReplication && e.st.CanReplicate(c, e.cfg.Threshold) {
+		for i, g := range e.st.SplitGains(c, e.gains[:]) {
+			e.insert(b+slotSplit0+int32(i), g)
+		}
+	}
+}
+
+// referencePass is the serial pass without the objective-floor stop,
+// refreshing buckets with push: it applies moves until no feasible
+// candidate remains, then rolls back to the best prefix.
 func (e *engine) referencePass() (bool, int) {
 	e.startPass()
 	startCut := e.st.Objective()
@@ -65,60 +87,160 @@ func partitionSig(st *replication.State) string {
 	return out
 }
 
-// A pass stopped at the frozen-cut bound must end exactly where the full
-// pass ends — same restored partition, same improved flag — in every
-// mode, pinned or not, pass after pass.
-func TestFrozenStopMatchesFullPass(t *testing.T) {
-	modes := []struct {
-		name      string
-		threshold int
-		replOnly  bool
-	}{
-		{"plain", NoReplication, false},
-		{"replication", 0, false},
-		{"replication-only", 0, true},
+// signedWeights builds a weight table with zero, negative and
+// non-monotone entries: every Alone and Both value is drawn from
+// [-3, 4], so Both can fall below an Alone weight.
+func signedWeights(r *rand.Rand, nets int) []replication.NetWeights {
+	w := make([]replication.NetWeights, nets)
+	for i := range w {
+		w[i] = replication.NetWeights{
+			Alone: [2]int32{int32(r.Intn(8) - 3), int32(r.Intn(8) - 3)},
+			Both:  int32(r.Intn(8) - 3),
+		}
 	}
-	stopped := 0
+	return w
+}
+
+// passModes are the three kinds of serial pass: plain, with replication
+// and replication-only.
+var passModes = []struct {
+	name      string
+	threshold int
+	replOnly  bool
+}{
+	{"plain", NoReplication, false},
+	{"replication", 0, false},
+	{"replication-only", 0, true},
+}
+
+// A pass stopped at the objective floor must end exactly where the full
+// pass ends — same restored partition, same improved flag — in every
+// mode, pinned or not, unit-cut or weighted, pass after pass.
+func TestFrozenStopMatchesFullPass(t *testing.T) {
+	var stopped [2]int // unit-cut, weighted
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := testGraph(t, 40+r.Intn(200), 300+seed, r.Float64()*0.8)
-		for _, mode := range modes {
+		weights := signedWeights(r, g.NumNets())
+		for _, mode := range passModes {
 			for _, pinned := range []bool{false, true} {
-				assign := RandomAssign(g, seed)
-				stStop, err := replication.NewStatePinned(g, assign, pinned)
-				if err != nil {
-					t.Fatal(err)
-				}
-				stFull, err := replication.NewStatePinned(g, assign, pinned)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := equalCfg(g, mode.threshold, seed)
-				var rStop, rFull Runner
-				eStop, eFull := rStop.start(stStop, cfg.withDefaults()), rFull.start(stFull, cfg.withDefaults())
-				eStop.replOnly, eFull.replOnly = mode.replOnly, mode.replOnly
-				for pass := 0; pass < 8; pass++ {
-					impStop, movesStop, _ := eStop.pass()
-					impFull, movesFull := eFull.referencePass()
-					if impStop != impFull || partitionSig(stStop) != partitionSig(stFull) {
-						t.Fatalf("seed %d %s pinned=%v pass %d: stopped pass improved=%v cut %d, full pass improved=%v cut %d",
-							seed, mode.name, pinned, pass, impStop, stStop.CutSize(), impFull, stFull.CutSize())
-					}
-					if err := stStop.CheckInvariants(); err != nil {
-						t.Fatal(err)
-					}
-					if movesStop < movesFull {
-						stopped++
-					}
-					if !impStop {
-						break
+				for wi, w := range [][]replication.NetWeights{nil, weights} {
+					assign := RandomAssign(g, seed)
+					stStop := weightedState(t, g, assign, pinned, w)
+					stFull := weightedState(t, g, assign, pinned, w)
+					cfg := equalCfg(g, mode.threshold, seed)
+					var rStop, rFull Runner
+					eStop, eFull := rStop.start(stStop, cfg.withDefaults()), rFull.start(stFull, cfg.withDefaults())
+					eStop.replOnly, eFull.replOnly = mode.replOnly, mode.replOnly
+					for pass := 0; pass < 8; pass++ {
+						impStop, movesStop, _ := eStop.pass()
+						impFull, movesFull := eFull.referencePass()
+						if impStop != impFull || partitionSig(stStop) != partitionSig(stFull) {
+							t.Fatalf("seed %d %s pinned=%v weighted=%v pass %d: stopped pass improved=%v objective %d, full pass improved=%v objective %d",
+								seed, mode.name, pinned, w != nil, pass, impStop, stStop.Objective(), impFull, stFull.Objective())
+						}
+						if err := stStop.CheckInvariants(); err != nil {
+							t.Fatal(err)
+						}
+						if movesStop < movesFull {
+							stopped[wi]++
+						}
+						if !impStop {
+							break
+						}
 					}
 				}
 			}
 		}
 	}
-	if stopped == 0 {
-		t.Fatal("no pass stopped at the frozen-cut bound")
+	if stopped[0] == 0 || stopped[1] == 0 {
+		t.Fatalf("passes stopped at the objective floor: %d unit-cut, %d weighted; want both > 0", stopped[0], stopped[1])
+	}
+}
+
+// weightedState builds a state on g with weight table w installed (nil:
+// the unit-cut objective).
+func weightedState(t *testing.T, g *hypergraph.Graph, assign []replication.Block, pinned bool, w []replication.NetWeights) *replication.State {
+	t.Helper()
+	st, err := replication.NewStatePinned(g, assign, pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetNetWeights(w); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// bucketLists lists every bucket's nodes head to tail, and maxPtr.
+func (e *engine) bucketLists() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "max=%d;", e.maxPtr)
+	for i, n := range e.head {
+		fmt.Fprintf(&b, "%d:", i)
+		for ; n != nilNode; n = e.pool[n].next {
+			fmt.Fprintf(&b, "%d,", n)
+		}
+	}
+	return b.String()
+}
+
+// Refreshing a cell slot by slot (relink) must leave every bucket list
+// in the order push, which unlinks all of the cell's slots before
+// inserting any, leaves it — through random sequences of bucketed
+// moves of every kind, in every mode, unit-cut and weighted.
+func TestRelinkMatchesPush(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := testGraph(t, 60+r.Intn(120), 500+seed, 0.5)
+		weights := signedWeights(r, g.NumNets())
+		for _, mode := range passModes {
+			for _, w := range [][]replication.NetWeights{nil, weights} {
+				assign := RandomAssign(g, seed)
+				pinned := seed%2 == 1
+				stA, stB := weightedState(t, g, assign, pinned, w), weightedState(t, g, assign, pinned, w)
+				cfg := equalCfg(g, mode.threshold, seed).withDefaults()
+				var rA, rB Runner
+				eA, eB := rA.start(stA, cfg), rB.start(stB, cfg)
+				eA.replOnly, eB.replOnly = mode.replOnly, mode.replOnly
+				eA.startPass()
+				eB.startPass()
+				for step := 0; ; step++ {
+					at := fmt.Sprintf("seed %d %s weighted=%v step %d", seed, mode.name, w != nil, step)
+					if a, b := eA.bucketLists(), eB.bucketLists(); a != b {
+						t.Fatalf("%s: relink buckets\n%s\npush buckets\n%s", at, a, b)
+					}
+					var linked []int32
+					for s := range eA.pool {
+						if eA.pool[s].bucket != nilNode {
+							linked = append(linked, int32(s))
+						}
+					}
+					if len(linked) == 0 {
+						break
+					}
+					mv := eA.pool[linked[r.Intn(len(linked))]].move
+					for _, e := range []*engine{eA, eB} {
+						if _, err := e.st.Apply(mv); err != nil {
+							t.Fatalf("%s: %v", at, err)
+						}
+						e.locked[mv.Cell] = true
+						e.removeAll(mv.Cell)
+						e.scratch = e.st.TouchedCells(mv.Cell, e.scratch)
+						for _, c := range e.scratch {
+							if e.locked[c] {
+								continue
+							}
+							if e == eA {
+								e.relink(c)
+							} else {
+								e.push(c)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

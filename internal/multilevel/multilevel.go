@@ -157,10 +157,12 @@ type LevelStats struct {
 	// ClusterCap is the cluster-area cap used to build this level
 	// (0 at the finest level).
 	ClusterCap int
-	// CutProjected is the cut right after projecting the coarser
-	// assignment down (after repair); at the coarsest level it is the
-	// seed assignment's cut. CutRefined is the cut after the level's
-	// FM refinement — never above CutProjected.
+	// CutProjected and CutRefined are the objective the level's FM
+	// minimizes — the cut, t_P0 (Config.PinExternal) or the weighted
+	// cost (Config.NetWeights) — right after projecting the coarser
+	// assignment down (after repair; at the coarsest level, of the seed
+	// assignment) and after the level's FM refinement, which never
+	// raises it.
 	CutProjected, CutRefined int
 	// RepairMoves counts the cells moved to re-enter the level's area
 	// window after projection (0 when the window was already met).
@@ -175,8 +177,9 @@ type LevelStats struct {
 type Result struct {
 	// Assign is the finest-level bipartition assignment.
 	Assign []replication.Block
-	// Cut is the finest-level cut after refinement (t_P0 when
-	// Config.PinExternal); Area the block areas.
+	// Cut is the finest-level objective after refinement: the cut, t_P0
+	// (Config.PinExternal) or the weighted cost (Config.NetWeights).
+	// Area holds the block areas.
 	Cut  int
 	Area [2]int
 	// Levels holds per-level statistics, coarsest first.
@@ -407,7 +410,7 @@ func window(lo, hi, total, s int) bounds {
 // deterministic multi-start search: each attempt grows a seeded
 // connected cluster toward the target area, repairs it into the
 // window, and refines with plain FM; the index-ordered reduction keeps
-// the best (lowest cut, then area closest to target), so the result is
+// the best (lowest objective, then area closest to target), so the result is
 // byte-identical for a fixed seed regardless of worker count. A
 // one-worker search runs every start on r's storage; with more workers
 // each worker brings its own.
@@ -461,7 +464,7 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 					area0:  st.Area(0),
 					stats: LevelStats{
 						Cells: cg.NumCells(), Nets: cg.NumNets(), ClusterCap: lv.cap,
-						CutProjected: cutInit, CutRefined: res.Cut, Area0: st.Area(0),
+						CutProjected: cutInit, CutRefined: st.Objective(), Area0: st.Area(0),
 						RepairMoves: rep, Moves: res.Moves, Passes: res.Passes,
 					},
 				}, nil
@@ -512,7 +515,7 @@ func (r *Runner) refineLevel(lv level, assign []replication.Block, cfg Config, w
 	}
 	return LevelStats{
 		Level: l, Cells: lv.g.NumCells(), Nets: lv.g.NumNets(), ClusterCap: lv.cap,
-		CutProjected: cutProj, CutRefined: res.Cut, Area0: r.st.Area(0),
+		CutProjected: cutProj, CutRefined: r.st.Objective(), Area0: r.st.Area(0),
 		RepairMoves: rep, Moves: res.Moves, Passes: res.Passes,
 	}, nil
 }

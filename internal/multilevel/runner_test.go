@@ -24,6 +24,42 @@ func randomNetWeights(g *hypergraph.Graph, seed int64) map[string]replication.Ne
 	return w
 }
 
+// A weighted V-cycle reports, picks its coarsest start by and refines
+// the objective its FM runs minimize: Result.Cut is the weighted cost of
+// Result.Assign on a fresh state with the same weights, pinned or not,
+// and no level's refinement raises it.
+func TestWeightedCycleReportsObjective(t *testing.T) {
+	g := circuit(t, 1200, 21)
+	for _, pinned := range []bool{false, true} {
+		cfg := balancedConfig(g, 0.1, 1)
+		cfg.PinExternal = pinned
+		cfg.NetWeights = randomNetWeights(g, 0)
+		res, err := Run(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := replication.NewStatePinned(g, res.Assign, pinned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := make([]replication.NetWeights, g.NumNets())
+		for ni := range g.Nets {
+			w[ni] = cfg.NetWeights[g.Nets[ni].Name]
+		}
+		if err := st.SetNetWeights(w); err != nil {
+			t.Fatal(err)
+		}
+		if res.Cut != st.Objective() {
+			t.Fatalf("pinned=%v: Result.Cut %d, objective of Result.Assign %d (cut %d)", pinned, res.Cut, st.Objective(), st.CutSize())
+		}
+		for _, s := range res.Levels {
+			if s.CutRefined > s.CutProjected {
+				t.Fatalf("pinned=%v level %d: refined %d above projected %d", pinned, s.Level, s.CutRefined, s.CutProjected)
+			}
+		}
+	}
+}
+
 // Reuse is invisible: one Runner fed a sequence of graphs (large, one
 // too small to coarsen, the large one again) under flat, pinned and
 // weighted objectives, one and two coarsest workers and both FM

@@ -171,8 +171,9 @@ type State struct {
 	// Weighted objective (see weights.go). netW == nil selects the
 	// classic unit-cut objective with zero hot-path overhead.
 	netW        []NetWeights
-	topo        int // maintained Σ costAt(net) while netW != nil
-	maxMoveGain int // |gain| bound under the current objective
+	floor       [][4]int32 // per net while netW != nil: least cost per locked-sides mask (see ObjectiveFloor)
+	topo        int        // maintained Σ costAt(net) while netW != nil
+	maxMoveGain int        // |gain| bound under the current objective
 
 	trail []trailEntry
 
@@ -1070,31 +1071,77 @@ func (s *State) commit(c hypergraph.CellID, nw [2]uint32) {
 }
 
 // commitWhole commits the move of every active pin of cell c out of
-// block from, net by net in adjacency order.
+// block from, net by net in adjacency order. Each net's delta is
+// (−k, +k), which fixes what φ was and becomes for every unreplicated
+// neighbor: a from-side neighbor with k' connections shares the from
+// side with the mover, so φ rises by bt when it is left alone there
+// (f−k = k') and by bf when the net was uncut; a to-side neighbor's φ
+// falls by bf when it held the whole to side (t = k') and by bt when
+// the net ends uncut. bf and bt are Both minus the from-side and the
+// to-side Alone weight, 1 under the unit cut (see phi and phiW).
 func (s *State) commitWhole(c hypergraph.CellID, from Block) {
+	to := from.Other()
+	rec := s.recordTouched
 	for e := s.adjOff[c]; e < s.adjOff[c+1]; e++ {
-		var d [2]int32
+		n := s.adjNet[e]
 		k := s.entryK(e)
-		d[from], d[from.Other()] = -k, k
-		s.commitNet(c, s.adjNet[e], d)
+		cf, ct := s.cnt[n][from], s.cnt[n][to]
+		var d [2]int32
+		d[from], d[to] = -k, k
+		wasCut, isCut := s.setCounts(n, d)
+		bf, bt := int32(1), int32(1)
+		if s.netW != nil {
+			w := &s.netW[n]
+			bf, bt = w.Both-w.Alone[from], w.Both-w.Alone[to]
+		}
+		var upF, downT int32
+		if !wasCut {
+			upF = bf
+		}
+		if !isCut {
+			downT = bt
+		}
+		for _, nc := range s.netAdj[s.netOff[n]:s.netOff[n+1]] {
+			cc := nc.cell
+			if rec && s.touchStamp[cc] != s.touchEpoch {
+				s.touchStamp[cc] = s.touchEpoch
+				s.lastTouched = append(s.lastTouched, cc)
+			}
+			if cc == c || s.repl[cc] {
+				continue
+			}
+			if s.home[cc] == from {
+				g := upF
+				if cf-k == nc.k {
+					g += bt
+				}
+				s.gainS[cc] += g
+			} else {
+				g := downT
+				if ct == nc.k {
+					g += bf
+				}
+				s.gainS[cc] -= g
+			}
+		}
 	}
 }
 
-// commitNet applies mover c's connection delta d to net n: counts, cut,
-// weighted cost, terminal counters, neighbor gains and the touched
-// neighborhood.
-func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
-	weighted := s.netW != nil
+// setCounts applies connection delta d to net n: counts, cut, weighted
+// cost and terminal counters. It reports whether the net was and is
+// cut.
+func (s *State) setCounts(n hypergraph.NetID, d [2]int32) (wasCut, isCut bool) {
 	c0, c1 := s.cnt[n][0], s.cnt[n][1]
 	n0, n1 := c0+d[0], c1+d[1]
-	wasCut := c0 > 0 && c1 > 0
-	isCut := n0 > 0 && n1 > 0
+	s.cnt[n] = [2]int32{n0, n1}
+	wasCut = c0 > 0 && c1 > 0
+	isCut = n0 > 0 && n1 > 0
 	if wasCut && !isCut {
 		s.cut--
 	} else if !wasCut && isCut {
 		s.cut++
 	}
-	if weighted {
+	if s.netW != nil {
 		w := &s.netW[n]
 		s.topo += int(costAt(w, n0, n1) - costAt(w, c0, c1))
 	}
@@ -1124,6 +1171,16 @@ func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
 			s.term[1]--
 		}
 	}
+	return wasCut, isCut
+}
+
+// commitNet applies mover c's connection delta d to net n: counts, cut,
+// weighted cost, terminal counters, neighbor gains and the touched
+// neighborhood.
+func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
+	c0, c1 := s.cnt[n][0], s.cnt[n][1]
+	n0, n1 := c0+d[0], c1+d[1]
+	wasCut, isCut := s.setCounts(n, d)
 	// Neighbor gain deltas. phi depends on t only through the cut
 	// flag, so a block's cells can only see a delta when their own
 	// side's count or the cut status changed — and the same holds
@@ -1147,7 +1204,7 @@ func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
 			if h == 0 && !changed0 || h == 1 && !changed1 {
 				continue
 			}
-			if weighted {
+			if s.netW != nil {
 				w := &s.netW[n]
 				s.gainS[cc] += phiW(w, n0, n1, nc.k, h) - phiW(w, c0, c1, nc.k, h)
 			} else if h == 0 {
@@ -1157,7 +1214,6 @@ func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
 			}
 		}
 	}
-	s.cnt[n] = [2]int32{n0, n1}
 }
 
 // Undo rolls the state back to the given token.

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"slices"
 
 	"fpgapart/internal/hypergraph"
 )
@@ -73,6 +74,22 @@ func phiW(w *NetWeights, c0, c1, k int32, h Block) int32 {
 	return before - after
 }
 
+// floorOf returns a net's least cost under w for each mask of blocks
+// that locked connections keep active (bit b for block b): the least
+// cost of any activity pattern that covers the mask. Some block is
+// always active on a net a cell connects to, which rules out the
+// inactive row. A net no cell connects to (idle) keeps its cost, that of
+// its virtual pins alone: none, or block 1's on a pinned external net,
+// which the mask records as locked. Taking minima keeps the floor valid
+// for weights that are negative or shrink as a net spans more blocks.
+func floorOf(w *NetWeights, idle bool) [4]int32 {
+	if idle {
+		return [4]int32{0, w.Alone[0], w.Alone[1], w.Both}
+	}
+	in0, in1 := min(w.Alone[0], w.Both), min(w.Alone[1], w.Both)
+	return [4]int32{min(in0, in1), in0, in1, w.Both}
+}
+
 // SetNetWeights installs per-net objective weights (one entry per net)
 // or reverts to the classic unit-cut objective (nil). The weighted
 // objective total and every maintained single-move gain are recomputed;
@@ -92,15 +109,17 @@ func (s *State) SetNetWeights(w []NetWeights) error {
 }
 
 // recomputeWeighted reseeds the weighted objective total, the move-gain
-// bound and every unreplicated cell's gain for the current weight
-// table.
+// bound, the per-net floor table and every unreplicated cell's gain for
+// the current weight table.
 func (s *State) recomputeWeighted() {
 	s.maxMoveGain = s.maxDeg
 	s.topo = 0
 	if s.netW != nil {
+		s.floor = slices.Grow(s.floor[:0], len(s.netW))[:len(s.netW)]
 		spread := int32(1)
 		for i := range s.netW {
 			w := &s.netW[i]
+			s.floor[i] = floorOf(w, s.netOff[i] == s.netOff[i+1])
 			lo, hi := int32(0), int32(0)
 			for _, v := range [3]int32{w.Alone[0], w.Alone[1], w.Both} {
 				if v < lo {
