@@ -191,8 +191,9 @@ func TestMaxStaleStopsEarly(t *testing.T) {
 	}
 }
 
-// TestNegativeOptionsRejected: withDefaults surfaces clear errors for
-// negative knobs instead of feeding them to the worker loop.
+// TestNegativeOptionsRejected: withDefaults surfaces a typed
+// *OptionError naming the field for negative knobs instead of feeding
+// them to the worker loop or clamping them.
 func TestNegativeOptionsRejected(t *testing.T) {
 	g := testCircuit(t, 40, 1)
 	for _, tc := range []struct {
@@ -203,13 +204,16 @@ func TestNegativeOptionsRejected(t *testing.T) {
 		{"Retries", func(o *Options) { o.Retries = -3 }},
 		{"MaxPasses", func(o *Options) { o.MaxPasses = -2 }},
 		{"MaxStale", func(o *Options) { o.MaxStale = -1 }},
+		{"RefineWorkers", func(o *Options) { o.RefineWorkers = -3 }},
 		{"Threshold", func(o *Options) { th := fm.NoReplication - 1; o.Threshold = &th }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := opts(fm.NoReplication, 2)
 			tc.mut(&o)
-			if _, err := Partition(g, o); err == nil {
-				t.Fatalf("negative %s accepted", tc.name)
+			_, err := Partition(g, o)
+			var oe *OptionError
+			if !errors.As(err, &oe) || oe.Field != tc.name {
+				t.Fatalf("negative %s: got %v, want an *OptionError for the field", tc.name, err)
 			}
 		})
 	}

@@ -253,30 +253,42 @@ const SeedStride = 104729
 // defaultSolutions is the attempt budget when Options.Solutions is 0.
 const defaultSolutions = 50
 
+// OptionError reports an Options field outside its valid range. Every
+// range check of withDefaults returns one, so a caller can tell a bad
+// request from a failed search (kpartd answers it as a malformed
+// request).
+type OptionError struct {
+	Field string
+	Value int
+	// Min is the least valid value.
+	Min int
+}
+
+func (e *OptionError) Error() string {
+	if e.Min == 0 {
+		return fmt.Sprintf("kway: %s must be non-negative, got %d", e.Field, e.Value)
+	}
+	return fmt.Sprintf("kway: %s must be at least %d, got %d", e.Field, e.Min, e.Value)
+}
+
 func (o Options) withDefaults() (Options, error) {
-	if o.Solutions < 0 {
-		return o, fmt.Errorf("kway: Solutions must be non-negative, got %d", o.Solutions)
+	checks := []OptionError{
+		{"Solutions", o.Solutions, 0},
+		{"Retries", o.Retries, 0},
+		{"MaxPasses", o.MaxPasses, 0},
+		{"MaxStale", o.MaxStale, 0},
+		{"MultilevelMinCells", o.MultilevelMinCells, 0},
+		{"Workers", o.Workers, 0},
+		{"RefineWorkers", o.RefineWorkers, 0},
+		{"CheckpointEvery", o.CheckpointEvery, 0},
 	}
-	if o.Retries < 0 {
-		return o, fmt.Errorf("kway: Retries must be non-negative, got %d", o.Retries)
+	if o.Threshold != nil {
+		checks = append(checks, OptionError{"Threshold", *o.Threshold, fm.NoReplication})
 	}
-	if o.MaxPasses < 0 {
-		return o, fmt.Errorf("kway: MaxPasses must be non-negative, got %d", o.MaxPasses)
-	}
-	if o.MaxStale < 0 {
-		return o, fmt.Errorf("kway: MaxStale must be non-negative, got %d", o.MaxStale)
-	}
-	if o.MultilevelMinCells < 0 {
-		return o, fmt.Errorf("kway: MultilevelMinCells must be non-negative, got %d", o.MultilevelMinCells)
-	}
-	if o.Workers < 0 {
-		return o, fmt.Errorf("kway: Workers must be non-negative, got %d", o.Workers)
-	}
-	if o.CheckpointEvery < 0 {
-		return o, fmt.Errorf("kway: CheckpointEvery must be non-negative, got %d", o.CheckpointEvery)
-	}
-	if o.Threshold != nil && *o.Threshold < fm.NoReplication {
-		return o, fmt.Errorf("kway: Threshold must be at least %d (no replication), got %d", fm.NoReplication, *o.Threshold)
+	for _, c := range checks {
+		if c.Value < c.Min {
+			return o, &c
+		}
 	}
 	if o.Solutions == 0 {
 		o.Solutions = defaultSolutions

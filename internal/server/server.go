@@ -169,7 +169,7 @@ const (
 // Error kinds classify job failures for clients. Every non-2xx API
 // response carries one of these in apiError.Kind.
 const (
-	KindMalformed        = "malformed"  // parse error or parser limit
+	KindMalformed        = "malformed"  // parse error, parser limit or option out of range
 	KindInfeasible       = "infeasible" // attempt budget ran without a feasible solution
 	KindTimeout          = "timeout"    // search budget expired first
 	KindCanceled         = "canceled"   // shutdown or client cancellation
@@ -648,7 +648,8 @@ func classify(err error) string {
 	}
 	var nperr *netlist.ParseError
 	var hperr *hypergraph.ParseError
-	if errors.As(err, &nperr) || errors.As(err, &hperr) {
+	var operr *kway.OptionError
+	if errors.As(err, &nperr) || errors.As(err, &hperr) || errors.As(err, &operr) {
 		return KindMalformed
 	}
 	if errors.Is(err, context.Canceled) {

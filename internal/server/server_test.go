@@ -198,6 +198,26 @@ func TestMalformedCircuit400(t *testing.T) {
 	}
 }
 
+// An option outside its valid range is the client's error: the sync
+// path answers 400 malformed, never 500 internal, and never runs the
+// search with the value clamped.
+func TestOutOfRangeOption400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	circuit := circuitText(t, 60, 1)
+	for _, q := range []string{"solutions=-1", "max_stale=-1", "threshold=-5", "refine_workers=-3"} {
+		resp, err := http.Post(ts.URL+"/v1/partition?seed=1&"+q, "text/plain", strings.NewReader(circuit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e.Kind != KindMalformed {
+			t.Fatalf("%s: %d %+v, want 400 %s", q, resp.StatusCode, e, KindMalformed)
+		}
+	}
+}
+
 func TestIdempotentJobID(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := JobRequest{ID: "job-abc", Circuit: circuitText(t, 120, 1), Solutions: 3, Seed: 1}
