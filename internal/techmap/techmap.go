@@ -439,12 +439,10 @@ func emit(n *netlist.Netlist, clbs []CLB) (*hypergraph.Graph, error) {
 	for ci, c := range clbs {
 		var inputs []hypergraph.NetID
 		pos := make(map[string]int)
-		var inputNames []string
 		for _, l := range c.LUTs {
 			for _, s := range l.Support {
 				if _, ok := pos[s]; !ok {
 					pos[s] = len(inputs)
-					inputNames = append(inputNames, s)
 					inputs = append(inputs, getNet(s))
 				}
 			}
@@ -463,7 +461,6 @@ func emit(n *netlist.Netlist, clbs []CLB) (*hypergraph.Graph, error) {
 				dffs++
 			}
 		}
-		_ = inputNames
 		b.AddCell(hypergraph.CellSpec{
 			Name:    fmt.Sprintf("clb%d", ci),
 			Inputs:  inputs,
