@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fpgapart/internal/anneal"
 	"fpgapart/internal/bench"
 	"fpgapart/internal/core"
 	"fpgapart/internal/expt"
@@ -306,39 +305,6 @@ func BenchmarkKwayPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFlowRefine compares FM+functional-replication
-// against the same run followed by the exact max-flow replication pull
-// (the paper's suggested combination with [4]).
-func BenchmarkAblationFlowRefine(b *testing.B) {
-	g := benchGraph(b, "s15850", 2)
-	minA, maxA := fm.Balance(g.TotalArea(), 0.05)
-	maxA = [2]int{maxA[0] * 11 / 10, maxA[1] * 11 / 10}
-	for _, flow := range []bool{false, true} {
-		name := "fm+fr"
-		if flow {
-			name = "fm+fr+flow"
-		}
-		b.Run(name, func(b *testing.B) {
-			cuts := 0
-			for i := 0; i < b.N; i++ {
-				st, err := replication.NewState(g, fm.RandomAssign(g, int64(i)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := fm.Run(st, fm.Config{
-					MinArea: minA, MaxArea: maxA, Threshold: 0,
-					FlowRefine: flow, Seed: int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cuts += res.Cut
-			}
-			b.ReportMetric(float64(cuts)/float64(b.N), "final-cut")
-		})
-	}
-}
-
 // BenchmarkAblationPairRefine measures the pairwise k-way refinement
 // sweep's effect on Eq. 2 (average IOB utilization).
 func BenchmarkAblationPairRefine(b *testing.B) {
@@ -387,42 +353,4 @@ func BenchmarkKwayVerifyOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationFMvsAnnealing compares the paper's FM engine
-// against a generic simulated-annealing baseline over the same move
-// universe (equal configuration, one start each).
-func BenchmarkAblationFMvsAnnealing(b *testing.B) {
-	g := benchGraph(b, "s13207", 4)
-	minA, maxA := fm.Balance(g.TotalArea(), 0.10)
-	b.Run("fm", func(b *testing.B) {
-		cuts := 0
-		for i := 0; i < b.N; i++ {
-			st, err := replication.NewState(g, fm.RandomAssign(g, int64(i)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := fm.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: 0, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cuts += res.Cut
-		}
-		b.ReportMetric(float64(cuts)/float64(b.N), "final-cut")
-	})
-	b.Run("annealing", func(b *testing.B) {
-		cuts := 0
-		for i := 0; i < b.N; i++ {
-			st, err := replication.NewState(g, fm.RandomAssign(g, int64(i)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := anneal.Run(st, anneal.Config{MinArea: minA, MaxArea: maxA, Threshold: 0, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cuts += res.Cut
-		}
-		b.ReportMetric(float64(cuts)/float64(b.N), "final-cut")
-	})
 }

@@ -64,10 +64,6 @@ type Config struct {
 	// its passes differ from the serial engine's, so the two classes
 	// reach different (equally valid) partitions from the same seed.
 	RefineWorkers int
-	// FlowRefine runs the exact max-flow replication pull
-	// (replication.OptimalPull, the paper's suggested combination with
-	// [4]) in both directions after the FM phases converge.
-	FlowRefine bool
 	// Seed orders the serial engine's candidate insertion for
 	// tie-breaking and labels fault-plan lookups. The parallel engine
 	// is seed-free — proposals are exhaustive per cell and the commit
@@ -109,10 +105,9 @@ func (c *Config) admits(a0, a1 int) bool {
 // admitsMove reports whether the block areas after move m lie within
 // the bounds. m must be valid on st, as every bucketed candidate of
 // both engines is, so the area change follows from the move kind, the
-// cell's home block and its area without re-validating m
-// (State.AreaDelta): a single move shifts the area across, a replica
-// adds it to the other block, an unreplication drops it from the side
-// it leaves.
+// cell's home block and its area without re-validating m: a single
+// move shifts the area across, a replica adds it to the other block,
+// an unreplication drops it from the side it leaves.
 func (c *Config) admitsMove(st *replication.State, m replication.Move) bool {
 	a := st.Graph().Cells[m.Cell].Area
 	var d [2]int
@@ -271,8 +266,6 @@ func (e *engine) bind(st *replication.State) {
 // pass's best-prefix rollback guarantees they never worsen the cut. A
 // fault injected at a pass boundary aborts the run with its typed error
 // (panic faults propagate to the search layer's containment).
-// FlowRefine runs after either engine, so both compose with the
-// max-flow pull identically.
 func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MaxArea[0] <= 0 || cfg.MaxArea[1] <= 0 {
@@ -299,9 +292,6 @@ func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 			return e.pass()
 		})
 	}
-	if err == nil && cfg.FlowRefine {
-		err = flowRefine(st, cfg)
-	}
 	res.Cut = st.CutSize()
 	return res, err
 }
@@ -318,43 +308,6 @@ func (r *Runner) start(st *replication.State, cfg Config) *engine {
 	r.rnd = reseed(r.rnd, cfg.Seed)
 	r.rnd.Shuffle(len(e.order), func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
 	return e
-}
-
-// flowRefine applies the exact replication pull in both directions
-// until neither improves, rolling back any pull that violates the area
-// bounds (OptimalPull only budgets the growing block).
-func flowRefine(st *replication.State, cfg Config) error {
-	for {
-		improved := false
-		for b := replication.Block(0); b < 2; b++ {
-			to := b.Other()
-			budget := cfg.MaxArea[to] - st.Area(to)
-			if budget <= 0 {
-				continue
-			}
-			tok := st.Mark()
-			before := st.Objective()
-			res, err := replication.OptimalPull(st, b, replication.PullOptions{
-				Radius: 4, MaxExtraArea: budget,
-			})
-			if err != nil {
-				return err
-			}
-			if !res.Applied {
-				continue
-			}
-			if st.Area(b) < cfg.MinArea[b] || st.Objective() >= before {
-				if err := st.Undo(tok); err != nil {
-					return err
-				}
-				continue
-			}
-			improved = true
-		}
-		if !improved {
-			return nil
-		}
-	}
 }
 
 // insert links the node at slot into the bucket for gain, at the head

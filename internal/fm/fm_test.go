@@ -309,51 +309,6 @@ func TestRunManySmallGraphs(t *testing.T) {
 	}
 }
 
-// FlowRefine (the exact max-flow replication pull) must never worsen
-// the FM+FR result and must keep the state valid and within bounds.
-func TestFlowRefineImprovesOrMatches(t *testing.T) {
-	var frSum, flowSum int
-	for seed := int64(0); seed < 4; seed++ {
-		g := testGraph(t, 200, 40+seed, 0.6)
-		cfg := equalCfg(g, 0, seed)
-		cfg.MaxArea = [2]int{cfg.MaxArea[0] * 11 / 10, cfg.MaxArea[1] * 11 / 10}
-
-		stFR, err := replication.NewState(g, RandomAssign(g, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resFR, err := Run(stFR, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		cfgFlow := cfg
-		cfgFlow.FlowRefine = true
-		stFlow, err := replication.NewState(g, RandomAssign(g, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resFlow, err := Run(stFlow, cfgFlow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resFlow.Cut > resFR.Cut {
-			t.Fatalf("seed %d: flow refine worsened cut: %d > %d", seed, resFlow.Cut, resFR.Cut)
-		}
-		for b := replication.Block(0); b < 2; b++ {
-			if a := stFlow.Area(b); a < cfg.MinArea[b] || a > cfg.MaxArea[b] {
-				t.Fatalf("seed %d: block %d area %d outside bounds", seed, b, a)
-			}
-		}
-		if err := stFlow.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		frSum += resFR.Cut
-		flowSum += resFlow.Cut
-	}
-	t.Logf("FM+FR cut sum %d, with flow refine %d", frSum, flowSum)
-}
-
 func TestClusterAssignHitsTargetArea(t *testing.T) {
 	g := testGraph(t, 200, 70, 0.6)
 	target := g.TotalArea() / 3

@@ -69,9 +69,9 @@ type Config struct {
 	// every random stream of the cycle. Each FM run copies this config
 	// and overrides MinArea/MaxArea with its level's widened window
 	// (see Slack), Seed with the start's or level's derived seed,
-	// Threshold with fm.NoReplication and FlowRefine with false (the
-	// cycle runs plain FM; replication belongs to the caller's finest
-	// pass), and Inject with nil (V-cycle FM runs are never injected).
+	// Threshold with fm.NoReplication (the cycle runs plain FM;
+	// replication belongs to the caller's finest pass), and Inject with
+	// nil (V-cycle FM runs are never injected).
 	//
 	// Spans, when armed, also times the V-cycle as a span subtree of
 	// the enclosing attempt: one "coarsen" span, one "level" span per
@@ -128,7 +128,6 @@ func (c Config) levelFM(w bounds, seed int64) fm.Config {
 	f := c.Config
 	f.MinArea, f.MaxArea = w.min, w.max
 	f.Threshold = fm.NoReplication
-	f.FlowRefine = false
 	f.Inject = nil
 	f.Seed = seed
 	return f

@@ -123,20 +123,3 @@ func TestFourOutputBestSplit(t *testing.T) {
 	}
 	t.Fatal("replica Q$r missing from block 1")
 }
-
-func TestFourOutputOptimalPullFindsSplit(t *testing.T) {
-	st, _ := fourOut(t)
-	res, err := OptimalPull(st, 0, PullOptions{Radius: 0, MaxExtraArea: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Applied || res.CutAfter > 1 {
-		t.Fatalf("optimal pull: %+v (want cut ≤ 1)", res)
-	}
-	if res.CutAfter != res.Predicted {
-		t.Fatalf("predicted %d != achieved %d", res.Predicted, res.CutAfter)
-	}
-	if err := st.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -902,29 +902,6 @@ func (s *State) MustGain(m Move) int {
 	return g
 }
 
-// AreaDelta returns the change in block areas (delta0, delta1) that
-// applying m would cause.
-func (s *State) AreaDelta(m Move) (int, int, error) {
-	nw, err := s.newOwn(m)
-	if err != nil {
-		return 0, 0, err
-	}
-	old := s.own[m.Cell]
-	a := s.g.Cells[m.Cell].Area
-	var d [2]int
-	for b := Block(0); b < 2; b++ {
-		was := old[b] != 0
-		is := nw[b] != 0
-		switch {
-		case is && !was:
-			d[b] = a
-		case was && !is:
-			d[b] = -a
-		}
-	}
-	return d[0], d[1], nil
-}
-
 // Token marks a position in the mutation trail for Undo.
 type Token int
 
