@@ -1,7 +1,7 @@
 // Differential tests: the heuristic engines (fm, kway) cross-checked
 // against the exhaustive oracle on the fixed 200-case corpus, over
-// swept seed/threshold/area-bound grids. External test package: the oracle itself must not depend on
-// the engines it judges.
+// swept seed/threshold/area-bound grids. External test package: the
+// oracle itself must not depend on the engines it judges.
 package oracle_test
 
 import (
