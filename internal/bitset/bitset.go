@@ -33,18 +33,10 @@ func New(n int) Vector {
 // carved from one backing array. Each row is an independent vector:
 // writes to one never reach another.
 func FullRows(rows, n int) []Vector {
-	if n < 0 {
-		panic(fmt.Sprintf("bitset: negative length %d", n))
-	}
-	per := (n + wordBits - 1) / wordBits
-	words := make([]uint64, rows*per)
-	for i := range words {
-		words[i] = ^uint64(0)
-	}
+	words := make([]uint64, rows*Words(n))
 	out := make([]Vector, rows)
 	for r := range out {
-		out[r] = Vector{n: n, words: words[r*per : (r+1)*per : (r+1)*per]}
-		out[r].trim()
+		out[r], words = CarveFull(words, n)
 	}
 	return out
 }
@@ -62,6 +54,17 @@ func Carve(buf []uint64, n int) (Vector, []uint64) {
 	}
 	w := Words(n)
 	return Vector{n: n, words: buf[:w:w]}, buf[w:]
+}
+
+// CarveFull is Carve for a vector with every bit set: it overwrites
+// the carved words, so buf may hold anything.
+func CarveFull(buf []uint64, n int) (Vector, []uint64) {
+	v, rest := Carve(buf, n)
+	for i := range v.words {
+		v.words[i] = ^uint64(0)
+	}
+	v.trim()
+	return v, rest
 }
 
 // FromBools builds a vector from a slice of booleans; bit i is set when

@@ -260,3 +260,24 @@ func TestFullRowsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// CarveFull sets every carved bit whatever the buffer held, keeps the
+// bits past the width clear and leaves the rest of the buffer alone.
+func TestCarveFull(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		buf := make([]uint64, Words(n)+1)
+		for i := range buf {
+			buf[i] = 0x5555
+		}
+		v, rest := CarveFull(buf, n)
+		if v.Len() != n || v.Norm() != n {
+			t.Fatalf("n=%d: len %d norm %d, want %d set bits", n, v.Len(), v.Norm(), n)
+		}
+		if !v.Equal(FullRows(1, n)[0]) {
+			t.Fatalf("n=%d: carved %v differs from a full row", n, v)
+		}
+		if len(rest) != 1 || rest[0] != 0x5555 {
+			t.Fatalf("n=%d: rest %v, want the one untouched word", n, rest)
+		}
+	}
+}

@@ -58,16 +58,22 @@ func TestBuildReducesAndCovers(t *testing.T) {
 	}
 }
 
+// Four chained levels, each contracted into its own slot of one
+// Coarsener, all stay under the area cap.
 func TestBuildRespectsAreaCap(t *testing.T) {
 	g := testGraph(t, 300, 2)
-	cl, err := Build(g, Options{Rounds: 4, MaxClusterArea: 4, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range cl.Graph.Cells {
-		if a := cl.Graph.Cells[ci].Area; a > 4 {
-			t.Fatalf("cluster %d area %d > cap", ci, a)
+	var c Coarsener
+	for level := 0; level < 4; level++ {
+		cl, err := c.Build(level, g, Options{MaxClusterArea: 4, Seed: 2 + int64(level)})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for ci := range cl.Graph.Cells {
+			if a := cl.Graph.Cells[ci].Area; a > 4 {
+				t.Fatalf("level %d cluster %d area %d > cap", level, ci, a)
+			}
+		}
+		g = cl.Graph
 	}
 }
 
@@ -318,8 +324,11 @@ func render(t *testing.T, g *hypergraph.Graph) string {
 // TestCoarseningMatchesReference pins the dense-array matchRound and
 // contract to the map-based reference: identical match vectors, an
 // identical rendering of the coarse graph and identical member lists,
-// level after level, across seeds, area caps and output caps.
+// level after level, across seeds, area caps and output caps. One
+// Coarsener serves every case, so each contraction also runs on
+// scratch and slots left dirty by the previous ones.
 func TestCoarseningMatchesReference(t *testing.T) {
+	var c Coarsener
 	for _, gs := range []int64{1, 2} {
 		base, err := bench.Generate(bench.Params{
 			Name: "diff", Cells: 600, PrimaryIn: 24, PrimaryOut: 16,
@@ -336,12 +345,12 @@ func TestCoarseningMatchesReference(t *testing.T) {
 			g := base
 			for level := 0; level < 4; level++ {
 				seed := tc.seed + int64(level)
-				match := matchRound(g, opts, rand.New(rand.NewSource(seed)))
+				match := c.matchRound(g, opts, rand.New(rand.NewSource(seed)))
 				want := refMatchRound(g, opts, rand.New(rand.NewSource(seed)))
 				if !reflect.DeepEqual(match, want) {
 					t.Fatalf("circuit %d %+v level %d: match vector differs from the reference", gs, tc, level)
 				}
-				coarse, members, err := contract(g, match)
+				cl, err := c.contract(level, g, match)
 				refCoarse, refMembers, refErr := refContract(g, want)
 				if (err != nil) != (refErr != nil) {
 					t.Fatalf("circuit %d %+v level %d: error %v, reference %v", gs, tc, level, err, refErr)
@@ -349,6 +358,7 @@ func TestCoarseningMatchesReference(t *testing.T) {
 				if err != nil {
 					break
 				}
+				coarse, members := cl.Graph, cl.Members
 				if got, want := render(t, coarse), render(t, refCoarse); got != want {
 					t.Fatalf("circuit %d %+v level %d: coarse graph differs from the reference\n--- got ---\n%.1500s\n--- want ---\n%.1500s", gs, tc, level, got, want)
 				}
@@ -364,28 +374,72 @@ func TestCoarseningMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBuildAllocs bounds the allocations of one coarsening round on the
-// benchmark's 8000-cell V-cycle circuit. A per-net or per-cluster map,
-// or a per-cell member slice, puts it far above the bound.
+// A Build into a slot overwrites the slot's arrays but returns new
+// Graph and Clustering headers, so a cache keyed on graph identity
+// never takes the new contraction for the one it replaced.
+func TestBuildReturnsNewHeaders(t *testing.T) {
+	g := testGraph(t, 300, 8)
+	var c Coarsener
+	a, err := c.Build(0, g, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Build(0, g, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || a.Graph == b.Graph {
+		t.Fatal("a second Build into slot 0 returned the first one's header")
+	}
+	if &a.Graph.Cells[0] != &b.Graph.Cells[0] {
+		t.Fatal("a second Build into slot 0 did not reuse the slot's cell array")
+	}
+	if err := b.Graph.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildAllocs bounds the allocations of a warm contraction on the
+// benchmark's 8000-cell V-cycle circuit. With every slot and scratch
+// buffer already grown, a level costs a constant number of allocations
+// besides Validate's own tables (whose cell-name map grows with the
+// cell count): the graph and clustering headers and the graph name. A
+// per-cell name, pin list or dependency row, or a per-net map entry,
+// puts it far above the bound.
 func TestBuildAllocs(t *testing.T) {
 	g, err := bench.Generate(bench.Params{Name: "large8000", Cells: 8000, PrimaryIn: 120, PrimaryOut: 200,
 		DFFs: 4000, Clustering: 0.7, DistantPackFrac: 0.07, Seed: 38584})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Rounds: 1, MaxClusterArea: 2, MaxClusterOutputs: 24, Seed: 1}
-	cl, err := Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(2, func() {
-		if _, err := Build(g, opts); err != nil {
-			t.Fatal(err)
+	const levels = 4
+	var c Coarsener
+	var built []*hypergraph.Graph
+	build := func() {
+		built = built[:0]
+		cur := g
+		for level := 0; level < levels; level++ {
+			cl, err := c.Build(level, cur, Options{MaxClusterArea: 2 << level, MaxClusterOutputs: 24, Seed: int64(level)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur = cl.Graph
+			built = append(built, cur)
 		}
-	})
-	perCell := allocs / float64(cl.Graph.NumCells())
-	t.Logf("%d -> %d cells: %.0f allocations, %.2f per coarse cell", g.NumCells(), cl.Graph.NumCells(), allocs, perCell)
-	if perCell > 12 {
-		t.Fatalf("cluster.Build made %.1f allocations per coarse cell, want at most 12", perCell)
+	}
+	build()
+	allocs := testing.AllocsPerRun(2, build)
+	validate := 0.0
+	for _, cg := range built {
+		validate += testing.AllocsPerRun(2, func() {
+			if err := cg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perLevel := (allocs - validate) / levels
+	t.Logf("%d levels from %d cells: %.0f allocations, %.0f of them Validate's, %.1f per level besides", levels, g.NumCells(), allocs, validate, perLevel)
+	if perLevel > 8 {
+		t.Fatalf("a warm contraction made %.1f allocations per level besides Validate's, want at most 8", perLevel)
 	}
 }

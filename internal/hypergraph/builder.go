@@ -29,15 +29,8 @@ type Builder struct {
 }
 
 // NewBuilder creates an empty builder for a circuit with the given name.
-func NewBuilder(name string) *Builder { return NewBuilderSized(name, 0, 0) }
-
-// NewBuilderSized is NewBuilder with room reserved for the given cell
-// and net counts, for callers that know the final size up front.
-func NewBuilderSized(name string, cells, nets int) *Builder {
-	return &Builder{
-		g:    &Graph{Name: name, Cells: make([]Cell, 0, cells), Nets: make([]Net, 0, nets)},
-		byID: make(map[string]NetID, nets),
-	}
+func NewBuilder(name string) *Builder {
+	return &Builder{g: &Graph{Name: name, Cells: []Cell{}, Nets: []Net{}}, byID: make(map[string]NetID)}
 }
 
 func (b *Builder) fail(format string, args ...interface{}) {

@@ -302,23 +302,13 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	// Reverse direction: every pin appears in its net's conn list.
-	counts := make([]int, len(g.Nets))
-	for ci := range g.Cells {
-		c := &g.Cells[ci]
-		for _, n := range c.Outputs {
-			counts[n]++
-		}
-		for _, n := range c.Inputs {
-			if n != NilNet {
-				counts[n]++
-			}
-		}
-	}
+	// Reverse direction: every pin appears in its net's conn list. The
+	// conns all match distinct pins, so the counts agree exactly when
+	// none is missing.
 	for ni := range g.Nets {
-		if len(g.Nets[ni].Conns) != counts[ni] {
+		if want := info[ni].drivers + info[ni].sinks; len(g.Nets[ni].Conns) != want {
 			return fmt.Errorf("hypergraph %q: net %q has %d conns but %d referencing pins",
-				g.Name, g.Nets[ni].Name, len(g.Nets[ni].Conns), counts[ni])
+				g.Name, g.Nets[ni].Name, len(g.Nets[ni].Conns), want)
 		}
 	}
 	return nil
@@ -328,28 +318,48 @@ func (g *Graph) Validate() error {
 // fields. Builders that assemble Cells/Nets directly call this before
 // Validate. Every net's slice is carved, capacity-capped, from one
 // backing array.
-func (g *Graph) RebuildConns() {
-	counts := make([]int, len(g.Nets))
+func (g *Graph) RebuildConns() { g.RebuildConnsInto(nil) }
+
+// RebuildConnsInto is RebuildConns carving the lists from buf, which
+// it returns for reuse: buf is replaced by one of exactly the pin
+// count when too small, so a caller rebuilding graphs no larger than
+// earlier ones allocates nothing.
+func (g *Graph) RebuildConnsInto(buf []Conn) []Conn {
 	total := 0
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
-		for _, n := range c.Outputs {
-			counts[n]++
-		}
+		total += len(c.Outputs)
 		for _, n := range c.Inputs {
 			if n != NilNet {
-				counts[n]++
+				total++
 			}
 		}
 	}
-	for _, k := range counts {
-		total += k
+	if cap(buf) < total {
+		buf = make([]Conn, total)
 	}
-	conns := make([]Conn, total)
+	buf = buf[:total]
+	// Count each net's pins in the capacity of an empty slice of buf (no
+	// count exceeds total), then carve the lists in net order.
+	for ni := range g.Nets {
+		g.Nets[ni].Conns = buf[:0:0]
+	}
+	for ci := range g.Cells {
+		c := &g.Cells[ci]
+		for _, n := range c.Outputs {
+			g.Nets[n].Conns = buf[: 0 : cap(g.Nets[n].Conns)+1]
+		}
+		for _, n := range c.Inputs {
+			if n != NilNet {
+				g.Nets[n].Conns = buf[: 0 : cap(g.Nets[n].Conns)+1]
+			}
+		}
+	}
 	off := 0
 	for ni := range g.Nets {
-		g.Nets[ni].Conns = conns[off : off : off+counts[ni]]
-		off += counts[ni]
+		k := cap(g.Nets[ni].Conns)
+		g.Nets[ni].Conns = buf[off : off : off+k]
+		off += k
 	}
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
@@ -362,6 +372,7 @@ func (g *Graph) RebuildConns() {
 			}
 		}
 	}
+	return buf
 }
 
 // Clone returns a deep copy of the graph.

@@ -1,6 +1,8 @@
 package hypergraph
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -350,6 +352,49 @@ func TestRebuildConnsMatchesValidate(t *testing.T) {
 	g.RebuildConns()
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate after RebuildConns: %v", err)
+	}
+}
+
+// A conn list missing one pin passes the forward check (every conn
+// matches a pin) and fails the reverse one.
+func TestValidateRejectsMissingConn(t *testing.T) {
+	g, _ := figure1Cell(t)
+	for ni := range g.Nets {
+		if len(g.Nets[ni].Conns) > 0 {
+			name := g.Nets[ni].Name
+			n := len(g.Nets[ni].Conns)
+			g.Nets[ni].Conns = g.Nets[ni].Conns[1:]
+			err := g.Validate()
+			want := fmt.Sprintf("net %q has %d conns but %d referencing pins", name, n-1, n)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Validate = %v, want an error containing %q", err, want)
+			}
+			return
+		}
+	}
+	t.Fatal("figure 1 circuit has no connected net")
+}
+
+// RebuildConnsInto reuses a large enough buffer and lays the lists out
+// as RebuildConns does.
+func TestRebuildConnsIntoReuses(t *testing.T) {
+	g, _ := figure1Cell(t)
+	want := g.Clone()
+	buf := make([]Conn, 64)
+	got := g.RebuildConnsInto(buf)
+	if &got[0] != &buf[0] {
+		t.Fatal("RebuildConnsInto replaced a buffer large enough for the graph")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for ni := range g.Nets {
+		if !reflect.DeepEqual(g.Nets[ni].Conns, want.Nets[ni].Conns) {
+			t.Fatalf("net %d: conns %v, RebuildConns gives %v", ni, g.Nets[ni].Conns, want.Nets[ni].Conns)
+		}
+	}
+	if got := g.RebuildConnsInto(nil); len(got) != cap(got) {
+		t.Fatalf("grown buffer has length %d, capacity %d", len(got), cap(got))
 	}
 }
 

@@ -489,17 +489,17 @@ func assemble(g *hypergraph.Graph, parts []Part) Result {
 	return res
 }
 
-// carveScratch bundles the per-worker reusable buffers: the FM engine
-// (gain-bucket pool, order, locks), the cluster-assignment scratch, the
-// assignment buffer, one replication state and the V-cycle's own
-// runner. Carve retries on the same subcircuit reset the state; a carve
-// of a new subcircuit rebinds it, so the arrays of every layer keep
-// their capacity across carves and attempts.
+// carveScratch bundles the per-worker reusable buffers: the
+// cluster-assignment scratch, the assignment buffer and the V-cycle's
+// runner, whose replication state and FM runner every carve FM run
+// uses too. Carve retries on the same subcircuit reset the state; a
+// carve of a new subcircuit rebinds it (a V-cycle leaves it bound to
+// the subcircuit, so the carve's own run only resets it), and the
+// arrays of every layer keep their capacity across carves and
+// attempts.
 type carveScratch struct {
-	runner  fm.Runner
 	cluster fm.ClusterScratch
 	assign  []replication.Block
-	st      replication.State
 	ml      multilevel.Runner
 }
 
@@ -624,8 +624,8 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 // starts from zero); deltas between two snapshots attribute the state's
 // cumulative work to one carve try.
 func scratchStats(sc *carveScratch, sub *hypergraph.Graph) replication.Stats {
-	if sc.st.Graph() == sub {
-		return sc.st.Stats()
+	if st := sc.ml.State(); st.Graph() == sub {
+		return st.Stats()
 	}
 	return replication.Stats{}
 }
@@ -716,8 +716,7 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 			emitCarve(&opts, attempt, trace.KindCarveRejected, "device-window", d.Name, target, 0, fm.Result{}, replication.Stats{})
 			continue
 		}
-		before := scratchStats(sc, sub)
-		st, res, cerr := carveFM(sub, d, target, total, opts, attempt, r.Int63(), termPressure, sc, weights)
+		st, res, before, cerr := carveFM(sub, d, target, total, opts, attempt, r.Int63(), termPressure, sc, weights)
 		if cerr != nil {
 			lastErr = cerr
 			emitCarve(&opts, attempt, trace.KindCarveRejected, "fm", d.Name, target, 0, fm.Result{}, scratchStats(sc, sub).Sub(before))
@@ -818,8 +817,10 @@ func pickDevice(devices []library.Device, totalArea, desired int, density float6
 // land in the device's utilization window, block 1 holds the rest.
 // With pinTerminals, the FM objective becomes t_P0 instead of the cut.
 // A non-nil weights table switches the run to the weighted topology
-// objective (replication.SetNetWeights).
-func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Options, attempt int, seed int64, pinTerminals bool, sc *carveScratch, weights []replication.NetWeights) (*replication.State, fm.Result, error) {
+// objective (replication.SetNetWeights). before is the scratch state's
+// stats snapshot (scratchStats) taken after the V-cycle, which works on
+// the same state: the carve's own work is the state's stats less it.
+func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Options, attempt int, seed int64, pinTerminals bool, sc *carveScratch, weights []replication.NetWeights) (st *replication.State, res fm.Result, before replication.Stats, err error) {
 	// The carve must stay near its target: without a floor, FM
 	// minimizes the cut by collapsing block 0 to a handful of cells,
 	// which wastes a device per carve.
@@ -865,35 +866,36 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 	if flatSeed {
 		sc.assign = sc.cluster.AssignInto(sc.assign, sub, seed, -1, target)
 	}
-	// A retry on the same subcircuit resets the state to the fresh
-	// assignment; a new subcircuit rebinds it. Both reuse its arrays.
-	st := &sc.st
-	var err error
+	// A retry on the same subcircuit, or a carve after a V-cycle, resets
+	// the state to the fresh assignment; a new subcircuit rebinds it.
+	// Both reuse its arrays.
+	before = scratchStats(sc, sub)
+	st = sc.ml.State()
 	if st.Graph() == sub {
 		err = st.ResetPinned(sc.assign, pinTerminals)
 	} else {
 		err = st.Rebind(sub, sc.assign, pinTerminals)
 	}
 	if err != nil {
-		sc.st = replication.State{}
-		return nil, fm.Result{}, err
+		*st = replication.State{}
+		return nil, fm.Result{}, before, err
 	}
 	// Install (or clear) the carve's net weight table. The flat path
 	// never enters this branch — weights are always nil and the scratch
 	// state never carries a table — so its byte-identity is structural.
 	if weights != nil || st.Weighted() {
 		if err := st.SetNetWeights(weights); err != nil {
-			return nil, fm.Result{}, err
+			return nil, fm.Result{}, before, err
 		}
 	}
 	if st.Area(0) > cfg.MaxArea[0] || st.Area(0) < cfg.MinArea[0] {
-		return nil, fm.Result{}, fmt.Errorf("kway: initial carve area %d outside [%d,%d]", st.Area(0), cfg.MinArea[0], cfg.MaxArea[0])
+		return nil, fm.Result{}, before, fmt.Errorf("kway: initial carve area %d outside [%d,%d]", st.Area(0), cfg.MinArea[0], cfg.MaxArea[0])
 	}
-	res, err := sc.runner.Run(st, cfg)
+	res, err = sc.ml.FM().Run(st, cfg)
 	if err != nil {
-		return nil, fm.Result{}, err
+		return nil, fm.Result{}, before, err
 	}
-	return st, res, nil
+	return st, res, before, nil
 }
 
 // netWeightsByName indexes a carve's weight table by net name, the

@@ -47,44 +47,51 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 			wantDFFs += g.Cells[i].DFFs
 		}
 
-		cl, err := cluster.Build(g, cluster.Options{
-			Rounds:            1 + int(rounds%3),
-			MaxClusterArea:    1 + int(capArea%12),
-			MaxClusterOutputs: int(capOut % 40),
-			Seed:              seed,
-		})
-		if err != nil {
-			t.Skip() // e.g. a cluster with no surviving outputs
-		}
-
-		// Members must partition the original cells exactly.
-		seen := make([]int, g.NumCells())
-		coarseArea, coarseDFFs := 0, 0
-		for ci, ms := range cl.Members {
-			if len(ms) == 0 {
-				t.Fatalf("cluster %d is empty", ci)
+		// Chain one to three levels, each contracted into its own slot
+		// of one Coarsener as the V-cycle does.
+		var c cluster.Coarsener
+		var hier []*cluster.Clustering
+		cur := g
+		for level := 0; level < 1+int(rounds%3); level++ {
+			cl, err := c.Build(level, cur, cluster.Options{
+				MaxClusterArea:    1 + int(capArea%12),
+				MaxClusterOutputs: int(capOut % 40),
+				Seed:              seed + int64(level),
+			})
+			if err != nil {
+				break // e.g. a cluster with no surviving outputs
 			}
-			for _, m := range ms {
-				if int(m) >= g.NumCells() {
-					t.Fatalf("cluster %d member %d outside the graph", ci, m)
+			// Members must partition the finer level's cells exactly,
+			// and each coarse cell sums its members' areas.
+			seen := make([]int, cur.NumCells())
+			for ci, ms := range cl.Members {
+				if len(ms) == 0 {
+					t.Fatalf("level %d cluster %d is empty", level, ci)
 				}
-				seen[m]++
+				sum := 0
+				for _, m := range ms {
+					if int(m) >= cur.NumCells() {
+						t.Fatalf("level %d cluster %d member %d outside the finer graph", level, ci, m)
+					}
+					seen[m]++
+					sum += cur.Cells[m].Area
+				}
+				if a := cl.Graph.Cells[ci].Area; a != sum {
+					t.Fatalf("level %d cluster %d area %d, members sum %d", level, ci, a, sum)
+				}
 			}
-			sum := 0
-			for _, m := range ms {
-				sum += g.Cells[m].Area
+			for i, n := range seen {
+				if n != 1 {
+					t.Fatalf("level %d: cell %d appears in %d clusters", level, i, n)
+				}
 			}
-			if a := cl.Graph.Cells[ci].Area; a != sum {
-				t.Fatalf("cluster %d area %d, members sum %d", ci, a, sum)
-			}
-			coarseArea += cl.Graph.Cells[ci].Area
-			coarseDFFs += cl.Graph.Cells[ci].DFFs
+			hier = append(hier, cl)
+			cur = cl.Graph
 		}
-		for i, n := range seen {
-			if n != 1 {
-				t.Fatalf("cell %d appears in %d clusters", i, n)
-			}
+		if len(hier) == 0 {
+			t.Skip()
 		}
+		coarseArea, coarseDFFs := cur.TotalArea(), cur.NumDFF()
 		if coarseArea != wantArea || coarseDFFs != wantDFFs {
 			t.Fatalf("coarse totals area=%d dffs=%d, flat totals area=%d dffs=%d",
 				coarseArea, coarseDFFs, wantArea, wantDFFs)
@@ -99,19 +106,26 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 			}
 		}
 
-		// Any coarse assignment projects to a flat assignment with the
-		// same block areas — the feasibility-preservation contract.
-		coarse := make([]replication.Block, cl.Graph.NumCells())
+		// Any coarse assignment projects, level by level, to a flat
+		// assignment with the same block areas — the
+		// feasibility-preservation contract.
+		coarse := make([]replication.Block, cur.NumCells())
 		for i := range coarse {
 			coarse[i] = replication.Block(r.Intn(2))
 		}
-		flat, err := cl.Project(coarse, g.NumCells())
-		if err != nil {
-			t.Fatalf("project: %v", err)
+		flat := coarse
+		for l := len(hier) - 1; l >= 0; l-- {
+			finer := g
+			if l > 0 {
+				finer = hier[l-1].Graph
+			}
+			if flat, err = hier[l].Project(flat, finer.NumCells()); err != nil {
+				t.Fatalf("project level %d: %v", l, err)
+			}
 		}
 		var wantBlocks, gotBlocks [2]int
 		for ci, b := range coarse {
-			wantBlocks[b] += cl.Graph.Cells[ci].Area
+			wantBlocks[b] += cur.Cells[ci].Area
 		}
 		for ci, b := range flat {
 			gotBlocks[b] += g.Cells[ci].Area

@@ -201,15 +201,29 @@ type level struct {
 // the coarsest starts of a one-worker search and successive cycles:
 // each level rebinds the state to its graph instead of building one,
 // so a warm Runner lays out no state or FM storage for graphs no
-// larger than ones it has served. A zero Runner is ready to use; a
-// Runner is not safe for concurrent use. The package-level Run is the
-// one-shot form.
+// larger than ones it has served. Its coarsener recycles the arrays of
+// the previous cycle's hierarchy, one storage slot per level, and
+// returns a new graph header for every contraction, so the FM layout
+// cache, keyed on graph identity, never mistakes a recycled level for
+// the one it replaced. A zero Runner is ready to use; a Runner is not
+// safe for concurrent use. The package-level Run is the one-shot form.
 type Runner struct {
-	st      replication.State
-	fm      fm.Runner
-	cluster fm.ClusterScratch
-	weights []replication.NetWeights // the bound level's weight table
+	st        replication.State
+	fm        fm.Runner
+	cluster   fm.ClusterScratch
+	coarsener cluster.Coarsener
+	weights   []replication.NetWeights // the bound level's weight table
 }
+
+// State returns the replication state the Runner refines on. After a
+// successful Run it is bound to the input graph and holds the returned
+// assignment; a caller may run its own passes on it (with FM) until
+// the next Run rebinds it.
+func (r *Runner) State() *replication.State { return &r.st }
+
+// FM returns the FM runner the Runner's cycles use, for a caller's
+// own passes on State.
+func (r *Runner) FM() *fm.Runner { return &r.fm }
 
 // Run executes the V-cycle and returns the finest-level bipartition.
 func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
@@ -252,7 +266,7 @@ func (r *Runner) Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 	}
 
 	coarsenSpan := cfg.Spans.Start("coarsen", cfg.TraceAttempt)
-	levels := coarsen(g, cfg, target)
+	levels := r.coarsen(g, cfg, target)
 	coarsenSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseCoarsen})
 	top := len(levels) - 1
 
@@ -321,11 +335,12 @@ func endLevel(run span.Running, s LevelStats) {
 	})
 }
 
-// coarsen builds the cluster hierarchy bottom-up: one pairwise
-// matching round per level with a doubling area cap, stopping at
-// MinCells, maxLevels, saturation (coarsenRatio) or a contraction
-// error (the current level then serves as the coarsest).
-func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
+// coarsen builds the cluster hierarchy bottom-up into the coarsener's
+// slots, level ℓ in slot ℓ-1: one pairwise matching round per level
+// with a doubling area cap, stopping at MinCells, maxLevels,
+// saturation (coarsenRatio) or a contraction error (the current level
+// then serves as the coarsest).
+func (r *Runner) coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 	levels := []level{{g: g}}
 	capMax := cfg.MaxClusterArea
 	if capMax == 0 {
@@ -349,8 +364,7 @@ func coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 		if areaCap > capMax || areaCap <= 0 {
 			areaCap = capMax
 		}
-		cl, err := cluster.Build(cur, cluster.Options{
-			Rounds:         1,
+		cl, err := r.coarsener.Build(len(levels)-1, cur, cluster.Options{
 			MaxClusterArea: areaCap,
 			// replication.State admits at most 32 outputs per cell;
 			// stay well under it so every level remains partitionable.
@@ -412,7 +426,9 @@ func window(lo, hi, total, s int) bounds {
 // the best (lowest objective, then area closest to target), so the result is
 // byte-identical for a fixed seed regardless of worker count. A
 // one-worker search runs every start on r's storage; with more workers
-// each worker brings its own.
+// each worker brings its own. A worker binds its state to the coarsest
+// graph on its first start and only resets it on the later ones: the
+// graph and its weight table are the same for every start of the run.
 func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([]replication.Block, LevelStats, error) {
 	cg := lv.g
 	tgt := target
@@ -431,6 +447,10 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 			if cfg.Workers > 1 {
 				wr = new(Runner)
 			}
+			// bound: wr's state holds cg from an earlier start of this
+			// run. Pointer identity alone would not do: a state left on
+			// cg by an earlier run may carry another weight table.
+			bound := false
 			return func(_ context.Context, attempt int, seed int64) (sol, error) {
 				// A panic can leave the state mid-update; drop the
 				// worker's storage so the next start rebinds clean
@@ -438,6 +458,7 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 				defer func() {
 					if v := recover(); v != nil {
 						*wr = Runner{}
+						bound = false
 						panic(v)
 					}
 				}()
@@ -446,10 +467,18 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 				if rerr != nil {
 					return sol{}, rerr
 				}
-				if err := wr.bind(cg, assign, cfg); err != nil {
+				st := &wr.st
+				var err error
+				if bound {
+					err = st.ResetPinned(assign, cfg.PinExternal)
+				} else {
+					err = wr.bind(cg, assign, cfg)
+				}
+				if err != nil {
+					bound = false
 					return sol{}, err
 				}
-				st := &wr.st
+				bound = true
 				cutInit := st.Objective()
 				res, err := wr.fm.Run(st, cfg.levelFM(w, seed))
 				if err != nil {

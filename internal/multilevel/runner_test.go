@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fpgapart/internal/bitset"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
 )
@@ -97,11 +98,13 @@ func TestRunnerMatchesFresh(t *testing.T) {
 	}
 }
 
-// A warm Runner's second cycle on the same graph lays out no state or
-// FM storage: what it still allocates is coarsening's contracted
-// graphs, one projected assignment per level, the coarsest search's
-// plumbing and the result. Building a replication state or an FM
-// runner per level, as a one-shot cycle does, exceeds the bound.
+// A warm Runner's second cycle on the same graph lays out no state, FM
+// or hierarchy storage: coarsening writes into the previous cycle's
+// level slots, so what the cycle still allocates is a constant per
+// level (the contracted graph's headers and Validate's tables, one
+// projected assignment) plus the coarsest search's plumbing and the
+// result. Building a replication state, an FM runner or a coarse graph
+// per level, as a one-shot cycle does, exceeds the bound.
 func TestRunnerWarmAllocs(t *testing.T) {
 	g := circuit(t, 1500, 23)
 	cfg := balancedConfig(g, 0.1, 3)
@@ -113,7 +116,6 @@ func TestRunnerWarmAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	levels := len(res.Levels)
-	coarsening := testing.AllocsPerRun(3, func() { coarsen(g, cfg, cfg.TargetArea) })
 	warm := testing.AllocsPerRun(3, func() {
 		if _, err := r.Run(g, cfg); err != nil {
 			t.Fatal(err)
@@ -124,8 +126,119 @@ func TestRunnerWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%d levels: coarsening %v allocs, warm cycle %v, one-shot cycle %v", levels, coarsening, warm, fresh)
-	if limit := coarsening + float64(4*levels+32); warm > limit {
-		t.Fatalf("warm cycle allocates %v times, over coarsening's %v plus %d for %d levels", warm, coarsening, 4*levels+32, levels)
+	t.Logf("%d levels: warm cycle %v allocs, one-shot cycle %v", levels, warm, fresh)
+	if limit := float64(10*levels + 32); warm > limit {
+		t.Fatalf("warm cycle allocates %v times, over %v for %d levels", warm, limit, levels)
+	}
+}
+
+// A Runner's hierarchy storage follows the largest graph it has
+// served, not the sequence of graphs: after a cycle on a 1500-cell
+// graph, one on a 200-cell graph and the first again, its coarsener
+// retains no more than after the first cycle, and at most 1.25× what a
+// one-shot cycle of the large graph leaves behind.
+func TestRunnerRetainedBytes(t *testing.T) {
+	large, small := circuit(t, 1500, 23), circuit(t, 200, 24)
+	run := func(r *Runner, g *hypergraph.Graph) int {
+		t.Helper()
+		if _, err := r.Run(g, balancedConfig(g, 0.1, 3)); err != nil {
+			t.Fatal(err)
+		}
+		return r.coarsener.Retained()
+	}
+	var oneShot Runner
+	hierarchy := run(&oneShot, large)
+	var r Runner
+	first := run(&r, large)
+	for i, g := range []*hypergraph.Graph{small, large} {
+		if got := run(&r, g); got > first {
+			t.Fatalf("cycle %d (%d cells): coarsener retains %d bytes, %d after the first cycle", i+2, g.NumCells(), got, first)
+		}
+	}
+	t.Logf("one-shot hierarchy of %d cells: %d bytes; warm runner: %d bytes", large.NumCells(), hierarchy, first)
+	if float64(first) > 1.25*float64(hierarchy) {
+		t.Fatalf("warm runner retains %d bytes, over 1.25× the one-shot hierarchy's %d", first, hierarchy)
+	}
+}
+
+// withExtraOutput returns a copy of g in which cell c also drives a new
+// primary output with no other connection. Matching never scores a
+// one-pin net, so g and the copy coarsen into levels of equal cell
+// counts, but c's cluster has one more output at every level.
+func withExtraOutput(t *testing.T, g *hypergraph.Graph, c hypergraph.CellID) *hypergraph.Graph {
+	t.Helper()
+	h := g.Clone()
+	id := hypergraph.NetID(len(h.Nets))
+	h.Nets = append(h.Nets, hypergraph.Net{Name: "extra-out", Ext: hypergraph.ExtOut})
+	cell := &h.Cells[c]
+	cell.Outputs = append(cell.Outputs, id)
+	cell.Dep = append(cell.Dep, bitset.FullRows(1, len(cell.Inputs))[0])
+	h.RebuildConns()
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// levelShapes lists each hierarchy level's cell count and plain-FM gain
+// bound, the key the FM layout cache would compare if level headers
+// were recycled.
+func levelShapes(t *testing.T, g *hypergraph.Graph, cfg Config) [][2]int {
+	t.Helper()
+	var r Runner
+	var shapes [][2]int
+	for _, lv := range r.coarsen(g, cfg.withDefaults(), cfg.TargetArea) {
+		st, err := replication.NewState(lv.g, make([]replication.Block, lv.g.NumCells()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, [2]int{lv.g.NumCells(), st.MaxMoveGain()})
+	}
+	return shapes
+}
+
+// One Runner alternates between two graphs whose hierarchies agree
+// level by level in cell count and gain bound — the FM layout key
+// besides graph identity — but not in the cells' output counts, so
+// every level is rebuilt in the same slot arrays with different
+// contents. Every result must equal a fresh Run's, on the serial and
+// the parallel engine. (That each contraction gets a new header, so
+// the key's identity part always changes, is pinned in package
+// cluster.)
+func TestRunnerRecycledLevelsGetNewHeaders(t *testing.T) {
+	a := circuit(t, 1200, 31)
+	cfg := balancedConfig(a, 0.1, 5)
+	want := levelShapes(t, a, cfg)
+	var b *hypergraph.Graph
+	for c := range a.Cells {
+		if len(a.Cells[c].Outputs) != 1 {
+			continue
+		}
+		cand := withExtraOutput(t, a, hypergraph.CellID(c))
+		if reflect.DeepEqual(levelShapes(t, cand, cfg), want) {
+			b = cand
+			break
+		}
+	}
+	if b == nil {
+		t.Fatal("no single-output cell keeps every level's shape when given an extra output")
+	}
+	for _, refine := range []int{0, 2} {
+		var r Runner
+		for i, g := range []*hypergraph.Graph{a, b, a, b} {
+			cfg := balancedConfig(g, 0.1, 5)
+			cfg.RefineWorkers = refine
+			fresh, err := Run(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.Run(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("refine=%d cycle %d: warm runner result %+v, fresh %+v", refine, i, got.Levels, fresh.Levels)
+			}
+		}
 	}
 }
