@@ -6,7 +6,6 @@ package expt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -68,34 +67,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// forEachCircuit runs fn over the circuits on the shared search
-// orchestrator with bounded parallelism, collecting results in input
-// order; the first failing circuit (by input order) aborts the run.
+// forEachCircuit runs fn over the circuits on the shared search pool
+// with bounded parallelism, collecting results in input order; the
+// first failing circuit (by input order) aborts the run.
 func forEachCircuit[T any](cfg Config, fn func(bench.Circuit) (T, error)) ([]T, error) {
 	if len(cfg.Circuits) == 0 {
 		return nil, nil
 	}
 	out := make([]T, len(cfg.Circuits))
-	drv := search.Driver[T]{
-		NewAttempt: func() search.AttemptFunc[T] {
-			return func(_ context.Context, i int, _ int64) (T, error) {
-				return fn(cfg.Circuits[i])
-			}
-		},
-		// Any circuit failure aborts the whole experiment.
-		Fatal:   func(error) bool { return true },
-		Observe: func(i int, v T, _ error, _ bool) { out[i] = v },
-	}
+	var failed error
 	_, err := search.Run(context.Background(), search.Options{
 		Attempts: len(cfg.Circuits),
 		Workers:  cfg.Workers,
-	}, drv)
-	if err != nil {
-		var ae *search.AttemptError
-		if errors.As(err, &ae) {
-			return nil, fmt.Errorf("expt: circuit %s: %w", cfg.Circuits[ae.Attempt].Name, ae.Err)
+	}, func() search.AttemptFunc[T] {
+		return func(_ context.Context, i int, _ int64) (T, error) {
+			return fn(cfg.Circuits[i])
 		}
+	}, func(i int, v T, err error) bool {
+		if err != nil {
+			failed = fmt.Errorf("expt: circuit %s: %w", cfg.Circuits[i].Name, err)
+			return true
+		}
+		out[i] = v
+		return false
+	})
+	if err != nil {
 		return nil, err
+	}
+	if failed != nil {
+		return nil, failed
 	}
 	return out, nil
 }

@@ -201,8 +201,6 @@ func TestNegativeOptionsRejected(t *testing.T) {
 		mut  func(*Options)
 	}{
 		{"Solutions", func(o *Options) { o.Solutions = -1 }},
-		{"Retries", func(o *Options) { o.Retries = -3 }},
-		{"MaxPasses", func(o *Options) { o.MaxPasses = -2 }},
 		{"MaxStale", func(o *Options) { o.MaxStale = -1 }},
 		{"RefineWorkers", func(o *Options) { o.RefineWorkers = -3 }},
 		{"Threshold", func(o *Options) { th := fm.NoReplication - 1; o.Threshold = &th }},

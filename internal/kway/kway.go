@@ -56,13 +56,6 @@ type Options struct {
 	// Solutions is the number of feasible k-way solutions to generate
 	// (the paper reports runs generating 50). Default 50.
 	Solutions int
-	// Retries is the number of carve attempts (seed/device/fill
-	// variations) before a solution attempt is abandoned. Default 20.
-	Retries int
-	// MaxPasses is fm.Config.MaxPasses for every FM run of a carve: it
-	// caps the passes of one phase and, separately, the plain/
-	// replication-only rounds (0 = engine default, 24).
-	MaxPasses int
 	// RefineWorkers selects the refinement engine for every FM run the
 	// search performs (carves, V-cycle levels, pair refinement):
 	// values >= 2 use fm's deterministic parallel sub-round engine,
@@ -166,10 +159,12 @@ type Options struct {
 	threshold int
 }
 
-// SearchCheckpoint is a serializable snapshot of the k-way search's
-// index-ordered reduction: the fold frontier, the incumbent best
-// attempt index, and the fold-side aggregates. It deliberately stores
-// no solution content — attempt i derives all randomness from
+// SearchCheckpoint is the fold state of the k-way search's
+// index-ordered reduction (Reduce), serialized: the fold frontier, the
+// incumbent best attempt index, the stale counter and the fold-side
+// aggregates. Reduce keeps exactly this value plus the incumbent, so a
+// checkpoint is a copy of it. It deliberately stores no solution
+// content — attempt i derives all randomness from
 // Seed + i*SeedStride, so the incumbent is reconstructed by replaying
 // its attempt, and a search resumed from a checkpoint folds to the
 // byte-identical result of the uninterrupted run.
@@ -185,9 +180,12 @@ type SearchCheckpoint struct {
 	// (-1 while no attempt has been accepted).
 	BestAttempt int `json:"best_attempt"`
 	// Stale is the MaxStale counter (consecutive non-improving
-	// accepted solutions).
+	// accepted solutions). A value at or above a positive MaxStale
+	// marks the search as finished by the stale stop.
 	Stale int `json:"stale"`
-	// Accepted/Failed/Panicked/Improved mirror search.Stats.
+	// Accepted and Failed split the folded attempts by outcome;
+	// Panicked counts the failed ones that died to a contained panic,
+	// Improved the accepted ones that became the best.
 	Accepted int `json:"accepted"`
 	Failed   int `json:"failed"`
 	Panicked int `json:"panicked"`
@@ -253,6 +251,10 @@ const SeedStride = 104729
 // defaultSolutions is the attempt budget when Options.Solutions is 0.
 const defaultSolutions = 50
 
+// carveRetries is the number of carve tries (seed/device/fill
+// variations) before a solution attempt is abandoned.
+const carveRetries = 20
+
 // OptionError reports an Options field outside its valid range. Every
 // range check of withDefaults returns one, so a caller can tell a bad
 // request from a failed search (kpartd answers it as a malformed
@@ -274,8 +276,6 @@ func (e *OptionError) Error() string {
 func (o Options) withDefaults() (Options, error) {
 	checks := []OptionError{
 		{"Solutions", o.Solutions, 0},
-		{"Retries", o.Retries, 0},
-		{"MaxPasses", o.MaxPasses, 0},
 		{"MaxStale", o.MaxStale, 0},
 		{"MultilevelMinCells", o.MultilevelMinCells, 0},
 		{"Workers", o.Workers, 0},
@@ -292,9 +292,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Solutions == 0 {
 		o.Solutions = defaultSolutions
-	}
-	if o.Retries == 0 {
-		o.Retries = 20
 	}
 	if o.MultilevelMinCells == 0 {
 		o.MultilevelMinCells = 512
@@ -388,17 +385,18 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 		var sc carveScratch
 		return func(ctx context.Context, attempt int, seed int64) (Result, error) {
 			// A panic can leave the reused scratch (gain buckets,
-			// replication state) mid-update; drop it so the worker's
-			// next attempt rebuilds from clean buffers, then let the
-			// search layer's containment turn the panic into a
-			// degraded attempt.
+			// replication state, the V-cycle's runner) mid-update; drop
+			// all of it so the worker's next attempt rebuilds from clean
+			// buffers, then let the search pool's containment turn the
+			// panic into a degraded attempt. Nothing below recovers: a
+			// panic in one V-cycle start costs the whole attempt.
 			defer func() {
 				if v := recover(); v != nil {
 					sc = carveScratch{}
 					panic(v)
 				}
 			}()
-			// The orchestrator hands each attempt its own span scope
+			// The search pool hands each attempt its own span scope
 			// (and its sink) through the context; engine spans
 			// (fm-pass, level, …) nest under it via the options copy.
 			if scope := span.FromContext(ctx); scope.Enabled() {
@@ -676,7 +674,7 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 	want := maxFit
 	termPressure := false
 	termFails := 0
-	for try := 0; try < opts.Retries; try++ {
+	for try := 0; try < carveRetries; try++ {
 		// Deterministic cancellation checkpoint, mirroring the one at
 		// the carve-queue boundary.
 		if cerr := ctx.Err(); cerr != nil {
@@ -835,7 +833,6 @@ func carveFM(sub *hypergraph.Graph, d library.Device, target, total int, opts Op
 		MinArea:       [2]int{minCarve, 0},
 		MaxArea:       [2]int{d.MaxCLBs(), total - minCarve},
 		Threshold:     opts.threshold,
-		MaxPasses:     opts.MaxPasses,
 		RefineWorkers: opts.RefineWorkers,
 		Seed:          seed,
 		TraceAttempt:  attempt,

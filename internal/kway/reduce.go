@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"fpgapart/internal/metrics"
 	"fpgapart/internal/search"
@@ -46,7 +47,7 @@ type FoldStats struct {
 // a solution's score.
 type Reducer[S any] struct {
 	// NewAttempt returns one search worker's attempt function (see
-	// search.Driver.NewAttempt).
+	// search.Run).
 	NewAttempt func() search.AttemptFunc[S]
 	// Replay runs the resume checkpoint's incumbent attempt; nil
 	// replays through a fresh NewAttempt().
@@ -61,60 +62,33 @@ type Reducer[S any] struct {
 
 // Reduce runs the best-of-N search over opts.Solutions attempts and
 // folds them in attempt-index order: the best solution under
-// metrics.Score.Better wins. It owns everything about the fold both the
-// local engine and a coordinator fanning attempts out to remote workers
-// need to agree on byte for byte — the fold-side aggregates, the
-// SearchCheckpoint snapshots and their cadence, resume validation and
-// the replay of the incumbent attempt, the trace events and spans of
-// the reduction, and the mapping of the outcome to *InfeasibleError,
-// *search.ErrBudget and FoldStats.Stopped. Of opts it reads only the
-// search shape (Solutions, Seed, Workers, MaxStale), the durability
-// plumbing (Checkpoint, CheckpointEvery, Resume) and the observability
-// hooks (Spans and its sink, Inject).
+// metrics.Score.Better wins, the earlier attempt on equal scores. It
+// owns everything about the fold both the local engine and a
+// coordinator fanning attempts out to remote workers need to agree on
+// byte for byte — the fold state (a SearchCheckpoint plus the
+// incumbent), the MaxStale stop, the checkpoint snapshots and their
+// cadence, resume validation and the replay of the incumbent attempt,
+// the trace events and spans of the reduction, and the mapping of the
+// outcome to *InfeasibleError, *search.ErrBudget and FoldStats.Stopped;
+// internal/search only runs the attempt pool. Of opts it reads only
+// the search shape (Solutions, Seed, Workers, MaxStale), the
+// durability plumbing (Checkpoint, CheckpointEvery, Resume) and the
+// observability hooks (Spans and its sink, Inject).
 func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs FoldStats, err error) {
 	if opts, err = opts.withDefaults(); err != nil {
 		return best, fs, err
 	}
-	// The aggregates are maintained inside Observe — single-threaded,
-	// index-ordered — so the float accumulation order is fixed too.
+	// st is the whole fold state besides the incumbent itself, so a
+	// checkpoint is a copy of it and a resume restores it. It is
+	// updated only by fold — single-threaded, index-ordered — so the
+	// float accumulation order is fixed too.
+	st := SearchCheckpoint{Seed: opts.Seed, Solutions: opts.Solutions, BestAttempt: -1}
 	var (
-		costSum  float64
-		firstErr error
+		bestScore metrics.Score
+		firstErr  error
+		fatal     error
 	)
-	drv := search.Driver[S]{
-		NewAttempt: r.NewAttempt,
-		Better:     func(a, b S) bool { return r.Score(a).Better(r.Score(b)) },
-		Fatal:      r.Fatal,
-		Observe: func(attempt int, sol S, err error, improved bool) {
-			if err != nil {
-				fs.Failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-				var perr *search.PanicError
-				panicked := errors.As(err, &perr)
-				if panicked {
-					fs.PanickedSeeds = append(fs.PanickedSeeds, perr.Seed)
-				}
-				opts.Spans.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
-				return
-			}
-			fs.Feasible++
-			sc := r.Score(sol)
-			if fs.Feasible == 1 || sc.Cost < fs.CostMin {
-				fs.CostMin = sc.Cost
-			}
-			if sc.Cost > fs.CostMax {
-				fs.CostMax = sc.Cost
-			}
-			costSum += sc.Cost
-			opts.Spans.Event(trace.Event{
-				Kind: trace.KindSolution, Attempt: attempt,
-				Feasible: true, Cost: sc.Cost, Parts: sc.K, Improved: improved,
-				Topo: sc.Topo, HasTopo: sc.HasTopo,
-			})
-		},
-	}
+	staleStop := func() bool { return opts.MaxStale > 0 && st.Stale >= opts.MaxStale }
 	if cp := opts.Resume; cp != nil {
 		if cp.Seed != opts.Seed || cp.Solutions != opts.Solutions {
 			return best, fs, fmt.Errorf("kway: checkpoint is for seed %d / %d solutions, options say seed %d / %d solutions", cp.Seed, cp.Solutions, opts.Seed, opts.Solutions)
@@ -122,12 +96,11 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 		if cp.Folded < 0 || cp.Folded > opts.Solutions || cp.BestAttempt >= cp.Folded {
 			return best, fs, fmt.Errorf("kway: corrupt checkpoint: folded %d, best attempt %d, %d solutions", cp.Folded, cp.BestAttempt, opts.Solutions)
 		}
-		fs.Feasible, fs.Failed = cp.Accepted, cp.Failed
-		fs.CostMin, fs.CostMax, costSum = cp.CostMin, cp.CostMax, cp.CostSum
+		st = *cp
+		st.PanickedSeeds = append([]int64(nil), cp.PanickedSeeds...)
 		if cp.FirstError != "" {
 			firstErr = errors.New(cp.FirstError)
 		}
-		fs.PanickedSeeds = append(fs.PanickedSeeds, cp.PanickedSeeds...)
 		fs.Resumed, fs.ResumedFrom = true, cp.Folded
 		// The "resume" span is labeled with the attempt the run continues
 		// from and ends with the KindResume event. The replay's spans land
@@ -137,18 +110,6 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 		resumeSpan := opts.Spans.Start("resume", cp.Folded)
 		if opts.Spans.Enabled() {
 			resumeSpan.Detail(fmt.Sprintf("folded=%d best_attempt=%d", cp.Folded, cp.BestAttempt))
-		}
-		rs := &search.ResumeState[S]{
-			Folded:      cp.Folded,
-			BestAttempt: cp.BestAttempt,
-			Stale:       cp.Stale,
-			Stats: search.Stats{
-				Folded:   cp.Folded,
-				Accepted: cp.Accepted,
-				Failed:   cp.Failed,
-				Panicked: cp.Panicked,
-				Improved: cp.Improved,
-			},
 		}
 		if cp.BestAttempt >= 0 {
 			// Reconstruct the incumbent by replaying its attempt:
@@ -170,78 +131,103 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 				resumeSpan.End()
 				return best, fs, fmt.Errorf("kway: checkpoint replay of attempt %d failed: %w", cp.BestAttempt, rerr)
 			}
-			rs.Best, rs.Found = sol, true
+			best, bestScore = sol, r.Score(sol)
 		}
-		drv.Resume = rs
 		resumeSpan.EndEvent(trace.Event{Kind: trace.KindResume, Folded: cp.Folded, BestAttempt: cp.BestAttempt})
 	}
-	// The checkpoint wrapper runs inside the single-threaded reducer,
-	// immediately after Observe for the same attempt, so the fold-side
-	// aggregates it captures are exactly current at each snapshot.
-	var sCheckpoint func(search.Progress)
-	if opts.Checkpoint != nil {
-		sCheckpoint = func(p search.Progress) {
-			if p.Folded%opts.CheckpointEvery != 0 && p.Folded != opts.Solutions {
-				return
+	// fold applies one attempt, in this order: the fatal check, the
+	// incumbent and counts, the solution event, the checkpoint (cadence
+	// filter, then its event), then the stale stop.
+	fold := func(attempt int, sol S, err error) bool {
+		if err != nil && r.Fatal != nil && r.Fatal(err) {
+			fatal = err
+			return true
+		}
+		st.Folded++
+		if err != nil {
+			st.Failed++
+			if firstErr == nil {
+				firstErr, st.FirstError = err, err.Error()
 			}
-			cp := SearchCheckpoint{
-				Seed: opts.Seed, Solutions: opts.Solutions,
-				Folded: p.Folded, BestAttempt: p.BestAttempt, Stale: p.Stale,
-				Accepted: p.Stats.Accepted, Failed: p.Stats.Failed,
-				Panicked: p.Stats.Panicked, Improved: p.Stats.Improved,
-				CostMin: fs.CostMin, CostMax: fs.CostMax, CostSum: costSum,
+			var perr *search.PanicError
+			panicked := errors.As(err, &perr)
+			if panicked {
+				st.Panicked++
+				st.PanickedSeeds = append(st.PanickedSeeds, perr.Seed)
 			}
-			if firstErr != nil {
-				cp.FirstError = firstErr.Error()
+			opts.Spans.Event(trace.Event{Kind: trace.KindSolution, Attempt: attempt, Reason: err.Error(), Panic: panicked})
+		} else {
+			sc := r.Score(sol)
+			improved := st.BestAttempt < 0 || sc.Better(bestScore)
+			if improved {
+				best, bestScore, st.BestAttempt = sol, sc, attempt
+				st.Improved++
+				st.Stale = 0
+			} else {
+				st.Stale++
 			}
-			if len(fs.PanickedSeeds) > 0 {
-				cp.PanickedSeeds = append([]int64(nil), fs.PanickedSeeds...)
+			st.Accepted++
+			if st.Accepted == 1 || sc.Cost < st.CostMin {
+				st.CostMin = sc.Cost
 			}
-			opts.Spans.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: p.Folded - 1, Folded: p.Folded, BestAttempt: p.BestAttempt})
+			if sc.Cost > st.CostMax {
+				st.CostMax = sc.Cost
+			}
+			st.CostSum += sc.Cost
+			opts.Spans.Event(trace.Event{
+				Kind: trace.KindSolution, Attempt: attempt,
+				Feasible: true, Cost: sc.Cost, Parts: sc.K, Improved: improved,
+				Topo: sc.Topo, HasTopo: sc.HasTopo,
+			})
+		}
+		if opts.Checkpoint != nil && (st.Folded%opts.CheckpointEvery == 0 || st.Folded == opts.Solutions) {
+			cp := st
+			cp.PanickedSeeds = slices.Clone(st.PanickedSeeds)
+			opts.Spans.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: attempt, Folded: st.Folded, BestAttempt: st.BestAttempt})
 			opts.Checkpoint(cp)
 		}
+		return err == nil && staleStop()
 	}
 	searchSpan := opts.Spans.Start("search", -1)
-	out, serr := search.Run(ctx, search.Options{
-		Attempts:   opts.Solutions,
-		Workers:    opts.Workers,
-		Seed:       opts.Seed,
-		SeedStride: SeedStride,
-		MaxStale:   opts.MaxStale,
-		Inject:     opts.Inject,
-		Checkpoint: sCheckpoint,
-		Spans:      searchSpan.Scope(),
-	}, drv)
+	var serr error
+	// A checkpoint taken at the stale stop is a finished reduction:
+	// resuming from it dispatches nothing.
+	if !staleStop() {
+		_, serr = search.Run(ctx, search.Options{
+			Attempts:   opts.Solutions,
+			Start:      st.Folded,
+			Workers:    opts.Workers,
+			Seed:       opts.Seed,
+			SeedStride: SeedStride,
+			Inject:     opts.Inject,
+			Spans:      searchSpan.Scope(),
+		}, r.NewAttempt, fold)
+	}
 	searchSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseSearch})
 	var budget *search.ErrBudget
-	if serr != nil {
-		var ae *search.AttemptError
-		switch {
-		case errors.As(serr, &ae):
-			// Fatal attempt: surface the underlying error itself (for the
-			// local engine, the *VerificationError).
-			return best, fs, ae.Err
-		case errors.As(serr, &budget):
-			// The folded prefix may still hold a feasible incumbent.
-		default:
-			return best, fs, serr
-		}
+	if serr != nil && !errors.As(serr, &budget) {
+		return best, fs, serr
 	}
-	if !out.Found {
-		inf := &InfeasibleError{Attempts: out.Stats.Folded, First: firstErr}
+	if fatal != nil {
+		// Surface the fatal attempt error itself (for the local engine,
+		// the *VerificationError).
+		return best, fs, fatal
+	}
+	if st.BestAttempt < 0 {
+		inf := &InfeasibleError{Attempts: st.Folded, First: firstErr}
 		if budget != nil {
 			return best, fs, fmt.Errorf("%v: %w", inf, budget)
 		}
 		return best, fs, inf
 	}
-	fs.CostMean = costSum / float64(fs.Feasible)
-	fs.Panicked = out.Stats.Panicked
-	fs.Degraded = out.Stats.Panicked > 0
+	fs.Feasible, fs.Failed = st.Accepted, st.Failed
+	fs.CostMin, fs.CostMax, fs.CostMean = st.CostMin, st.CostMax, st.CostSum/float64(st.Accepted)
+	fs.Panicked, fs.Degraded, fs.PanickedSeeds = st.Panicked, st.Panicked > 0, st.PanickedSeeds
 	switch {
 	case budget != nil:
 		fs.Stopped = StoppedBudget
-	case out.Stats.StaleStop:
+	case staleStop():
 		fs.Stopped = StoppedStale
 	}
-	return out.Best, fs, nil
+	return best, fs, nil
 }

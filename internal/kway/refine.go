@@ -91,7 +91,6 @@ func refinePair(g *hypergraph.Graph, res *Result, i, j int, opts Options) (bool,
 		MinArea:       [2]int{pi.Device.MinCLBs(), pj.Device.MinCLBs()},
 		MaxArea:       [2]int{pi.Device.MaxCLBs(), pj.Device.MaxCLBs()},
 		Threshold:     opts.threshold,
-		MaxPasses:     opts.MaxPasses,
 		RefineWorkers: opts.RefineWorkers,
 		Seed:          opts.Seed + int64(i)*31 + int64(j),
 	}

@@ -3,6 +3,7 @@ package kway_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -278,4 +279,38 @@ func TestSearchCheckpointJSONRoundTrip(t *testing.T) {
 	opts.Resume = &back
 	resumed, _, _ := runCheckpointed(t, opts, p)
 	checkSameResult(t, "json-round-trip", full, resumed)
+}
+
+// TestResumeAfterStaleStop: a run stopped by MaxStale resumes from any
+// of its checkpoints, the stop's own included, to the same result,
+// fold statistics and reducer trace tail. The checkpoint taken at the
+// stop records a finished search; resuming from it replays the
+// incumbent and dispatches nothing.
+func TestResumeAfterStaleStop(t *testing.T) {
+	for seed := int64(11); seed <= 14; seed++ {
+		base, p := resumeBase(t)
+		base.Solutions, base.MaxStale, base.Seed = 30, 2, seed
+		full, cps, fullRec := runCheckpointed(t, base, p)
+		if full.Stopped != kway.StoppedStale {
+			t.Fatalf("seed %d: Stopped = %q after %d folds, want a stale stop", seed, full.Stopped, len(cps))
+		}
+		for _, cp := range cps {
+			opts := base
+			opts.Resume = &cp
+			resumed, resumedCps, resumedRec := runCheckpointed(t, opts, p)
+			label := fmt.Sprintf("seed %d/resume@%d", seed, cp.Folded)
+			checkSameResult(t, label, full, resumed)
+			fs := resumed.FoldStats
+			fs.Resumed, fs.ResumedFrom = false, 0
+			if !reflect.DeepEqual(fs, full.FoldStats) {
+				t.Errorf("%s: fold stats %+v, want %+v", label, fs, full.FoldStats)
+			}
+			if want := cps[cp.Folded:]; len(resumedCps) != len(want) || (len(want) > 0 && !reflect.DeepEqual(resumedCps, want)) {
+				t.Errorf("%s: checkpoint suffix diverged:\nresumed %+v\nfull    %+v", label, resumedCps, want)
+			}
+			if got, want := reducerTrace(t, resumedRec, cp.Folded), reducerTrace(t, fullRec, cp.Folded); got != want {
+				t.Errorf("%s: trace tail diverged:\nresumed:\n%s\nfull:\n%s", label, got, want)
+			}
+		}
+	}
 }

@@ -4,10 +4,10 @@
 // direct k-way systems cited in PAPERS.md), grafted onto this engine's
 // substrates: the cut-preserving connectivity clustering of
 // internal/cluster contracts the netlist level by level, the coarsest
-// hypergraph is bipartitioned by a deterministic multi-start search
-// (internal/search) over the existing cluster-seed + FM machinery, and
-// the assignment is projected back one level at a time with an FM
-// refinement pass at every level.
+// hypergraph is bipartitioned by a deterministic multi-start loop over
+// the existing cluster-seed + FM machinery, and the assignment is
+// projected back one level at a time with an FM refinement pass at
+// every level.
 //
 // Three structural facts make the V-cycle sound here:
 //
@@ -30,7 +30,6 @@
 package multilevel
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -39,7 +38,6 @@ import (
 	"fpgapart/internal/fm"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
-	"fpgapart/internal/search"
 	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
@@ -105,13 +103,9 @@ type Config struct {
 	// runs and the refined cut is monotone non-increasing down the
 	// whole cycle, the property TestMonotoneCutAcrossLevels pins).
 	Slack int
-	// Starts is the number of independent coarsest-level attempts the
-	// deterministic multi-start search folds (default 4).
+	// Starts is the number of independent coarsest-level starts the
+	// multi-start loop runs (default 4).
 	Starts int
-	// Workers bounds the coarsest search's worker pool (default 1 —
-	// the V-cycle usually runs inside kway's own worker pool, where
-	// nested parallelism oversubscribes).
-	Workers int
 	// NetWeights, when non-nil, switches every refinement of the cycle
 	// (coarsest partition and per-level passes) to the weighted
 	// objective (replication.SetNetWeights): keys are finest-level net
@@ -139,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Starts == 0 {
 		c.Starts = 4
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -198,10 +189,10 @@ type level struct {
 
 // Runner executes V-cycles, reusing one replication state, one FM
 // runner and one cluster-growing scratch across the levels of a cycle,
-// the coarsest starts of a one-worker search and successive cycles:
-// each level rebinds the state to its graph instead of building one,
-// so a warm Runner lays out no state or FM storage for graphs no
-// larger than ones it has served. Its coarsener recycles the arrays of
+// the coarsest starts and successive cycles: each level rebinds the
+// state to its graph instead of building one, so a warm Runner lays
+// out no state or FM storage for graphs no larger than ones it has
+// served. Its coarsener recycles the arrays of
 // the previous cycle's hierarchy, one storage slot per level, and
 // returns a new graph header for every contraction, so the FM layout
 // cache, keyed on graph identity, never mistakes a recycled level for
@@ -420,109 +411,74 @@ func window(lo, hi, total, s int) bounds {
 }
 
 // initialPartition bipartitions the coarsest hypergraph with a
-// deterministic multi-start search: each attempt grows a seeded
-// connected cluster toward the target area, repairs it into the
-// window, and refines with plain FM; the index-ordered reduction keeps
-// the best (lowest objective, then area closest to target), so the result is
-// byte-identical for a fixed seed regardless of worker count. A
-// one-worker search runs every start on r's storage; with more workers
-// each worker brings its own. A worker binds its state to the coarsest
-// graph on its first start and only resets it on the later ones: the
-// graph and its weight table are the same for every start of the run.
+// deterministic multi-start loop on r's storage: start i grows a
+// connected cluster seeded with Seed + i*startStride toward the target
+// area, repairs it into the window and refines it with plain FM; the
+// first strictly better start (lowest objective, then area closest to
+// target) is kept. The state is bound to the coarsest graph by the
+// first start and after a failed bind or reset, and only reset by the
+// others: the graph and its weight table are the same for every start
+// (a failed repair leaves the state as it was). A panic inside a start
+// is not contained here; kway's attempt closure drops the whole Runner
+// and the search pool folds the solution attempt as failed.
 func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([]replication.Block, LevelStats, error) {
 	cg := lv.g
 	tgt := target
 	if tgt > w.hi {
 		tgt = w.hi
 	}
-	type sol struct {
-		assign []replication.Block
-		stats  LevelStats
-		area0  int
-	}
-	var firstErr error
-	drv := search.Driver[sol]{
-		NewAttempt: func() search.AttemptFunc[sol] {
-			wr := r
-			if cfg.Workers > 1 {
-				wr = new(Runner)
+	var (
+		best     []replication.Block
+		stats    LevelStats
+		area0    int
+		firstErr error
+	)
+	// bound: r's state holds cg from an earlier start of this run.
+	// Pointer identity alone would not do: a state left on cg by an
+	// earlier run may carry another weight table.
+	bound := false
+	for i := 0; i < cfg.Starts; i++ {
+		seed := cfg.Seed + int64(i)*startStride
+		assign := r.cluster.AssignInto(nil, cg, seed, -1, tgt)
+		rep, err := repair(cg, assign, w, seed)
+		if err == nil {
+			if bound {
+				err = r.st.ResetPinned(assign, cfg.PinExternal)
+			} else {
+				err = r.bind(cg, assign, cfg)
 			}
-			// bound: wr's state holds cg from an earlier start of this
-			// run. Pointer identity alone would not do: a state left on
-			// cg by an earlier run may carry another weight table.
-			bound := false
-			return func(_ context.Context, attempt int, seed int64) (sol, error) {
-				// A panic can leave the state mid-update; drop the
-				// worker's storage so the next start rebinds clean
-				// buffers, and let the search layer contain the panic.
-				defer func() {
-					if v := recover(); v != nil {
-						*wr = Runner{}
-						bound = false
-						panic(v)
-					}
-				}()
-				assign := wr.cluster.AssignInto(nil, cg, seed, -1, tgt)
-				rep, rerr := repair(cg, assign, w, seed)
-				if rerr != nil {
-					return sol{}, rerr
-				}
-				st := &wr.st
-				var err error
-				if bound {
-					err = st.ResetPinned(assign, cfg.PinExternal)
-				} else {
-					err = wr.bind(cg, assign, cfg)
-				}
-				if err != nil {
-					bound = false
-					return sol{}, err
-				}
-				bound = true
-				cutInit := st.Objective()
-				res, err := wr.fm.Run(st, cfg.levelFM(w, seed))
-				if err != nil {
-					return sol{}, err
-				}
-				for c := range assign {
-					assign[c] = st.Home(hypergraph.CellID(c))
-				}
-				return sol{
-					assign: assign,
-					area0:  st.Area(0),
-					stats: LevelStats{
-						Cells: cg.NumCells(), Nets: cg.NumNets(), ClusterCap: lv.cap,
-						CutProjected: cutInit, CutRefined: st.Objective(), Area0: st.Area(0),
-						RepairMoves: rep, Moves: res.Moves, Passes: res.Passes,
-					},
-				}, nil
-			}
-		},
-		Better: func(a, b sol) bool {
-			if a.stats.CutRefined != b.stats.CutRefined {
-				return a.stats.CutRefined < b.stats.CutRefined
-			}
-			return absDiff(a.area0, tgt) < absDiff(b.area0, tgt)
-		},
-		Observe: func(_ int, _ sol, err error, _ bool) {
-			if err != nil && firstErr == nil {
+			bound = err == nil
+		}
+		var res fm.Result
+		cutInit := 0
+		if err == nil {
+			cutInit = r.st.Objective()
+			res, err = r.fm.Run(&r.st, cfg.levelFM(w, seed))
+		}
+		if err != nil {
+			if firstErr == nil {
 				firstErr = err
 			}
-		},
+			continue
+		}
+		cut, a0 := r.st.Objective(), r.st.Area(0)
+		if best != nil && (cut > stats.CutRefined || cut == stats.CutRefined && absDiff(a0, tgt) >= absDiff(area0, tgt)) {
+			continue
+		}
+		for c := range assign {
+			assign[c] = r.st.Home(hypergraph.CellID(c))
+		}
+		best, area0 = assign, a0
+		stats = LevelStats{
+			Cells: cg.NumCells(), Nets: cg.NumNets(), ClusterCap: lv.cap,
+			CutProjected: cutInit, CutRefined: cut, Area0: a0,
+			RepairMoves: rep, Moves: res.Moves, Passes: res.Passes,
+		}
 	}
-	out, err := search.Run(context.Background(), search.Options{
-		Attempts:   cfg.Starts,
-		Workers:    cfg.Workers,
-		Seed:       cfg.Seed,
-		SeedStride: startStride,
-	}, drv)
-	if err != nil {
-		return nil, LevelStats{}, fmt.Errorf("multilevel: coarsest partition: %w", err)
-	}
-	if !out.Found {
+	if best == nil {
 		return nil, LevelStats{}, fmt.Errorf("multilevel: no feasible coarsest partition in %d starts (first failure: %w)", cfg.Starts, firstErr)
 	}
-	return out.Best.assign, out.Best.stats, nil
+	return best, stats, nil
 }
 
 // refineLevel repairs a projected assignment into the level's window

@@ -63,8 +63,7 @@ func TestWeightedCycleReportsObjective(t *testing.T) {
 
 // Reuse is invisible: one Runner fed a sequence of graphs (large, one
 // too small to coarsen, the large one again) under flat, pinned and
-// weighted objectives, one and two coarsest workers and both FM
-// engines returns exactly what a fresh Run returns every time. A stale
+// weighted objectives and both FM engines returns exactly what a fresh Run returns every time. A stale
 // buffer, weight table or layout key carried from the previous cycle
 // would surface as a diverging result.
 func TestRunnerMatchesFresh(t *testing.T) {
@@ -72,26 +71,24 @@ func TestRunnerMatchesFresh(t *testing.T) {
 	var r Runner
 	for gi, g := range []*hypergraph.Graph{large, small, large} {
 		for _, mode := range []string{"flat", "pinned", "weighted"} {
-			for _, workers := range []int{1, 2} {
-				for _, refine := range []int{0, 2} {
-					name := fmt.Sprintf("graph%d/%s/workers=%d/refine=%d", gi, mode, workers, refine)
-					cfg := balancedConfig(g, 0.1, int64(gi+1))
-					cfg.Workers, cfg.RefineWorkers = workers, refine
-					cfg.PinExternal = mode == "pinned"
-					if mode == "weighted" {
-						cfg.NetWeights = randomNetWeights(g, int64(gi))
-					}
-					want, err := Run(g, cfg)
-					if err != nil {
-						t.Fatalf("%s: fresh: %v", name, err)
-					}
-					got, err := r.Run(g, cfg)
-					if err != nil {
-						t.Fatalf("%s: warm: %v", name, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: warm runner result %+v, fresh %+v", name, got.Levels, want.Levels)
-					}
+			for _, refine := range []int{0, 2} {
+				name := fmt.Sprintf("graph%d/%s/refine=%d", gi, mode, refine)
+				cfg := balancedConfig(g, 0.1, int64(gi+1))
+				cfg.RefineWorkers = refine
+				cfg.PinExternal = mode == "pinned"
+				if mode == "weighted" {
+					cfg.NetWeights = randomNetWeights(g, int64(gi))
+				}
+				want, err := Run(g, cfg)
+				if err != nil {
+					t.Fatalf("%s: fresh: %v", name, err)
+				}
+				got, err := r.Run(g, cfg)
+				if err != nil {
+					t.Fatalf("%s: warm: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: warm runner result %+v, fresh %+v", name, got.Levels, want.Levels)
 				}
 			}
 		}
@@ -102,7 +99,7 @@ func TestRunnerMatchesFresh(t *testing.T) {
 // or hierarchy storage: coarsening writes into the previous cycle's
 // level slots, so what the cycle still allocates is a constant per
 // level (the contracted graph's headers and Validate's tables, one
-// projected assignment) plus the coarsest search's plumbing and the
+// projected assignment) plus the coarsest starts' assignments and the
 // result. Building a replication state, an FM runner or a coarse graph
 // per level, as a one-shot cycle does, exceeds the bound.
 func TestRunnerWarmAllocs(t *testing.T) {
