@@ -22,8 +22,8 @@
 // verification); 2 = infeasible instance (the full attempt budget ran
 // without a feasible solution); 3 = -timeout expired before any
 // feasible solution; 4 = malformed input (parse error or resource
-// limit, with line/column context on stderr); 5 = the -trace-out
-// span timeline could not be written.
+// limit in the circuit or the -board file, with line/column context on
+// stderr); 5 = the -trace-out span timeline could not be written.
 package main
 
 import (
@@ -50,6 +50,7 @@ import (
 	"fpgapart/internal/span"
 	"fpgapart/internal/techmap"
 	"fpgapart/internal/telemetry"
+	"fpgapart/internal/textparse"
 	"fpgapart/internal/topology"
 	"fpgapart/internal/trace"
 	"fpgapart/internal/verify"
@@ -68,7 +69,8 @@ exit codes:
   1  error (I/O, configuration, verification failure)
   2  infeasible instance: the attempt budget ran without a feasible solution
   3  -timeout expired before any feasible solution was found
-  4  malformed input: parse error or resource limit (line/column on stderr)
+  4  malformed input: parse error or resource limit in the circuit or the
+     -board file (line/column on stderr)
   5  -trace-out span timeline could not be written
 `)
 	}
@@ -135,9 +137,8 @@ func exitCode(err error) int {
 	if errors.As(err, &inf) {
 		return 2
 	}
-	var nperr *netlist.ParseError
-	var hperr *hypergraph.ParseError
-	if errors.As(err, &nperr) || errors.As(err, &hperr) {
+	var perr *textparse.ParseError
+	if errors.As(err, &perr) {
 		return 4
 	}
 	return 1

@@ -19,6 +19,7 @@ import (
 	"fpgapart/internal/netlist"
 	"fpgapart/internal/search"
 	"fpgapart/internal/span"
+	"fpgapart/internal/textparse"
 )
 
 // capture redirects stdout around fn.
@@ -297,10 +298,10 @@ func TestExitCodes(t *testing.T) {
 	if got := exitCode(both); got != 3 {
 		t.Fatalf("budget+infeasible -> %d, want 3", got)
 	}
-	if got := exitCode(fmt.Errorf("wrap: %w", &netlist.ParseError{Format: "netlist", Line: 3})); got != 4 {
+	if got := exitCode(fmt.Errorf("wrap: %w", &textparse.ParseError{Format: "netlist", Line: 3})); got != 4 {
 		t.Fatalf("netlist parse error -> %d, want 4", got)
 	}
-	if got := exitCode(fmt.Errorf("wrap: %w", &hypergraph.ParseError{Line: 7})); got != 4 {
+	if got := exitCode(fmt.Errorf("wrap: %w", &textparse.ParseError{Format: "hypergraph", Line: 7})); got != 4 {
 		t.Fatalf("hypergraph parse error -> %d, want 4", got)
 	}
 }
@@ -337,6 +338,44 @@ func TestRunMalformedInput(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantInMsg) {
 				t.Fatalf("error %q should contain %q", err, tc.wantInMsg)
+			}
+		})
+	}
+}
+
+// A board file is input like the circuit: a syntax error in it exits 4
+// naming the line, and a long comment line is no error at all.
+func TestRunBoardFile(t *testing.T) {
+	path := writeCLB(t)
+	cases := []struct {
+		name, board, wantErr string
+	}{
+		{"bad-cap", "board b\nslots 4\nlink 0 1 cap x\n", "line 3"},
+		{"long-comment", "# " + strings.Repeat("x", 70000) + "\nboard b\nslots 4\nlink 0 1\nlink 1 2\nlink 2 3\n", ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			board := filepath.Join(t.TempDir(), "b.board")
+			if err := os.WriteFile(board, []byte(tc.board), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, err := capture(t, func() error {
+				return run(runConfig{path: path, threshold: 1, solutions: 2, seed: 1, board: board})
+			})
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				if !strings.Contains(out, "topology:") {
+					t.Fatalf("board run printed no topology line:\n%s", out)
+				}
+				return
+			}
+			if got := exitCode(err); got != 4 {
+				t.Fatalf("exit code %d, want 4 (err: %v)", got, err)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q should contain %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"fpgapart/internal/textparse"
 )
 
 func FuzzRead(f *testing.F) {
@@ -42,8 +44,8 @@ func FuzzRead(f *testing.F) {
 
 // FuzzParseHypergraph drives ReadLimits with deliberately tight caps
 // so the limit checks themselves get fuzzed: the seeds each trip one
-// cap. Any failure must be a typed *ParseError (optionally wrapping a
-// *LimitError), never a panic or an untyped error.
+// cap. Any failure must be a typed *textparse.ParseError (optionally
+// wrapping a *textparse.LimitError), never a panic or an untyped error.
 func FuzzParseHypergraph(f *testing.F) {
 	seeds := []string{
 		// Trips MaxCells=4.
@@ -68,7 +70,7 @@ func FuzzParseHypergraph(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := ReadLimits(strings.NewReader(src), lim)
 		if err != nil {
-			var pe *ParseError
+			var pe *textparse.ParseError
 			if !errors.As(err, &pe) && !strings.HasPrefix(err.Error(), "hypergraph:") {
 				t.Fatalf("untyped parse failure: %v", err)
 			}

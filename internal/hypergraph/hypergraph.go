@@ -111,16 +111,6 @@ type Net struct {
 	Ext   ExtKind
 }
 
-// Degree returns the number of cell pins on the net, plus one for the
-// terminal connection if the net is external.
-func (n *Net) Degree() int {
-	d := len(n.Conns)
-	if n.Ext != Internal {
-		d++
-	}
-	return d
-}
-
 // Graph is the circuit hypergraph.
 type Graph struct {
 	Name  string

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"fpgapart/internal/textparse"
 )
 
 // The mapped-circuit text format (".clb") is line oriented:
@@ -78,30 +80,22 @@ func Read(r io.Reader) (*Graph, error) {
 }
 
 // ReadLimits is Read under explicit resource caps: input exceeding a
-// limit fails fast with a *ParseError wrapping a *LimitError instead
-// of driving unbounded allocation. Syntax errors are *ParseError too,
-// carrying the 1-based line and, where known, the column of the
-// offending token.
+// limit fails fast with a *textparse.ParseError wrapping a
+// *textparse.LimitError instead of driving unbounded allocation.
+// Syntax errors are *textparse.ParseError too, carrying the 1-based
+// line and, where known, the column of the offending token.
 func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 	lim = lim.withDefaults()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(lim.scanBuf(), lim.MaxLineBytes)
+	lr := textparse.NewReader(r, "hypergraph", lim.MaxLineBytes)
 	var b *Builder
-	lineNo := 0
 	cells := 0
 	var fanout []int // pins per net, indexed by NetID
-	perr := func(col int, format string, args ...any) error {
-		return &ParseError{Line: lineNo, Col: col, Msg: fmt.Sprintf(format, args...)}
-	}
-	limErr := func(quantity string, value, limit int) error {
-		return &ParseError{Line: lineNo, Err: &LimitError{Quantity: quantity, Value: value, Limit: limit}}
-	}
 	netOf := func(name string) (NetID, error) {
 		if id, ok := b.NetByName(name); ok {
 			return id, nil
 		}
 		if len(fanout) >= lim.MaxNets {
-			return 0, limErr("nets", len(fanout)+1, lim.MaxNets)
+			return 0, lr.Limit("nets", len(fanout)+1, lim.MaxNets)
 		}
 		id := b.Net(name)
 		for int(id) >= len(fanout) {
@@ -115,13 +109,12 @@ func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 		}
 		fanout[id]++
 		if fanout[id] > lim.MaxFanout {
-			return limErr("fanout", fanout[id], lim.MaxFanout)
+			return lr.Limit("fanout", fanout[id], lim.MaxFanout)
 		}
 		return nil
 	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	for lr.Scan() {
+		line := strings.TrimSpace(lr.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -129,19 +122,19 @@ func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 		switch fields[0] {
 		case "circuit":
 			if b != nil {
-				return nil, perr(0, "duplicate circuit line")
+				return nil, lr.Errorf(0, "duplicate circuit line")
 			}
 			if len(fields) != 2 {
-				return nil, perr(0, "want 'circuit <name>'")
+				return nil, lr.Errorf(0, "want 'circuit <name>'")
 			}
 			b = NewBuilder(fields[1])
 		case "input":
 			if b == nil {
-				return nil, perr(0, "input before circuit")
+				return nil, lr.Errorf(0, "input before circuit")
 			}
 			for _, n := range fields[1:] {
 				if _, ok := b.NetByName(n); !ok && len(fanout) >= lim.MaxNets {
-					return nil, limErr("nets", len(fanout)+1, lim.MaxNets)
+					return nil, lr.Limit("nets", len(fanout)+1, lim.MaxNets)
 				}
 				id := b.InputNet(n)
 				for int(id) >= len(fanout) {
@@ -150,7 +143,7 @@ func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 			}
 		case "output":
 			if b == nil {
-				return nil, perr(0, "output before circuit")
+				return nil, lr.Errorf(0, "output before circuit")
 			}
 			for _, n := range fields[1:] {
 				id, err := netOf(n)
@@ -161,40 +154,40 @@ func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 			}
 		case "cell":
 			if b == nil {
-				return nil, perr(0, "cell before circuit")
+				return nil, lr.Errorf(0, "cell before circuit")
 			}
 			if len(fields) < 2 {
-				return nil, perr(0, "cell needs a name (truncated record?)")
+				return nil, lr.Errorf(0, "cell needs a name (truncated record?)")
 			}
 			if cells >= lim.MaxCells {
-				return nil, limErr("cells", cells+1, lim.MaxCells)
+				return nil, lr.Limit("cells", cells+1, lim.MaxCells)
 			}
 			spec := CellSpec{Name: fields[1], Area: 1}
 			var depRows []string
 			pins := 0
 			for fi, kv := range fields[2:] {
-				col := fieldCol(line, fi+2)
+				col := textparse.FieldCol(line, fi+2)
 				key, val, ok := strings.Cut(kv, "=")
 				if !ok {
-					return nil, perr(col, "bad attribute %q (truncated record?)", kv)
+					return nil, lr.Errorf(col, "bad attribute %q (truncated record?)", kv)
 				}
 				switch key {
 				case "area":
 					a, err := strconv.Atoi(val)
 					if err != nil {
-						return nil, perr(col, "area: %v", err)
+						return nil, lr.Errorf(col, "area: %v", err)
 					}
 					spec.Area = a
 				case "dff":
 					d, err := strconv.Atoi(val)
 					if err != nil {
-						return nil, perr(col, "dff: %v", err)
+						return nil, lr.Errorf(col, "dff: %v", err)
 					}
 					spec.DFFs = d
 				case "replica":
 					r, err := strconv.Atoi(val)
 					if err != nil {
-						return nil, perr(col, "replica: %v", err)
+						return nil, lr.Errorf(col, "replica: %v", err)
 					}
 					spec.Replica = r != 0
 				case "in":
@@ -228,10 +221,10 @@ func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 				case "dep":
 					depRows = strings.Split(val, ";")
 				default:
-					return nil, perr(col, "unknown attribute %q", key)
+					return nil, lr.Errorf(col, "unknown attribute %q", key)
 				}
 				if pins > lim.MaxPins {
-					return nil, limErr("pins", pins, lim.MaxPins)
+					return nil, lr.Limit("pins", pins, lim.MaxPins)
 				}
 			}
 			if depRows != nil {
@@ -244,7 +237,7 @@ func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 						case '1':
 							bits[j] = 1
 						default:
-							return nil, perr(0, "dep digit %q", ch)
+							return nil, lr.Errorf(0, "dep digit %q", ch)
 						}
 					}
 					spec.DepBits[i] = bits
@@ -253,17 +246,14 @@ func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 			b.AddCell(spec)
 			cells++
 		default:
-			return nil, perr(fieldCol(line, 0), "unknown directive %q", fields[0])
+			return nil, lr.Errorf(textparse.FieldCol(line, 0), "unknown directive %q", fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, &ParseError{Line: lineNo + 1, Err: &LimitError{Quantity: "line-bytes", Value: lim.MaxLineBytes + 1, Limit: lim.MaxLineBytes}}
-		}
-		return nil, fmt.Errorf("hypergraph: %w", err)
+	if err := lr.Err(); err != nil {
+		return nil, err
 	}
 	if b == nil {
-		return nil, &ParseError{Msg: "missing 'circuit' line (empty or truncated file?)"}
+		return nil, &textparse.ParseError{Format: "hypergraph", Msg: "missing 'circuit' line (empty or truncated file?)"}
 	}
 	return b.Build()
 }

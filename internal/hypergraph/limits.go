@@ -1,14 +1,9 @@
 package hypergraph
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Limits bounds the .clb parser's resource consumption against
 // hostile or corrupt input: each quantity is capped and the parser
-// fails fast with a typed *LimitError (wrapped in a *ParseError with
-// the offending line) instead of letting a malformed file drive
+// fails fast with a typed *textparse.LimitError (wrapped in a
+// *textparse.ParseError with the offending line) instead of letting a malformed file drive
 // unbounded allocation. The zero value selects generous defaults that
 // admit every legitimate mapped circuit.
 type Limits struct {
@@ -25,17 +20,6 @@ type Limits struct {
 	MaxFanout int
 	// MaxNets caps the distinct net count (default 1<<21).
 	MaxNets int
-}
-
-// scanBuf sizes a bufio.Scanner's initial buffer so the line cap
-// actually binds: Scanner.Buffer takes max(cap(buf), max) as the
-// token limit, so the initial capacity must not exceed MaxLineBytes.
-func (l Limits) scanBuf() []byte {
-	n := 1 << 16
-	if l.MaxLineBytes < n {
-		n = l.MaxLineBytes
-	}
-	return make([]byte, 0, n)
 }
 
 func (l Limits) withDefaults() Limits {
@@ -55,73 +39,4 @@ func (l Limits) withDefaults() Limits {
 		l.MaxNets = 1 << 21
 	}
 	return l
-}
-
-// LimitError reports input that exceeds a parser cap. It is always
-// wrapped in a *ParseError carrying the line the cap tripped on.
-type LimitError struct {
-	// Quantity names the capped resource: "line-bytes", "cells",
-	// "pins", "fanout" or "nets".
-	Quantity string
-	// Value is the observed amount; Limit the configured cap.
-	Value, Limit int
-}
-
-func (e *LimitError) Error() string {
-	return fmt.Sprintf("%s %d exceeds limit %d", e.Quantity, e.Value, e.Limit)
-}
-
-// ParseError is a .clb syntax or limit violation with its source
-// position: 1-based Line, and where known the 1-based byte Col of the
-// offending token.
-type ParseError struct {
-	Line int
-	Col  int
-	Msg  string
-	Err  error
-}
-
-func (e *ParseError) Error() string {
-	var sb strings.Builder
-	sb.WriteString("hypergraph")
-	if e.Line > 0 {
-		fmt.Fprintf(&sb, ": line %d", e.Line)
-		if e.Col > 0 {
-			fmt.Fprintf(&sb, ", col %d", e.Col)
-		}
-	}
-	sb.WriteString(": ")
-	if e.Msg != "" {
-		sb.WriteString(e.Msg)
-		if e.Err != nil {
-			fmt.Fprintf(&sb, ": %v", e.Err)
-		}
-	} else if e.Err != nil {
-		fmt.Fprintf(&sb, "%v", e.Err)
-	}
-	return sb.String()
-}
-
-func (e *ParseError) Unwrap() error { return e.Err }
-
-// fieldCol returns the 1-based byte column where the idx-th
-// whitespace-separated field of line starts (0 when out of range).
-func fieldCol(line string, idx int) int {
-	i, field := 0, 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		if field == idx {
-			return i + 1
-		}
-		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			i++
-		}
-		field++
-	}
-	return 0
 }

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"fpgapart/internal/textparse"
 )
 
 // Each case trips exactly one cap and checks the failure is a
-// *ParseError wrapping a *LimitError naming the capped quantity.
+// *textparse.ParseError wrapping a *textparse.LimitError naming the
+// capped quantity.
 func TestReadLimits(t *testing.T) {
 	lim := Limits{MaxLineBytes: 128, MaxCells: 2, MaxPins: 4, MaxFanout: 3, MaxNets: 6}
 	cases := []struct {
@@ -27,14 +30,14 @@ func TestReadLimits(t *testing.T) {
 			if err == nil {
 				t.Fatal("want limit error, got nil")
 			}
-			var le *LimitError
+			var le *textparse.LimitError
 			if !errors.As(err, &le) {
-				t.Fatalf("want *LimitError, got %T: %v", err, err)
+				t.Fatalf("want *textparse.LimitError, got %T: %v", err, err)
 			}
 			if le.Quantity != tc.quantity {
 				t.Fatalf("quantity = %q, want %q (err: %v)", le.Quantity, tc.quantity, err)
 			}
-			var pe *ParseError
+			var pe *textparse.ParseError
 			if !errors.As(err, &pe) || pe.Line == 0 {
 				t.Fatalf("limit error lacks line position: %v", err)
 			}
@@ -45,9 +48,9 @@ func TestReadLimits(t *testing.T) {
 func TestParseErrorPosition(t *testing.T) {
 	// A bad attribute carries the column of the token.
 	_, err := Read(strings.NewReader("circuit c\ncell u0 area\n"))
-	var pe *ParseError
+	var pe *textparse.ParseError
 	if !errors.As(err, &pe) {
-		t.Fatalf("want *ParseError, got %T: %v", err, err)
+		t.Fatalf("want *textparse.ParseError, got %T: %v", err, err)
 	}
 	if pe.Line != 2 || pe.Col != 9 {
 		t.Fatalf("pos = line %d col %d, want line 2 col 9", pe.Line, pe.Col)

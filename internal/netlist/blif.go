@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"fpgapart/internal/textparse"
 )
 
 // BLIF support: the Berkeley Logic Interchange Format subset the MCNC
@@ -61,21 +63,16 @@ func ReadBLIF(r io.Reader) (*Netlist, error) {
 }
 
 // ReadBLIFLimits is ReadBLIF under explicit resource caps (see
-// Limits); violations fail fast with a *ParseError wrapping a
-// *LimitError. The LUT fan-in cap matters most here: a .names block
-// with k inputs materializes a 2^k-entry truth table.
+// Limits); violations fail fast with a *textparse.ParseError wrapping
+// a *textparse.LimitError. The LUT fan-in cap matters most here: a
+// .names block with k inputs materializes a 2^k-entry truth table.
 func ReadBLIFLimits(r io.Reader, lim Limits) (*Netlist, error) {
 	lim = lim.withDefaults()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(lim.scanBuf(), lim.MaxLineBytes)
+	lr := textparse.NewReader(r, "blif", lim.MaxLineBytes)
 	n := &Netlist{}
 	var pendingLut *Gate
 	var cover []string
-	lineNo := 0
 	fanout := make(map[string]int)
-	limErr := func(quantity string, value, limit int) error {
-		return &ParseError{Format: "blif", Line: lineNo, Err: &LimitError{Quantity: quantity, Value: value, Limit: limit}}
-	}
 
 	flush := func() error {
 		if pendingLut == nil {
@@ -92,12 +89,12 @@ func ReadBLIFLimits(r io.Reader, lim Limits) (*Netlist, error) {
 	}
 	admitGate := func(ins []string) error {
 		if len(n.Gates) >= lim.MaxGates {
-			return limErr("gates", len(n.Gates)+1, lim.MaxGates)
+			return lr.Limit("gates", len(n.Gates)+1, lim.MaxGates)
 		}
 		for _, in := range ins {
 			fanout[in]++
 			if fanout[in] > lim.MaxFanout {
-				return limErr("fanout", fanout[in], lim.MaxFanout)
+				return lr.Limit("fanout", fanout[in], lim.MaxFanout)
 			}
 		}
 		return nil
@@ -105,9 +102,8 @@ func ReadBLIFLimits(r io.Reader, lim Limits) (*Netlist, error) {
 
 	// Logical lines may continue with trailing backslash.
 	var cont string
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Text()
+	for lr.Scan() {
+		raw := lr.Text()
 		if i := strings.Index(raw, "#"); i >= 0 {
 			raw = raw[:i]
 		}
@@ -117,7 +113,7 @@ func ReadBLIFLimits(r io.Reader, lim Limits) (*Netlist, error) {
 			// A chain of continuation lines forms one logical line; cap
 			// its total size like any other line.
 			if len(cont) > lim.MaxLineBytes {
-				return nil, limErr("line-bytes", len(cont), lim.MaxLineBytes)
+				return nil, lr.Limit("line-bytes", len(cont), lim.MaxLineBytes)
 			}
 			continue
 		}
@@ -150,13 +146,13 @@ func ReadBLIFLimits(r io.Reader, lim Limits) (*Netlist, error) {
 				return nil, err
 			}
 			if len(fields) < 2 {
-				return nil, &ParseError{Format: "blif", Line: lineNo, Msg: ".names needs at least an output"}
+				return nil, lr.Errorf(0, ".names needs at least an output")
 			}
 			if len(fields)-1 > lim.MaxPins {
-				return nil, limErr("pins", len(fields)-1, lim.MaxPins)
+				return nil, lr.Limit("pins", len(fields)-1, lim.MaxPins)
 			}
 			if len(fields)-2 > lim.MaxLutInputs {
-				return nil, limErr("lut-inputs", len(fields)-2, lim.MaxLutInputs)
+				return nil, lr.Limit("lut-inputs", len(fields)-2, lim.MaxLutInputs)
 			}
 			out := fields[len(fields)-1]
 			ins := append([]string(nil), fields[1:len(fields)-1]...)
@@ -169,7 +165,7 @@ func ReadBLIFLimits(r io.Reader, lim Limits) (*Netlist, error) {
 				return nil, err
 			}
 			if len(fields) < 3 {
-				return nil, &ParseError{Format: "blif", Line: lineNo, Msg: ".latch needs input and output (truncated record?)"}
+				return nil, lr.Errorf(0, ".latch needs input and output (truncated record?)")
 			}
 			if err := admitGate(fields[1:2]); err != nil {
 				return nil, err
@@ -183,25 +179,22 @@ func ReadBLIFLimits(r io.Reader, lim Limits) (*Netlist, error) {
 			// Ignored directives.
 		default:
 			if strings.HasPrefix(fields[0], ".") {
-				return nil, &ParseError{Format: "blif", Line: lineNo, Msg: fmt.Sprintf("unsupported directive %q", fields[0])}
+				return nil, lr.Errorf(0, "unsupported directive %q", fields[0])
 			}
 			if pendingLut == nil {
-				return nil, &ParseError{Format: "blif", Line: lineNo, Msg: "cover row outside .names"}
+				return nil, lr.Errorf(0, "cover row outside .names")
 			}
 			cover = append(cover, line)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, &ParseError{Format: "blif", Line: lineNo + 1, Err: &LimitError{Quantity: "line-bytes", Value: lim.MaxLineBytes + 1, Limit: lim.MaxLineBytes}}
-		}
-		return nil, fmt.Errorf("blif: %w", err)
+	if err := lr.Err(); err != nil {
+		return nil, err
 	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
 	if n.Name == "" {
-		return nil, &ParseError{Format: "blif", Msg: "missing .model (empty or truncated file?)"}
+		return nil, &textparse.ParseError{Format: "blif", Msg: "missing .model (empty or truncated file?)"}
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err

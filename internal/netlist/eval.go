@@ -35,9 +35,6 @@ func (s *Simulator) Reset() {
 	}
 }
 
-// SetState forces the value of a flip-flop output net.
-func (s *Simulator) SetState(net string, v bool) { s.state[net] = v }
-
 // Step evaluates one clock cycle: combinational logic settles from the
 // inputs and current state, primary outputs are sampled, then every
 // flip-flop captures its D input. Missing inputs default to false.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"fpgapart/internal/textparse"
 )
 
 // Fuzz targets for the two parsers. `go test` exercises the seed
@@ -53,8 +55,8 @@ func FuzzRead(f *testing.F) {
 // FuzzParseNetlist drives ReadLimits with deliberately tight caps so
 // the limit checks themselves get fuzzed: the seeds each trip one cap.
 // Whatever the input, the parser must return cleanly — any failure
-// must be a typed *ParseError (optionally wrapping a *LimitError),
-// never a panic or an untyped error.
+// must be a typed *textparse.ParseError (optionally wrapping a
+// *textparse.LimitError), never a panic or an untyped error.
 func FuzzParseNetlist(f *testing.F) {
 	seeds := []string{
 		// Trips MaxGates=4.
@@ -77,7 +79,7 @@ func FuzzParseNetlist(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := ReadLimits(strings.NewReader(src), lim)
 		if err != nil {
-			var pe *ParseError
+			var pe *textparse.ParseError
 			if !errors.As(err, &pe) && !strings.HasPrefix(err.Error(), "netlist:") {
 				t.Fatalf("untyped parse failure: %v", err)
 			}

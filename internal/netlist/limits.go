@@ -1,17 +1,13 @@
 package netlist
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Limits bounds the parsers' resource consumption against hostile or
 // corrupt input: instead of letting a malformed file drive unbounded
 // allocation (a .names block with 60 inputs expands to a 2^60-entry
 // truth table; a single line can be gigabytes), each quantity is
-// capped and the parser fails fast with a typed *LimitError carrying
-// the offending line. The zero value selects generous defaults that
-// admit every legitimate circuit in the benchmark suites.
+// capped and the parser fails fast with a typed
+// *textparse.LimitError carrying the offending line. The zero value
+// selects generous defaults that admit every legitimate circuit in the
+// benchmark suites.
 type Limits struct {
 	// MaxLineBytes caps one physical input line (default 4 MiB).
 	MaxLineBytes int
@@ -26,17 +22,6 @@ type Limits struct {
 	// MaxLutInputs caps the fan-in of a LUT/.names cover, whose truth
 	// table costs 2^inputs to materialize (default 24).
 	MaxLutInputs int
-}
-
-// scanBuf sizes a bufio.Scanner's initial buffer so the line cap
-// actually binds: Scanner.Buffer takes max(cap(buf), max) as the
-// token limit, so the initial capacity must not exceed MaxLineBytes.
-func (l Limits) scanBuf() []byte {
-	n := 1 << 16
-	if l.MaxLineBytes < n {
-		n = l.MaxLineBytes
-	}
-	return make([]byte, 0, n)
 }
 
 func (l Limits) withDefaults() Limits {
@@ -56,76 +41,4 @@ func (l Limits) withDefaults() Limits {
 		l.MaxLutInputs = 24
 	}
 	return l
-}
-
-// LimitError reports input that exceeds a parser cap. It is always
-// wrapped in a *ParseError carrying the line the cap tripped on.
-type LimitError struct {
-	// Quantity names the capped resource: "line-bytes", "gates",
-	// "pins", "fanout" or "lut-inputs".
-	Quantity string
-	// Value is the observed amount; Limit the configured cap.
-	Value, Limit int
-}
-
-func (e *LimitError) Error() string {
-	return fmt.Sprintf("%s %d exceeds limit %d", e.Quantity, e.Value, e.Limit)
-}
-
-// ParseError is a netlist syntax or limit violation with its source
-// position. Line is 1-based; Col is the 1-based byte column of the
-// offending token, 0 when only the line is known. Format is the
-// input dialect ("netlist" for .gnl, "blif").
-type ParseError struct {
-	Format string
-	Line   int
-	Col    int
-	Msg    string
-	Err    error
-}
-
-func (e *ParseError) Error() string {
-	var sb strings.Builder
-	sb.WriteString(e.Format)
-	if e.Line > 0 {
-		fmt.Fprintf(&sb, ": line %d", e.Line)
-		if e.Col > 0 {
-			fmt.Fprintf(&sb, ", col %d", e.Col)
-		}
-	}
-	sb.WriteString(": ")
-	if e.Msg != "" {
-		sb.WriteString(e.Msg)
-		if e.Err != nil {
-			fmt.Fprintf(&sb, ": %v", e.Err)
-		}
-	} else if e.Err != nil {
-		fmt.Fprintf(&sb, "%v", e.Err)
-	}
-	return sb.String()
-}
-
-func (e *ParseError) Unwrap() error { return e.Err }
-
-// fieldCol returns the 1-based byte column where the idx-th
-// whitespace-separated field of line starts (0 when out of range), so
-// parse errors can point at the offending token.
-func fieldCol(line string, idx int) int {
-	i, field := 0, 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		if field == idx {
-			return i + 1
-		}
-		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			i++
-		}
-		field++
-	}
-	return 0
 }

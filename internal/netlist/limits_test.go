@@ -4,12 +4,14 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"fpgapart/internal/textparse"
 )
 
 // Each case feeds input that trips exactly one cap and checks the
-// failure is a *ParseError wrapping a *LimitError naming the capped
-// quantity — the contract callers (the CLI exit-code mapping, the
-// daemon's 400 handler) rely on.
+// failure is a *textparse.ParseError wrapping a *textparse.LimitError
+// naming the capped quantity — the contract callers (the CLI exit-code
+// mapping, the daemon's 400 handler) rely on.
 func TestReadLimits(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -32,14 +34,14 @@ func TestReadLimits(t *testing.T) {
 			if err == nil {
 				t.Fatal("want limit error, got nil")
 			}
-			var le *LimitError
+			var le *textparse.LimitError
 			if !errors.As(err, &le) {
-				t.Fatalf("want *LimitError, got %T: %v", err, err)
+				t.Fatalf("want *textparse.LimitError, got %T: %v", err, err)
 			}
 			if le.Quantity != tc.quantity {
 				t.Fatalf("quantity = %q, want %q (err: %v)", le.Quantity, tc.quantity, err)
 			}
-			var pe *ParseError
+			var pe *textparse.ParseError
 			if !errors.As(err, &pe) || pe.Line == 0 {
 				t.Fatalf("limit error lacks line position: %v", err)
 			}
@@ -53,7 +55,7 @@ func TestReadLimitsLutInputs(t *testing.T) {
 	lim := Limits{MaxLutInputs: 3}
 	src := "circuit c\ninput a b c d\noutput y\nlut y a b c d @1010101010101010\n"
 	_, err := ReadLimits(strings.NewReader(src), lim)
-	var le *LimitError
+	var le *textparse.LimitError
 	if !errors.As(err, &le) || le.Quantity != "lut-inputs" {
 		t.Fatalf("want lut-inputs limit error, got %v", err)
 	}
@@ -78,9 +80,9 @@ func TestReadBLIFLimits(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadBLIFLimits(strings.NewReader(tc.src), tc.lim)
-			var le *LimitError
+			var le *textparse.LimitError
 			if !errors.As(err, &le) {
-				t.Fatalf("want *LimitError, got %T: %v", err, err)
+				t.Fatalf("want *textparse.LimitError, got %T: %v", err, err)
 			}
 			if le.Quantity != tc.quantity {
 				t.Fatalf("quantity = %q, want %q (err: %v)", le.Quantity, tc.quantity, err)
@@ -92,9 +94,9 @@ func TestReadBLIFLimits(t *testing.T) {
 func TestParseErrorPosition(t *testing.T) {
 	// Truncated gate record: line context plus a hint.
 	_, err := Read(strings.NewReader("circuit c\ninput a\noutput y\nand y\n"))
-	var pe *ParseError
+	var pe *textparse.ParseError
 	if !errors.As(err, &pe) {
-		t.Fatalf("want *ParseError, got %T: %v", err, err)
+		t.Fatalf("want *textparse.ParseError, got %T: %v", err, err)
 	}
 	if pe.Line != 4 {
 		t.Fatalf("line = %d, want 4", pe.Line)
@@ -106,7 +108,7 @@ func TestParseErrorPosition(t *testing.T) {
 	// A bad truth-table digit points at the @-token's column.
 	_, err = Read(strings.NewReader("circuit c\ninput a\noutput y\nlut y a @1x\n"))
 	if !errors.As(err, &pe) {
-		t.Fatalf("want *ParseError, got %T: %v", err, err)
+		t.Fatalf("want *textparse.ParseError, got %T: %v", err, err)
 	}
 	if pe.Line != 4 || pe.Col != 9 {
 		t.Fatalf("pos = line %d col %d, want line 4 col 9", pe.Line, pe.Col)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"fpgapart/internal/textparse"
 )
 
 // The text format (".gnl") is line oriented:
@@ -56,27 +58,18 @@ func Read(r io.Reader) (*Netlist, error) {
 }
 
 // ReadLimits is Read under explicit resource caps: input exceeding a
-// limit fails fast with a *ParseError wrapping a *LimitError instead
-// of driving unbounded allocation. Syntax errors are *ParseError too,
-// carrying the 1-based line and, where known, the column of the
-// offending token.
+// limit fails fast with a *textparse.ParseError wrapping a
+// *textparse.LimitError instead of driving unbounded allocation.
+// Syntax errors are *textparse.ParseError too, carrying the 1-based
+// line and, where known, the column of the offending token.
 func ReadLimits(r io.Reader, lim Limits) (*Netlist, error) {
 	lim = lim.withDefaults()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(lim.scanBuf(), lim.MaxLineBytes)
+	lr := textparse.NewReader(r, "netlist", lim.MaxLineBytes)
 	n := &Netlist{}
-	lineNo := 0
 	sawCircuit := false
 	fanout := make(map[string]int)
-	perr := func(col int, format string, args ...any) error {
-		return &ParseError{Format: "netlist", Line: lineNo, Col: col, Msg: fmt.Sprintf(format, args...)}
-	}
-	limErr := func(quantity string, value, limit int) error {
-		return &ParseError{Format: "netlist", Line: lineNo, Err: &LimitError{Quantity: quantity, Value: value, Limit: limit}}
-	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	for lr.Scan() {
+		line := strings.TrimSpace(lr.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -84,10 +77,10 @@ func ReadLimits(r io.Reader, lim Limits) (*Netlist, error) {
 		switch fields[0] {
 		case "circuit":
 			if sawCircuit {
-				return nil, perr(0, "duplicate circuit line")
+				return nil, lr.Errorf(0, "duplicate circuit line")
 			}
 			if len(fields) != 2 {
-				return nil, perr(0, "want 'circuit <name>'")
+				return nil, lr.Errorf(0, "want 'circuit <name>'")
 			}
 			n.Name = fields[1]
 			sawCircuit = true
@@ -98,27 +91,27 @@ func ReadLimits(r io.Reader, lim Limits) (*Netlist, error) {
 		default:
 			t, ok := ParseGateType(fields[0])
 			if !ok {
-				return nil, perr(fieldCol(line, 0), "unknown gate type %q", fields[0])
+				return nil, lr.Errorf(textparse.FieldCol(line, 0), "unknown gate type %q", fields[0])
 			}
 			if len(fields) < 3 {
-				return nil, perr(0, "gate needs an output and operands (truncated record?)")
+				return nil, lr.Errorf(0, "gate needs an output and operands (truncated record?)")
 			}
 			if len(n.Gates) >= lim.MaxGates {
-				return nil, limErr("gates", len(n.Gates)+1, lim.MaxGates)
+				return nil, lr.Limit("gates", len(n.Gates)+1, lim.MaxGates)
 			}
 			if len(fields)-1 > lim.MaxPins {
-				return nil, limErr("pins", len(fields)-1, lim.MaxPins)
+				return nil, lr.Limit("pins", len(fields)-1, lim.MaxPins)
 			}
 			g := Gate{Name: "g_" + fields[1], Type: t, Out: fields[1]}
 			rest := fields[2:]
 			if t == Lut {
 				if len(rest) == 0 || !strings.HasPrefix(rest[len(rest)-1], "@") {
-					return nil, perr(0, "lut gate needs a trailing @<truth-table>")
+					return nil, lr.Errorf(0, "lut gate needs a trailing @<truth-table>")
 				}
 				bits := strings.TrimPrefix(rest[len(rest)-1], "@")
 				rest = rest[:len(rest)-1]
 				if len(rest) > lim.MaxLutInputs {
-					return nil, limErr("lut-inputs", len(rest), lim.MaxLutInputs)
+					return nil, lr.Limit("lut-inputs", len(rest), lim.MaxLutInputs)
 				}
 				g.TT = make([]bool, len(bits))
 				for i, ch := range bits {
@@ -127,28 +120,25 @@ func ReadLimits(r io.Reader, lim Limits) (*Netlist, error) {
 					case '1':
 						g.TT[i] = true
 					default:
-						return nil, perr(fieldCol(line, len(fields)-1), "bad truth-table digit %q", ch)
+						return nil, lr.Errorf(textparse.FieldCol(line, len(fields)-1), "bad truth-table digit %q", ch)
 					}
 				}
 			}
 			for _, in := range rest {
 				fanout[in]++
 				if fanout[in] > lim.MaxFanout {
-					return nil, limErr("fanout", fanout[in], lim.MaxFanout)
+					return nil, lr.Limit("fanout", fanout[in], lim.MaxFanout)
 				}
 			}
 			g.Ins = append([]string(nil), rest...)
 			n.Gates = append(n.Gates, g)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, &ParseError{Format: "netlist", Line: lineNo + 1, Err: &LimitError{Quantity: "line-bytes", Value: lim.MaxLineBytes + 1, Limit: lim.MaxLineBytes}}
-		}
-		return nil, fmt.Errorf("netlist: %w", err)
+	if err := lr.Err(); err != nil {
+		return nil, err
 	}
 	if !sawCircuit {
-		return nil, &ParseError{Format: "netlist", Msg: "missing 'circuit' line (empty or truncated file?)"}
+		return nil, &textparse.ParseError{Format: "netlist", Msg: "missing 'circuit' line (empty or truncated file?)"}
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err

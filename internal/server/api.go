@@ -258,8 +258,8 @@ func (w *muxErrorWriter) Write(b []byte) (int, error) {
 }
 
 // parseRequest turns a JobRequest into an admitted job's inputs.
-// Parse failures return a *netlist.ParseError / *hypergraph.ParseError
-// for the 400 path, with line/column context intact.
+// Parse failures return a *textparse.ParseError for the 400 path,
+// with line/column context intact.
 func (s *Server) parseRequest(req *JobRequest) (*hypergraph.Graph, core.Options, time.Duration, error) {
 	g, err := s.parseCircuit(req)
 	if err != nil {
@@ -295,9 +295,10 @@ func (s *Server) parseRequest(req *JobRequest) (*hypergraph.Graph, core.Options,
 }
 
 // parseCircuit returns the request's circuit graph from the server's
-// circuit cache, parsing it under the configured limits on a miss. Only
-// a parse that ran is observed in the parse phase histogram; a hit
-// counts in fpgapart_circuit_cache_hits_total instead.
+// circuit cache, parsing it under the parsers' default limits on a
+// miss. Only a parse that ran is observed in the parse phase
+// histogram; a hit counts in fpgapart_circuit_cache_hits_total
+// instead.
 func (s *Server) parseCircuit(req *JobRequest) (*hypergraph.Graph, error) {
 	key := circuitKey{format: req.Format, circuit: req.Circuit}
 	switch req.Format {
@@ -318,9 +319,9 @@ func (s *Server) parseCircuit(req *JobRequest) (*hypergraph.Graph, error) {
 			})
 		}()
 		if key.format == "clb" {
-			return hypergraph.ReadLimits(strings.NewReader(req.Circuit), s.cfg.GraphLimits)
+			return hypergraph.Read(strings.NewReader(req.Circuit))
 		}
-		n, err := netlist.ReadLimits(strings.NewReader(req.Circuit), s.cfg.NetLimits)
+		n, err := netlist.Read(strings.NewReader(req.Circuit))
 		if err != nil {
 			return nil, err
 		}
@@ -439,12 +440,6 @@ func parseFailure(w http.ResponseWriter, err error) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, status, apiError{Error: err.Error(), Kind: KindMalformed})
-}
-
-func isParseError(err error) bool {
-	var nperr *netlist.ParseError
-	var hperr *hypergraph.ParseError
-	return errors.As(err, &nperr) || errors.As(err, &hperr)
 }
 
 // handleSubmit admits an asynchronous job: 202 with the job status on

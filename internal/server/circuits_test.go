@@ -87,10 +87,12 @@ func TestCircuitCacheKeysGNLBySeed(t *testing.T) {
 // Rejected circuits are parsed and rejected on every request, with
 // their line context, and never enter the cache.
 func TestCircuitCacheNeverKeepsParseErrors(t *testing.T) {
-	s, ts := newTestServer(t, Config{GraphLimits: hypergraph.Limits{MaxCells: 10}})
+	s, ts := newTestServer(t, Config{})
+	// One cell with 65537 pins, one over the default cap of 1<<16.
+	overPins := "circuit c\ninput a\ncell u0 in=" + strings.Repeat("a,", 1<<16) + "a out=y\n"
 	for _, c := range []struct{ name, body, want string }{
 		{"malformed", "circuit c\ncell u0 area\n", "line 2"},
-		{"over limit", circuitText(t, 120, 1), "cells 11 exceeds limit 10"},
+		{"over limit", overPins, "pins 65537 exceeds limit 65536"},
 	} {
 		for i := 0; i < 3; i++ {
 			resp, err := http.Post(ts.URL+"/v1/partition", "text/plain", strings.NewReader(c.body))

@@ -40,10 +40,10 @@ import (
 	"fpgapart/internal/jobstore"
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
-	"fpgapart/internal/netlist"
 	"fpgapart/internal/search"
 	"fpgapart/internal/span"
 	"fpgapart/internal/telemetry"
+	"fpgapart/internal/textparse"
 )
 
 // Config sizes the service. The zero value selects conservative
@@ -64,10 +64,6 @@ type Config struct {
 	// Library is the device library jobs partition into (empty selects
 	// the engine default, library.XC3000()).
 	Library library.Library
-	// GraphLimits / NetLimits cap parser resource usage for request
-	// bodies (zero values select the parsers' defaults).
-	GraphLimits hypergraph.Limits
-	NetLimits   netlist.Limits
 	// Inject arms deterministic fault injection in every job's engine
 	// (testing only; leave nil in production).
 	Inject *faultinject.Plan
@@ -646,10 +642,9 @@ func classify(err error) string {
 	if errors.As(err, &inf) {
 		return KindInfeasible
 	}
-	var nperr *netlist.ParseError
-	var hperr *hypergraph.ParseError
+	var perr *textparse.ParseError
 	var operr *kway.OptionError
-	if errors.As(err, &nperr) || errors.As(err, &hperr) || errors.As(err, &operr) {
+	if errors.As(err, &perr) || errors.As(err, &operr) {
 		return KindMalformed
 	}
 	if errors.Is(err, context.Canceled) {

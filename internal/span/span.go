@@ -259,9 +259,6 @@ func (s Scope) Tracer() *Tracer { return s.t }
 // TraceID returns the scope's trace (zero when disarmed).
 func (s Scope) TraceID() TraceID { return s.trace }
 
-// ParentID returns the span new children parent under.
-func (s Scope) ParentID() ID { return s.parent }
-
 // Start begins a span. On a disarmed scope it returns a no-op
 // Running without reading the clock or allocating.
 func (s Scope) Start(name string, attempt int) Running {

@@ -28,6 +28,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"fpgapart/internal/textparse"
 )
 
 // MaxSlots bounds the slot count so slot sets fit one machine word.
@@ -401,6 +403,10 @@ func FromArg(arg string) (*Board, error) {
 	return Parse(f)
 }
 
+// maxLineBytes caps one board-file line. Board files are tiny; the
+// cap only bounds what a hostile file can make the reader buffer.
+const maxLineBytes = 1 << 20
+
 // Parse reads the board-description format:
 //
 //	# comment
@@ -409,14 +415,14 @@ func FromArg(arg string) (*Board, error) {
 //	link <a> <b> [cap <c>] [cost <h>]
 //
 // Unspecified cap defaults to 64, cost to 1. Order of link lines is
-// preserved (it fixes routing tie-breaks).
+// preserved (it fixes routing tie-breaks). Syntax errors and over-long
+// lines are *textparse.ParseError; a board that parses but is not
+// valid fails Finalize's checks with a plain error.
 func Parse(r io.Reader) (*Board, error) {
 	b := &Board{}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	lr := textparse.NewReader(r, "topology", maxLineBytes)
+	for lr.Scan() {
+		line := strings.TrimSpace(lr.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -424,32 +430,32 @@ func Parse(r io.Reader) (*Board, error) {
 		switch f[0] {
 		case "board":
 			if len(f) != 2 {
-				return nil, fmt.Errorf("topology: line %d: want 'board <name>'", lineNo)
+				return nil, lr.Errorf(0, "want 'board <name>'")
 			}
 			b.Name = f[1]
 		case "slots":
 			if len(f) != 2 {
-				return nil, fmt.Errorf("topology: line %d: want 'slots <n>'", lineNo)
+				return nil, lr.Errorf(0, "want 'slots <n>'")
 			}
 			n, err := strconv.Atoi(f[1])
 			if err != nil {
-				return nil, fmt.Errorf("topology: line %d: bad slot count %q", lineNo, f[1])
+				return nil, lr.Errorf(0, "bad slot count %q", f[1])
 			}
 			b.Slots = n
 		case "link":
 			if len(f) < 3 {
-				return nil, fmt.Errorf("topology: line %d: want 'link <a> <b> [cap <c>] [cost <h>]'", lineNo)
+				return nil, lr.Errorf(0, "want 'link <a> <b> [cap <c>] [cost <h>]'")
 			}
 			a, err1 := strconv.Atoi(f[1])
 			c, err2 := strconv.Atoi(f[2])
 			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("topology: line %d: bad link endpoints", lineNo)
+				return nil, lr.Errorf(0, "bad link endpoints")
 			}
 			l := Link{A: a, B: c, Capacity: DefaultCapacity, Cost: 1}
 			for i := 3; i+1 < len(f); i += 2 {
 				v, err := strconv.Atoi(f[i+1])
 				if err != nil {
-					return nil, fmt.Errorf("topology: line %d: bad %s value %q", lineNo, f[i], f[i+1])
+					return nil, lr.Errorf(0, "bad %s value %q", f[i], f[i+1])
 				}
 				switch f[i] {
 				case "cap":
@@ -457,16 +463,16 @@ func Parse(r io.Reader) (*Board, error) {
 				case "cost":
 					l.Cost = v
 				default:
-					return nil, fmt.Errorf("topology: line %d: unknown link attribute %q", lineNo, f[i])
+					return nil, lr.Errorf(0, "unknown link attribute %q", f[i])
 				}
 			}
 			b.Links = append(b.Links, l)
 		default:
-			return nil, fmt.Errorf("topology: line %d: unknown directive %q", lineNo, f[0])
+			return nil, lr.Errorf(0, "unknown directive %q", f[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("topology: %w", err)
+	if err := lr.Err(); err != nil {
+		return nil, err
 	}
 	if err := b.Finalize(); err != nil {
 		return nil, err

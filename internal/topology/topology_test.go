@@ -2,15 +2,20 @@ package topology
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"fpgapart/internal/textparse"
 )
 
 // mustBoard curries t so multi-value constructors can be passed
 // directly: mustBoard(t)(Mesh(3, 3, 0)).
-func mustBoard(t *testing.T) func(*Board, error) *Board {
+func mustBoard(t testing.TB) func(*Board, error) *Board {
 	return func(b *Board, err error) *Board {
 		t.Helper()
 		if err != nil {
@@ -251,4 +256,46 @@ link 1 2 cap 2 cost 3
 	if len(links) != 3 {
 		t.Fatalf("route 0–3 uses %d links, want 3", len(links))
 	}
+}
+
+// finalizeErr matches the semantic errors Finalize reports for a board
+// file that parses: everything else Parse rejects must be a
+// *textparse.ParseError.
+var finalizeErr = regexp.MustCompile(`^topology: (-?\d+ slots, want|link -?\d+–-?\d+ (outside slots|capacity|cost)|duplicate link|board .* is disconnected)`)
+
+func FuzzParseBoard(f *testing.F) {
+	for _, b := range []*Board{
+		mustBoard(f)(Mesh(2, 4, 1<<20)),
+		mustBoard(f)(Crossbar(3, 0)),
+		mustBoard(f)(New("asym", 3, []Link{{A: 0, B: 1, Capacity: 4, Cost: 2}, {A: 1, B: 2, Capacity: 9, Cost: 1}})),
+	} {
+		var buf bytes.Buffer
+		if err := b.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	f.Add("board b\nslots 4\nlink 0 1 cap x\n")
+	f.Add("# " + strings.Repeat("x", 70000) + "\nboard b\nslots 4\nlink 0 1\nlink 1 2\nlink 2 3\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		b, err := Parse(strings.NewReader(src))
+		if err != nil {
+			var pe *textparse.ParseError
+			if !errors.As(err, &pe) && !finalizeErr.MatchString(err.Error()) {
+				t.Fatalf("untyped parse failure: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := b.Write(&buf); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		back, err := Parse(&buf)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v\n%s", err, buf.String())
+		}
+		if back.Name != b.Name || back.Slots != b.Slots || !slices.Equal(back.Links, b.Links) {
+			t.Fatalf("round trip changed the board: %+v vs %+v", back, b)
+		}
+	})
 }
