@@ -9,10 +9,10 @@
 // Usage:
 //
 //	kpart [-t 1] [-solutions 50] [-seed 1] [-timeout 30s] [-gate] [-v]
-//	      [-store dir] [-resume dir] [-checkpoint-every 1] circuit.clb
+//	      [-store dir] [-resume dir] circuit.clb
 //
 // With -store, the search reduction is persisted to a crash-safe
-// append-only store after every -checkpoint-every folded attempts;
+// append-only store after every folded attempt;
 // -resume continues an interrupted run from the newest checkpoint
 // (the trace stream reports the resume point as resumed_from_attempt).
 // The store records the circuit path and every flag that shapes the
@@ -116,9 +116,8 @@ func (cfg *runConfig) bindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&cfg.board, "board", "", "multi-FPGA board topology: a spec (crossbar:N[:CAP], linear:N[:CAP], mesh:RxC[:CAP]) or a board-description file; switches the search to the hop-weighted interconnect objective")
 	fs.StringVar(&cfg.metricsOut, "metrics-out", "", "write a final metrics snapshot (Prometheus text format 0.0.4) to this file")
 	fs.StringVar(&cfg.traceOut, "trace-out", "", "record the run as a span tree and write it as Chrome trace_event JSON (load in Perfetto or chrome://tracing) to this file")
-	fs.StringVar(&cfg.storeDir, "store", "", "durable checkpoint store directory: the search reduction is persisted every -checkpoint-every folded attempts so an interrupted run can continue with -resume")
+	fs.StringVar(&cfg.storeDir, "store", "", "durable checkpoint store directory: the search reduction is persisted after every folded attempt so an interrupted run can continue with -resume")
 	fs.StringVar(&cfg.resumeDir, "resume", "", "resume an interrupted run from the newest checkpoint in this store directory (implies -store DIR; flags and circuit must match the original run)")
-	fs.IntVar(&cfg.ckptEvery, "checkpoint-every", 1, "durable checkpoint cadence in folded attempts (with -store)")
 }
 
 // exitCode maps failure modes to the documented exit codes. The budget
@@ -165,7 +164,6 @@ type runConfig struct {
 	board         string
 	storeDir      string
 	resumeDir     string
-	ckptEvery     int
 }
 
 // cliJobID is the fixed job identity a CLI run records in its store;
@@ -389,7 +387,6 @@ func run(cfg runConfig) error {
 		Spans:         scope,
 	}
 	if store != nil {
-		opts.CheckpointEvery = cfg.ckptEvery
 		opts.Checkpoint = func(cp kway.SearchCheckpoint) {
 			if err := store.AppendCheckpoint(cliJobID, cp); err != nil && storeErr == nil {
 				storeErr = fmt.Errorf("checkpoint store: %w", err)

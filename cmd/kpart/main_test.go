@@ -304,6 +304,17 @@ func TestExitCodes(t *testing.T) {
 	if got := exitCode(fmt.Errorf("wrap: %w", &textparse.ParseError{Format: "hypergraph", Line: 7})); got != 4 {
 		t.Fatalf("hypergraph parse error -> %d, want 4", got)
 	}
+	// A circuit that parses but fails validation is malformed input too.
+	path := filepath.Join(t.TempDir(), "invalid.clb")
+	if err := os.WriteFile(path, []byte("circuit 0\ninput 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := capture(t, func() error {
+		return run(runConfig{path: path, threshold: 1, solutions: 1, seed: 1})
+	})
+	if got := exitCode(err); got != 4 {
+		t.Fatalf("circuit failing validation (%v) -> %d, want 4", err, got)
+	}
 }
 
 // Truncated or malformed input must surface line context and map to
@@ -428,7 +439,7 @@ func TestRunStoreAndResume(t *testing.T) {
 	stats := filepath.Join(t.TempDir(), "stats.jsonl")
 	out, err := capture(t, func() error {
 		return run(runConfig{path: path, threshold: 1, solutions: 6, seed: 9,
-			resumeDir: dir, ckptEvery: 1, statsJSON: stats})
+			resumeDir: dir, statsJSON: stats})
 	})
 	if err != nil {
 		t.Fatalf("resume must exit 0, got: %v", err)
@@ -465,7 +476,7 @@ func TestRunStoreAndResume(t *testing.T) {
 		t.Fatal("store not marked done after the resumed run completed")
 	}
 	out2, err := capture(t, func() error {
-		return run(runConfig{path: path, threshold: 1, solutions: 6, seed: 9, resumeDir: dir, ckptEvery: 1})
+		return run(runConfig{path: path, threshold: 1, solutions: 6, seed: 9, resumeDir: dir})
 	})
 	if err != nil {
 		t.Fatalf("second resume must exit 0, got: %v", err)
@@ -481,7 +492,7 @@ func TestRunStoreAndResume(t *testing.T) {
 func TestResumeRejectsDifferentRun(t *testing.T) {
 	path := writeCLB(t)
 	dir := filepath.Join(t.TempDir(), "store")
-	base := runConfig{path: path, threshold: 1, solutions: 2, seed: 9, ckptEvery: 1}
+	base := runConfig{path: path, threshold: 1, solutions: 2, seed: 9}
 	orig := base
 	orig.storeDir = dir
 	if _, err := capture(t, func() error { return run(orig) }); err != nil {

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	kpartd [-addr :8080] [-workers 2] [-queue 8] [-default-timeout 30s]
-//	       [-max-timeout 5m] [-drain-timeout 30s] [-inject spec]
-//	       [-store dir] [-checkpoint-every 1]
+//	       [-max-timeout 5m] [-drain-timeout 30s] [-store dir]
 //	       [-attempt-timeout 2m] [-tries 3] [-hedge-after 0]
 //	       [-pprof] [-log-json]
 //
@@ -65,7 +64,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -77,7 +75,6 @@ import (
 	"time"
 
 	"fpgapart/internal/coord"
-	"fpgapart/internal/faultinject"
 	"fpgapart/internal/jobstore"
 	"fpgapart/internal/server"
 	"fpgapart/internal/telemetry"
@@ -90,9 +87,7 @@ func main() {
 	defTimeout := flag.Duration("default-timeout", 30*time.Second, "per-job search budget when the request sets none")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested search budgets")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before cutting them")
-	inject := flag.String("inject", "", "deterministic fault plan, e.g. 'panic@attempt=2' (testing only)")
 	storeDir := flag.String("store", "", "durable job store directory (WAL + snapshot); restart recovers interrupted jobs and replays completed ones")
-	ckptEvery := flag.Int("checkpoint-every", 1, "durable search checkpoint cadence in folded attempts (with -store)")
 	attemptTimeout := flag.Duration("attempt-timeout", 2*time.Minute, "coordinator mode: per-attempt deadline for one worker RPC")
 	tries := flag.Int("tries", 3, "coordinator mode: tries per attempt across the worker ring before local fallback")
 	hedgeAfter := flag.Duration("hedge-after", 0, "coordinator mode: duplicate a straggling attempt on the next worker after this delay (0 disables hedging)")
@@ -107,15 +102,6 @@ func main() {
 		h = slog.NewTextHandler(os.Stderr, nil)
 	}
 	logger := slog.New(h).With("component", "kpartd")
-
-	plan, err := faultinject.Parse(*inject)
-	if err != nil {
-		logger.Error("bad -inject", "err", err)
-		os.Exit(2)
-	}
-	if plan != nil {
-		logger.Warn("fault injection ARMED (testing only)", "rules", fmt.Sprint(plan.Rules()))
-	}
 
 	// -workers is polymorphic: "4" sizes the local pool, a URL list
 	// selects coordinator mode (the local pool keeps its default size
@@ -137,7 +123,10 @@ func main() {
 	}
 
 	reg := telemetry.NewRegistry()
-	var store *jobstore.Store
+	var (
+		store *jobstore.Store
+		err   error
+	)
 	if *storeDir != "" {
 		var recovered []*jobstore.Job
 		store, recovered, err = jobstore.Open(jobstore.Options{
@@ -177,16 +166,14 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Workers:         poolSize,
-		QueueDepth:      *queue,
-		DefaultTimeout:  *defTimeout,
-		MaxTimeout:      *maxTimeout,
-		Inject:          plan,
-		Logger:          logger,
-		Metrics:         reg,
-		EnablePprof:     *pprofOn,
-		Store:           store,
-		CheckpointEvery: *ckptEvery,
+		Workers:        poolSize,
+		QueueDepth:     *queue,
+		DefaultTimeout: *defTimeout,
+		MaxTimeout:     *maxTimeout,
+		Logger:         logger,
+		Metrics:        reg,
+		EnablePprof:    *pprofOn,
+		Store:          store,
 	}
 	if pool != nil {
 		cfg.Distribute = pool.Distribute

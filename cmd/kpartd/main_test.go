@@ -182,7 +182,7 @@ func TestCrashRecovery(t *testing.T) {
 	// A generous search budget: a wall-clock stop would make the
 	// result timing-dependent and break the byte-identity assertion.
 	daemonArgs := func(addr string) []string {
-		return []string{"-addr", addr, "-workers", "1", "-store", storeDir, "-checkpoint-every", "1",
+		return []string{"-addr", addr, "-workers", "1", "-store", storeDir,
 			"-default-timeout", "2m", "-drain-timeout", "2s", "-log-json"}
 	}
 

@@ -230,7 +230,7 @@ func (e *attemptError) Error() string { return e.msg }
 // events and the result are interchangeable with a local run's. It
 // matches server.Config.Distribute: req is the submission to forward
 // (a gnl circuit already mapped to .clb text), opts the parsed options
-// carrying the durability plumbing (Checkpoint/CheckpointEvery/Resume),
+// carrying the durability plumbing (Checkpoint/Resume),
 // the search shape (Solutions/Seed/MaxStale) and the observability
 // hook (Spans and its sink).
 func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core.Options) (*server.JobResult, error) {
@@ -243,14 +243,13 @@ func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core
 	// Every remote attempt hangs its rpc spans (and the worker's ingested
 	// spans) off its own attempt span under the reducer's search span.
 	best, fs, err := kway.Reduce(ctx, kway.Options{
-		Solutions:       opts.Solutions,
-		Seed:            opts.Seed,
-		Workers:         p.cfg.Concurrency,
-		MaxStale:        opts.MaxStale,
-		Checkpoint:      opts.Checkpoint,
-		CheckpointEvery: opts.CheckpointEvery,
-		Resume:          opts.Resume,
-		Spans:           opts.Spans,
+		Solutions:  opts.Solutions,
+		Seed:       opts.Seed,
+		Workers:    p.cfg.Concurrency,
+		MaxStale:   opts.MaxStale,
+		Checkpoint: opts.Checkpoint,
+		Resume:     opts.Resume,
+		Spans:      opts.Spans,
 	}, kway.Reducer[*server.JobResult]{
 		NewAttempt: func() search.AttemptFunc[*server.JobResult] {
 			return func(ctx context.Context, attempt int, seed int64) (*server.JobResult, error) {

@@ -79,10 +79,6 @@ type BipartitionOptions struct {
 	// Threshold is the replication threshold T (NoReplication disables;
 	// the paper's first experiment uses T = 0 for maximum replication).
 	Threshold int
-	// Balance is the allowed deviation from an equal split (default
-	// 0.05, i.e. each block holds 45–55% of the area, with 10% headroom
-	// for replication growth).
-	Balance float64
 	// Starts is the number of random initial partitions (default 1).
 	Starts int
 	// RefineWorkers selects the FM engine (see Options.RefineWorkers).
@@ -92,13 +88,14 @@ type BipartitionOptions struct {
 
 // MinCutBipartition reproduces the paper's first experiment on one
 // circuit: bipartition into two (nearly) equal blocks minimizing the
-// cut, optionally with functional replication. The returned state
-// exposes the assignment, replication set and cut.
+// cut, optionally with functional replication. Each block holds 45–55%
+// of the area, with 10% headroom for replication growth (the expansion
+// the paper reports, CLB utilization up to ~90%); plain and
+// replication runs get the same bounds, so a replication run from the
+// same seed is a strict refinement of its plain run. The returned
+// state exposes the assignment, replication set and cut.
 func MinCutBipartition(g *hypergraph.Graph, opts BipartitionOptions) (*replication.State, fm.Result, error) {
-	if opts.Balance == 0 {
-		opts.Balance = 0.05
-	}
-	minA, maxA := fm.Balance(g.TotalArea(), opts.Balance)
+	minA, maxA := fm.Balance(g.TotalArea(), 0.05)
 	maxA = [2]int{maxA[0] * 11 / 10, maxA[1] * 11 / 10}
 	return fm.Bipartition(g, fm.Options{
 		Config: fm.Config{

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"fpgapart/internal/bench"
+	"fpgapart/internal/core"
 	"fpgapart/internal/fm"
-	"fpgapart/internal/replication"
 	"fpgapart/internal/report"
 )
 
@@ -26,8 +26,9 @@ type CutRow struct {
 // TableIII reproduces the first experiment: Runs bipartitions per
 // circuit into two equal-sized blocks with terminal constraints
 // relaxed, threshold T = 0 (maximum replication), comparing plain F-M
-// against F-M with functional replication. Both algorithms start from
-// the same initial partition in each run.
+// against F-M with functional replication. Each run is a pair of
+// core.MinCutBipartition calls on one seed, so both algorithms start
+// from the same initial partition under the same area bounds.
 func TableIII(cfg Config) ([]CutRow, *report.Table, error) {
 	cfg = cfg.withDefaults()
 	rows, err := forEachCircuit(cfg, func(ct bench.Circuit) (CutRow, error) {
@@ -35,25 +36,14 @@ func TableIII(cfg Config) ([]CutRow, *report.Table, error) {
 		if err != nil {
 			return CutRow{}, err
 		}
-		minA, maxA := fm.Balance(g.TotalArea(), 0.05)
-		// Replication may grow a block past the plain bound; allow the
-		// expansion the paper reports (CLB utilization up to ~90%).
-		// Both algorithms get the same bounds so that each FR run is a
-		// strict refinement of its paired FM run.
-		maxA = [2]int{maxA[0] * 11 / 10, maxA[1] * 11 / 10}
 		row := CutRow{Name: ct.Name, Runs: cfg.Runs}
 		var frCells int
 		for run := 0; run < cfg.Runs; run++ {
 			seed := cfg.Seed + int64(run)*7919 + int64(ct.Params.Seed)
-			assign := fm.RandomAssign(g, seed)
 
 			start := time.Now()
-			stFM, err := replication.NewState(g, assign)
-			if err != nil {
-				return CutRow{}, err
-			}
-			resFM, err := fm.Run(stFM, fm.Config{
-				MinArea: minA, MaxArea: maxA, Threshold: fm.NoReplication, Seed: seed,
+			_, resFM, err := core.MinCutBipartition(g, core.BipartitionOptions{
+				Threshold: fm.NoReplication, Starts: 1, Seed: seed,
 			})
 			if err != nil {
 				return CutRow{}, err
@@ -61,12 +51,8 @@ func TableIII(cfg Config) ([]CutRow, *report.Table, error) {
 			row.FMCPU += time.Since(start)
 
 			start = time.Now()
-			stFR, err := replication.NewState(g, assign)
-			if err != nil {
-				return CutRow{}, err
-			}
-			resFR, err := fm.Run(stFR, fm.Config{
-				MinArea: minA, MaxArea: maxA, Threshold: 0, Seed: seed,
+			stFR, resFR, err := core.MinCutBipartition(g, core.BipartitionOptions{
+				Threshold: 0, Starts: 1, Seed: seed,
 			})
 			if err != nil {
 				return CutRow{}, err

@@ -16,10 +16,9 @@ import (
 )
 
 // Config controls experiment scale. The zero value reproduces the
-// paper's full setup on the complete benchmark suite.
+// paper's full setup on the complete benchmark suite (bench.Suite) and
+// the XC3000 library (Table I).
 type Config struct {
-	// Circuits defaults to bench.Suite().
-	Circuits []bench.Circuit
 	// Scale divides every circuit's size by this factor (0/1 = full
 	// size); used by `go test -bench` for fast, shape-preserving runs.
 	Scale int
@@ -29,63 +28,52 @@ type Config struct {
 	// Solutions is the number of feasible k-way solutions generated per
 	// run (paper: 50).
 	Solutions int
-	// Thresholds are the replication thresholds T examined by the
-	// k-way experiment (paper: 0,1,2,3).
-	Thresholds []int
 	// Workers bounds experiment parallelism (default: GOMAXPROCS).
 	Workers int
 	Seed    int64
-	Library library.Library
 }
 
 func (c Config) withDefaults() Config {
-	if c.Circuits == nil {
-		c.Circuits = bench.Suite()
-	}
-	if c.Scale > 1 {
-		scaled := make([]bench.Circuit, len(c.Circuits))
-		for i, ct := range c.Circuits {
-			scaled[i] = ct.Small(c.Scale)
-		}
-		c.Circuits = scaled
-	}
 	if c.Runs == 0 {
 		c.Runs = 20
 	}
 	if c.Solutions == 0 {
 		c.Solutions = 50
 	}
-	if c.Thresholds == nil {
-		c.Thresholds = []int{0, 1, 2, 3}
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if len(c.Library.Devices) == 0 {
-		c.Library = library.XC3000()
-	}
 	return c
+}
+
+// circuits returns the benchmark suite at the configured scale.
+func (c Config) circuits() []bench.Circuit {
+	suite := bench.Suite()
+	if c.Scale > 1 {
+		for i, ct := range suite {
+			suite[i] = ct.Small(c.Scale)
+		}
+	}
+	return suite
 }
 
 // forEachCircuit runs fn over the circuits on the shared search pool
 // with bounded parallelism, collecting results in input order; the
 // first failing circuit (by input order) aborts the run.
 func forEachCircuit[T any](cfg Config, fn func(bench.Circuit) (T, error)) ([]T, error) {
-	if len(cfg.Circuits) == 0 {
-		return nil, nil
-	}
-	out := make([]T, len(cfg.Circuits))
+	circuits := cfg.circuits()
+	out := make([]T, len(circuits))
 	var failed error
 	_, err := search.Run(context.Background(), search.Options{
-		Attempts: len(cfg.Circuits),
+		Attempts: len(circuits),
 		Workers:  cfg.Workers,
 	}, func() search.AttemptFunc[T] {
 		return func(_ context.Context, i int, _ int64) (T, error) {
-			return fn(cfg.Circuits[i])
+			return fn(circuits[i])
 		}
 	}, func(i int, v T, err error) bool {
 		if err != nil {
-			failed = fmt.Errorf("expt: circuit %s: %w", cfg.Circuits[i].Name, err)
+			failed = fmt.Errorf("expt: circuit %s: %w", circuits[i].Name, err)
 			return true
 		}
 		out[i] = v

@@ -26,7 +26,7 @@ type HomogRow struct {
 // the area lower bound.
 func TableHomogeneous(cfg Config) ([]HomogRow, *report.Table, error) {
 	cfg = cfg.withDefaults()
-	dev := cfg.Library.Largest()
+	dev := library.XC3000().Largest()
 	dev.LowUtil = 0 // any remainder must fit somewhere
 	lib, err := library.Homogeneous(dev)
 	if err != nil {

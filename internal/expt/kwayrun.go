@@ -32,8 +32,9 @@ type KwayRow struct {
 }
 
 // RunKway executes the second experiment: cost-driven k-way
-// partitioning with functional replication at thresholds T, against
-// the DAC'93-style baseline. This single pass feeds Tables IV–VII.
+// partitioning into the XC3000 library with functional replication at
+// the paper's thresholds T ∈ {0,1,2,3}, against the DAC'93-style
+// baseline. This single pass feeds Tables IV–VII.
 func RunKway(cfg Config) ([]KwayRow, error) {
 	cfg = cfg.withDefaults()
 	return forEachCircuit(cfg, func(ct bench.Circuit) (KwayRow, error) {
@@ -45,7 +46,6 @@ func RunKway(cfg Config) ([]KwayRow, error) {
 		run := func(threshold int) KwayCell {
 			start := time.Now()
 			res, err := kway.Partition(g, kway.Options{
-				Library:   cfg.Library,
 				Threshold: &threshold,
 				Solutions: cfg.Solutions,
 				Seed:      cfg.Seed + int64(ct.Params.Seed),
@@ -63,7 +63,7 @@ func RunKway(cfg Config) ([]KwayRow, error) {
 			return cell
 		}
 		row.Baseline = run(fm.NoReplication)
-		for _, T := range cfg.Thresholds {
+		for _, T := range []int{0, 1, 2, 3} {
 			row.ByT[T] = run(T)
 		}
 		return row, nil

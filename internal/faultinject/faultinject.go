@@ -124,23 +124,6 @@ type Rule struct {
 	Count int
 }
 
-func (r Rule) String() string {
-	s := fmt.Sprintf("%s@%s", r.Kind, r.Site)
-	if r.Index != Any {
-		s += fmt.Sprintf("=%d", r.Index)
-	}
-	if r.Attempt != Any {
-		s += fmt.Sprintf(",attempt=%d", r.Attempt)
-	}
-	if r.Kind == KindDelay {
-		s += fmt.Sprintf(",delay=%s", r.Delay)
-	}
-	if r.Count != 0 {
-		s += fmt.Sprintf(",count=%d", r.Count)
-	}
-	return s
-}
-
 // PanicAtAttempt schedules a panic at the start of attempt n.
 func PanicAtAttempt(n int) Rule {
 	return Rule{Site: SiteAttempt, Kind: KindPanic, Attempt: n, Index: Any}
@@ -241,13 +224,6 @@ type Plan struct {
 // NewPlan arms a plan with the given rules.
 func NewPlan(rules ...Rule) *Plan {
 	return &Plan{rules: rules, fired: make([]int, len(rules))}
-}
-
-// Rules returns a copy of the plan's rule list.
-func (p *Plan) Rules() []Rule {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Rule(nil), p.rules...)
 }
 
 // Firings returns a copy of the firing log, in firing order.

@@ -131,57 +131,3 @@ func TestConcurrentAt(t *testing.T) {
 		t.Fatalf("logged %d firings, want 800", got)
 	}
 }
-
-func TestParse(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		want []Rule
-	}{
-		{"", nil},
-		{"panic@attempt=2", []Rule{{Site: SiteAttempt, Kind: KindPanic, Attempt: 2, Index: Any}}},
-		{"delay@pass,delay=2ms", []Rule{{Site: SitePass, Kind: KindDelay, Attempt: Any, Index: Any, Delay: 2 * time.Millisecond}}},
-		{"cancel@carve=1,attempt=0", []Rule{{Site: SiteCarve, Kind: KindCancel, Attempt: 0, Index: 1}}},
-		{"alloccap@carve,count=3", []Rule{{Site: SiteCarve, Kind: KindAllocCap, Attempt: Any, Index: Any, Count: 3}}},
-		{"panic@attempt=1; delay@attempt,delay=1ms", []Rule{
-			{Site: SiteAttempt, Kind: KindPanic, Attempt: 1, Index: Any},
-			{Site: SiteAttempt, Kind: KindDelay, Attempt: Any, Index: Any, Delay: time.Millisecond},
-		}},
-	} {
-		p, err := Parse(tc.spec)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", tc.spec, err)
-		}
-		if tc.want == nil {
-			if p != nil {
-				t.Fatalf("Parse(%q) = %v, want nil plan", tc.spec, p.Rules())
-			}
-			continue
-		}
-		got := p.Rules()
-		if len(got) != len(tc.want) {
-			t.Fatalf("Parse(%q): %d rules, want %d", tc.spec, len(got), len(tc.want))
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("Parse(%q) rule %d = %+v, want %+v", tc.spec, i, got[i], tc.want[i])
-			}
-		}
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, spec := range []string{
-		"boom@attempt",         // unknown kind
-		"panic@nowhere",        // unknown site
-		"panic",                // missing @site
-		"delay@pass",           // delay rule without duration
-		"panic@attempt=x",      // bad index
-		"panic@pass,count=0",   // bad count
-		"panic@pass,wat=1",     // unknown option
-		"delay@pass,delay=-1s", // negative delay
-	} {
-		if _, err := Parse(spec); err == nil {
-			t.Fatalf("Parse(%q) accepted", spec)
-		}
-	}
-}

@@ -83,7 +83,8 @@ func Read(r io.Reader) (*Graph, error) {
 // limit fails fast with a *textparse.ParseError wrapping a
 // *textparse.LimitError instead of driving unbounded allocation.
 // Syntax errors are *textparse.ParseError too, carrying the 1-based
-// line and, where known, the column of the offending token.
+// line and, where known, the column of the offending token, and so is
+// a file that parses but fails validation (textparse.Invalid).
 func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 	lim = lim.withDefaults()
 	lr := textparse.NewReader(r, "hypergraph", lim.MaxLineBytes)
@@ -255,5 +256,9 @@ func ReadLimits(r io.Reader, lim Limits) (*Graph, error) {
 	if b == nil {
 		return nil, &textparse.ParseError{Format: "hypergraph", Msg: "missing 'circuit' line (empty or truncated file?)"}
 	}
-	return b.Build()
+	g, err := b.Build()
+	if err != nil {
+		return nil, textparse.Invalid("hypergraph", err)
+	}
+	return g, nil
 }

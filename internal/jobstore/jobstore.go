@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"fpgapart/internal/faultinject"
-	"fpgapart/internal/span"
 	"fpgapart/internal/telemetry"
 )
 
@@ -153,11 +152,6 @@ type Options struct {
 	// completes) — a KindPanic rule there leaves a genuine torn tail.
 	// Testing only.
 	Inject *faultinject.Plan
-	// Spans, when armed, times the startup recovery (snapshot load +
-	// WAL replay) as a "wal-replay" span, so a restarted daemon's
-	// flight recorder shows what recovery cost. The disarmed zero
-	// value is inert.
-	Spans span.Scope
 }
 
 // Store is an open job store, safe for concurrent use. Appends are
@@ -197,16 +191,10 @@ func Open(opts Options) (*Store, []*Job, error) {
 		inj:  opts.Inject,
 		jobs: make(map[string]*Job),
 	}
-	replaySpan := opts.Spans.Start("wal-replay", -1)
 	s.loadSnapshot()
 	if err := s.replayWAL(); err != nil {
-		replaySpan.End()
 		return nil, nil, err
 	}
-	if replaySpan.Scope().Enabled() {
-		replaySpan.Detail(fmt.Sprintf("jobs=%d", len(s.ord)))
-	}
-	replaySpan.End()
 	f, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobstore: %w", err)

@@ -116,16 +116,12 @@ type Options struct {
 	// TestBoardPathGolden pins the board path.
 	Board *topology.Board
 	// Checkpoint, when non-nil, receives a SearchCheckpoint snapshot of
-	// the index-ordered reduction every CheckpointEvery folded attempts
-	// (and at the final fold). Snapshots arrive from the single-threaded
-	// reducer in strict attempt order, so callers may persist them
-	// without synchronization; emission never perturbs search decisions,
+	// the index-ordered reduction after every folded attempt. Snapshots
+	// arrive from the single-threaded reducer in strict attempt order,
+	// so callers may persist them without synchronization; emission never perturbs search decisions,
 	// so fixed-seed results are byte-identical with or without it. A nil
 	// hook costs one predicted branch per fold.
 	Checkpoint func(SearchCheckpoint)
-	// CheckpointEvery is the checkpoint cadence in folded attempts
-	// (default 1 = every fold). Ignored when Checkpoint is nil.
-	CheckpointEvery int
 	// Resume, when non-nil, restarts the search from a persisted
 	// checkpoint instead of attempt 0: the incumbent best attempt is
 	// replayed deterministically (events and fault injection suppressed
@@ -280,7 +276,6 @@ func (o Options) withDefaults() (Options, error) {
 		{"MultilevelMinCells", o.MultilevelMinCells, 0},
 		{"Workers", o.Workers, 0},
 		{"RefineWorkers", o.RefineWorkers, 0},
-		{"CheckpointEvery", o.CheckpointEvery, 0},
 	}
 	if o.Threshold != nil {
 		checks = append(checks, OptionError{"Threshold", *o.Threshold, fm.NoReplication})
@@ -295,9 +290,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.MultilevelMinCells == 0 {
 		o.MultilevelMinCells = 512
-	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = 1
 	}
 	if len(o.Library.Devices) == 0 {
 		o.Library = library.XC3000()

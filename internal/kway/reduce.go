@@ -66,14 +66,14 @@ type Reducer[S any] struct {
 // owns everything about the fold both the local engine and a
 // coordinator fanning attempts out to remote workers need to agree on
 // byte for byte — the fold state (a SearchCheckpoint plus the
-// incumbent), the MaxStale stop, the checkpoint snapshots and their
-// cadence, resume validation and the replay of the incumbent attempt,
-// the trace events and spans of the reduction, and the mapping of the
-// outcome to *InfeasibleError, *search.ErrBudget and FoldStats.Stopped;
+// incumbent), the MaxStale stop, the per-fold checkpoint snapshots,
+// resume validation and the replay of the incumbent attempt, the trace
+// events and spans of the reduction, and the mapping of the outcome to
+// *InfeasibleError, *search.ErrBudget and FoldStats.Stopped;
 // internal/search only runs the attempt pool. Of opts it reads only
 // the search shape (Solutions, Seed, Workers, MaxStale), the
-// durability plumbing (Checkpoint, CheckpointEvery, Resume) and the
-// observability hooks (Spans and its sink, Inject).
+// durability plumbing (Checkpoint, Resume) and the observability hooks
+// (Spans and its sink, Inject).
 func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs FoldStats, err error) {
 	if opts, err = opts.withDefaults(); err != nil {
 		return best, fs, err
@@ -180,7 +180,7 @@ func Reduce[S any](ctx context.Context, opts Options, r Reducer[S]) (best S, fs 
 				Topo: sc.Topo, HasTopo: sc.HasTopo,
 			})
 		}
-		if opts.Checkpoint != nil && (st.Folded%opts.CheckpointEvery == 0 || st.Folded == opts.Solutions) {
+		if opts.Checkpoint != nil {
 			cp := st
 			cp.PanickedSeeds = slices.Clone(st.PanickedSeeds)
 			opts.Spans.Event(trace.Event{Kind: trace.KindCheckpoint, Attempt: attempt, Folded: st.Folded, BestAttempt: st.BestAttempt})

@@ -68,7 +68,6 @@ func runCheckpointed(t *testing.T, opts kway.Options, p *bench.Params) (kway.Res
 		opts.Spans = tracer.Root(span.DeriveTraceID("resume", opts.Seed, opts.Solutions), 0)
 	}
 	opts.Spans = opts.Spans.WithSink(rec)
-	opts.CheckpointEvery = 1
 	opts.Checkpoint = func(cp kway.SearchCheckpoint) { cps = append(cps, cp) }
 	res, err := kway.Partition(g, opts)
 	if err != nil {

@@ -197,7 +197,7 @@ func ReadBLIFLimits(r io.Reader, lim Limits) (*Netlist, error) {
 		return nil, &textparse.ParseError{Format: "blif", Msg: "missing .model (empty or truncated file?)"}
 	}
 	if err := n.Validate(); err != nil {
-		return nil, err
+		return nil, textparse.Invalid("blif", err)
 	}
 	return n, nil
 }

@@ -61,7 +61,8 @@ func Read(r io.Reader) (*Netlist, error) {
 // limit fails fast with a *textparse.ParseError wrapping a
 // *textparse.LimitError instead of driving unbounded allocation.
 // Syntax errors are *textparse.ParseError too, carrying the 1-based
-// line and, where known, the column of the offending token.
+// line and, where known, the column of the offending token, and so is
+// a file that parses but fails validation (textparse.Invalid).
 func ReadLimits(r io.Reader, lim Limits) (*Netlist, error) {
 	lim = lim.withDefaults()
 	lr := textparse.NewReader(r, "netlist", lim.MaxLineBytes)
@@ -141,7 +142,7 @@ func ReadLimits(r io.Reader, lim Limits) (*Netlist, error) {
 		return nil, &textparse.ParseError{Format: "netlist", Msg: "missing 'circuit' line (empty or truncated file?)"}
 	}
 	if err := n.Validate(); err != nil {
-		return nil, err
+		return nil, textparse.Invalid("netlist", err)
 	}
 	return n, nil
 }

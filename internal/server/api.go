@@ -266,7 +266,6 @@ func (s *Server) parseRequest(req *JobRequest) (*hypergraph.Graph, core.Options,
 		return nil, core.Options{}, 0, err
 	}
 	opts := core.Options{
-		Library:       s.cfg.Library,
 		Threshold:     req.Threshold,
 		Solutions:     req.Solutions,
 		Seed:          req.Seed,
@@ -416,11 +415,14 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (*JobRequest, error) 
 	return req, nil
 }
 
+// retryAfter is the Retry-After hint, in seconds, of a 429 response.
+const retryAfter = "1"
+
 // admissionError writes the non-202 admission outcomes.
 func (s *Server) admissionError(w http.ResponseWriter, status int) {
 	switch status {
 	case http.StatusTooManyRequests:
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, status, apiError{Error: "job queue full, retry later", Kind: KindOverload})
 	case http.StatusServiceUnavailable:
 		writeJSON(w, status, apiError{Error: "server is draining", Kind: KindDraining})

@@ -39,7 +39,6 @@ import (
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/jobstore"
 	"fpgapart/internal/kway"
-	"fpgapart/internal/library"
 	"fpgapart/internal/search"
 	"fpgapart/internal/span"
 	"fpgapart/internal/telemetry"
@@ -59,11 +58,6 @@ type Config struct {
 	// budgets (default 5m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
-	// Library is the device library jobs partition into (empty selects
-	// the engine default, library.XC3000()).
-	Library library.Library
 	// Inject arms deterministic fault injection in every job's engine
 	// (testing only; leave nil in production).
 	Inject *faultinject.Plan
@@ -102,9 +96,6 @@ type Config struct {
 	// re-enqueued with the "recovered" flag and resume from their last
 	// checkpoint to the byte-identical fixed-seed result.
 	Store *jobstore.Store
-	// CheckpointEvery is the durable checkpoint cadence in folded
-	// attempts (default 1; ignored without Store).
-	CheckpointEvery int
 	// Distribute, when non-nil, switches the server into coordinator
 	// mode: instead of running the search locally, every job is handed
 	// to this hook, which fans the attempts out to remote workers (see
@@ -130,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout == 0 {
 		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -511,7 +499,6 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	if s.cfg.Store != nil {
 		id := j.id
-		j.opts.CheckpointEvery = s.cfg.CheckpointEvery
 		j.opts.Checkpoint = func(cp kway.SearchCheckpoint) {
 			s.persist(id, "checkpoint", func() error {
 				return s.cfg.Store.AppendCheckpoint(id, cp)

@@ -183,18 +183,24 @@ func TestExplicitThresholdZero(t *testing.T) {
 
 func TestMalformedCircuit400(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/partition", "text/plain", strings.NewReader("circuit c\ncell u0 area\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var e apiError
-	json.NewDecoder(resp.Body).Decode(&e)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	if e.Kind != KindMalformed || !strings.Contains(e.Error, "line 2") {
-		t.Fatalf("error should carry parse position: %+v", e)
+	for _, c := range []struct{ body, want string }{
+		{"circuit c\ncell u0 area\n", "line 2"},
+		// Parses, but fails validation.
+		{"circuit 0\ninput 0\n", `hypergraph "0": net "0" has no sinks`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/partition", "text/plain", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400", c.body, resp.StatusCode)
+		}
+		if e.Kind != KindMalformed || !strings.Contains(e.Error, c.want) {
+			t.Fatalf("%q: error should carry %q: %+v", c.body, c.want, e)
+		}
 	}
 }
 
@@ -244,7 +250,7 @@ func TestAdmissionControl429(t *testing.T) {
 	// One worker, queue depth one, and every attempt sleeps: the third
 	// (at the latest: fifth) submission must be shed with 429.
 	plan := faultinject.NewPlan(faultinject.DelayAtAttempt(faultinject.Any, 300*time.Millisecond))
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Inject: plan, RetryAfter: 2 * time.Second})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Inject: plan})
 	circuit := circuitText(t, 120, 1)
 	saw429 := false
 	for i := 0; i < 5 && !saw429; i++ {
@@ -253,8 +259,8 @@ func TestAdmissionControl429(t *testing.T) {
 		case http.StatusAccepted:
 		case http.StatusTooManyRequests:
 			saw429 = true
-			if ra := resp.Header.Get("Retry-After"); ra != "2" {
-				t.Fatalf("Retry-After = %q, want \"2\"", ra)
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				t.Fatalf("Retry-After = %q, want \"1\"", ra)
 			}
 		default:
 			t.Fatalf("submit %d: unexpected status %d", i, resp.StatusCode)

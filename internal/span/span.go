@@ -125,8 +125,6 @@ type Options struct {
 	// Origin seeds the top 24 bits of every span ID minted by this
 	// tracer (0 = crypto/rand). Fix it in tests for stable IDs.
 	Origin uint64
-	// FlightSize bounds the flight-recorder ring (default 256).
-	FlightSize int
 	// MaxTraces bounds the number of distinct traces the collector
 	// retains, oldest-first eviction (default 64).
 	MaxTraces int
@@ -134,6 +132,9 @@ type Options struct {
 	// overflow is counted, not silently lost (default 8192).
 	MaxSpansPerTrace int
 }
+
+// flightSize bounds every tracer's flight-recorder ring.
+const flightSize = 256
 
 // Tracer mints span IDs and routes completed spans to the process's
 // flight recorder and trace collector. Safe for concurrent use.
@@ -165,9 +166,6 @@ func NewTracer(o Options) *Tracer {
 			o.Origin = 1
 		}
 	}
-	if o.FlightSize <= 0 {
-		o.FlightSize = 256
-	}
 	if o.MaxTraces <= 0 {
 		o.MaxTraces = 64
 	}
@@ -179,7 +177,7 @@ func NewTracer(o Options) *Tracer {
 		now:     o.Now,
 		origin:  o.Origin & 0xffffff,
 		col:     NewCollector(o.MaxTraces, o.MaxSpansPerTrace),
-		flight:  NewFlightRecorder(o.FlightSize),
+		flight:  NewFlightRecorder(flightSize),
 	}
 }
 

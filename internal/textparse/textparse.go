@@ -30,11 +30,12 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("%s %d exceeds limit %d", e.Quantity, e.Value, e.Limit)
 }
 
-// ParseError is a syntax or limit violation with its source position.
-// Format names the input dialect ("hypergraph" for .clb, "netlist"
-// for .gnl, "blif", "topology"); Line is 1-based, 0 when the error
-// concerns the whole input; Col is the 1-based byte column of the
-// offending token, 0 when only the line is known.
+// ParseError is a syntax or limit violation with its source position,
+// or an input that read cleanly but failed its structural check
+// (Invalid). Format names the input dialect ("hypergraph" for .clb,
+// "netlist" for .gnl, "blif", "topology"); Line is 1-based, 0 when the
+// error concerns the whole input; Col is the 1-based byte column of
+// the offending token, 0 when only the line is known.
 type ParseError struct {
 	Format string
 	Line   int
@@ -44,6 +45,10 @@ type ParseError struct {
 }
 
 func (e *ParseError) Error() string {
+	if e.Line == 0 && e.Msg == "" && e.Err != nil {
+		// An Invalid error: the check's message already names the input.
+		return e.Err.Error()
+	}
 	var sb strings.Builder
 	sb.WriteString(e.Format)
 	if e.Line > 0 {
@@ -65,6 +70,13 @@ func (e *ParseError) Error() string {
 }
 
 func (e *ParseError) Unwrap() error { return e.Err }
+
+// Invalid returns the *ParseError for an input of format that read
+// cleanly but failed the structural check that returned err. It
+// renders as err alone.
+func Invalid(format string, err error) error {
+	return &ParseError{Format: format, Err: err}
+}
 
 // FieldCol returns the 1-based byte column where the idx-th
 // whitespace-separated field of line starts (0 when out of range), so
