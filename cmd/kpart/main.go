@@ -429,8 +429,8 @@ func run(cfg runConfig) error {
 	if cfg.metricsOut != "" {
 		// The snapshot is written even when the search failed: the
 		// counters up to the failure are exactly what an operator wants.
-		if merr := writeMetrics(cfg.metricsOut, reg); merr != nil && err == nil {
-			err = merr
+		if merr := reg.WriteFile(cfg.metricsOut); merr != nil && err == nil {
+			err = fmt.Errorf("metrics snapshot %s: %w", cfg.metricsOut, merr)
 		}
 	}
 	if cfg.traceOut != "" {
@@ -504,22 +504,6 @@ func run(cfg runConfig) error {
 			return err
 		}
 		fmt.Printf("wrote %d part netlists to %s\n", len(res.Parts), cfg.outDir)
-	}
-	return nil
-}
-
-// writeMetrics snapshots the registry as Prometheus text exposition.
-func writeMetrics(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics snapshot %s: %w", path, err)
-	}
-	err = reg.WriteText(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("metrics snapshot %s: %w", path, err)
 	}
 	return nil
 }

@@ -315,6 +315,21 @@ func TestExitCodes(t *testing.T) {
 	if got := exitCode(err); got != 4 {
 		t.Fatalf("circuit failing validation (%v) -> %d, want 4", err, got)
 	}
+	// So is a board file that parses but fails validation; its message
+	// is the check's own.
+	board := filepath.Join(t.TempDir(), "disconnected.board")
+	if err := os.WriteFile(board, []byte("board b\nslots 3\nlink 0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = capture(t, func() error {
+		return run(runConfig{path: writeCLB(t), threshold: 1, solutions: 1, seed: 1, board: board})
+	})
+	if got := exitCode(err); got != 4 {
+		t.Fatalf("board failing validation (%v) -> %d, want 4", err, got)
+	}
+	if want := `topology: board "b" is disconnected (no path 0–2)`; err.Error() != want {
+		t.Fatalf("board validation error %q, want %q", err, want)
+	}
 }
 
 // Truncated or malformed input must surface line context and map to

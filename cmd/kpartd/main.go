@@ -221,7 +221,7 @@ func main() {
 		// The scrape endpoint dies with the process; persist a last
 		// metrics snapshot next to the store so the final counters of
 		// this process life stay inspectable.
-		if err := writeFinalMetrics(filepath.Join(*storeDir, "metrics.prom"), reg); err != nil {
+		if err := reg.WriteFile(filepath.Join(*storeDir, "metrics.prom")); err != nil {
 			logger.Warn("final metrics snapshot", "err", err)
 		} else {
 			logger.Info("final metrics snapshot written", "path", filepath.Join(*storeDir, "metrics.prom"))
@@ -241,24 +241,4 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")
-}
-
-// writeFinalMetrics snapshots the registry as Prometheus text (the
-// format kpart -metrics-out writes), atomically via rename so a crash
-// mid-write never leaves a torn snapshot.
-func writeFinalMetrics(path string, reg *telemetry.Registry) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = reg.WriteText(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

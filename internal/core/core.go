@@ -1,9 +1,9 @@
 // Package core is the public face of the library: multi-way netlist
 // partitioning into heterogeneous FPGAs with minimization of total
-// device cost and interconnect (Kužnar, Brglez, Zajc — DAC'94). It
-// wires the substrates together: gate-level netlists (netlist) are
-// technology-mapped into XC3000-style CLBs (techmap), modeled as a
-// hypergraph with per-output adjacency vectors (hypergraph), and
+// device cost and interconnect (Kužnar, Brglez, Zajc — DAC'94). Its
+// input is a circuit already mapped into XC3000-style CLBs, modeled
+// as a hypergraph with per-output adjacency vectors (hypergraph; kpart
+// and kpartd map a gate-level .gnl netlist through techmap first). It is
 // partitioned over a device library (library) by the cost-driven
 // recursive engine (kway) whose bipartitioner (fm) performs min-cut
 // refinement with functional replication (replication).
@@ -26,16 +26,14 @@ import (
 	"fpgapart/internal/fm"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/kway"
-	"fpgapart/internal/netlist"
 	"fpgapart/internal/replication"
-	"fpgapart/internal/techmap"
 )
 
 // NoReplication disables functional replication when used as the
 // Threshold, reproducing the DAC'93 baseline partitioner ([3]).
 const NoReplication = fm.NoReplication
 
-// Options configures Partition and MapAndPartition. It is
+// Options configures Partition. It is
 // kway.Options itself: the engine options, their documentation and
 // their defaults are declared once, in package kway. The zero value
 // is the paper's setup — the XC3000 library, threshold T = 1 (a nil
@@ -58,20 +56,6 @@ func Partition(g *hypergraph.Graph, opts Options) (Result, error) {
 // kway.PartitionContext for the truncation contract.
 func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (Result, error) {
 	return kway.PartitionContext(ctx, g, opts)
-}
-
-// MapAndPartition technology-maps a gate-level netlist into XC3000
-// CLBs, then partitions the result.
-func MapAndPartition(n *netlist.Netlist, opts Options) (*techmap.Mapped, Result, error) {
-	m, err := techmap.Map(n, techmap.Options{Seed: opts.Seed})
-	if err != nil {
-		return nil, Result{}, err
-	}
-	res, err := Partition(m.Graph, opts)
-	if err != nil {
-		return m, Result{}, err
-	}
-	return m, res, nil
 }
 
 // BipartitionOptions configures MinCutBipartition.

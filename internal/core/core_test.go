@@ -6,7 +6,6 @@ import (
 
 	"fpgapart/internal/bench"
 	"fpgapart/internal/kway"
-	"fpgapart/internal/netlist"
 )
 
 func TestPartitionDefaults(t *testing.T) {
@@ -34,24 +33,6 @@ func TestPartitionNoReplication(t *testing.T) {
 	}
 	if res.Summary.ReplicatedCells() != 0 {
 		t.Fatal("baseline must not replicate")
-	}
-}
-
-func TestMapAndPartition(t *testing.T) {
-	n, err := netlist.Random(netlist.RandomParams{Gates: 500, Inputs: 16, Outputs: 8, DffFrac: 0.15, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, res, err := MapAndPartition(n, Options{Solutions: 3, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Graph.NumCells() == 0 || !res.Summary.Feasible() {
-		t.Fatalf("bad result: %d cells, %v", m.Graph.NumCells(), res.Summary)
-	}
-	// Parts cover at least the mapped cells.
-	if res.Summary.TotalCells() < m.Graph.NumCells() {
-		t.Fatal("parts lost cells")
 	}
 }
 

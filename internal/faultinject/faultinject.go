@@ -145,11 +145,6 @@ func DelayAtPass(n, m int, d time.Duration) Rule {
 	return Rule{Site: SitePass, Kind: KindDelay, Attempt: n, Index: m, Delay: d}
 }
 
-// PanicAtPass schedules a panic at FM pass m of attempt n.
-func PanicAtPass(n, m int) Rule {
-	return Rule{Site: SitePass, Kind: KindPanic, Attempt: n, Index: m}
-}
-
 // AllocCapAtCarve trips the simulated allocation cap at carve try m of
 // attempt n.
 func AllocCapAtCarve(n, m int) Rule {

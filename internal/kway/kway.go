@@ -691,7 +691,7 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 		d, ok := pickDevice(devices, total, desired, density, r, try)
 		if !ok {
 			lastErr = fmt.Errorf("kway: no device can carve %d CLBs from %d", desired, total)
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "no-device", "", desired, 0, fm.Result{}, replication.Stats{})
+			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectNoDevice, "", desired, 0, fm.Result{}, replication.Stats{})
 			continue
 		}
 		target := desired
@@ -703,19 +703,19 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 		}
 		if target < d.MinCLBs() {
 			lastErr = fmt.Errorf("kway: device %s cannot carve from %d CLBs", d.Name, total)
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "device-window", d.Name, target, 0, fm.Result{}, replication.Stats{})
+			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectDeviceWindow, d.Name, target, 0, fm.Result{}, replication.Stats{})
 			continue
 		}
 		st, res, before, cerr := carveFM(sub, d, target, total, opts, attempt, r.Int63(), termPressure, sc, weights)
 		if cerr != nil {
 			lastErr = cerr
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "fm", d.Name, target, 0, fm.Result{}, scratchStats(sc, sub).Sub(before))
+			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectFM, d.Name, target, 0, fm.Result{}, scratchStats(sc, sub).Sub(before))
 			continue
 		}
 		delta := st.Stats().Sub(before)
 		if terms := st.Terminals(0); terms > d.IOBs {
 			lastErr = fmt.Errorf("kway: carve for %s needs %d terminals > %d", d.Name, terms, d.IOBs)
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "terminals", d.Name, st.Area(0), terms, res, delta)
+			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectTerminals, d.Name, st.Area(0), terms, res, delta)
 			termFails++
 			// First failure: switch the FM objective to t_P0 and retry
 			// at the same size. Repeated failures under the terminal
@@ -736,18 +736,18 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 		}
 		if st.Area(0) < d.MinCLBs() || st.Area(0) > d.MaxCLBs() {
 			lastErr = fmt.Errorf("kway: carve area %d outside device %s window", st.Area(0), d.Name)
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "area-window", d.Name, st.Area(0), st.Terminals(0), res, delta)
+			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectAreaWindow, d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
 		c, rst, merr := materialize(sub, st)
 		if merr != nil {
 			lastErr = merr
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "materialize", d.Name, st.Area(0), st.Terminals(0), res, delta)
+			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectMaterialize, d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
 		if rst.TotalArea() >= total {
 			lastErr = fmt.Errorf("kway: carve made no progress (replication blow-up)")
-			emitCarve(&opts, attempt, trace.KindCarveRejected, "no-progress", d.Name, st.Area(0), st.Terminals(0), res, delta)
+			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectNoProgress, d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
 		if opts.Verify {

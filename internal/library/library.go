@@ -131,9 +131,6 @@ func (l Library) Validate() error {
 // Largest returns the device with the greatest CLB capacity.
 func (l Library) Largest() Device { return l.Devices[len(l.Devices)-1] }
 
-// Smallest returns the device with the least CLB capacity.
-func (l Library) Smallest() Device { return l.Devices[0] }
-
 // ByName returns the named device.
 func (l Library) ByName(name string) (Device, bool) {
 	for _, d := range l.Devices {
@@ -159,46 +156,4 @@ func (l Library) CheapestFit(clbs, terminals int) (Device, bool) {
 		}
 	}
 	return best, found
-}
-
-// FeasibleHosts returns every device that can host the given demand,
-// cheapest first.
-func (l Library) FeasibleHosts(clbs, terminals int) []Device {
-	var out []Device
-	for _, d := range l.Devices {
-		if d.Fits(clbs, terminals) {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Price < out[j].Price })
-	return out
-}
-
-// MaxFitCLBs returns the largest CLB count any device in the library
-// can absorb (ignoring terminals): the carve-out ceiling used by the
-// recursive k-way partitioner.
-func (l Library) MaxFitCLBs() int {
-	best := 0
-	for _, d := range l.Devices {
-		if m := d.MaxCLBs(); m > best {
-			best = m
-		}
-	}
-	return best
-}
-
-// LowerBoundCost returns a simple lower bound on the total device cost
-// of any feasible partition of a circuit with the given CLB count: the
-// best achievable per-CLB price times the CLB count, rounded to the
-// cheapest single device if the circuit fits one.
-func (l Library) LowerBoundCost(clbs int) float64 {
-	bestPerCLB := math.Inf(1)
-	for _, d := range l.Devices {
-		// The effective per-CLB cost at full allowed utilization.
-		eff := d.Price / (float64(d.CLBs) * d.HighUtil)
-		if eff < bestPerCLB {
-			bestPerCLB = eff
-		}
-	}
-	return bestPerCLB * float64(clbs)
 }

@@ -20,73 +20,45 @@ func edgeLib(t *testing.T) Library {
 	return l
 }
 
-func names(devs []Device) []string {
-	out := make([]string, len(devs))
-	for i, d := range devs {
-		out[i] = d.Name
-	}
-	return out
-}
-
-func equalNames(a []string, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestFeasibleHostsEdges exercises the exact utilization-window and
-// terminal boundaries: one CLB inside/outside each Low/High bound,
-// zero terminals, and terminal counts at and just past each device's
-// IOB count.
+// TestFeasibleHostsEdges exercises CheapestFit on the exact
+// utilization-window and terminal boundaries: one CLB inside/outside
+// each Low/High bound, zero terminals, and terminal counts at and just
+// past each device's IOB count.
 func TestFeasibleHostsEdges(t *testing.T) {
 	l := edgeLib(t)
 	cases := []struct {
 		name            string
 		clbs, terminals int
-		want            []string
+		want            string // "" when no device fits
 	}{
-		{"zero demand", 0, 0, nil},
-		{"below small's low bound", 49, 0, nil},
-		{"exactly small's low bound", 50, 0, []string{"small"}},
-		{"exactly small's high bound", 90, 0, []string{"small"}},
-		{"above small, below big's low", 91, 0, nil},
-		{"exactly big's low bound", 120, 0, []string{"big"}},
-		{"in both windows? no — windows disjoint", 100, 0, nil},
-		{"exactly big's high bound", 170, 0, []string{"big"}},
-		{"above every window", 171, 0, nil},
-		{"zero terminals always fine", 60, 0, []string{"small"}},
-		{"exactly small's IOBs", 60, 20, []string{"small"}},
-		{"one over small's IOBs", 60, 21, nil},
-		{"exactly big's IOBs", 150, 40, []string{"big"}},
-		{"one over big's IOBs", 150, 41, nil},
+		{"zero demand", 0, 0, ""},
+		{"below small's low bound", 49, 0, ""},
+		{"exactly small's low bound", 50, 0, "small"},
+		{"exactly small's high bound", 90, 0, "small"},
+		{"above small, below big's low", 91, 0, ""},
+		{"exactly big's low bound", 120, 0, "big"},
+		{"in both windows? no — windows disjoint", 100, 0, ""},
+		{"exactly big's high bound", 170, 0, "big"},
+		{"above every window", 171, 0, ""},
+		{"zero terminals always fine", 60, 0, "small"},
+		{"exactly small's IOBs", 60, 20, "small"},
+		{"one over small's IOBs", 60, 21, ""},
+		{"exactly big's IOBs", 150, 40, "big"},
+		{"one over big's IOBs", 150, 41, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := names(l.FeasibleHosts(tc.clbs, tc.terminals))
-			if !equalNames(got, tc.want) {
-				t.Fatalf("FeasibleHosts(%d, %d) = %v, want %v", tc.clbs, tc.terminals, got, tc.want)
-			}
-			// CheapestFit must agree with the head of FeasibleHosts.
 			d, ok := l.CheapestFit(tc.clbs, tc.terminals)
-			if ok != (len(tc.want) > 0) {
-				t.Fatalf("CheapestFit(%d, %d) ok=%v, FeasibleHosts=%v", tc.clbs, tc.terminals, ok, tc.want)
-			}
-			if ok && d.Name != tc.want[0] {
-				t.Fatalf("CheapestFit(%d, %d) = %s, want %s", tc.clbs, tc.terminals, d.Name, tc.want[0])
+			if ok != (tc.want != "") || d.Name != tc.want {
+				t.Fatalf("CheapestFit(%d, %d) = %q %v, want %q", tc.clbs, tc.terminals, d.Name, ok, tc.want)
 			}
 		})
 	}
 }
 
-// TestFeasibleHostsOverlapOrder checks the cheapest-first contract
-// when several devices fit the same demand, including a price tie
-// (stable on ties: library order, which is ascending capacity).
+// TestFeasibleHostsOverlapOrder checks that CheapestFit picks the
+// lowest price when several devices fit the same demand, the cheapest
+// sitting between two equally priced ones in library order.
 func TestFeasibleHostsOverlapOrder(t *testing.T) {
 	l, err := Custom(
 		Device{Name: "a", CLBs: 100, IOBs: 30, Price: 120, LowUtil: 0, HighUtil: 0.9},
@@ -95,10 +67,6 @@ func TestFeasibleHostsOverlapOrder(t *testing.T) {
 	)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got := names(l.FeasibleHosts(80, 10))
-	if !equalNames(got, []string{"b", "a", "c"}) {
-		t.Fatalf("hosts = %v, want cheapest first with stable tie [b a c]", got)
 	}
 	d, ok := l.CheapestFit(80, 10)
 	if !ok || d.Name != "b" {

@@ -1,9 +1,6 @@
 package library
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestXC3000Valid(t *testing.T) {
 	l := XC3000()
@@ -99,19 +96,6 @@ func TestCheapestFit(t *testing.T) {
 	}
 }
 
-func TestFeasibleHostsSortedByPrice(t *testing.T) {
-	l := XC3000()
-	hosts := l.FeasibleHosts(61, 10)
-	if len(hosts) == 0 {
-		t.Fatal("no hosts")
-	}
-	for i := 1; i < len(hosts); i++ {
-		if hosts[i-1].Price > hosts[i].Price {
-			t.Fatalf("hosts not price-sorted: %v", hosts)
-		}
-	}
-}
-
 func TestCustomSortsAndValidates(t *testing.T) {
 	l, err := Custom(
 		Device{Name: "B", CLBs: 200, IOBs: 10, Price: 5, HighUtil: 1},
@@ -143,34 +127,9 @@ func TestValidateEmpty(t *testing.T) {
 	}
 }
 
-func TestLargestSmallest(t *testing.T) {
-	l := XC3000()
-	if l.Largest().Name != "XC3090" || l.Smallest().Name != "XC3020" {
-		t.Fatalf("largest=%s smallest=%s", l.Largest().Name, l.Smallest().Name)
-	}
-}
-
-func TestMaxFitCLBs(t *testing.T) {
-	l := XC3000()
-	if got := l.MaxFitCLBs(); got != 272 { // floor(0.85*320)
-		t.Fatalf("MaxFitCLBs = %d, want 272", got)
-	}
-}
-
-func TestLowerBoundCostBelowAnyRealCost(t *testing.T) {
-	l := XC3000()
-	// Property: the bound never exceeds hosting everything on feasible
-	// single devices.
-	f := func(raw uint16) bool {
-		clbs := int(raw)%280 + 1
-		lb := l.LowerBoundCost(clbs)
-		if d, ok := l.CheapestFit(clbs, 0); ok && lb > d.Price+1e-9 {
-			return false
-		}
-		return lb >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+func TestLargest(t *testing.T) {
+	if got := XC3000().Largest().Name; got != "XC3090" {
+		t.Fatalf("largest = %s, want XC3090", got)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"fpgapart/internal/textparse"
 )
 
-// Fuzz targets for the two parsers. `go test` exercises the seed
+// Fuzz targets for the .gnl parser. `go test` exercises the seed
 // corpus; `go test -fuzz=FuzzRead` explores further.
 
 func FuzzRead(f *testing.F) {
@@ -90,35 +90,6 @@ func FuzzParseNetlist(f *testing.F) {
 		}
 		if len(n.Gates) > lim.MaxGates {
 			t.Fatalf("limit leak: %d gates accepted, cap %d", len(n.Gates), lim.MaxGates)
-		}
-	})
-}
-
-func FuzzReadBLIF(f *testing.F) {
-	seeds := []string{
-		blifFullAdder,
-		".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n",
-		".model m\n.inputs d\n.outputs q\n.latch d q re clk 0\n.end\n",
-		".model m\n.inputs a b\n.outputs y\n.names a b y\n1- 1\n-1 1\n.end\n",
-		".model m\n.outputs y\n.names y\n1\n.end\n",
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
-		n, err := ReadBLIF(strings.NewReader(src))
-		if err != nil {
-			return
-		}
-		if err := n.Validate(); err != nil {
-			t.Fatalf("accepted invalid netlist: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := WriteBLIF(&buf, n); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if _, err := ReadBLIF(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("round trip rejected: %v", err)
 		}
 	})
 }

@@ -61,36 +61,6 @@ func TestReadLimitsLutInputs(t *testing.T) {
 	}
 }
 
-func TestReadBLIFLimits(t *testing.T) {
-	cases := []struct {
-		name     string
-		lim      Limits
-		src      string
-		quantity string
-	}{
-		{"gates", Limits{MaxGates: 2},
-			".model m\n.inputs a\n.outputs y\n.names a w1\n1 1\n.names w1 w2\n1 1\n.names w2 y\n1 1\n.end\n", "gates"},
-		{"lut-inputs", Limits{MaxLutInputs: 3},
-			".model m\n.inputs a b c d\n.outputs y\n.names a b c d y\n1111 1\n.end\n", "lut-inputs"},
-		{"pins", Limits{MaxPins: 4},
-			".model m\n.inputs a b c d\n.outputs y\n.names a b c d y\n1111 1\n.end\n", "pins"},
-		{"fanout", Limits{MaxFanout: 3},
-			".model m\n.inputs a\n.outputs y\n.names a w1\n1 1\n.names a w2\n1 1\n.names a w3\n1 1\n.names a y\n1 1\n.end\n", "fanout"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadBLIFLimits(strings.NewReader(tc.src), tc.lim)
-			var le *textparse.LimitError
-			if !errors.As(err, &le) {
-				t.Fatalf("want *textparse.LimitError, got %T: %v", err, err)
-			}
-			if le.Quantity != tc.quantity {
-				t.Fatalf("quantity = %q, want %q (err: %v)", le.Quantity, tc.quantity, err)
-			}
-		})
-	}
-}
-
 func TestParseErrorPosition(t *testing.T) {
 	// Truncated gate record: line context plus a hint.
 	_, err := Read(strings.NewReader("circuit c\ninput a\noutput y\nand y\n"))

@@ -23,7 +23,7 @@ const (
 	Not
 	Buf
 	Dff // D flip-flop: single input, output follows at the next Step
-	Lut // generic truth-table gate (BLIF .names); see Gate.TT
+	Lut // generic truth-table gate; see Gate.TT
 )
 
 var gateNames = [...]string{"and", "or", "nand", "nor", "xor", "xnor", "not", "buf", "dff", "lut"}

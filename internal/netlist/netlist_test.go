@@ -404,3 +404,46 @@ func TestDepthAdderGrowsWithWidth(t *testing.T) {
 		t.Fatalf("ripple depth should grow: %d vs %d", d4, d8)
 	}
 }
+
+// LUT gates survive the native text format.
+func TestTextFormatLutRoundTrip(t *testing.T) {
+	n := &Netlist{
+		Name: "l", Inputs: []string{"a", "b"}, Outputs: []string{"y"},
+		Gates: []Gate{{Name: "g_y", Type: Lut, Out: "y", Ins: []string{"a", "b"}, TT: []bool{false, true, true, false}}},
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, n); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Evaluate(back, map[string]bool{"a": true, "b": false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out["y"] {
+		t.Fatal("xor LUT lost through text round trip")
+	}
+}
+
+func TestLutValidation(t *testing.T) {
+	n := &Netlist{
+		Name: "bad", Inputs: []string{"a"}, Outputs: []string{"y"},
+		Gates: []Gate{{Name: "g", Type: Lut, Out: "y", Ins: []string{"a"}, TT: []bool{true}}},
+	}
+	if err := n.Validate(); err == nil {
+		t.Fatal("short truth table should fail")
+	}
+	n.Gates[0].TT = nil
+	n.Gates[0].Type = And
+	n.Gates[0].Ins = []string{"a", "a"}
+	n.Gates[0].TT = []bool{true}
+	if err := n.Validate(); err == nil {
+		t.Fatal("truth table on non-LUT should fail")
+	}
+}

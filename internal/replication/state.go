@@ -551,9 +551,6 @@ func (s *State) IsReplicated(c hypergraph.CellID) bool { return s.repl[c] }
 // OutputsIn returns the mask of the cell's outputs produced in block b.
 func (s *State) OutputsIn(c hypergraph.CellID, b Block) uint32 { return s.own[c][b] }
 
-// ActiveIn reports whether the cell has a copy in block b.
-func (s *State) ActiveIn(c hypergraph.CellID, b Block) bool { return s.own[c][b] != 0 }
-
 // Psi returns the cell's replication potential ψ (Eq. 4), cached.
 func (s *State) Psi(c hypergraph.CellID) int { return s.psi[c] }
 

@@ -163,7 +163,7 @@ func TestMappedALUMatchesGateLevel(t *testing.T) {
 	}
 }
 
-// Wide BLIF-style LUT gates go through Shannon decomposition; behavior
+// Wide LUT gates go through Shannon decomposition; behavior
 // must survive mapping.
 func TestMappedWideLut(t *testing.T) {
 	tt := make([]bool, 1<<7)

@@ -44,11 +44,11 @@ const (
 )
 
 // rejectReasons are the static carve-rejection codes emitted by the
-// kway engine; anything else (future codes) lands on "other" so the
-// hot path never creates series.
+// kway engine; anything else lands on "other" so the hot path never
+// creates series.
 var rejectReasons = []string{
-	"no-device", "device-window", "fm", "terminals",
-	"area-window", "materialize", "no-progress",
+	trace.RejectNoDevice, trace.RejectDeviceWindow, trace.RejectFM, trace.RejectTerminals,
+	trace.RejectAreaWindow, trace.RejectMaterialize, trace.RejectNoProgress,
 }
 
 // phaseNames are the static engine phases; anything else lands on

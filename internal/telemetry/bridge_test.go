@@ -1,12 +1,62 @@
 package telemetry
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"fpgapart/internal/trace"
 )
+
+// TestBridgeCoversRejectReasons reads every Reject* constant declared
+// in package trace from its source and checks the Bridge counts an
+// event with that reason under its own series, not under "other": a
+// reason declared but missing from rejectReasons would otherwise be
+// counted as "other" without any error.
+func TestBridgeCoversRejectReasons(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "../trace/trace.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reasons []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || !strings.HasPrefix(vs.Names[0].Name, "Reject") {
+			return true
+		}
+		lit, ok := vs.Values[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			t.Fatalf("%s is not a string constant", vs.Names[0].Name)
+		}
+		v, err := strconv.Unquote(lit.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reasons = append(reasons, v)
+		return true
+	})
+	if len(reasons) != len(rejectReasons) {
+		t.Fatalf("trace declares %d reject reasons %v, the Bridge registers %d", len(reasons), reasons, len(rejectReasons))
+	}
+	r := NewRegistry()
+	b := NewBridge(r)
+	for _, reason := range reasons {
+		b.Event(trace.Event{Kind: trace.KindCarveRejected, Reason: reason})
+	}
+	if got := b.rejectedOther.Value(); got != 0 {
+		t.Fatalf("%d declared reasons counted as other", got)
+	}
+	text := render(t, r)
+	for _, reason := range reasons {
+		if want := MetricCarveRejected + `{reason="` + reason + `"} 1`; !strings.Contains(text, want) {
+			t.Errorf("no series %s", want)
+		}
+	}
+}
 
 func TestBridgeMapsEvents(t *testing.T) {
 	r := NewRegistry()
@@ -15,8 +65,8 @@ func TestBridgeMapsEvents(t *testing.T) {
 		{Kind: trace.KindFMPass, Pass: 1, Moves: 40, Cut: 12},
 		{Kind: trace.KindFMPass, Pass: 2, Moves: 10, Cut: 7},
 		{Kind: trace.KindCarveAccepted, Replicas: 3, Rollbacks: 5, Device: "XC3042"},
-		{Kind: trace.KindCarveRejected, Reason: "terminals", Rollbacks: 2},
-		{Kind: trace.KindCarveRejected, Reason: "no-device"},
+		{Kind: trace.KindCarveRejected, Reason: trace.RejectTerminals, Rollbacks: 2},
+		{Kind: trace.KindCarveRejected, Reason: trace.RejectNoDevice},
 		{Kind: trace.KindCarveRejected, Reason: "never-heard-of-it"},
 		{Kind: trace.KindSolution, Feasible: true, Improved: true, Cost: 756},
 		{Kind: trace.KindSolution, Feasible: false, Panic: true},
@@ -46,7 +96,7 @@ func TestBridgeMapsEvents(t *testing.T) {
 	if got := b.rollbacks.Value(); got != 7 {
 		t.Fatalf("rollbacks %d", got)
 	}
-	if got := b.carveRejected["terminals"].Value(); got != 1 {
+	if got := b.carveRejected[trace.RejectTerminals].Value(); got != 1 {
 		t.Fatalf("terminals rejects %d", got)
 	}
 	if got := b.rejectedOther.Value(); got != 1 {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -202,6 +203,29 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	_, err := w.Write(b)
 	return err
+}
+
+// WriteFile snapshots the registry to path in WriteText's format. It
+// writes and syncs a temporary file beside path, then renames it over
+// path, so a crash mid-write never leaves a torn snapshot.
+func (r *Registry) WriteFile(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = r.WriteText(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // escapeHelp escapes a HELP string per the exposition format.

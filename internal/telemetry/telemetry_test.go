@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -137,6 +139,34 @@ func TestExpositionDeterministic(t *testing.T) {
 	iC := strings.Index(a, "test_c")
 	if !(iA < iB && iB < iC) {
 		t.Fatalf("families not sorted:\n%s", a)
+	}
+}
+
+// WriteFile leaves exactly WriteText's bytes at the path, replacing an
+// older snapshot, and no temporary file beside it.
+func TestWriteFile(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_a_total", "A.").Add(3)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "metrics.prom")
+	if err := os.WriteFile(path, []byte("stale\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := render(t, r); string(got) != want {
+		t.Fatalf("snapshot:\n%s\nwant:\n%s", got, want)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("WriteFile left %d files, want 1", len(entries))
+	}
+	if err := r.WriteFile(filepath.Join(dir, "missing", "metrics.prom")); err == nil {
+		t.Fatal("want an error for a missing directory")
 	}
 }
 

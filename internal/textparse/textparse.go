@@ -1,12 +1,12 @@
 // Package textparse is the scaffolding every line-oriented text
 // reader shares: the mapped-circuit (.clb) reader in hypergraph, the
-// .gnl and BLIF readers in netlist, and the board-file reader in
-// topology. It owns the one error vocabulary for malformed input
-// (*ParseError, optionally wrapping a *LimitError), so a consumer
-// learns "this input is malformed" from one type, and a Reader that
-// counts lines, caps their length and builds errors tagged with the
-// format and line. Format rules (comments, continuations, directives)
-// stay in the readers: a Reader hands out raw physical lines.
+// .gnl reader in netlist, and the board-file reader in topology. It
+// owns the one error vocabulary for malformed input (*ParseError,
+// optionally wrapping a *LimitError), so a consumer learns "this input
+// is malformed" from one type, and a Reader that counts lines, caps
+// their length and builds errors tagged with the format and line.
+// Format rules (comments, directives) stay in the readers: a Reader
+// hands out raw physical lines.
 package textparse
 
 import (
@@ -33,7 +33,7 @@ func (e *LimitError) Error() string {
 // ParseError is a syntax or limit violation with its source position,
 // or an input that read cleanly but failed its structural check
 // (Invalid). Format names the input dialect ("hypergraph" for .clb,
-// "netlist" for .gnl, "blif", "topology"); Line is 1-based, 0 when the
+// "netlist" for .gnl, "topology"); Line is 1-based, 0 when the
 // error concerns the whole input; Col is the 1-based byte column of
 // the offending token, 0 when only the line is known.
 type ParseError struct {

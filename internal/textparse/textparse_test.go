@@ -80,7 +80,7 @@ func TestParseErrorText(t *testing.T) {
 	}{
 		{&ParseError{Format: "hypergraph", Msg: "missing 'circuit' line"}, "hypergraph: missing 'circuit' line"},
 		{&ParseError{Format: "netlist", Line: 4, Msg: "m"}, "netlist: line 4: m"},
-		{&ParseError{Format: "blif", Line: 4, Col: 2, Msg: "m", Err: errors.New("e")}, "blif: line 4, col 2: m: e"},
+		{&ParseError{Format: "netlist", Line: 4, Col: 2, Msg: "m", Err: errors.New("e")}, "netlist: line 4, col 2: m: e"},
 		{&ParseError{Format: "topology", Line: 3, Err: errors.New("e")}, "topology: line 3: e"},
 		{&ParseError{Format: "x", Col: 5, Msg: "m"}, "x: m"},
 	}

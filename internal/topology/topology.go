@@ -415,9 +415,10 @@ const maxLineBytes = 1 << 20
 //	link <a> <b> [cap <c>] [cost <h>]
 //
 // Unspecified cap defaults to 64, cost to 1. Order of link lines is
-// preserved (it fixes routing tie-breaks). Syntax errors and over-long
-// lines are *textparse.ParseError; a board that parses but is not
-// valid fails Finalize's checks with a plain error.
+// preserved (it fixes routing tie-breaks). Every error is a
+// *textparse.ParseError: syntax errors and over-long lines carry their
+// line, and a board that parses but fails Finalize's checks wraps that
+// check's error (textparse.Invalid), rendering as it alone.
 func Parse(r io.Reader) (*Board, error) {
 	b := &Board{}
 	lr := textparse.NewReader(r, "topology", maxLineBytes)
@@ -452,7 +453,10 @@ func Parse(r io.Reader) (*Board, error) {
 				return nil, lr.Errorf(0, "bad link endpoints")
 			}
 			l := Link{A: a, B: c, Capacity: DefaultCapacity, Cost: 1}
-			for i := 3; i+1 < len(f); i += 2 {
+			for i := 3; i < len(f); i += 2 {
+				if i+1 == len(f) {
+					return nil, lr.Errorf(textparse.FieldCol(lr.Text(), i), "link attribute %q has no value", f[i])
+				}
 				v, err := strconv.Atoi(f[i+1])
 				if err != nil {
 					return nil, lr.Errorf(0, "bad %s value %q", f[i], f[i+1])
@@ -475,7 +479,7 @@ func Parse(r io.Reader) (*Board, error) {
 		return nil, err
 	}
 	if err := b.Finalize(); err != nil {
-		return nil, err
+		return nil, textparse.Invalid("topology", err)
 	}
 	return b, nil
 }

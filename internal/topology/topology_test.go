@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -201,18 +200,43 @@ func TestBoardFileRoundTrip(t *testing.T) {
 
 func TestParseRejects(t *testing.T) {
 	for _, tc := range []string{
-		"slots 2\nlink 0 0",           // self loop
-		"slots 2\nlink 0 5",           // out of range
-		"slots 0",                     // no slots
-		"slots 65",                    // over MaxSlots
-		"slots 3\nlink 0 1",           // disconnected (slot 2 unreachable)
-		"slots 2\nlink 0 1 cap 0",     // zero capacity
-		"slots 2\nlink 0 1 cost 0",    // zero cost
-		"slots 2\nlink 0 1\nlink 1 0", // duplicate
-		"wat 3",                       // unknown directive
+		"slots 2\nlink 0 0",            // self loop
+		"slots 2\nlink 0 5",            // out of range
+		"slots 0",                      // no slots
+		"slots 65",                     // over MaxSlots
+		"slots 3\nlink 0 1",            // disconnected (slot 2 unreachable)
+		"slots 2\nlink 0 1 cap 0",      // zero capacity
+		"slots 2\nlink 0 1 cost 0",     // zero cost
+		"slots 2\nlink 0 1\nlink 1 0",  // duplicate
+		"wat 3",                        // unknown directive
+		"slots 2\nlink 0 1 cap",        // attribute without a value
+		"slots 2\nlink 0 1 cap 5 cost", // trailing attribute without a value
 	} {
-		if _, err := Parse(strings.NewReader(tc)); err == nil {
+		_, err := Parse(strings.NewReader(tc))
+		if err == nil {
 			t.Fatalf("accepted:\n%s", tc)
+		}
+		var pe *textparse.ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%q: want *textparse.ParseError, got %T: %v", tc, err, err)
+		}
+	}
+}
+
+// A link attribute without a value is reported on its line, at the
+// attribute's column.
+func TestParseAttributeWithoutValue(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		col int
+	}{
+		{"slots 2\nlink 0 1 cap\n", 10},
+		{"slots 2\n  link 0 1 cap 5 cost\n", 18},
+	} {
+		_, err := Parse(strings.NewReader(tc.src))
+		var pe *textparse.ParseError
+		if !errors.As(err, &pe) || pe.Line != 2 || pe.Col != tc.col {
+			t.Fatalf("%q: got %v, want a parse error at line 2, col %d", tc.src, err, tc.col)
 		}
 	}
 }
@@ -258,11 +282,9 @@ link 1 2 cap 2 cost 3
 	}
 }
 
-// finalizeErr matches the semantic errors Finalize reports for a board
-// file that parses: everything else Parse rejects must be a
-// *textparse.ParseError.
-var finalizeErr = regexp.MustCompile(`^topology: (-?\d+ slots, want|link -?\d+–-?\d+ (outside slots|capacity|cost)|duplicate link|board .* is disconnected)`)
-
+// FuzzParseBoard: whatever Parse rejects, syntax or a failed Finalize
+// check, must be a *textparse.ParseError; whatever it accepts must
+// survive a write/read round trip.
 func FuzzParseBoard(f *testing.F) {
 	for _, b := range []*Board{
 		mustBoard(f)(Mesh(2, 4, 1<<20)),
@@ -276,12 +298,15 @@ func FuzzParseBoard(f *testing.F) {
 		f.Add(buf.String())
 	}
 	f.Add("board b\nslots 4\nlink 0 1 cap x\n")
+	f.Add("board b\nslots 2\nlink 0 1 cap\n")
+	f.Add("board b\nslots 2\nlink 0 1 cap 5 cost\n")
+	f.Add("board b\nslots 3\nlink 0 1\n")
 	f.Add("# " + strings.Repeat("x", 70000) + "\nboard b\nslots 4\nlink 0 1\nlink 1 2\nlink 2 3\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		b, err := Parse(strings.NewReader(src))
 		if err != nil {
 			var pe *textparse.ParseError
-			if !errors.As(err, &pe) && !finalizeErr.MatchString(err.Error()) {
+			if !errors.As(err, &pe) {
 				t.Fatalf("untyped parse failure: %v", err)
 			}
 			return

@@ -37,9 +37,8 @@ const (
 	// Moves/Passes the FM work it took, Replicas/Rollbacks the
 	// replication-state work.
 	KindCarveAccepted Kind = iota + 1
-	// KindCarveRejected marks a failed carve attempt; Reason is a
-	// static rejection code (no-device, device-window, fm, terminals,
-	// area-window, materialize, no-progress).
+	// KindCarveRejected marks a failed carve attempt; Reason is one of
+	// the Reject* codes.
 	KindCarveRejected
 	// KindFMPass marks one completed FM pass: Moves applied before the
 	// best-prefix rollback and Cut after it.
@@ -91,6 +90,17 @@ const (
 	PhaseFold      = "fold"      // remap + assembly of one attempt's solution
 	PhaseCoarsen   = "coarsen"   // building the multilevel cluster hierarchy
 	PhaseUncoarsen = "uncoarsen" // projection + per-level refinement sweep
+)
+
+// Carve-rejection codes carried by KindCarveRejected events.
+const (
+	RejectNoDevice     = "no-device"     // no library device can host the desired size
+	RejectDeviceWindow = "device-window" // the target is below the picked device's window
+	RejectFM           = "fm"            // the carve bipartition failed
+	RejectTerminals    = "terminals"     // the carved block needs more IOBs than the device has
+	RejectAreaWindow   = "area-window"   // the carved block's area is outside the device window
+	RejectMaterialize  = "materialize"   // the carved block could not be extracted
+	RejectNoProgress   = "no-progress"   // replication left the remainder no smaller
 )
 
 // String returns the JSONL event-type tag.
