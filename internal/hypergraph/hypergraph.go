@@ -204,13 +204,32 @@ func (g *Graph) CellNets(id CellID) []NetID {
 //   - every net has at least one sink (a cell input or an ExtOut
 //     terminal);
 //   - areas are positive.
-func (g *Graph) Validate() error {
-	type driveInfo struct {
-		drivers int
-		sinks   int
+func (g *Graph) Validate() error { return g.validate(&validateScratch{}) }
+
+// validateScratch is Validate's working storage: per-net pin counts
+// and the set of cell names seen.
+type validateScratch struct {
+	info  []driveInfo
+	names map[string]bool
+}
+
+type driveInfo struct {
+	drivers int
+	sinks   int
+}
+
+// validate is Validate drawing its working storage from vs, which
+// keeps it for the next call.
+func (g *Graph) validate(vs *validateScratch) error {
+	vs.info = grow(vs.info, len(g.Nets))
+	info := vs.info
+	clear(info)
+	if vs.names == nil {
+		vs.names = make(map[string]bool, len(g.Cells))
+	} else {
+		clear(vs.names)
 	}
-	info := make([]driveInfo, len(g.Nets))
-	cellNames := make(map[string]bool, len(g.Cells))
+	cellNames := vs.names
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
 		if c.Area < 1 {

@@ -21,6 +21,55 @@ type InstanceSpec struct {
 	Replica bool
 }
 
+// Arena is storage that Subcircuit builds into, held by a caller that
+// extracts one subcircuit after another. A graph built in an arena
+// aliases its buffers until the arena's next build, so the caller must
+// be done with that graph first; the survey and validation scratch
+// are free again as soon as the build returns. A build allocates only
+// where a buffer is short of the new graph's size. The zero value is
+// ready for use.
+type Arena struct {
+	validateScratch
+	// Survey scratch: parent net references and active output lists.
+	ref  []netRef
+	outs []int
+	// Graph storage: cells, nets, every cell's input and output pins,
+	// adjacency rows and their words, and the nets' connection lists.
+	cells []Cell
+	nets  []Net
+	pins  []NetID
+	dep   []bitset.Vector
+	words []uint64
+	conns []Conn
+}
+
+// Detach gives the graph last built in a its storage for good: the
+// next build allocates new graph storage instead of overwriting it.
+// The survey and validation scratch stay for reuse, so a caller that
+// keeps every graph it builds still extracts without survey
+// allocations.
+func (a *Arena) Detach() {
+	a.cells, a.nets, a.pins, a.dep, a.words, a.conns = nil, nil, nil, nil, nil, nil
+}
+
+// netRef holds the subcircuit id of a parent net plus one (0: not in
+// the subcircuit) and whether a member instance drives it.
+type netRef struct {
+	id     NetID
+	driven bool
+}
+
+// grow returns buf resized to n elements, reallocating when its
+// capacity is short. The result is never nil, so an empty pin list
+// stays distinguishable from an absent one. Elements kept from earlier
+// use are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // Subcircuit materializes the hypergraph induced by the given cell
 // instances. Pin pruning follows the functional-replication rule: a
 // copy carrying output set S keeps exactly the input pins adjacent to
@@ -35,6 +84,15 @@ type InstanceSpec struct {
 // cell's pin lists and adjacency rows are carved from one allocation
 // each, so the allocation count does not grow with the instance count.
 func (g *Graph) Subcircuit(name string, specs []InstanceSpec, external func(NetID) bool) (*Graph, error) {
+	return g.SubcircuitIn(&Arena{}, name, specs, external)
+}
+
+// SubcircuitIn is Subcircuit building into a: the returned graph's
+// cells, nets, pins, adjacency rows and connection lists live in a's
+// buffers, which a warm arena reuses without allocating. Only the
+// Graph header is new, so a graph built in a never shares its identity
+// with an earlier one.
+func (g *Graph) SubcircuitIn(a *Arena, name string, specs []InstanceSpec, external func(NetID) bool) (*Graph, error) {
 	// Survey: each instance's active outputs, sorted, in one buffer.
 	nOut := 0
 	for _, spec := range specs {
@@ -42,14 +100,11 @@ func (g *Graph) Subcircuit(name string, specs []InstanceSpec, external func(NetI
 			nOut += numOutputs(&g.Cells[spec.Cell], spec)
 		}
 	}
-	outs := make([]int, 0, nOut)
-	// ref[old] holds the subcircuit id of parent net old plus one (0:
-	// not in the subcircuit) and whether a member instance drives it.
-	type netRef struct {
-		id     NetID
-		driven bool
-	}
-	ref := make([]netRef, len(g.Nets))
+	a.outs = grow(a.outs, nOut)[:0]
+	outs := a.outs
+	a.ref = grow(a.ref, len(g.Nets))
+	ref := a.ref
+	clear(ref)
 	numNets, nIn, nWords := 0, 0, 0
 	mapNet := func(old NetID) *netRef {
 		r := &ref[old]
@@ -101,11 +156,15 @@ func (g *Graph) Subcircuit(name string, specs []InstanceSpec, external func(NetI
 		nWords += len(act) * bitset.Words(k)
 	}
 
-	sub := &Graph{Name: name, Cells: make([]Cell, len(specs)), Nets: make([]Net, numNets)}
-	inBuf := make([]NetID, nIn)
-	outBuf := make([]NetID, len(outs))
-	depBuf := make([]bitset.Vector, len(outs))
-	words := make([]uint64, nWords)
+	a.cells = grow(a.cells, len(specs))
+	a.nets = grow(a.nets, numNets)
+	a.pins = grow(a.pins, nIn+len(outs))
+	a.dep = grow(a.dep, len(outs))
+	a.words = grow(a.words, nWords)
+	clear(a.words)
+	sub := &Graph{Name: name, Cells: a.cells, Nets: a.nets}
+	inBuf, outBuf := a.pins[:nIn], a.pins[nIn:]
+	depBuf, words := a.dep, a.words
 	off := 0
 	for ci, spec := range specs {
 		src := &g.Cells[spec.Cell]
@@ -176,8 +235,8 @@ func (g *Graph) Subcircuit(name string, specs []InstanceSpec, external func(NetI
 		}
 	}
 
-	sub.RebuildConns()
-	if err := sub.Validate(); err != nil {
+	a.conns = sub.RebuildConnsInto(a.conns)
+	if err := sub.validate(&a.validateScratch); err != nil {
 		return nil, fmt.Errorf("subcircuit %q: %w", name, err)
 	}
 	return sub, nil

@@ -267,40 +267,63 @@ func decodeSpecs(g *Graph, data []byte) []InstanceSpec {
 	return specs
 }
 
-// checkSubcircuit compares Subcircuit against the reference: the same
-// error, or the same cells, nets and conns.
-func checkSubcircuit(t *testing.T, g *Graph, specs []InstanceSpec, external func(NetID) bool) bool {
+// checkSubcircuit compares Subcircuit, and SubcircuitIn through a,
+// against the reference: the same error, or the same cells, nets and
+// conns.
+func checkSubcircuit(t *testing.T, a *Arena, g *Graph, specs []InstanceSpec, external func(NetID) bool) bool {
 	t.Helper()
 	want, werr := referenceSubcircuit(g, "sub", specs, external)
-	got, gerr := g.Subcircuit("sub", specs, external)
-	if !reflect.DeepEqual(gerr, werr) {
-		t.Fatalf("specs %+v: error %v, reference %v", specs, gerr, werr)
+	for _, form := range []string{"fresh", "arena"} {
+		var got *Graph
+		var gerr error
+		if form == "fresh" {
+			got, gerr = g.Subcircuit("sub", specs, external)
+		} else {
+			got, gerr = g.SubcircuitIn(a, "sub", specs, external)
+		}
+		if !reflect.DeepEqual(gerr, werr) {
+			t.Fatalf("%s, specs %+v: error %v, reference %v", form, specs, gerr, werr)
+		}
+		if werr != nil {
+			continue
+		}
+		// The reference leaves an empty extraction's slices nil.
+		if got.Name != want.Name ||
+			len(got.Cells)+len(want.Cells) > 0 && !reflect.DeepEqual(got.Cells, want.Cells) ||
+			len(got.Nets)+len(want.Nets) > 0 && !reflect.DeepEqual(got.Nets, want.Nets) {
+			t.Fatalf("%s, specs %+v:\n got  %+v\n want %+v", form, specs, got, want)
+		}
 	}
-	if werr != nil {
-		return false
+	return werr == nil
+}
+
+// wholeSpecs selects every cell of g whole: the largest extraction.
+func wholeSpecs(g *Graph) []InstanceSpec {
+	specs := make([]InstanceSpec, len(g.Cells))
+	for ci := range specs {
+		specs[ci].Cell = CellID(ci)
 	}
-	// The reference leaves an empty extraction's slices nil.
-	if got.Name != want.Name ||
-		len(got.Cells)+len(want.Cells) > 0 && !reflect.DeepEqual(got.Cells, want.Cells) ||
-		len(got.Nets)+len(want.Nets) > 0 && !reflect.DeepEqual(got.Nets, want.Nets) {
-		t.Fatalf("specs %+v:\n got  %+v\n want %+v", specs, got, want)
-	}
-	return true
+	return specs
 }
 
 func TestSubcircuitMatchesReference(t *testing.T) {
 	built := 0
 	const seeds = 400
+	// One arena serves every extraction, so each build reuses storage
+	// grown by larger or smaller graphs before it.
+	var a Arena
 	for seed := int64(0); seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, 1+r.Intn(40))
 		ext := randomExternal(r, g)
-		if checkSubcircuit(t, g, randomSpecs(r, g), ext) {
+		checkSubcircuit(t, &a, g, wholeSpecs(g), ext)
+		if checkSubcircuit(t, &a, g, randomSpecs(r, g), ext) {
 			built++
 		}
 		bad := make([]byte, 3*r.Intn(8))
 		r.Read(bad)
-		checkSubcircuit(t, g, decodeSpecs(g, bad), ext)
+		checkSubcircuit(t, &a, g, decodeSpecs(g, bad), ext)
+		checkSubcircuit(t, &a, g, wholeSpecs(g), ext)
 	}
 	// Guard against a generator that only ever exercises the error
 	// paths.
@@ -317,6 +340,11 @@ func FuzzSubcircuit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, 1+r.Intn(12))
-		checkSubcircuit(t, g, decodeSpecs(g, data), randomExternal(r, g))
+		ext := randomExternal(r, g)
+		// Large, then small, then large through one arena.
+		var a Arena
+		checkSubcircuit(t, &a, g, wholeSpecs(g), ext)
+		checkSubcircuit(t, &a, g, decodeSpecs(g, data), ext)
+		checkSubcircuit(t, &a, g, wholeSpecs(g), ext)
 	})
 }

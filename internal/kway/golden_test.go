@@ -116,24 +116,70 @@ func goldenRun(t *testing.T, opts kway.Options) (kway.Result, *trace.Recorder) {
 // recording the events they carry.
 func goldenSearch(t *testing.T, opts kway.Options) (kway.Result, *trace.Recorder) {
 	t.Helper()
-	g, err := bench.Generate(bench.Params{Cells: 400, PrimaryIn: 12, PrimaryOut: 8, Seed: 3, Clustering: 0.5})
+	// The fixtures were recorded at T = 0, maximum replication.
+	zero := 0
+	opts.Threshold = &zero
+	opts.Solutions = 6
+	opts.Seed = 11
+	opts.Workers = 1 // single worker: the trace stream is sequential
+	return recordSearch(t, bench.Params{Cells: 400, PrimaryIn: 12, PrimaryOut: 8, Seed: 3, Clustering: 0.5}, opts)
+}
+
+// recordSearch runs a search on the XC3000 library over the circuit p
+// generates, recording the events opts' spans carry.
+func recordSearch(t *testing.T, p bench.Params, opts kway.Options) (kway.Result, *trace.Recorder) {
+	t.Helper()
+	g, err := bench.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &trace.Recorder{}
-	// The fixtures were recorded at T = 0, maximum replication.
-	zero := 0
-	opts.Threshold = &zero
 	opts.Library = library.XC3000()
-	opts.Solutions = 6
-	opts.Seed = 11
-	opts.Workers = 1 // single worker: the trace stream is sequential
 	opts.Spans = opts.Spans.WithSink(rec)
 	res, err := kway.Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, rec
+}
+
+// terminalBound is a circuit whose carves are bound by terminals: 200
+// cells under 100 primary inputs and 80 primary outputs, so a carve
+// sized for a device's CLBs overflows its IOBs, and most carves follow
+// a terminal rejection.
+var terminalBound = bench.Params{Cells: 200, PrimaryIn: 100, PrimaryOut: 80, Seed: 3, Clustering: 0.35}
+
+// terminalBoundOptions are the options of the terminal-bound fixture
+// search: one worker, so the trace stream is sequential.
+func terminalBoundOptions() kway.Options {
+	return kway.Options{Solutions: 4, Seed: 11, Workers: 1}
+}
+
+// followsPressuredCarve reports whether some attempt accepts a carve
+// after an earlier carve of the same attempt was accepted under
+// terminal pressure, that is after a terminal rejection of its own.
+// Only such a carve can start from a size an earlier carve learned.
+func followsPressuredCarve(events []trace.Event) bool {
+	type attemptState struct{ pressured, learned bool }
+	states := map[int]*attemptState{}
+	for _, e := range events {
+		st := states[e.Attempt]
+		if st == nil {
+			st = &attemptState{}
+			states[e.Attempt] = st
+		}
+		switch {
+		case e.Kind == trace.KindCarveRejected && e.Reason == trace.RejectTerminals:
+			st.pressured = true
+		case e.Kind == trace.KindCarveAccepted:
+			if st.learned {
+				return true
+			}
+			st.learned = st.learned || st.pressured
+			st.pressured = false
+		}
+	}
+	return false
 }
 
 // TestFlatPathGolden pins the classic engine byte-for-byte: a
@@ -145,6 +191,23 @@ func TestFlatPathGolden(t *testing.T) {
 	res, rec := goldenRun(t, kway.Options{})
 	goldenCompare(t, "flat_golden_result.txt", goldenRender(t, res))
 	goldenCompare(t, "flat_golden_trace.jsonl", goldenTrace(t, rec))
+}
+
+// TestTerminalBoundGolden pins the flat engine on the terminal-bound
+// circuit byte-for-byte, partition rendering and JSONL trace stream.
+// Its trace must hold a carve accepted after a pressured acceptance in
+// the same attempt, so the fixture reads what one carve passes on to
+// the next.
+func TestTerminalBoundGolden(t *testing.T) {
+	opts := terminalBoundOptions()
+	tracer := span.NewTracer(span.Options{Process: "kway-test", Now: goldenClock(), Origin: 1})
+	opts.Spans = tracer.Root(span.DeriveTraceID("golden", opts.Seed, opts.Solutions), 0)
+	res, rec := recordSearch(t, terminalBound, opts)
+	goldenCompare(t, "terminal_golden_result.txt", goldenRender(t, res))
+	goldenCompare(t, "terminal_golden_trace.jsonl", goldenTrace(t, rec))
+	if !followsPressuredCarve(rec.Events()) {
+		t.Fatal("no attempt accepts a carve after a carve accepted under terminal pressure")
+	}
 }
 
 // TestMultilevelPathGolden pins the V-cycle byte-for-byte the way

@@ -487,10 +487,24 @@ func assemble(g *hypergraph.Graph, parts []Part) Result {
 // the subcircuit, so the carve's own run only resets it), and the
 // arrays of every layer keep their capacity across carves and
 // attempts.
+//
+// The two rest arenas hold the remainders an attempt carves again.
+// Each such remainder is built into the arena not holding the
+// subcircuit it was carved from, which is dead once the carve is
+// accepted; built[i] is the graph rests[i] holds. Parts never live in
+// arena storage: a carved block, or a remainder that already fits a
+// device, is built in the parts arena and detached from it, since it
+// outlives the attempt. specs and specOuts hold the instance lists
+// each materialization extracts from.
 type carveScratch struct {
-	cluster fm.ClusterScratch
-	assign  []replication.Block
-	ml      multilevel.Runner
+	cluster  fm.ClusterScratch
+	assign   []replication.Block
+	ml       multilevel.Runner
+	rests    [2]hypergraph.Arena
+	built    [2]*hypergraph.Graph
+	parts    hypergraph.Arena
+	specs    []hypergraph.InstanceSpec
+	specOuts []int
 }
 
 // slotTracker maintains the board-slot placement of one solution
@@ -739,7 +753,7 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectAreaWindow, d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
-		c, rst, merr := materialize(sub, st)
+		c, rst, merr := materialize(sub, st, opts.Library, sc)
 		if merr != nil {
 			lastErr = merr
 			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectMaterialize, d.Name, st.Area(0), st.Terminals(0), res, delta)
@@ -751,6 +765,12 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 			continue
 		}
 		if opts.Verify {
+			// materialize chose the remainder's storage by whether the
+			// state's block 1 fits a device; partitionOnce decides from
+			// the built graph, so the two must agree.
+			if a, t := rst.TotalArea(), rst.NumTerminals(); a != st.Area(1) || t != st.Terminals(1) {
+				return nil, nil, library.Device{}, &VerificationError{Stage: "carve", Err: fmt.Errorf("remainder has %d CLBs and %d terminals, state block 1 has %d and %d", a, t, st.Area(1), st.Terminals(1))}
+			}
 			if verr := st.CheckInvariants(); verr != nil {
 				return nil, nil, library.Device{}, &VerificationError{Stage: "carve-state", Err: verr}
 			}
@@ -898,14 +918,30 @@ func netWeightsByName(sub *hypergraph.Graph, w []replication.NetWeights) map[str
 }
 
 // materialize splits the bipartitioned state into two standalone
-// subcircuits.
-func materialize(sub *hypergraph.Graph, st *replication.State) (*hypergraph.Graph, *hypergraph.Graph, error) {
+// subcircuits. The carved block gets storage of its own, and so does a
+// remainder that fits a device; a remainder that will be carved again
+// is built into the rest arena not holding sub (carveScratch).
+func materialize(sub *hypergraph.Graph, st *replication.State, lib library.Library, sc *carveScratch) (*hypergraph.Graph, *hypergraph.Graph, error) {
 	cut := func(n hypergraph.NetID) bool { return st.CutNet(n) }
-	a, err := sub.Subcircuit(sub.Name+".0", st.InstanceSpecs(0), cut)
+	sc.specs, sc.specOuts = st.InstanceSpecsInto(0, sc.specs, sc.specOuts)
+	a, err := sub.SubcircuitIn(&sc.parts, sub.Name+".0", sc.specs, cut)
+	sc.parts.Detach()
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := sub.Subcircuit(sub.Name+".1", st.InstanceSpecs(1), cut)
+	sc.specs, sc.specOuts = st.InstanceSpecsInto(1, sc.specs, sc.specOuts)
+	var b *hypergraph.Graph
+	if _, fits := lib.CheapestFit(st.Area(1), st.Terminals(1)); fits {
+		b, err = sub.SubcircuitIn(&sc.parts, sub.Name+".1", sc.specs, cut)
+		sc.parts.Detach()
+	} else {
+		i := 0
+		if sc.built[0] == sub {
+			i = 1
+		}
+		b, err = sub.SubcircuitIn(&sc.rests[i], sub.Name+".1", sc.specs, cut)
+		sc.built[i] = b
+	}
 	if err != nil {
 		return nil, nil, err
 	}

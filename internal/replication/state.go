@@ -1372,6 +1372,15 @@ func (s *State) LastTouched() []hypergraph.CellID { return s.lastTouched }
 // copy outside its home block) carry the Replica flag and get a "$r"
 // name suffix to keep names unique.
 func (s *State) InstanceSpecs(b Block) []hypergraph.InstanceSpec {
+	specs, _ := s.InstanceSpecsInto(b, nil, nil)
+	return specs
+}
+
+// InstanceSpecsInto is InstanceSpecs building the list in specs and
+// the partial output sets in outs, reallocating either only when its
+// capacity is short. It returns both buffers for reuse; the specs
+// alias outs.
+func (s *State) InstanceSpecsInto(b Block, specs []hypergraph.InstanceSpec, outs []int) ([]hypergraph.InstanceSpec, []int) {
 	n, nOut := 0, 0
 	for ci := range s.own {
 		if mask := s.own[ci][b]; mask != 0 {
@@ -1381,8 +1390,8 @@ func (s *State) InstanceSpecs(b Block) []hypergraph.InstanceSpec {
 			}
 		}
 	}
-	specs := make([]hypergraph.InstanceSpec, 0, n)
-	outs := make([]int, 0, nOut)
+	specs = slices.Grow(specs[:0], n)
+	outs = slices.Grow(outs[:0], nOut)
 	for ci := range s.own {
 		mask := s.own[ci][b]
 		if mask == 0 {
@@ -1402,7 +1411,7 @@ func (s *State) InstanceSpecs(b Block) []hypergraph.InstanceSpec {
 		}
 		specs = append(specs, spec)
 	}
-	return specs
+	return specs, outs
 }
 
 // CheckInvariants recomputes every derived quantity from scratch and
