@@ -586,6 +586,10 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 	queue := []*hypergraph.Graph{g}
 	var parts []Part
 	guard := 0
+	// hint is the carve-size goal on which the attempt's latest carve
+	// accepted under terminal pressure settled (0: none yet); see
+	// carve.
+	hint := 0
 	for len(queue) > 0 {
 		// Deterministic cancellation checkpoint: the budget is observed
 		// only between carves, never inside FM, so every completed
@@ -610,7 +614,7 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 			parts = append(parts, Part{Graph: sub, Device: dev, Replicas: countReplicas(sub)})
 			continue
 		}
-		carved, rest, dev, err := carve(ctx, sub, opts, attempt, seed, r, sc, tr, len(parts))
+		carved, rest, dev, err := carve(ctx, sub, opts, attempt, seed, r, sc, tr, len(parts), &hint)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -653,7 +657,15 @@ func emitCarve(opts *Options, attempt int, kind trace.Kind, reason string, dev s
 // board tracker armed, the carved block is headed for slot s0 and the
 // remainder anchored at s0+1; every FM run of the carve then minimizes
 // the marginal hop-weighted span instead of the flat cut.
-func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int, seed int64, r *rand.Rand, sc *carveScratch, tr *slotTracker, s0 int) (carved, rest *hypergraph.Graph, dev library.Device, err error) {
+//
+// hint carries the carve-size goal across one attempt's carves: a
+// carve starts from min(*hint, maxFit) instead of maxFit, and a carve
+// accepted after a terminal rejection stores its final goal in *hint.
+// The remainder's terminal density barely moves between carves, so
+// the next carve skips the rejections that shrank this one. The
+// terminal objective is not carried over: every carve starts on the
+// cut and switches to t_P0 at its own first rejection.
+func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int, seed int64, r *rand.Rand, sc *carveScratch, tr *slotTracker, s0 int, hint *int) (carved, rest *hypergraph.Graph, dev library.Device, err error) {
 	var weights []replication.NetWeights
 	if tr != nil {
 		// The remainder is non-empty (otherwise the subcircuit would
@@ -678,6 +690,9 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 	// smaller cut) and switch the carve objective from pure cut to
 	// t_P0 (terminal pressure).
 	want := maxFit
+	if *hint > 0 && *hint < want {
+		want = *hint
+	}
 	termPressure := false
 	termFails := 0
 	for try := 0; try < carveRetries; try++ {
@@ -779,6 +794,9 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 			}
 		}
 		emitCarve(&opts, attempt, trace.KindCarveAccepted, "", d.Name, st.Area(0), st.Terminals(0), res, delta)
+		if termPressure {
+			*hint = want
+		}
 		return c, rst, d, nil
 	}
 	return nil, nil, library.Device{}, fmt.Errorf("kway: all carve attempts failed: %w", lastErr)

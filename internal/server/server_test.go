@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fpgapart/internal/bench"
+	"fpgapart/internal/core"
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/hypergraph"
 )
@@ -142,10 +143,12 @@ func TestSyncPartitionJSONAndRaw(t *testing.T) {
 	}
 }
 
-// TestExplicitThresholdZero: "threshold": 0 means T = 0 (maximum
-// replication), not the T = 1 an absent threshold selects — on c5315
-// the two searches replicate different cell counts — and the query
-// form ?threshold=0 runs the same search as the JSON 0.
+// TestExplicitThresholdZero: "threshold": 0 and ?threshold=0 both mean
+// T = 0 (maximum replication), not the T = 1 an absent threshold
+// selects. Each request must equal the local search it names. The
+// comparison runs at the first seed in 1–4 where the local T = 0 and
+// T = 1 searches on c5315 differ, so a server that dropped the
+// threshold could not pass; some seed must differ.
 func TestExplicitThresholdZero(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	c, _ := bench.ByName("c5315")
@@ -154,30 +157,51 @@ func TestExplicitThresholdZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	circuit := sb.String()
+	g, err := hypergraph.Read(strings.NewReader(circuit))
+	if err != nil {
+		t.Fatal(err)
+	}
 	zero := 0
-	results := map[string]*JobResult{}
-	for name, req := range map[string]JobRequest{
-		"default": {Circuit: circuit, Solutions: 4, Seed: 1},
-		"zero":    {Circuit: circuit, Solutions: 4, Seed: 1, Threshold: &zero},
-	} {
-		resp, st := postJSON(t, ts.URL+"/v1/partition", req)
-		if resp.StatusCode != http.StatusOK || st.Result == nil {
-			t.Fatalf("%s: %d (%+v)", name, resp.StatusCode, st)
+	local := func(seed int64, threshold *int) *JobResult {
+		res, err := core.Partition(g, core.Options{Solutions: 4, Seed: seed, Threshold: threshold})
+		if err != nil {
+			t.Fatal(err)
 		}
-		results[name] = st.Result
+		return ResultJSON(g, res, nil)
 	}
-	if d, z := results["default"].ReplicatedCells, results["zero"].ReplicatedCells; d == z {
-		t.Fatalf("threshold 0 replicated %d cells, the same as the T = 1 default", z)
+	var seed int64
+	var wantDefault, wantZero *JobResult
+	for s := int64(1); s <= 4; s++ {
+		wantDefault, wantZero = local(s, nil), local(s, &zero)
+		if !reflect.DeepEqual(wantDefault, wantZero) {
+			seed = s
+			break
+		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/partition?solutions=4&seed=1&threshold=0", "text/plain", strings.NewReader(circuit))
+	if seed == 0 {
+		t.Fatal("local T = 0 and T = 1 searches on c5315 agree at every seed in 1-4")
+	}
+	for name, c := range map[string]struct {
+		req  JobRequest
+		want *JobResult
+	}{
+		"default": {JobRequest{Circuit: circuit, Solutions: 4, Seed: seed}, wantDefault},
+		"zero":    {JobRequest{Circuit: circuit, Solutions: 4, Seed: seed, Threshold: &zero}, wantZero},
+	} {
+		resp, st := postJSON(t, ts.URL+"/v1/partition", c.req)
+		if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(st.Result, c.want) {
+			t.Fatalf("%s at seed %d: %d %+v, want %+v", name, seed, resp.StatusCode, st.Result, c.want)
+		}
+	}
+	resp, err := http.Post(fmt.Sprintf("%s/v1/partition?solutions=4&seed=%d&threshold=0", ts.URL, seed), "text/plain", strings.NewReader(circuit))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var st JobStatus
 	json.NewDecoder(resp.Body).Decode(&st)
-	if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(st.Result, results["zero"]) {
-		t.Fatalf("?threshold=0: %d %+v, want %+v", resp.StatusCode, st.Result, results["zero"])
+	if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(st.Result, wantZero) {
+		t.Fatalf("?threshold=0 at seed %d: %d %+v, want %+v", seed, resp.StatusCode, st.Result, wantZero)
 	}
 }
 
