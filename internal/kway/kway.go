@@ -371,9 +371,10 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 	// replay reconstructs known state — it is not new search work.
 	newAttempt := func(o Options) search.AttemptFunc[Result] {
 		// Per-worker scratch: the FM runner's gain buckets, the
-		// cluster-growing buffers and the replication state are all
-		// reused across carve attempts and solution attempts, so a
-		// warm worker allocates only for the materialized subcircuits.
+		// cluster-growing buffers, the replication state and the
+		// remainders' storage are all reused across carve attempts and
+		// solution attempts, so a warm worker allocates mainly for the
+		// parts it materializes.
 		var sc carveScratch
 		return func(ctx context.Context, attempt int, seed int64) (Result, error) {
 			// A panic can leave the reused scratch (gain buckets,
@@ -784,7 +785,8 @@ func carve(ctx context.Context, sub *hypergraph.Graph, opts Options, attempt int
 			// state's block 1 fits a device; partitionOnce decides from
 			// the built graph, so the two must agree.
 			if a, t := rst.TotalArea(), rst.NumTerminals(); a != st.Area(1) || t != st.Terminals(1) {
-				return nil, nil, library.Device{}, &VerificationError{Stage: "carve", Err: fmt.Errorf("remainder has %d CLBs and %d terminals, state block 1 has %d and %d", a, t, st.Area(1), st.Terminals(1))}
+				verr := fmt.Errorf("remainder has %d CLBs and %d terminals, state block 1 has %d and %d", a, t, st.Area(1), st.Terminals(1))
+				return nil, nil, library.Device{}, &VerificationError{Stage: "carve", Err: verr}
 			}
 			if verr := st.CheckInvariants(); verr != nil {
 				return nil, nil, library.Device{}, &VerificationError{Stage: "carve-state", Err: verr}
