@@ -15,7 +15,6 @@ import (
 	"fpgapart/internal/expt"
 	"fpgapart/internal/fm"
 	"fpgapart/internal/hypergraph"
-	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
 	"fpgapart/internal/multilevel"
 	"fpgapart/internal/replication"
@@ -302,33 +301,6 @@ func BenchmarkKwayPartition(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.Summary.DeviceCost(), "cost")
-	}
-}
-
-// BenchmarkAblationPairRefine measures the pairwise k-way refinement
-// sweep's effect on Eq. 2 (average IOB utilization).
-func BenchmarkAblationPairRefine(b *testing.B) {
-	g := benchGraph(b, "s38584", 3)
-	for _, refine := range []bool{false, true} {
-		name := "search-only"
-		if refine {
-			name = "search+refine"
-		}
-		b.Run(name, func(b *testing.B) {
-			util := 0.0
-			for i := 0; i < b.N; i++ {
-				opts := core.Options{Solutions: 3, Seed: int64(i)}
-				res, err := core.Partition(g, opts)
-				if err == nil && refine {
-					_, err = kway.Refine(g, &res, opts)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				util += 100 * res.Summary.AvgIOBUtil()
-			}
-			b.ReportMetric(util/float64(b.N), "avg-iob-util-%")
-		})
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"fpgapart/internal/bench"
 	"fpgapart/internal/core"
-	"fpgapart/internal/kway"
 	"fpgapart/internal/report"
 )
 
@@ -41,11 +40,7 @@ func main() {
 		if T == core.NoReplication {
 			label = "off"
 		}
-		opts := core.Options{Threshold: &T, Solutions: *solutions, Seed: 3}
-		res, err := core.Partition(g, opts)
-		if err == nil {
-			_, err = kway.Refine(g, &res, opts)
-		}
+		res, err := core.Partition(g, core.Options{Threshold: &T, Solutions: *solutions, Seed: 3})
 		if err != nil {
 			t.Row(label, "fail", err.Error())
 			continue
@@ -59,5 +54,4 @@ func main() {
 	}
 	t.Render(os.Stdout)
 	fmt.Println("T=off reproduces the DAC'93 baseline; T=0 allows maximum replication (Eq. 6).")
-	fmt.Println("All rows include the pairwise k-way refinement sweep (kway.Refine).")
 }
