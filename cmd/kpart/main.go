@@ -278,6 +278,9 @@ func (p progressSink) Event(e trace.Event) {
 }
 
 func run(cfg runConfig) error {
+	if cfg.timeout < 0 {
+		return fmt.Errorf("-timeout must be non-negative, got %v", cfg.timeout)
+	}
 	// Span tracing: one "job" root span for the run, trace ID derived
 	// from the CLI store identity (cliJobID, seed, solutions) so a
 	// -resume run records into the same logical trace as the run it

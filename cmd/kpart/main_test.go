@@ -330,6 +330,13 @@ func TestExitCodes(t *testing.T) {
 	if want := `topology: board "b" is disconnected (no path 0–2)`; err.Error() != want {
 		t.Fatalf("board validation error %q, want %q", err, want)
 	}
+	// A negative budget is a usage error, not "unlimited".
+	_, err = capture(t, func() error {
+		return run(runConfig{path: writeCLB(t), threshold: 1, solutions: 1, seed: 1, timeout: -time.Second})
+	})
+	if err == nil || exitCode(err) != 1 || err.Error() != "-timeout must be non-negative, got -1s" {
+		t.Fatalf("negative -timeout: %v, want exit 1 naming the flag", err)
+	}
 }
 
 // Truncated or malformed input must surface line context and map to

@@ -204,12 +204,6 @@ type job struct {
 	done     chan struct{}
 }
 
-func (j *job) setState(s string) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-}
-
 // traceRef snapshots the job's trace identity (zero until runJob
 // starts it, unless the submission carried a traceparent).
 func (j *job) traceRef() (span.TraceID, span.ID) {

@@ -248,6 +248,48 @@ func TestOutOfRangeOption400(t *testing.T) {
 	}
 }
 
+// A negative search budget is malformed, not the server default, and
+// one far above the server maximum is capped to it rather than
+// overflowing into an already expired budget. Both hold for a JSON
+// body and for the query string.
+func TestTimeoutMSValidation(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	circuit := circuitText(t, 60, 1)
+	for _, c := range []struct {
+		ms     int64
+		status int
+		kind   string
+	}{
+		{-5, http.StatusBadRequest, KindMalformed},
+		{10_000_000_000_000, http.StatusOK, ""},
+	} {
+		body, err := json.Marshal(JobRequest{Circuit: circuit, Solutions: 2, Seed: 1, TimeoutMS: c.ms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			name, url, contentType, body string
+		}{
+			{"json", ts.URL + "/v1/partition", "application/json", string(body)},
+			{"query", fmt.Sprintf("%s/v1/partition?solutions=2&seed=1&timeout_ms=%d", ts.URL, c.ms), "text/plain", circuit},
+		} {
+			resp, err := http.Post(r.url, r.contentType, strings.NewReader(r.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct {
+				Error string `json:"error"`
+				Kind  string `json:"error_kind"`
+			}
+			json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if resp.StatusCode != c.status || got.Kind != c.kind {
+				t.Fatalf("%s timeout_ms=%d: %d %+v, want %d %q", r.name, c.ms, resp.StatusCode, got, c.status, c.kind)
+			}
+		}
+	}
+}
+
 func TestIdempotentJobID(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := JobRequest{ID: "job-abc", Circuit: circuitText(t, 120, 1), Solutions: 3, Seed: 1}
