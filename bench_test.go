@@ -7,7 +7,6 @@ package fpgapart
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"fpgapart/internal/bench"
@@ -148,33 +147,20 @@ func benchGraph(b *testing.B, name string, scale int) *hypergraph.Graph {
 	return g
 }
 
-// BenchmarkFMPass measures raw FM bipartitioning throughput, plain,
-// with functional replication at T = 1, and at T = 1 under a seeded net
-// weight table (the board objective's kernel).
+// BenchmarkFMPass measures raw FM bipartitioning throughput, plain and
+// with functional replication at T = 1.
 func BenchmarkFMPass(b *testing.B) {
 	g := benchGraph(b, "s13207", 2)
 	minA, maxA := fm.Balance(g.TotalArea(), 0.05)
-	r := rand.New(rand.NewSource(1))
-	weights := make([]replication.NetWeights, g.NumNets())
-	for i := range weights {
-		a0, a1 := int32(r.Intn(4)), int32(r.Intn(4))
-		weights[i] = replication.NetWeights{Alone: [2]int32{a0, a1}, Both: a0 + a1 + int32(r.Intn(3))}
-	}
 	for _, tc := range []struct {
 		name      string
 		threshold int
-		weights   []replication.NetWeights
-	}{{"plain", fm.NoReplication, nil}, {"T=1", 1, nil}, {"weighted", 1, weights}} {
+	}{{"plain", fm.NoReplication}, {"T=1", 1}} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st, err := replication.NewState(g, fm.RandomAssign(g, int64(i)))
 				if err != nil {
 					b.Fatal(err)
-				}
-				if tc.weights != nil {
-					if err := st.SetNetWeights(tc.weights); err != nil {
-						b.Fatal(err)
-					}
 				}
 				res, err := fm.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: tc.threshold, Seed: int64(i)})
 				if err != nil {

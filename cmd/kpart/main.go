@@ -113,7 +113,7 @@ func (cfg *runConfig) bindFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&cfg.multilevel, "multilevel", false, "seed large carve subproblems with the multilevel V-cycle (coarsen, partition, uncoarsen+refine)")
 	fs.BoolVar(&cfg.progress, "progress", false, "print per-solution progress and search statistics to stderr")
 	fs.StringVar(&cfg.statsJSON, "stats-json", "", "stream structured engine events (FM passes, carves, solutions) as JSONL to this file")
-	fs.StringVar(&cfg.board, "board", "", "multi-FPGA board topology: a spec (crossbar:N[:CAP], linear:N[:CAP], mesh:RxC[:CAP]) or a board-description file; switches the search to the hop-weighted interconnect objective")
+	fs.StringVar(&cfg.board, "board", "", "multi-FPGA board topology: a spec (crossbar:N[:CAP], linear:N[:CAP], mesh:RxC[:CAP]) or a board-description file; places every solution on the board's slots and scores its hop-weighted interconnect")
 	fs.StringVar(&cfg.metricsOut, "metrics-out", "", "write a final metrics snapshot (Prometheus text format 0.0.4) to this file")
 	fs.StringVar(&cfg.traceOut, "trace-out", "", "record the run as a span tree and write it as Chrome trace_event JSON (load in Perfetto or chrome://tracing) to this file")
 	fs.StringVar(&cfg.storeDir, "store", "", "durable checkpoint store directory: the search reduction is persisted after every folded attempt so an interrupted run can continue with -resume")

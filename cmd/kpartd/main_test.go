@@ -94,6 +94,23 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatal("partition response missing X-Request-Id")
 	}
 
+	// The board field reaches the spec parser straight from the request:
+	// a spec with too many slots must be a prompt 400 malformed, not
+	// gigabytes of link lists built before the slot check.
+	start := time.Now()
+	resp, err = http.Post(base+"/v1/partition?solutions=3&seed=1&board=crossbar:100000", "text/plain", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"error_kind":"malformed"`) {
+		t.Fatalf("oversized board: %d\n%s", resp.StatusCode, body)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("oversized board rejected after %v", d)
+	}
+
 	// The acceptance scrape: after the completed job, /metrics must show
 	// a non-zero request-latency count, the carve counters the job fed
 	// through the engine bridge, and the queue-depth gauge.

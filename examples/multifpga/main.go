@@ -63,10 +63,10 @@ func main() {
 		}
 	}
 
-	// The same design on a physical 3x4 mesh of device slots: the
-	// search switches to the hop-weighted interconnect objective, so
-	// nets that would span distant slots get packed into adjacent ones
-	// and the routing post-check guarantees no board link is
+	// The same design on a physical 3x4 mesh of device slots: each
+	// solution's parts are placed on the slots with the least
+	// hop-weighted interconnect, so parts that share many nets sit on
+	// adjacent slots, and the routing check guarantees no board link is
 	// oversubscribed.
 	board, err := topology.ParseSpec("mesh:3x4:512")
 	if err != nil {

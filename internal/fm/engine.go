@@ -147,26 +147,24 @@ type node struct {
 }
 
 // layout identifies the graph a set of per-graph buffers was laid out
-// for, and its objective's gain bound. Both engines key their buffers
-// on it and lay them out again only when it changes, into the capacity
-// of earlier layouts — which is what keeps the k-way partitioner's
-// carve loop allocation-free after warm-up. The key is the graph the
-// buffers were built for, not the previous state's current graph: a
-// rebound state (replication.State.Rebind) changes that under the
-// engine. For the classic objective MaxMoveGain equals MaxCellDegree,
-// so flat-path rebinding is unchanged.
+// for, and its gain bound. Both engines key their buffers on it and lay
+// them out again only when it changes, into the capacity of earlier
+// layouts — which is what keeps the k-way partitioner's carve loop
+// allocation-free after warm-up. The key is the graph the buffers were
+// built for, not the previous state's current graph: a rebound state
+// (replication.State.Rebind) changes that under the engine.
 type layout struct {
 	g      *hypergraph.Graph
-	gainOf int // bucket offset = max |gain| (st.MaxMoveGain)
+	gainOf int // bucket offset = max |gain| (st.MaxCellDegree)
 }
 
 // relayout reports whether buffers keyed on l must be laid out again
 // for st, and if so re-keys l to st's graph and gain bound.
 func (l *layout) relayout(st *replication.State) bool {
-	if l.g == st.Graph() && l.gainOf == st.MaxMoveGain() {
+	if l.g == st.Graph() && l.gainOf == st.MaxCellDegree() {
 		return false
 	}
-	l.g, l.gainOf = st.Graph(), st.MaxMoveGain()
+	l.g, l.gainOf = st.Graph(), st.MaxCellDegree()
 	return true
 }
 
@@ -184,7 +182,7 @@ type engine struct {
 	order    []hypergraph.CellID
 	scratch  []hypergraph.CellID
 	best     replication.Checkpoint     // per-pass best-prefix snapshot
-	floor    replication.ObjectiveFloor // per-pass objective lower bound
+	floor    replication.ObjectiveFloor // per-pass cut lower bound
 	gains    [replication.MaxSplits]int
 	replOnly bool
 }
@@ -431,18 +429,14 @@ func (e *engine) startPass() {
 // number of applied moves and the objective after the rollback.
 func (e *engine) pass() (bool, int, int) {
 	e.startPass()
-	// The pass minimizes the state's objective: plain cut size, or the
-	// weighted topology cost when a net weight table is installed
-	// (identical values on unweighted states, so the flat path is
-	// byte-for-byte the classic engine).
-	startCut := e.st.Objective()
+	startCut := e.st.CutSize()
 	bestCut := startCut
 	// Best-prefix tracking via full-state snapshots: restoring one is
 	// O(cells + nets) flat copies, against per-move undo sweeps over
 	// every rolled-back move's neighborhood.
 	e.st.SaveCheckpoint(&e.best)
-	// What locked cells pin down bounds every later prefix's objective
-	// from below. Once that floor reaches bestCut, no later prefix can
+	// What locked cells pin down bounds every later prefix's cut from
+	// below. Once that floor reaches bestCut, no later prefix can
 	// be strictly better: the pass stops and rolls back to the same
 	// best prefix a full pass would.
 	e.floor.Reset(e.st)
@@ -478,7 +472,7 @@ func (e *engine) pass() (bool, int, int) {
 				e.relink(t)
 			}
 		}
-		if cut := e.st.Objective(); cut < bestCut {
+		if cut := e.st.CutSize(); cut < bestCut {
 			bestCut = cut
 			e.st.SaveCheckpoint(&e.best)
 		}

@@ -156,10 +156,7 @@ func (p *parEngine) pass(n int) (bool, int, int) {
 	for i := range p.locked {
 		p.locked[i] = false
 	}
-	// Best-prefix tracking minimizes the state's objective: plain cut
-	// size, or the weighted topology cost when a net weight table is
-	// installed (identical on unweighted states).
-	startCut := st.Objective()
+	startCut := st.CutSize()
 	bestCut := startCut
 	bestTok := st.Mark()
 	moves := 0
@@ -228,7 +225,7 @@ func (p *parEngine) pass(n int) (bool, int, int) {
 					}
 				}
 			}
-			if cut := st.Objective(); cut < bestCut {
+			if cut := st.CutSize(); cut < bestCut {
 				bestCut = cut
 				bestTok = st.Mark()
 				sinceBest = 0

@@ -38,7 +38,7 @@ func (e *engine) push(c hypergraph.CellID) {
 // candidate remains, then rolls back to the best prefix.
 func (e *engine) referencePass() (bool, int) {
 	e.startPass()
-	startCut := e.st.Objective()
+	startCut := e.st.CutSize()
 	bestCut := startCut
 	e.st.SaveCheckpoint(&e.best)
 	moves := 0
@@ -65,7 +65,7 @@ func (e *engine) referencePass() (bool, int) {
 				e.push(t)
 			}
 		}
-		if cut := e.st.Objective(); cut < bestCut {
+		if cut := e.st.CutSize(); cut < bestCut {
 			bestCut = cut
 			e.st.SaveCheckpoint(&e.best)
 		}
@@ -87,20 +87,6 @@ func partitionSig(st *replication.State) string {
 	return out
 }
 
-// signedWeights builds a weight table with zero, negative and
-// non-monotone entries: every Alone and Both value is drawn from
-// [-3, 4], so Both can fall below an Alone weight.
-func signedWeights(r *rand.Rand, nets int) []replication.NetWeights {
-	w := make([]replication.NetWeights, nets)
-	for i := range w {
-		w[i] = replication.NetWeights{
-			Alone: [2]int32{int32(r.Intn(8) - 3), int32(r.Intn(8) - 3)},
-			Both:  int32(r.Intn(8) - 3),
-		}
-	}
-	return w
-}
-
 // passModes are the three kinds of serial pass: plain, with replication
 // and replication-only.
 var passModes = []struct {
@@ -115,58 +101,52 @@ var passModes = []struct {
 
 // A pass stopped at the objective floor must end exactly where the full
 // pass ends — same restored partition, same improved flag — in every
-// mode, pinned or not, unit-cut or weighted, pass after pass.
+// mode, pinned or not, pass after pass.
 func TestFrozenStopMatchesFullPass(t *testing.T) {
-	var stopped [2]int // unit-cut, weighted
+	stopped := 0
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := testGraph(t, 40+r.Intn(200), 300+seed, r.Float64()*0.8)
-		weights := signedWeights(r, g.NumNets())
 		for _, mode := range passModes {
 			for _, pinned := range []bool{false, true} {
-				for wi, w := range [][]replication.NetWeights{nil, weights} {
-					assign := RandomAssign(g, seed)
-					stStop := weightedState(t, g, assign, pinned, w)
-					stFull := weightedState(t, g, assign, pinned, w)
-					cfg := equalCfg(g, mode.threshold, seed)
-					var rStop, rFull Runner
-					eStop, eFull := rStop.start(stStop, cfg.withDefaults()), rFull.start(stFull, cfg.withDefaults())
-					eStop.replOnly, eFull.replOnly = mode.replOnly, mode.replOnly
-					for pass := 0; pass < 8; pass++ {
-						impStop, movesStop, _ := eStop.pass()
-						impFull, movesFull := eFull.referencePass()
-						if impStop != impFull || partitionSig(stStop) != partitionSig(stFull) {
-							t.Fatalf("seed %d %s pinned=%v weighted=%v pass %d: stopped pass improved=%v objective %d, full pass improved=%v objective %d",
-								seed, mode.name, pinned, w != nil, pass, impStop, stStop.Objective(), impFull, stFull.Objective())
-						}
-						if err := stStop.CheckInvariants(); err != nil {
-							t.Fatal(err)
-						}
-						if movesStop < movesFull {
-							stopped[wi]++
-						}
-						if !impStop {
-							break
-						}
+				assign := RandomAssign(g, seed)
+				stStop := pinnedState(t, g, assign, pinned)
+				stFull := pinnedState(t, g, assign, pinned)
+				cfg := equalCfg(g, mode.threshold, seed)
+				var rStop, rFull Runner
+				eStop, eFull := rStop.start(stStop, cfg.withDefaults()), rFull.start(stFull, cfg.withDefaults())
+				eStop.replOnly, eFull.replOnly = mode.replOnly, mode.replOnly
+				for pass := 0; pass < 8; pass++ {
+					impStop, movesStop, _ := eStop.pass()
+					impFull, movesFull := eFull.referencePass()
+					if impStop != impFull || partitionSig(stStop) != partitionSig(stFull) {
+						t.Fatalf("seed %d %s pinned=%v pass %d: stopped pass improved=%v cut %d, full pass improved=%v cut %d",
+							seed, mode.name, pinned, pass, impStop, stStop.CutSize(), impFull, stFull.CutSize())
+					}
+					if err := stStop.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					if movesStop < movesFull {
+						stopped++
+					}
+					if !impStop {
+						break
 					}
 				}
 			}
 		}
 	}
-	if stopped[0] == 0 || stopped[1] == 0 {
-		t.Fatalf("passes stopped at the objective floor: %d unit-cut, %d weighted; want both > 0", stopped[0], stopped[1])
+	if stopped == 0 {
+		t.Fatal("no pass stopped at the objective floor")
 	}
 }
 
-// weightedState builds a state on g with weight table w installed (nil:
-// the unit-cut objective).
-func weightedState(t *testing.T, g *hypergraph.Graph, assign []replication.Block, pinned bool, w []replication.NetWeights) *replication.State {
+// pinnedState builds a state on g, with virtual external pins when
+// pinned.
+func pinnedState(t *testing.T, g *hypergraph.Graph, assign []replication.Block, pinned bool) *replication.State {
 	t.Helper()
 	st, err := replication.NewStatePinned(g, assign, pinned)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetNetWeights(w); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -188,54 +168,51 @@ func (e *engine) bucketLists() string {
 // Refreshing a cell slot by slot (relink) must leave every bucket list
 // in the order push, which unlinks all of the cell's slots before
 // inserting any, leaves it — through random sequences of bucketed
-// moves of every kind, in every mode, unit-cut and weighted.
+// moves of every kind, in every mode.
 func TestRelinkMatchesPush(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := testGraph(t, 60+r.Intn(120), 500+seed, 0.5)
-		weights := signedWeights(r, g.NumNets())
 		for _, mode := range passModes {
-			for _, w := range [][]replication.NetWeights{nil, weights} {
-				assign := RandomAssign(g, seed)
-				pinned := seed%2 == 1
-				stA, stB := weightedState(t, g, assign, pinned, w), weightedState(t, g, assign, pinned, w)
-				cfg := equalCfg(g, mode.threshold, seed).withDefaults()
-				var rA, rB Runner
-				eA, eB := rA.start(stA, cfg), rB.start(stB, cfg)
-				eA.replOnly, eB.replOnly = mode.replOnly, mode.replOnly
-				eA.startPass()
-				eB.startPass()
-				for step := 0; ; step++ {
-					at := fmt.Sprintf("seed %d %s weighted=%v step %d", seed, mode.name, w != nil, step)
-					if a, b := eA.bucketLists(), eB.bucketLists(); a != b {
-						t.Fatalf("%s: relink buckets\n%s\npush buckets\n%s", at, a, b)
+			assign := RandomAssign(g, seed)
+			pinned := seed%2 == 1
+			stA, stB := pinnedState(t, g, assign, pinned), pinnedState(t, g, assign, pinned)
+			cfg := equalCfg(g, mode.threshold, seed).withDefaults()
+			var rA, rB Runner
+			eA, eB := rA.start(stA, cfg), rB.start(stB, cfg)
+			eA.replOnly, eB.replOnly = mode.replOnly, mode.replOnly
+			eA.startPass()
+			eB.startPass()
+			for step := 0; ; step++ {
+				at := fmt.Sprintf("seed %d %s step %d", seed, mode.name, step)
+				if a, b := eA.bucketLists(), eB.bucketLists(); a != b {
+					t.Fatalf("%s: relink buckets\n%s\npush buckets\n%s", at, a, b)
+				}
+				var linked []int32
+				for s := range eA.pool {
+					if eA.pool[s].bucket != nilNode {
+						linked = append(linked, int32(s))
 					}
-					var linked []int32
-					for s := range eA.pool {
-						if eA.pool[s].bucket != nilNode {
-							linked = append(linked, int32(s))
+				}
+				if len(linked) == 0 {
+					break
+				}
+				mv := eA.pool[linked[r.Intn(len(linked))]].move
+				for _, e := range []*engine{eA, eB} {
+					if _, err := e.st.Apply(mv); err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					e.locked[mv.Cell] = true
+					e.removeAll(mv.Cell)
+					e.scratch = e.st.TouchedCells(mv.Cell, e.scratch)
+					for _, c := range e.scratch {
+						if e.locked[c] {
+							continue
 						}
-					}
-					if len(linked) == 0 {
-						break
-					}
-					mv := eA.pool[linked[r.Intn(len(linked))]].move
-					for _, e := range []*engine{eA, eB} {
-						if _, err := e.st.Apply(mv); err != nil {
-							t.Fatalf("%s: %v", at, err)
-						}
-						e.locked[mv.Cell] = true
-						e.removeAll(mv.Cell)
-						e.scratch = e.st.TouchedCells(mv.Cell, e.scratch)
-						for _, c := range e.scratch {
-							if e.locked[c] {
-								continue
-							}
-							if e == eA {
-								e.relink(c)
-							} else {
-								e.push(c)
-							}
+						if e == eA {
+							e.relink(c)
+						} else {
+							e.push(c)
 						}
 					}
 				}

@@ -3,6 +3,7 @@ package kway_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
 	"fpgapart/internal/span"
+	"fpgapart/internal/topology"
 	"fpgapart/internal/trace"
 )
 
@@ -230,13 +232,36 @@ func TestMultilevelPathGolden(t *testing.T) {
 }
 
 // TestBoardPathGolden pins the board-backed engine byte-for-byte: a
-// fixed-seed search on the mesh:2x4:1048576 board (net-weighted carves,
-// Steiner span scoring, routing check) must reproduce its committed
-// partition rendering AND JSONL trace stream exactly.
+// fixed-seed search on the mesh:2x4:1048576 board (flat carves, slot
+// placement, Steiner span scoring, routing check) must reproduce its
+// committed partition rendering AND JSONL trace stream exactly. Its
+// best solution is a single part; TestBoardCarveGolden pins a carved
+// one.
 func TestBoardPathGolden(t *testing.T) {
 	res, rec := goldenRun(t, kway.Options{Board: meshBoard(t)})
 	goldenCompare(t, "board_golden_result.txt", goldenRender(t, res))
 	goldenCompare(t, "board_golden_trace.jsonl", goldenTrace(t, rec))
+}
+
+// TestBoardCarveGolden pins carving, placement and routing on a board
+// byte-for-byte: a 600-cell circuit on mesh:2x4 at the default 64-net
+// link capacity, where the best solution has three parts and half the
+// attempts find no slot assignment that routes. The rendering lists the
+// parts in slot order.
+func TestBoardCarveGolden(t *testing.T) {
+	board, err := topology.ParseSpec("mesh:2x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := kway.Options{Board: board, Solutions: 6, Seed: 11, Workers: 1}
+	tracer := span.NewTracer(span.Options{Process: "kway-test", Now: goldenClock(), Origin: 1})
+	opts.Spans = tracer.Root(span.DeriveTraceID("golden", opts.Seed, opts.Solutions), 0)
+	res, rec := recordSearch(t, bench.Params{Cells: 600, PrimaryIn: 24, PrimaryOut: 12, Seed: 3, Clustering: 0.5}, opts)
+	if len(res.Parts) < 3 {
+		t.Fatalf("best solution has %d parts, want at least 3", len(res.Parts))
+	}
+	goldenCompare(t, "board_carve_golden_result.txt", fmt.Sprintf("topo_cost %d\n", res.Summary.TopoCost)+goldenRender(t, res))
+	goldenCompare(t, "board_carve_golden_trace.jsonl", goldenTrace(t, rec))
 }
 
 // TestMultilevelGateIsInert proves the gate itself cannot perturb the

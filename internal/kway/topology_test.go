@@ -42,10 +42,10 @@ func meshBoard(t *testing.T) *topology.Board {
 }
 
 // TestMeshTopologyBeatsTerminalCut is the acceptance gate of the
-// topology objective: on a mesh board, the same fixed-seed search with
-// the hop-weighted model must produce strictly lower hop-weighted
-// interconnect than the terminal-cut engine's solution scored on the
-// same board. It also cross-checks the engine's incrementally
+// board placement: on a mesh board, the same fixed-seed search with
+// its parts placed on slots must produce strictly lower hop-weighted
+// interconnect than the terminal-cut engine's solution scored in carve
+// order on the same board. It also cross-checks the engine's incrementally
 // maintained TopoCost against a from-scratch recount and runs the
 // routing post-check on the winning solution.
 func TestMeshTopologyBeatsTerminalCut(t *testing.T) {
@@ -79,7 +79,7 @@ func TestMeshTopologyBeatsTerminalCut(t *testing.T) {
 
 	flatScore := topoScore(board, flatRes.Parts)
 	if topoRes.Summary.TopoCost >= flatScore {
-		t.Fatalf("topology objective did not beat terminal-cut: topo=%d flat=%d",
+		t.Fatalf("placement did not beat terminal-cut: topo=%d flat=%d",
 			topoRes.Summary.TopoCost, flatScore)
 	}
 	t.Logf("hop-weighted interconnect: topology=%d terminal-cut=%d (k=%d vs %d)",
@@ -94,6 +94,42 @@ func TestMeshTopologyBeatsTerminalCut(t *testing.T) {
 	}
 	if err := topoRes.Verify(g); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTightBoardPlacementRoutes runs kbench's board-mesh circuit on a
+// mesh whose 60-net links overflow under most carve-order placements.
+// Placing each attempt's parts on the cheapest assignment that routes
+// folds 20 of 50 attempts feasible; keeping part i on slot i in carve
+// order folded 1. Every returned result must pass the routing check.
+func TestTightBoardPlacementRoutes(t *testing.T) {
+	g, err := bench.Generate(bench.Params{Cells: 1400, PrimaryIn: 40, PrimaryOut: 20, Clustering: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	board, err := topology.ParseSpec("mesh:2x4:60")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := kway.Partition(g, kway.Options{Library: library.XC3000(), Solutions: 50, Seed: 61, Board: board})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := make([]*hypergraph.Graph, len(res.Parts))
+	for i, p := range res.Parts {
+		graphs[i] = p.Graph
+	}
+	if err := verify.Routing(board, graphs); err != nil {
+		t.Fatalf("returned solution fails the routing check: %v", err)
+	}
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Summary.TopoCost, topoScore(board, res.Parts); got != want {
+		t.Fatalf("engine TopoCost %d != from-scratch recount %d", got, want)
+	}
+	if res.Feasible < 20 {
+		t.Fatalf("%d of 50 attempts feasible, want at least 20", res.Feasible)
 	}
 }
 

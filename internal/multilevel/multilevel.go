@@ -32,7 +32,6 @@ package multilevel
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"fpgapart/internal/cluster"
 	"fpgapart/internal/fm"
@@ -106,14 +105,6 @@ type Config struct {
 	// Starts is the number of independent coarsest-level starts the
 	// multi-start loop runs (default 4).
 	Starts int
-	// NetWeights, when non-nil, switches every refinement of the cycle
-	// (coarsest partition and per-level passes) to the weighted
-	// objective (replication.SetNetWeights): keys are finest-level net
-	// names. Contraction preserves the surviving nets' names — nets
-	// internal to a cluster vanish, never rename — so each level's
-	// weight table is derived by name lookup. Nets absent from the map
-	// get the zero table (they cost nothing in any configuration).
-	NetWeights map[string]replication.NetWeights
 }
 
 // levelFM is the FM run of one level: the embedded config with the
@@ -148,11 +139,10 @@ type LevelStats struct {
 	// (0 at the finest level).
 	ClusterCap int
 	// CutProjected and CutRefined are the objective the level's FM
-	// minimizes — the cut, t_P0 (Config.PinExternal) or the weighted
-	// cost (Config.NetWeights) — right after projecting the coarser
-	// assignment down (after repair; at the coarsest level, of the seed
-	// assignment) and after the level's FM refinement, which never
-	// raises it.
+	// minimizes — the cut, or t_P0 (Config.PinExternal) — right after
+	// projecting the coarser assignment down (after repair; at the
+	// coarsest level, of the seed assignment) and after the level's FM
+	// refinement, which never raises it.
 	CutProjected, CutRefined int
 	// RepairMoves counts the cells moved to re-enter the level's area
 	// window after projection (0 when the window was already met).
@@ -167,9 +157,8 @@ type LevelStats struct {
 type Result struct {
 	// Assign is the finest-level bipartition assignment.
 	Assign []replication.Block
-	// Cut is the finest-level objective after refinement: the cut, t_P0
-	// (Config.PinExternal) or the weighted cost (Config.NetWeights).
-	// Area holds the block areas.
+	// Cut is the finest-level objective after refinement: the cut, or
+	// t_P0 (Config.PinExternal). Area holds the block areas.
 	Cut  int
 	Area [2]int
 	// Levels holds per-level statistics, coarsest first.
@@ -203,7 +192,6 @@ type Runner struct {
 	fm        fm.Runner
 	cluster   fm.ClusterScratch
 	coarsener cluster.Coarsener
-	weights   []replication.NetWeights // the bound level's weight table
 }
 
 // State returns the replication state the Runner refines on. After a
@@ -417,10 +405,10 @@ func window(lo, hi, total, s int) bounds {
 // first strictly better start (lowest objective, then area closest to
 // target) is kept. The state is bound to the coarsest graph by the
 // first start and after a failed bind or reset, and only reset by the
-// others: the graph and its weight table are the same for every start
-// (a failed repair leaves the state as it was). A panic inside a start
-// is not contained here; kway's attempt closure drops the whole Runner
-// and the search pool folds the solution attempt as failed.
+// others: the graph is the same for every start (a failed repair leaves
+// the state as it was). A panic inside a start is not contained here;
+// kway's attempt closure drops the whole Runner and the search pool
+// folds the solution attempt as failed.
 func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([]replication.Block, LevelStats, error) {
 	cg := lv.g
 	tgt := target
@@ -434,8 +422,9 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 		firstErr error
 	)
 	// bound: r's state holds cg from an earlier start of this run.
-	// Pointer identity alone would not do: a state left on cg by an
-	// earlier run may carry another weight table.
+	// Pointer identity alone would not do: the first start rebinds, so
+	// every run starts from a fresh state whatever an earlier run left
+	// on cg.
 	bound := false
 	for i := 0; i < cfg.Starts; i++ {
 		seed := cfg.Seed + int64(i)*startStride
@@ -445,14 +434,14 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 			if bound {
 				err = r.st.ResetPinned(assign, cfg.PinExternal)
 			} else {
-				err = r.bind(cg, assign, cfg)
+				err = r.st.Rebind(cg, assign, cfg.PinExternal)
 			}
 			bound = err == nil
 		}
 		var res fm.Result
 		cutInit := 0
 		if err == nil {
-			cutInit = r.st.Objective()
+			cutInit = r.st.CutSize()
 			res, err = r.fm.Run(&r.st, cfg.levelFM(w, seed))
 		}
 		if err != nil {
@@ -461,7 +450,7 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 			}
 			continue
 		}
-		cut, a0 := r.st.Objective(), r.st.Area(0)
+		cut, a0 := r.st.CutSize(), r.st.Area(0)
 		if best != nil && (cut > stats.CutRefined || cut == stats.CutRefined && absDiff(a0, tgt) >= absDiff(area0, tgt)) {
 			continue
 		}
@@ -489,17 +478,17 @@ func (r *Runner) refineLevel(lv level, assign []replication.Block, cfg Config, w
 	if rerr != nil {
 		return LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, rerr)
 	}
-	if err := r.bind(lv.g, assign, cfg); err != nil {
+	if err := r.st.Rebind(lv.g, assign, cfg.PinExternal); err != nil {
 		return LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, err)
 	}
-	cutProj := r.st.Objective()
+	cutProj := r.st.CutSize()
 	res, err := r.fm.Run(&r.st, cfg.levelFM(w, cfg.Seed+int64(l+1)*refineStride))
 	if err != nil {
 		return LevelStats{}, fmt.Errorf("multilevel: level %d refinement: %w", l, err)
 	}
 	return LevelStats{
 		Level: l, Cells: lv.g.NumCells(), Nets: lv.g.NumNets(), ClusterCap: lv.cap,
-		CutProjected: cutProj, CutRefined: r.st.Objective(), Area0: r.st.Area(0),
+		CutProjected: cutProj, CutRefined: r.st.CutSize(), Area0: r.st.Area(0),
 		RepairMoves: rep, Moves: res.Moves, Passes: res.Passes,
 	}, nil
 }
@@ -562,26 +551,6 @@ func repair(g *hypergraph.Graph, assign []replication.Block, w bounds, seed int6
 		}
 	}
 	return moves, nil
-}
-
-// bind rebinds r's state to level graph g with assignment assign and
-// installs the level's weight table, mapped from the finest-level
-// table by net name. A nil NetWeights map is the flat path and costs
-// nothing (CutProjected/CutRefined then report the plain cut —
-// st.Objective() == st.CutSize() when unweighted). The rebind drops
-// the previous table before its buffer is refilled.
-func (r *Runner) bind(g *hypergraph.Graph, assign []replication.Block, cfg Config) error {
-	if err := r.st.Rebind(g, assign, cfg.PinExternal); err != nil {
-		return err
-	}
-	if cfg.NetWeights == nil {
-		return nil
-	}
-	r.weights = slices.Grow(r.weights[:0], g.NumNets())[:g.NumNets()]
-	for ni := range g.Nets {
-		r.weights[ni] = cfg.NetWeights[g.Nets[ni].Name]
-	}
-	return r.st.SetNetWeights(r.weights)
 }
 
 func areaOf(g *hypergraph.Graph, assign []replication.Block) int {

@@ -6,20 +6,17 @@ import (
 	"fpgapart/internal/hypergraph"
 )
 
-// ObjectiveFloor bounds from below, during one FM pass, the objective of
+// ObjectiveFloor bounds from below, during one FM pass, the cut of
 // every later prefix of the pass. The pass locks each cell once it moves,
 // and a locked cell keeps its ownership for the rest of the pass, so a
 // block in which locked cells hold an active connection on a net stays
-// active on that net. Each net therefore costs at least the least cost
-// its locked sides allow (see floorOf): Both once they cover both
-// blocks, min(Alone[b], Both) once they cover block b, the least entry
-// while nothing is locked, and its current cost when no cell connects to
-// it at all. With virtual external pins (NewStatePinned) an external
-// net's block-1 pin never moves, so it counts as a locked block-1
-// connection from the start. Under the unit-cut objective the floor is
-// the number of nets that locked connections keep cut.
+// active on that net. A net whose locked connections cover both blocks
+// therefore stays cut, and the floor is the number of such nets. With
+// virtual external pins (NewStatePinned) an external net's block-1 pin
+// never moves, so it counts as a locked block-1 connection from the
+// start.
 //
-// Once the floor reaches the pass's best objective, no later prefix can
+// Once the floor reaches the pass's best cut, no later prefix can
 // be strictly better, so the pass can stop with the same outcome. A zero
 // ObjectiveFloor is ready for Reset, which reuses its per-net array
 // across passes and graphs.
@@ -43,11 +40,6 @@ func (f *ObjectiveFloor) Reset(st *State) {
 		}
 	}
 	f.v = 0
-	if st.netW != nil {
-		for n, sides := range f.sides {
-			f.v += int(st.floor[n][sides])
-		}
-	}
 }
 
 // Lock records that cell c keeps its current ownership for the rest of
@@ -77,14 +69,12 @@ func (f *ObjectiveFloor) Lock(c hypergraph.CellID) {
 			continue
 		}
 		f.sides[n] = now
-		if s.netW != nil {
-			f.v += int(s.floor[n][now] - s.floor[n][was])
-		} else if now == 3 {
+		if now == 3 {
 			f.v++
 		}
 	}
 }
 
 // Value returns the floor: no later prefix of the pass has a lower
-// objective.
+// cut.
 func (f *ObjectiveFloor) Value() int { return f.v }

@@ -10,9 +10,8 @@ import (
 
 // referenceFloor recomputes the objective floor from the netlist: each
 // net's blocks in which a locked cell has an active pin (block 1 for a
-// pinned external net's virtual pin), then the least cost of any
-// activity pattern covering them, or the net's current cost when no
-// cell has an active pin on it.
+// pinned external net's virtual pin), counting the nets whose locked
+// pins cover both blocks.
 func referenceFloor(s *State, locked []bool) int {
 	sides := make([]uint8, len(s.g.Nets))
 	if s.extPin {
@@ -40,44 +39,18 @@ func referenceFloor(s *State, locked []bool) int {
 			}
 		}
 	}
-	w := s.netW
-	if w == nil {
-		w = unitWeights(len(s.g.Nets))
-	}
 	total := 0
 	for n := range s.g.Nets {
-		if s.netOff[n] == s.netOff[n+1] {
-			total += int(costAt(&w[n], s.cnt[n][0], s.cnt[n][1]))
-			continue
+		if sides[n] == 3 {
+			total++
 		}
-		best := int32(1 << 30)
-		for p := uint8(1); p <= 3; p++ {
-			if p&sides[n] == sides[n] {
-				best = min(best, costAt(&w[n], int32(p&1), int32(p>>1)))
-			}
-		}
-		total += int(best)
 	}
 	return total
 }
 
-// signedWeights builds a weight table with zero, negative and
-// non-monotone entries: every Alone and Both value is drawn from
-// [-3, 4], so Both can fall below an Alone weight.
-func signedWeights(r *rand.Rand, nets int) []NetWeights {
-	w := make([]NetWeights, nets)
-	for i := range w {
-		w[i] = NetWeights{
-			Alone: [2]int32{int32(r.Intn(8) - 3), int32(r.Intn(8) - 3)},
-			Both:  int32(r.Intn(8) - 3),
-		}
-	}
-	return w
-}
-
-// A net no cell has an active pin on keeps its cost for good: none, or
-// block 1's Alone weight when a pinned external net's virtual pin is its
-// only connection. The floor counts exactly that, not the least weight.
+// A net no cell has an active pin on never enters the floor: a pinned
+// external net's virtual pin alone keeps it in block 1, uncut, while
+// locking the one cell in block 0 keeps the pinned live nets cut.
 func TestObjectiveFloorIdleNet(t *testing.T) {
 	b := hypergraph.NewBuilder("idle")
 	idle, live := b.InputNet("idle"), b.InputNet("live")
@@ -87,33 +60,29 @@ func TestObjectiveFloorIdleNet(t *testing.T) {
 		DepBits: [][]int{{0, 1}},
 	})
 	g := b.MustBuild()
-	w := []NetWeights{{Alone: [2]int32{2, 3}, Both: 5}, {Alone: [2]int32{1, 1}, Both: 1}, {Alone: [2]int32{1, 1}, Both: 1}}
 	for _, pinned := range []bool{false, true} {
 		s, err := NewStatePinned(g, []Block{0}, pinned)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SetNetWeights(w); err != nil {
-			t.Fatal(err)
-		}
 		var f ObjectiveFloor
 		f.Reset(s)
-		// The idle net costs 0 unpinned and Alone[1] = 3 pinned; the two
-		// live nets cost at least 1 each.
-		want := 2
+		f.Lock(0)
+		// Pinned, "live" and "out" are cut for good; "idle" is not.
+		want := 0
 		if pinned {
-			want += 3
+			want = 2
 		}
-		if f.Value() != want || s.Objective() < f.Value() {
-			t.Fatalf("pinned=%v: floor %d, want %d (objective %d)", pinned, f.Value(), want, s.Objective())
+		if f.Value() != want || f.Value() != referenceFloor(s, []bool{true}) || s.CutSize() < f.Value() {
+			t.Fatalf("pinned=%v: floor %d, want %d (cut %d)", pinned, f.Value(), want, s.CutSize())
 		}
 	}
 }
 
 // Walking a pass — each step moves an unlocked cell by any move kind
 // and locks it — the floor must equal the reference recount and bound
-// the objective of the current state and of every one-move extension
-// by an unlocked cell, pinned or not, unit-cut or weighted.
+// the cut of the current state and of every one-move extension by an
+// unlocked cell, pinned or not.
 func TestObjectiveFloorBoundsLaterPrefixes(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -125,11 +94,6 @@ func TestObjectiveFloorBoundsLaterPrefixes(t *testing.T) {
 		s, err := NewStatePinned(g, assign, seed%2 == 1)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if seed%4 >= 2 {
-			if err := s.SetNetWeights(signedWeights(r, len(g.Nets))); err != nil {
-				t.Fatal(err)
-			}
 		}
 		locked := make([]bool, g.NumCells())
 		var f ObjectiveFloor
@@ -145,16 +109,16 @@ func TestObjectiveFloorBoundsLaterPrefixes(t *testing.T) {
 					next = append(next, m)
 				}
 			}
-			if s.Objective() < f.Value() {
-				t.Fatalf("%s: objective %d below floor %d", at, s.Objective(), f.Value())
+			if s.CutSize() < f.Value() {
+				t.Fatalf("%s: cut %d below floor %d", at, s.CutSize(), f.Value())
 			}
 			for _, m := range next {
 				tok, err := s.Apply(m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s.Objective() < f.Value() {
-					t.Fatalf("%s: after %v objective %d below floor %d", at, m, s.Objective(), f.Value())
+				if s.CutSize() < f.Value() {
+					t.Fatalf("%s: after %v cut %d below floor %d", at, m, s.CutSize(), f.Value())
 				}
 				if err := s.Undo(tok); err != nil {
 					t.Fatal(err)

@@ -24,11 +24,6 @@ func referenceGain(s *State, m Move) (int, error) {
 	for i, n := range s.scratchNets {
 		c0, c1 := s.cnt[n][0], s.cnt[n][1]
 		n0, n1 := c0+s.scratchDelta[i][0], c1+s.scratchDelta[i][1]
-		if s.netW != nil {
-			w := &s.netW[n]
-			gain += int(costAt(w, c0, c1) - costAt(w, n0, n1))
-			continue
-		}
 		wasCut := c0 > 0 && c1 > 0
 		isCut := n0 > 0 && n1 > 0
 		if wasCut && !isCut {
@@ -181,10 +176,8 @@ func checkSplitGains(t *testing.T, s *State, at string) {
 // every applied move's LastTouched the reference order, and
 // CheckInvariants (which diffs the maintained single-move gains against
 // Gain) must hold. Single moves and their undos take the streamed
-// whole-cell commit; the weighted walks use tables with zero, negative
-// and non-monotone entries, which its closed-form gain patches must
-// handle.
-func checkGainWalk(t *testing.T, seed int64, cells int, pinned, weighted bool) {
+// whole-cell commit.
+func checkGainWalk(t *testing.T, seed int64, cells int, pinned bool) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	g := randomNetlist(r, cells)
@@ -197,11 +190,6 @@ func checkGainWalk(t *testing.T, seed int64, cells int, pinned, weighted bool) {
 		t.Fatal(err)
 	}
 	s.PrepareSplitGains()
-	if weighted {
-		if err := s.SetNetWeights(signedWeights(r, len(g.Nets))); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var toks []Token
 	for step := 0; step < 40; step++ {
 		at := fmt.Sprintf("seed %d step %d", seed, step)
@@ -260,7 +248,7 @@ func checkGainWalk(t *testing.T, seed int64, cells int, pinned, weighted bool) {
 
 func TestGainMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		checkGainWalk(t, seed, 1+int(seed)%20, seed%2 == 1, seed%4 >= 2)
+		checkGainWalk(t, seed, 1+int(seed)%20, seed%2 == 1)
 	}
 }
 
@@ -269,8 +257,9 @@ func FuzzGain(f *testing.F) {
 	f.Add(int64(2), uint8(20), uint8(1))
 	f.Add(int64(3), uint8(3), uint8(2))
 	f.Add(int64(4), uint8(14), uint8(3))
+	// Bit 0 of mode pins the external nets; the other bits are unused.
 	f.Fuzz(func(t *testing.T, seed int64, cells, mode uint8) {
-		checkGainWalk(t, seed, 1+int(cells)%24, mode&1 != 0, mode&2 != 0)
+		checkGainWalk(t, seed, 1+int(cells)%24, mode&1 != 0)
 	})
 }
 

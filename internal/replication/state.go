@@ -168,13 +168,6 @@ type State struct {
 	term  [2]int  // per block: incrementally maintained Terminals(b)
 	gainS []int32 // per cell: maintained single-move gain (unreplicated cells)
 
-	// Weighted objective (see weights.go). netW == nil selects the
-	// classic unit-cut objective with zero hot-path overhead.
-	netW        []NetWeights
-	floor       [][4]int32 // per net while netW != nil: least cost per locked-sides mask (see ObjectiveFloor)
-	topo        int        // maintained Σ costAt(net) while netW != nil
-	maxMoveGain int        // |gain| bound under the current objective
-
 	trail []trailEntry
 
 	// scratch buffers for the delta accumulation of replication commits
@@ -244,14 +237,12 @@ func NewStatePinned(g *hypergraph.Graph, assign []Block, pinExternal bool) (*Sta
 
 // Rebind points the state at graph g with a fresh replication-free
 // assignment, leaving it exactly as NewStatePinned(g, assign,
-// pinExternal) builds it: Stats restart from zero and any net weight
-// table is dropped. Every per-cell and per-net array keeps its
-// capacity, so rebinding to a graph no larger than one the state held
-// before allocates nothing. After an error the state must be rebound
-// again before use.
+// pinExternal) builds it: Stats restart from zero. Every per-cell and
+// per-net array keeps its capacity, so rebinding to a graph no larger
+// than one the state held before allocates nothing. After an error the
+// state must be rebound again before use.
 func (s *State) Rebind(g *hypergraph.Graph, assign []Block, pinExternal bool) error {
 	s.g = g
-	s.netW = nil
 	s.stats = Stats{}
 	s.lastTouched = s.lastTouched[:0]
 	if err := s.buildStatic(); err != nil {
@@ -369,7 +360,6 @@ func (s *State) buildStatic() error {
 			s.maxDeg = d
 		}
 	}
-	s.maxMoveGain = s.maxDeg
 
 	// Inverse: net -> cells with k > 0. The scratch array now holds each
 	// net's fill position.
@@ -457,9 +447,8 @@ func appendSplits(dst []uint32, mo int, all uint32) []uint32 {
 }
 
 // Reset reinitializes the partition to a fresh replication-free
-// assignment, keeping the external-pin mode and any installed net
-// weight table (see SetNetWeights) and reusing every allocated
-// per-net/per-cell array. The undo trail is discarded.
+// assignment, keeping the external-pin mode and reusing every
+// allocated per-net/per-cell array. The undo trail is discarded.
 func (s *State) Reset(assign []Block) error {
 	return s.ResetPinned(assign, s.extPin)
 }
@@ -510,13 +499,9 @@ func (s *State) ResetPinned(assign []Block, pinExternal bool) error {
 			s.cnt[s.adjNet[e]][b] += s.entryK(e)
 		}
 	}
-	s.topo = 0
 	for ni := range g.Nets {
 		if s.cnt[ni][0] > 0 && s.cnt[ni][1] > 0 {
 			s.cut++
-		}
-		if s.netW != nil {
-			s.topo += int(costAt(&s.netW[ni], s.cnt[ni][0], s.cnt[ni][1]))
 		}
 		for b := Block(0); b < 2; b++ {
 			if s.termStatus(hypergraph.NetID(ni), b, s.cnt[ni][0], s.cnt[ni][1]) {
@@ -730,8 +715,7 @@ func (s *State) entryDelta(e int32, old, nw [2]uint32) (d [2]int32) {
 }
 
 // Gain returns the exact objective reduction of applying m: positive
-// gains shrink the cut (or, with a weight table installed, the
-// weighted topology cost). Gain only reads the state, so any number of
+// gains shrink the cut. Gain only reads the state, so any number of
 // goroutines may call it while nobody mutates the state.
 func (s *State) Gain(m Move) (int, error) {
 	nw, err := s.newOwn(m)
@@ -750,11 +734,6 @@ func (s *State) Gain(m Move) (int, error) {
 		n := s.adjNet[e]
 		c0, c1 := s.cnt[n][0], s.cnt[n][1]
 		n0, n1 := c0+d[0], c1+d[1]
-		if s.netW != nil {
-			w := &s.netW[n]
-			gain += int(costAt(w, c0, c1) - costAt(w, n0, n1))
-			continue
-		}
 		wasCut := c0 > 0 && c1 > 0
 		isCut := n0 > 0 && n1 > 0
 		if wasCut && !isCut {
@@ -856,21 +835,6 @@ func (s *State) SplitGains(c hypergraph.CellID, dst []int) []int {
 		// every home-side connection.
 		alone := cnt[h] == s.entryK(e)
 		across := cnt[h.Other()] > 0
-		if s.netW != nil {
-			w := &s.netW[n]
-			before := costAt(w, cnt[0], cnt[1])
-			for i, f := range row {
-				var after [2]int32
-				if !alone || f&splitLeaves == 0 {
-					after[h] = 1
-				}
-				if across || f&splitJoins != 0 {
-					after[h.Other()] = 1
-				}
-				dst[i] += int(before - costAt(w, after[0], after[1]))
-			}
-			continue
-		}
 		switch {
 		case across && alone: // cut: a leaving split uncuts it
 			for i, f := range row {
@@ -969,13 +933,6 @@ func phi(f, t, k int32) int32 {
 func (s *State) computeSingleGain(c hypergraph.CellID) int32 {
 	h := s.home[c]
 	g := int32(0)
-	if s.netW != nil {
-		for e := s.adjOff[c]; e < s.adjOff[c+1]; e++ {
-			n := s.adjNet[e]
-			g += phiW(&s.netW[n], s.cnt[n][0], s.cnt[n][1], s.entryK(e), h)
-		}
-		return g
-	}
 	for e := s.adjOff[c]; e < s.adjOff[c+1]; e++ {
 		n := s.adjNet[e]
 		g += phi(s.cnt[n][h], s.cnt[n][h.Other()], s.entryK(e))
@@ -1048,11 +1005,10 @@ func (s *State) commit(c hypergraph.CellID, nw [2]uint32) {
 // block from, net by net in adjacency order. Each net's delta is
 // (−k, +k), which fixes what φ was and becomes for every unreplicated
 // neighbor: a from-side neighbor with k' connections shares the from
-// side with the mover, so φ rises by bt when it is left alone there
-// (f−k = k') and by bf when the net was uncut; a to-side neighbor's φ
-// falls by bf when it held the whole to side (t = k') and by bt when
-// the net ends uncut. bf and bt are Both minus the from-side and the
-// to-side Alone weight, 1 under the unit cut (see phi and phiW).
+// side with the mover, so φ rises by one when it is left alone there
+// (f−k = k') and by one when the net was uncut; a to-side neighbor's φ
+// falls by one when it held the whole to side (t = k') and by one when
+// the net ends uncut (see phi).
 func (s *State) commitWhole(c hypergraph.CellID, from Block) {
 	to := from.Other()
 	rec := s.recordTouched
@@ -1063,17 +1019,12 @@ func (s *State) commitWhole(c hypergraph.CellID, from Block) {
 		var d [2]int32
 		d[from], d[to] = -k, k
 		wasCut, isCut := s.setCounts(n, d)
-		bf, bt := int32(1), int32(1)
-		if s.netW != nil {
-			w := &s.netW[n]
-			bf, bt = w.Both-w.Alone[from], w.Both-w.Alone[to]
-		}
 		var upF, downT int32
 		if !wasCut {
-			upF = bf
+			upF = 1
 		}
 		if !isCut {
-			downT = bt
+			downT = 1
 		}
 		for _, nc := range s.netAdj[s.netOff[n]:s.netOff[n+1]] {
 			cc := nc.cell
@@ -1087,13 +1038,13 @@ func (s *State) commitWhole(c hypergraph.CellID, from Block) {
 			if s.home[cc] == from {
 				g := upF
 				if cf-k == nc.k {
-					g += bt
+					g++
 				}
 				s.gainS[cc] += g
 			} else {
 				g := downT
 				if ct == nc.k {
-					g += bf
+					g++
 				}
 				s.gainS[cc] -= g
 			}
@@ -1101,9 +1052,8 @@ func (s *State) commitWhole(c hypergraph.CellID, from Block) {
 	}
 }
 
-// setCounts applies connection delta d to net n: counts, cut, weighted
-// cost and terminal counters. It reports whether the net was and is
-// cut.
+// setCounts applies connection delta d to net n: counts, cut and
+// terminal counters. It reports whether the net was and is cut.
 func (s *State) setCounts(n hypergraph.NetID, d [2]int32) (wasCut, isCut bool) {
 	c0, c1 := s.cnt[n][0], s.cnt[n][1]
 	n0, n1 := c0+d[0], c1+d[1]
@@ -1114,10 +1064,6 @@ func (s *State) setCounts(n hypergraph.NetID, d [2]int32) (wasCut, isCut bool) {
 		s.cut--
 	} else if !wasCut && isCut {
 		s.cut++
-	}
-	if s.netW != nil {
-		w := &s.netW[n]
-		s.topo += int(costAt(w, n0, n1) - costAt(w, c0, c1))
 	}
 	// Terminal-status transitions, inlined from termStatus with the
 	// block-1 count pre-adjusted for the virtual pin connection.
@@ -1149,19 +1095,14 @@ func (s *State) setCounts(n hypergraph.NetID, d [2]int32) (wasCut, isCut bool) {
 }
 
 // commitNet applies mover c's connection delta d to net n: counts, cut,
-// weighted cost, terminal counters, neighbor gains and the touched
-// neighborhood.
+// terminal counters, neighbor gains and the touched neighborhood.
 func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
 	c0, c1 := s.cnt[n][0], s.cnt[n][1]
 	n0, n1 := c0+d[0], c1+d[1]
 	wasCut, isCut := s.setCounts(n, d)
 	// Neighbor gain deltas. phi depends on t only through the cut
 	// flag, so a block's cells can only see a delta when their own
-	// side's count or the cut status changed — and the same holds
-	// for phiW: its cross-side dependence is the (count > 0) flag,
-	// which cannot flip without flipping the cut flag while an
-	// unreplicated neighbor holds k > 0 connections on its own
-	// side.
+	// side's count or the cut status changed.
 	changed0 := c0 != n0 || wasCut != isCut
 	changed1 := c1 != n1 || wasCut != isCut
 	if changed0 || changed1 || s.recordTouched {
@@ -1178,10 +1119,7 @@ func (s *State) commitNet(c hypergraph.CellID, n hypergraph.NetID, d [2]int32) {
 			if h == 0 && !changed0 || h == 1 && !changed1 {
 				continue
 			}
-			if s.netW != nil {
-				w := &s.netW[n]
-				s.gainS[cc] += phiW(w, n0, n1, nc.k, h) - phiW(w, c0, c1, nc.k, h)
-			} else if h == 0 {
+			if h == 0 {
 				s.gainS[cc] += phi(n0, n1, nc.k) - phi(c0, c1, nc.k)
 			} else {
 				s.gainS[cc] += phi(n1, n0, nc.k) - phi(c1, c0, nc.k)
@@ -1226,7 +1164,6 @@ type Checkpoint struct {
 	valid    bool
 	trailLen int
 	cut      int
-	topo     int
 	area     [2]int
 	term     [2]int
 	own      [][2]uint32
@@ -1257,7 +1194,6 @@ func (s *State) SaveCheckpoint(cp *Checkpoint) {
 	copy(cp.cnt, s.cnt)
 	cp.trailLen = len(s.trail)
 	cp.cut, cp.area, cp.term = s.cut, s.area, s.term
-	cp.topo = s.topo
 	cp.valid = true
 }
 
@@ -1284,7 +1220,6 @@ func (s *State) RestoreCheckpoint(cp *Checkpoint) error {
 	s.stats.Rollbacks += int64(len(s.trail) - cp.trailLen)
 	s.trail = s.trail[:cp.trailLen]
 	s.cut, s.area, s.term = cp.cut, cp.area, cp.term
-	s.topo = cp.topo
 	return nil
 }
 
@@ -1463,7 +1398,7 @@ func (s *State) CheckInvariants() error {
 			}
 		}
 	}
-	cut, topo := 0, 0
+	cut := 0
 	for ni := range s.g.Nets {
 		if cnt[ni] != s.cnt[ni] {
 			return fmt.Errorf("net %q counts %v, cached %v", s.g.Nets[ni].Name, cnt[ni], s.cnt[ni])
@@ -1471,15 +1406,9 @@ func (s *State) CheckInvariants() error {
 		if cnt[ni][0] > 0 && cnt[ni][1] > 0 {
 			cut++
 		}
-		if s.netW != nil {
-			topo += int(costAt(&s.netW[ni], cnt[ni][0], cnt[ni][1]))
-		}
 	}
 	if cut != s.cut {
 		return fmt.Errorf("cut %d, cached %d", cut, s.cut)
-	}
-	if s.netW != nil && topo != s.topo {
-		return fmt.Errorf("topology cost %d, cached %d", topo, s.topo)
 	}
 	if area != s.area {
 		return fmt.Errorf("area %v, cached %v", area, s.area)

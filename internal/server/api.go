@@ -52,8 +52,9 @@ type JobRequest struct {
 	// capped at the server maximum; negative is malformed).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Board, when non-empty, is a board topology spec — crossbar:N[:CAP],
-	// linear:N[:CAP] or mesh:RxC[:CAP] — switching the search to the
-	// hop-weighted interconnect objective (see core.Options.Board). Only
+	// linear:N[:CAP] or mesh:RxC[:CAP] — on whose slots every solution
+	// is placed and scored by its hop-weighted interconnect (see
+	// core.Options.Board). Only
 	// inline specs are accepted; board-description files stay a CLI
 	// feature because an HTTP request must not name server-side paths.
 	Board string `json:"board,omitempty"`

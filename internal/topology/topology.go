@@ -4,13 +4,13 @@
 // paper treats every cut net as equally expensive; on a real board a
 // net spanning two adjacent devices costs one hop while a net
 // spanning opposite corners of a mesh crosses several, and each link
-// only carries so many signals. The board model supplies
+// only carries so many signals. The k-way engine partitions first and
+// places the finished parts on slots afterwards; the board model
+// supplies what that placement and its check need:
 //
 //   - all-pairs shortest hop distances and deterministic routes,
 //   - SpanCost, the minimum-spanning-tree (Steiner approximation)
-//     hop cost of connecting a set of slots, and its Marginal
-//     extension cost — the quantities the k-way engine turns into
-//     per-net objective weights (replication.NetWeights),
+//     hop cost of connecting a set of slots, which scores a placement,
 //   - per-link net-load routing for the verifier's capacity check.
 //
 // Boards come from builders (Crossbar, Linear, Mesh), from a compact
@@ -244,18 +244,6 @@ func (b *Board) spanTree(set SlotSet, parents map[int]int) (int, int) {
 	return total, root
 }
 
-// Marginal returns the span-cost increase of extending the set by one
-// slot: SpanCost(set+slot) − SpanCost(set). For an empty set this is
-// 0 (a net alone on one device needs no board routing). The value can
-// be negative when the new slot acts as a Steiner point for the
-// existing span.
-func (b *Board) Marginal(set SlotSet, slot int) int {
-	if set.Has(slot) {
-		return 0
-	}
-	return b.SpanCost(set.Add(slot)) - b.SpanCost(set)
-}
-
 // RouteSpan expands the set's spanning tree into board links: every
 // tree edge follows its deterministic shortest path, and each link is
 // reported once (as an index into Links) even when several tree edges
@@ -296,10 +284,23 @@ func capOrDefault(capacity int) int {
 	return capacity
 }
 
+// checkSlots is Finalize's slot-count check, which the builders run
+// before they allocate links: a crossbar's link list grows with the
+// square of the slot count.
+func checkSlots(slots int) error {
+	if slots < 1 || slots > MaxSlots {
+		return fmt.Errorf("topology: %d slots, want 1..%d", slots, MaxSlots)
+	}
+	return nil
+}
+
 // Crossbar builds a fully connected board: every slot pair joined by a
 // unit-cost link. Span costs degenerate to |slots|−1, the flat-cut
 // regime.
 func Crossbar(slots, capacity int) (*Board, error) {
+	if err := checkSlots(slots); err != nil {
+		return nil, err
+	}
 	capacity = capOrDefault(capacity)
 	var links []Link
 	for a := 0; a < slots; a++ {
@@ -312,6 +313,9 @@ func Crossbar(slots, capacity int) (*Board, error) {
 
 // Linear builds a chain 0–1–…–(slots−1) of unit-cost links.
 func Linear(slots, capacity int) (*Board, error) {
+	if err := checkSlots(slots); err != nil {
+		return nil, err
+	}
 	capacity = capOrDefault(capacity)
 	var links []Link
 	for a := 0; a+1 < slots; a++ {
@@ -323,6 +327,13 @@ func Linear(slots, capacity int) (*Board, error) {
 // Mesh builds a rows×cols grid with unit-cost links between 4-neighbor
 // slots, slot index r*cols+c.
 func Mesh(rows, cols, capacity int) (*Board, error) {
+	// Bounding each side first keeps rows*cols from overflowing.
+	if rows < 1 || cols < 1 || rows > MaxSlots || cols > MaxSlots {
+		return nil, fmt.Errorf("topology: mesh %dx%d, want 1..%d slots", rows, cols, MaxSlots)
+	}
+	if err := checkSlots(rows * cols); err != nil {
+		return nil, err
+	}
 	capacity = capOrDefault(capacity)
 	var links []Link
 	at := func(r, c int) int { return r*cols + c }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -83,18 +84,18 @@ func TestSpanCostSteiner(t *testing.T) {
 		t.Fatalf("span{0,2,6} = %d, want 4", got)
 	}
 	// Edge midpoints {1, 3, 5} are pairwise distance 2 (MST = 4); the
-	// center slot 4 is a Steiner point at distance 1 from each, so its
-	// marginal span cost is negative (MST drops to 3).
+	// center slot 4 is a Steiner point at distance 1 from each, so
+	// adding it lowers the span cost (MST drops to 3).
 	mid := SlotSet(0).Add(1).Add(3).Add(5)
 	if got := m.SpanCost(mid); got != 4 {
 		t.Fatalf("span{1,3,5} = %d, want 4", got)
 	}
-	if got := m.Marginal(mid, 4); got != -1 {
-		t.Fatalf("marginal center = %d, want -1", got)
+	if got := m.SpanCost(mid.Add(4)); got != 3 {
+		t.Fatalf("span{1,3,4,5} = %d, want 3", got)
 	}
-	// Marginal on an empty span is free; on a member slot too.
-	if m.Marginal(0, 5) != 0 || m.Marginal(set, 2) != 0 {
-		t.Fatal("empty-span or member marginal should be 0")
+	// An empty or single-slot span is free.
+	if m.SpanCost(0) != 0 || m.SpanCost(SlotSet(0).Add(5)) != 0 {
+		t.Fatal("empty or singleton span should cost 0")
 	}
 }
 
@@ -171,9 +172,21 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("%s: capacity %d, want %d", tc.spec, b.Links[0].Capacity, tc.cap)
 		}
 	}
-	for _, bad := range []string{"", "mesh", "mesh:3", "mesh:0x2", "torus:3x3", "linear:x", "linear:4:0", "crossbar:4:1:2"} {
-		if _, err := ParseSpec(bad); err == nil {
+	for _, bad := range []string{"", "mesh", "mesh:3", "mesh:0x2", "torus:3x3", "linear:x", "linear:4:0", "crossbar:4:1:2",
+		"crossbar:65", "linear:65", "mesh:8x9", "mesh:1x65",
+		// Too many slots is rejected before any link is built: these
+		// would take gigabytes of link lists, or overflow rows*cols.
+		"crossbar:3000", "crossbar:100000", "linear:1000000000", "mesh:2000x2000",
+		"mesh:4294967296x4294967296", "mesh:3037000500x3037000500"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseSpec(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Fatalf("spec %q accepted", bad)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("spec %q: %d bytes allocated before the rejection", bad, n)
 		}
 	}
 }

@@ -40,12 +40,14 @@ func LinkLoads(b *topology.Board, parts []*hypergraph.Graph) []int {
 	return loads
 }
 
-// Routing is the routing-feasibility post-check of a k-way solution on
-// a board topology: every net spanning more than one part is routed
+// Routing is the routing-feasibility check of a k-way solution placed
+// on a board topology: every net spanning more than one part is routed
 // over the board (part i = slot i), and every link's accumulated net
 // load must stay within its capacity. The first overloaded link (in
 // link-index order) is reported as a *RouteError naming the link and
-// the nets routed over it.
+// the nets routed over it. The k-way search runs it on the slot
+// assignment it places a finished solution by, and moves on to the
+// next cheapest assignment when it fails.
 func Routing(b *topology.Board, parts []*hypergraph.Graph) error {
 	if len(parts) > b.Slots {
 		return fmt.Errorf("verify: %d parts exceed board %s's %d slots", len(parts), b.Name, b.Slots)
