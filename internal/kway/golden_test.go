@@ -344,3 +344,31 @@ func TestPhaseDurationsAreSpanDurations(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepCarveGolden pins the deepest carve chain of the fixtures
+// byte-for-byte: suite c5315 at maximum replication carves one block
+// after another, so the best solution's part and replica names nest
+// many levels deep (c5315.1.1…1.0, u7$r$r). The rendering proves that
+// parts built at the end of the search reproduce the nested names,
+// replica flags and port order of a carve-by-carve build.
+func TestDeepCarveGolden(t *testing.T) {
+	c, ok := bench.ByName("c5315")
+	if !ok {
+		t.Fatal("suite has no c5315")
+	}
+	g := c.MustBuild()
+	zero := 0
+	opts := kway.Options{Threshold: &zero, Solutions: 2, Seed: 3, Workers: 1, Library: library.XC3000()}
+	tracer := span.NewTracer(span.Options{Process: "kway-test", Now: goldenClock(), Origin: 1})
+	rec := &trace.Recorder{}
+	opts.Spans = tracer.Root(span.DeriveTraceID("golden", opts.Seed, opts.Solutions), 0).WithSink(rec)
+	res, err := kway.Partition(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Parts) < 20 {
+		t.Fatalf("best solution has %d parts, want a chain of at least 20 carves", len(res.Parts))
+	}
+	goldenCompare(t, "deep_carve_golden_result.txt", goldenRender(t, res))
+	goldenCompare(t, "deep_carve_golden_trace.jsonl", goldenTrace(t, rec))
+}
