@@ -2,6 +2,7 @@ package fm
 
 import (
 	"math/rand"
+	"slices"
 
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
@@ -167,6 +168,96 @@ func (cs *ClusterScratch) peripheralCell(g *hypergraph.Graph, r *rand.Rand) hype
 	}
 	if len(cs.periph) == 0 {
 		return hypergraph.CellID(r.Intn(g.NumCells()))
+	}
+	return cs.periph[r.Intn(len(cs.periph))]
+}
+
+// AssignView is AssignInto from a peripheral cell, over the cells and
+// nets of st rather than a graph: on a re-targeted state
+// (replication.State.Retarget) it grows the cluster AssignInto grows on
+// the remainder graph the state mirrors. A cell's active nets in
+// first-pin order stand in for its pins, and a net's cells with active
+// pins, in cell order, for its connections: a remainder graph has no
+// other pins.
+func (cs *ClusterScratch) AssignView(assign []replication.Block, st *replication.State, seed int64, targetArea int) []replication.Block {
+	cs.rnd = reseed(cs.rnd, seed)
+	r := cs.rnd
+	n := st.NumCells()
+	assign = slices.Grow(assign[:0], n)[:n]
+	for i := range assign {
+		assign[i] = 1
+	}
+	if targetArea <= 0 || n == 0 {
+		return assign
+	}
+	cs.grow(n, st.NumNets())
+	enqueue := func(c hypergraph.CellID) {
+		if !cs.visited[c] {
+			cs.visited[c] = true
+			cs.queue = append(cs.queue, c)
+		}
+	}
+	visitNet := func(net hypergraph.NetID) {
+		if cs.netSeen[net] == cs.epoch {
+			return
+		}
+		cs.netSeen[net] = cs.epoch
+		conns := st.NetConns(net)
+		pins := 0
+		for _, nc := range conns {
+			pins += int(nc.K)
+		}
+		if pins > 32 {
+			return
+		}
+		for _, nc := range conns {
+			enqueue(nc.Cell)
+		}
+	}
+	enqueue(cs.peripheralView(st, r))
+	area := 0
+	for area < targetArea {
+		if len(cs.queue) == 0 {
+			rest := slices.Index(cs.visited, false)
+			if rest < 0 {
+				break
+			}
+			enqueue(hypergraph.CellID(rest))
+			continue
+		}
+		idx := r.Intn(len(cs.queue))
+		c := cs.queue[idx]
+		cs.queue[idx] = cs.queue[len(cs.queue)-1]
+		cs.queue = cs.queue[:len(cs.queue)-1]
+		if area+st.CellArea(c) > targetArea && area > 0 {
+			continue
+		}
+		assign[c] = 0
+		area += st.CellArea(c)
+		for _, net := range st.CellNets(c) {
+			visitNet(net)
+		}
+	}
+	return assign
+}
+
+// peripheralView is peripheralCell over st's cells and nets.
+func (cs *ClusterScratch) peripheralView(st *replication.State, r *rand.Rand) hypergraph.CellID {
+	cs.periph = cs.periph[:0]
+	for ni := range st.NumNets() {
+		net := hypergraph.NetID(ni)
+		if !st.IsExternal(net) {
+			continue
+		}
+		for _, nc := range st.NetConns(net) {
+			if cs.cellSeen[nc.Cell] != cs.epoch {
+				cs.cellSeen[nc.Cell] = cs.epoch
+				cs.periph = append(cs.periph, nc.Cell)
+			}
+		}
+	}
+	if len(cs.periph) == 0 {
+		return hypergraph.CellID(r.Intn(st.NumCells()))
 	}
 	return cs.periph[r.Intn(len(cs.periph))]
 }

@@ -107,7 +107,7 @@ func (p *parEngine) bind(st *replication.State) {
 	if !p.relayout(st) {
 		return
 	}
-	n := st.Graph().NumCells()
+	n := st.NumCells()
 	p.locked = slices.Grow(p.locked[:0], n)[:n]
 	p.prop = slices.Grow(p.prop[:0], n)[:n]
 	p.cells = slices.Grow(p.cells[:0], n)[:n]

@@ -249,8 +249,12 @@ func TestCountReplicas(t *testing.T) {
 	b.AddCell(hypergraph.CellSpec{Name: "u1$r", Inputs: []hypergraph.NetID{pi}, Outputs: []hypergraph.NetID{o2}, Replica: true})
 	b.AddCell(hypergraph.CellSpec{Name: "u1$r$r", Inputs: []hypergraph.NetID{pi}, Outputs: []hypergraph.NetID{o3}, Replica: true})
 	g := b.MustBuild()
-	if got := countReplicas(g); got != 2 {
-		t.Fatalf("countReplicas = %d, want 2", got)
+	res, err := Partition(g, Options{Solutions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Parts[0].Replicas; len(res.Parts) != 1 || got != 2 {
+		t.Fatalf("%d parts, the first with %d replicas, want one part with 2", len(res.Parts), got)
 	}
 }
 
@@ -273,7 +277,7 @@ func TestRemapDevicesPicksCheapest(t *testing.T) {
 	lib := library.XC3000()
 	g := testCircuit(t, 40, 11)
 	big, _ := lib.ByName("XC3090")
-	parts := []Part{{Graph: g, Device: big}}
+	parts := []Part{{Graph: g, Device: big, area: g.TotalArea(), terms: g.NumTerminals()}}
 	remapDevices(parts, lib)
 	if parts[0].Device.Name != "XC3020" {
 		t.Fatalf("remap chose %s, want XC3020 for %d CLBs", parts[0].Device.Name, g.TotalArea())

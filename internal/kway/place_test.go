@@ -38,14 +38,21 @@ func partGraphs(parts []Part) []*hypergraph.Graph {
 }
 
 // carveOrder runs one attempt's carve and returns its parts in carve
-// order.
+// order, with their graphs built.
 func carveOrder(t *testing.T, g *hypergraph.Graph, opts Options, seed int64, sc *carveScratch) ([]Part, error) {
 	t.Helper()
 	opts, err := opts.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return partitionOnce(context.Background(), g, opts, 0, seed, sc)
+	parts, err := partitionOnce(context.Background(), g, opts, 0, seed, sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := buildParts(g, parts); err != nil {
+		t.Fatal(err)
+	}
+	return parts, nil
 }
 
 // Up to eight parts, place is the exhaustive search: it must land on
@@ -95,7 +102,7 @@ func TestPlaceIsCheapestRoutedAssignment(t *testing.T) {
 				break
 			}
 		}
-		got, err := place(board, parts, &sc.place)
+		got, err := place(board, g, parts, &sc.place)
 		if want < 0 {
 			if err == nil {
 				t.Fatalf("seed %d: no assignment routes, place returned cost %d", seed, got)
@@ -146,7 +153,7 @@ func TestPlaceDescentBeyondExhaustive(t *testing.T) {
 		t.Fatalf("%d parts, want more than %d", len(parts), exhaustiveParts)
 	}
 	carveCost := spanRecount(board, parts)
-	got, err := place(board, parts, &sc.place)
+	got, err := place(board, g, parts, &sc.place)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func referenceFloor(s *State, locked []bool) int {
 				}
 			}
 			for j, n := range c.Inputs {
-				if n != hypergraph.NilNet && s.own[ci][b]&s.col[ci][j] != 0 {
+				if n != hypergraph.NilNet && s.own[ci][b]&inputCol(c, j) != 0 {
 					sides[n] |= 1 << b
 				}
 			}

@@ -49,9 +49,9 @@ func referenceTouched(s *State, m Move) []hypergraph.CellID {
 	out := []hypergraph.CellID{m.Cell}
 	for _, n := range s.scratchNets {
 		for _, nc := range s.netAdj[s.netOff[n]:s.netOff[n+1]] {
-			if !seen[nc.cell] {
-				seen[nc.cell] = true
-				out = append(out, nc.cell)
+			if !seen[nc.Cell] {
+				seen[nc.Cell] = true
+				out = append(out, nc.Cell)
 			}
 		}
 	}

@@ -24,13 +24,37 @@ type Vectors struct {
 	CO, QO bitset.Vector // indexed by output pin
 }
 
+// graphCell returns the graph cell behind state cell c, whose pins the
+// formulas index: they are stated on a state bound to a whole graph,
+// not on a re-targeted one.
+func (s *State) graphCell(c hypergraph.CellID) (*hypergraph.Cell, error) {
+	if s.view {
+		return nil, fmt.Errorf("replication: gain formulas need a state bound to a whole graph")
+	}
+	return &s.g.Cells[c], nil
+}
+
+// inputCol is the mask of the cell's outputs that depend on input j.
+func inputCol(cell *hypergraph.Cell, j int) uint32 {
+	var m uint32
+	for i, d := range cell.Dep {
+		if d.Get(j) {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
+
 // Vectors computes C and Q for an unreplicated cell in its current
 // block.
 func (s *State) Vectors(c hypergraph.CellID) (Vectors, error) {
-	if s.repl[c] {
-		return Vectors{}, fmt.Errorf("replication: Vectors on replicated cell %q", s.g.Cells[c].Name)
+	cell, err := s.graphCell(c)
+	if err != nil {
+		return Vectors{}, err
 	}
-	cell := &s.g.Cells[c]
+	if s.repl[c] {
+		return Vectors{}, fmt.Errorf("replication: Vectors on replicated cell %q", cell.Name)
+	}
 	home := s.home[c]
 	v := Vectors{
 		CI: bitset.New(len(cell.Inputs)),
@@ -45,7 +69,7 @@ func (s *State) Vectors(c hypergraph.CellID) (Vectors, error) {
 		k[n]++
 	}
 	for j, n := range cell.Inputs {
-		if n != hypergraph.NilNet && s.col[c][j] != 0 {
+		if n != hypergraph.NilNet && inputCol(cell, j) != 0 {
 			k[n]++
 		}
 	}
@@ -63,7 +87,7 @@ func (s *State) Vectors(c hypergraph.CellID) (Vectors, error) {
 		return cut, critical
 	}
 	for j, n := range cell.Inputs {
-		if n == hypergraph.NilNet || s.col[c][j] == 0 {
+		if n == hypergraph.NilNet || inputCol(cell, j) == 0 {
 			continue
 		}
 		cut, crit := classify(n)
@@ -103,9 +127,13 @@ func (s *State) GainTraditionalFormula(c hypergraph.CellID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	cell, err := s.graphCell(c)
+	if err != nil {
+		return 0, err
+	}
 	n := 0
-	for j, net := range s.g.Cells[c].Inputs {
-		if net != hypergraph.NilNet && s.col[c][j] != 0 {
+	for j, net := range cell.Inputs {
+		if net != hypergraph.NilNet && inputCol(cell, j) != 0 {
 			n++
 		}
 	}
@@ -120,8 +148,12 @@ func (s *State) GainTraditionalFormula(c hypergraph.CellID) (int, error) {
 // the other block; pins adjacent only to the kept outputs are
 // untouched.
 func (s *State) GainFunctionalFormula(c hypergraph.CellID, carry uint32) (int, error) {
+	cell, err := s.graphCell(c)
+	if err != nil {
+		return 0, err
+	}
 	if s.repl[c] {
-		return 0, fmt.Errorf("replication: functional gain on replicated cell %q", s.g.Cells[c].Name)
+		return 0, fmt.Errorf("replication: functional gain on replicated cell %q", cell.Name)
 	}
 	all := s.all[c]
 	if carry == 0 || carry == all || carry&^all != 0 {
@@ -131,12 +163,11 @@ func (s *State) GainFunctionalFormula(c hypergraph.CellID, carry uint32) (int, e
 	if err != nil {
 		return 0, err
 	}
-	cell := &s.g.Cells[c]
 	// Classify inputs by adjacency against the carried output set.
 	onlyCarried := bitset.New(len(cell.Inputs))
 	both := bitset.New(len(cell.Inputs))
 	for j := range cell.Inputs {
-		col := s.col[c][j]
+		col := inputCol(cell, j)
 		inS := col&carry != 0
 		inKeep := col&^carry != 0
 		switch {

@@ -373,7 +373,7 @@ func randomState(t testing.TB, seed int64, cells int) *State {
 
 func randomMove(r *rand.Rand, st *State) Move {
 	for {
-		c := hypergraph.CellID(r.Intn(st.Graph().NumCells()))
+		c := hypergraph.CellID(r.Intn(st.NumCells()))
 		if st.IsReplicated(c) {
 			return Move{Cell: c, Kind: Unreplicate, To: Block(r.Intn(2))}
 		}
