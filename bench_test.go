@@ -232,7 +232,12 @@ func BenchmarkAblationInitialPartition(b *testing.B) {
 		run(b, func(i int) []replication.Block { return fm.RandomAssign(g, int64(i)) })
 	})
 	b.Run("cluster", func(b *testing.B) {
-		run(b, func(i int) []replication.Block { return fm.ClusterAssign(g, int64(i), g.TotalArea()/2) })
+		st, err := replication.NewState(g, make([]replication.Block, g.NumCells()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var cs fm.ClusterScratch
+		run(b, func(i int) []replication.Block { return cs.Assign(nil, st, int64(i), g.TotalArea()/2) })
 	})
 	b.Run("multilevel", func(b *testing.B) {
 		run(b, func(i int) []replication.Block {

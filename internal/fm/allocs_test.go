@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"slices"
 	"testing"
 
 	"fpgapart/internal/bench"
@@ -154,7 +155,7 @@ func TestParFMPassAllocs(t *testing.T) {
 // laid out allocates nothing — the k-way carve loop's steady state: the
 // state rebinds into its own arrays, both engines lay the new graph out
 // into the old layout's capacity and the shuffle generator is reseeded.
-// The cluster-grown initial assignment is just as allocation-free.
+// The cluster grown over the rebound state is just as allocation-free.
 func TestRunNewGraphAllocs(t *testing.T) {
 	gs := []*hypergraph.Graph{testGraph(t, 300, 5, 0.5), testGraph(t, 240, 6, 0.5)}
 	var (
@@ -166,11 +167,16 @@ func TestRunNewGraphAllocs(t *testing.T) {
 	carve := func(seed int64) error {
 		for _, g := range gs {
 			total := g.TotalArea()
-			assign = cs.AssignInto(assign, g, seed, -1, total/2)
+			assign = slices.Grow(assign[:0], g.NumCells())[:g.NumCells()]
+			clear(assign)
+			if err := st.Rebind(g, assign, true); err != nil {
+				return err
+			}
+			assign = cs.Assign(assign, &st, seed, total/2)
 			// Serial, then the parallel sub-round engine (below its
 			// goroutine fan-out cutoff).
 			for _, workers := range []int{0, 2} {
-				if err := st.Rebind(g, assign, true); err != nil {
+				if err := st.ResetPinned(assign, true); err != nil {
 					return err
 				}
 				cfg := Config{MinArea: [2]int{1, 0}, MaxArea: [2]int{total, total}, Threshold: 0, Seed: seed, RefineWorkers: workers}

@@ -309,10 +309,21 @@ func TestRunManySmallGraphs(t *testing.T) {
 	}
 }
 
+// clusterAssign grows a cluster over a state bound to g.
+func clusterAssign(t *testing.T, g *hypergraph.Graph, seed int64, target int) []replication.Block {
+	t.Helper()
+	st, err := replication.NewState(g, make([]replication.Block, g.NumCells()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cs ClusterScratch
+	return cs.Assign(nil, st, seed, target)
+}
+
 func TestClusterAssignHitsTargetArea(t *testing.T) {
 	g := testGraph(t, 200, 70, 0.6)
 	target := g.TotalArea() / 3
-	assign := ClusterAssign(g, 5, target)
+	assign := clusterAssign(t, g, 5, target)
 	area := 0
 	for ci, b := range assign {
 		if b == 0 {
@@ -346,33 +357,40 @@ func TestClusterAssignHitsTargetArea(t *testing.T) {
 	}
 }
 
-func TestClusterAssignFromExplicitSeed(t *testing.T) {
+// A one-cell cluster is its start cell alone, and the start is
+// peripheral: it touches an external net.
+func TestOneCellClusterIsPeripheral(t *testing.T) {
 	g := testGraph(t, 100, 71, 0.5)
-	assign := ClusterAssignFrom(g, 1, hypergraph.CellID(0), 10)
-	if assign[0] != 0 {
-		t.Fatal("start cell not in block 0")
-	}
-	n0 := 0
-	for _, b := range assign {
-		if b == 0 {
-			n0++
+	for seed := int64(1); seed <= 20; seed++ {
+		var in0 []hypergraph.CellID
+		for ci, b := range clusterAssign(t, g, seed, 1) {
+			if b == 0 {
+				in0 = append(in0, hypergraph.CellID(ci))
+			}
 		}
-	}
-	if n0 != 10 {
-		t.Fatalf("block 0 has %d cells, want 10", n0)
+		if len(in0) != 1 {
+			t.Fatalf("seed %d: block 0 has %d cells, want 1", seed, len(in0))
+		}
+		external := false
+		for _, n := range g.CellNets(in0[0]) {
+			external = external || g.Nets[n].Ext != hypergraph.Internal
+		}
+		if !external {
+			t.Fatalf("seed %d: start cell %d touches no external net", seed, in0[0])
+		}
 	}
 }
 
 func TestClusterAssignDegenerate(t *testing.T) {
 	g := testGraph(t, 20, 72, 0.5)
-	assign := ClusterAssign(g, 1, 0)
+	assign := clusterAssign(t, g, 1, 0)
 	for _, b := range assign {
 		if b != 1 {
 			t.Fatal("zero target should leave everything in block 1")
 		}
 	}
 	// Target beyond total pulls everything into block 0.
-	assign = ClusterAssign(g, 1, g.TotalArea()+5)
+	assign = clusterAssign(t, g, 1, g.TotalArea()+5)
 	for _, b := range assign {
 		if b != 0 {
 			t.Fatal("oversized target should pull all cells")

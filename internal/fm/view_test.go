@@ -27,20 +27,18 @@ func TestViewMatchesRemainderGraph(t *testing.T) {
 			var vc, rc ClusterScratch
 			for depth := 0; rg.NumCells() > 40; depth++ {
 				target := rg.TotalArea() / 3
-				want := rc.AssignInto(nil, rg, seed+int64(depth), -1, target)
-				var got []replication.Block
-				if depth == 0 {
-					got = vc.AssignInto(nil, g, seed+int64(depth), -1, target)
-				} else {
-					got = vc.AssignView(nil, view, seed+int64(depth), target)
+				if err := ref.Rebind(rg, make([]replication.Block, rg.NumCells()), depth%2 == 0); err != nil {
+					t.Fatal(err)
 				}
+				want := rc.Assign(nil, &ref, seed+int64(depth), target)
+				got := vc.Assign(nil, view, seed+int64(depth), target)
 				if !slices.Equal(got, want) {
 					t.Fatalf("workers %d seed %d depth %d: the view grows another cluster than the remainder graph", workers, seed, depth)
 				}
 				if err := view.ResetPinned(want, depth%2 == 0); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.Rebind(rg, want, depth%2 == 0); err != nil {
+				if err := ref.ResetPinned(want, depth%2 == 0); err != nil {
 					t.Fatal(err)
 				}
 				cfg := Config{MinArea: [2]int{target / 2, 0}, MaxArea: [2]int{target * 3 / 2, rg.TotalArea()}, Threshold: 0, RefineWorkers: workers, Seed: seed}

@@ -10,6 +10,7 @@ import (
 	"fpgapart/internal/bench"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/kway"
+	"fpgapart/internal/replication"
 	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
@@ -158,5 +159,58 @@ func TestReplicaNameClashRejectsCarve(t *testing.T) {
 	}
 	if materialize == 0 {
 		t.Fatal("no carve was rejected for a repeated replica name")
+	}
+}
+
+// wideCircuit builds a circuit around a cell with one output more than
+// replication.MaxOutputs. The cell reads a primary input, and every
+// output but one is a primary output; that one feeds a chain of n
+// single-output cells.
+func wideCircuit(n int) *hypergraph.Graph {
+	b := hypergraph.NewBuilder("wide")
+	wide := hypergraph.CellSpec{Name: "wide", Inputs: []hypergraph.NetID{b.InputNet("pi")}}
+	wide.Outputs = append(wide.Outputs, b.Net("w0"))
+	for i := 1; i <= replication.MaxOutputs; i++ {
+		wide.Outputs = append(wide.Outputs, b.OutputNet(fmt.Sprintf("w%d", i)))
+	}
+	for range wide.Outputs {
+		wide.DepBits = append(wide.DepBits, []int{1})
+	}
+	b.AddCell(wide)
+	prev := wide.Outputs[0]
+	for i := 0; i < n; i++ {
+		out := b.Net(fmt.Sprintf("c%d", i))
+		b.AddCell(hypergraph.CellSpec{Name: fmt.Sprintf("u%d", i), Inputs: []hypergraph.NetID{prev}, Outputs: []hypergraph.NetID{out}, DepBits: [][]int{{1}}})
+		prev = out
+	}
+	b.MarkOutput(prev)
+	return b.MustBuild()
+}
+
+// A cell wider than replication.MaxOutputs cannot enter a carve's
+// replication state. A circuit holding one still partitions when it
+// fits one device whole; when it needs a carve, the search is
+// infeasible, naming the cell and the limit.
+func TestCellWiderThanMaxOutputs(t *testing.T) {
+	g := wideCircuit(10)
+	res, err := kway.Partition(g, kway.Options{Solutions: 2, Seed: 1, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Parts) != 1 || res.Parts[0].Graph != g {
+		t.Fatalf("%d parts, want the circuit whole as one", len(res.Parts))
+	}
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = kway.Partition(wideCircuit(400), kway.Options{Solutions: 2, Seed: 1})
+	var inf *kway.InfeasibleError
+	if !errors.As(err, &inf) {
+		t.Fatalf("err = %v, want an *InfeasibleError", err)
+	}
+	want := fmt.Sprintf(`cell "wide" has %d outputs, max %d`, replication.MaxOutputs+1, replication.MaxOutputs)
+	if first := inf.First.Error(); !strings.HasPrefix(first, "kway: ") || !strings.Contains(first, want) {
+		t.Fatalf("first failure %q, want a kway error containing %q", first, want)
 	}
 }

@@ -2,9 +2,11 @@ package kway_test
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"fpgapart/internal/bench"
+	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
 )
@@ -14,7 +16,9 @@ import (
 // matter: a panic anywhere in the search, and a *VerificationError —
 // a structurally inconsistent carve or solution that the randomized
 // search accepted. Ordinary infeasibility (the fuzzed circuit simply
-// does not fit the forced library) is skipped.
+// does not fit the forced library) is skipped. On odd seeds the
+// circuit gets dependency-free input pins (see freePins), which a
+// generator circuit lacks and the carve state leaves out.
 func FuzzKway(f *testing.F) {
 	f.Add(int64(1), int8(1), uint8(40))
 	f.Add(int64(7), int8(-1), uint8(12))
@@ -28,6 +32,9 @@ func FuzzKway(f *testing.F) {
 		})
 		if err != nil {
 			t.Skip() // degenerate generator parameters
+		}
+		if seed%2 != 0 {
+			freePins(g, seed)
 		}
 		// A small device forces multi-way splits on all but the tiniest
 		// circuits.
@@ -51,4 +58,37 @@ func FuzzKway(f *testing.F) {
 			t.Fatalf("cells=%d T=%d seed=%d: returned solution fails verification: %v", n, th, seed, err)
 		}
 	})
+}
+
+// freePins clears one dependency bit in about a quarter of g's cells,
+// keeping every output row non-empty and every net read by some pin an
+// output depends on, so no net turns dead. A cleared bit of a
+// single-output cell leaves its input pin dependency-free.
+func freePins(g *hypergraph.Graph, seed int64) {
+	live := make([]int, len(g.Nets)) // per net: reads an output depends on
+	for ci := range g.Cells {
+		c := &g.Cells[ci]
+		for _, row := range c.Dep {
+			for j, n := range c.Inputs {
+				if n != hypergraph.NilNet && row.Get(j) {
+					live[n]++
+				}
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(seed))
+	for ci := range g.Cells {
+		c := &g.Cells[ci]
+		row := c.Dep[r.Intn(len(c.Dep))]
+		if r.Intn(4) != 0 || row.Norm() < 2 {
+			continue
+		}
+		for j, n := range c.Inputs {
+			if n != hypergraph.NilNet && row.Get(j) && live[n] > 1 {
+				row.Clear(j)
+				live[n]--
+				break
+			}
+		}
+	}
 }

@@ -495,18 +495,18 @@ func assemble(g *hypergraph.Graph, parts []Part) Result {
 }
 
 // carveScratch bundles one worker's reusable storage. The carve state
-// st is bound to the source circuit by an attempt's first carve and
-// re-targeted to its remainder after every accepted carve
-// (replication.State.Retarget), so one state serves the whole chain;
-// carve retries on the same remainder reset it, and an attempt's
-// first carve sets it to the whole source (replication.State.ResetTo). fm and cluster are its
-// FM runner and cluster-growing scratch, assign the initial assignment
-// they fill, and rnd the attempt's random stream. ml runs the V-cycle
-// on its own state, over the remainder built into mlArena once per
-// layout of st (mlLayout). reps holds, per cell of st, the "$r"
-// suffixes its name carries, and cells the cell lists of the attempt's
-// parts so far; build and place serve the checks of Options.Verify and
-// the board placement. The arrays of every layer keep their capacity across
+// st is bound to the source circuit once per attempt and re-targeted to
+// its remainder after every accepted carve
+// (replication.State.Retarget), so one state serves the whole chain,
+// the source being its first remainder; carve retries on the same
+// remainder reset it. fm and cluster are its FM runner and
+// cluster-growing scratch, assign the initial assignment they fill,
+// and rnd the attempt's random stream. ml runs the V-cycle on its own
+// state, over the remainder built into mlArena once per layout of st
+// (mlLayout). reps holds, per cell of st, the "$r" suffixes its name
+// carries, and cells the cell lists of the attempt's parts so far;
+// build and place serve the checks of Options.Verify and the board
+// placement. The arrays of every layer keep their capacity across
 // carves and attempts.
 type carveScratch struct {
 	st       replication.State
@@ -549,8 +549,9 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 	// carve.
 	hint := 0
 	// Each carve leaves one remainder, so the loop walks the chain of
-	// remainders until one fits a device whole. The first is g itself;
-	// the others are views of it, held by sc.st.
+	// remainders until one fits a device whole. Unless g fits whole,
+	// every remainder, g first, is a view held by sc.st.
+	st := &sc.st
 	for depth := 0; ; depth++ {
 		// Deterministic cancellation checkpoint: the budget is observed
 		// only between carves, never inside FM, so every completed
@@ -561,7 +562,10 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 		if depth >= 4*g.NumCells()+64 {
 			return nil, fmt.Errorf("kway: recursion guard tripped (seed %d)", seed)
 		}
-		_, area, terms := sc.size(g, depth)
+		area, terms := g.TotalArea(), g.NumTerminals()
+		if depth > 0 {
+			area, terms = st.TotalArea(), st.NumExternal()
+		}
 		if dev, ok := opts.Library.CheapestFit(area, terms); ok {
 			last := Part{Device: dev, depth: depth, area: area, terms: terms}
 			lo := len(sc.cells)
@@ -582,11 +586,17 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 		if b := opts.Board; b != nil && len(parts)+2 > b.Slots {
 			return nil, fmt.Errorf("kway: solution needs more than board %s's %d slots (seed %d)", b.Name, b.Slots, seed)
 		}
+		if depth == 0 {
+			// The source is the first view: a cell wider than
+			// replication.MaxOutputs fails here.
+			if err := st.Rebind(g, sc.block1(g.NumCells()), false); err != nil {
+				return nil, fmt.Errorf("kway: %w", err)
+			}
+		}
 		dev, err := carve(ctx, g, opts, attempt, seed, r, sc, &hint, depth)
 		if err != nil {
 			return nil, err
 		}
-		st := &sc.st
 		lo := len(sc.cells)
 		sc.cells = sc.blockCells(sc.cells, 0)
 		parts = append(parts, Part{Device: dev, cells: sc.cells[lo:], depth: depth, carved: true, area: st.Area(0), terms: st.Terminals(0)})
@@ -598,15 +608,6 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 			}
 		}
 	}
-}
-
-// size returns the cells, area and terminals of the remainder at
-// depth: g itself at depth 0, the view sc.st holds below.
-func (sc *carveScratch) size(g *hypergraph.Graph, depth int) (cells, area, terms int) {
-	if depth == 0 {
-		return g.NumCells(), g.TotalArea(), g.NumTerminals()
-	}
-	return sc.st.NumCells(), sc.st.TotalArea(), sc.st.NumExternal()
 }
 
 // emitCarve reports one carve try to the scope's sink. reason is a
@@ -621,11 +622,11 @@ func emitCarve(opts *Options, attempt int, kind trace.Kind, reason string, dev s
 	})
 }
 
-// carve splits off one device-sized block from the remainder at depth
-// (g itself at depth 0, sc.st's view below) and returns its host
-// device, leaving the bipartition in sc.st. It tries several (device,
-// fill, seed) combinations and accepts the first whose carved block
-// satisfies its host device's terminal constraint. seed is the
+// carve splits off one device-sized block from the remainder sc.st
+// holds at depth and returns its host device, leaving the bipartition
+// in sc.st. It tries several (device, fill, seed) combinations and
+// accepts the first whose carved block satisfies its host device's
+// terminal constraint. seed is the
 // enclosing attempt's seed, used only to label injected faults.
 //
 // hint carries the carve-size goal across one attempt's carves: a
@@ -636,7 +637,8 @@ func emitCarve(opts *Options, attempt int, kind trace.Kind, reason string, dev s
 // terminal objective is not carried over: every carve starts on the
 // cut and switches to t_P0 at its own first rejection.
 func carve(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, seed int64, r *rand.Rand, sc *carveScratch, hint *int, depth int) (library.Device, error) {
-	cells, total, terminals := sc.size(g, depth)
+	st := &sc.st
+	total, terminals := st.TotalArea(), st.NumExternal()
 	devices := opts.Library.Devices
 	var last rejection
 	maxFit := 1
@@ -695,8 +697,7 @@ func carve(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, 
 			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectDeviceWindow, d.Name, target, 0, fm.Result{}, replication.Stats{})
 			continue
 		}
-		st := &sc.st
-		res, before, cerr := carveFM(g, depth, cells, d, target, total, opts, attempt, r.Int63(), termPressure, sc)
+		res, before, cerr := carveFM(g, depth, d, target, opts, attempt, r.Int63(), termPressure, sc)
 		if cerr != nil {
 			last = rejection{reason: trace.RejectFM, err: cerr}
 			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectFM, d.Name, target, 0, fm.Result{}, st.Stats().Sub(before))
@@ -831,10 +832,10 @@ func pickDevice(devices []library.Device, totalArea, desired int, density float6
 // carveFM runs (replication-)FM on sc.st with asymmetric bounds: block
 // 0 must land in the device's utilization window, block 1 holds the
 // rest. With pinTerminals, the FM objective becomes t_P0 instead of
-// the cut. depth selects the remainder as in carve, and cells and total
-// size it. before is the state's stats snapshot taken once it is bound
-// and reset: the carve's own work is its stats less it.
-func carveFM(g *hypergraph.Graph, depth, cells int, d library.Device, target, total int, opts Options, attempt int, seed int64, pinTerminals bool, sc *carveScratch) (res fm.Result, before replication.Stats, err error) {
+// the cut. depth is the remainder's as in carve. before is the state's
+// stats snapshot taken once it is reset: the carve's own work is its
+// stats less it.
+func carveFM(g *hypergraph.Graph, depth int, d library.Device, target int, opts Options, attempt int, seed int64, pinTerminals bool, sc *carveScratch) (res fm.Result, before replication.Stats, err error) {
 	// The carve must stay near its target: without a floor, FM
 	// minimizes the cut by collapsing block 0 to a handful of cells,
 	// which wastes a device per carve.
@@ -845,9 +846,10 @@ func carveFM(g *hypergraph.Graph, depth, cells int, d library.Device, target, to
 	if minCarve < 1 {
 		minCarve = 1
 	}
+	st := &sc.st
 	cfg := fm.Config{
 		MinArea:       [2]int{minCarve, 0},
-		MaxArea:       [2]int{d.MaxCLBs(), total - minCarve},
+		MaxArea:       [2]int{d.MaxCLBs(), st.TotalArea() - minCarve},
 		Threshold:     opts.threshold,
 		RefineWorkers: opts.RefineWorkers,
 		Seed:          seed,
@@ -855,18 +857,18 @@ func carveFM(g *hypergraph.Graph, depth, cells int, d library.Device, target, to
 		Spans:         opts.Spans,
 		Inject:        opts.Inject,
 	}
-	st := &sc.st
 	// The initial assignment: flat cluster growth by default; behind
 	// Options.Multilevel, large remainders go through the V-cycle
 	// (coarsen → coarsest partition → uncoarsen+refine), whose output
 	// lands inside the exact carve window. The V-cycle needs a graph:
-	// below depth 0 the remainder is built once per view, with the
-	// view's cell and net numbering, so its assignment is the view's.
+	// at depth 0 it is g, whose net order the coarsener reads; below,
+	// the remainder is built once per view, with the view's cell and
+	// net numbering. Either way its assignment is the view's.
 	// The replication-FM run below is then the finest-level refinement
 	// pass. A V-cycle failure (e.g. no feasible coarsest assignment)
 	// falls back to the flat seed rather than rejecting the carve.
 	flatSeed := true
-	if opts.Multilevel && cells >= opts.MultilevelMinCells {
+	if opts.Multilevel && st.NumCells() >= opts.MultilevelMinCells {
 		vg := g
 		if depth > 0 {
 			if vg, err = sc.viewGraph(g, depth); err != nil {
@@ -880,23 +882,10 @@ func carveFM(g *hypergraph.Graph, depth, cells int, d library.Device, target, to
 		}
 	}
 	if flatSeed {
-		if depth == 0 {
-			sc.assign = sc.cluster.AssignInto(sc.assign, g, seed, -1, target)
-		} else {
-			sc.assign = sc.cluster.AssignView(sc.assign, st, seed, target)
-		}
+		sc.assign = sc.cluster.Assign(sc.assign, st, seed, target)
 	}
-	// A carve of the source resets the state to the whole source,
-	// rebinding it when an earlier attempt left it re-targeted; a carve
-	// of a view resets the view.
-	if depth == 0 {
-		err = st.ResetTo(g, sc.assign, pinTerminals)
-	} else {
-		err = st.ResetPinned(sc.assign, pinTerminals)
-	}
-	if err != nil {
-		*st = replication.State{}
-		return fm.Result{}, replication.Stats{}, err
+	if err = st.ResetPinned(sc.assign, pinTerminals); err != nil {
+		return fm.Result{}, st.Stats(), err
 	}
 	before = st.Stats()
 	if st.Area(0) > cfg.MaxArea[0] || st.Area(0) < cfg.MinArea[0] {

@@ -109,12 +109,7 @@ func (sc *carveScratch) takeParts(g *hypergraph.Graph, parts []Part) {
 // and terminals block 1 had before.
 func (sc *carveScratch) checkRetarget(area, terms int) error {
 	st := &sc.st
-	n := st.NumCells()
-	sc.assign = slices.Grow(sc.assign[:0], n)[:n]
-	for i := range sc.assign {
-		sc.assign[i] = 1
-	}
-	if err := st.ResetPinned(sc.assign, false); err != nil {
+	if err := st.ResetPinned(sc.block1(st.NumCells()), false); err != nil {
 		return err
 	}
 	if err := st.CheckInvariants(); err != nil {
@@ -125,6 +120,15 @@ func (sc *carveScratch) checkRetarget(area, terms int) error {
 			st.Area(1), st.Terminals(1), st.TotalArea(), st.NumExternal(), area, terms)
 	}
 	return nil
+}
+
+// block1 sizes sc.assign to n cells, all in block 1, and returns it.
+func (sc *carveScratch) block1(n int) []replication.Block {
+	sc.assign = slices.Grow(sc.assign[:0], n)[:n]
+	for i := range sc.assign {
+		sc.assign[i] = 1
+	}
+	return sc.assign
 }
 
 // sourceCells appends to dst every cell of g, whole.

@@ -403,12 +403,11 @@ func window(lo, hi, total, s int) bounds {
 // connected cluster seeded with Seed + i*startStride toward the target
 // area, repairs it into the window and refines it with plain FM; the
 // first strictly better start (lowest objective, then area closest to
-// target) is kept. The state is bound to the coarsest graph by the
-// first start and after a failed bind or reset, and only reset by the
-// others: the graph is the same for every start (a failed repair leaves
-// the state as it was). A panic inside a start is not contained here;
-// kway's attempt closure drops the whole Runner and the search pool
-// folds the solution attempt as failed.
+// target) is kept. r's state is bound to the coarsest graph once,
+// before the starts, which grow their clusters over it and reset it (a
+// failed repair leaves it as it was). A panic inside a start is not
+// contained here; kway's attempt closure drops the whole Runner and the
+// search pool folds the solution attempt as failed.
 func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([]replication.Block, LevelStats, error) {
 	cg := lv.g
 	tgt := target
@@ -421,22 +420,19 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 		area0    int
 		firstErr error
 	)
-	// bound: r's state holds cg from an earlier start of this run.
-	// Pointer identity alone would not do: the first start rebinds, so
-	// every run starts from a fresh state whatever an earlier run left
-	// on cg.
-	bound := false
+	ones := make([]replication.Block, cg.NumCells())
+	for c := range ones {
+		ones[c] = 1
+	}
+	if err := r.st.Rebind(cg, ones, cfg.PinExternal); err != nil {
+		return nil, LevelStats{}, fmt.Errorf("multilevel: no feasible coarsest partition in %d starts (first failure: %w)", cfg.Starts, err)
+	}
 	for i := 0; i < cfg.Starts; i++ {
 		seed := cfg.Seed + int64(i)*startStride
-		assign := r.cluster.AssignInto(nil, cg, seed, -1, tgt)
+		assign := r.cluster.Assign(nil, &r.st, seed, tgt)
 		rep, err := repair(cg, assign, w, seed)
 		if err == nil {
-			if bound {
-				err = r.st.ResetPinned(assign, cfg.PinExternal)
-			} else {
-				err = r.st.Rebind(cg, assign, cfg.PinExternal)
-			}
-			bound = err == nil
+			err = r.st.ResetPinned(assign, cfg.PinExternal)
 		}
 		var res fm.Result
 		cutInit := 0

@@ -75,10 +75,10 @@ func TestRetargetMatchesRebind(t *testing.T) {
 				break
 			}
 		}
-		// Back to the whole graph: the re-targeted state must turn into
-		// a fresh one.
+		// Back to the whole graph, as the next carve attempt binds it:
+		// the re-targeted state must turn into a fresh one.
 		assign := randomAssign(r, g.NumCells())
-		if err := view.ResetTo(g, assign, pin); err != nil {
+		if err := view.Rebind(g, assign, pin); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.Rebind(g, assign, pin); err != nil {
@@ -87,7 +87,7 @@ func TestRetargetMatchesRebind(t *testing.T) {
 		compareRetarget(t, g, view, ref)
 		driveAlike(t, r, view, ref, 2*g.NumCells())
 		if t.Failed() {
-			t.Fatalf("seed %d: the state reset to the whole graph differs from a fresh one", seed)
+			t.Fatalf("seed %d: the state rebound to the whole graph differs from a fresh one", seed)
 		}
 	}
 	// The chains must be deep and carry narrowed cells for the

@@ -35,8 +35,8 @@
 // per-cell array. Rebind moves a state to another graph, reusing the
 // capacity of every array. Retarget narrows a state to its block 1 in
 // place, the remainder a k-way carve recurses on, with the cell and
-// net numbering the remainder graph would have; ResetTo takes the
-// whole graph back. A worker's carve chain therefore builds no graph.
+// net numbering the remainder graph would have. A worker's carve chain
+// therefore builds no graph: Rebind binds the source once per attempt.
 package replication
 
 import (
@@ -474,17 +474,6 @@ func (s *State) Retarget() {
 	s.own, s.home, s.repl, s.gainS, s.cnt = s.own[:0], s.home[:0], s.repl[:0], s.gainS[:0], s.cnt[:0]
 	s.trail = s.trail[:0]
 	s.cut, s.area, s.term = 0, [2]int{}, [2]int{}
-}
-
-// ResetTo resets the state to a fresh assignment of the whole graph g
-// (see ResetPinned): a state that holds g whole is only reset, any
-// other, a re-targeted one included, is rebound to g (Stats restart
-// from zero).
-func (s *State) ResetTo(g *hypergraph.Graph, assign []Block, pinExternal bool) error {
-	if s.g != g || s.view || s.layout == 0 {
-		return s.Rebind(g, assign, pinExternal)
-	}
-	return s.ResetPinned(assign, pinExternal)
 }
 
 // deposit spreads the low bits of m over the set bits of into: bit i
