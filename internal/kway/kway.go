@@ -501,28 +501,24 @@ func assemble(g *hypergraph.Graph, parts []Part) Result {
 // the source being its first remainder; carve retries on the same
 // remainder reset it. fm and cluster are its FM runner and
 // cluster-growing scratch, assign the initial assignment they fill,
-// and rnd the attempt's random stream. ml runs the V-cycle on its own
-// state, over the remainder built into mlArena once per layout of st
-// (mlLayout). reps holds, per cell of st, the "$r" suffixes its name
-// carries, and cells the cell lists of the attempt's parts so far;
-// build and place serve the checks of Options.Verify and the board
-// placement. The arrays of every layer keep their capacity across
-// carves and attempts.
+// and rnd the attempt's random stream. ml runs the V-cycle with st as
+// its finest level and its own recycled coarse levels. reps holds, per
+// cell of st, the "$r" suffixes its name carries, and cells the cell
+// lists of the attempt's parts so far; build and place serve the
+// checks of Options.Verify and the board placement. The arrays of
+// every layer keep their capacity across carves and attempts.
 type carveScratch struct {
-	st       replication.State
-	fm       fm.Runner
-	cluster  fm.ClusterScratch
-	assign   []replication.Block
-	rnd      *rand.Rand
-	devices  []library.Device
-	reps     []int32
-	cells    []cellSpec
-	ml       multilevel.Runner
-	mlArena  hypergraph.Arena
-	mlGraph  *hypergraph.Graph
-	mlLayout uint64
-	build    builder
-	place    placer
+	st      replication.State
+	fm      fm.Runner
+	cluster fm.ClusterScratch
+	assign  []replication.Block
+	rnd     *rand.Rand
+	devices []library.Device
+	reps    []int32
+	cells   []cellSpec
+	ml      multilevel.Runner
+	build   builder
+	place   placer
 	// What keeps blocks of checked from extracting (see
 	// extractError): its dead nets (nil: none), and whether replica
 	// names can clash with its cell names.
@@ -697,7 +693,7 @@ func carve(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, 
 			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectDeviceWindow, d.Name, target, 0, fm.Result{}, replication.Stats{})
 			continue
 		}
-		res, before, cerr := carveFM(g, depth, d, target, opts, attempt, r.Int63(), termPressure, sc)
+		res, before, cerr := carveFM(d, target, opts, attempt, r.Int63(), termPressure, sc)
 		if cerr != nil {
 			last = rejection{reason: trace.RejectFM, err: cerr}
 			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectFM, d.Name, target, 0, fm.Result{}, st.Stats().Sub(before))
@@ -832,10 +828,10 @@ func pickDevice(devices []library.Device, totalArea, desired int, density float6
 // carveFM runs (replication-)FM on sc.st with asymmetric bounds: block
 // 0 must land in the device's utilization window, block 1 holds the
 // rest. With pinTerminals, the FM objective becomes t_P0 instead of
-// the cut. depth is the remainder's as in carve. before is the state's
-// stats snapshot taken once it is reset: the carve's own work is its
-// stats less it.
-func carveFM(g *hypergraph.Graph, depth int, d library.Device, target int, opts Options, attempt int, seed int64, pinTerminals bool, sc *carveScratch) (res fm.Result, before replication.Stats, err error) {
+// the cut. before is the state's stats snapshot taken once it is
+// reset: the carve's own work, the V-cycle's refinement of the state
+// excluded, is its stats less it.
+func carveFM(d library.Device, target int, opts Options, attempt int, seed int64, pinTerminals bool, sc *carveScratch) (res fm.Result, before replication.Stats, err error) {
 	// The carve must stay near its target: without a floor, FM
 	// minimizes the cut by collapsing block 0 to a handful of cells,
 	// which wastes a device per carve.
@@ -860,22 +856,16 @@ func carveFM(g *hypergraph.Graph, depth int, d library.Device, target int, opts 
 	// The initial assignment: flat cluster growth by default; behind
 	// Options.Multilevel, large remainders go through the V-cycle
 	// (coarsen → coarsest partition → uncoarsen+refine), whose output
-	// lands inside the exact carve window. The V-cycle needs a graph:
-	// at depth 0 it is g, whose net order the coarsener reads; below,
-	// the remainder is built once per view, with the view's cell and
-	// net numbering. Either way its assignment is the view's.
-	// The replication-FM run below is then the finest-level refinement
-	// pass. A V-cycle failure (e.g. no feasible coarsest assignment)
-	// falls back to the flat seed rather than rejecting the carve.
+	// lands inside the exact carve window. The V-cycle's finest level is
+	// the carve state itself, the source at depth 0 and a remainder
+	// below, so its assignment is the state's; its coarser levels are
+	// contracted from the state's arrays. The replication-FM run below
+	// is then the finest-level refinement pass. A V-cycle failure (e.g.
+	// no feasible coarsest assignment) falls back to the flat seed
+	// rather than rejecting the carve.
 	flatSeed := true
 	if opts.Multilevel && st.NumCells() >= opts.MultilevelMinCells {
-		vg := g
-		if depth > 0 {
-			if vg, err = sc.viewGraph(g, depth); err != nil {
-				return fm.Result{}, st.Stats(), err
-			}
-		}
-		ml, mlErr := sc.ml.Run(vg, multilevel.Config{Config: cfg, TargetArea: target, PinExternal: pinTerminals})
+		ml, mlErr := sc.ml.Run(st, multilevel.Config{Config: cfg, TargetArea: target, PinExternal: pinTerminals})
 		if mlErr == nil {
 			sc.assign = append(sc.assign[:0], ml.Assign...)
 			flatSeed = false

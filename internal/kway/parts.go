@@ -283,24 +283,6 @@ func (sc *carveScratch) markTerminals(g *hypergraph.Graph, cut bool) {
 	}
 }
 
-// viewGraph builds the remainder sc.st holds at depth > 0 as the
-// V-cycle's input, once per layout of the state, into sc.mlArena. Its
-// cells and nets are numbered as the state's.
-func (sc *carveScratch) viewGraph(g *hypergraph.Graph, depth int) (*hypergraph.Graph, error) {
-	if sc.mlGraph != nil && sc.mlLayout == sc.st.Layout() {
-		return sc.mlGraph, nil
-	}
-	sc.markTerminals(g, false)
-	sc.build.cells = sc.viewCells(sc.build.cells[:0])
-	vg, err := sc.build.build(&sc.mlArena, g, partName(g, depth, false), sc.build.cells)
-	if err != nil {
-		sc.mlGraph = nil
-		return nil, err
-	}
-	sc.mlGraph, sc.mlLayout = vg, sc.st.Layout()
-	return vg, nil
-}
-
 // verifySplit checks an accepted carve under Options.Verify: the
 // carved block and the remainder, built from sc.st, must split the
 // subcircuit they came from, built the same way (g itself at depth 0),

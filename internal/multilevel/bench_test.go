@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"fpgapart/internal/fm"
+	"fpgapart/internal/replication"
 )
 
 // BenchmarkRun samples the full V-cycle at a reduced scale, which keeps
 // the CI bench-smoke sweep fast; kbench's large-vcycle workload
 // (cmd/kbench) measures it end to end. "one-shot" is the package-level
-// Run, which builds its storage per cycle; "warm" reuses one Runner,
-// as each kway carve worker does.
+// Run, which builds its storage per cycle; "warm" reuses one Runner and
+// its finest-level state, as each kway carve worker does.
 func BenchmarkRun(b *testing.B) {
 	g := circuit(b, 3000, 7)
 	minA, maxA := fm.Balance(g.TotalArea(), 0.1)
@@ -29,13 +30,17 @@ func BenchmarkRun(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		var r Runner
-		if _, err := r.Run(g, cfg); err != nil {
+		var st replication.State
+		if err := st.Rebind(g, make([]replication.Block, g.NumCells()), false); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Run(&st, cfg); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Run(g, cfg); err != nil {
+			if _, err := r.Run(&st, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

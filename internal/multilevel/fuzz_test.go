@@ -6,18 +6,21 @@ import (
 
 	"fpgapart/internal/bench"
 	"fpgapart/internal/cluster"
+	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
 )
 
 // FuzzCoarsenUncoarsen drives the coarsen→project round-trip the
 // V-cycle is built on, over randomized circuits and cluster caps, and
 // asserts the conservation laws multilevel correctness depends on:
-// every original cell appears in exactly one cluster, coarse
-// area/DFF totals match the flat graph, the original graph is left
-// untouched (including replica flags), and projecting any feasible
-// coarse assignment yields a flat assignment with byte-identical
-// block areas — so a coarse solution inside a device's area window
-// stays inside it after projection.
+// every finer cell appears in exactly one cluster, each coarse cell
+// sums its members' areas and the coarse total matches the flat graph,
+// every level has the shape a validated graph has (checkLevel), the
+// original graph is left untouched (including replica flags), and
+// projecting any feasible coarse assignment yields a flat assignment
+// with byte-identical block areas and the coarse assignment's cut — so
+// a coarse solution inside a device's area window stays inside it
+// after projection, at the same cost.
 func FuzzCoarsenUncoarsen(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(4), uint8(24), uint8(2))
 	f.Add(int64(7), uint8(90), uint8(2), uint8(8), uint8(1))
@@ -42,16 +45,17 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 				g.Cells[i].Replica = true
 			}
 		}
-		wantArea, wantDFFs := g.TotalArea(), 0
-		for i := range g.Cells {
-			wantDFFs += g.Cells[i].DFFs
+		wantArea := g.TotalArea()
+		var src replication.State
+		if err := src.Rebind(g, make([]replication.Block, g.NumCells()), false); err != nil {
+			t.Fatal(err)
 		}
 
 		// Chain one to three levels, each contracted into its own slot
 		// of one Coarsener as the V-cycle does.
 		var c cluster.Coarsener
 		var hier []*cluster.Clustering
-		cur := g
+		cur := &src
 		for level := 0; level < 1+int(rounds%3); level++ {
 			cl, err := c.Build(level, cur, cluster.Options{
 				MaxClusterArea:    1 + int(capArea%12),
@@ -71,12 +75,12 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 				sum := 0
 				for _, m := range ms {
 					if int(m) >= cur.NumCells() {
-						t.Fatalf("level %d cluster %d member %d outside the finer graph", level, ci, m)
+						t.Fatalf("level %d cluster %d member %d outside the finer level", level, ci, m)
 					}
 					seen[m]++
-					sum += cur.Cells[m].Area
+					sum += cur.CellArea(m)
 				}
-				if a := cl.Graph.Cells[ci].Area; a != sum {
+				if a := cl.Level.CellArea(hypergraph.CellID(ci)); a != sum {
 					t.Fatalf("level %d cluster %d area %d, members sum %d", level, ci, a, sum)
 				}
 			}
@@ -85,16 +89,15 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 					t.Fatalf("level %d: cell %d appears in %d clusters", level, i, n)
 				}
 			}
+			checkLevel(t, level+1, cl.Level)
 			hier = append(hier, cl)
-			cur = cl.Graph
+			cur = cl.Level
 		}
 		if len(hier) == 0 {
 			t.Skip()
 		}
-		coarseArea, coarseDFFs := cur.TotalArea(), cur.NumDFF()
-		if coarseArea != wantArea || coarseDFFs != wantDFFs {
-			t.Fatalf("coarse totals area=%d dffs=%d, flat totals area=%d dffs=%d",
-				coarseArea, coarseDFFs, wantArea, wantDFFs)
+		if coarseArea := cur.TotalArea(); coarseArea != wantArea {
+			t.Fatalf("coarse total area %d, flat total area %d", coarseArea, wantArea)
 		}
 		// The flat graph must be untouched, replica flags included.
 		if g.NumCells() != len(wantReplica) || g.TotalArea() != wantArea {
@@ -115,17 +118,17 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 		}
 		flat := coarse
 		for l := len(hier) - 1; l >= 0; l-- {
-			finer := g
+			finer := &src
 			if l > 0 {
-				finer = hier[l-1].Graph
+				finer = hier[l-1].Level
 			}
-			if flat, err = hier[l].Project(flat, finer.NumCells()); err != nil {
+			if flat, err = hier[l].Project(nil, flat, finer.NumCells()); err != nil {
 				t.Fatalf("project level %d: %v", l, err)
 			}
 		}
 		var wantBlocks, gotBlocks [2]int
 		for ci, b := range coarse {
-			wantBlocks[b] += cur.Cells[ci].Area
+			wantBlocks[b] += cur.CellArea(hypergraph.CellID(ci))
 		}
 		for ci, b := range flat {
 			gotBlocks[b] += g.Cells[ci].Area
@@ -133,8 +136,15 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 		if wantBlocks != gotBlocks {
 			t.Fatalf("projection changed block areas: coarse %v, flat %v", wantBlocks, gotBlocks)
 		}
-		// The projected assignment must build a valid replication state
-		// (every cell placed, invariants hold) with the same areas.
+		// The coarse level and the projected assignment must both make
+		// valid replication states (every cell placed, invariants hold)
+		// with the same areas.
+		if err := cur.Reset(coarse); err != nil {
+			t.Fatalf("coarse assignment rejected: %v", err)
+		}
+		if err := cur.CheckInvariants(); err != nil {
+			t.Fatalf("coarse level: %v", err)
+		}
 		st, err := replication.NewState(g, flat)
 		if err != nil {
 			t.Fatalf("projected assignment rejected: %v", err)
@@ -142,5 +152,40 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 		if st.Area(0) != gotBlocks[0] || st.Area(1) != gotBlocks[1] {
 			t.Fatalf("state areas [%d %d], want %v", st.Area(0), st.Area(1), gotBlocks)
 		}
+		if cur.CutSize() != st.CutSize() {
+			t.Fatalf("coarse cut %d, projected cut %d", cur.CutSize(), st.CutSize())
+		}
 	})
+}
+
+// checkLevel asserts over a level's arrays what validating a graph
+// checks of it: every cell has a positive area and between one and
+// replication.MaxOutputs outputs, every pin is on a net of the level,
+// and no net has two drivers.
+func checkLevel(t *testing.T, level int, st *replication.State) {
+	t.Helper()
+	drivers := make([]int, st.NumNets())
+	for ci := range st.NumCells() {
+		c := hypergraph.CellID(ci)
+		if a := st.CellArea(c); a < 1 {
+			t.Fatalf("level %d cell %d has area %d", level, ci, a)
+		}
+		mo := st.NumOutputs(c)
+		if mo < 1 || mo > replication.MaxOutputs {
+			t.Fatalf("level %d cell %d has %d outputs", level, ci, mo)
+		}
+		for j, n := range st.CellNets(c) {
+			if n < 0 || int(n) >= st.NumNets() {
+				t.Fatalf("level %d cell %d has a pin on net %d of %d", level, ci, n, st.NumNets())
+			}
+			if j < mo {
+				drivers[n]++
+			}
+		}
+	}
+	for n, d := range drivers {
+		if d > 1 {
+			t.Fatalf("level %d net %d has %d drivers", level, n, d)
+		}
+	}
 }

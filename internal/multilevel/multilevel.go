@@ -4,15 +4,21 @@
 // direct k-way systems cited in PAPERS.md), grafted onto this engine's
 // substrates: the cut-preserving connectivity clustering of
 // internal/cluster contracts the netlist level by level, the coarsest
-// hypergraph is bipartitioned by a deterministic multi-start loop over
+// level is bipartitioned by a deterministic multi-start loop over
 // the existing cluster-seed + FM machinery, and the assignment is
 // projected back one level at a time with an FM refinement pass at
 // every level.
 //
+// Every level is a replication.State. The finest is the caller's:
+// kway's carve state, bound to the source or narrowed to a remainder.
+// The coarser ones are contracted straight into recycled states, so
+// the cycle builds no graph, and each level's FM refinement resets
+// the level's own state.
+//
 // Three structural facts make the V-cycle sound here:
 //
 //   - Contraction is cut-preserving: a net internal to one cluster
-//     vanishes, every surviving net keeps its external kind, and
+//     vanishes, every surviving net keeps its terminal flag, and
 //     coarse cells sum member areas — so projecting a coarse
 //     assignment to the finer level preserves both the cut size and
 //     the block areas exactly.
@@ -32,6 +38,7 @@ package multilevel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fpgapart/internal/cluster"
 	"fpgapart/internal/fm"
@@ -131,9 +138,9 @@ func (c Config) withDefaults() Config {
 // LevelStats records one level's share of the V-cycle, coarsest first
 // in Result.Levels.
 type LevelStats struct {
-	// Level is the hierarchy depth: 0 is the finest (input) graph.
+	// Level is the hierarchy depth: 0 is the finest (input) level.
 	Level int
-	// Cells/Nets size the level's hypergraph.
+	// Cells/Nets size the level.
 	Cells, Nets int
 	// ClusterCap is the cluster-area cap used to build this level
 	// (0 at the finest level).
@@ -155,7 +162,9 @@ type LevelStats struct {
 
 // Result is the finished V-cycle.
 type Result struct {
-	// Assign is the finest-level bipartition assignment.
+	// Assign is the finest-level bipartition assignment. A Runner's
+	// result holds it in the Runner's storage, valid until its next
+	// Run.
 	Assign []replication.Block
 	// Cut is the finest-level objective after refinement: the cut, or
 	// t_P0 (Config.PinExternal). Area holds the block areas.
@@ -168,59 +177,61 @@ type Result struct {
 	Moves, Passes, RepairMoves int
 }
 
-// level is one rung of the hierarchy. cl relates g to the next finer
-// level's graph (nil at the finest level).
+// level is one rung of the hierarchy. cl relates st to the next finer
+// level (nil at the finest level).
 type level struct {
-	g   *hypergraph.Graph
+	st  *replication.State
 	cl  *cluster.Clustering
 	cap int
 }
 
-// Runner executes V-cycles, reusing one replication state, one FM
-// runner and one cluster-growing scratch across the levels of a cycle,
-// the coarsest starts and successive cycles: each level rebinds the
-// state to its graph instead of building one, so a warm Runner lays
-// out no state or FM storage for graphs no larger than ones it has
-// served. Its coarsener recycles the arrays of
-// the previous cycle's hierarchy, one storage slot per level, and
-// returns a new graph header for every contraction, so the FM layout
-// cache, keyed on graph identity, never mistakes a recycled level for
-// the one it replaced. A zero Runner is ready to use; a Runner is not
-// safe for concurrent use. The package-level Run is the one-shot form.
+// Runner executes V-cycles, reusing its storage across the levels of a
+// cycle, the coarsest starts and successive cycles: one FM runner, one
+// cluster-growing scratch, a coarsener that contracts level ℓ into its
+// slot ℓ−1 and so recycles the previous cycle's hierarchy, and the
+// assignment buffers of the starts, the projections and the repair.
+// Every contraction gives its level a new layout, and the FM engines
+// key their buffers on State.Layout, so they never mistake a recycled
+// level for the one it replaced. A warm Runner allocates no state, FM
+// or hierarchy storage for levels no larger than ones it has served. A
+// zero Runner is ready to use; a Runner is not safe for concurrent use.
+// The package-level Run is the one-shot form.
 type Runner struct {
-	st        replication.State
 	fm        fm.Runner
 	cluster   fm.ClusterScratch
 	coarsener cluster.Coarsener
+	levels    []level
+	starts    [2][]replication.Block // a start's assignment and the best one
+	proj      [2][]replication.Block // the projections, alternating by level
+	rng       *rand.Rand             // repair's stream, reseeded per repair
+	perm      []int
 }
 
-// State returns the replication state the Runner refines on. After a
-// successful Run it is bound to the input graph and holds the returned
-// assignment; a caller may run its own passes on it (with FM) until
-// the next Run rebinds it.
-func (r *Runner) State() *replication.State { return &r.st }
-
-// FM returns the FM runner the Runner's cycles use, for a caller's
-// own passes on State.
-func (r *Runner) FM() *fm.Runner { return &r.fm }
-
-// Run executes the V-cycle and returns the finest-level bipartition.
+// Run executes the V-cycle on g and returns the finest-level
+// bipartition.
 func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
+	st, err := replication.NewState(g, make([]replication.Block, g.NumCells()))
+	if err != nil {
+		return Result{}, err
+	}
 	var r Runner
-	return r.Run(g, cfg)
+	return r.Run(st, cfg)
 }
 
-// Run is the Runner form of the package-level Run; results are
-// identical.
-func (r *Runner) Run(g *hypergraph.Graph, cfg Config) (Result, error) {
+// Run executes the V-cycle with st as its finest level: a state bound
+// to a graph or narrowed to a remainder, whose partition need not be
+// set. The result equals the package-level Run's on the graph st
+// holds. The cycle overwrites st's partition: reset it before reading
+// one.
+func (r *Runner) Run(st *replication.State, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if g.NumCells() == 0 {
+	if st.NumCells() == 0 {
 		return Result{}, fmt.Errorf("multilevel: empty circuit")
 	}
 	if cfg.MaxArea[0] <= 0 || cfg.MaxArea[1] <= 0 {
 		return Result{}, fmt.Errorf("multilevel: MaxArea must be positive, got %v", cfg.MaxArea)
 	}
-	total := g.TotalArea()
+	total := st.TotalArea()
 	// The two blocks' bounds collapse to one block-0 area window.
 	lo := cfg.MinArea[0]
 	if v := total - cfg.MaxArea[1]; v > lo {
@@ -245,11 +256,11 @@ func (r *Runner) Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 	}
 
 	coarsenSpan := cfg.Spans.Start("coarsen", cfg.TraceAttempt)
-	levels := r.coarsen(g, cfg, target)
+	levels := r.coarsen(st, cfg, target)
 	coarsenSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseCoarsen})
 	top := len(levels) - 1
 
-	var res Result
+	res := Result{Levels: make([]LevelStats, 0, len(levels))}
 	topSpan := cfg.Spans.Start("level", cfg.TraceAttempt)
 	topCfg := cfg
 	topCfg.Spans = topSpan.Scope()
@@ -264,30 +275,32 @@ func (r *Runner) Run(g *hypergraph.Graph, cfg Config) (Result, error) {
 
 	uncoarsenSpan := cfg.Spans.Start("uncoarsen", cfg.TraceAttempt)
 	cut := stats.CutRefined
-	area0 := areaOf(levels[top].g, assign)
+	area0 := areaOf(levels[top].st, assign)
 	for l := top - 1; l >= 0; l-- {
-		fine, perr := levels[l+1].cl.Project(assign, levels[l].g.NumCells())
+		lv := levels[l]
+		fine, perr := levels[l+1].cl.Project(r.proj[l%2], assign, lv.st.NumCells())
 		if perr != nil {
 			uncoarsenSpan.End()
 			return Result{}, fmt.Errorf("multilevel: level %d projection: %w", l, perr)
 		}
+		r.proj[l%2] = fine
 		assign = fine
 		lvlSpan := uncoarsenSpan.Scope().Start("level", cfg.TraceAttempt)
 		lvlCfg := cfg
 		lvlCfg.Spans = lvlSpan.Scope()
-		lvl, lerr := r.refineLevel(levels[l], assign, lvlCfg, window(lo, hi, total, slack(cfg, levels[l])), l)
+		stats, lerr := r.refineLevel(lv, assign, lvlCfg, window(lo, hi, total, slack(cfg, lv)), l)
 		if lerr != nil {
 			lvlSpan.End()
 			uncoarsenSpan.End()
 			return Result{}, lerr
 		}
-		endLevel(lvlSpan, lvl)
-		res.Levels = append(res.Levels, lvl)
+		endLevel(lvlSpan, stats)
+		res.Levels = append(res.Levels, stats)
 		for c := range assign {
-			assign[c] = r.st.Home(hypergraph.CellID(c))
+			assign[c] = lv.st.Home(hypergraph.CellID(c))
 		}
-		cut = lvl.CutRefined
-		area0 = r.st.Area(0)
+		cut = stats.CutRefined
+		area0 = lv.st.Area(0)
 	}
 	uncoarsenSpan.EndEvent(trace.Event{Kind: trace.KindPhase, Phase: trace.PhaseUncoarsen})
 
@@ -314,13 +327,13 @@ func endLevel(run span.Running, s LevelStats) {
 	})
 }
 
-// coarsen builds the cluster hierarchy bottom-up into the coarsener's
-// slots, level ℓ in slot ℓ-1: one pairwise matching round per level
-// with a doubling area cap, stopping at MinCells, maxLevels,
+// coarsen builds the cluster hierarchy over st bottom-up into the
+// coarsener's slots, level ℓ in slot ℓ-1: one pairwise matching round
+// per level with a doubling area cap, stopping at MinCells, maxLevels,
 // saturation (coarsenRatio) or a contraction error (the current level
 // then serves as the coarsest).
-func (r *Runner) coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
-	levels := []level{{g: g}}
+func (r *Runner) coarsen(st *replication.State, cfg Config, target int) []level {
+	levels := append(r.levels[:0], level{st: st})
 	capMax := cfg.MaxClusterArea
 	if capMax == 0 {
 		capMax = target / 8
@@ -329,13 +342,13 @@ func (r *Runner) coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 		}
 	}
 	base := 1
-	for i := range g.Cells {
-		if a := g.Cells[i].Area; a > base {
+	for c := range st.NumCells() {
+		if a := st.CellArea(hypergraph.CellID(c)); a > base {
 			base = a
 		}
 	}
 	for len(levels)-1 < maxLevels {
-		cur := levels[len(levels)-1].g
+		cur := levels[len(levels)-1].st
 		if cur.NumCells() <= cfg.MinCells {
 			break
 		}
@@ -350,14 +363,15 @@ func (r *Runner) coarsen(g *hypergraph.Graph, cfg Config, target int) []level {
 			MaxClusterOutputs: 24,
 			Seed:              cfg.Seed + int64(len(levels))*clusterStride,
 		})
-		if err != nil || cl.Graph.NumCells() >= cur.NumCells() {
+		if err != nil || cl.Level.NumCells() >= cur.NumCells() {
 			break
 		}
-		levels = append(levels, level{g: cl.Graph, cl: cl, cap: areaCap})
-		if float64(cl.Graph.NumCells()) > coarsenRatio*float64(cur.NumCells()) {
+		levels = append(levels, level{st: cl.Level, cl: cl, cap: areaCap})
+		if float64(cl.Level.NumCells()) > coarsenRatio*float64(cur.NumCells()) {
 			break
 		}
 	}
+	r.levels = levels
 	return levels
 }
 
@@ -398,47 +412,39 @@ func window(lo, hi, total, s int) bounds {
 	}
 }
 
-// initialPartition bipartitions the coarsest hypergraph with a
-// deterministic multi-start loop on r's storage: start i grows a
-// connected cluster seeded with Seed + i*startStride toward the target
-// area, repairs it into the window and refines it with plain FM; the
-// first strictly better start (lowest objective, then area closest to
-// target) is kept. r's state is bound to the coarsest graph once,
-// before the starts, which grow their clusters over it and reset it (a
-// failed repair leaves it as it was). A panic inside a start is not
-// contained here; kway's attempt closure drops the whole Runner and the
-// search pool folds the solution attempt as failed.
+// initialPartition bipartitions the coarsest level with a
+// deterministic multi-start loop on the level's own state: start i
+// grows a connected cluster seeded with Seed + i*startStride toward the
+// target area, repairs it into the window and refines it with plain FM;
+// the first strictly better start (lowest objective, then area closest
+// to target) is kept. A panic inside a start is not contained here;
+// kway's attempt closure drops the whole Runner and the search pool
+// folds the solution attempt as failed.
 func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([]replication.Block, LevelStats, error) {
-	cg := lv.g
+	st := lv.st
 	tgt := target
 	if tgt > w.hi {
 		tgt = w.hi
 	}
 	var (
-		best     []replication.Block
 		stats    LevelStats
 		area0    int
+		found    bool
 		firstErr error
 	)
-	ones := make([]replication.Block, cg.NumCells())
-	for c := range ones {
-		ones[c] = 1
-	}
-	if err := r.st.Rebind(cg, ones, cfg.PinExternal); err != nil {
-		return nil, LevelStats{}, fmt.Errorf("multilevel: no feasible coarsest partition in %d starts (first failure: %w)", cfg.Starts, err)
-	}
+	cur, best := r.starts[0], r.starts[1]
 	for i := 0; i < cfg.Starts; i++ {
 		seed := cfg.Seed + int64(i)*startStride
-		assign := r.cluster.Assign(nil, &r.st, seed, tgt)
-		rep, err := repair(cg, assign, w, seed)
+		cur = r.cluster.Assign(cur, st, seed, tgt)
+		rep, err := r.repair(st, cur, w, seed)
 		if err == nil {
-			err = r.st.ResetPinned(assign, cfg.PinExternal)
+			err = st.ResetPinned(cur, cfg.PinExternal)
 		}
 		var res fm.Result
 		cutInit := 0
 		if err == nil {
-			cutInit = r.st.CutSize()
-			res, err = r.fm.Run(&r.st, cfg.levelFM(w, seed))
+			cutInit = st.CutSize()
+			res, err = r.fm.Run(st, cfg.levelFM(w, seed))
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -446,61 +452,75 @@ func (r *Runner) initialPartition(lv level, cfg Config, w bounds, target int) ([
 			}
 			continue
 		}
-		cut, a0 := r.st.CutSize(), r.st.Area(0)
-		if best != nil && (cut > stats.CutRefined || cut == stats.CutRefined && absDiff(a0, tgt) >= absDiff(area0, tgt)) {
+		cut, a0 := st.CutSize(), st.Area(0)
+		if found && (cut > stats.CutRefined || cut == stats.CutRefined && absDiff(a0, tgt) >= absDiff(area0, tgt)) {
 			continue
 		}
-		for c := range assign {
-			assign[c] = r.st.Home(hypergraph.CellID(c))
+		for c := range cur {
+			cur[c] = st.Home(hypergraph.CellID(c))
 		}
-		best, area0 = assign, a0
+		cur, best = best, cur
+		found, area0 = true, a0
 		stats = LevelStats{
-			Cells: cg.NumCells(), Nets: cg.NumNets(), ClusterCap: lv.cap,
+			Cells: st.NumCells(), Nets: st.NumNets(), ClusterCap: lv.cap,
 			CutProjected: cutInit, CutRefined: cut, Area0: a0,
 			RepairMoves: rep, Moves: res.Moves, Passes: res.Passes,
 		}
 	}
-	if best == nil {
+	r.starts = [2][]replication.Block{cur, best}
+	if !found {
 		return nil, LevelStats{}, fmt.Errorf("multilevel: no feasible coarsest partition in %d starts (first failure: %w)", cfg.Starts, firstErr)
 	}
 	return best, stats, nil
 }
 
 // refineLevel repairs a projected assignment into the level's window
-// and runs one plain-FM refinement over it on r's state, which holds
-// the refined level on return.
+// and runs one plain-FM refinement over it on the level's state, which
+// holds the refined level on return.
 func (r *Runner) refineLevel(lv level, assign []replication.Block, cfg Config, w bounds, l int) (LevelStats, error) {
-	rep, rerr := repair(lv.g, assign, w, cfg.Seed+int64(l+1)*refineStride)
+	st := lv.st
+	rep, rerr := r.repair(st, assign, w, cfg.Seed+int64(l+1)*refineStride)
 	if rerr != nil {
 		return LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, rerr)
 	}
-	if err := r.st.Rebind(lv.g, assign, cfg.PinExternal); err != nil {
+	if err := st.ResetPinned(assign, cfg.PinExternal); err != nil {
 		return LevelStats{}, fmt.Errorf("multilevel: level %d: %w", l, err)
 	}
-	cutProj := r.st.CutSize()
-	res, err := r.fm.Run(&r.st, cfg.levelFM(w, cfg.Seed+int64(l+1)*refineStride))
+	cutProj := st.CutSize()
+	res, err := r.fm.Run(st, cfg.levelFM(w, cfg.Seed+int64(l+1)*refineStride))
 	if err != nil {
 		return LevelStats{}, fmt.Errorf("multilevel: level %d refinement: %w", l, err)
 	}
 	return LevelStats{
-		Level: l, Cells: lv.g.NumCells(), Nets: lv.g.NumNets(), ClusterCap: lv.cap,
-		CutProjected: cutProj, CutRefined: r.st.CutSize(), Area0: r.st.Area(0),
+		Level: l, Cells: st.NumCells(), Nets: st.NumNets(), ClusterCap: lv.cap,
+		CutProjected: cutProj, CutRefined: st.CutSize(), Area0: st.Area(0),
 		RepairMoves: rep, Moves: res.Moves, Passes: res.Passes,
 	}, nil
 }
 
 // repair nudges an assignment's block-0 area into [w.lo, w.hi] with
-// deterministic seeded greedy moves. Projection preserves areas
-// exactly, so repair only runs when the window tightened since the
-// coarser level (slack shrinks descending); FM then recovers the cut
-// damage. An empty return means the assignment was already in window.
-func repair(g *hypergraph.Graph, assign []replication.Block, w bounds, seed int64) (int, error) {
-	area0 := areaOf(g, assign)
+// deterministic seeded greedy moves, visiting the cells in the order
+// rand.New(rand.NewSource(seed)).Perm returns. Projection preserves
+// areas exactly, so repair only runs when the window tightened since
+// the coarser level (slack shrinks descending); FM then recovers the
+// cut damage. A zero return means the assignment was already in window.
+func (r *Runner) repair(st *replication.State, assign []replication.Block, w bounds, seed int64) (int, error) {
+	area0 := areaOf(st, assign)
 	if area0 >= w.lo && area0 <= w.hi {
 		return 0, nil
 	}
-	r := rand.New(rand.NewSource(seed))
-	perm := r.Perm(len(assign))
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(seed))
+	} else {
+		r.rng.Seed(seed)
+	}
+	perm := slices.Grow(r.perm[:0], len(assign))[:len(assign)]
+	r.perm = perm
+	for i := range perm {
+		j := r.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
 	moves := 0
 	for area0 < w.lo {
 		moved := false
@@ -508,7 +528,7 @@ func repair(g *hypergraph.Graph, assign []replication.Block, w bounds, seed int6
 			if assign[ci] != 1 {
 				continue
 			}
-			a := g.Cells[ci].Area
+			a := st.CellArea(hypergraph.CellID(ci))
 			if area0+a > w.hi {
 				continue
 			}
@@ -530,7 +550,7 @@ func repair(g *hypergraph.Graph, assign []replication.Block, w bounds, seed int6
 			if assign[ci] != 0 {
 				continue
 			}
-			a := g.Cells[ci].Area
+			a := st.CellArea(hypergraph.CellID(ci))
 			if area0-a < w.lo {
 				continue
 			}
@@ -549,11 +569,11 @@ func repair(g *hypergraph.Graph, assign []replication.Block, w bounds, seed int6
 	return moves, nil
 }
 
-func areaOf(g *hypergraph.Graph, assign []replication.Block) int {
+func areaOf(st *replication.State, assign []replication.Block) int {
 	area := 0
 	for c := range assign {
 		if assign[c] == 0 {
-			area += g.Cells[c].Area
+			area += st.CellArea(hypergraph.CellID(c))
 		}
 	}
 	return area

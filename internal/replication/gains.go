@@ -26,9 +26,9 @@ type Vectors struct {
 
 // graphCell returns the graph cell behind state cell c, whose pins the
 // formulas index: they are stated on a state bound to a whole graph,
-// not on a re-targeted one.
+// not on a re-targeted one or a V-cycle level.
 func (s *State) graphCell(c hypergraph.CellID) (*hypergraph.Cell, error) {
-	if s.view {
+	if s.view || s.g == nil {
 		return nil, fmt.Errorf("replication: gain formulas need a state bound to a whole graph")
 	}
 	return &s.g.Cells[c], nil

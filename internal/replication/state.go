@@ -214,7 +214,7 @@ type State struct {
 }
 
 // Stats counts the work performed on a state since construction or the
-// last Rebind. Counters are cumulative across Reset/ResetPinned and
+// last Rebind or StartLevel. Counters are cumulative across Reset/ResetPinned and
 // Retarget — observers that need per-phase figures snapshot before and
 // after and subtract.
 type Stats struct {
@@ -469,8 +469,13 @@ func (s *State) Retarget() {
 	s.totalArea, s.numExt = area, numExt
 	s.view = true
 	s.derive()
-	// The partition refers to the old numbering: drop it, so a read
-	// before the next Reset fails instead of returning stale values.
+	// The partition refers to the old numbering.
+	s.dropPartition()
+}
+
+// dropPartition empties the partition, so that a read before the next
+// Reset fails instead of returning stale values.
+func (s *State) dropPartition() {
 	s.own, s.home, s.repl, s.gainS, s.cnt = s.own[:0], s.home[:0], s.repl[:0], s.gainS[:0], s.cnt[:0]
 	s.trail = s.trail[:0]
 	s.cut, s.area, s.term = 0, [2]int{}, [2]int{}
@@ -723,7 +728,8 @@ func (s *State) ResetPinned(assign []Block, pinExternal bool) error {
 }
 
 // Graph returns the graph Rebind bound the state to. After Retarget
-// the state holds a remainder of it (see Source).
+// the state holds a remainder of it (see Source); a V-cycle level
+// (StartLevel) has none.
 func (s *State) Graph() *hypergraph.Graph { return s.g }
 
 // Layout identifies the state's cell and net set: Rebind and Retarget
@@ -782,8 +788,22 @@ func (s *State) NetConns(n hypergraph.NetID) []NetConn {
 	return s.netAdj[s.netOff[n]:s.netOff[n+1]]
 }
 
-// cellName names cell c for error messages.
-func (s *State) cellName(c hypergraph.CellID) string { return s.g.Cells[s.src[c]].Name }
+// cellName names cell c for error messages: by the graph's name for
+// it, or by its index on a V-cycle level, which has no graph.
+func (s *State) cellName(c hypergraph.CellID) string {
+	if s.g == nil {
+		return fmt.Sprintf("#%d", c)
+	}
+	return s.g.Cells[s.src[c]].Name
+}
+
+// netName names net n for error messages, as cellName names cells.
+func (s *State) netName(n hypergraph.NetID) string {
+	if s.g == nil {
+		return fmt.Sprintf("#%d", n)
+	}
+	return s.g.Nets[s.netSrc[n]].Name
+}
 
 // CutSize returns the number of nets with active connections in both
 // blocks.
@@ -1637,7 +1657,7 @@ func (s *State) CheckInvariants() error {
 	cut := 0
 	for ni := range s.isExt {
 		if cnt[ni] != s.cnt[ni] {
-			return fmt.Errorf("net %q counts %v, cached %v", s.g.Nets[s.netSrc[ni]].Name, cnt[ni], s.cnt[ni])
+			return fmt.Errorf("net %q counts %v, cached %v", s.netName(hypergraph.NetID(ni)), cnt[ni], s.cnt[ni])
 		}
 		if cnt[ni][0] > 0 && cnt[ni][1] > 0 {
 			cut++

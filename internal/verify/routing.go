@@ -36,12 +36,12 @@ func (e *RouteError) Error() string {
 // the deterministic route tree spanning the slots it touches
 // (topology.RouteSpan). Single-slot nets consume no link capacity.
 func LinkLoads(b *topology.Board, parts []*hypergraph.Graph) []int {
-	loads, _ := routeAll(b, netNames(parts), false)
+	loads, _ := routeAll(b, partNetNames(parts), false)
 	return loads
 }
 
-// netNames lists each part's net names in net-index order.
-func netNames(parts []*hypergraph.Graph) [][]string {
+// partNetNames lists each part's net names in net-index order.
+func partNetNames(parts []*hypergraph.Graph) [][]string {
 	names := make([][]string, len(parts))
 	for i, p := range parts {
 		for ni := range p.Nets {
@@ -61,7 +61,7 @@ func netNames(parts []*hypergraph.Graph) [][]string {
 // RoutingNets' error when no slot assignment routes, and runs Routing
 // on every board solution under its Verify option.
 func Routing(b *topology.Board, parts []*hypergraph.Graph) error {
-	return RoutingNets(b, netNames(parts))
+	return RoutingNets(b, partNetNames(parts))
 }
 
 // RoutingNets is Routing on the parts' net names alone: nets[i] lists
