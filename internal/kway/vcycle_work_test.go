@@ -13,23 +13,19 @@ import (
 	"fpgapart/internal/trace"
 )
 
-// vcycleWork is the carve, V-cycle and FM work of one traced search.
-type vcycleWork struct {
-	accepted              int
-	rejected              map[string]int
-	parfmPasses, fmPasses int
-	passMoves             int
-	coarsen, levels       int
-}
-
-// vcycleWant is the work of the fixed-seed V-cycle search
-// TestVCycleWork runs. The search is deterministic, so the counts are
+// vcycleWork is the carve, V-cycle and FM work of one traced search:
+// accepted carves and rejections by reason, parallel and serial FM
+// passes and the moves they report, coarsen calls and refined levels.
+// The search TestVCycleWork runs is deterministic, so the counts are
 // exact; a change that moves them changes what the search does.
-var vcycleWant = vcycleWork{
-	accepted:    39,
-	rejected:    map[string]int{trace.RejectTerminals: 7},
-	parfmPasses: 1348, fmPasses: 0, passMoves: 150426,
-	coarsen: 40, levels: 201,
+type vcycleWork struct {
+	Accepted    int            `json:"accepted"`
+	Rejected    map[string]int `json:"rejected"`
+	ParfmPasses int            `json:"parfm_passes"`
+	FMPasses    int            `json:"fm_passes"`
+	PassMoves   int            `json:"pass_moves"`
+	Coarsen     int            `json:"coarsen"`
+	Levels      int            `json:"levels"`
 }
 
 // vcycleAllocCeiling bounds the bytes a warm Partition call allocates
@@ -68,21 +64,21 @@ func traceVCycle(t *testing.T, g *hypergraph.Graph, workers int) vcycleWork {
 	if _, err := kway.Partition(g, opts); err != nil {
 		t.Fatal(err)
 	}
-	w := vcycleWork{rejected: map[string]int{}}
+	w := vcycleWork{Rejected: map[string]int{}}
 	for _, e := range rec.Events() {
 		switch e.Kind {
 		case trace.KindPhase:
 			if e.Phase == trace.PhaseCoarsen {
-				w.coarsen++
+				w.Coarsen++
 			}
 		case trace.KindLevel:
-			w.levels++
+			w.Levels++
 		case trace.KindFMPass:
-			w.passMoves += e.Moves
+			w.PassMoves += e.Moves
 		case trace.KindCarveAccepted:
-			w.accepted++
+			w.Accepted++
 		case trace.KindCarveRejected:
-			w.rejected[e.Reason]++
+			w.Rejected[e.Reason]++
 		}
 	}
 	spans, dropped := tracer.Collector().Trace(id)
@@ -92,9 +88,9 @@ func traceVCycle(t *testing.T, g *hypergraph.Graph, workers int) vcycleWork {
 	for _, sp := range spans {
 		switch sp.Name {
 		case "parfm-pass":
-			w.parfmPasses++
+			w.ParfmPasses++
 		case "fm-pass":
-			w.fmPasses++
+			w.FMPasses++
 		}
 	}
 	return w
@@ -102,13 +98,12 @@ func traceVCycle(t *testing.T, g *hypergraph.Graph, workers int) vcycleWork {
 
 // TestVCycleWork pins the work of a fixed-seed V-cycle search on a
 // generated 2000-cell circuit (MultilevelMinCells 128, parallel
-// refinement with two workers, 4 solutions): accepted carves and
-// rejections by reason, parallel and serial FM passes and the moves
-// they report, coarsen calls and refined levels. The counts must not
-// depend on GOMAXPROCS (1 or 2) or on the search's worker count (1 or
-// 2). Without the race detector it also bounds the bytes one warm
-// single-worker Partition call allocates.
+// refinement with two workers, 4 solutions) to the work ledger's last
+// row. The counts must not depend on GOMAXPROCS (1 or 2) or on the
+// search's worker count (1 or 2). Without the race detector it also
+// bounds the bytes one warm single-worker Partition call allocates.
 func TestVCycleWork(t *testing.T) {
+	want := lastLedgerRow(t).VCycle
 	g := vcycleCircuit(t)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -118,8 +113,8 @@ func TestVCycleWork(t *testing.T) {
 			t.Run(fmt.Sprintf("procs=%d/workers=%d", procs, workers), func(t *testing.T) {
 				w := traceVCycle(t, g, workers)
 				t.Logf("work: %+v", w)
-				if !reflect.DeepEqual(w, vcycleWant) {
-					t.Errorf("work %+v, want %+v", w, vcycleWant)
+				if !reflect.DeepEqual(w, want) {
+					t.Errorf("work %+v, want %+v", w, want)
 				}
 			})
 		}
