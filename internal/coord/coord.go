@@ -27,6 +27,12 @@
 //   - Exhaustion (every try failed transiently) falls back to the
 //     local engine when a Local hook is installed, or aborts the job.
 //
+// Attempts carry the circuit by its SHA-256 digest, not its text: a
+// worker resolves the digest from its circuit cache. A worker that does
+// not hold the circuit (first contact, eviction, restart) answers 409
+// circuit_unknown, and the same try re-sends the attempt to it once
+// with the text; a second circuit_unknown is transient.
+//
 // Hedging bounds tail latency: when a request has been in flight for
 // Config.HedgeAfter, a duplicate is launched at the next worker and
 // the first completed response wins — safe precisely because both
@@ -61,6 +67,7 @@ const (
 	MetricRetries        = "fpgapart_coord_retries_total"
 	MetricHedges         = "fpgapart_coord_hedges_total"
 	MetricFallbacks      = "fpgapart_coord_local_fallbacks_total"
+	MetricResends        = "fpgapart_coord_circuit_resends_total"
 	MetricAttemptSeconds = "fpgapart_coord_attempt_seconds"
 )
 
@@ -80,6 +87,7 @@ type Metrics struct {
 	retries    *telemetry.Counter
 	hedges     *telemetry.Counter
 	fallbacks  *telemetry.Counter
+	resends    *telemetry.Counter
 	attemptSec *telemetry.Histogram
 }
 
@@ -90,6 +98,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		retries:    r.Counter(MetricRetries, "Attempt retries after transient worker failures."),
 		hedges:     r.Counter(MetricHedges, "Hedged duplicate requests launched against stragglers."),
 		fallbacks:  r.Counter(MetricFallbacks, "Attempts run on the local engine after the worker pool was exhausted."),
+		resends:    r.Counter(MetricResends, "Attempts re-sent with the circuit text to a worker that answered circuit_unknown."),
 		attemptSec: r.Histogram(MetricAttemptSeconds, "Latency of successful remote attempt requests.", telemetry.LatencyBuckets()),
 	}
 }
@@ -115,6 +124,12 @@ func (m *Metrics) hedge() {
 func (m *Metrics) fallback() {
 	if m != nil {
 		m.fallbacks.Inc()
+	}
+}
+
+func (m *Metrics) resend() {
+	if m != nil {
+		m.resends.Inc()
 	}
 }
 
@@ -239,6 +254,8 @@ func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core
 	}
 	rid := server.RequestIDFromContext(ctx)
 	p.log.Info("distributing search", "request_id", rid, "solutions", opts.Solutions, "seed", opts.Seed, "pool", len(p.cfg.Workers))
+	full := *req
+	full.CircuitDigest = server.CircuitDigest(req.Circuit)
 
 	// Every remote attempt hangs its rpc spans (and the worker's ingested
 	// spans) off its own attempt span under the reducer's search span.
@@ -253,7 +270,7 @@ func (p *Pool) Distribute(ctx context.Context, req *server.JobRequest, opts core
 	}, kway.Reducer[*server.JobResult]{
 		NewAttempt: func() search.AttemptFunc[*server.JobResult] {
 			return func(ctx context.Context, attempt int, seed int64) (*server.JobResult, error) {
-				return p.runAttempt(ctx, req, attempt, seed)
+				return p.runAttempt(ctx, &full, attempt, seed)
 			}
 		},
 		// Only a deterministic infeasible attempt (or a contained local
@@ -306,6 +323,7 @@ const (
 	classFatal             // deterministic job-level failure; aborts the search
 	classCtx               // the job's own context ended
 	classTransient         // worker-specific failure; retry elsewhere
+	classUnknown           // worker lacks the circuit; re-send the text
 )
 
 type rpcOutcome struct {
@@ -317,19 +335,23 @@ type rpcOutcome struct {
 
 // runAttempt executes one solution attempt against the pool: walk the
 // worker ring with backoff between tries, hedge stragglers, fall back
-// to the local engine when the pool is exhausted.
+// to the local engine when the pool is exhausted. req carries both the
+// circuit text and its digest.
 func (p *Pool) runAttempt(ctx context.Context, req *server.JobRequest, attempt int, seed int64) (*server.JobResult, error) {
 	// The remote form of attempt i: a fresh anonymous Solutions=1
 	// search whose seed is the attempt seed. MaxStale is meaningless
 	// for one attempt and the worker-side budget is the coordinator's
-	// per-attempt timeout.
+	// per-attempt timeout. The wire body names the circuit by digest
+	// only; r keeps the text for a re-send and the local fallback.
 	r := *req
 	r.ID = ""
 	r.Solutions = 1
 	r.Seed = seed
 	r.MaxStale = 0
 	r.TimeoutMS = int64(p.cfg.AttemptTimeout / time.Millisecond)
-	body, err := json.Marshal(&r)
+	lean := r
+	lean.Circuit = ""
+	body, err := json.Marshal(&lean)
 	if err != nil {
 		return nil, fmt.Errorf("coord: marshal attempt %d: %w", attempt, err)
 	}
@@ -340,7 +362,7 @@ func (p *Pool) runAttempt(ctx context.Context, req *server.JobRequest, attempt i
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("coord: attempt %d: %w", attempt, cerr)
 		}
-		out := p.hedgedPost(ctx, attempt, try, body)
+		out := p.hedgedPost(ctx, attempt, try, body, &r)
 		switch out.class {
 		case classOK:
 			p.met.attempt(OutcomeOK)
@@ -386,12 +408,12 @@ func (p *Pool) runAttempt(ctx context.Context, req *server.JobRequest, attempt i
 // hedgedPost posts one try, racing a duplicate against the next worker
 // when the primary stalls past HedgeAfter. The first non-transient
 // response wins; with both legs transient, the last loser is returned
-// for the backoff loop.
-func (p *Pool) hedgedPost(ctx context.Context, attempt, try int, body []byte) rpcOutcome {
+// for the backoff loop. Each leg handles its own circuit_unknown.
+func (p *Pool) hedgedPost(ctx context.Context, attempt, try int, body []byte, full *server.JobRequest) rpcOutcome {
 	n := len(p.cfg.Workers)
 	primary := p.cfg.Workers[(attempt+try)%n]
 	ch := make(chan rpcOutcome, 2)
-	go func() { ch <- p.post(ctx, primary, attempt, try, body) }()
+	go func() { ch <- p.post(ctx, primary, attempt, try, body, full) }()
 	var hedgeC <-chan time.Time
 	if p.cfg.HedgeAfter > 0 && n > 1 {
 		timer := time.NewTimer(p.cfg.HedgeAfter)
@@ -418,7 +440,7 @@ func (p *Pool) hedgedPost(ctx context.Context, attempt, try int, body []byte) rp
 			p.log.Info("hedging straggler", "request_id", server.RequestIDFromContext(ctx),
 				"attempt", attempt, "try", try, "worker", secondary)
 			outstanding++
-			go func() { ch <- p.post(ctx, secondary, attempt, try, body) }()
+			go func() { ch <- p.post(ctx, secondary, attempt, try, body, full) }()
 		}
 	}
 }
@@ -432,14 +454,28 @@ const maxResponse = 8 << 20
 // wrapped in an "rpc" span whose traceparent is forwarded to the
 // worker, and the spans the worker returns for that trace are ingested
 // into the coordinator's collector — one stitched cross-process trace.
-func (p *Pool) post(ctx context.Context, worker string, attempt, try int, body []byte) rpcOutcome {
+// A worker that answers circuit_unknown to the digest-only body is sent
+// full, the attempt with its text, once, under the same span.
+func (p *Pool) post(ctx context.Context, worker string, attempt, try int, body []byte, full *server.JobRequest) rpcOutcome {
 	sc := span.FromContext(ctx)
 	rpc := sc.Start("rpc", attempt)
 	if sc.Enabled() {
 		rpc.Detail(fmt.Sprintf("worker=%s try=%d", worker, try))
 	}
+	defer rpc.End()
 	out := p.postOnce(ctx, worker, rpc.Scope(), body)
-	rpc.End()
+	if out.class != classUnknown {
+		return out
+	}
+	p.met.resend()
+	text, err := json.Marshal(full)
+	if err != nil {
+		return rpcOutcome{class: classFatal, err: fmt.Errorf("coord: marshal attempt %d: %w", attempt, err)}
+	}
+	if out = p.postOnce(ctx, worker, rpc.Scope(), text); out.class == classUnknown {
+		// The worker cannot place a circuit it was just sent.
+		out.class = classTransient
+	}
 	return out
 }
 
@@ -495,6 +531,9 @@ func (p *Pool) postOnce(ctx context.Context, worker string, rpcScope span.Scope,
 		// The request itself is broken; every attempt would fail the
 		// same way, so surface the worker's typed rejection.
 		return rpcOutcome{class: classFatal, err: &server.JobFailure{Kind: server.KindMalformed, Msg: remoteMessage(worker, resp.StatusCode, payload)}}
+	case http.StatusConflict:
+		// circuit_unknown: the worker holds no circuit under the digest.
+		return rpcOutcome{class: classUnknown, err: errors.New(remoteMessage(worker, resp.StatusCode, payload))}
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		return rpcOutcome{
 			class: classTransient, retryAfter: parseRetryAfter(resp),

@@ -491,8 +491,16 @@ func TestIngestOnlyOwnTrace(t *testing.T) {
 	worker := newWorkerTS(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := httptest.NewRecorder()
 		eng.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			// A circuit_unknown miss goes back as it came, so the
+			// coordinator re-sends the text.
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			return
+		}
 		var st server.JobStatus
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 			t.Errorf("worker answered %d: %v", rec.Code, err)
 		}
 		st.Spans = append(st.Spans, span.Span{Trace: foreign, ID: 1, Name: "job", Process: "stale"})
@@ -534,5 +542,163 @@ func TestNewValidatesWorkers(t *testing.T) {
 	}
 	if p.cfg.Workers[0] != "http://a:1" {
 		t.Fatalf("worker not normalized: %q", p.cfg.Workers[0])
+	}
+}
+
+// textBodies counts the requests a worker handler receives that carry
+// the circuit text, and the 409 circuit_unknown answers it gives.
+type textBodies struct {
+	h           http.Handler
+	texts, cold atomic.Int64
+}
+
+func (c *textBodies) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	var req server.JobRequest
+	if json.Unmarshal(body, &req) == nil && req.Circuit != "" {
+		c.texts.Add(1)
+	}
+	r.Body = io.NopCloser(strings.NewReader(string(body)))
+	rec := httptest.NewRecorder()
+	c.h.ServeHTTP(rec, r)
+	if rec.Code == http.StatusConflict {
+		c.cold.Add(1)
+	}
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes())
+}
+
+// Attempts travel by digest: each cold worker answers its first
+// attempt circuit_unknown and gets the text exactly once, and every
+// later attempt resolves the digest from its cache.
+func TestColdWorkerGetsTextOnce(t *testing.T) {
+	req := &server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 6, Seed: 7}
+	want := localResult(t, req)
+	w1 := &textBodies{h: newEngine(t, server.Config{})}
+	w2 := &textBodies{h: newEngine(t, server.Config{})}
+	pool := newPool(t, Config{
+		Workers:     []string{newWorkerTS(t, w1).URL, newWorkerTS(t, w2).URL},
+		Concurrency: 1,
+	})
+
+	got, err := pool.Distribute(context.Background(), req, core.Options{Solutions: 6, Seed: 7})
+	if err != nil {
+		t.Fatalf("distribute: %v", err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+		t.Fatalf("result diverged from local run:\n got %s\nwant %s", g, w)
+	}
+	for i, w := range []*textBodies{w1, w2} {
+		if cold, texts := w.cold.Load(), w.texts.Load(); cold != 1 || texts != 1 {
+			t.Fatalf("worker %d: %d circuit_unknown answers and %d text bodies, want 1 and 1", i, cold, texts)
+		}
+	}
+	if n := pool.met.resends.Value(); n != 2 {
+		t.Fatalf("resends = %d, want 2", n)
+	}
+	if n := pool.met.retries.Value(); n != 0 {
+		t.Fatalf("retries = %d, want 0: a re-send stays within its try", n)
+	}
+}
+
+// A worker restarted behind the same URL forgets every circuit. Here it
+// restarts after each answer, so every attempt misses, is re-sent with
+// the text, and the result is still the local one.
+func TestRestartedWorkerByteIdentical(t *testing.T) {
+	req := &server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 4, Seed: 11}
+	want := localResult(t, req)
+	var eng atomic.Pointer[server.Server]
+	eng.Store(newEngine(t, server.Config{}))
+	restarting := newWorkerTS(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		eng.Load().ServeHTTP(rec, r)
+		if rec.Code == http.StatusOK {
+			eng.Store(newEngine(t, server.Config{}))
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	pool := newPool(t, Config{Workers: []string{restarting.URL}, Concurrency: 1})
+
+	got, err := pool.Distribute(context.Background(), req, core.Options{Solutions: 4, Seed: 11})
+	if err != nil {
+		t.Fatalf("distribute: %v", err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+		t.Fatalf("result diverged across worker restarts:\n got %s\nwant %s", g, w)
+	}
+	if n := pool.met.resends.Value(); n != 4 {
+		t.Fatalf("resends = %d, want one per attempt (4)", n)
+	}
+}
+
+// A hedge leg handles its own miss: the stalled primary never answers,
+// and the cold secondary gets the text and wins.
+func TestHedgeToColdSecondary(t *testing.T) {
+	req := &server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 1, Seed: 1}
+	want := localResult(t, req)
+	straggler := newWorkerTS(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-r.Context().Done():
+		case <-time.After(3 * time.Second):
+		}
+	}))
+	cold := &textBodies{h: newEngine(t, server.Config{})}
+	pool := newPool(t, Config{
+		Workers:        []string{straggler.URL, newWorkerTS(t, cold).URL},
+		AttemptTimeout: 2 * time.Second,
+		HedgeAfter:     20 * time.Millisecond,
+	})
+
+	got, err := pool.Distribute(context.Background(), req, core.Options{Solutions: 1, Seed: 1})
+	if err != nil {
+		t.Fatalf("distribute: %v", err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+		t.Fatalf("hedged result diverged:\n got %s\nwant %s", g, w)
+	}
+	if pool.met.hedges.Value() != 1 || pool.met.resends.Value() != 1 || cold.texts.Load() != 1 {
+		t.Fatalf("hedges=%d resends=%d texts=%d, want 1 each",
+			pool.met.hedges.Value(), pool.met.resends.Value(), cold.texts.Load())
+	}
+}
+
+// A worker that answers circuit_unknown even to the text is broken, not
+// cold: each try re-sends once, then counts as a transient failure, and
+// the attempt exhausts its tries instead of looping.
+func TestCircuitUnknownToTextIsTransient(t *testing.T) {
+	var n atomic.Int64
+	amnesiac := newWorkerTS(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusConflict)
+		fmt.Fprint(w, `{"error":"circuit digest not in this server's circuit cache","error_kind":"circuit_unknown"}`)
+	}))
+	pool := newPool(t, Config{
+		Workers:     []string{amnesiac.URL},
+		Tries:       2,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  2 * time.Millisecond,
+	})
+	req := &server.JobRequest{Circuit: circuitText(t, 120, 1), Solutions: 1, Seed: 1}
+	_, err := pool.Distribute(context.Background(), req, core.Options{Solutions: 1, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "circuit_unknown") {
+		t.Fatalf("error = %v, want exhaustion naming circuit_unknown", err)
+	}
+	if got := n.Load(); got != 4 {
+		t.Fatalf("worker saw %d requests, want 4 (2 tries, each re-sent once)", got)
+	}
+	if pool.met.resends.Value() != 2 || pool.met.attempts.With(OutcomeExhausted).Value() != 1 {
+		t.Fatalf("resends=%d exhausted=%d, want 2 and 1",
+			pool.met.resends.Value(), pool.met.attempts.With(OutcomeExhausted).Value())
 	}
 }

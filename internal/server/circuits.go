@@ -1,28 +1,47 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"sync"
 
 	"fpgapart/internal/hypergraph"
 )
 
 // circuitCacheSize bounds the parsed-circuit cache in entries. A
-// coordinator fan-out sends one job's circuit to the same worker
-// ⌈solutions/workers⌉ times, so a few entries cover the jobs in flight.
+// coordinator fan-out sends each of one job's attempts to a worker by
+// digest, and a worker resolves the digest only from this cache, so a
+// few entries cover the jobs in flight; a circuit evicted mid-job costs
+// the coordinator one re-send with the text.
 const circuitCacheSize = 8
 
-// circuitKey identifies one parse: the dialect ("clb" or "gnl"), the
-// source text and, for gnl only, the seed technology mapping packs with.
-type circuitKey struct {
-	format  string
-	circuit string
-	seed    int64
+// errCircuitUnknown answers a digest-only request whose circuit is not
+// in the cache: the client must send the text (409 circuit_unknown).
+var errCircuitUnknown = errors.New("circuit digest not in this server's circuit cache; send the circuit text")
+
+// CircuitDigest is the lowercase hex SHA-256 of a circuit's exact
+// text, the value JobRequest.CircuitDigest carries.
+func CircuitDigest(circuit string) string {
+	sum := sha256.Sum256([]byte(circuit))
+	return hex.EncodeToString(sum[:])
 }
 
-// circuitEntry is one parse, cached or in progress. g is set before
-// done closes, and stays nil when the parse failed.
+// circuitKey identifies one parse: the dialect ("clb" or "gnl"), the
+// SHA-256 of the source text and, for gnl only, the seed technology
+// mapping packs with.
+type circuitKey struct {
+	format string
+	digest [sha256.Size]byte
+	seed   int64
+}
+
+// circuitEntry is one parse, cached or in progress. text is the source
+// the parse reads; g is set before done closes, and stays nil when the
+// parse failed.
 type circuitEntry struct {
 	key  circuitKey
+	text string
 	done chan struct{}
 	g    *hypergraph.Graph
 }
@@ -37,11 +56,13 @@ type circuitCache struct {
 	fifo  []*circuitEntry // oldest first; evicted past circuitCacheSize
 }
 
-// graph returns the graph for key, calling parse only when no request
-// has parsed it already; hit reports that parse was not called.
+// graph returns the graph for key and the text it was parsed from,
+// calling parse on text only when no request has parsed it already;
+// hit reports that parse was not called. A nil parse marks a
+// digest-only request, which fails with errCircuitUnknown on a miss.
 // Concurrent requests for a circuit being parsed wait for that parse
 // instead of repeating it.
-func (c *circuitCache) graph(key circuitKey, parse func() (*hypergraph.Graph, error)) (g *hypergraph.Graph, hit bool, err error) {
+func (c *circuitCache) graph(key circuitKey, text string, parse func(string) (*hypergraph.Graph, error)) (g *hypergraph.Graph, src string, hit bool, err error) {
 	c.mu.Lock()
 	for {
 		e, ok := c.byKey[key]
@@ -51,12 +72,16 @@ func (c *circuitCache) graph(key circuitKey, parse func() (*hypergraph.Graph, er
 		c.mu.Unlock()
 		<-e.done
 		if e.g != nil {
-			return e.g, true, nil
+			return e.g, e.text, true, nil
 		}
 		// That parse failed and left the cache: parse it here.
 		c.mu.Lock()
 	}
-	e := &circuitEntry{key: key, done: make(chan struct{})}
+	if parse == nil {
+		c.mu.Unlock()
+		return nil, "", false, errCircuitUnknown
+	}
+	e := &circuitEntry{key: key, text: text, done: make(chan struct{})}
 	if len(c.fifo) == circuitCacheSize {
 		c.drop(c.fifo[0])
 	}
@@ -73,8 +98,8 @@ func (c *circuitCache) graph(key circuitKey, parse func() (*hypergraph.Graph, er
 		}
 		close(e.done)
 	}()
-	e.g, err = parse()
-	return e.g, false, err
+	e.g, err = parse(text)
+	return e.g, text, false, err
 }
 
 // drop forgets e if it is still cached. The caller holds c.mu.

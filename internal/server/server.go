@@ -162,6 +162,7 @@ const (
 	KindMethodNotAllowed = "method_not_allowed" // known endpoint, wrong verb
 	KindOverload         = "overload"           // queue full; retry after the hint
 	KindDraining         = "draining"           // shutdown in progress
+	KindCircuitUnknown   = "circuit_unknown"    // circuit_digest not cached; re-send the text
 )
 
 // JobFailure is a typed failure a Distribute hook returns to select the
@@ -563,7 +564,7 @@ func forwarded(j *job) *JobRequest {
 	var sb strings.Builder
 	hypergraph.Write(&sb, j.graph) // a strings.Builder never fails a write
 	r := *j.req
-	r.Circuit, r.Format = sb.String(), ""
+	r.Circuit, r.Format, r.CircuitDigest = sb.String(), "", ""
 	return &r
 }
 
