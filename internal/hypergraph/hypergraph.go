@@ -201,8 +201,8 @@ func (g *Graph) CellNets(id CellID) []NetID {
 //     (a cell output for Internal/ExtOut nets, the implicit terminal
 //     for ExtIn nets);
 //   - Conns mirrors the pin fields exactly;
-//   - every net has at least one sink (a cell input or an ExtOut
-//     terminal);
+//   - every primary input (ExtIn net) has at least one sink, a cell
+//     input; an Internal net may have none, demanding no IOB;
 //   - areas are positive.
 func (g *Graph) Validate() error { return g.validate(&validateScratch{}) }
 
@@ -285,11 +285,7 @@ func (g *Graph) validate(vs *validateScratch) error {
 				return fmt.Errorf("hypergraph %q: net %q has %d drivers, want 1", g.Name, net.Name, d.drivers)
 			}
 		}
-		sinks := d.sinks
-		if net.Ext == ExtOut {
-			sinks++
-		}
-		if sinks == 0 {
+		if net.Ext == ExtIn && d.sinks == 0 {
 			return fmt.Errorf("hypergraph %q: net %q has no sinks", g.Name, net.Name)
 		}
 		// Conns must mirror pins.

@@ -136,15 +136,32 @@ func TestValidateRejectsUndrivenNet(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsSinklessNet(t *testing.T) {
-	b := NewBuilder("bad")
+// An internal net nothing reads demands no IOB, so a circuit with one
+// is valid.
+func TestValidateAcceptsUnreadInternalNet(t *testing.T) {
+	b := NewBuilder("dead")
 	a := b.InputNet("a")
 	w := b.Net("w")
 	z := b.OutputNet("z")
 	b.AddCell(CellSpec{Inputs: []NetID{a}, Outputs: []NetID{w}})
 	b.AddCell(CellSpec{Inputs: []NetID{a}, Outputs: []NetID{z}})
-	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "sinks") {
-		t.Fatalf("expected sinkless-net error, got %v", err)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := g.NumTerminals(); n != 2 {
+		t.Fatalf("%d terminals, want 2 (a and z)", n)
+	}
+}
+
+func TestValidateRejectsUnreadPrimaryInput(t *testing.T) {
+	b := NewBuilder("bad")
+	a := b.InputNet("a")
+	b.InputNet("unread")
+	z := b.OutputNet("z")
+	b.AddCell(CellSpec{Inputs: []NetID{a}, Outputs: []NetID{z}})
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), `net "unread" has no sinks`) {
+		t.Fatalf("expected sinkless-input error, got %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package kway_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,9 +11,8 @@ import (
 	"fpgapart/internal/bench"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/kway"
+	"fpgapart/internal/library"
 	"fpgapart/internal/replication"
-	"fpgapart/internal/span"
-	"fpgapart/internal/trace"
 )
 
 // TestPartsOutliveCarveStorage: a carve worker collects each attempt's
@@ -73,12 +73,12 @@ func TestTerminalBoundDeterminism(t *testing.T) {
 }
 
 // A dead net (driven, internal, read only by input pins no output
-// depends on) has no sink in a block holding its driver once the
-// functional-replication rule prunes those pins, so no block of such a
-// circuit extracts. A circuit too large for one device therefore has
-// no feasible solution: every carve that passes the device checks is
-// rejected as "materialize", with the extraction's error.
-func TestDeadNetRejectsEveryCarve(t *testing.T) {
+// depends on) has no sink in the part holding its driver once the
+// functional-replication rule prunes those pins. It demands no IOB, so
+// a circuit too large for one device partitions like any other, every
+// carve passes Options.Verify, and the net stays internal to the one
+// part that drives it.
+func TestDeadNetPartitions(t *testing.T) {
 	b := hypergraph.NewBuilder("deadnet")
 	prev := []hypergraph.NetID{b.InputNet("pi0"), b.InputNet("pi1")}
 	dead := b.Net("dead")
@@ -103,62 +103,157 @@ func TestDeadNetRejectsEveryCarve(t *testing.T) {
 	}
 	b.MarkOutput(prev[len(prev)-1])
 	g := b.MustBuild()
-	rec := &trace.Recorder{}
-	tracer := span.NewTracer(span.Options{Process: "kway-test"})
-	opts := kway.Options{Solutions: 3, Seed: 1, Workers: 1}
-	opts.Spans = tracer.Root(span.DeriveTraceID("dead", opts.Seed, opts.Solutions), 0).WithSink(rec)
-	_, err := kway.Partition(g, opts)
-	var inf *kway.InfeasibleError
-	if !errors.As(err, &inf) || !strings.Contains(err.Error(), `subcircuit "deadnet.0": hypergraph "deadnet.0": net "dead" has no sinks`) {
-		t.Fatalf("err = %v, want an infeasible search failing on the dead net", err)
+	res, err := kway.Partition(g, kway.Options{Solutions: 3, Seed: 1, Workers: 1, Verify: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	materialize := 0
-	for _, e := range rec.Filter(trace.KindCarveRejected) {
-		if e.Reason == trace.RejectMaterialize {
-			materialize++
+	if len(res.Parts) < 2 {
+		t.Fatalf("%d parts, want a carved circuit", len(res.Parts))
+	}
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
+	}
+	checkDeadNet(t, res, "dead")
+}
+
+// The c3540 suite circuit with u0 reading a new cell's net through a
+// pin neither output depends on partitions into two verified parts.
+func TestSuiteDeadNetPartitions(t *testing.T) {
+	c, _ := bench.ByName("c3540")
+	var buf bytes.Buffer
+	if err := hypergraph.Write(&buf, c.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	const u0 = "cell u0 area=1 dff=0 in=pi7,pi9 out=w1,w2 dep=11;11\n"
+	if !strings.Contains(buf.String(), u0) {
+		t.Fatalf("c3540 has no line %q", u0)
+	}
+	text := strings.Replace(buf.String(), u0, "cell u0 area=1 dff=0 in=pi7,pi9,wdead out=w1,w2 dep=110;110\n"+
+		"cell udead area=1 dff=0 in=pi3 out=wdead dep=1\n", 1)
+	g, err := hypergraph.Read(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := kway.Partition(g, kway.Options{Solutions: 8, Seed: 3, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Parts) != 2 {
+		t.Fatalf("%d parts, want 2", len(res.Parts))
+	}
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
+	}
+	checkDeadNet(t, res, "wdead")
+}
+
+// checkDeadNet checks that the net named name appears in exactly one
+// part of res, as an internal net with a driver and no sink.
+func checkDeadNet(t *testing.T, res kway.Result, name string) {
+	t.Helper()
+	found := 0
+	for i, p := range res.Parts {
+		for ni := range p.Graph.Nets {
+			n := &p.Graph.Nets[ni]
+			if n.Name != name {
+				continue
+			}
+			found++
+			if n.Ext != hypergraph.Internal || len(n.Conns) != 1 || !n.Conns[0].Out {
+				t.Fatalf("part %d: net %q is %v with %d conns, want internal with only its driver", i, name, n.Ext, len(n.Conns))
+			}
 		}
 	}
-	if n := len(rec.Filter(trace.KindCarveAccepted)); n != 0 || materialize == 0 {
-		t.Fatalf("%d carves accepted, %d rejected as materialize; want none and some", n, materialize)
+	if found != 1 {
+		t.Fatalf("net %q appears in %d parts, want 1", name, found)
 	}
 }
 
-// A replica is named after its cell plus "$r", so on a circuit where
-// some cell already carries that name the replica repeats it, and a
-// block holding both does not extract. Such a carve is rejected as
-// "materialize", and the parts of the result extract.
-func TestReplicaNameClashRejectsCarve(t *testing.T) {
+// A circuit where every other cell is named as its neighbour plus "$r"
+// names cells the way replicas are named. The search's replicas take
+// names no source cell has, so every carve passes Options.Verify and
+// the result passes Result.Verify, which resolves replicas by name.
+func TestReplicaNameClashVerifies(t *testing.T) {
 	g, err := bench.Generate(bench.Params{Cells: 400, PrimaryIn: 24, PrimaryOut: 12, Seed: 5, Clustering: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(g.Cells); i += 2 {
-		g.Cells[i].Name = g.Cells[i-1].Name + "$r"
+	source := make(map[string]bool, len(g.Cells))
+	for i := range g.Cells {
+		if i%2 == 1 {
+			g.Cells[i].Name = g.Cells[i-1].Name + "$r"
+		}
+		source[g.Cells[i].Name] = true
 	}
-	rec := &trace.Recorder{}
-	tracer := span.NewTracer(span.Options{Process: "kway-test"})
 	zero := 0
-	opts := kway.Options{Threshold: &zero, Solutions: 6, Seed: 2, Workers: 1}
-	opts.Spans = tracer.Root(span.DeriveTraceID("clash", opts.Seed, opts.Solutions), 0).WithSink(rec)
-	res, err := kway.Partition(g, opts)
+	res, err := kway.Partition(g, kway.Options{Threshold: &zero, Solutions: 6, Seed: 2, Workers: 1, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The partition verifier resolves replicas by their names, which
-	// these clash with, so check the parts one by one.
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
+	}
+	replicas := 0
 	for i, p := range res.Parts {
-		if err := p.Graph.Validate(); err != nil {
-			t.Fatalf("part %d: %v", i, err)
+		for _, c := range p.Graph.Cells {
+			if c.Replica && source[c.Name] {
+				t.Fatalf("part %d: replica named %q like a source cell", i, c.Name)
+			}
+		}
+		replicas += p.Replicas
+	}
+	if replicas == 0 {
+		t.Fatal("the search made no replica")
+	}
+}
+
+// A part kpart writes is a circuit whose replicas the source already
+// flags and names. Re-partitioning it counts only the replicas the new
+// search makes, so the result passes Options.Verify, whether the part
+// fits one device or is carved again into small ones.
+func TestRepartitionWrittenPart(t *testing.T) {
+	c, _ := bench.ByName("c3540")
+	res, err := kway.Partition(c.MustBuild(), kway.Options{Solutions: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := res.Parts[0]
+	for _, p := range res.Parts {
+		if p.Replicas > part.Replicas {
+			part = p
 		}
 	}
-	materialize := 0
-	for _, e := range rec.Filter(trace.KindCarveRejected) {
-		if e.Reason == trace.RejectMaterialize {
-			materialize++
-		}
+	if part.Replicas == 0 {
+		t.Fatal("no part holds a replica")
 	}
-	if materialize == 0 {
-		t.Fatal("no carve was rejected for a repeated replica name")
+	var buf bytes.Buffer
+	if err := hypergraph.Write(&buf, part.Graph); err != nil {
+		t.Fatal(err)
+	}
+	g, err := hypergraph.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _ := library.XC3000().ByName("XC3020")
+	smallOnly, err := library.Custom(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		lib   library.Library
+		parts int // at least
+	}{{"XC3000", library.XC3000(), 1}, {small.Name, smallOnly, 2}} {
+		re, err := kway.Partition(g, kway.Options{Library: tc.lib, Solutions: 4, Seed: 3, Verify: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := re.Verify(g); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(re.Parts) < tc.parts {
+			t.Fatalf("%s: %d parts, want at least %d", tc.name, len(re.Parts), tc.parts)
+		}
 	}
 }
 

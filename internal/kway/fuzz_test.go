@@ -17,12 +17,15 @@ import (
 // a structurally inconsistent carve or solution that the randomized
 // search accepted. Ordinary infeasibility (the fuzzed circuit simply
 // does not fit the forced library) is skipped. On odd seeds the
-// circuit gets dependency-free input pins (see freePins), which a
-// generator circuit lacks and the carve state leaves out.
+// circuit gets dependency-free input pins and with them dead nets (see
+// freePins), which a generator circuit lacks and the carve state leaves
+// out; on seeds divisible by 3 some cells are named like replicas (see
+// replicaNames).
 func FuzzKway(f *testing.F) {
 	f.Add(int64(1), int8(1), uint8(40))
 	f.Add(int64(7), int8(-1), uint8(12))
 	f.Add(int64(42), int8(0), uint8(64))
+	f.Add(int64(9), int8(0), uint8(40))
 	f.Fuzz(func(t *testing.T, seed int64, threshold int8, cells uint8) {
 		n := 8 + int(cells)%57           // 8..64 cells
 		th := (int(threshold)%5+5)%5 - 1 // -1..3; -1 is fm.NoReplication
@@ -35,6 +38,9 @@ func FuzzKway(f *testing.F) {
 		}
 		if seed%2 != 0 {
 			freePins(g, seed)
+		}
+		if seed%3 == 0 {
+			replicaNames(g, seed)
 		}
 		// A small device forces multi-way splits on all but the tiniest
 		// circuits.
@@ -61,21 +67,10 @@ func FuzzKway(f *testing.F) {
 }
 
 // freePins clears one dependency bit in about a quarter of g's cells,
-// keeping every output row non-empty and every net read by some pin an
-// output depends on, so no net turns dead. A cleared bit of a
-// single-output cell leaves its input pin dependency-free.
+// keeping every output row non-empty. A cleared bit of a single-output
+// cell leaves its input pin dependency-free, and a net read only by
+// such pins is dead: no part holding its driver reads it.
 func freePins(g *hypergraph.Graph, seed int64) {
-	live := make([]int, len(g.Nets)) // per net: reads an output depends on
-	for ci := range g.Cells {
-		c := &g.Cells[ci]
-		for _, row := range c.Dep {
-			for j, n := range c.Inputs {
-				if n != hypergraph.NilNet && row.Get(j) {
-					live[n]++
-				}
-			}
-		}
-	}
 	r := rand.New(rand.NewSource(seed))
 	for ci := range g.Cells {
 		c := &g.Cells[ci]
@@ -84,11 +79,33 @@ func freePins(g *hypergraph.Graph, seed int64) {
 			continue
 		}
 		for j, n := range c.Inputs {
-			if n != hypergraph.NilNet && row.Get(j) && live[n] > 1 {
+			if n != hypergraph.NilNet && row.Get(j) {
 				row.Clear(j)
-				live[n]--
 				break
 			}
 		}
+	}
+}
+
+// replicaNames renames about a quarter of g's cells to an earlier
+// cell's name plus "$r", the name a replica of that cell would get,
+// skipping a name some cell already has.
+func replicaNames(g *hypergraph.Graph, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	names := make(map[string]bool, len(g.Cells))
+	for ci := range g.Cells {
+		names[g.Cells[ci].Name] = true
+	}
+	for ci := 1; ci < len(g.Cells); ci++ {
+		if r.Intn(4) != 0 {
+			continue
+		}
+		name := g.Cells[r.Intn(ci)].Name + "$r"
+		if names[name] {
+			continue
+		}
+		delete(names, g.Cells[ci].Name)
+		names[name] = true
+		g.Cells[ci].Name = name
 	}
 }

@@ -312,9 +312,9 @@ func (o Options) withDefaults() (Options, error) {
 type Part struct {
 	Graph  *hypergraph.Graph
 	Device library.Device
-	// Replicas is the number of replica cell instances in the part:
-	// cells flagged hypergraph.Cell.Replica, the "$r" copies carves
-	// made plus any the source already flagged.
+	// Replicas is the number of replica cell instances the search made
+	// in the part: its "$r" copies. Source cells the circuit already
+	// flags hypergraph.Cell.Replica are not counted.
 	Replicas int
 	// The search keeps a part as its cell copies over the source
 	// circuit, in source order, and builds Graph from them only for the
@@ -503,10 +503,11 @@ func assemble(g *hypergraph.Graph, parts []Part) Result {
 // cluster-growing scratch, assign the initial assignment they fill,
 // and rnd the attempt's random stream. ml runs the V-cycle with st as
 // its finest level and its own recycled coarse levels. reps holds, per
-// cell of st, the "$r" suffixes its name carries, and cells the cell
-// lists of the attempt's parts so far; build and place serve the
-// checks of Options.Verify and the board placement. The arrays of
-// every layer keep their capacity across carves and attempts.
+// cell of st, the number of carves in which it was the replica
+// (cellSpec.reps), and cells the cell lists of the attempt's parts so
+// far; build and place serve the checks of Options.Verify and the
+// board placement. The arrays of every layer keep their capacity
+// across carves and attempts.
 type carveScratch struct {
 	st      replication.State
 	fm      fm.Runner
@@ -519,12 +520,6 @@ type carveScratch struct {
 	ml      multilevel.Runner
 	build   builder
 	place   placer
-	// What keeps blocks of checked from extracting (see
-	// extractError): its dead nets (nil: none), and whether replica
-	// names can clash with its cell names.
-	checked *hypergraph.Graph
-	dead    []bool
-	clash   bool
 }
 
 // partitionOnce builds one complete k-way solution, in carve order, or
@@ -533,9 +528,6 @@ type carveScratch struct {
 func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, seed int64, sc *carveScratch) ([]Part, error) {
 	sc.rnd = reseed(sc.rnd, seed)
 	r := sc.rnd
-	if sc.checked != g {
-		sc.checked, sc.dead, sc.clash = g, deadNets(g), replicaClash(g)
-	}
 	sc.cells = sc.cells[:0]
 	sc.reps = slices.Grow(sc.reps[:0], g.NumCells())[:g.NumCells()]
 	clear(sc.reps)
@@ -574,7 +566,7 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 			}
 			last.cells = sc.cells[lo:]
 			parts = append(parts, last)
-			sc.takeParts(g, parts)
+			sc.takeParts(parts)
 			return parts, nil
 		}
 		// A carve adds a part and leaves a remainder that needs a slot
@@ -726,15 +718,6 @@ func carve(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, 
 			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectAreaWindow, d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
-		if sc.dead != nil || sc.clash {
-			// The blocks are not built, but a carve whose blocks would
-			// not extract is still rejected, as when every carve was.
-			if xerr := sc.extractError(g, depth); xerr != nil {
-				last = rejection{reason: trace.RejectMaterialize, err: xerr}
-				emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectMaterialize, d.Name, st.Area(0), st.Terminals(0), res, delta)
-				continue
-			}
-		}
 		if st.Area(1) >= total {
 			last = rejection{reason: trace.RejectNoProgress}
 			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectNoProgress, d.Name, st.Area(0), st.Terminals(0), res, delta)
@@ -760,7 +743,7 @@ func carve(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, 
 // rejection is a carve's last rejected try, kept as values and turned
 // into an error only when every try fails, so that a carve that
 // succeeds after rejections allocates nothing for them. err is the
-// error of a try that failed with one (RejectFM, RejectMaterialize).
+// error of a try that failed with one (RejectFM).
 type rejection struct {
 	reason string
 	dev    string

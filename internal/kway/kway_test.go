@@ -243,8 +243,8 @@ func TestCountReplicas(t *testing.T) {
 	o1 := b.OutputNet("o1")
 	o2 := b.OutputNet("o2")
 	o3 := b.OutputNet("o3")
-	// Replicas are tagged structurally, not by name: the "$r" suffixes
-	// below are decorative, only the Replica flags count.
+	// Replicas counts the copies the search made, not source cells the
+	// circuit already flags (as a part file kpart wrote does).
 	b.AddCell(hypergraph.CellSpec{Name: "u1", Inputs: []hypergraph.NetID{pi}, Outputs: []hypergraph.NetID{o1}})
 	b.AddCell(hypergraph.CellSpec{Name: "u1$r", Inputs: []hypergraph.NetID{pi}, Outputs: []hypergraph.NetID{o2}, Replica: true})
 	b.AddCell(hypergraph.CellSpec{Name: "u1$r$r", Inputs: []hypergraph.NetID{pi}, Outputs: []hypergraph.NetID{o3}, Replica: true})
@@ -253,8 +253,11 @@ func TestCountReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Parts[0].Replicas; len(res.Parts) != 1 || got != 2 {
-		t.Fatalf("%d parts, the first with %d replicas, want one part with 2", len(res.Parts), got)
+	if got := res.Parts[0].Replicas; len(res.Parts) != 1 || got != 0 {
+		t.Fatalf("%d parts, the first with %d replicas, want one part with 0", len(res.Parts), got)
+	}
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"fpgapart/internal/bitset"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
 	"fpgapart/internal/topology"
@@ -15,10 +14,9 @@ import (
 
 // cellSpec is one cell copy of a part: a cell of the source circuit,
 // the outputs of it the copy drives, and the number of carves in which
-// the copy, or the copy it descends from, was the replica. The copy's
-// name carries as many "$r" suffixes, and a copy with one is flagged
-// hypergraph.Cell.Replica, as a carve-by-carve build names and flags
-// it.
+// the copy, or the copy it descends from, was the replica. A copy with
+// one is flagged hypergraph.Cell.Replica and named after its cell plus
+// "$r" suffixes (see replicaStride).
 type cellSpec struct {
 	cell hypergraph.CellID
 	outs uint32
@@ -89,15 +87,15 @@ func (sc *carveScratch) retarget() {
 
 // takeParts gives the attempt's parts their cell lists for good: one
 // exact-size copy of the worker's list, which the next attempt reuses,
-// and counts each part's replicas.
-func (sc *carveScratch) takeParts(g *hypergraph.Graph, parts []Part) {
+// and counts the replicas each part's carves made.
+func (sc *carveScratch) takeParts(parts []Part) {
 	cells := slices.Clone(sc.cells)
 	for i := range parts {
 		n := len(parts[i].cells)
 		parts[i].cells, cells = cells[:n:n], cells[n:]
 		parts[i].Replicas = 0
 		for _, c := range parts[i].cells {
-			if c.reps > 0 || g.Cells[c.cell].Replica {
+			if c.reps > 0 {
 				parts[i].Replicas++
 			}
 		}
@@ -185,9 +183,28 @@ func (b *builder) resetExt(g *hypergraph.Graph) {
 	clear(b.ext)
 }
 
+// replicaStride is one more than the most "$r" suffixes a cell name of
+// g ends in: 1 unless g names some cell like a replica. A copy that was
+// the replica in reps carves is named after its cell plus reps·stride
+// "$r" suffixes. Such a name ends in at least stride suffixes, so it
+// repeats no source name; and it splits into a source name and a
+// suffix count in one way only, so no two copies share it.
+func replicaStride(g *hypergraph.Graph) int {
+	stride := 1
+	for ci := range g.Cells {
+		k, name := 1, g.Cells[ci].Name
+		for ; strings.HasSuffix(name, "$r"); name = name[:len(name)-2] {
+			k++
+		}
+		stride = max(stride, k)
+	}
+	return stride
+}
+
 // build builds cells as the subcircuit of g named name, into a (nil:
 // new storage).
 func (b *builder) build(a *hypergraph.Arena, g *hypergraph.Graph, name string, cells []cellSpec) (*hypergraph.Graph, error) {
+	stride := replicaStride(g)
 	nOut := 0
 	for _, c := range cells {
 		nOut += bits.OnesCount32(c.outs)
@@ -205,7 +222,7 @@ func (b *builder) build(a *hypergraph.Arena, g *hypergraph.Graph, name string, c
 			spec.Outputs = b.outs[lo:len(b.outs):len(b.outs)]
 		}
 		if c.reps > 0 {
-			spec.Rename = src.Name + strings.Repeat("$r", int(c.reps))
+			spec.Rename = src.Name + strings.Repeat("$r", int(c.reps)*stride)
 			spec.Replica = true
 		}
 		b.specs = append(b.specs, spec)
@@ -308,85 +325,4 @@ func (sc *carveScratch) verifySplit(g *hypergraph.Graph, depth int) error {
 		}
 	}
 	return verify.Split(parent, blocks[0], blocks[1])
-}
-
-// deadNets marks the dead nets of g, or returns nil when it has none.
-// A dead net is driven inside the circuit, never a primary output, and
-// read by no input pin that an output depends on. Extraction prunes
-// such pins, which leaves the net without a sink in whichever block
-// holds its driver, so a circuit with a dead net extracts no block.
-func deadNets(g *hypergraph.Graph) []bool {
-	dead := make([]bool, len(g.Nets))
-	for ni := range g.Nets {
-		dead[ni] = g.Nets[ni].Ext == hypergraph.Internal
-	}
-	for ci := range g.Cells {
-		c := &g.Cells[ci]
-		for _, row := range c.Dep {
-			for w := range bitset.Words(len(c.Inputs)) {
-				for x := row.Word(w); x != 0; x &= x - 1 {
-					if n := c.Inputs[w*64+bits.TrailingZeros64(x)]; n != hypergraph.NilNet {
-						dead[n] = false
-					}
-				}
-			}
-		}
-	}
-	if !slices.Contains(dead, true) {
-		return nil
-	}
-	return dead
-}
-
-// replicaClash reports whether a replica's name can repeat another cell
-// name of g: some cell is named as another one plus "$r" suffixes.
-// Extraction rejects a block with a repeated name.
-func replicaClash(g *hypergraph.Graph) bool {
-	names := make(map[string]bool, len(g.Cells))
-	for ci := range g.Cells {
-		names[g.Cells[ci].Name] = true
-	}
-	for name := range names {
-		for base, ok := strings.CutSuffix(name, "$r"); ok; base, ok = strings.CutSuffix(base, "$r") {
-			if names[base] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// extractError returns the error hypergraph.Subcircuit reports when it
-// extracts block 0 and then block 1 of sc.st at depth from g, or nil
-// when both extract: the first cell name the block repeats, else the
-// first dead net it numbers. Only a circuit with dead nets or clashing
-// replica names (sc.dead, sc.clash) has either.
-func (sc *carveScratch) extractError(g *hypergraph.Graph, depth int) error {
-	st := &sc.st
-	for b := replication.Block(0); b < 2; b++ {
-		name := partName(g, depth, false) + []string{".0", ".1"}[b]
-		if sc.clash {
-			seen := make(map[string]bool)
-			for _, c := range sc.blockCells(nil, b) {
-				cname := g.Cells[c.cell].Name + strings.Repeat("$r", int(c.reps))
-				if seen[cname] {
-					return fmt.Errorf("subcircuit %q: hypergraph %q: duplicate cell name %q", name, name, cname)
-				}
-				seen[cname] = true
-			}
-		}
-		if sc.dead == nil {
-			continue
-		}
-		for ci := range st.NumCells() {
-			c := hypergraph.CellID(ci)
-			src := &g.Cells[st.Source(c)]
-			for m := st.SourceOutputs(c, st.OutputsIn(c, b)); m != 0; m &= m - 1 {
-				if n := src.Outputs[bits.TrailingZeros32(m)]; sc.dead[n] {
-					return fmt.Errorf("subcircuit %q: hypergraph %q: net %q has no sinks", name, name, g.Nets[n].Name)
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -48,7 +48,7 @@ const (
 // creates series.
 var rejectReasons = []string{
 	trace.RejectNoDevice, trace.RejectDeviceWindow, trace.RejectFM, trace.RejectTerminals,
-	trace.RejectAreaWindow, trace.RejectMaterialize, trace.RejectNoProgress,
+	trace.RejectAreaWindow, trace.RejectNoProgress,
 }
 
 // phaseNames are the static engine phases; anything else lands on

@@ -99,7 +99,6 @@ const (
 	RejectFM           = "fm"            // the carve bipartition failed
 	RejectTerminals    = "terminals"     // the carved block needs more IOBs than the device has
 	RejectAreaWindow   = "area-window"   // the carved block's area is outside the device window
-	RejectMaterialize  = "materialize"   // a block would not extract: a dead net, or a repeated replica name
 	RejectNoProgress   = "no-progress"   // replication left the remainder no smaller
 )
 
