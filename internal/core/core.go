@@ -44,6 +44,12 @@ type Options = kway.Options
 // subcircuits with their devices, and the Eq. 1 / Eq. 2 summary.
 type Result = kway.Result
 
+// Engine is kway.Engine: it runs searches that reuse one another's
+// carve storage and returns results without part graphs. A long-lived
+// caller that runs many searches and reads only the summary (kpartd)
+// owns one; Partition runs each search on a fresh one.
+type Engine = kway.Engine
+
 // Partition finds a feasible k-way partition of the mapped circuit
 // minimizing total device cost (Eq. 1) with average IOB utilization
 // (Eq. 2) as tie-breaker.

@@ -17,8 +17,9 @@
 // source cells with the outputs each copy drives. Repeating this with
 // randomized seeds, device choices and fill targets yields many
 // feasible k-way solutions; the best under the lexicographic objective
-// is returned. Only its parts are built as subcircuits of the source,
-// and only Options.Verify builds any others.
+// is returned. PartitionContext builds its parts as subcircuits of the
+// source, Engine.Search builds none, and only Options.Verify builds any
+// others.
 package kway
 
 import (
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/fm"
@@ -72,10 +74,12 @@ type Options struct {
 	// Multilevel routes large carve subproblems through the
 	// internal/multilevel V-cycle: the carve's initial assignment is
 	// produced by coarsen → partition → uncoarsen+refine instead of a
-	// single cluster-grown seed, and the usual replication-FM run then
-	// acts as the finest-level refinement pass. Off by default; the
-	// flat path is byte-identical to the pre-multilevel engine (see
-	// TestFlatPathGolden).
+	// single cluster-grown seed. The V-cycle refines every level with
+	// plain FM down to the finest, which is the carve state itself;
+	// the usual replication-FM run then refines that level a second
+	// time, its first plain pass repeating the V-cycle's last. Off by
+	// default; the flat path is byte-identical to the pre-multilevel
+	// engine (see TestFlatPathGolden).
 	Multilevel bool
 	// MultilevelMinCells gates the V-cycle: subcircuits with fewer
 	// cells use the flat cluster-grown assignment even when Multilevel
@@ -318,7 +322,8 @@ type Part struct {
 	Replicas int
 	// The search keeps a part as its cell copies over the source
 	// circuit, in source order, and builds Graph from them only for the
-	// result it returns and the checks Options.Verify asks for. depth
+	// result PartitionContext returns and the checks Options.Verify and
+	// Result.Verify ask for; an Engine.Search result has none. depth
 	// is the number of carves before the part's own and carved marks a
 	// carved block against the last remainder, which together name the
 	// part; area and terms size it.
@@ -345,8 +350,16 @@ const (
 
 // Verify checks the result against its source circuit with the full
 // partition verifier: structural validity, device feasibility, cell
-// coverage, single-producer replication and IOB span accounting.
+// coverage, single-producer replication and IOB span accounting. It
+// builds any part graph the result lacks (an Engine.Search result
+// lacks all) for the check, leaving r's parts as they are.
 func (r Result) Verify(src *hypergraph.Graph) error {
+	if slices.ContainsFunc(r.Parts, func(p Part) bool { return p.Graph == nil }) {
+		r.Parts = slices.Clone(r.Parts)
+		if err := buildParts(src, r.Parts); err != nil {
+			return err
+		}
+	}
 	parts := make([]verify.Part, len(r.Parts))
 	for i, p := range r.Parts {
 		parts[i] = verify.Part{Graph: p.Graph, Device: p.Device}
@@ -366,8 +379,55 @@ func Partition(g *hypergraph.Graph, opts Options) (Result, error) {
 // the budget fires mid-search the longest contiguous prefix of
 // completed attempts is folded: with a feasible incumbent the best so
 // far is returned with Result.Stopped = StoppedBudget and a nil error;
-// with none, the error wraps *search.ErrBudget.
+// with none, the error wraps *search.ErrBudget. It is a fresh Engine's
+// Search with every part's graph built.
 func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (Result, error) {
+	var e Engine
+	res, err := e.Search(ctx, g, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := buildParts(g, res.Parts); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// Engine runs k-way searches that share carve storage. Each search
+// worker, and a resume's replay, takes a carveScratch off the engine's
+// free list (a new one when the list is empty) and puts it back when
+// its search ends, so a caller that runs many searches warms that
+// storage once rather than once per search. The zero value is ready to
+// use, and an Engine is safe for concurrent use. It retains as many
+// scratches as its searches ever held at once, each sized to the
+// largest circuit it has served and holding the last circuit and board
+// it served: a kpartd server, which owns one, keeps at most its job
+// workers times one search's workers.
+type Engine struct {
+	mu   sync.Mutex
+	free []*carveScratch
+}
+
+// take pops a scratch off the free list, or makes one, and records it
+// in held.
+func (e *Engine) take(held *[]*carveScratch) *carveScratch {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var sc *carveScratch
+	if n := len(e.free); n > 0 {
+		sc, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		sc = new(carveScratch)
+	}
+	*held = append(*held, sc)
+	return sc
+}
+
+// Search is PartitionContext without the part graphs: every Part.Graph
+// of the result is nil. Result.Verify builds them for its check, and
+// the summary rows (Result.Summary.Parts) carry each part's CLBs,
+// terminals and cells.
+func (e *Engine) Search(ctx context.Context, g *hypergraph.Graph, opts Options) (Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return Result{}, err
@@ -387,23 +447,25 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 	// path replays the checkpoint's incumbent attempt with fault
 	// injection suppressed, under a sink-less scope (Reduce), since the
 	// replay reconstructs known state — it is not new search work.
+	var held []*carveScratch
 	newAttempt := func(o Options) search.AttemptFunc[Result] {
 		// Per-worker scratch: the FM runner's gain buckets, the
 		// cluster-growing buffers, the carve state and the board
-		// placement's tables are all reused across carve attempts and
-		// solution attempts, so a warm worker allocates mainly for the
-		// cell lists of the parts it carves.
-		var sc carveScratch
+		// placement's tables are all reused across carve attempts,
+		// solution attempts and the engine's searches, so a warm worker
+		// allocates mainly for the cell lists of the parts it carves.
+		sc := e.take(&held)
 		return func(ctx context.Context, attempt int, seed int64) (Result, error) {
 			// A panic can leave the reused scratch (gain buckets,
 			// replication state, the V-cycle's runner) mid-update; drop
-			// all of it so the worker's next attempt rebuilds from clean
-			// buffers, then let the search pool's containment turn the
-			// panic into a degraded attempt. Nothing below recovers: a
-			// panic in one V-cycle start costs the whole attempt.
+			// all of it so the worker's next attempt, and the engine's
+			// next search, rebuild from clean buffers, then let the
+			// search pool's containment turn the panic into a degraded
+			// attempt. Nothing below recovers: a panic in one V-cycle
+			// start costs the whole attempt.
 			defer func() {
 				if v := recover(); v != nil {
-					sc = carveScratch{}
+					*sc = carveScratch{}
 					panic(v)
 				}
 			}()
@@ -413,7 +475,7 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 			if scope := span.FromContext(ctx); scope.Enabled() {
 				o.Spans = scope
 			}
-			parts, err := partitionOnce(ctx, g, o, attempt, seed, &sc)
+			parts, err := partitionOnce(ctx, g, o, attempt, seed, sc)
 			if err != nil {
 				return Result{}, err
 			}
@@ -459,10 +521,12 @@ func PartitionContext(ctx context.Context, g *hypergraph.Graph, opts Options) (R
 		r.Replay = newAttempt(replay)
 	}
 	best, fs, err := Reduce(ctx, opts, r)
+	// Reduce returns after search.Run has waited for every worker, so no
+	// scratch is in use any more.
+	e.mu.Lock()
+	e.free = append(e.free, held...)
+	e.mu.Unlock()
 	if err != nil {
-		return Result{}, err
-	}
-	if err := buildParts(g, best.Parts); err != nil {
 		return Result{}, err
 	}
 	best.FoldStats = fs
@@ -559,7 +623,6 @@ func partitionOnce(ctx context.Context, g *hypergraph.Graph, opts Options, attem
 			lo := len(sc.cells)
 			if depth == 0 {
 				// The whole circuit fits: the part is the source itself.
-				last.Graph = g
 				sc.cells = sourceCells(sc.cells, g)
 			} else {
 				sc.cells = sc.viewCells(sc.cells)
@@ -842,8 +905,10 @@ func carveFM(d library.Device, target int, opts Options, attempt int, seed int64
 	// lands inside the exact carve window. The V-cycle's finest level is
 	// the carve state itself, the source at depth 0 and a remainder
 	// below, so its assignment is the state's; its coarser levels are
-	// contracted from the state's arrays. The replication-FM run below
-	// is then the finest-level refinement pass. A V-cycle failure (e.g.
+	// contracted from the state's arrays. The V-cycle refines that
+	// finest level with plain FM before it returns, so the
+	// replication-FM run below refines it a second time, its first
+	// plain pass repeating the V-cycle's last. A V-cycle failure (e.g.
 	// no feasible coarsest assignment) falls back to the flat seed
 	// rather than rejecting the carve.
 	flatSeed := true

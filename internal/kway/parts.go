@@ -234,9 +234,10 @@ func (b *builder) build(a *hypergraph.Arena, g *hypergraph.Graph, name string, c
 	return g.SubcircuitIn(a, name, b.specs, ext)
 }
 
-// buildParts builds the graph of every part that has none. A net
-// becomes a terminal of the parts it spans when it spans two or more:
-// exactly the nets some carve on the way cut.
+// buildParts builds the graph of every part that has none; a part
+// holding the whole circuit is g itself. A net becomes a terminal of
+// the parts it spans when it spans two or more: exactly the nets some
+// carve on the way cut.
 func buildParts(g *hypergraph.Graph, parts []Part) error {
 	var b builder
 	b.resetExt(g)
@@ -259,6 +260,10 @@ func buildParts(g *hypergraph.Graph, parts []Part) error {
 		if parts[p].Graph != nil {
 			continue
 		}
+		if parts[p].depth == 0 && !parts[p].carved {
+			parts[p].Graph = g
+			continue
+		}
 		graph, err := b.build(&a, g, partName(g, parts[p].depth, parts[p].carved), parts[p].cells)
 		a.Detach()
 		if err != nil {
@@ -269,9 +274,10 @@ func buildParts(g *hypergraph.Graph, parts []Part) error {
 	return nil
 }
 
-// verify builds the result's parts and runs Verify on them, and on a
-// board verify.Routing as well.
+// verify builds the result's parts, leaving r's own without graphs, and
+// runs Verify on them, and on a board verify.Routing as well.
 func (r Result) verify(g *hypergraph.Graph, board *topology.Board) error {
+	r.Parts = slices.Clone(r.Parts)
 	if err := buildParts(g, r.Parts); err != nil {
 		return err
 	}

@@ -148,10 +148,13 @@ func ResultJSON(g *hypergraph.Graph, res core.Result, board *topology.Board) *Jo
 		from := res.ResumedFrom
 		out.ResumedFromAttempt = &from
 	}
-	for _, p := range res.Parts {
+	// The summary rows, not the part graphs, size the parts: an
+	// Engine.Search result has no graphs, and verify.Partition holds the
+	// rows to the graphs' values.
+	for _, p := range res.Summary.Parts {
 		out.Parts = append(out.Parts, PartSummary{
-			Device: p.Device.Name, CLBs: p.Graph.TotalArea(),
-			Terminals: p.Graph.NumTerminals(), Cells: p.Graph.NumCells(), Replicas: p.Replicas,
+			Device: p.Device.Name, CLBs: p.CLBs,
+			Terminals: p.Terminals, Cells: p.Cells, Replicas: p.ReplicatedCells,
 		})
 	}
 	return out

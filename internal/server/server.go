@@ -232,6 +232,11 @@ type Server struct {
 	// circuits holds recently parsed circuits, shared by every request
 	// path that parses one (see parseCircuit).
 	circuits *circuitCache
+	// engine runs every search of this server, jobs and the
+	// coordinator's local attempts alike, so the searches share carve
+	// storage. Between jobs it keeps what its searches held at once: on
+	// a worker, at most Config.Workers times one search's workers.
+	engine core.Engine
 
 	reqSeq atomic.Int64
 
@@ -509,7 +514,7 @@ func (s *Server) runJob(j *job) {
 		result, err = s.cfg.Distribute(ContextWithRequestID(ctx, j.reqID), forwarded(j), j.opts)
 	} else {
 		var res core.Result
-		res, err = core.PartitionContext(ctx, j.graph, j.opts)
+		res, err = s.engine.Search(ctx, j.graph, j.opts)
 		if err == nil {
 			result = ResultJSON(j.graph, res, j.opts.Board)
 		}
@@ -586,7 +591,7 @@ func (s *Server) LocalAttempt() func(ctx context.Context, req *JobRequest) (*Job
 		if sc := span.FromContext(ctx); sc.Enabled() {
 			opts.Spans = sc.WithSink(nil)
 		}
-		res, err := core.PartitionContext(ctx, g, opts)
+		res, err := s.engine.Search(ctx, g, opts)
 		if err != nil {
 			return nil, err
 		}
