@@ -13,6 +13,8 @@ import (
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
 	"fpgapart/internal/replication"
+	"fpgapart/internal/span"
+	"fpgapart/internal/trace"
 )
 
 // TestPartsOutliveCarveStorage: a carve worker collects each attempt's
@@ -307,5 +309,93 @@ func TestCellWiderThanMaxOutputs(t *testing.T) {
 	want := fmt.Sprintf(`cell "wide" has %d outputs, max %d`, replication.MaxOutputs+1, replication.MaxOutputs)
 	if first := inf.First.Error(); !strings.HasPrefix(first, "kway: ") || !strings.Contains(first, want) {
 		t.Fatalf("first failure %q, want a kway error containing %q", first, want)
+	}
+}
+
+// A carve is accepted without an area check of its own: carveFM's FM
+// bounds hold the carved block inside its device's CLB window, and the
+// library admits no device whose window is empty. Every accepted carve
+// on the suite circuits must therefore lie in its device's window and
+// within its IOBs, and the only rejections are no-device, fm and
+// terminals. The runs cover the flat carve at T = 1 and T = 0, the
+// parallel refiner and the V-cycle, and c5315's carves accepted under
+// terminal pressure cover FM on the t_P0 objective.
+func TestCarvesStayInDeviceWindow(t *testing.T) {
+	lib := library.XC3000()
+	one, zero := 1, 0
+	modes := []struct {
+		name string
+		opts kway.Options
+	}{
+		{"T1", kway.Options{Threshold: &one}},
+		{"T0", kway.Options{Threshold: &zero}},
+		{"refine-workers-2", kway.Options{RefineWorkers: 2}},
+		{"multilevel", kway.Options{Multilevel: true, RefineWorkers: 2}},
+	}
+	pressured := 0
+	for _, c := range bench.Suite() {
+		if raceEnabled && c.Params.Cells > 1000 {
+			continue // the window does not depend on scheduling; keep the race run short
+		}
+		g := c.MustBuild()
+		for _, m := range modes {
+			opts := m.opts
+			opts.Library, opts.Solutions, opts.Seed = lib, 2, 4
+			rec := &trace.Recorder{}
+			tracer := span.NewTracer(span.Options{Process: "kway-test"})
+			opts.Spans = tracer.Root(span.DeriveTraceID("window", opts.Seed, opts.Solutions), 0).WithSink(rec)
+			if _, err := kway.Partition(g, opts); err != nil {
+				t.Fatalf("%s %s: %v", c.Name, m.name, err)
+			}
+			underPressure := map[int]bool{} // per attempt: a terminal rejection since its last accepted carve
+			for _, e := range rec.Events() {
+				switch e.Kind {
+				case trace.KindCarveAccepted:
+					d, ok := lib.ByName(e.Device)
+					if !ok || !d.Fits(e.Area, e.Terminals) {
+						t.Fatalf("%s %s attempt %d: carve of %d CLBs, %d terminals accepted for %s [%d,%d] CLBs, %d IOBs",
+							c.Name, m.name, e.Attempt, e.Area, e.Terminals, e.Device, d.MinCLBs(), d.MaxCLBs(), d.IOBs)
+					}
+					if underPressure[e.Attempt] {
+						pressured++
+					}
+					underPressure[e.Attempt] = false
+				case trace.KindCarveRejected:
+					switch e.Reason {
+					case trace.RejectNoDevice, trace.RejectFM:
+					case trace.RejectTerminals:
+						underPressure[e.Attempt] = true
+					default:
+						t.Fatalf("%s %s: carve rejected for %q", c.Name, m.name, e.Reason)
+					}
+				}
+			}
+		}
+	}
+	if pressured == 0 {
+		t.Fatal("no carve accepted under terminal pressure")
+	}
+}
+
+// A library device with an empty CLB window fails the library check
+// before the search runs a single attempt.
+func TestPartitionRejectsEmptyCLBWindow(t *testing.T) {
+	lib := library.Library{Devices: []library.Device{{Name: "narrow", CLBs: 10, IOBs: 10, Price: 1, LowUtil: 0.51, HighUtil: 0.52}}}
+	want := lib.Validate()
+	if want == nil {
+		t.Fatal("library validates")
+	}
+	rec := &trace.Recorder{}
+	tracer := span.NewTracer(span.Options{Process: "kway-test"})
+	opts := kway.Options{Library: lib, Solutions: 2, Seed: 1}
+	opts.Spans = tracer.Root(span.DeriveTraceID("narrow", 1, 2), 0).WithSink(rec)
+	_, err := kway.Partition(bench.Suite()[0].MustBuild(), opts)
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("Partition error %v, want %v", err, want)
+	}
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindCarveAccepted || e.Kind == trace.KindCarveRejected || e.Kind == trace.KindSolution {
+			t.Fatalf("search ran: %+v", e)
+		}
 	}
 }

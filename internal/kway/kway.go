@@ -677,8 +677,10 @@ func emitCarve(opts *Options, attempt int, kind trace.Kind, reason string, dev s
 // holds at depth and returns its host device, leaving the bipartition
 // in sc.st. It tries several (device, fill, seed) combinations and
 // accepts the first whose carved block satisfies its host device's
-// terminal constraint. seed is the
-// enclosing attempt's seed, used only to label injected faults.
+// terminal constraint; carveFM's area bounds already hold the block
+// inside the device's CLB window and leave the remainder smaller.
+// seed is the enclosing attempt's seed, used only to label injected
+// faults.
 //
 // hint carries the carve-size goal across one attempt's carves: a
 // carve starts from min(*hint, maxFit) instead of maxFit, and a carve
@@ -743,11 +745,6 @@ func carve(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, 
 		if target >= total {
 			target = total - 1
 		}
-		if target < d.MinCLBs() {
-			last = rejection{reason: trace.RejectDeviceWindow, dev: d.Name, x: total}
-			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectDeviceWindow, d.Name, target, 0, fm.Result{}, replication.Stats{})
-			continue
-		}
 		res, before, cerr := carveFM(d, target, opts, attempt, r.Int63(), termPressure, sc)
 		if cerr != nil {
 			last = rejection{reason: trace.RejectFM, err: cerr}
@@ -774,16 +771,6 @@ func carve(ctx context.Context, g *hypergraph.Graph, opts Options, attempt int, 
 				}
 			}
 			termPressure = true
-			continue
-		}
-		if st.Area(0) < d.MinCLBs() || st.Area(0) > d.MaxCLBs() {
-			last = rejection{reason: trace.RejectAreaWindow, dev: d.Name, x: st.Area(0)}
-			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectAreaWindow, d.Name, st.Area(0), st.Terminals(0), res, delta)
-			continue
-		}
-		if st.Area(1) >= total {
-			last = rejection{reason: trace.RejectNoProgress}
-			emitCarve(&opts, attempt, trace.KindCarveRejected, trace.RejectNoProgress, d.Name, st.Area(0), st.Terminals(0), res, delta)
 			continue
 		}
 		if opts.Verify {
@@ -818,14 +805,8 @@ func (r rejection) error() error {
 	switch r.reason {
 	case trace.RejectNoDevice:
 		return fmt.Errorf("kway: no device can carve %d CLBs from %d", r.x, r.y)
-	case trace.RejectDeviceWindow:
-		return fmt.Errorf("kway: device %s cannot carve from %d CLBs", r.dev, r.x)
 	case trace.RejectTerminals:
 		return fmt.Errorf("kway: carve for %s needs %d terminals > %d", r.dev, r.x, r.y)
-	case trace.RejectAreaWindow:
-		return fmt.Errorf("kway: carve area %d outside device %s window", r.x, r.dev)
-	case trace.RejectNoProgress:
-		return errors.New("kway: carve made no progress (replication blow-up)")
 	}
 	return r.err
 }
@@ -873,10 +854,12 @@ func pickDevice(devices []library.Device, totalArea, desired int, density float6
 
 // carveFM runs (replication-)FM on sc.st with asymmetric bounds: block
 // 0 must land in the device's utilization window, block 1 holds the
-// rest. With pinTerminals, the FM objective becomes t_P0 instead of
-// the cut. before is the state's stats snapshot taken once it is
-// reset: the carve's own work, the V-cycle's refinement of the state
-// excluded, is its stats less it.
+// rest, at least minCarve CLBs fewer than the whole. fm.Runner.Run
+// refuses a start outside the bounds and applies only moves inside
+// them, so a carve it returns is inside them. With pinTerminals, the
+// FM objective becomes t_P0 instead of the cut. before is the state's
+// stats snapshot taken once it is reset: the carve's own work, the
+// V-cycle's refinement of the state excluded, is its stats less it.
 func carveFM(d library.Device, target int, opts Options, attempt int, seed int64, pinTerminals bool, sc *carveScratch) (res fm.Result, before replication.Stats, err error) {
 	// The carve must stay near its target: without a floor, FM
 	// minimizes the cut by collapsing block 0 to a handful of cells,
@@ -926,9 +909,6 @@ func carveFM(d library.Device, target int, opts Options, attempt int, seed int64
 		return fm.Result{}, st.Stats(), err
 	}
 	before = st.Stats()
-	if st.Area(0) > cfg.MaxArea[0] || st.Area(0) < cfg.MinArea[0] {
-		return fm.Result{}, before, fmt.Errorf("kway: initial carve area %d outside [%d,%d]", st.Area(0), cfg.MinArea[0], cfg.MaxArea[0])
-	}
 	res, err = sc.fm.Run(st, cfg)
 	if err != nil {
 		return fm.Result{}, before, err

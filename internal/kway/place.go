@@ -2,6 +2,7 @@ package kway
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -41,11 +42,11 @@ type placer struct {
 	nets    []hypergraph.NetID
 	masks   []uint64
 	counts  []int
-	// perm[p] is part p's slot; best keeps the cheapest one found, and
-	// cheapest the cheapest of all when it does not route.
+	// perm[p] is part p's slot. Of the candidates offered so far,
+	// cheapest is the first of least cost, at cost least, and best the
+	// first of least cost that fits, at cost routed (math.MaxInt: none).
 	perm, best, cheapest []int
-	keys                 []uint64 // exhaustive fallback: cost<<32 | packed permutation
-	swaps                [][2]int // descent: the accepted swaps, in order
+	least, routed        int
 	loads                []int
 	parts                []Part
 }
@@ -175,49 +176,49 @@ func place(b *topology.Board, g *hypergraph.Graph, parts []Part, pl *placer) (in
 	pl.groupNets(g, parts)
 	pl.perm = slices.Grow(pl.perm[:0], k)[:k]
 	pl.best = slices.Grow(pl.best[:0], k)[:k]
+	pl.cheapest = slices.Grow(pl.cheapest[:0], k)[:k]
+	pl.least, pl.routed = math.MaxInt, math.MaxInt
 	for p := range pl.perm {
 		pl.perm[p] = p
 	}
-	var cost int
 	if k <= exhaustiveParts {
-		cost = pl.cost(pl.perm)
-		copy(pl.best, pl.perm)
-		for nextPerm(pl.perm) {
-			if c := pl.cost(pl.perm); c < cost {
-				cost = c
-				copy(pl.best, pl.perm)
-			}
+		for ok := true; ok; ok = nextPerm(pl.perm) {
+			pl.offer(pl.cost(pl.perm))
 		}
 	} else {
-		cost = pl.descend()
-		copy(pl.best, pl.perm)
+		pl.descend()
 	}
-	if !pl.fits(pl.best) {
-		// The cheapest assignment overflows a link: take the next
-		// cheapest that routes.
-		pl.cheapest = append(pl.cheapest[:0], pl.best...)
-		var ok bool
-		if k <= exhaustiveParts {
-			cost, ok = pl.cheapestRouted(k)
-		} else {
-			cost, ok = pl.retrace()
-		}
-		if !ok {
-			return 0, fmt.Errorf("kway: board %s: no placement of %d parts routes: %w", b.Name, k, pl.routeError(g, parts))
-		}
+	if pl.routed == math.MaxInt {
+		return 0, fmt.Errorf("kway: board %s: no placement of %d parts routes: %w", b.Name, k, pl.routeError(g, parts))
 	}
 	pl.parts = append(pl.parts[:0], parts...)
 	for p, s := range pl.best {
 		parts[s] = pl.parts[p]
 	}
 	clear(pl.parts)
-	return cost, nil
+	return pl.routed, nil
+}
+
+// offer considers the assignment in pl.perm, of cost c. It becomes the
+// cheapest when it costs less than every earlier candidate, and the
+// best when it costs less than every earlier candidate that fits and
+// fits itself; the load count runs only on a candidate that costs less
+// than the best.
+func (pl *placer) offer(c int) {
+	if c < pl.least {
+		pl.least = c
+		copy(pl.cheapest, pl.perm)
+	}
+	if c < pl.routed && pl.fits(pl.perm) {
+		pl.routed = c
+		copy(pl.best, pl.perm)
+	}
 }
 
 // routeError is the error verify.Routing reports for the parts placed
-// by the cheapest assignment, found before the fallback: each slot's
-// nets listed, from its part's cells, in the order the part's graph
-// numbers them. Only a failed attempt reports it.
+// by the cheapest assignment: each slot's nets listed, from its part's
+// cells, in the order the part's graph numbers them. Only a failed
+// attempt reports it.
 func (pl *placer) routeError(g *hypergraph.Graph, parts []Part) error {
 	nets := make([][]string, len(parts))
 	seen := make([]int32, len(g.Nets)) // per net: slot+1 of the last part listing it
@@ -237,11 +238,13 @@ func (pl *placer) routeError(g *hypergraph.Graph, parts []Part) error {
 
 // descend runs pairwise-swap descent from the identity in pl.perm:
 // pairs (i, j) in a fixed order, each swap kept when it lowers the
-// cost, until a full sweep keeps none. It records the kept swaps in
-// pl.swaps and returns the final cost.
-func (pl *placer) descend() int {
-	pl.swaps = pl.swaps[:0]
+// cost, until a full sweep keeps none. It offers the identity and the
+// assignment after each kept swap, so every candidate is cheaper than
+// the ones before it: the end is the cheapest, and the last that fits
+// is the best.
+func (pl *placer) descend() {
 	cost := pl.cost(pl.perm)
+	pl.offer(cost)
 	for improved := true; improved; {
 		improved = false
 		for i := range pl.perm {
@@ -249,69 +252,13 @@ func (pl *placer) descend() int {
 				pl.perm[i], pl.perm[j] = pl.perm[j], pl.perm[i]
 				if c := pl.cost(pl.perm); c < cost {
 					cost = c
-					pl.swaps = append(pl.swaps, [2]int{i, j})
+					pl.offer(c)
 					improved = true
 				} else {
 					pl.perm[i], pl.perm[j] = pl.perm[j], pl.perm[i]
 				}
 			}
 		}
-	}
-	return cost
-}
-
-// retrace walks the descent back from its end, undoing one kept swap at
-// a time, so the assignments come in increasing cost, and leaves the
-// first that routes in pl.best. The end itself already failed.
-func (pl *placer) retrace() (int, bool) {
-	for n := len(pl.swaps) - 1; n >= 0; n-- {
-		s := pl.swaps[n]
-		pl.perm[s[0]], pl.perm[s[1]] = pl.perm[s[1]], pl.perm[s[0]]
-		if pl.fits(pl.perm) {
-			copy(pl.best, pl.perm)
-			return pl.cost(pl.perm), true
-		}
-	}
-	return 0, false
-}
-
-// cheapestRouted ranks every assignment of k parts by (cost,
-// lexicographic order) and leaves the first that routes in pl.best.
-// The first in that order already failed.
-func (pl *placer) cheapestRouted(k int) (int, bool) {
-	pl.keys = pl.keys[:0]
-	for p := range pl.perm {
-		pl.perm[p] = p
-	}
-	for ok := true; ok; ok = nextPerm(pl.perm) {
-		pl.keys = append(pl.keys, uint64(pl.cost(pl.perm))<<32|pack(pl.perm))
-	}
-	slices.Sort(pl.keys)
-	for _, key := range pl.keys[1:] {
-		unpack(uint32(key), pl.best)
-		if pl.fits(pl.best) {
-			return int(key >> 32), true
-		}
-	}
-	return 0, false
-}
-
-// pack encodes a permutation of at most exhaustiveParts slots in 4-bit
-// digits, first part most significant, so packed order is
-// lexicographic order.
-func pack(perm []int) uint64 {
-	var v uint64
-	for _, s := range perm {
-		v = v<<4 | uint64(s)
-	}
-	return v
-}
-
-// unpack decodes pack's digits into perm.
-func unpack(v uint32, perm []int) {
-	for i := len(perm) - 1; i >= 0; i-- {
-		perm[i] = int(v & 15)
-		v >>= 4
 	}
 }
 

@@ -98,8 +98,9 @@ func Custom(devices ...Device) (Library, error) {
 	return l, nil
 }
 
-// Validate checks device sanity: positive capacity/terminals/price and
-// 0 ≤ l_i ≤ u_i ≤ 1, ascending capacities, unique names.
+// Validate checks device sanity: positive capacity/terminals/price,
+// 0 ≤ l_i ≤ u_i ≤ 1 with a whole CLB count in [l_i·c_i, u_i·c_i],
+// ascending capacities, unique names.
 func (l Library) Validate() error {
 	if len(l.Devices) == 0 {
 		return fmt.Errorf("library: no devices")
@@ -119,6 +120,9 @@ func (l Library) Validate() error {
 		}
 		if d.LowUtil < 0 || d.HighUtil > 1 || d.LowUtil > d.HighUtil {
 			return fmt.Errorf("library: device %q has invalid utilization bounds [%g,%g]", d.Name, d.LowUtil, d.HighUtil)
+		}
+		if d.MinCLBs() > d.MaxCLBs() {
+			return fmt.Errorf("library: device %q has an empty CLB window [%d,%d]", d.Name, d.MinCLBs(), d.MaxCLBs())
 		}
 		if d.CLBs < prev {
 			return fmt.Errorf("library: devices not sorted by capacity at %q", d.Name)

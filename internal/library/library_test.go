@@ -1,6 +1,9 @@
 package library
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestXC3000Valid(t *testing.T) {
 	l := XC3000()
@@ -162,5 +165,37 @@ func TestHomogeneous(t *testing.T) {
 	}
 	if len(l.Devices) != 1 {
 		t.Fatalf("devices = %d", len(l.Devices))
+	}
+}
+
+// A device whose utilization window holds no whole CLB count can host
+// no part: Validate rejects it by name. The paper's libraries and the
+// single-device libraries built from their parts validate, with their
+// own lower bounds and with l_i = 0 (the homogeneous experiment's).
+func TestValidateRejectsEmptyCLBWindow(t *testing.T) {
+	bad := Device{Name: "narrow", CLBs: 10, IOBs: 10, Price: 1, LowUtil: 0.51, HighUtil: 0.52}
+	if bad.MinCLBs() <= bad.MaxCLBs() {
+		t.Fatalf("window [%d,%d] is not empty", bad.MinCLBs(), bad.MaxCLBs())
+	}
+	err := Library{Devices: []Device{bad}}.Validate()
+	if err == nil || !strings.Contains(err.Error(), `"narrow"`) {
+		t.Fatalf("Validate = %v, want an error naming %q", err, bad.Name)
+	}
+	if _, err := Homogeneous(bad); err == nil {
+		t.Fatal("Homogeneous accepted a device with an empty CLB window")
+	}
+	for _, l := range []Library{XC3000(), XC4000()} {
+		if err := l.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range l.Devices {
+			if _, err := Homogeneous(d); err != nil {
+				t.Fatal(err)
+			}
+			d.LowUtil = 0
+			if _, err := Homogeneous(d); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

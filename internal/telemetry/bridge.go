@@ -46,10 +46,7 @@ const (
 // rejectReasons are the static carve-rejection codes emitted by the
 // kway engine; anything else lands on "other" so the hot path never
 // creates series.
-var rejectReasons = []string{
-	trace.RejectNoDevice, trace.RejectDeviceWindow, trace.RejectFM, trace.RejectTerminals,
-	trace.RejectAreaWindow, trace.RejectNoProgress,
-}
+var rejectReasons = []string{trace.RejectNoDevice, trace.RejectFM, trace.RejectTerminals}
 
 // phaseNames are the static engine phases; anything else lands on
 // "other".

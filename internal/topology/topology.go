@@ -145,20 +145,6 @@ func (b *Board) Finalize() error {
 	return nil
 }
 
-// Dist returns the shortest hop cost between two slots.
-func (b *Board) Dist(a, c int) int { return int(b.dist[a*b.Slots+c]) }
-
-// Diameter returns the largest pairwise slot distance.
-func (b *Board) Diameter() int {
-	d := int32(0)
-	for _, v := range b.dist {
-		if v > d {
-			d = v
-		}
-	}
-	return int(d)
-}
-
 // Path appends the slots of a shortest route from a to c (both
 // endpoints included) to buf and returns it.
 func (b *Board) Path(a, c int, buf []int) []int {
@@ -175,9 +161,6 @@ type SlotSet uint64
 
 // Add returns the set with slot i included.
 func (s SlotSet) Add(i int) SlotSet { return s | 1<<uint(i) }
-
-// Has reports whether slot i is in the set.
-func (s SlotSet) Has(i int) bool { return s&(1<<uint(i)) != 0 }
 
 // Count returns the number of slots in the set.
 func (s SlotSet) Count() int { return bits.OnesCount64(uint64(s)) }

@@ -25,6 +25,21 @@ func mustBoard(t testing.TB) func(*Board, error) *Board {
 	}
 }
 
+// dist is the shortest hop cost between two slots: the span of the
+// two-slot set, whose spanning tree is the one shortest path.
+func dist(b *Board, a, c int) int { return b.SpanCost(SlotSet(0).Add(a).Add(c)) }
+
+// diameter is the largest pairwise slot distance.
+func diameter(b *Board) int {
+	d := 0
+	for a := 0; a < b.Slots; a++ {
+		for c := a + 1; c < b.Slots; c++ {
+			d = max(d, dist(b, a, c))
+		}
+	}
+	return d
+}
+
 func TestCrossbarDistances(t *testing.T) {
 	b := mustBoard(t)(Crossbar(4, 0))
 	for a := 0; a < 4; a++ {
@@ -33,13 +48,13 @@ func TestCrossbarDistances(t *testing.T) {
 			if a == c {
 				want = 0
 			}
-			if got := b.Dist(a, c); got != want {
+			if got := dist(b, a, c); got != want {
 				t.Fatalf("dist(%d,%d) = %d, want %d", a, c, got, want)
 			}
 		}
 	}
-	if b.Diameter() != 1 {
-		t.Fatalf("diameter %d, want 1", b.Diameter())
+	if diameter(b) != 1 {
+		t.Fatalf("diameter %d, want 1", diameter(b))
 	}
 	// MST over k slots of a crossbar costs k−1: flat-cut regime.
 	var s SlotSet
@@ -53,15 +68,15 @@ func TestCrossbarDistances(t *testing.T) {
 
 func TestLinearAndMeshDistances(t *testing.T) {
 	lin := mustBoard(t)(Linear(5, 0))
-	if got := lin.Dist(0, 4); got != 4 {
+	if got := dist(lin, 0, 4); got != 4 {
 		t.Fatalf("linear dist(0,4) = %d, want 4", got)
 	}
 	m := mustBoard(t)(Mesh(3, 3, 0))
-	if got := m.Dist(0, 8); got != 4 {
+	if got := dist(m, 0, 8); got != 4 {
 		t.Fatalf("mesh dist(0,8) = %d, want 4 (Manhattan)", got)
 	}
-	if m.Diameter() != 4 {
-		t.Fatalf("mesh diameter %d, want 4", m.Diameter())
+	if diameter(m) != 4 {
+		t.Fatalf("mesh diameter %d, want 4", diameter(m))
 	}
 	// Corner-to-corner path is a real board walk: consecutive hops are
 	// links, endpoints correct.
@@ -285,7 +300,7 @@ link 0 1 cap 32 cost 1
 link 2 3 cap 32 cost 1
 link 1 2 cap 2 cost 3
 `)))
-	if got := b.Dist(0, 3); got != 5 {
+	if got := dist(b, 0, 3); got != 5 {
 		t.Fatalf("dist(0,3) = %d, want 5", got)
 	}
 	set := SlotSet(0).Add(0).Add(3)

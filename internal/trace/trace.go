@@ -94,12 +94,9 @@ const (
 
 // Carve-rejection codes carried by KindCarveRejected events.
 const (
-	RejectNoDevice     = "no-device"     // no library device can host the desired size
-	RejectDeviceWindow = "device-window" // the target is below the picked device's window
-	RejectFM           = "fm"            // the carve bipartition failed
-	RejectTerminals    = "terminals"     // the carved block needs more IOBs than the device has
-	RejectAreaWindow   = "area-window"   // the carved block's area is outside the device window
-	RejectNoProgress   = "no-progress"   // replication left the remainder no smaller
+	RejectNoDevice  = "no-device" // no library device can host the desired size
+	RejectFM        = "fm"        // the carve bipartition failed
+	RejectTerminals = "terminals" // the carved block needs more IOBs than the device has
 )
 
 // String returns the JSONL event-type tag.
