@@ -41,12 +41,12 @@ func TestViewMatchesRemainderGraph(t *testing.T) {
 				if err := ref.ResetPinned(want, depth%2 == 0); err != nil {
 					t.Fatal(err)
 				}
-				cfg := Config{MinArea: [2]int{target / 2, 0}, MaxArea: [2]int{target * 3 / 2, rg.TotalArea()}, Threshold: 0, RefineWorkers: workers, Seed: seed}
-				vres, err := vr.Run(view, cfg)
+				cfg := Config{MinArea: [2]int{target / 2, 0}, MaxArea: [2]int{target * 3 / 2, rg.TotalArea()}, Threshold: 0, Seed: seed}
+				vres, err := runEngine(&vr, view, cfg, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rres, err := rr.Run(&ref, cfg)
+				rres, err := runEngine(&rr, &ref, cfg, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
