@@ -12,6 +12,7 @@ import (
 	"fpgapart/internal/faultinject"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/kway"
+	"fpgapart/internal/trace"
 )
 
 // engineCase is one search of TestEngineReuseIsInvisible. opts returns
@@ -25,7 +26,9 @@ type engineCase struct {
 // engineCases are searches that exercise every path through a worker's
 // carve storage: flat carves, deep carves at maximum replication, the
 // V-cycle with parallel refinement, the board placement, in-loop
-// verification, a resume's replay and a contained panic.
+// verification, a resume's replay and a contained panic. The V-cycle
+// runs on s38584, whose finest levels clear fm's parallel cutoff (see
+// fm.Config.RefineWorkers), so its parallel refinement really runs.
 func engineCases(t *testing.T) []engineCase {
 	t.Helper()
 	suite := func(name string) *hypergraph.Graph {
@@ -59,7 +62,7 @@ func engineCases(t *testing.T) []engineCase {
 			o.Threshold, o.Solutions = &zero, 1
 			return o
 		}},
-		{"vc2000-multilevel", vcycleCircuit(t), func() kway.Options {
+		{"s38584-multilevel", s38584, func() kway.Options {
 			o := vcycleOptions(2)
 			o.Solutions = 1
 			return o
@@ -117,9 +120,14 @@ func TestEngineReuseIsInvisible(t *testing.T) {
 	cases := engineCases(t)
 	want := make([]string, len(cases))
 	for i, c := range cases {
-		res, err := kway.PartitionContext(context.Background(), c.g, c.opts())
+		opts := c.opts()
+		rec := recordEvents(&opts)
+		res, err := kway.PartitionContext(context.Background(), c.g, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
+		}
+		if opts.RefineWorkers >= 2 && len(rec.Filter(trace.KindParRound)) == 0 {
+			t.Fatalf("%s: the search ran no parallel sub-round", c.name)
 		}
 		if c.name == "c3540-panic" && !res.Degraded || c.name == "c3540-resumed" && !res.Resumed {
 			t.Fatalf("%s: Degraded %v, Resumed %v", c.name, res.Degraded, res.Resumed)

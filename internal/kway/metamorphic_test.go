@@ -11,12 +11,19 @@ import (
 	"fpgapart/internal/kway"
 	"fpgapart/internal/library"
 	"fpgapart/internal/metrics"
+	"fpgapart/internal/trace"
 )
 
 func metaCircuit(t testing.TB, seed int64) *hypergraph.Graph {
 	t.Helper()
+	return metaCircuitSized(t, 350, seed)
+}
+
+// metaCircuitSized is metaCircuit with the given cell target.
+func metaCircuitSized(t testing.TB, cells int, seed int64) *hypergraph.Graph {
+	t.Helper()
 	g, err := bench.Generate(bench.Params{
-		Name: "meta", Cells: 350, PrimaryIn: 16, PrimaryOut: 10, DFFs: 40,
+		Name: "meta", Cells: cells, PrimaryIn: 16, PrimaryOut: 10, DFFs: 40,
 		Clustering: 0.5, Seed: seed,
 	})
 	if err != nil {
@@ -88,20 +95,28 @@ func TestRelabelInvariance(t *testing.T) {
 // workers evaluate gains. Every RefineWorkers >= 2 setting, crossed
 // with every GOMAXPROCS, must produce a byte-identical solution
 // summary. (RefineWorkers <= 1 is a different engine with its own
-// golden gate — see TestRefineWorkersGateIsInert.)
+// golden gate — see TestRefineWorkersGateIsInert.) The parallel engine
+// refines only states above fm's parallel cutoff (see
+// fm.Config.RefineWorkers), so the circuit's 2100 cells clear it and
+// every run must report parallel sub-rounds.
 func TestRefineWorkersInvariance(t *testing.T) {
-	g := metaCircuit(t, 11)
+	g := metaCircuitSized(t, 2100, 11)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	want := ""
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{2, 4, 8} {
-			res, err := kway.Partition(g, kway.Options{
+			opts := kway.Options{
 				Library: library.XC3000(), Solutions: 4, Seed: 5,
 				RefineWorkers: workers, Verify: true,
-			})
+			}
+			rec := recordEvents(&opts)
+			res, err := kway.Partition(g, opts)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d RefineWorkers=%d: %v", procs, workers, err)
+			}
+			if len(rec.Filter(trace.KindParRound)) == 0 {
+				t.Fatalf("GOMAXPROCS=%d RefineWorkers=%d: the search ran no parallel sub-round", procs, workers)
 			}
 			sig := summarySig(res.Summary)
 			if want == "" {

@@ -103,23 +103,29 @@ func checkSameResult(t *testing.T, label string, full, resumed kway.Result) {
 // for each engine config (flat, multilevel V-cycle, parallel
 // refinement), a fixed-seed search resumed from any mid-run checkpoint
 // must fold to the byte-identical solution, statistics and reducer
-// trace tail of the uninterrupted run.
+// trace tail of the uninterrupted run. The parallel engine refines only
+// states above fm's parallel cutoff (see fm.Config.RefineWorkers), so
+// the parfm search runs on a larger circuit and must report parallel
+// sub-rounds.
 func TestResumeGolden(t *testing.T) {
 	configs := []struct {
 		name string
-		set  func(*kway.Options)
+		set  func(*kway.Options, *bench.Params)
 	}{
-		{"flat", func(*kway.Options) {}},
-		{"multilevel", func(o *kway.Options) { o.Multilevel = true; o.MultilevelMinCells = 64 }},
-		{"parfm", func(o *kway.Options) { o.RefineWorkers = 2 }},
+		{"flat", func(*kway.Options, *bench.Params) {}},
+		{"multilevel", func(o *kway.Options, _ *bench.Params) { o.Multilevel = true; o.MultilevelMinCells = 64 }},
+		{"parfm", func(o *kway.Options, p *bench.Params) { o.RefineWorkers = 2; p.Cells = 2100 }},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			base, p := resumeBase(t)
-			cfg.set(&base)
+			cfg.set(&base, p)
 			full, cps, fullRec := runCheckpointed(t, base, p)
 			if len(cps) != base.Solutions {
 				t.Fatalf("expected %d checkpoints, got %d", base.Solutions, len(cps))
+			}
+			if base.RefineWorkers >= 2 && len(fullRec.Filter(trace.KindParRound)) == 0 {
+				t.Fatal("the search ran no parallel sub-round")
 			}
 			for _, at := range []int{1, len(cps) / 2, len(cps) - 2} {
 				cp := cps[at]

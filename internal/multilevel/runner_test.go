@@ -8,6 +8,8 @@ import (
 	"fpgapart/internal/bitset"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/replication"
+	"fpgapart/internal/span"
+	"fpgapart/internal/trace"
 )
 
 // A V-cycle reports, picks its coarsest start by and refines the
@@ -38,14 +40,25 @@ func TestPinnedCycleReportsObjective(t *testing.T) {
 	}
 }
 
+// recordEvents arms cfg's spans with a fresh recorder as their sink and
+// returns it: events need armed spans.
+func recordEvents(cfg *Config) *trace.Recorder {
+	rec := &trace.Recorder{}
+	tracer := span.NewTracer(span.Options{Process: "multilevel-test"})
+	cfg.Spans = tracer.Root(span.DeriveTraceID("multilevel-test", cfg.Seed, 0), 0).WithSink(rec)
+	return rec
+}
+
 // Reuse is invisible: one Runner and one finest-level state fed a
 // sequence of graphs (large, one too small to coarsen, the large one
 // again) under flat and pinned objectives and both FM engines return
 // exactly what a fresh Run returns every time. A stale buffer or layout
 // key carried from the previous cycle would surface as a diverging
-// result.
+// result. The large graph's finest level clears fm's parallel cutoff
+// (see fm.Config.RefineWorkers), so at refine=2 its cycles run parallel
+// sub-rounds.
 func TestRunnerMatchesFresh(t *testing.T) {
-	large, small := circuit(t, 1200, 21), circuit(t, 80, 22)
+	large, small := circuit(t, 2100, 21), circuit(t, 80, 22)
 	var r Runner
 	var st replication.State
 	for gi, g := range []*hypergraph.Graph{large, small, large} {
@@ -55,9 +68,13 @@ func TestRunnerMatchesFresh(t *testing.T) {
 				cfg := balancedConfig(g, 0.1, int64(gi+1))
 				cfg.RefineWorkers = refine
 				cfg.PinExternal = mode == "pinned"
+				rec := recordEvents(&cfg)
 				want, err := Run(g, cfg)
 				if err != nil {
 					t.Fatalf("%s: fresh: %v", name, err)
+				}
+				if refine >= 2 && g == large && len(rec.Filter(trace.KindParRound)) == 0 {
+					t.Fatalf("%s: the cycle ran no parallel sub-round", name)
 				}
 				if err := st.Rebind(g, make([]replication.Block, g.NumCells()), false); err != nil {
 					t.Fatal(err)
@@ -217,10 +234,12 @@ func levelShapes(t *testing.T, g *hypergraph.Graph, cfg Config) [][2]int {
 // besides the layout id — but not in the cells' output counts, so
 // every level is rebuilt in the same slot arrays with different
 // contents. Every result must equal a fresh Run's, on the serial and
-// the parallel engine. (That each contraction gets a new layout, so
+// the parallel engine; the graphs' finest levels clear fm's parallel
+// cutoff (see fm.Config.RefineWorkers), so at refine=2 every cycle runs
+// parallel sub-rounds. (That each contraction gets a new layout, so
 // the key's id part always changes, is pinned in package cluster.)
 func TestRunnerRecycledLevelsGetNewLayouts(t *testing.T) {
-	a := circuit(t, 1200, 31)
+	a := circuit(t, 2100, 31)
 	cfg := balancedConfig(a, 0.1, 5)
 	want := levelShapes(t, a, cfg)
 	var b *hypergraph.Graph
@@ -243,9 +262,13 @@ func TestRunnerRecycledLevelsGetNewLayouts(t *testing.T) {
 		for i, g := range []*hypergraph.Graph{a, b, a, b} {
 			cfg := balancedConfig(g, 0.1, 5)
 			cfg.RefineWorkers = refine
+			rec := recordEvents(&cfg)
 			fresh, err := Run(g, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if refine >= 2 && len(rec.Filter(trace.KindParRound)) == 0 {
+				t.Fatalf("refine=%d cycle %d: the cycle ran no parallel sub-round", refine, i)
 			}
 			if err := st.Rebind(g, make([]replication.Block, g.NumCells()), false); err != nil {
 				t.Fatal(err)
