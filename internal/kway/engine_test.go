@@ -28,7 +28,9 @@ type engineCase struct {
 // V-cycle with parallel refinement, the board placement, in-loop
 // verification, a resume's replay and a contained panic. The V-cycle
 // runs on s38584, whose finest levels clear fm's parallel cutoff (see
-// fm.Config.RefineWorkers), so its parallel refinement really runs.
+// fm.Config.RefineWorkers), so its parallel refinement really runs,
+// and carves deep enough that later carves narrow the hierarchies of
+// earlier ones.
 func engineCases(t *testing.T) []engineCase {
 	t.Helper()
 	suite := func(name string) *hypergraph.Graph {
@@ -128,6 +130,9 @@ func TestEngineReuseIsInvisible(t *testing.T) {
 		}
 		if opts.RefineWorkers >= 2 && len(rec.Filter(trace.KindParRound)) == 0 {
 			t.Fatalf("%s: the search ran no parallel sub-round", c.name)
+		}
+		if _, narrowed, _ := coarsenings(t, rec.Events()); opts.Multilevel && narrowed == 0 {
+			t.Fatalf("%s: no V-cycle narrowed a hierarchy", c.name)
 		}
 		if c.name == "c3540-panic" && !res.Degraded || c.name == "c3540-resumed" && !res.Resumed {
 			t.Fatalf("%s: Degraded %v, Resumed %v", c.name, res.Degraded, res.Resumed)

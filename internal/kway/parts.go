@@ -66,7 +66,9 @@ func (sc *carveScratch) viewCells(dst []cellSpec) []cellSpec {
 
 // retarget narrows sc.st to its block 1 (replication.State.Retarget)
 // and carries the "$r" counts along: a replicated cell whose home copy
-// stayed in block 0 continues as its replica.
+// stayed in block 0 continues as its replica. It re-targets through
+// the V-cycle runner, which narrows the hierarchy of the carve's
+// V-cycle, if it ran one, to the new remainder (multilevel.Runner.Retarget).
 func (sc *carveScratch) retarget() {
 	st := &sc.st
 	j := 0
@@ -82,7 +84,7 @@ func (sc *carveScratch) retarget() {
 		j++
 	}
 	sc.reps = sc.reps[:j]
-	st.Retarget()
+	sc.ml.Retarget(st)
 }
 
 // takeParts gives the attempt's parts their cell lists for good: one

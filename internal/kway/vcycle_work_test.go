@@ -15,17 +15,64 @@ import (
 
 // vcycleWork is the carve, V-cycle and FM work of one traced search:
 // accepted carves and rejections by reason, parallel and serial FM
-// passes and the moves they report, coarsen calls and refined levels.
-// The search TestVCycleWork runs is deterministic, so the counts are
-// exact; a change that moves them changes what the search does.
+// passes and the moves they report, fresh and narrowed coarsenings and
+// refined levels. The search TestVCycleWork runs is deterministic, so
+// the counts are exact; a change that moves them changes what the
+// search does.
 type vcycleWork struct {
 	Accepted    int            `json:"accepted"`
 	Rejected    map[string]int `json:"rejected"`
 	ParfmPasses int            `json:"parfm_passes"`
 	FMPasses    int            `json:"fm_passes"`
 	PassMoves   int            `json:"pass_moves"`
-	Coarsen     int            `json:"coarsen"`
-	Levels      int            `json:"levels"`
+	// Coarsen counts the V-cycles that coarsened afresh, Narrowed those
+	// that narrowed the previous carve's hierarchy; rows written before
+	// V-cycles narrowed decode Narrowed as zero.
+	Coarsen  int `json:"coarsen"`
+	Narrowed int `json:"narrowed"`
+	Levels   int `json:"levels"`
+}
+
+// coarsenings counts a search's fresh and narrowed coarsenings from
+// its events and checks where the narrowed ones happened. Only an
+// attempt's first V-cycle on a new remainder may narrow, the remainder
+// an accepted carve whose try ran a V-cycle left: an attempt's first
+// carve and every retry on the same remainder must coarsen afresh.
+// Each attempt's events arrive in order, so they can be followed per
+// attempt however the attempts interleave. retries counts the V-cycles
+// run by a retry, so that a caller can require the rule to have been
+// exercised.
+func coarsenings(t *testing.T, events []trace.Event) (fresh, narrowed, retries int) {
+	t.Helper()
+	type attempt struct{ coarsened, mayNarrow, retry bool }
+	at := map[int]*attempt{}
+	for _, e := range events {
+		a := at[e.Attempt]
+		if a == nil {
+			a = &attempt{}
+			at[e.Attempt] = a
+		}
+		switch {
+		case e.Kind == trace.KindPhase && e.Phase == trace.PhaseCoarsen:
+			if e.Level > 0 && !a.mayNarrow {
+				t.Errorf("attempt %d: a V-cycle narrowed %d levels without a new remainder", e.Attempt, e.Level)
+			}
+			if e.Level > 0 {
+				narrowed++
+			} else {
+				fresh++
+			}
+			if a.retry {
+				retries++
+			}
+			a.coarsened, a.mayNarrow = true, false
+		case e.Kind == trace.KindCarveAccepted:
+			a.coarsened, a.mayNarrow, a.retry = false, a.coarsened, false
+		case e.Kind == trace.KindCarveRejected:
+			a.coarsened, a.retry = false, true
+		}
+	}
+	return fresh, narrowed, retries
 }
 
 // vcycleAllocCeiling bounds the bytes a warm Partition call allocates
@@ -53,10 +100,10 @@ func vcycleOptions(workers int) kway.Options {
 }
 
 // traceVCycle runs the search with spans and a recorder armed and
-// counts its work from the events and the finished spans.
-func traceVCycle(t *testing.T, g *hypergraph.Graph, workers int) vcycleWork {
+// counts its work from the events and the finished spans, and the
+// V-cycles its retries ran.
+func traceVCycle(t *testing.T, g *hypergraph.Graph, opts kway.Options) (w vcycleWork, retries int) {
 	t.Helper()
-	opts := vcycleOptions(workers)
 	rec := &trace.Recorder{}
 	tracer := span.NewTracer(span.Options{Process: "kway-test", MaxSpansPerTrace: 1 << 22})
 	id := span.DeriveTraceID("vcycle-work", opts.Seed, opts.Solutions)
@@ -64,13 +111,10 @@ func traceVCycle(t *testing.T, g *hypergraph.Graph, workers int) vcycleWork {
 	if _, err := kway.Partition(g, opts); err != nil {
 		t.Fatal(err)
 	}
-	w := vcycleWork{Rejected: map[string]int{}}
+	w = vcycleWork{Rejected: map[string]int{}}
+	w.Coarsen, w.Narrowed, retries = coarsenings(t, rec.Events())
 	for _, e := range rec.Events() {
 		switch e.Kind {
-		case trace.KindPhase:
-			if e.Phase == trace.PhaseCoarsen {
-				w.Coarsen++
-			}
 		case trace.KindLevel:
 			w.Levels++
 		case trace.KindFMPass:
@@ -82,7 +126,7 @@ func traceVCycle(t *testing.T, g *hypergraph.Graph, workers int) vcycleWork {
 		}
 	}
 	w.ParfmPasses, w.FMPasses = passSpans(t, tracer, id)
-	return w
+	return w, retries
 }
 
 // recordEvents arms opts' spans with a fresh recorder as their sink
@@ -117,9 +161,12 @@ func passSpans(t *testing.T, tracer *span.Tracer, id span.TraceID) (parfm, seria
 // generated 2000-cell circuit (MultilevelMinCells 128, RefineWorkers 2,
 // 4 solutions) to the work ledger's last row. Every state it refines
 // is below fm's parallel cutoff, so its passes are serial;
-// TestParfmWork pins the parallel ones. The counts must not depend on
-// GOMAXPROCS (1 or 2) or on the search's worker count (1 or 2). Without the race detector it also
-// bounds the bytes one warm single-worker Partition call allocates.
+// TestParfmWork pins the parallel ones. The search must narrow some
+// hierarchies, retry some V-cycle carves and coarsen afresh where
+// coarsenings requires. The counts must not depend on GOMAXPROCS (1 or
+// 2) or on the search's worker count (1 or 2). Without the race
+// detector it also bounds the bytes one warm single-worker Partition
+// call allocates.
 func TestVCycleWork(t *testing.T) {
 	want := lastLedgerRow(t).VCycle
 	g := vcycleCircuit(t)
@@ -129,8 +176,11 @@ func TestVCycleWork(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("procs=%d/workers=%d", procs, workers), func(t *testing.T) {
-				w := traceVCycle(t, g, workers)
+				w, retries := traceVCycle(t, g, vcycleOptions(workers))
 				t.Logf("work: %+v", w)
+				if w.Narrowed == 0 || retries == 0 {
+					t.Errorf("%d narrowed coarsenings and %d V-cycle retries, want some of each", w.Narrowed, retries)
+				}
 				if !reflect.DeepEqual(w, want) {
 					t.Errorf("work %+v, want %+v", w, want)
 				}

@@ -163,7 +163,9 @@ type Event struct {
 	Phase string
 	Dur   time.Duration
 	// Level fields (KindLevel): the hierarchy depth (0 = finest) and
-	// the level's coarse cell count.
+	// the level's coarse cell count. A coarsen KindPhase event carries
+	// in Level the number of levels narrowed from the previous carve's
+	// hierarchy, 0 for a fresh build.
 	Level int
 	Cells int
 	// Parallel sub-round fields (KindParRound): the sub-round index
@@ -253,6 +255,9 @@ func (j *JSONL) Event(e Event) {
 		}
 	case KindPhase:
 		b = appendStringField(b, "phase", e.Phase)
+		if e.Phase == PhaseCoarsen {
+			b = appendIntField(b, "level", e.Level)
+		}
 		b = append(b, `,"dur_ns":`...)
 		b = strconv.AppendInt(b, int64(e.Dur), 10)
 	case KindLevel:

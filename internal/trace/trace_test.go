@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,18 @@ func TestJSONLPhaseEvent(t *testing.T) {
 	}
 	if int(m["attempt"].(float64)) != -1 {
 		t.Fatalf("attempt %v, want -1", m["attempt"])
+	}
+	if _, ok := m["level"]; ok {
+		t.Fatalf("a search phase line carries a level: %s", buf.String())
+	}
+	// A coarsen phase reports its narrowed levels, 0 included.
+	for _, narrowed := range []int{0, 3} {
+		buf.Reset()
+		j.Event(Event{Kind: KindPhase, Phase: PhaseCoarsen, Level: narrowed, Dur: 1000})
+		want := fmt.Sprintf(`{"event":"phase","attempt":0,"phase":"coarsen","level":%d,"dur_ns":1000}`+"\n", narrowed)
+		if buf.String() != want {
+			t.Fatalf("coarsen phase line %q, want %q", buf.String(), want)
+		}
 	}
 }
 
