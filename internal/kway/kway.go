@@ -569,12 +569,12 @@ func assemble(g *hypergraph.Graph, parts []Part) Result {
 // remainder reset it. fm and cluster are its FM runner and
 // cluster-growing scratch, assign the initial assignment they fill,
 // and rnd the attempt's random stream. ml runs the V-cycle with st as
-// its finest level and its own recycled coarse levels. reps holds, per
-// cell of st, the number of carves in which it was the replica
-// (cellSpec.reps), and cells the cell lists of the attempt's parts so
-// far; build and place serve the checks of Options.Verify and the
-// board placement. The arrays of every layer keep their capacity
-// across carves and attempts.
+// its finest level and its own recycled coarse levels, which retarget
+// narrows along with st. reps holds, per cell of st, the number of
+// carves in which it was the replica (cellSpec.reps), and cells the
+// cell lists of the attempt's parts so far; build and place serve the
+// checks of Options.Verify and the board placement. The arrays of
+// every layer keep their capacity across carves and attempts.
 type carveScratch struct {
 	st      replication.State
 	fm      fm.Runner
