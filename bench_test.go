@@ -162,7 +162,7 @@ func BenchmarkFMPass(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := fm.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: tc.threshold, Seed: int64(i)})
+				res, err := new(fm.Runner).Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: tc.threshold, Seed: int64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,7 +220,7 @@ func BenchmarkAblationInitialPartition(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := fm.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: fm.NoReplication, Seed: int64(i)})
+			res, err := new(fm.Runner).Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: fm.NoReplication, Seed: int64(i)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,7 +241,11 @@ func BenchmarkAblationInitialPartition(b *testing.B) {
 	})
 	b.Run("multilevel", func(b *testing.B) {
 		run(b, func(i int) []replication.Block {
-			res, err := multilevel.Run(g, multilevel.Config{
+			st, err := replication.NewState(g, make([]replication.Block, g.NumCells()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := new(multilevel.Runner).Run(st, multilevel.Config{
 				Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: int64(i)},
 				TargetArea: g.TotalArea() / 2,
 			})
@@ -271,7 +275,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := fm.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: T, Seed: int64(i)})
+				res, err := new(fm.Runner).Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: T, Seed: int64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}

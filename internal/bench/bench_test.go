@@ -196,7 +196,7 @@ func TestSuiteMatchesTargets(t *testing.T) {
 		if testing.Short() && c.CLBs > 1000 {
 			continue
 		}
-		g := c.MustBuild()
+		g := build(t, c)
 		if dev := math.Abs(float64(g.TotalArea()-c.CLBs)) / float64(c.CLBs); dev > 0.06 {
 			t.Errorf("%s: CLBs = %d, target %d (dev %.0f%%)", c.Name, g.TotalArea(), c.CLBs, 100*dev)
 		}
@@ -212,8 +212,8 @@ func TestSuiteMatchesTargets(t *testing.T) {
 
 func TestBuildMemoizes(t *testing.T) {
 	c, _ := ByName("c3540")
-	a := c.MustBuild()
-	b := c.MustBuild()
+	a := build(t, c)
+	b := build(t, c)
 	if a != b {
 		t.Fatal("Build did not memoize")
 	}
@@ -235,22 +235,84 @@ func TestSmall(t *testing.T) {
 
 func TestSuiteIsConnected(t *testing.T) {
 	for _, c := range Suite()[:4] {
-		g := c.MustBuild()
-		if comps := g.Components(); comps != 1 {
+		g := build(t, c)
+		if comps := components(g); comps != 1 {
 			t.Errorf("%s: %d components, want 1", c.Name, comps)
 		}
 	}
 }
 
+// components returns the number of connected components of g's cell
+// graph (cells joined by shared nets).
+func components(g *hypergraph.Graph) int {
+	visited := make([]bool, len(g.Cells))
+	var stack []hypergraph.CellID
+	comps := 0
+	for start := range g.Cells {
+		if visited[start] {
+			continue
+		}
+		comps++
+		visited[start] = true
+		stack = append(stack[:0], hypergraph.CellID(start))
+		for len(stack) > 0 {
+			c := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, n := range g.CellNets(c) {
+				for _, cn := range g.Nets[n].Conns {
+					if !visited[cn.Cell] {
+						visited[cn.Cell] = true
+						stack = append(stack, cn.Cell)
+					}
+				}
+			}
+		}
+	}
+	return comps
+}
+
+func TestComponents(t *testing.T) {
+	b := hypergraph.NewBuilder("one")
+	a := b.InputNet("a")
+	w := b.Net("w")
+	b.AddCell(hypergraph.CellSpec{Inputs: []hypergraph.NetID{a}, Outputs: []hypergraph.NetID{w}})
+	b.AddCell(hypergraph.CellSpec{Inputs: []hypergraph.NetID{w}, Outputs: []hypergraph.NetID{b.OutputNet("z")}})
+	if got := components(b.MustBuild()); got != 1 {
+		t.Fatalf("components = %d, want 1", got)
+	}
+	// Two disconnected islands.
+	b = hypergraph.NewBuilder("two")
+	a1 := b.InputNet("a1")
+	z1 := b.OutputNet("z1")
+	a2 := b.InputNet("a2")
+	z2 := b.OutputNet("z2")
+	b.AddCell(hypergraph.CellSpec{Inputs: []hypergraph.NetID{a1}, Outputs: []hypergraph.NetID{z1}})
+	b.AddCell(hypergraph.CellSpec{Inputs: []hypergraph.NetID{a2}, Outputs: []hypergraph.NetID{z2}})
+	if got := components(b.MustBuild()); got != 2 {
+		t.Fatalf("components = %d, want 2", got)
+	}
+	if got := components(&hypergraph.Graph{}); got != 0 {
+		t.Fatalf("empty components = %d", got)
+	}
+}
+
+// Concurrent first builds of one circuit all return the graph the cache
+// keeps. No other test builds the circuit, so the cache starts cold in
+// any test order.
 func TestBuildCacheConcurrent(t *testing.T) {
 	c, _ := ByName("c3540")
+	c = c.Small(3)
 	var wg sync.WaitGroup
 	graphs := make([]*hypergraph.Graph, 8)
 	for i := range graphs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			graphs[i] = c.MustBuild()
+			g, err := c.Build()
+			if err != nil {
+				t.Error(err)
+			}
+			graphs[i] = g
 		}(i)
 	}
 	wg.Wait()
@@ -259,4 +321,14 @@ func TestBuildCacheConcurrent(t *testing.T) {
 			t.Fatal("concurrent builds returned different graphs")
 		}
 	}
+}
+
+// build builds the benchmark circuit c, failing tb on an error.
+func build(tb testing.TB, c Circuit) *hypergraph.Graph {
+	tb.Helper()
+	g, err := c.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }

@@ -80,19 +80,15 @@ func (c Circuit) Build() (*hypergraph.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: generating %s: %w", c.Name, err)
 	}
+	// A concurrent caller may have stored the circuit since the lookup;
+	// every caller gets the graph stored first.
 	cacheMu.Lock()
-	cache[key] = g
-	cacheMu.Unlock()
-	return g, nil
-}
-
-// MustBuild is Build that panics on error, for tests and benchmarks.
-func (c Circuit) MustBuild() *hypergraph.Graph {
-	g, err := c.Build()
-	if err != nil {
-		panic(err)
+	defer cacheMu.Unlock()
+	if first, ok := cache[key]; ok {
+		return first, nil
 	}
-	return g
+	cache[key] = g
+	return g, nil
 }
 
 // Small returns a reduced copy of the circuit (cells scaled by 1/f)
@@ -112,11 +108,4 @@ func (c Circuit) Small(f int) Circuit {
 	out.IOBs = out.Params.PrimaryIn + out.Params.PrimaryOut
 	out.DFF = out.Params.DFFs
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -67,18 +67,6 @@ func CarveFull(buf []uint64, n int) (Vector, []uint64) {
 	return v, rest
 }
 
-// FromBools builds a vector from a slice of booleans; bit i is set when
-// b[i] is true.
-func FromBools(b []bool) Vector {
-	v := New(len(b))
-	for i, x := range b {
-		if x {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
 // FromBits builds a vector from 0/1 integers, convenient for writing
 // the paper's column vectors such as A_X = [1 1 0]^T as FromBits(1,1,0).
 func FromBits(bits ...int) Vector {
@@ -169,26 +157,6 @@ func (v Vector) And(w Vector) Vector {
 	return out
 }
 
-// AndNot returns v AND (NOT w), a common compound in the gain formulas.
-func (v Vector) AndNot(w Vector) Vector {
-	v.sameLen(w)
-	out := v.Clone()
-	for i := range out.words {
-		out.words[i] &^= w.words[i]
-	}
-	return out
-}
-
-// Or returns the bitwise OR of v and w.
-func (v Vector) Or(w Vector) Vector {
-	v.sameLen(w)
-	out := v.Clone()
-	for i := range out.words {
-		out.words[i] |= w.words[i]
-	}
-	return out
-}
-
 // Norm returns |v|, the number of set bits (the paper's norm).
 func (v Vector) Norm() int {
 	c := 0
@@ -220,29 +188,6 @@ func ExclusiveNorm(vs []Vector) int {
 		c += bits.OnesCount64(once &^ twice)
 	}
 	return c
-}
-
-// Any reports whether at least one bit is set.
-func (v Vector) Any() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Equal reports whether v and w have identical length and bits.
-func (v Vector) Equal(w Vector) bool {
-	if v.n != w.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != w.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // trim clears any bits at positions >= n left over from complementation.

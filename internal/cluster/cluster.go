@@ -78,13 +78,6 @@ func (c *Clustering) Project(dst, coarse []replication.Block, numCells int) ([]r
 	return out, nil
 }
 
-// Build contracts st by one round of heavy-edge matching into fresh
-// storage; Coarsener.Build is the storage-reusing form.
-func Build(st *replication.State, opts Options) (*Clustering, error) {
-	var c Coarsener
-	return c.Build(0, st, opts)
-}
-
 // Coarsener contracts levels into storage it keeps between calls: the
 // level and member lists of one contraction per slot, so a caller that
 // builds a hierarchy level by level into slots 0, 1, 2, ... recycles

@@ -38,7 +38,7 @@ func stateOf(t *testing.T, g *hypergraph.Graph) *replication.State {
 
 func TestBuildReducesAndCovers(t *testing.T) {
 	g := testGraph(t, 300, 1)
-	cl, err := Build(stateOf(t, g), Options{Seed: 1})
+	cl, err := new(Coarsener).Build(0, stateOf(t, g), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestBuildReducesAndCovers(t *testing.T) {
 		t.Fatalf("area %d != %d", lv.TotalArea(), g.TotalArea())
 	}
 	// The level is a usable state.
-	if err := lv.Reset(make([]replication.Block, lv.NumCells())); err != nil {
+	if err := lv.ResetPinned(make([]replication.Block, lv.NumCells()), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := lv.CheckInvariants(); err != nil {
@@ -93,11 +93,11 @@ func TestBuildRespectsAreaCap(t *testing.T) {
 
 func TestBuildDeterministic(t *testing.T) {
 	st := stateOf(t, testGraph(t, 200, 3))
-	a, err := Build(st, Options{Seed: 5})
+	a, err := new(Coarsener).Build(0, st, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(st, Options{Seed: 5})
+	b, err := new(Coarsener).Build(0, st, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	g := testGraph(t, 150, 4)
-	cl, err := Build(stateOf(t, g), Options{Seed: 4})
+	cl, err := new(Coarsener).Build(0, stateOf(t, g), Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestProject(t *testing.T) {
 // itself (internal nets of a cluster can never be cut).
 func TestCutPreservation(t *testing.T) {
 	g := testGraph(t, 200, 6)
-	cl, err := Build(stateOf(t, g), Options{Seed: 6})
+	cl, err := new(Coarsener).Build(0, stateOf(t, g), Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCutPreservation(t *testing.T) {
 	for i := range coarse {
 		coarse[i] = replication.Block((i / 3) % 2)
 	}
-	if err := cl.Level.Reset(coarse); err != nil {
+	if err := cl.Level.ResetPinned(coarse, false); err != nil {
 		t.Fatal(err)
 	}
 	fine, err := cl.Project(nil, coarse, g.NumCells())
@@ -671,7 +671,7 @@ func TestContractRejectsMalformedLevels(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Build(level(t, tc.ext, tc.cells), Options{Seed: 1})
+			_, err := new(Coarsener).Build(0, level(t, tc.ext, tc.cells), Options{Seed: 1})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Build: error %v, want one naming %q", err, tc.want)
 			}

@@ -52,7 +52,7 @@ func (f *narrowFixture) carve(t *testing.T) {
 			f.assign[c] = 0
 		}
 	}
-	if err := st.Reset(f.assign[:n]); err != nil {
+	if err := st.ResetPinned(f.assign[:n], false); err != nil {
 		t.Fatal(err)
 	}
 	for ci := 0; ci < n; ci += 5 {

@@ -10,7 +10,7 @@
 //
 // Quick start:
 //
-//	g := ...                       // *hypergraph.Graph, e.g. bench.Suite()[0].MustBuild()
+//	g := ...                       // *hypergraph.Graph, e.g. from bench.Suite()[0].Build()
 //	res, err := core.Partition(g, core.Options{})
 //	fmt.Println(res.Summary)       // k, device cost (Eq. 1), IOB utilization (Eq. 2)
 //

@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"fpgapart/internal/bench"
+	"fpgapart/internal/hypergraph"
 )
 
 func TestPartitionDefaults(t *testing.T) {
 	c, _ := bench.ByName("c3540")
-	g := c.Small(2).MustBuild()
+	g := build(t, c.Small(2))
 	res, err := Partition(g, Options{Solutions: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Summary.Feasible() {
-		t.Fatalf("infeasible: %v", res.Summary)
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
 	}
 	if res.Summary.DeviceCost() <= 0 {
 		t.Fatal("zero cost")
@@ -23,7 +24,7 @@ func TestPartitionDefaults(t *testing.T) {
 
 func TestPartitionNoReplication(t *testing.T) {
 	c, _ := bench.ByName("s5378")
-	g := c.Small(2).MustBuild()
+	g := build(t, c.Small(2))
 	off := NoReplication
 	res, err := Partition(g, Options{Threshold: &off, Solutions: 3, Seed: 2})
 	if err != nil {
@@ -36,7 +37,7 @@ func TestPartitionNoReplication(t *testing.T) {
 
 func TestMinCutBipartition(t *testing.T) {
 	c, _ := bench.ByName("s9234")
-	g := c.Small(2).MustBuild()
+	g := build(t, c.Small(2))
 	stPlain, resPlain, err := MinCutBipartition(g, BipartitionOptions{Threshold: NoReplication, Seed: 4, Starts: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -54,4 +55,14 @@ func TestMinCutBipartition(t *testing.T) {
 	if resRepl.Cut > resPlain.Cut {
 		t.Fatalf("replication worsened the cut: %d > %d", resRepl.Cut, resPlain.Cut)
 	}
+}
+
+// build builds the benchmark circuit c, failing tb on an error.
+func build(tb testing.TB, c bench.Circuit) *hypergraph.Graph {
+	tb.Helper()
+	g, err := c.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }

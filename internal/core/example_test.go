@@ -13,12 +13,15 @@ import (
 // XC3000 library with functional replication at threshold T = 1.
 func ExamplePartition() {
 	c, _ := bench.ByName("c3540")
-	g := c.MustBuild()
+	g, err := c.Build()
+	if err != nil {
+		panic(err)
+	}
 	res, err := core.Partition(g, core.Options{Solutions: 5, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("k=%d feasible=%v\n", res.Summary.K(), res.Summary.Feasible())
+	fmt.Printf("k=%d feasible=%v\n", res.Summary.K(), res.Verify(g) == nil)
 	// Output: k=2 feasible=true
 }
 
@@ -27,7 +30,10 @@ func ExamplePartition() {
 // functional replication.
 func ExampleMinCutBipartition() {
 	c, _ := bench.ByName("s5378")
-	g := c.MustBuild()
+	g, err := c.Build()
+	if err != nil {
+		panic(err)
+	}
 	_, plain, _ := core.MinCutBipartition(g, core.BipartitionOptions{
 		Threshold: core.NoReplication, Seed: 7, Starts: 2,
 	})
@@ -53,7 +59,7 @@ func ExamplePartition_customLibrary() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("feasible=%v cost>0=%v\n", res.Summary.Feasible(), res.Summary.DeviceCost() > 0)
+	fmt.Printf("feasible=%v cost>0=%v\n", res.Verify(g) == nil, res.Summary.DeviceCost() > 0)
 	// Output: feasible=true cost>0=true
 }
 
@@ -62,12 +68,15 @@ func ExamplePartition_customLibrary() {
 // explicit one is taken literally.
 func ExampleOptions_threshold() {
 	c, _ := bench.ByName("s9234")
-	g := c.MustBuild()
+	g, err := c.Build()
+	if err != nil {
+		panic(err)
+	}
 	off := core.NoReplication
 	base, _ := core.Partition(g, core.Options{Threshold: &off, Solutions: 4, Seed: 2})
 	repl, _ := core.Partition(g, core.Options{Solutions: 4, Seed: 2})
 	fmt.Printf("baseline replicates nothing: %v\n", base.Summary.ReplicatedCells() == 0)
-	fmt.Printf("both feasible: %v\n", base.Summary.Feasible() && repl.Summary.Feasible())
+	fmt.Printf("both feasible: %v\n", base.Verify(g) == nil && repl.Verify(g) == nil)
 	// Output:
 	// baseline replicates nothing: true
 	// both feasible: true

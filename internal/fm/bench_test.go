@@ -33,7 +33,7 @@ func BenchmarkRefine(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		var r fm.Runner
 		for i := 0; i < b.N; i++ {
-			if err := st.Reset(assign); err != nil {
+			if err := st.ResetPinned(assign, false); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := r.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: fm.NoReplication, Seed: 1}); err != nil {
@@ -45,7 +45,7 @@ func BenchmarkRefine(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel-%dw", workers), func(b *testing.B) {
 			var r fm.Runner
 			for i := 0; i < b.N; i++ {
-				if err := st.Reset(assign); err != nil {
+				if err := st.ResetPinned(assign, false); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := r.Run(st, fm.Config{MinArea: minA, MaxArea: maxA, Threshold: fm.NoReplication, RefineWorkers: workers}); err != nil {

@@ -212,20 +212,11 @@ const (
 
 // Runner executes FM runs with either engine, reusing each engine's
 // per-graph buffers across runs. A zero Runner is ready to use; a
-// Runner is not safe for concurrent use. The package-level Run is a
-// convenience for one-shot use.
+// Runner is not safe for concurrent use.
 type Runner struct {
 	e   engine
 	par parEngine
 	rnd *rand.Rand // reseeded per run
-}
-
-// Run improves the bipartition state in place and returns the result.
-// The state may contain replicated cells from previous runs; they are
-// kept and remain subject to unreplication moves.
-func Run(st *replication.State, cfg Config) (Result, error) {
-	var r Runner
-	return r.Run(st, cfg)
 }
 
 // bind points the engine at a state for a run at the given replication
@@ -283,8 +274,10 @@ func (e *engine) slots(c hypergraph.CellID) int {
 	return slotSplit0 + len(e.st.Splits(c))
 }
 
-// Run is the Runner form of the package-level Run, reusing buffers
-// from previous runs (see layout).
+// Run improves the bipartition state in place and returns the result,
+// reusing buffers from previous runs (see layout). The state may
+// contain replicated cells from previous runs; they are kept and remain
+// subject to unreplication moves.
 //
 // Both engines run plain FM passes to convergence, then (when
 // replication is enabled) phases that also offer replication and

@@ -68,7 +68,7 @@ func TestRunReducesCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.CutSize()
-	res, err := Run(st, equalCfg(g, NoReplication, 1))
+	res, err := new(Runner).Run(st, equalCfg(g, NoReplication, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRunRespectsBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(st, cfg); err != nil {
+	if _, err := new(Runner).Run(st, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for b := replication.Block(0); b < 2; b++ {
@@ -106,7 +106,7 @@ func TestRunRespectsBalance(t *testing.T) {
 func TestRunNoReplicationKeepsCellsSingle(t *testing.T) {
 	g := testGraph(t, 120, 5, 0.5)
 	st, _ := replication.NewState(g, RandomAssign(g, 3))
-	if _, err := Run(st, equalCfg(g, NoReplication, 3)); err != nil {
+	if _, err := new(Runner).Run(st, equalCfg(g, NoReplication, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if st.ReplicatedCount() != 0 {
@@ -192,7 +192,7 @@ func TestThresholdLimitsReplication(t *testing.T) {
 		for ci := 0; ci < g.NumCells(); ci++ {
 			c := hypergraph.CellID(ci)
 			if st.IsReplicated(c) && !st.CanReplicate(c, T) {
-				t.Fatalf("T=%d: ineligible cell %d replicated (ψ=%d)", T, ci, st.Psi(c))
+				t.Fatalf("T=%d: ineligible cell %d replicated (ψ=%d)", T, ci, g.Cell(c).ReplicationPotential())
 			}
 		}
 	}
@@ -263,7 +263,7 @@ func TestRunDeterministic(t *testing.T) {
 	g := testGraph(t, 120, 8, 0.5)
 	run := func() int {
 		st, _ := replication.NewState(g, RandomAssign(g, 11))
-		res, err := Run(st, equalCfg(g, 0, 11))
+		res, err := new(Runner).Run(st, equalCfg(g, 0, 11))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func TestReplicationNeverWorsensSameStart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(st, equalCfg(g, threshold, seed))
+			res, err := new(Runner).Run(st, equalCfg(g, threshold, seed))
 			if err != nil {
 				t.Fatal(err)
 			}

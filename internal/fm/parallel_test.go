@@ -116,7 +116,7 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(st, parCfg(g, 0, 4)); err != nil {
+		if _, err := new(Runner).Run(st, parCfg(g, 0, 4)); err != nil {
 			t.Fatal(err)
 		}
 		if sig := partitionSig(st); want == "" {

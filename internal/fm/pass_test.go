@@ -81,7 +81,7 @@ func (e *engine) referencePass() (bool, int) {
 // the cut and the areas.
 func partitionSig(st *replication.State) string {
 	out := fmt.Sprintf("cut=%d area=%d/%d;", st.CutSize(), st.Area(0), st.Area(1))
-	for ci := 0; ci < st.Graph().NumCells(); ci++ {
+	for ci := 0; ci < st.NumCells(); ci++ {
 		c := hypergraph.CellID(ci)
 		out += fmt.Sprintf("%x/%x,", st.OutputsIn(c, 0), st.OutputsIn(c, 1))
 	}
@@ -178,7 +178,7 @@ func TestSlotLayout(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("T=%d cell %d (%d outputs, ψ=%d): slots %v, want %v",
-					threshold, c, st.NumOutputs(c), st.Psi(c), got, want)
+					threshold, c, st.NumOutputs(c), g.Cell(c).ReplicationPotential(), got, want)
 			}
 		}
 	}
@@ -329,7 +329,7 @@ func TestInjectOrdinalCountsRunPasses(t *testing.T) {
 		}
 		cfg := equalCfg(g, 0, 4)
 		cfg.Inject = plan
-		res, err := Run(st, cfg)
+		res, err := new(Runner).Run(st, cfg)
 		return res, partitionSig(st), err
 	}
 	want, wantSig, err := run(nil)

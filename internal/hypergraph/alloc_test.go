@@ -16,7 +16,7 @@ func TestSubcircuitAllocs(t *testing.T) {
 	const maxAllocs, maxWarmAllocs = 32, 2
 	for _, name := range []string{"c3540", "s38584"} {
 		c, _ := bench.ByName(name)
-		g := c.MustBuild()
+		g := build(t, c)
 		// One side of a split at the middle cell id: cut nets become
 		// terminals, as in a carve's materialization.
 		half := hypergraph.CellID(g.NumCells() / 2)

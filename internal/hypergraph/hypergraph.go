@@ -86,23 +86,6 @@ func (c *Cell) ReplicationPotential() int {
 	return bitset.ExclusiveNorm(c.Dep)
 }
 
-// InputsFor returns the union of adjacency vectors over the given
-// output indices: the set of input pins a copy carrying exactly those
-// outputs must keep connected. A nil slice selects all outputs.
-func (c *Cell) InputsFor(outputs []int) bitset.Vector {
-	v := bitset.New(len(c.Inputs))
-	if outputs == nil {
-		for i := range c.Outputs {
-			v = v.Or(c.Dep[i])
-		}
-		return v
-	}
-	for _, i := range outputs {
-		v = v.Or(c.Dep[i])
-	}
-	return v
-}
-
 // Net is a hyperedge. Conns lists every cell pin on the net; Ext marks
 // nets that also connect a terminal node (primary I/O).
 type Net struct {
@@ -171,9 +154,6 @@ func (g *Graph) NumPins() int {
 
 // Cell returns the cell with the given id.
 func (g *Graph) Cell(id CellID) *Cell { return &g.Cells[id] }
-
-// Net returns the net with the given id.
-func (g *Graph) Net(id NetID) *Net { return &g.Nets[id] }
 
 // CellNets returns the distinct nets incident to the cell, in pin
 // order (outputs first), without duplicates.
@@ -380,28 +360,6 @@ func (g *Graph) RebuildConnsInto(buf []Conn) []Conn {
 	return buf
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := &Graph{Name: g.Name, Cells: make([]Cell, len(g.Cells)), Nets: make([]Net, len(g.Nets))}
-	for i := range g.Cells {
-		c := g.Cells[i]
-		c.Inputs = append([]NetID(nil), c.Inputs...)
-		c.Outputs = append([]NetID(nil), c.Outputs...)
-		dep := make([]bitset.Vector, len(c.Dep))
-		for j := range c.Dep {
-			dep[j] = c.Dep[j].Clone()
-		}
-		c.Dep = dep
-		out.Cells[i] = c
-	}
-	for i := range g.Nets {
-		n := g.Nets[i]
-		n.Conns = append([]Conn(nil), n.Conns...)
-		out.Nets[i] = n
-	}
-	return out
-}
-
 // PotentialDistribution is the cell distribution d_X(ψ) of Eq. (5),
 // with single-output cells reported separately from multi-output cells
 // of ψ = 0 as in Fig. 3 ("0" vs "0*").
@@ -444,38 +402,4 @@ func (g *Graph) ReplicableCells(t int) int {
 		}
 	}
 	return n
-}
-
-// Components returns the number of connected components of the cell
-// graph (cells joined by shared nets). Partitionable circuits are
-// usually one component; generators and subcircuit extraction can
-// produce more.
-func (g *Graph) Components() int {
-	if len(g.Cells) == 0 {
-		return 0
-	}
-	visited := make([]bool, len(g.Cells))
-	var stack []CellID
-	comps := 0
-	for start := range g.Cells {
-		if visited[start] {
-			continue
-		}
-		comps++
-		visited[start] = true
-		stack = append(stack[:0], CellID(start))
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, n := range g.CellNets(c) {
-				for _, cn := range g.Nets[n].Conns {
-					if !visited[cn.Cell] {
-						visited[cn.Cell] = true
-						stack = append(stack, cn.Cell)
-					}
-				}
-			}
-		}
-	}
-	return comps
 }

@@ -25,7 +25,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("terminals differ: %d vs %d", back.NumTerminals(), g.NumTerminals())
 	}
 	c := back.Cell(0)
-	if !c.Dep[0].Equal(bitset.FromBits(1, 1, 0)) || !c.Dep[1].Equal(bitset.FromBits(0, 1, 1)) {
+	if c.Dep[0].String() != bitset.FromBits(1, 1, 0).String() || c.Dep[1].String() != bitset.FromBits(0, 1, 1).String() {
 		t.Fatalf("dep lost: %v %v", c.Dep[0], c.Dep[1])
 	}
 	if psi := c.ReplicationPotential(); psi != 2 {

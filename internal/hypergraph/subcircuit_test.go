@@ -59,7 +59,7 @@ func referenceSubcircuit(g *Graph, name string, specs []InstanceSpec, external f
 			seen[o] = true
 		}
 
-		activeIn := src.InputsFor(outs)
+		activeIn := inputsFor(src, outs)
 		inMap := make([]int, len(src.Inputs))
 		newInputs := make([]NetID, 0, activeIn.Norm())
 		for j := range src.Inputs {
@@ -347,4 +347,19 @@ func FuzzSubcircuit(f *testing.F) {
 		checkSubcircuit(t, &a, g, decodeSpecs(g, data), ext)
 		checkSubcircuit(t, &a, g, wholeSpecs(g), ext)
 	})
+}
+
+// inputsFor returns the union of c's adjacency vectors over the given
+// output indices: the input pins a copy carrying exactly those outputs
+// must keep connected.
+func inputsFor(c *Cell, outputs []int) bitset.Vector {
+	v := bitset.New(len(c.Inputs))
+	for _, o := range outputs {
+		for j := range c.Inputs {
+			if c.Dep[o].Get(j) {
+				v.Set(j)
+			}
+		}
+	}
+	return v
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fpgapart/internal/bench"
+	"fpgapart/internal/hypergraph"
 )
 
 // A warm worker's attempt allocates for its parts alone, however long
@@ -14,7 +15,7 @@ import (
 // worker's storage.
 func TestWarmAttemptAllocs(t *testing.T) {
 	c, _ := bench.ByName("c5315")
-	g := c.MustBuild()
+	g := build(t, c)
 	zero := 0
 	opts, err := Options{Threshold: &zero}.withDefaults()
 	if err != nil {
@@ -37,4 +38,14 @@ func TestWarmAttemptAllocs(t *testing.T) {
 	if k < 20 || allocs > limit {
 		t.Fatalf("%d parts, %v allocations per warm attempt; want at least 20 parts and at most %v allocations", k, allocs, limit)
 	}
+}
+
+// build builds the benchmark circuit c, failing tb on an error.
+func build(tb testing.TB, c bench.Circuit) *hypergraph.Graph {
+	tb.Helper()
+	g, err := c.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }

@@ -123,7 +123,7 @@ func TestDeadNetPartitions(t *testing.T) {
 func TestSuiteDeadNetPartitions(t *testing.T) {
 	c, _ := bench.ByName("c3540")
 	var buf bytes.Buffer
-	if err := hypergraph.Write(&buf, c.MustBuild()); err != nil {
+	if err := hypergraph.Write(&buf, build(t, c)); err != nil {
 		t.Fatal(err)
 	}
 	const u0 = "cell u0 area=1 dff=0 in=pi7,pi9 out=w1,w2 dep=11;11\n"
@@ -215,7 +215,7 @@ func TestReplicaNameClashVerifies(t *testing.T) {
 // fits one device or is carved again into small ones.
 func TestRepartitionWrittenPart(t *testing.T) {
 	c, _ := bench.ByName("c3540")
-	res, err := kway.Partition(c.MustBuild(), kway.Options{Solutions: 8, Seed: 3})
+	res, err := kway.Partition(build(t, c), kway.Options{Solutions: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRepartitionWrittenPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, _ := library.XC3000().ByName("XC3020")
+	small := library.XC3000().Devices[0] // XC3020
 	smallOnly, err := library.Custom(small)
 	if err != nil {
 		t.Fatal(err)
@@ -322,6 +322,10 @@ func TestCellWiderThanMaxOutputs(t *testing.T) {
 // terminal pressure cover FM on the t_P0 objective.
 func TestCarvesStayInDeviceWindow(t *testing.T) {
 	lib := library.XC3000()
+	byName := map[string]library.Device{}
+	for _, d := range lib.Devices {
+		byName[d.Name] = d
+	}
 	one, zero := 1, 0
 	modes := []struct {
 		name string
@@ -337,7 +341,7 @@ func TestCarvesStayInDeviceWindow(t *testing.T) {
 		if raceEnabled && c.Params.Cells > 1000 {
 			continue // the window does not depend on scheduling; keep the race run short
 		}
-		g := c.MustBuild()
+		g := build(t, c)
 		for _, m := range modes {
 			opts := m.opts
 			opts.Library, opts.Solutions, opts.Seed = lib, 2, 4
@@ -351,7 +355,7 @@ func TestCarvesStayInDeviceWindow(t *testing.T) {
 			for _, e := range rec.Events() {
 				switch e.Kind {
 				case trace.KindCarveAccepted:
-					d, ok := lib.ByName(e.Device)
+					d, ok := byName[e.Device]
 					if !ok || !d.Fits(e.Area, e.Terminals) {
 						t.Fatalf("%s %s attempt %d: carve of %d CLBs, %d terminals accepted for %s [%d,%d] CLBs, %d IOBs",
 							c.Name, m.name, e.Attempt, e.Area, e.Terminals, e.Device, d.MinCLBs(), d.MaxCLBs(), d.IOBs)
@@ -389,7 +393,7 @@ func TestPartitionRejectsEmptyCLBWindow(t *testing.T) {
 	tracer := span.NewTracer(span.Options{Process: "kway-test"})
 	opts := kway.Options{Library: lib, Solutions: 2, Seed: 1}
 	opts.Spans = tracer.Root(span.DeriveTraceID("narrow", 1, 2), 0).WithSink(rec)
-	_, err := kway.Partition(bench.Suite()[0].MustBuild(), opts)
+	_, err := kway.Partition(build(t, bench.Suite()[0]), opts)
 	if err == nil || err.Error() != want.Error() {
 		t.Fatalf("Partition error %v, want %v", err, want)
 	}

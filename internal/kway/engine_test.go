@@ -38,7 +38,7 @@ func engineCases(t *testing.T) []engineCase {
 		if !ok {
 			t.Fatalf("suite has no %s", name)
 		}
-		return c.MustBuild()
+		return build(t, c)
 	}
 	c3540, s38584 := suite("c3540"), suite("s38584")
 	mesh, err := bench.Generate(bench.Params{Cells: 1400, PrimaryIn: 40, PrimaryOut: 20, Seed: 3, Clustering: 0.5})
@@ -224,7 +224,7 @@ func TestWarmEngineBytes(t *testing.T) {
 		opts    kway.Options
 		ceiling uint64
 	}{
-		{"c5315", c.MustBuild(), c5315Options(), c5315EngineCeiling},
+		{"c5315", build(t, c), c5315Options(), c5315EngineCeiling},
 		{"vc2000", vcycleCircuit(t), vcycleOptions(1), vcycleEngineCeiling},
 	} {
 		var e kway.Engine
@@ -244,4 +244,14 @@ func TestWarmEngineBytes(t *testing.T) {
 			t.Errorf("%s: a warm Engine.Search allocates %d bytes, ceiling %d", tc.name, bytes, tc.ceiling)
 		}
 	}
+}
+
+// build builds the benchmark circuit c, failing tb on an error.
+func build(tb testing.TB, c bench.Circuit) *hypergraph.Graph {
+	tb.Helper()
+	g, err := c.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }

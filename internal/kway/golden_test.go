@@ -358,7 +358,7 @@ func TestDeepCarveGolden(t *testing.T) {
 	if !ok {
 		t.Fatal("suite has no c5315")
 	}
-	g := c.MustBuild()
+	g := build(t, c)
 	zero := 0
 	opts := kway.Options{Threshold: &zero, Solutions: 2, Seed: 3, Workers: 1, Library: library.XC3000()}
 	tracer := span.NewTracer(span.Options{Process: "kway-test", Now: goldenClock(), Origin: 1})

@@ -8,6 +8,7 @@ import (
 	"fpgapart/internal/fm"
 	"fpgapart/internal/hypergraph"
 	"fpgapart/internal/library"
+	"fpgapart/internal/metrics"
 	"fpgapart/internal/span"
 	"fpgapart/internal/trace"
 )
@@ -56,8 +57,8 @@ func TestPartitionSingleDeviceFit(t *testing.T) {
 	if res.Parts[0].Device.Name != "XC3020" {
 		t.Fatalf("device = %s, want XC3020", res.Parts[0].Device.Name)
 	}
-	if !res.Summary.Feasible() {
-		t.Fatal("solution reported infeasible")
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -70,8 +71,8 @@ func TestPartitionMultiDevice(t *testing.T) {
 	if res.Summary.K() < 2 {
 		t.Fatalf("k = %d, want ≥ 2 for 400 CLBs", res.Summary.K())
 	}
-	if !res.Summary.Feasible() {
-		t.Fatalf("infeasible solution: %+v", res.Summary)
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
 	}
 	// Every part graph is valid and matches its summary row.
 	for i, p := range res.Parts {
@@ -93,6 +94,16 @@ func TestPartitionMultiDevice(t *testing.T) {
 	}
 }
 
+// instances counts the cell instances across a solution's parts, more
+// than the source circuit's cells when replication ran.
+func instances(s metrics.Solution) int {
+	n := 0
+	for _, p := range s.Parts {
+		n += p.Cells
+	}
+	return n
+}
+
 // Without replication, the parts exactly cover the source cells.
 func TestPartitionNoReplicationConservesCells(t *testing.T) {
 	g := testCircuit(t, 400, 3)
@@ -100,8 +111,8 @@ func TestPartitionNoReplicationConservesCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.TotalCells() != g.NumCells() {
-		t.Fatalf("cells = %d, want %d", res.Summary.TotalCells(), g.NumCells())
+	if instances(res.Summary) != g.NumCells() {
+		t.Fatalf("cells = %d, want %d", instances(res.Summary), g.NumCells())
 	}
 	if res.Summary.ReplicatedCells() != 0 {
 		t.Fatalf("replicas = %d, want 0", res.Summary.ReplicatedCells())
@@ -129,13 +140,13 @@ func TestPartitionWithReplicationAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Summary.Feasible() {
-		t.Fatal("infeasible")
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
 	}
 	// Instances = source cells + replicas.
-	if res.Summary.TotalCells() != g.NumCells()+res.Summary.ReplicatedCells() {
+	if instances(res.Summary) != g.NumCells()+res.Summary.ReplicatedCells() {
 		t.Fatalf("instances %d != %d source + %d replicas",
-			res.Summary.TotalCells(), g.NumCells(), res.Summary.ReplicatedCells())
+			instances(res.Summary), g.NumCells(), res.Summary.ReplicatedCells())
 	}
 	// Replication should stay moderate (paper: ≤ ~10%).
 	if pct := res.Summary.ReplicatedPct(g.NumCells()); pct > 25 {
@@ -271,7 +282,7 @@ func TestMoreSolutionsNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if few.Summary.Better(many.Summary) {
+	if few.Summary.Score().Better(many.Summary.Score()) {
 		t.Fatalf("more solutions produced a worse result: %v vs %v", many.Summary, few.Summary)
 	}
 }
@@ -279,7 +290,7 @@ func TestMoreSolutionsNeverWorse(t *testing.T) {
 func TestRemapDevicesPicksCheapest(t *testing.T) {
 	lib := library.XC3000()
 	g := testCircuit(t, 40, 11)
-	big, _ := lib.ByName("XC3090")
+	big := lib.Largest()
 	parts := []Part{{Graph: g, Device: big, area: g.TotalArea(), terms: g.NumTerminals()}}
 	remapDevices(parts, lib)
 	if parts[0].Device.Name != "XC3020" {
@@ -323,13 +334,28 @@ func TestHomogeneousLibraryMinimizesDeviceCount(t *testing.T) {
 }
 
 func TestPartitionXC4000Library(t *testing.T) {
+	// Four members of the Xilinx XC4000 family, a second heterogeneous
+	// library beyond the paper's XC3000 setup: the real parts'
+	// capacities and terminals, prices calibrated as XC3000's are
+	// (per-CLB cost decreasing with size).
+	xc4000 := library.Library{Devices: []library.Device{
+		{Name: "XC4003", CLBs: 100, IOBs: 80, Price: 150, LowUtil: 0.00, HighUtil: 0.90},
+		{Name: "XC4005", CLBs: 196, IOBs: 112, Price: 262, LowUtil: 0.45, HighUtil: 0.90},
+		{Name: "XC4008", CLBs: 324, IOBs: 144, Price: 401, LowUtil: 0.54, HighUtil: 0.88},
+		{Name: "XC4010", CLBs: 400, IOBs: 160, Price: 468, LowUtil: 0.71, HighUtil: 0.88},
+	}}
+	for i := 1; i < len(xc4000.Devices); i++ {
+		if d := xc4000.Devices[i]; d.CLBCost() >= xc4000.Devices[i-1].CLBCost() {
+			t.Fatalf("per-CLB cost not decreasing at %s", d.Name)
+		}
+	}
 	g := testCircuit(t, 600, 13)
-	res, err := Partition(g, Options{Library: library.XC4000(), Solutions: 4, Seed: 2})
+	res, err := Partition(g, Options{Library: xc4000, Solutions: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Summary.Feasible() {
-		t.Fatalf("infeasible: %v", res.Summary)
+	if err := res.Verify(g); err != nil {
+		t.Fatal(err)
 	}
 	for name := range res.Summary.DeviceCounts() {
 		if name[:4] != "XC40" {

@@ -41,7 +41,7 @@ func TestFlatCarveWork(t *testing.T) {
 	if !ok {
 		t.Fatal("suite has no c5315")
 	}
-	g := c.MustBuild()
+	g := build(t, c)
 	opts := c5315Options()
 	rec := &trace.Recorder{}
 	tracer := span.NewTracer(span.Options{Process: "kway-test"})
@@ -110,7 +110,7 @@ func TestParfmWork(t *testing.T) {
 	if !ok {
 		t.Fatal("suite has no s38584")
 	}
-	g := c.MustBuild()
+	g := build(t, c)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 2} {

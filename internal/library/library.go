@@ -66,20 +66,6 @@ func XC3000() Library {
 	}}
 }
 
-// XC4000 returns a four-member subset of the Xilinx XC4000 family —
-// a second heterogeneous library for experiments beyond the paper's
-// XC3000 setup. Capacities/terminals match the real parts; prices are
-// calibrated the same way as XC3000's (per-CLB cost decreasing with
-// size).
-func XC4000() Library {
-	return Library{Devices: []Device{
-		{Name: "XC4003", CLBs: 100, IOBs: 80, Price: 150, LowUtil: 0.00, HighUtil: 0.90},
-		{Name: "XC4005", CLBs: 196, IOBs: 112, Price: 262, LowUtil: 0.45, HighUtil: 0.90},
-		{Name: "XC4008", CLBs: 324, IOBs: 144, Price: 401, LowUtil: 0.54, HighUtil: 0.88},
-		{Name: "XC4010", CLBs: 400, IOBs: 160, Price: 468, LowUtil: 0.71, HighUtil: 0.88},
-	}}
-}
-
 // Homogeneous builds a single-device library: with it, the cost
 // objective (Eq. 1) degenerates to minimizing the number of devices k,
 // the special case the paper's introduction describes.
@@ -134,16 +120,6 @@ func (l Library) Validate() error {
 
 // Largest returns the device with the greatest CLB capacity.
 func (l Library) Largest() Device { return l.Devices[len(l.Devices)-1] }
-
-// ByName returns the named device.
-func (l Library) ByName(name string) (Device, bool) {
-	for _, d := range l.Devices {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return Device{}, false
-}
 
 // CheapestFit returns the lowest-priced device on which a partition
 // with the given CLB and terminal demand is feasible.

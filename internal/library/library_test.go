@@ -35,13 +35,16 @@ func TestXC3000Capacities(t *testing.T) {
 		"XC3020": {64, 64}, "XC3030": {100, 80}, "XC3042": {144, 96},
 		"XC3064": {224, 110}, "XC3090": {320, 144},
 	}
-	for name, w := range want {
-		d, ok := l.ByName(name)
+	if len(l.Devices) != len(want) {
+		t.Fatalf("%d devices, want %d", len(l.Devices), len(want))
+	}
+	for _, d := range l.Devices {
+		w, ok := want[d.Name]
 		if !ok {
-			t.Fatalf("device %s missing", name)
+			t.Fatalf("unexpected device %s", d.Name)
 		}
 		if d.CLBs != w[0] || d.IOBs != w[1] {
-			t.Fatalf("%s = (%d,%d), want (%d,%d)", name, d.CLBs, d.IOBs, w[0], w[1])
+			t.Fatalf("%s = (%d,%d), want (%d,%d)", d.Name, d.CLBs, d.IOBs, w[0], w[1])
 		}
 	}
 }
@@ -143,21 +146,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestXC4000Valid(t *testing.T) {
-	l := XC4000()
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	prev := l.Devices[0].CLBCost()
-	for _, d := range l.Devices[1:] {
-		if c := d.CLBCost(); c >= prev {
-			t.Fatalf("per-CLB cost not decreasing at %s", d.Name)
-		} else {
-			prev = c
-		}
-	}
-}
-
 func TestHomogeneous(t *testing.T) {
 	l, err := Homogeneous(Device{Name: "only", CLBs: 64, IOBs: 64, Price: 100, HighUtil: 0.9})
 	if err != nil {
@@ -184,7 +172,7 @@ func TestValidateRejectsEmptyCLBWindow(t *testing.T) {
 	if _, err := Homogeneous(bad); err == nil {
 		t.Fatal("Homogeneous accepted a device with an empty CLB window")
 	}
-	for _, l := range []Library{XC3000(), XC4000()} {
+	for _, l := range []Library{XC3000()} {
 		if err := l.Validate(); err != nil {
 			t.Fatal(err)
 		}

@@ -21,16 +21,6 @@ type Part struct {
 	ReplicatedCells int // instances that are replicas of cells placed elsewhere
 }
 
-// CLBUtil returns the CLB utilization of the part on its device.
-func (p Part) CLBUtil() float64 { return float64(p.CLBs) / float64(p.Device.CLBs) }
-
-// IOBUtil returns the terminal utilization of the part on its device.
-func (p Part) IOBUtil() float64 { return float64(p.Terminals) / float64(p.Device.IOBs) }
-
-// Feasible reports whether the part satisfies its device's size and
-// terminal constraints.
-func (p Part) Feasible() bool { return p.Device.Fits(p.CLBs, p.Terminals) }
-
 // Solution is a k-way partition summary.
 type Solution struct {
 	Parts []Part
@@ -81,16 +71,6 @@ func (s Solution) AvgCLBUtil() float64 {
 	return float64(used) / float64(avail)
 }
 
-// TotalCells returns the number of cell instances across all parts
-// (greater than the source circuit's cell count when replication ran).
-func (s Solution) TotalCells() int {
-	n := 0
-	for _, p := range s.Parts {
-		n += p.Cells
-	}
-	return n
-}
-
 // ReplicatedCells returns the number of replica instances.
 func (s Solution) ReplicatedCells() int {
 	n := 0
@@ -107,16 +87,6 @@ func (s Solution) ReplicatedPct(sourceCells int) float64 {
 		return 0
 	}
 	return 100 * float64(s.ReplicatedCells()) / float64(sourceCells)
-}
-
-// Feasible reports whether every part fits its device.
-func (s Solution) Feasible() bool {
-	for _, p := range s.Parts {
-		if !p.Feasible() {
-			return false
-		}
-	}
-	return len(s.Parts) > 0
 }
 
 // DeviceCounts returns n_i per device name, the multiset of devices the
@@ -165,9 +135,6 @@ func (s Score) Better(t Score) bool {
 func (s Solution) Score() Score {
 	return Score{Cost: s.DeviceCost(), K: s.K(), Topo: s.TopoCost, HasTopo: s.HasTopo, IOBUtil: s.AvgIOBUtil()}
 }
-
-// Better reports whether s is preferable to t (see Score.Better).
-func (s Solution) Better(t Solution) bool { return s.Score().Better(t.Score()) }
 
 // String renders a compact one-line summary.
 func (s Solution) String() string {

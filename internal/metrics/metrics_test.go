@@ -41,8 +41,8 @@ func TestAvgCLBUtil(t *testing.T) {
 
 func TestCellsAndReplication(t *testing.T) {
 	s := sample()
-	if s.TotalCells() != 175 || s.ReplicatedCells() != 5 {
-		t.Fatalf("cells=%d repl=%d", s.TotalCells(), s.ReplicatedCells())
+	if s.ReplicatedCells() != 5 {
+		t.Fatalf("repl=%d", s.ReplicatedCells())
 	}
 	// 5 replicas over 170 source cells.
 	if got := s.ReplicatedPct(170); math.Abs(got-100*5.0/170) > 1e-12 {
@@ -53,37 +53,16 @@ func TestCellsAndReplication(t *testing.T) {
 	}
 }
 
-func TestFeasible(t *testing.T) {
-	s := sample()
-	if !s.Feasible() {
-		t.Fatal("sample should be feasible")
-	}
-	s.Parts[0].Terminals = 51
-	if s.Feasible() {
-		t.Fatal("terminal overflow should be infeasible")
-	}
-	if (Solution{}).Feasible() {
-		t.Fatal("empty solution is not feasible")
-	}
-}
-
-func TestPartHelpers(t *testing.T) {
-	p := sample().Parts[0]
-	if p.CLBUtil() != 0.8 || p.IOBUtil() != 0.5 {
-		t.Fatalf("clb=%g iob=%g", p.CLBUtil(), p.IOBUtil())
-	}
-}
-
 func TestBetterLexicographic(t *testing.T) {
 	cheap := Solution{Parts: []Part{{Device: dev("A", 100, 50, 10), CLBs: 50, Terminals: 40}}}
 	costly := Solution{Parts: []Part{{Device: dev("B", 100, 50, 20), CLBs: 50, Terminals: 1}}}
-	if !cheap.Better(costly) {
+	if !cheap.Score().Better(costly.Score()) {
 		t.Fatal("cheaper solution must win regardless of interconnect")
 	}
 	// Equal cost: lower IOB utilization wins.
 	a := Solution{Parts: []Part{{Device: dev("A", 100, 50, 10), CLBs: 50, Terminals: 10}}}
 	b := Solution{Parts: []Part{{Device: dev("A", 100, 50, 10), CLBs: 50, Terminals: 20}}}
-	if !a.Better(b) || b.Better(a) {
+	if !a.Score().Better(b.Score()) || b.Score().Better(a.Score()) {
 		t.Fatal("tie-break on IOB utilization failed")
 	}
 }

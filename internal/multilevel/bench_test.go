@@ -23,7 +23,7 @@ func BenchmarkRun(b *testing.B) {
 	b.Run("one-shot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, cfg); err != nil {
+			if _, err := fresh(g, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

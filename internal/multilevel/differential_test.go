@@ -43,7 +43,7 @@ func TestMultilevelNeverBeatsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d (%d cells): %v", gi, g.NumCells(), err)
 		}
-		res, err := Run(g, Config{
+		res, err := fresh(g, Config{
 			Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: int64(gi)},
 			TargetArea: g.TotalArea() / 2,
 			MinCells:   3, MaxClusterArea: 3, // force real coarsening even at oracle scale
@@ -99,7 +99,7 @@ func TestMultilevelTracksFlatFM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ml, err := Run(g, Config{
+		ml, err := fresh(g, Config{
 			Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: seed},
 			TargetArea: g.TotalArea() / 2,
 			Starts:     4,
@@ -148,7 +148,7 @@ func TestLargeInstanceMultilevelBeatsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := Run(g, Config{
+	ml, err := fresh(g, Config{
 		Config:     fm.Config{MinArea: minA, MaxArea: maxA, Seed: 1},
 		TargetArea: g.TotalArea() / 2,
 		Starts:     1,
@@ -212,11 +212,11 @@ func permuteNames(t *testing.T, g *hypergraph.Graph) *hypergraph.Graph {
 func TestRelabelInvariance(t *testing.T) {
 	g := circuit(t, 900, 13)
 	cfg := balancedConfig(g, 0.1, 4)
-	a, err := Run(g, cfg)
+	a, err := fresh(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(permuteNames(t, g), cfg)
+	b, err := fresh(permuteNames(t, g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 		// The coarse level and the projected assignment must both make
 		// valid replication states (every cell placed, invariants hold)
 		// with the same areas.
-		if err := cur.Reset(coarse); err != nil {
+		if err := cur.ResetPinned(coarse, false); err != nil {
 			t.Fatalf("coarse assignment rejected: %v", err)
 		}
 		if err := cur.CheckInvariants(); err != nil {

@@ -205,7 +205,7 @@ type level struct {
 // level for the one it replaced. A warm Runner allocates no state, FM
 // or hierarchy storage for levels no larger than ones it has served. A
 // zero Runner is ready to use; a Runner is not safe for concurrent use.
-// The package-level Run is the one-shot form.
+// A fresh Runner is the one-shot form.
 type Runner struct {
 	fm        fm.Runner
 	cluster   fm.ClusterScratch
@@ -221,17 +221,6 @@ type Runner struct {
 	// that Retarget, its cell after it or -1 (see Retarget).
 	fine, narrow uint64
 	ids          []int32
-}
-
-// Run executes the V-cycle on g and returns the finest-level
-// bipartition.
-func Run(g *hypergraph.Graph, cfg Config) (Result, error) {
-	st, err := replication.NewState(g, make([]replication.Block, g.NumCells()))
-	if err != nil {
-		return Result{}, err
-	}
-	var r Runner
-	return r.Run(st, cfg)
 }
 
 // Retarget narrows st, the finest level of the Runner's last cycle, to
@@ -264,8 +253,8 @@ func (r *Runner) Retarget(st *replication.State) {
 
 // Run executes the V-cycle with st as its finest level: a state bound
 // to a graph or narrowed to a remainder, whose partition need not be
-// set. Unless Retarget preceded it, the result equals the
-// package-level Run's on the graph st holds. A Run right after
+// set. Unless Retarget preceded it, the result equals a fresh
+// Runner's on the graph st holds. A Run right after
 // Retarget, on the state it re-targeted, narrows the hierarchy instead
 // of coarsening afresh: every coarse level keeps its matching, less
 // the cells the remainder dropped, for as long as its cluster cap is

@@ -31,10 +31,19 @@ func balancedConfig(g *hypergraph.Graph, eps float64, seed int64) Config {
 	}
 }
 
+// fresh runs one V-cycle on g with a new Runner and a new state.
+func fresh(g *hypergraph.Graph, cfg Config) (Result, error) {
+	st, err := replication.NewState(g, make([]replication.Block, g.NumCells()))
+	if err != nil {
+		return Result{}, err
+	}
+	return new(Runner).Run(st, cfg)
+}
+
 func TestRunProducesValidBipartition(t *testing.T) {
 	g := circuit(t, 1200, 7)
 	cfg := balancedConfig(g, 0.1, 3)
-	res, err := Run(g, cfg)
+	res, err := fresh(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +84,11 @@ func TestRunProducesValidBipartition(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	g := circuit(t, 800, 9)
 	cfg := balancedConfig(g, 0.1, 5)
-	a, err := Run(g, cfg)
+	a, err := fresh(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, cfg)
+	b, err := fresh(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +110,7 @@ func TestMonotoneCutAcrossLevels(t *testing.T) {
 	g := circuit(t, 1500, 11)
 	cfg := balancedConfig(g, 0.2, 7)
 	cfg.Slack = -1
-	res, err := Run(g, cfg)
+	res, err := fresh(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,7 @@ func TestMonotoneCutAcrossLevels(t *testing.T) {
 func TestSmallGraphSkipsCoarsening(t *testing.T) {
 	g := circuit(t, 60, 3)
 	cfg := balancedConfig(g, 0.15, 1)
-	res, err := Run(g, cfg)
+	res, err := fresh(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,7 @@ func TestSmallGraphSkipsCoarsening(t *testing.T) {
 func TestInfeasibleWindowRejected(t *testing.T) {
 	g := circuit(t, 100, 3)
 	total := g.TotalArea()
-	_, err := Run(g, Config{Config: fm.Config{
+	_, err := fresh(g, Config{Config: fm.Config{
 		MinArea: [2]int{total, total}, // both blocks demand the whole area
 		MaxArea: [2]int{total, total},
 	}})

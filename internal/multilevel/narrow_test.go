@@ -17,7 +17,7 @@ import (
 // remainder or -1.
 func carveState(t *testing.T, st *replication.State, assign []replication.Block) []int32 {
 	t.Helper()
-	if err := st.Reset(assign); err != nil {
+	if err := st.ResetPinned(assign, false); err != nil {
 		t.Fatal(err)
 	}
 	for ci := 0; ci < st.NumCells(); ci += 5 {

@@ -21,7 +21,7 @@ func TestPinnedCycleReportsObjective(t *testing.T) {
 	for _, pinned := range []bool{false, true} {
 		cfg := balancedConfig(g, 0.1, 1)
 		cfg.PinExternal = pinned
-		res, err := Run(g, cfg)
+		res, err := fresh(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestRunnerMatchesFresh(t *testing.T) {
 				cfg.RefineWorkers = refine
 				cfg.PinExternal = mode == "pinned"
 				rec := recordEvents(&cfg)
-				want, err := Run(g, cfg)
+				want, err := fresh(g, cfg)
 				if err != nil {
 					t.Fatalf("%s: fresh: %v", name, err)
 				}
@@ -117,12 +117,12 @@ func TestRunnerWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	fresh := testing.AllocsPerRun(3, func() {
-		if _, err := Run(g, cfg); err != nil {
+	oneShot := testing.AllocsPerRun(3, func() {
+		if _, err := fresh(g, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%d levels: warm cycle %v allocs, one-shot cycle %v", levels, warm, fresh)
+	t.Logf("%d levels: warm cycle %v allocs, one-shot cycle %v", levels, warm, oneShot)
 	if limit := 2.0; warm > limit {
 		t.Fatalf("warm cycle allocates %v times, over %v for %d levels", warm, limit, levels)
 	}
@@ -193,13 +193,14 @@ func TestRunnerRetainedBytes(t *testing.T) {
 	}
 }
 
-// withExtraOutput returns a copy of g in which cell c also drives a new
-// primary output with no other connection. Matching never scores a
-// one-pin net, so g and the copy coarsen into levels of equal cell
-// counts, but c's cluster has one more output at every level.
-func withExtraOutput(t *testing.T, g *hypergraph.Graph, c hypergraph.CellID) *hypergraph.Graph {
+// withExtraOutput returns circuit(t, cells, seed) with cell c also
+// driving a new primary output with no other connection. Matching never
+// scores a one-pin net, so the circuit and this variant coarsen into
+// levels of equal cell counts, but c's cluster has one more output at
+// every level.
+func withExtraOutput(t *testing.T, cells int, seed int64, c hypergraph.CellID) *hypergraph.Graph {
 	t.Helper()
-	h := g.Clone()
+	h := circuit(t, cells, seed)
 	id := hypergraph.NetID(len(h.Nets))
 	h.Nets = append(h.Nets, hypergraph.Net{Name: "extra-out", Ext: hypergraph.ExtOut})
 	cell := &h.Cells[c]
@@ -248,7 +249,7 @@ func TestRunnerRecycledLevelsGetNewLayouts(t *testing.T) {
 		if len(a.Cells[c].Outputs) != 1 {
 			continue
 		}
-		cand := withExtraOutput(t, a, hypergraph.CellID(c))
+		cand := withExtraOutput(t, 2100, 31, hypergraph.CellID(c))
 		if reflect.DeepEqual(levelShapes(t, cand, cfg), want) {
 			b = cand
 			break
@@ -264,7 +265,7 @@ func TestRunnerRecycledLevelsGetNewLayouts(t *testing.T) {
 			cfg := balancedConfig(g, 0.1, 5)
 			cfg.RefineWorkers = refine
 			rec := recordEvents(&cfg)
-			fresh, err := Run(g, cfg)
+			want, err := fresh(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,8 +279,8 @@ func TestRunnerRecycledLevelsGetNewLayouts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, fresh) {
-				t.Fatalf("refine=%d cycle %d: warm runner result %+v, fresh %+v", refine, i, got.Levels, fresh.Levels)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("refine=%d cycle %d: warm runner result %+v, fresh %+v", refine, i, got.Levels, want.Levels)
 			}
 		}
 	}

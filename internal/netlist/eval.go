@@ -28,13 +28,6 @@ func NewSimulator(n *Netlist) (*Simulator, error) {
 	return s, nil
 }
 
-// Reset clears all flip-flops to false.
-func (s *Simulator) Reset() {
-	for k := range s.state {
-		delete(s.state, k)
-	}
-}
-
 // Step evaluates one clock cycle: combinational logic settles from the
 // inputs and current state, primary outputs are sampled, then every
 // flip-flop captures its D input. Missing inputs default to false.
@@ -80,14 +73,4 @@ func (s *Simulator) Step(inputs map[string]bool) (map[string]bool, error) {
 		}
 	}
 	return outs, nil
-}
-
-// Evaluate is a convenience for purely combinational circuits: one
-// Step from reset state.
-func Evaluate(n *Netlist, inputs map[string]bool) (map[string]bool, error) {
-	s, err := NewSimulator(n)
-	if err != nil {
-		return nil, err
-	}
-	return s.Step(inputs)
 }

@@ -7,7 +7,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 )
 
 // GateType enumerates supported primitives.
@@ -281,28 +280,4 @@ func (n *Netlist) Stats() Stats {
 		Gates: len(n.Gates), DFFs: n.NumDFF(),
 		Inputs: len(n.Inputs), Outputs: len(n.Outputs), Nets: len(nets),
 	}
-}
-
-// SortedNets returns every net name in sorted order (stable iteration
-// helper for tests and tools).
-func (n *Netlist) SortedNets() []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(s string) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, pi := range n.Inputs {
-		add(pi)
-	}
-	for i := range n.Gates {
-		add(n.Gates[i].Out)
-		for _, in := range n.Gates[i].Ins {
-			add(in)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

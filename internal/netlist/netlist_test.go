@@ -62,10 +62,13 @@ func TestParseGateType(t *testing.T) {
 }
 
 func TestFullAdderTruthTable(t *testing.T) {
-	fa := fullAdder()
+	sim, err := NewSimulator(fullAdder())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < 8; v++ {
 		a, b, cin := v&1 == 1, v&2 == 2, v&4 == 4
-		out, err := Evaluate(fa, map[string]bool{"a": a, "b": b, "cin": cin})
+		out, err := sim.Step(map[string]bool{"a": a, "b": b, "cin": cin})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,10 +218,18 @@ func TestTextRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
 	// Functional equality over all input vectors.
+	s1, err := NewSimulator(fa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewSimulator(back)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < 8; v++ {
 		in := map[string]bool{"a": v&1 == 1, "b": v&2 == 2, "cin": v&4 == 4}
-		o1, _ := Evaluate(fa, in)
-		o2, err := Evaluate(back, in)
+		o1, _ := s1.Step(in)
+		o2, err := s2.Step(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,18 +271,6 @@ func TestStats(t *testing.T) {
 	s := fullAdder().Stats()
 	if s.Gates != 5 || s.DFFs != 0 || s.Inputs != 3 || s.Outputs != 2 || s.Nets != 8 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestSortedNets(t *testing.T) {
-	nets := fullAdder().SortedNets()
-	if len(nets) != 8 {
-		t.Fatalf("nets = %v", nets)
-	}
-	for i := 1; i < len(nets); i++ {
-		if nets[i-1] >= nets[i] {
-			t.Fatalf("not sorted: %v", nets)
-		}
 	}
 }
 
@@ -389,22 +388,6 @@ func TestDepth(t *testing.T) {
 	}
 }
 
-func TestDepthAdderGrowsWithWidth(t *testing.T) {
-	a4, _ := RippleAdder(4)
-	a8, _ := RippleAdder(8)
-	d4, err := a4.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d8, err := a8.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d8 <= d4 {
-		t.Fatalf("ripple depth should grow: %d vs %d", d4, d8)
-	}
-}
-
 // LUT gates survive the native text format.
 func TestTextFormatLutRoundTrip(t *testing.T) {
 	n := &Netlist{
@@ -422,7 +405,11 @@ func TestTextFormatLutRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Evaluate(back, map[string]bool{"a": true, "b": false})
+	sim, err := NewSimulator(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sim.Step(map[string]bool{"a": true, "b": false})
 	if err != nil {
 		t.Fatal(err)
 	}

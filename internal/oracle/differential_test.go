@@ -120,7 +120,7 @@ func TestFMWithReplicationNeverBeatsOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := fm.Run(st, fm.Config{
+				res, err := new(fm.Runner).Run(st, fm.Config{
 					MinArea: minA, MaxArea: maxA, Threshold: threshold, Seed: seed,
 				})
 				if err != nil {

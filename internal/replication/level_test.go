@@ -50,10 +50,10 @@ func TestAddLevelCellChecks(t *testing.T) {
 		t.Fatalf("level has %d cells, %d nets, area %d and %d terminals; want 2, 3, 3 and 1",
 			st.NumCells(), st.NumNets(), st.TotalArea(), st.NumExternal())
 	}
-	if st.Graph() != nil {
+	if st.g != nil {
 		t.Fatal("a level has a graph")
 	}
-	if err := st.Reset([]Block{0, 1}); err != nil {
+	if err := st.ResetPinned([]Block{0, 1}, st.extPin); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.CheckInvariants(); err != nil {
@@ -62,7 +62,7 @@ func TestAddLevelCellChecks(t *testing.T) {
 	if st.CutSize() != 1 {
 		t.Fatalf("cut %d, want 1 (net 1)", st.CutSize())
 	}
-	if err := st.Reset([]Block{0, 2}); err == nil || !strings.Contains(err.Error(), `cell "#1"`) {
-		t.Fatalf("Reset with block 2: error %v, want one naming cell #1", err)
+	if err := st.ResetPinned([]Block{0, 2}, st.extPin); err == nil || !strings.Contains(err.Error(), `cell "#1"`) {
+		t.Fatalf("ResetPinned with block 2: error %v, want one naming cell #1", err)
 	}
 }

@@ -59,8 +59,8 @@ func TestFourOutputSplitsEnumerated(t *testing.T) {
 	if len(splits) != 14 { // 2^4 - 2 proper non-empty subsets
 		t.Fatalf("splits = %d, want 14", len(splits))
 	}
-	if st.Psi(q) != 4 {
-		t.Fatalf("ψ = %d, want 4", st.Psi(q))
+	if st.psi[q] != 4 {
+		t.Fatalf("ψ = %d, want 4", st.psi[q])
 	}
 }
 
@@ -107,7 +107,7 @@ func TestFourOutputBestSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Materialize both blocks; the replica keeps inputs {ic,id} only.
-	g := st.Graph()
+	g := st.g
 	sub, err := g.Subcircuit("b1", st.InstanceSpecs(1), func(n hypergraph.NetID) bool { return st.CutNet(n) })
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 func TestRebindMatchesFresh(t *testing.T) {
 	for _, pin := range []bool{false, true} {
 		old := randomState(t, 1, 120)
-		st, err := NewStatePinned(old.Graph(), make([]Block, old.Graph().NumCells()), true)
+		st, err := NewStatePinned(old.g, make([]Block, old.g.NumCells()), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +30,7 @@ func TestRebindMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		g := randomState(t, 2, 50).Graph()
+		g := randomState(t, 2, 50).g
 		assign := make([]Block, g.NumCells())
 		for i := range assign {
 			assign[i] = Block(r.Intn(2))
@@ -93,8 +93,8 @@ func TestRebindMatchesFresh(t *testing.T) {
 // reuses every array, and so does the split-gain table rebuilt after it.
 func TestRebindAllocs(t *testing.T) {
 	st := randomState(t, 3, 200)
-	big := st.Graph()
-	small := randomState(t, 4, 120).Graph()
+	big := st.g
+	small := randomState(t, 4, 120).g
 	bigAssign := make([]Block, big.NumCells())
 	smallAssign := make([]Block, small.NumCells())
 	for i := range smallAssign {

@@ -108,8 +108,10 @@ func liveNetlist(r *rand.Rand, cells int) *hypergraph.Graph {
 		for ci := range g.Cells {
 			c := &g.Cells[ci]
 			for j, n := range c.Inputs {
-				if n != hypergraph.NilNet && c.InputsFor(nil).Get(j) {
-					live[n] = true
+				for _, dep := range c.Dep {
+					if n != hypergraph.NilNet && dep.Get(j) {
+						live[n] = true
+					}
 				}
 			}
 		}
@@ -193,7 +195,7 @@ func compareDynamic(t *testing.T, a, b *State) {
 // source g, and the fresh partition.
 func compareRetarget(t *testing.T, g *hypergraph.Graph, view, ref *State) {
 	t.Helper()
-	rg := ref.Graph()
+	rg := ref.g
 	if view.NumCells() != rg.NumCells() || view.NumNets() != rg.NumNets() {
 		t.Errorf("%d cells, %d nets; remainder graph %d, %d", view.NumCells(), view.NumNets(), rg.NumCells(), rg.NumNets())
 		return
@@ -229,9 +231,9 @@ func compareRetarget(t *testing.T, g *hypergraph.Graph, view, ref *State) {
 			t.Errorf("cell %q drives %v, view maps it to %v", rc.Name, want, names)
 			return
 		}
-		if view.Psi(c) != ref.Psi(c) || view.CellArea(c) != rc.Area || view.NumOutputs(c) != len(rc.Outputs) {
+		if view.psi[c] != ref.psi[c] || view.CellArea(c) != rc.Area || view.NumOutputs(c) != len(rc.Outputs) {
 			t.Errorf("cell %q: ψ %d, area %d, outputs %d; remainder %d, %d, %d",
-				rc.Name, view.Psi(c), view.CellArea(c), view.NumOutputs(c), ref.Psi(c), rc.Area, len(rc.Outputs))
+				rc.Name, view.psi[c], view.CellArea(c), view.NumOutputs(c), ref.psi[c], rc.Area, len(rc.Outputs))
 			return
 		}
 		if !slices.Equal(view.Splits(c), ref.Splits(c)) || !slices.Equal(view.CellNets(c), ref.CellNets(c)) {

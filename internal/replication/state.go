@@ -660,13 +660,6 @@ func appendSplits(dst []uint32, mo int, all uint32) []uint32 {
 	return dst
 }
 
-// Reset reinitializes the partition to a fresh replication-free
-// assignment, keeping the external-pin mode and reusing every
-// allocated per-net/per-cell array. The undo trail is discarded.
-func (s *State) Reset(assign []Block) error {
-	return s.ResetPinned(assign, s.extPin)
-}
-
 // ResetPinned is Reset with an explicit external-pin mode (see
 // NewStatePinned).
 func (s *State) ResetPinned(assign []Block, pinExternal bool) error {
@@ -727,11 +720,6 @@ func (s *State) ResetPinned(assign []Block, pinExternal bool) error {
 	return nil
 }
 
-// Graph returns the graph Rebind bound the state to. After Retarget
-// the state holds a remainder of it (see Source); a V-cycle level
-// (StartLevel) has none.
-func (s *State) Graph() *hypergraph.Graph { return s.g }
-
 // Layout identifies the state's cell and net set: Rebind and Retarget
 // give it a new value, unique within the process, and Reset keeps it.
 // Engines key their per-layout buffers on it.
@@ -762,7 +750,8 @@ func (s *State) NumOutputs(c hypergraph.CellID) int { return int(s.outOff[c+1] -
 // AllOutputs returns the mask of all of cell c's outputs.
 func (s *State) AllOutputs(c hypergraph.CellID) uint32 { return s.all[c] }
 
-// Source returns the cell of Graph() that cell c copies.
+// Source returns the cell of the graph Rebind bound the state to that
+// cell c copies.
 func (s *State) Source(c hypergraph.CellID) hypergraph.CellID { return s.src[c] }
 
 // SourceOutputs maps a mask over cell c's outputs to the mask of the
@@ -771,7 +760,8 @@ func (s *State) SourceOutputs(c hypergraph.CellID, mask uint32) uint32 {
 	return deposit(mask, s.srcOut[c])
 }
 
-// SourceNet returns the net of Graph() that net n is.
+// SourceNet returns the net of the graph Rebind bound the state to
+// that net n is.
 func (s *State) SourceNet(n hypergraph.NetID) hypergraph.NetID { return s.netSrc[n] }
 
 // CellNets returns cell c's distinct active nets in first-pin order
@@ -823,9 +813,6 @@ func (s *State) IsReplicated(c hypergraph.CellID) bool { return s.repl[c] }
 // OutputsIn returns the mask of the cell's outputs produced in block b.
 func (s *State) OutputsIn(c hypergraph.CellID, b Block) uint32 { return s.own[c][b] }
 
-// Psi returns the cell's replication potential ψ (Eq. 4), cached.
-func (s *State) Psi(c hypergraph.CellID) int { return s.psi[c] }
-
 // MaxCellDegree returns the maximum number of distinct active nets
 // incident to any single cell — a tight bound on |gain| for every move
 // kind, since a move can only change the cut status of the mover's own
@@ -853,17 +840,6 @@ func (s *State) ReplicatedCount() int {
 	n := 0
 	for _, r := range s.repl {
 		if r {
-			n++
-		}
-	}
-	return n
-}
-
-// CellsIn returns the number of cell copies active in block b.
-func (s *State) CellsIn(b Block) int {
-	n := 0
-	for ci := range s.own {
-		if s.own[ci][b] != 0 {
 			n++
 		}
 	}
@@ -1581,9 +1557,10 @@ func (s *State) bumpTouchEpoch() {
 func (s *State) LastTouched() []hypergraph.CellID { return s.lastTouched }
 
 // InstanceSpecs lists the cell copies active in block b as instances
-// of Graph() in the form hypergraph.Subcircuit consumes. Replica copies
-// (a replicated cell's copy outside its home block) carry the Replica
-// flag and get a "$r" name suffix to keep names unique.
+// of the bound graph in the form hypergraph.Subcircuit consumes.
+// Replica copies (a replicated cell's copy outside its home block)
+// carry the Replica flag and get a "$r" name suffix to keep names
+// unique.
 func (s *State) InstanceSpecs(b Block) []hypergraph.InstanceSpec {
 	var specs []hypergraph.InstanceSpec
 	for ci := range s.own {

@@ -82,8 +82,8 @@ func TestCraftedInitialState(t *testing.T) {
 	if st.Home(m) != 0 || st.IsReplicated(m) {
 		t.Fatal("M misplaced")
 	}
-	if st.Psi(m) != 5 {
-		t.Fatalf("ψ(M) = %d, want 5", st.Psi(m))
+	if st.psi[m] != 5 {
+		t.Fatalf("ψ(M) = %d, want 5", st.psi[m])
 	}
 }
 
@@ -247,7 +247,7 @@ func TestMoveValidation(t *testing.T) {
 
 func TestNewStateValidation(t *testing.T) {
 	st, _ := crafted(t)
-	g := st.Graph()
+	g := st.g
 	if _, err := NewState(g, make([]Block, 1)); err == nil {
 		t.Fatal("short assignment should fail")
 	}
@@ -325,7 +325,7 @@ func TestInstanceSpecs(t *testing.T) {
 		t.Fatal("replicated cell missing from a block's specs")
 	}
 	// Both sides materialize into valid subcircuits.
-	g := st.Graph()
+	g := st.g
 	for b := Block(0); b < 2; b++ {
 		sub, err := g.Subcircuit("side", st.InstanceSpecs(b), func(n hypergraph.NetID) bool { return st.CutNet(n) })
 		if err != nil {
@@ -426,7 +426,7 @@ func TestPropertyUndoRestores(t *testing.T) {
 		cut0 := st.CutSize()
 		area0 := [2]int{st.Area(0), st.Area(1)}
 		t0, t1 := st.Terminals(0), st.Terminals(1)
-		own0 := make([][2]uint32, st.Graph().NumCells())
+		own0 := make([][2]uint32, st.g.NumCells())
 		for i := range own0 {
 			own0[i] = [2]uint32{st.OutputsIn(hypergraph.CellID(i), 0), st.OutputsIn(hypergraph.CellID(i), 1)}
 		}
@@ -470,7 +470,7 @@ func TestPropertyFormulaMatchesSemantic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for ci := 0; ci < st.Graph().NumCells(); ci++ {
+		for ci := 0; ci < st.g.NumCells(); ci++ {
 			c := hypergraph.CellID(ci)
 			if st.IsReplicated(c) {
 				continue
@@ -514,20 +514,6 @@ func TestUndoTokenValidation(t *testing.T) {
 	}
 }
 
-func TestCellsIn(t *testing.T) {
-	st, m := crafted(t)
-	total := st.CellsIn(0) + st.CellsIn(1)
-	if total != st.Graph().NumCells() {
-		t.Fatalf("cells in blocks = %d, want %d", total, st.Graph().NumCells())
-	}
-	if _, err := st.Apply(Move{Cell: m, Kind: Replicate, Carry: 0b01}); err != nil {
-		t.Fatal(err)
-	}
-	if st.CellsIn(0)+st.CellsIn(1) != st.Graph().NumCells()+1 {
-		t.Fatal("replicated cell should count in both blocks")
-	}
-}
-
 // quick.Check property: any generated (seed, steps) pair leaves the
 // state consistent, with gains matching observed deltas throughout.
 func TestQuickStateConsistency(t *testing.T) {
@@ -562,7 +548,7 @@ func TestQuickStateConsistency(t *testing.T) {
 // loop reuse one State across retries.
 func TestResetMatchesFresh(t *testing.T) {
 	st := randomState(t, 3, 80)
-	g := st.Graph()
+	g := st.g
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 60; i++ {
 		if _, err := st.Apply(randomMove(r, st)); err != nil {
@@ -643,7 +629,7 @@ func TestCheckpointRestore(t *testing.T) {
 				b, st.Terminals(b), st.Area(b), shadow.Terminals(b), shadow.Area(b))
 		}
 	}
-	for ci := 0; ci < st.Graph().NumCells(); ci++ {
+	for ci := 0; ci < st.g.NumCells(); ci++ {
 		c := hypergraph.CellID(ci)
 		if st.IsReplicated(c) != shadow.IsReplicated(c) || st.Home(c) != shadow.Home(c) {
 			t.Fatalf("cell %d: restored repl/home %v/%v, undo %v/%v",
@@ -667,7 +653,7 @@ func TestLastTouchedMatchesTouchedCells(t *testing.T) {
 	for step := 0; step < 80; step++ {
 		var c hypergraph.CellID
 		for {
-			c = hypergraph.CellID(r.Intn(st.Graph().NumCells()))
+			c = hypergraph.CellID(r.Intn(st.g.NumCells()))
 			if !st.IsReplicated(c) {
 				break
 			}
@@ -708,7 +694,7 @@ func TestSingleGainMaintained(t *testing.T) {
 			}
 			toks = append(toks, tok)
 		}
-		for ci := 0; ci < st.Graph().NumCells(); ci++ {
+		for ci := 0; ci < st.g.NumCells(); ci++ {
 			c := hypergraph.CellID(ci)
 			if st.IsReplicated(c) {
 				continue

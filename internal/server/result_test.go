@@ -44,7 +44,7 @@ func TestResultJSONFromSummary(t *testing.T) {
 	}
 	var jobs []job
 	for _, c := range bench.Suite() {
-		jobs = append(jobs, job{c.MustBuild(), core.Options{Solutions: 8, Seed: 4}})
+		jobs = append(jobs, job{build(t, c), core.Options{Solutions: 8, Seed: 4}})
 	}
 	jobs = append(jobs, job{mesh, core.Options{Solutions: 4, Seed: 4, Board: board}})
 	var e core.Engine

@@ -153,7 +153,7 @@ func TestExplicitThresholdZero(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	c, _ := bench.ByName("c5315")
 	var sb strings.Builder
-	if err := hypergraph.Write(&sb, c.MustBuild()); err != nil {
+	if err := hypergraph.Write(&sb, build(t, c)); err != nil {
 		t.Fatal(err)
 	}
 	circuit := sb.String()
@@ -502,4 +502,14 @@ func TestConcurrentSubmitRace(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// build builds the benchmark circuit c, failing tb on an error.
+func build(tb testing.TB, c bench.Circuit) *hypergraph.Graph {
+	tb.Helper()
+	g, err := c.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }

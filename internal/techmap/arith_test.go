@@ -30,7 +30,7 @@ func bitsOut(prefix string, w int, out map[string]bool) uint64 {
 
 func TestMappedAdderComputesSum(t *testing.T) {
 	const w = 8
-	n, err := netlist.RippleAdder(w)
+	n, err := rippleAdder(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMappedAdderComputesSum(t *testing.T) {
 
 func TestMappedMultiplierComputesProduct(t *testing.T) {
 	const w = 6
-	n, err := netlist.ArrayMultiplier(w)
+	n, err := arrayMultiplier(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMappedMultiplierComputesProduct(t *testing.T) {
 
 func TestMappedCounterCounts(t *testing.T) {
 	const w = 6
-	n, err := netlist.Counter(w)
+	n, err := counter(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMappedCounterCounts(t *testing.T) {
 }
 
 func TestMappedALUMatchesGateLevel(t *testing.T) {
-	n, err := netlist.ALUSlice(6)
+	n, err := aluSlice(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestMappedWideLut(t *testing.T) {
 // LUT mapping compresses logic depth (4-input cones absorb several
 // gate levels).
 func TestMappedDepthBelowGateDepth(t *testing.T) {
-	n, err := netlist.RippleAdder(12)
+	n, err := rippleAdder(12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,13 +71,6 @@ func NewSimulator(m *Mapped) (*Simulator, error) {
 	return &Simulator{m: m, order: order, luts: luts, state: make(map[string]bool)}, nil
 }
 
-// Reset clears all registered outputs to false.
-func (s *Simulator) Reset() {
-	for k := range s.state {
-		delete(s.state, k)
-	}
-}
-
 // Step evaluates one clock cycle and returns the primary outputs.
 func (s *Simulator) Step(inputs map[string]bool) (map[string]bool, error) {
 	values := make(map[string]bool, len(s.luts)+len(s.m.Inputs))

@@ -51,9 +51,13 @@ func TestMapEquivalenceFullAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := netlist.NewSimulator(fa)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < 8; v++ {
 		in := map[string]bool{"a": v&1 == 1, "b": v&2 == 2, "cin": v&4 == 4}
-		want, err := netlist.Evaluate(fa, in)
+		want, err := ref.Step(in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -291,13 +291,6 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Add adds delta (negative to decrement).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
-// Inc adds one; Dec subtracts one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 func (g *Gauge) labelString() string { return g.ls }
 
 func (g *Gauge) appendText(b []byte, name string) []byte {
@@ -538,19 +531,6 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 	for i := range b {
 		b[i] = v
 		v *= factor
-	}
-	return b
-}
-
-// LinearBuckets returns count buckets starting at start, each width
-// apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("telemetry: LinearBuckets wants width > 0, count >= 1")
-	}
-	b := make([]float64, count)
-	for i := range b {
-		b[i] = start + float64(i)*width
 	}
 	return b
 }
