@@ -109,6 +109,10 @@ func main() {
 	poolSize := 0
 	var workerURLs []string
 	if n, err := strconv.Atoi(strings.TrimSpace(*workers)); err == nil {
+		if n < 0 {
+			logger.Error("bad -workers", "value", *workers)
+			os.Exit(2)
+		}
 		poolSize = n
 	} else {
 		for _, w := range strings.Split(*workers, ",") {
@@ -120,6 +124,15 @@ func main() {
 			logger.Error("bad -workers", "value", *workers)
 			os.Exit(2)
 		}
+	}
+
+	if *queue < 0 {
+		logger.Error("bad -queue", "value", *queue)
+		os.Exit(2)
+	}
+	if *tries < 0 {
+		logger.Error("bad -tries", "value", *tries)
+		os.Exit(2)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -158,7 +171,7 @@ func main() {
 			Metrics:        coord.NewMetrics(reg),
 		})
 		if err != nil {
-			logger.Error("bad -workers", "err", err)
+			logger.Error("bad coordinator flags", "err", err)
 			os.Exit(2)
 		}
 		logger.Info("coordinator mode", "workers", workerURLs,

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -145,6 +147,36 @@ func TestDaemonLifecycle(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("daemon did not drain within 5s of SIGTERM")
+	}
+}
+
+// Flag values the daemon cannot run with exit 2 before it listens, with
+// a log line naming the flag.
+func TestBadFlagsExit2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := buildDaemon(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-queue", "-1"}, "bad -queue"},
+		{[]string{"-workers", "-1"}, "bad -workers"},
+		{[]string{"-tries", "-1"}, "bad -tries"},
+		{[]string{"-workers", "http://127.0.0.1:1", "-attempt-timeout", "-1s"}, "negative AttemptTimeout"},
+		{[]string{"-workers", "http://127.0.0.1:1", "-hedge-after", "-1s"}, "negative HedgeAfter"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("kpartd %v: %v, want exit status 2 and a log naming %q\n%s", tc.args, err, tc.want, stderr.String())
+		}
 	}
 }
 

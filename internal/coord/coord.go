@@ -184,10 +184,19 @@ type Pool struct {
 	local  func(ctx context.Context, req *server.JobRequest) (*server.JobResult, error)
 }
 
-// New validates the worker list and builds a Pool.
+// New validates the worker list and the retry settings and builds a
+// Pool.
 func New(cfg Config) (*Pool, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("coord: at least one worker URL is required")
+	}
+	switch {
+	case cfg.Tries < 0:
+		return nil, fmt.Errorf("coord: negative Tries %d", cfg.Tries)
+	case cfg.AttemptTimeout < 0:
+		return nil, fmt.Errorf("coord: negative AttemptTimeout %v", cfg.AttemptTimeout)
+	case cfg.HedgeAfter < 0:
+		return nil, fmt.Errorf("coord: negative HedgeAfter %v", cfg.HedgeAfter)
 	}
 	workers := make([]string, len(cfg.Workers))
 	for i, w := range cfg.Workers {

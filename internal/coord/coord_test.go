@@ -530,11 +530,21 @@ func TestIngestOnlyOwnTrace(t *testing.T) {
 }
 
 func TestNewValidatesWorkers(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("want error for an empty worker list")
-	}
-	if _, err := New(Config{Workers: []string{"not-a-url"}}); err == nil {
-		t.Fatal("want error for a non-http worker URL")
+	ok := []string{"http://a:1"}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no workers", Config{}, "at least one worker"},
+		{"not a URL", Config{Workers: []string{"not-a-url"}}, "not an http(s) URL"},
+		{"negative tries", Config{Workers: ok, Tries: -1}, "negative Tries"},
+		{"negative attempt timeout", Config{Workers: ok, AttemptTimeout: -time.Second}, "negative AttemptTimeout"},
+		{"negative hedge delay", Config{Workers: ok, HedgeAfter: -time.Second}, "negative HedgeAfter"},
+	} {
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 	p, err := New(Config{Workers: []string{" http://a:1/ "}})
 	if err != nil {
